@@ -24,7 +24,6 @@ from .estimators import (
     ESTIMATOR_KINDS,
     ShrinkageWeights,
     bona_fide_intensities,
-    generalized_inverse_s,
     james_stein,
     js_high_dim,
     js_positive_part,
@@ -58,6 +57,7 @@ from .linalg import (
     pseudo_inverse,
     spd_factor,
     spd_solve,
+    spd_whiten,
     sym_sqrt,
 )
 from .model import (

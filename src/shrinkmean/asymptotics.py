@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateDenominatorError,
     DegenerateTargetError,
+    InvalidDimensionsError,
     MomentsDoNotExistError,
     UnsupportedConcentrationError,
 )
@@ -244,25 +245,29 @@ def residual_stat_moments(params: ResidualStatParams) -> tuple[float, float]:
     return mean_f / params.scale, var_f / params.scale**2
 
 
+def _sample_target_gram(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:
+    if stats.p >= stats.n:
+        raise InvalidDimensionsError(f"requires p < n, got p={stats.p} n={stats.n}")
+    return stats.precision_gram(stats.y_bar, np.asarray(mu_0, dtype=float))
+
+
 def residual_stat(stats: SampleStats, mu_0: np.ndarray) -> float:
     """Sample residual quadratic form of the mean orthogonal to the target.
 
     Requires p < n.  Uses the unbiased (divisor n-1) sample covariance:
     with that divisor the scaled statistic follows the noncentral F law of
-    :func:`residual_stat_moments` exactly.
+    :func:`residual_stat_moments` exactly; it scales S^{-1} by (n-1)/n.
     """
-    factor = spd_factor(stats.s * (stats.n / (stats.n - 1.0)))
-    stacked = np.column_stack([stats.y_bar, np.asarray(mu_0, dtype=float)])
-    gram = stacked.T @ spd_solve(factor, stacked)
-    return float(gram[0, 0] - gram[0, 1] ** 2 / gram[1, 1])
+    gram = _sample_target_gram(stats, mu_0)
+    resid = gram[0, 0] - gram[0, 1] ** 2 / gram[1, 1]
+    return float(resid * (stats.n - 1.0) / stats.n)
 
 
 def projection_stat(stats: SampleStats, mu_0: np.ndarray) -> float:
     """Sample projection coefficient of the mean on the target direction.
 
-    Invariant to the covariance divisor (the scaling cancels in the ratio).
+    Requires p < n.  Invariant to the covariance divisor (the scaling
+    cancels in the ratio).
     """
-    factor = spd_factor(stats.s)
-    stacked = np.column_stack([stats.y_bar, np.asarray(mu_0, dtype=float)])
-    gram = stacked.T @ spd_solve(factor, stacked)
+    gram = _sample_target_gram(stats, mu_0)
     return float(gram[0, 1] / gram[1, 1])

@@ -12,11 +12,12 @@ The shrinkage family estimates the mean as ``alpha * y_bar + beta * mu_0``:
 Four benchmarks are included: the (modified) James-Stein estimator for
 p < n, its high-dimensional and positive-part variants for p > n, and the
 unit-target shrinkage estimator of Wang et al. with both a direct and a
-fast evaluation of its pairwise double sums.  ``generalized_inverse_s`` is
-a covariance-sandwiched generalized inverse used only as a test oracle.
+fast evaluation of its pairwise double sums.
 
-Everything here is a pure function; a single :class:`SampleStats` value
-may be shared read-only across threads.
+Every sample-based estimator reads the one covariance factorization that
+its :class:`SampleStats` value carries (Cholesky of S for p < n, the
+n x n Gram route to S^+ for p > n), so a sample is factorized once however
+many estimators run on it.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from .errors import (
     DimensionMismatchError,
     EqualDimensionsError,
     InvalidDimensionsError,
-    NotPositiveDefiniteError,
-    SingularSampleError,
 )
-from .linalg import PseudoInverseResult, SpdFactor, pseudo_inverse, spd_factor, spd_solve
+from .linalg import SpdFactor, spd_factor, spd_solve
 from .model import SampleStats
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "js_high_dim",
     "js_positive_part",
     "wang_estimator",
-    "generalized_inverse_s",
 ]
 
 #: Estimators understood by the Monte Carlo harness and the backtester.
@@ -152,45 +150,34 @@ def limit_intensities(
     return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="limit")
 
 
+def _negligible(quad: float, v: np.ndarray, stats: SampleStats) -> bool:
+    """Whether the energy ``quad = v'Qv`` is zero relative to the least
+    energy of such a v inside the range of S (rescaling the data moves both)."""
+    f = stats.factorization
+    return f.rank == 0 or quad <= _REL_FLOOR * float(v @ v) / f.scale
+
+
 def _sample_precision_forms(
-    stats: SampleStats,
-    mu_0: np.ndarray,
-    s_pinv: PseudoInverseResult | None = None,
+    stats: SampleStats, mu_0: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(ybar'Qybar, ybar'Qmu0, mu0'Qmu0, correction) with Q the inverse or
     pseudoinverse of the sample covariance, depending on p vs n."""
     p, n = stats.p, stats.n
     if p == n:
         raise EqualDimensionsError("bona fide weights are undefined at p == n")
-    mu_0 = np.asarray(mu_0, dtype=float)
     if mu_0.shape != (p,):
         raise DimensionMismatchError("target vector length must equal p")
-
-    if p < n:
-        try:
-            factor = spd_factor(stats.s)
-        except NotPositiveDefiniteError as exc:
-            raise SingularSampleError(
-                "sample covariance is not positive definite"
-            ) from exc
-        stacked = np.column_stack([stats.y_bar, mu_0])
-        solved = spd_solve(factor, stacked)
-        gram = stacked.T @ solved
-        correction = p / (n - p)
-    else:
-        if s_pinv is None:
-            s_pinv = pseudo_inverse(stats.s)
-        stacked = np.column_stack([stats.y_bar, mu_0])
-        gram = stacked.T @ (s_pinv.pinv @ stacked)
-        correction = 1.0 / (p / n - 1.0)
+    rank = stats.factorization.rank
+    if p > n and rank < 2:
+        raise InvalidDimensionsError(f"the 2x2 precision Gram needs rank(S) >= 2"
+                                     f" (n >= 3), got rank {rank} at p={p} n={n}")
+    gram = stats.precision_gram(stats.y_bar, mu_0)
+    correction = p / (n - p) if p < n else 1.0 / (p / n - 1.0)
     return float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]), correction
 
 
 def bona_fide_intensities(
-    stats: SampleStats,
-    mu_0: np.ndarray,
-    clamp: bool = False,
-    s_pinv: PseudoInverseResult | None = None,
+    stats: SampleStats, mu_0: np.ndarray, clamp: bool = False
 ) -> ShrinkageWeights:
     """Plug-in shrinkage weights from observable data only.
 
@@ -198,12 +185,12 @@ def bona_fide_intensities(
     quadratic form is debiased by p/(n-p); for p > n the Moore-Penrose
     pseudoinverse replaces it and the debiasing term is 1/(p/n - 1).
     ``clamp=True`` clips alpha to [0, 1] (for applied use; raw weights may
-    legitimately be negative in small samples).  ``s_pinv`` may pass a
-    precomputed pseudoinverse of ``stats.s`` for the p > n branch.
+    legitimately be negative in small samples).
     """
-    a_yy, a_y0, a_00, correction = _sample_precision_forms(stats, mu_0, s_pinv)
+    mu_0 = np.asarray(mu_0, dtype=float)
+    a_yy, a_y0, a_00, correction = _sample_precision_forms(stats, mu_0)
     det = a_yy * a_00 - a_y0 * a_y0
-    if abs(det) <= _REL_FLOOR * abs(a_yy * a_00) or a_00 <= 0:
+    if abs(det) <= _REL_FLOOR * abs(a_yy * a_00) or _negligible(a_00, mu_0, stats):
         raise DegenerateDenominatorError(
             "sample mean and target are collinear in the sample precision metric"
         )
@@ -214,76 +201,52 @@ def bona_fide_intensities(
     return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="bona-fide")
 
 
-def olse(
-    stats: SampleStats,
-    mu_0: np.ndarray,
-    clamp: bool = False,
-    s_pinv: PseudoInverseResult | None = None,
-) -> np.ndarray:
+def olse(stats: SampleStats, mu_0: np.ndarray, clamp: bool = False) -> np.ndarray:
     """Optimal linear shrinkage estimate alpha * y_bar + beta * mu_0."""
-    w = bona_fide_intensities(stats, mu_0, clamp=clamp, s_pinv=s_pinv)
+    w = bona_fide_intensities(stats, mu_0, clamp=clamp)
     return w.alpha * stats.y_bar + w.beta * np.asarray(mu_0, dtype=float)
 
 
-def _check_vector_matrix(y_bar: np.ndarray, scatter: np.ndarray, p: int) -> tuple:
-    y_bar = np.asarray(y_bar, dtype=float)
-    scatter = np.asarray(scatter, dtype=float)
-    if y_bar.shape != (p,) or scatter.shape != (p, p):
-        raise DimensionMismatchError("y_bar must be length p and scatter p x p")
-    return y_bar, scatter
+def _mean_energy(stats: SampleStats) -> float:
+    """y_bar' Q y_bar, rejected when negligible (y_bar outside the range)."""
+    white = stats.whiten(stats.y_bar)
+    quad = float(white @ white)
+    if _negligible(quad, stats.y_bar, stats):
+        raise DegenerateDenominatorError("sample mean lies outside the scatter range")
+    return quad
 
 
-def james_stein(
-    y_bar: np.ndarray, scatter: np.ndarray, p: int, n: int
-) -> np.ndarray:
+def james_stein(stats: SampleStats) -> np.ndarray:
     """James-Stein estimator with estimated covariance, for n >= p + 4.
 
     Shrinks the sample mean toward zero by the factor
-    ``1 - ((p-2)/(n-p-3)) / (y_bar' scatter^{-1} y_bar)``.
+    ``1 - ((p-2)/(n-p-3)) / (y_bar' scatter^{-1} y_bar)``, with the
+    scatter matrix ``n * s``.
     """
+    p, n = stats.p, stats.n
     if p < 3 or n < p + 4:
         raise InvalidDimensionsError(f"requires n >= p + 4 and p >= 3, got p={p} n={n}")
-    y_bar, scatter = _check_vector_matrix(y_bar, scatter, p)
-    quad = float(y_bar @ spd_solve(spd_factor(scatter), y_bar))
-    if quad <= 0.0:
-        raise DegenerateDenominatorError("sample mean quadratic form is zero")
+    quad = _mean_energy(stats) / n
     shrink = 1.0 - ((p - 2.0) / (n - p - 3.0)) / quad
-    return shrink * y_bar
+    return shrink * stats.y_bar
 
 
-def js_high_dim(
-    y_bar: np.ndarray,
-    scatter: np.ndarray,
-    p: int,
-    n: int,
-    scatter_pinv: PseudoInverseResult | None = None,
-) -> np.ndarray:
+def js_high_dim(stats: SampleStats) -> np.ndarray:
     """High-dimensional James-Stein estimator for p > n >= 3.
 
     Shrinks only the component of the sample mean inside the range of the
-    scatter matrix, with coefficient a = 2(n-2)/(p-n+3) at its upper bound.
+    scatter matrix ``n * s``, with coefficient a = 2(n-2)/(p-n+3) at its
+    upper bound.
     """
+    p, n = stats.p, stats.n
     if not (p > n >= 3):
         raise InvalidDimensionsError(f"requires p > n >= 3, got p={p} n={n}")
-    y_bar, scatter = _check_vector_matrix(y_bar, scatter, p)
-    if scatter_pinv is None:
-        scatter_pinv = pseudo_inverse(scatter)
-    quad = float(y_bar @ (scatter_pinv.pinv @ y_bar))
-    if abs(quad) <= _REL_FLOOR:
-        raise DegenerateDenominatorError("sample mean lies outside the scatter range")
+    quad = _mean_energy(stats) / n
     a = 2.0 * (n - 2.0) / (p - n + 3.0)
-    projected = scatter @ (scatter_pinv.pinv @ y_bar)
-    return y_bar - (a / quad) * projected
+    return stats.y_bar - (a / quad) * stats.project(stats.y_bar)
 
 
-def js_positive_part(
-    y_bar: np.ndarray,
-    scatter: np.ndarray,
-    p: int,
-    n: int,
-    as_printed: bool = True,
-    scatter_pinv: PseudoInverseResult | None = None,
-) -> np.ndarray:
+def js_positive_part(stats: SampleStats, as_printed: bool = True) -> np.ndarray:
     """Positive-part variant of the high-dimensional James-Stein estimator.
 
     The published display adds the in-range component to the sample mean,
@@ -294,18 +257,13 @@ def js_positive_part(
     ``max(0, 1 - ((n-2)/(p-n+3)) / (y_bar' scatter^+ y_bar)) * P y_bar``
     is added.
     """
+    p, n = stats.p, stats.n
     if not (p > n >= 3):
         raise InvalidDimensionsError(f"requires p > n >= 3, got p={p} n={n}")
-    y_bar, scatter = _check_vector_matrix(y_bar, scatter, p)
-    if scatter_pinv is None:
-        scatter_pinv = pseudo_inverse(scatter)
-    pinv_y = scatter_pinv.pinv @ y_bar
-    quad = float(y_bar @ pinv_y)
-    if abs(quad) <= _REL_FLOOR:
-        raise DegenerateDenominatorError("sample mean lies outside the scatter range")
-    projected = scatter @ pinv_y
+    quad = _mean_energy(stats) / n
+    projected = stats.project(stats.y_bar)
     clamped = max(0.0, 1.0 - ((n - 2.0) / (p - n + 3.0)) / quad)
-    base = y_bar + projected if as_printed else y_bar - projected
+    base = stats.y_bar + projected if as_printed else stats.y_bar - projected
     return base + clamped * projected
 
 
@@ -322,7 +280,7 @@ def _wang_pair_sums_fast(
 
 
 def _wang_pair_sums_naive(
-    y: np.ndarray, w: np.ndarray, ones_w_y: np.ndarray
+    y: np.ndarray, w_y: np.ndarray, ones_w_y: np.ndarray
 ) -> tuple[float, float, float]:
     """Literal evaluation of the pairwise double sums."""
     n = y.shape[1]
@@ -330,46 +288,38 @@ def _wang_pair_sums_naive(
     diag_yy = 0.0
     off_11 = 0.0
     for i in range(n):
-        w_yi = w @ y[:, i]
-        diag_yy += float(y[:, i] @ w_yi)
+        diag_yy += float(y[:, i] @ w_y[:, i])
         for j in range(n):
             if j == i:
                 continue
-            off_yy += float(y[:, j] @ w_yi)
+            off_yy += float(y[:, j] @ w_y[:, i])
             off_11 += float(ones_w_y[i] * ones_w_y[j])
     return off_yy, diag_yy, off_11
 
 
-def wang_estimator(y: np.ndarray, use_fast_path: bool = True) -> np.ndarray:
+def wang_estimator(stats: SampleStats, use_fast_path: bool = True) -> np.ndarray:
     """Unit-target shrinkage estimator of Wang et al. for p > n.
 
     Combines the sample mean and the all-ones direction with coefficients
-    built from four statistics of the pseudoinverted scatter matrix.  The
-    fast path rewrites the pairwise double sums through the sum-product
-    identity; both paths agree to 1e-10 relative.
+    built from four statistics of W = scatter^+ = S^+ / n.  W is applied
+    through the whitened observations g_k (``g_i' g_j = y_i' W y_j``), so
+    the double sums are plain dot products.  The fast path rewrites them
+    through the sum-product identity; both paths agree to 1e-10 relative.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise DimensionMismatchError(f"expected a p x n matrix, got shape {y.shape}")
-    p, n = y.shape
+    p, n = stats.p, stats.n
     if not (p > n >= 2):
         raise InvalidDimensionsError(f"requires p > n >= 2, got p={p} n={n}")
 
-    y_bar = y.mean(axis=1)
-    centered = y - y_bar[:, None]
-    scatter = centered @ centered.T
-    w = pseudo_inverse(scatter).pinv
     ones = np.ones(p)
-    w_ones = w @ ones
-    ones_w_y = y.T @ w_ones  # entries 1' scatter^+ y_k
-    ones_w_ones = float(ones @ w_ones)
-    if abs(ones_w_ones) <= _REL_FLOOR:
+    white = stats.whiten(np.column_stack([stats.y, ones])) / np.sqrt(n)
+    g, h = white[:, :-1], white[:, -1]
+    ones_w_y = g.T @ h  # entries 1' W y_k
+    ones_w_ones = float(h @ h)
+    if _negligible(n * ones_w_ones, ones, stats):
         raise DegenerateDenominatorError("ones vector lies outside the scatter range")
 
-    if use_fast_path:
-        off_yy, diag_yy, off_11 = _wang_pair_sums_fast(y, w @ y, ones_w_y)
-    else:
-        off_yy, diag_yy, off_11 = _wang_pair_sums_naive(y, w, ones_w_y)
+    pair_sums = _wang_pair_sums_fast if use_fast_path else _wang_pair_sums_naive
+    off_yy, diag_yy, off_11 = pair_sums(g, g, ones_w_y)
 
     z1 = off_yy / (p * (n - 1.0))
     z2 = (diag_yy - off_yy / (n - 1.0)) / (n * p)
@@ -380,30 +330,4 @@ def wang_estimator(y: np.ndarray, use_fast_path: bool = True) -> np.ndarray:
     scale = abs(z1) + abs(z2 * z4)
     if abs(denom) <= _REL_FLOOR * max(scale, 1e-300):
         raise DegenerateDenominatorError("shrinkage coefficient denominator vanishes")
-    return ((z1 - z4) / denom) * y_bar + (z2 * z3 / denom) * ones
-
-
-def generalized_inverse_s(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Covariance-sandwiched generalized inverse of the sample covariance.
-
-    Built from the true covariance and the standardized innovation matrix,
-    so it is a test-only oracle: it satisfies the two reflexive
-    generalized-inverse conditions but not the symmetry conditions of the
-    Moore-Penrose inverse.  It equals the plain inverse when the sample
-    covariance is invertible, and the Moore-Penrose inverse when the true
-    covariance is a multiple of the identity.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or sigma.shape != (x.shape[0], x.shape[0]):
-        raise DimensionMismatchError("sigma must be p x p and x p x n")
-    n = x.shape[1]
-    x_bar = x.mean(axis=1)
-    inner = x @ x.T / n - np.outer(x_bar, x_bar)
-    inner = (inner + inner.T) / 2.0
-
-    vals, vecs = np.linalg.eigh(sigma)
-    if vals[0] <= 0:
-        raise NotPositiveDefiniteError("sigma must be positive definite")
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    return inv_sqrt @ pseudo_inverse(inner).pinv @ inv_sqrt
+    return ((z1 - z4) / denom) * stats.y_bar + (z2 * z3 / denom) * ones

@@ -20,14 +20,8 @@ from .errors import (
     RaggedRowsError,
     ShrinkmeanError,
 )
-from .estimators import (
-    bona_fide_intensities,
-    james_stein,
-    js_high_dim,
-    js_positive_part,
-    wang_estimator,
-)
-from .model import sample_stats
+from .estimators import james_stein, js_high_dim, js_positive_part, olse, wang_estimator
+from .model import SampleStats, sample_stats
 
 __all__ = [
     "ReturnsPanel",
@@ -196,25 +190,19 @@ def target_vector(
     raise ConfigError(f"unknown target strategy {strategy!r}")
 
 
-def _estimate(estimator: str, y: np.ndarray, mu_0: np.ndarray, config: BacktestConfig):
-    """One estimator on a p x n window; target-free estimators ignore mu_0."""
-    p, n = y.shape
+def _estimate(estimator: str, stats: SampleStats, mu_0, config: BacktestConfig):
+    """One estimator on a window's statistics; target-free ones ignore mu_0."""
     if estimator == "sample-mean":
-        return y.mean(axis=1)
-    stats = sample_stats(y)
+        return stats.y_bar
     if estimator == "olse":
-        w = bona_fide_intensities(stats, mu_0)
-        return w.alpha * stats.y_bar + w.beta * mu_0
-    scatter = n * stats.s
+        return olse(stats, mu_0)
     if estimator == "js":
-        return james_stein(stats.y_bar, scatter, p, n)
+        return james_stein(stats)
     if estimator == "js-high-dim":
-        return js_high_dim(stats.y_bar, scatter, p, n)
+        return js_high_dim(stats)
     if estimator == "js-positive-part":
-        return js_positive_part(
-            stats.y_bar, scatter, p, n, as_printed=config.jsplus_as_printed
-        )
-    return wang_estimator(y)
+        return js_positive_part(stats, as_printed=config.jsplus_as_printed)
+    return wang_estimator(stats)
 
 
 def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestReport:
@@ -258,7 +246,7 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
 
         for t_idx in range(start, total):
             window = values[t_idx - n : t_idx]
-            y = window.T
+            stats = sample_stats(window.T)
             realized = float(values[t_idx].mean())
             if fixed_targets is not None:
                 targets = fixed_targets
@@ -274,7 +262,7 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
             ok = True
             for est, tgt in combos:
                 try:
-                    mu_hat = _estimate(est, y, targets[tgt], config)
+                    mu_hat = _estimate(est, stats, targets[tgt], config)
                     preds[(est, tgt)] = float(mu_hat.mean())
                 except (ShrinkmeanError, np.linalg.LinAlgError):
                     failures[(est, tgt)] += 1

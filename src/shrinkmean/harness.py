@@ -4,7 +4,8 @@ A study runs a grid of (p, c) cells.  Each cell draws one population from
 a sub-seed derived from ``(root seed, p, round(1000 c))``, then evaluates
 every requested estimator on ``n_reps`` independent samples whose random
 streams are derived from ``(root seed, p, round(1000 c), replication + 1)``.
-Replications may run on a thread pool; results are stored by replication
+Each replication builds one :class:`SampleStats`, whose covariance
+factorization every sample-based estimator reads.  Replications may run on a thread pool; results are stored by replication
 index and reduced in that fixed order, so a report is bit-identical for a
 given seed regardless of the thread count.  Recorded wall-clock runtimes
 are the one exception: they are real measurements and vary run to run.
@@ -222,9 +223,6 @@ def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
     return PopulationSpec(p=p, gamma=config.gamma, mu_n=mu_n, mu_0=mu_0, sigma=sigma)
 
 
-_NEEDS_STATS = {"olse", "js", "js-high-dim", "js-positive-part"}
-
-
 def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
     n = cell_sample_size(p, c)
     pop = cell_population(config, p, c)
@@ -250,13 +248,11 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
     record_bf = "olse" in estimators
     oracle_w = np.full((n_reps, 2), np.nan) if record_oracle else None
     bf_w = np.full((n_reps, 2), np.nan) if record_bf else None
-    needs_stats = bool(_NEEDS_STATS.intersection(estimators))
 
     def one_rep(r: int) -> None:
         rng = replication_rng(config.seed, p, c, r)
-        y = generate_sample(pop, n, config.law, rng)
-        y_bar = y.mean(axis=1)
-        stats = sample_stats(y) if needs_stats else None
+        stats = sample_stats(generate_sample(pop, n, config.law, rng))
+        y_bar = stats.y_bar
 
         for est in estimators:
             start = time.perf_counter()
@@ -265,7 +261,7 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
                     mu_hat = y_bar
                 elif est == "olse":
                     w = bona_fide_intensities(stats, pop.mu_0)
-                    mu_hat = w.alpha * stats.y_bar + w.beta * pop.mu_0
+                    mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
                     bf_w[r] = (w.alpha, w.beta)
                 elif est == "olse-asymptotic":
                     if limit_failed is not None:
@@ -278,15 +274,13 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
                     mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
                     oracle_w[r] = (w.alpha, w.beta)
                 elif est == "js":
-                    mu_hat = james_stein(y_bar, n * stats.s, p, n)
+                    mu_hat = james_stein(stats)
                 elif est == "js-high-dim":
-                    mu_hat = js_high_dim(y_bar, n * stats.s, p, n)
+                    mu_hat = js_high_dim(stats)
                 elif est == "js-positive-part":
-                    mu_hat = js_positive_part(
-                        y_bar, n * stats.s, p, n, as_printed=config.jsplus_as_printed
-                    )
+                    mu_hat = js_positive_part(stats, as_printed=config.jsplus_as_printed)
                 else:
-                    mu_hat = wang_estimator(y)
+                    mu_hat = wang_estimator(stats)
                 runtimes[est][r] = time.perf_counter() - start
                 losses[est][r] = quadratic_loss(mu_hat, pop.mu_n, factor)
             except (ShrinkmeanError, np.linalg.LinAlgError):

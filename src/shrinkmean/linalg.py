@@ -1,6 +1,6 @@
 """Dense symmetric linear algebra building blocks.
 
-SPD factorization and solves, the symmetric PSD matrix square root,
+SPD factorization, solves and whitening, the symmetric PSD matrix square root,
 Moore-Penrose pseudoinverses with explicit rank reporting, and
 Haar-distributed random orthogonal matrices.
 
@@ -22,6 +22,7 @@ __all__ = [
     "PseudoInverseResult",
     "spd_factor",
     "spd_solve",
+    "spd_whiten",
     "sym_sqrt",
     "pseudo_inverse",
     "haar_orthogonal",
@@ -96,6 +97,22 @@ def spd_solve(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
             f"rhs has {b.shape[0]} rows, factor dimension is {factor.dim}"
         )
     return scipy.linalg.cho_solve((factor.lower, True), b, check_finite=False)
+
+
+def spd_whiten(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b given ``factor = spd_factor(a)``, so (L^{-1}u)'(L^{-1}v) = u'a^{-1}v.
+
+    BLAS trsm: LAPACK trtrs (scipy's ``solve_triangular``) ran several times
+    slower under two-thread OpenBLAS 0.3.31 on 2-core x86-64.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] != factor.dim:
+        raise DimensionMismatchError(
+            f"rhs has {b.shape[0]} rows, factor dimension is {factor.dim}"
+        )
+    upper = factor.lower.T  # Fortran-ordered view: solve L x = b as U' x = b
+    x = scipy.linalg.blas.dtrsm(1.0, upper, b.reshape(factor.dim, -1), lower=0, trans_a=1)
+    return x.reshape(b.shape)
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:

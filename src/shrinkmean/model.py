@@ -15,9 +15,11 @@ from .errors import (
     DimensionMismatchError,
     InvalidRecipeError,
     NotPositiveDefiniteError,
+    ShrinkmeanError,
+    SingularSampleError,
     UnsupportedGammaError,
 )
-from .linalg import haar_orthogonal, sym_sqrt
+from .linalg import SpdFactor, haar_orthogonal, spd_factor, spd_whiten, sym_sqrt
 
 __all__ = [
     "EigenRecipe",
@@ -188,21 +190,100 @@ class PopulationSpec:
 
 
 @dataclass(frozen=True)
+class _Factorization:
+    cholesky: SpdFactor | None  # of S, when p < n
+    basis: np.ndarray | None  # U, when p >= n
+    eigenvalues: np.ndarray | None  # lam, when p >= n
+    rank: int
+    tolerance: float
+    scale: float
+
+
+@dataclass(frozen=True)
 class SampleStats:
-    """Observed sufficient statistics of one p x n sample.
+    """Sufficient statistics of one p x n sample ``y``, with the one
+    factorization of its covariance that every estimator shares.
 
     ``s`` is the sample covariance with divisor n (not n-1); the scatter
-    matrix used by the James-Stein family benchmarks is ``n * s``.
+    matrix of the James-Stein family is ``n * s``.  The factorization is
+    built on first use and cached, as is a failure to build it, so each
+    estimator that needs it fails once and no other does.  For p < n it is
+    the Cholesky factor of S and the precision metric Q is S^{-1}.  For
+    p >= n it is ``eigh`` of the n x n Gram ``A'A = V diag(lam) V'``, with
+    ``A = (y - y_bar 1') / sqrt(n)`` so that ``S = A A'``: the Gram
+    eigenvalues are the nonzero eigenvalues of S, the cutoff 1e-10 * lam_max
+    is applied to them and the recorded ``rank`` counts those kept.  Then
+    ``U = A V diag(lam)^{-1/2}`` is orthonormal, ``Q = S^+ = U diag(1/lam) U'``
+    and ``U U'`` projects on the range of S; neither S nor S^+ is formed.
+    Its ``scale`` bounds lam_max(S) from above (lam_max for p >= n, trace(S)
+    for p < n), so a vector v in the range of S has ``v'Qv >= |v|^2/scale``.
     """
 
     y_bar: np.ndarray
-    s: np.ndarray
+    y: np.ndarray
     p: int
     n: int
 
     @property
     def c_hat(self) -> float:
         return self.p / self.n
+
+    @property
+    def s(self) -> np.ndarray:
+        s = self.y @ self.y.T / self.n - np.outer(self.y_bar, self.y_bar)
+        return (s + s.T) / 2.0
+
+    def _factorize(self) -> _Factorization:
+        if self.p < self.n:
+            s = self.s
+            try:
+                cholesky = spd_factor(s)
+            except NotPositiveDefiniteError as exc:
+                raise SingularSampleError("sample covariance is not positive definite") from exc
+            return _Factorization(cholesky, None, None, self.p, 0.0, float(np.trace(s)))
+        centered = (self.y - self.y_bar[:, None]) / np.sqrt(self.n)
+        vals, vecs = np.linalg.eigh(centered.T @ centered)
+        cutoff = 1e-10 * max(float(vals[-1]), 0.0)
+        keep = vals > cutoff
+        lam = vals[keep]
+        basis = (centered @ vecs[:, keep]) / np.sqrt(lam)
+        scale = float(lam[-1]) if lam.size else 0.0
+        return _Factorization(None, basis, lam, lam.size, cutoff, scale)
+
+    @property
+    def factorization(self) -> _Factorization:
+        """The shared factorization; raises the error that prevented it."""
+        # cached by hand: before Python 3.12 functools.cached_property holds
+        # one lock for all instances, serializing replications on a pool
+        outcome = self.__dict__.get("_outcome")
+        if outcome is None:
+            try:
+                outcome = self._factorize()
+            except ShrinkmeanError as exc:
+                outcome = exc
+            self.__dict__["_outcome"] = outcome
+        if isinstance(outcome, ShrinkmeanError):
+            raise outcome
+        return outcome
+
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates w of a vector, or of matrix columns, with w_a'w_b = v_a'Q v_b."""
+        f = self.factorization
+        v = np.asarray(v, dtype=float)
+        if f.cholesky is not None:
+            return spd_whiten(f.cholesky, v)
+        root = np.sqrt(f.eigenvalues)
+        return (f.basis.T @ v) / (root if v.ndim == 1 else root[:, None])
+
+    def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
+        """Gram matrix of ``vectors`` in the precision metric Q."""
+        white = self.whiten(np.column_stack(vectors))
+        return white.T @ white
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Projection of v on the range of S (the identity for p < n)."""
+        f = self.factorization
+        return v if f.basis is None else f.basis @ (f.basis.T @ v)
 
 
 def build_covariance(
@@ -258,24 +339,12 @@ def generate_sample(
 
 
 def sample_stats(y: np.ndarray) -> SampleStats:
-    """Row means and divisor-n sample covariance of a p x n matrix."""
+    """Row means of a p x n matrix; the covariance and its factorization
+    are built on first use (see :class:`SampleStats`)."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise DimensionMismatchError(f"expected a p x n matrix, got shape {y.shape}")
     p, n = y.shape
     if n < 2:
         raise DimensionMismatchError(f"n must be >= 2, got {n}")
-    y_bar = y.mean(axis=1)
-    s = y @ y.T / n - np.outer(y_bar, y_bar)
-    s = (s + s.T) / 2.0
-    return SampleStats(y_bar=y_bar, s=s, p=p, n=n)
-
-
-def check_population_pd(pop: PopulationSpec, lambda_floor: float = 1e-8) -> None:
-    """Raise when the population covariance violates the eigenvalue floor."""
-    report = pop.validate(lambda_floor)
-    if report.lambda_min < lambda_floor:
-        raise NotPositiveDefiniteError(
-            f"population covariance has lambda_min {report.lambda_min:.3e} "
-            f"< floor {lambda_floor:.1e}"
-        )
+    return SampleStats(y_bar=y.mean(axis=1), y=y, p=p, n=n)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from shrinkmean.linalg import pseudo_inverse
+
 
 def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
     """Random well-conditioned SPD matrix."""
@@ -23,6 +25,40 @@ def penrose_errors(a: np.ndarray, pinv: np.ndarray) -> list[float]:
     ]
 
 
+def generalized_inverse_s(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Covariance-sandwiched generalized inverse of the sample covariance.
+
+    Built from the true covariance and the standardized innovation matrix,
+    so it is a test-only oracle: it satisfies the two reflexive
+    generalized-inverse conditions but not the symmetry conditions of the
+    Moore-Penrose inverse.  It equals the plain inverse when the sample
+    covariance is invertible, and the Moore-Penrose inverse when the true
+    covariance is a multiple of the identity.
+    """
+    n = x.shape[1]
+    x_bar = x.mean(axis=1)
+    inner = x @ x.T / n - np.outer(x_bar, x_bar)
+    inner = (inner + inner.T) / 2.0
+    vals, vecs = np.linalg.eigh(sigma)
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+    return inv_sqrt @ pseudo_inverse(inner).pinv @ inv_sqrt
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def sample_with_moments(
+    y_bar: np.ndarray, s: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A p x n sample whose row means are ``y_bar`` and whose divisor-n
+    sample covariance is ``s`` (to rounding); needs rank(s) <= n - 1."""
+    vals, vecs = np.linalg.eigh(np.asarray(s, dtype=float))
+    keep = vals > 1e-12 * vals.max()
+    root = vecs[:, keep] * np.sqrt(vals[keep])
+    z = rng.standard_normal((root.shape[1], n))
+    z -= z.mean(axis=1, keepdims=True)
+    # orthonormal basis of the (centered) row space: z z' / n = I exactly
+    q, _ = np.linalg.qr(z.T)
+    return np.asarray(y_bar, dtype=float)[:, None] + root @ (np.sqrt(n) * q.T)

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import rand_spd
+from conftest import generalized_inverse_s, rand_spd, sample_with_moments
 from shrinkmean.errors import (
     DegenerateDenominatorError,
     DegenerateHessianError,
@@ -14,7 +14,6 @@ from shrinkmean.errors import (
 )
 from shrinkmean.estimators import (
     bona_fide_intensities,
-    generalized_inverse_s,
     james_stein,
     js_high_dim,
     js_positive_part,
@@ -25,7 +24,7 @@ from shrinkmean.estimators import (
 )
 from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_study
 from shrinkmean.linalg import sym_sqrt
-from shrinkmean.model import SampleStats, sample_stats
+from shrinkmean.model import sample_stats
 
 
 def quad_form(sigma_inv, u, v):
@@ -180,8 +179,8 @@ class TestLimitIntensities:
 
 
 class TestBonaFideIntensities:
-    def test_hand_case(self):
-        stats = SampleStats(y_bar=np.array([2.0, 0.0]), s=np.eye(2), p=2, n=4)
+    def test_hand_case(self, rng):
+        stats = sample_stats(sample_with_moments(np.array([2.0, 0.0]), np.eye(2), 4, rng))
         w = bona_fide_intensities(stats, np.array([0.0, 1.0]))
         assert w.alpha == pytest.approx(0.75)
         assert w.beta == pytest.approx(0.0, abs=1e-15)
@@ -189,17 +188,19 @@ class TestBonaFideIntensities:
 
     def test_high_dim_matches_svd_oracle(self, rng):
         # p > n: brute-force route forms the pseudoinverse via numpy and
-        # evaluates the displayed ratios directly
-        y = rng.standard_normal((4, 2)) + 0.5
+        # evaluates the displayed ratios directly; n >= 3 so that rank(S) =
+        # n - 1 >= 2 and the 2x2 precision Gram is nonsingular
+        p, n = 6, 3
+        y = rng.standard_normal((p, n)) + 0.5
         stats = sample_stats(y)
-        mu_0 = rng.standard_normal(4)
+        mu_0 = rng.standard_normal(p)
         w = bona_fide_intensities(stats, mu_0)
 
         s_pinv = np.linalg.pinv(stats.s)
         a_yy = quad_form(s_pinv, stats.y_bar, stats.y_bar)
         a_y0 = quad_form(s_pinv, stats.y_bar, mu_0)
         a_00 = quad_form(s_pinv, mu_0, mu_0)
-        corr = 1.0 / (4 / 2 - 1.0)
+        corr = 1.0 / (p / n - 1.0)
         alpha = ((a_yy - corr) * a_00 - a_y0**2) / (a_yy * a_00 - a_y0**2)
         beta = (1.0 - alpha) * a_y0 / a_00
         assert w.alpha == pytest.approx(alpha, rel=1e-8)
@@ -229,8 +230,15 @@ class TestBonaFideIntensities:
         with pytest.raises(SingularSampleError):
             bona_fide_intensities(sample_stats(y), np.ones(2))
 
-    def test_clamp(self):
-        stats = SampleStats(y_bar=np.array([0.1, 0.0]), s=np.eye(2), p=2, n=4)
+    def test_high_dim_needs_rank_two(self, rng):
+        # n = 2 < 3: rank(S) = n - 1 = 1 makes the 2x2 precision Gram singular
+        stats = sample_stats(rng.standard_normal((4, 2)) + 0.5)
+        assert stats.factorization.rank == 1
+        with pytest.raises(InvalidDimensionsError):
+            bona_fide_intensities(stats, rng.standard_normal(4))
+
+    def test_clamp(self, rng):
+        stats = sample_stats(sample_with_moments(np.array([0.1, 0.0]), np.eye(2), 4, rng))
         raw = bona_fide_intensities(stats, np.array([0.0, 1.0]))
         clamped = bona_fide_intensities(stats, np.array([0.0, 1.0]), clamp=True)
         assert raw.alpha < 0
@@ -256,8 +264,8 @@ class TestOlse:
         est = olse(stats, mu_0)
         assert np.allclose(est, w.alpha * stats.y_bar + w.beta * mu_0)
 
-    def test_hand_composition(self):
-        stats = SampleStats(y_bar=np.array([2.0, 0.0]), s=np.eye(2), p=2, n=4)
+    def test_hand_composition(self, rng):
+        stats = sample_stats(sample_with_moments(np.array([2.0, 0.0]), np.eye(2), 4, rng))
         est = olse(stats, np.array([0.0, 1.0]))
         assert np.allclose(est, [1.5, 0.0])
 
@@ -269,41 +277,46 @@ class TestOlse:
         assert np.allclose(1.0 * y_bar + 0.0 * mu_0, y_bar)
 
 
+def _stats_with(y_bar, scatter, n, rng):
+    """Statistics of a sample with mean y_bar and scatter matrix n * s."""
+    return sample_stats(sample_with_moments(y_bar, np.asarray(scatter) / n, n, rng))
+
+
 class TestJamesStein:
-    def test_hand_factor(self):
+    def test_hand_factor(self, rng):
         # quadratic form 1 at p=3, n=10 gives factor 1 - (1/4)/1
         y_bar = np.array([1.0, 0.0, 0.0])
-        est = james_stein(y_bar, np.eye(3), 3, 10)
+        est = james_stein(_stats_with(y_bar, np.eye(3), 10, rng))
         assert np.allclose(est, 0.75 * y_bar)
 
-    def test_no_shrinkage_limit(self):
+    def test_no_shrinkage_limit(self, rng):
         p, n = 3, 10
         target_quad = 1e4 * (p - 2) / (n - p - 3)
         y_bar = np.array([np.sqrt(target_quad), 0.0, 0.0])
-        est = james_stein(y_bar, np.eye(p), p, n)
+        est = james_stein(_stats_with(y_bar, np.eye(p), n, rng))
         factor = est[0] / y_bar[0]
         assert factor > 0.999
 
     def test_parallel_to_sample_mean(self, rng):
         scatter = rand_spd(rng, 5) * 30
         y_bar = rng.standard_normal(5)
-        est = james_stein(y_bar, scatter, 5, 30)
+        est = james_stein(_stats_with(y_bar, scatter, 30, rng))
         cross = np.outer(est, y_bar) - np.outer(y_bar, est)
         assert np.max(np.abs(cross)) < 1e-12
 
     def test_direct_formula(self, rng):
         scatter = rand_spd(rng, 5) * 30
         y_bar = rng.standard_normal(5)
-        est = james_stein(y_bar, scatter, 5, 30)
+        est = james_stein(_stats_with(y_bar, scatter, 30, rng))
         quad = float(y_bar @ np.linalg.inv(scatter) @ y_bar)
         expected = (1.0 - (3.0 / 22.0) / quad) * y_bar
         assert np.allclose(est, expected, rtol=1e-9)
 
     def test_dimension_guards(self, rng):
         with pytest.raises(InvalidDimensionsError):
-            james_stein(np.ones(3), np.eye(3), 3, 6)  # n < p + 4
+            james_stein(_stats_with(np.ones(3), np.eye(3), 6, rng))  # n < p + 4
         with pytest.raises(InvalidDimensionsError):
-            james_stein(np.ones(2), np.eye(2), 2, 10)  # p < 3
+            james_stein(_stats_with(np.ones(2), np.eye(2), 10, rng))  # p < 3
 
 
 def _high_dim_sample(rng, p, n):
@@ -316,14 +329,14 @@ class TestJsHighDim:
     def test_orthogonal_component_unchanged(self, rng):
         _, stats, scatter = _high_dim_sample(rng, 8, 4)
         proj = scatter @ np.linalg.pinv(scatter)
-        est = js_high_dim(stats.y_bar, scatter, 8, 4)
+        est = js_high_dim(stats)
         out_of_range = (np.eye(8) - proj) @ stats.y_bar
         assert np.allclose((np.eye(8) - proj) @ est, out_of_range, atol=1e-10)
 
     def test_range_component_shrunk_uniformly(self, rng):
         _, stats, scatter = _high_dim_sample(rng, 8, 4)
         proj = scatter @ np.linalg.pinv(scatter)
-        est = js_high_dim(stats.y_bar, scatter, 8, 4)
+        est = js_high_dim(stats)
         quad = float(stats.y_bar @ np.linalg.pinv(scatter) @ stats.y_bar)
         a = 2 * (4 - 2) / (8 - 4 + 3)
         expected_range = (1 - a / quad) * (proj @ stats.y_bar)
@@ -331,7 +344,7 @@ class TestJsHighDim:
 
     def test_matches_brute_force(self, rng):
         _, stats, scatter = _high_dim_sample(rng, 8, 4)
-        est = js_high_dim(stats.y_bar, scatter, 8, 4)
+        est = js_high_dim(stats)
         pinv = np.linalg.pinv(scatter)
         quad = float(stats.y_bar @ pinv @ stats.y_bar)
         a = 2 * (4 - 2) / (8 - 4 + 3)
@@ -340,7 +353,7 @@ class TestJsHighDim:
 
     def test_requires_p_above_n(self, rng):
         with pytest.raises(InvalidDimensionsError):
-            js_high_dim(np.ones(3), np.eye(3), 3, 5)
+            js_high_dim(_stats_with(np.ones(3), np.eye(3), 5, rng))
 
 
 class TestJsPositivePart:
@@ -351,7 +364,7 @@ class TestJsPositivePart:
         thresh = (5 - 2) / (10 - 5 + 3)
         quad = float(stats.y_bar @ pinv @ stats.y_bar)
         y_small = stats.y_bar * np.sqrt(0.5 * thresh / quad)
-        est = js_positive_part(y_small, scatter, 10, 5, as_printed=True)
+        est = js_positive_part(_stats_with(y_small, scatter, 5, rng), as_printed=True)
         proj = scatter @ pinv
         assert np.allclose(est, y_small + proj @ y_small, atol=1e-10)
 
@@ -360,7 +373,7 @@ class TestJsPositivePart:
         # very large quadratic form: clamped factor -> 1, conventional
         # decomposition recombines to the sample mean
         y_large = stats.y_bar * 1e4
-        est = js_positive_part(y_large, scatter, 10, 5, as_printed=False)
+        est = js_positive_part(_stats_with(y_large, scatter, 5, rng), as_printed=False)
         assert np.linalg.norm(est - y_large) / np.linalg.norm(y_large) < 1e-6
 
     def test_both_flags_match_brute_force(self, rng):
@@ -372,11 +385,11 @@ class TestJsPositivePart:
         printed = (np.eye(10) + proj) @ stats.y_bar + clamped * (proj @ stats.y_bar)
         conventional = (np.eye(10) - proj) @ stats.y_bar + clamped * (proj @ stats.y_bar)
         assert np.allclose(
-            js_positive_part(stats.y_bar, scatter, 10, 5, as_printed=True),
+            js_positive_part(stats, as_printed=True),
             printed, atol=1e-10,
         )
         assert np.allclose(
-            js_positive_part(stats.y_bar, scatter, 10, 5, as_printed=False),
+            js_positive_part(stats, as_printed=False),
             conventional, atol=1e-10,
         )
 
@@ -384,8 +397,9 @@ class TestJsPositivePart:
 class TestWangEstimator:
     def test_fast_equals_naive(self, rng):
         y = rng.standard_normal((12, 6)) + 0.2
-        fast = wang_estimator(y, use_fast_path=True)
-        naive = wang_estimator(y, use_fast_path=False)
+        stats = sample_stats(y)
+        fast = wang_estimator(stats, use_fast_path=True)
+        naive = wang_estimator(stats, use_fast_path=False)
         assert np.max(np.abs(fast - naive)) <= 1e-10 * max(1.0, np.max(np.abs(fast)))
 
     def test_pair_sum_symmetry_n2(self, rng):
@@ -402,7 +416,7 @@ class TestWangEstimator:
 
     def test_matches_brute_force(self, rng):
         y = rng.standard_normal((9, 4)) + 0.5
-        est = wang_estimator(y)
+        est = wang_estimator(sample_stats(y))
 
         p, n = y.shape
         y_bar = y.mean(axis=1)
@@ -427,15 +441,15 @@ class TestWangEstimator:
     def test_constant_columns_degenerate(self):
         y = np.tile(np.array([1.0, 2.0, 3.0])[:, None], (1, 2))
         with pytest.raises(DegenerateDenominatorError):
-            wang_estimator(y)
+            wang_estimator(sample_stats(y))
 
     def test_requires_p_above_n(self, rng):
         with pytest.raises(InvalidDimensionsError):
-            wang_estimator(rng.standard_normal((3, 5)))
+            wang_estimator(sample_stats(rng.standard_normal((3, 5))))
 
     def test_fast_path_beats_naive_timing(self, rng):
         # recorded runtimes: fast path wins from p around 100 up
-        y = rng.standard_normal((120, 60))
+        stats = sample_stats(rng.standard_normal((120, 60)))
 
         def best_of(fn, reps=3):
             times = []
@@ -445,8 +459,8 @@ class TestWangEstimator:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        fast = best_of(lambda: wang_estimator(y, use_fast_path=True))
-        naive = best_of(lambda: wang_estimator(y, use_fast_path=False))
+        fast = best_of(lambda: wang_estimator(stats, use_fast_path=True))
+        naive = best_of(lambda: wang_estimator(stats, use_fast_path=False))
         assert fast < naive
 
 

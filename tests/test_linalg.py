@@ -9,6 +9,7 @@ from shrinkmean.linalg import (
     pseudo_inverse,
     spd_factor,
     spd_solve,
+    spd_whiten,
     sym_sqrt,
 )
 
@@ -80,6 +81,26 @@ class TestSpdSolve:
             x = rng.standard_normal(p)
             x_hat = spd_solve(spd_factor(a), a @ x)
             assert np.linalg.norm(x_hat - x) / np.linalg.norm(x) < 1e-9
+
+
+class TestSpdWhiten:
+    def test_gram_is_inverse_form(self, rng):
+        a = rand_spd(rng, 6)
+        b = rng.standard_normal((6, 3))
+        white = spd_whiten(spd_factor(a), b)
+        assert np.allclose(white.T @ white, b.T @ np.linalg.inv(a) @ b, atol=1e-10)
+
+    def test_vector_is_triangular_solve(self, rng):
+        a = rand_spd(rng, 5)
+        f = spd_factor(a)
+        v = rng.standard_normal(5)
+        white = spd_whiten(f, v)
+        assert white.shape == (5,)
+        assert np.allclose(f.lower @ white, v, atol=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            spd_whiten(spd_factor(np.eye(3)), np.ones(4))
 
 
 class TestSymSqrt:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import shrinkmean.model
 from shrinkmean.errors import (
     DimensionMismatchError,
     InvalidRecipeError,
+    SingularSampleError,
     UnsupportedGammaError,
 )
 from shrinkmean.model import (
@@ -193,6 +195,49 @@ class TestSampleStats:
             rng = np.random.default_rng(seed)
             y = rng.standard_normal((20, 40))
             assert np.linalg.eigvalsh(sample_stats(y).s).min() > 0
+
+
+class TestSampleFactorization:
+    def test_gram_route_is_moore_penrose(self, rng):
+        # p > n: S^+ = U diag(1/lam) U' from the n x n Gram, rank n - 1
+        y = rng.standard_normal((12, 5)) + 0.3
+        stats = sample_stats(y)
+        f = stats.factorization
+        assert f.rank == 4 and f.basis.shape == (12, 4)
+        assert np.allclose(f.basis.T @ f.basis, np.eye(4), atol=1e-12)
+        s_pinv = (f.basis / f.eigenvalues) @ f.basis.T
+        assert np.max(np.abs(s_pinv - np.linalg.pinv(stats.s))) < 1e-8
+        assert f.tolerance == pytest.approx(1e-10 * f.eigenvalues.max())
+        v = rng.standard_normal(12)
+        assert np.allclose(stats.project(v), stats.s @ np.linalg.pinv(stats.s) @ v)
+        vecs = np.column_stack([v, stats.y_bar])
+        assert np.allclose(stats.precision_gram(v, stats.y_bar),
+                           vecs.T @ np.linalg.pinv(stats.s) @ vecs, rtol=1e-9)
+
+    def test_cholesky_route(self, rng):
+        stats = sample_stats(rng.standard_normal((4, 20)))
+        v = rng.standard_normal(4)
+        assert stats.factorization.rank == 4
+        assert stats.precision_gram(v)[0, 0] == pytest.approx(
+            v @ np.linalg.inv(stats.s) @ v, rel=1e-10
+        )
+        assert np.array_equal(stats.project(v), v)
+
+    def test_failure_built_once_and_raised_each_time(self, monkeypatch):
+        calls = []
+        original = shrinkmean.model.spd_factor
+
+        def counting(a):
+            calls.append(1)
+            return original(a)
+
+        monkeypatch.setattr(shrinkmean.model, "spd_factor", counting)
+        stats = sample_stats(np.tile(np.array([1.0, 2.0])[:, None], (1, 5)))
+        for _ in range(3):
+            with pytest.raises(SingularSampleError):
+                stats.whiten(np.ones(2))
+        assert len(calls) == 1
+        assert stats.y_bar.tolist() == [1.0, 2.0]  # statistics stay readable
 
 
 class TestPopulationValidation:
