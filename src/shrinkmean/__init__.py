@@ -22,6 +22,7 @@ from .asymptotics import (
 from .errors import ShrinkmeanError
 from .estimators import (
     ESTIMATOR_KINDS,
+    SAMPLE_ESTIMATORS,
     ShrinkageWeights,
     bona_fide_intensities,
     james_stein,
@@ -51,10 +52,8 @@ from .harness import (
     run_study,
 )
 from .linalg import (
-    PseudoInverseResult,
     SpdFactor,
     haar_orthogonal,
-    pseudo_inverse,
     spd_factor,
     spd_solve,
     spd_whiten,

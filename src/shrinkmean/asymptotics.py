@@ -20,7 +20,8 @@ from .errors import (
     MomentsDoNotExistError,
     UnsupportedConcentrationError,
 )
-from .linalg import SpdFactor, spd_factor, spd_solve
+from .estimators import population_gram
+from .linalg import SpdFactor
 from .model import SampleStats
 
 __all__ = [
@@ -66,19 +67,6 @@ class AsymptoticMoments:
     weights_cov: np.ndarray | None = None
 
 
-def _precision_gram(
-    sigma: np.ndarray,
-    mu_n: np.ndarray,
-    mu_0: np.ndarray,
-    sigma_factor: SpdFactor | None,
-) -> tuple[float, float, float]:
-    if sigma_factor is None:
-        sigma_factor = spd_factor(sigma)
-    stacked = np.column_stack([mu_n, mu_0])
-    gram = stacked.T @ spd_solve(sigma_factor, stacked)
-    return float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
-
-
 def precision_forms(
     sigma: np.ndarray,
     mu_n: np.ndarray,
@@ -88,7 +76,8 @@ def precision_forms(
     sigma_factor: SpdFactor | None = None,
 ) -> AsymptoticMoments:
     """Scaled quadratic forms, their Gram determinant and scaled concentration."""
-    mean_raw, cross_raw, target_raw = _precision_gram(sigma, mu_n, mu_0, sigma_factor)
+    gram, _ = population_gram(sigma, [mu_n, mu_0], sigma_factor)
+    mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
     scale = float(len(np.asarray(mu_n))) ** (-gamma)
     mean_form = scale * mean_raw
     cross_form = scale * cross_raw
@@ -157,7 +146,8 @@ def bona_fide_covariance(
         raise UnsupportedConcentrationError(
             f"joint covariance requires c in (0, 1), got {c}"
         )
-    mean_raw, cross_raw, target_raw = _precision_gram(sigma, mu_n, mu_0, sigma_factor)
+    gram, _ = population_gram(sigma, [mu_n, mu_0], sigma_factor)
+    mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
     if target_raw <= 0:
         raise DegenerateTargetError("target vector has zero precision-metric energy")
 

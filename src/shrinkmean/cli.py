@@ -8,15 +8,15 @@ pass).  Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 Errors go to stderr with the prefix ``error:``.
 
 Configuration files are flat ``key = value`` text; ``#`` starts a comment.
-CLI flags override file values.  The environment variable
-``SHRINKMEAN_THREADS`` provides the default for ``--threads``.
+CLI flags override file values.  A value that does not parse is a
+configuration error (exit 2) naming its key.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .asymptotics import (
     precision_forms,
     standardize,
 )
-from .errors import ConfigError, ParseError, ScopeError, ShrinkmeanError
+from .errors import ConfigError, InvalidRecipeError, ParseError, ScopeError, ShrinkmeanError
 from .estimators import ESTIMATOR_KINDS, limit_intensities
 from .finance import (
     BacktestConfig,
@@ -81,16 +81,21 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_recipe(text: str, override: float | None) -> EigenRecipe:
-    """Parse 'fraction:eigenvalue,...' into an eigenvalue recipe."""
-    groups = []
-    for part in _parse_strs(text):
-        try:
-            frac, val = part.split(":")
-            groups.append((float(frac), float(val)))
-        except ValueError:
-            raise ConfigError(f"bad eigen_recipe group {part!r}") from None
-    return EigenRecipe(tuple(groups), override_lambda_max=override)
+def _parse_recipe(file_values: dict[str, str]) -> EigenRecipe:
+    """The recipe of ``eigen_recipe = fraction:eigenvalue,...`` (default
+    groups when absent) with the optional ``override_lambda_max``."""
+    override = _pick(file_values, None, "override_lambda_max", float, None)
+    text = file_values.get("eigen_recipe")
+    try:
+        groups = DEFAULT_RECIPE.proportions
+        if text is not None:
+            pairs = (part.split(":") for part in _parse_strs(text))
+            groups = tuple((float(frac), float(val)) for frac, val in pairs)
+        return EigenRecipe(groups, override_lambda_max=override)
+    except (ValueError, InvalidRecipeError) as exc:
+        raise ConfigError(
+            f"eigen_recipe = {text!r}, override_lambda_max = {override!r}: {exc}"
+        ) from None
 
 
 def read_flat_config(path) -> dict[str, str]:
@@ -112,8 +117,7 @@ def read_flat_config(path) -> dict[str, str]:
 
 _SIMULATE_KEYS = {
     "p_grid", "c_grid", "gamma", "n_reps", "estimators", "target_mode",
-    "seed", "eigen_recipe", "override_lambda_max", "law", "threads",
-    "jsplus_as_printed",
+    "seed", "eigen_recipe", "override_lambda_max", "law", "jsplus_as_printed",
 }
 
 _BACKTEST_KEYS = {
@@ -122,42 +126,33 @@ _BACKTEST_KEYS = {
 }
 
 
-def _check_keys(values: dict[str, str], allowed: set[str], path) -> None:
+def _file_values(path, allowed: set[str]) -> dict[str, str]:
+    """The values of the config file at ``path`` ({} for none); keys outside
+    ``allowed`` are an error."""
+    if path is None:
+        return {}
+    values = read_flat_config(path)
     unknown = sorted(set(values) - allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
+    return values
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("SHRINKMEAN_THREADS", "1")
+def _pick(file_values: dict[str, str], flag_value, key: str, parse, default):
+    """The flag value if given, else the parsed file value, else the default."""
+    if flag_value is not None:
+        return flag_value
+    if key not in file_values:
+        return default
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return parse(file_values[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {file_values[key]!r}: {exc}") from None
 
 
 def _mc_config_from_args(args) -> McConfig:
-    file_values: dict[str, str] = {}
-    if args.config is not None:
-        file_values = read_flat_config(args.config)
-        _check_keys(file_values, _SIMULATE_KEYS, args.config)
-
-    def pick(flag_value, key, parse, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return parse(file_values[key])
-        return default
-
-    override = None
-    if "override_lambda_max" in file_values:
-        override = float(file_values["override_lambda_max"])
-    recipe = DEFAULT_RECIPE
-    if "eigen_recipe" in file_values:
-        recipe = _parse_recipe(file_values["eigen_recipe"], override)
-    elif override is not None:
-        recipe = EigenRecipe(DEFAULT_RECIPE.proportions, override_lambda_max=override)
-
+    file_values = _file_values(args.config, _SIMULATE_KEYS)
+    pick = partial(_pick, file_values)
     return McConfig(
         p_grid=pick(args.p, "p_grid", _parse_ints, (100,)),
         c_grid=pick(args.c, "c_grid", _parse_floats, (0.5,)),
@@ -167,9 +162,8 @@ def _mc_config_from_args(args) -> McConfig:
                         ("sample-mean", "olse")),
         target_mode=pick(args.target, "target_mode", str, "drawn"),
         seed=pick(args.seed, "seed", int, 0),
-        eigen_recipe=recipe,
+        eigen_recipe=_parse_recipe(file_values),
         law=pick(args.law, "law", InnovationLaw.parse, InnovationLaw()),
-        threads=pick(args.threads, "threads", int, _default_threads()),
         jsplus_as_printed=pick(args.as_printed_jsplus, "jsplus_as_printed",
                                _parse_bool, True),
     )
@@ -199,7 +193,6 @@ def cmd_table1(args) -> int:
         n_reps=args.n_reps if args.n_reps is not None else 1000,
         estimators=("olse", "olse-oracle"),
         seed=args.seed if args.seed is not None else 0,
-        threads=args.threads if args.threads is not None else _default_threads(),
     )
     rows = negative_frequency_table(config)
     out = _out_dir(args)
@@ -224,7 +217,6 @@ def cmd_qq(args) -> int:
     config = McConfig(
         p_grid=(p,), c_grid=(c,), gamma=gamma, n_reps=n_reps,
         estimators=(estimator,), seed=seed,
-        threads=args.threads if args.threads is not None else _default_threads(),
     )
     report = run_study(config)
     cell = report.cells[0]
@@ -263,18 +255,7 @@ def cmd_qq(args) -> int:
 
 
 def _backtest_config_from_args(args) -> tuple[BacktestConfig, bool]:
-    file_values: dict[str, str] = {}
-    if args.config is not None:
-        file_values = read_flat_config(args.config)
-        _check_keys(file_values, _BACKTEST_KEYS, args.config)
-
-    def pick(flag_value, key, parse, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return parse(file_values[key])
-        return default
-
+    pick = partial(_pick, _file_values(args.config, _BACKTEST_KEYS))
     config = BacktestConfig(
         windows=pick(args.windows, "windows", _parse_ints, (25, 50, 75, 100)),
         estimators=pick(args.estimators, "estimators", _parse_strs,
@@ -342,9 +323,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory (default %(default)s)")
     parser.add_argument("--seed", type=int, default=None,
                         help="root seed; identical seeds give identical outputs (default 0)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="replication thread count; affects wall time only "
-                             "(default $SHRINKMEAN_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

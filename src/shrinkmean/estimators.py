@@ -11,13 +11,15 @@ The shrinkage family estimates the mean as ``alpha * y_bar + beta * mu_0``:
 
 Four benchmarks are included: the (modified) James-Stein estimator for
 p < n, its high-dimensional and positive-part variants for p > n, and the
-unit-target shrinkage estimator of Wang et al. with both a direct and a
-fast evaluation of its pairwise double sums.
+unit-target shrinkage estimator of Wang et al.
 
 Every sample-based estimator reads the one covariance factorization that
 its :class:`SampleStats` value carries (Cholesky of S for p < n, the
 n x n Gram route to S^+ for p > n), so a sample is factorized once however
 many estimators run on it.
+
+:data:`SAMPLE_ESTIMATORS` is the one table of estimator names that the
+Monte Carlo harness and the backtester both dispatch through.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .model import SampleStats
 
 __all__ = [
     "ShrinkageWeights",
+    "population_gram",
+    "SAMPLE_ESTIMATORS",
     "ESTIMATOR_KINDS",
     "oracle_intensities",
     "limit_intensities",
@@ -49,18 +53,6 @@ __all__ = [
     "js_positive_part",
     "wang_estimator",
 ]
-
-#: Estimators understood by the Monte Carlo harness and the backtester.
-ESTIMATOR_KINDS = (
-    "sample-mean",
-    "olse",
-    "olse-asymptotic",
-    "olse-oracle",
-    "js",
-    "js-high-dim",
-    "js-positive-part",
-    "wang",
-)
 
 _REL_FLOOR = 1e-12  # degenerate-denominator threshold, relative to operand scale
 
@@ -79,17 +71,16 @@ class ShrinkageWeights:
     kind: str
 
 
-def _quad_forms_spd(
-    sigma: np.ndarray,
-    vectors: list[np.ndarray],
-    factor: SpdFactor | None = None,
-) -> np.ndarray:
-    """Gram matrix of ``vectors`` in the inverse-``sigma`` inner product."""
+def population_gram(
+    sigma: np.ndarray, vectors: list[np.ndarray], factor: SpdFactor | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix V' sigma^{-1} V of the ``vectors`` (the columns of V), and
+    sigma^{-1} V; ``factor`` may pass ``spd_factor(sigma)`` when it is known."""
     if factor is None:
         factor = spd_factor(sigma)
     stacked = np.column_stack(vectors)
     solved = spd_solve(factor, stacked)
-    return stacked.T @ solved
+    return stacked.T @ solved, solved
 
 
 def oracle_intensities(
@@ -106,7 +97,7 @@ def oracle_intensities(
     of ``sigma`` to avoid refactorizing across replications.
     """
     y_bar = np.asarray(y_bar, dtype=float)
-    gram = _quad_forms_spd(sigma, [y_bar, mu_0, mu_n], factor=sigma_factor)
+    gram, _ = population_gram(sigma, [y_bar, mu_0, mu_n], sigma_factor)
     h_yy, h_y0, h_yn = gram[0, 0], gram[0, 1], gram[0, 2]
     h_00, h_0n = gram[1, 1], gram[1, 2]
 
@@ -132,11 +123,7 @@ def limit_intensities(
         raise ValueError(f"concentration c must be positive, got {c}")
     mu_n = np.asarray(mu_n, dtype=float)
     mu_0 = np.asarray(mu_0, dtype=float)
-    if sigma_factor is None:
-        sigma_factor = spd_factor(sigma)
-    stacked = np.column_stack([mu_n, mu_0])
-    solved = spd_solve(sigma_factor, stacked)
-    gram = stacked.T @ solved
+    gram, solved = population_gram(sigma, [mu_n, mu_0], sigma_factor)
     mean_form, cross_form, target_form = gram[0, 0], gram[0, 1], gram[1, 1]
 
     target_scale = float(np.linalg.norm(mu_0)) * float(np.linalg.norm(solved[:, 1]))
@@ -287,32 +274,14 @@ def _wang_pair_sums_fast(
     return off_yy, diag_yy, off_11
 
 
-def _wang_pair_sums_naive(
-    y: np.ndarray, w_y: np.ndarray, ones_w_y: np.ndarray
-) -> tuple[float, float, float]:
-    """Literal evaluation of the pairwise double sums."""
-    n = y.shape[1]
-    off_yy = 0.0
-    diag_yy = 0.0
-    off_11 = 0.0
-    for i in range(n):
-        diag_yy += float(y[:, i] @ w_y[:, i])
-        for j in range(n):
-            if j == i:
-                continue
-            off_yy += float(y[:, j] @ w_y[:, i])
-            off_11 += float(ones_w_y[i] * ones_w_y[j])
-    return off_yy, diag_yy, off_11
-
-
-def wang_estimator(stats: SampleStats, use_fast_path: bool = True) -> np.ndarray:
+def wang_estimator(stats: SampleStats) -> np.ndarray:
     """Unit-target shrinkage estimator of Wang et al. for p > n.
 
     Combines the sample mean and the all-ones direction with coefficients
     built from four statistics of W = scatter^+ = S^+ / n.  W is applied
     through the whitened observations g_k (``g_i' g_j = y_i' W y_j``), so
-    the double sums are plain dot products.  The fast path rewrites them
-    through the sum-product identity; both paths agree to 1e-10 relative.
+    the double sums are plain dot products, evaluated through the
+    sum-product identity (the tests hold the literal double loop).
     """
     p, n = stats.p, stats.n
     if not (p > n >= 2):
@@ -326,8 +295,7 @@ def wang_estimator(stats: SampleStats, use_fast_path: bool = True) -> np.ndarray
     if _negligible(n * ones_w_ones, ones, stats):
         raise DegenerateDenominatorError("ones vector lies outside the scatter range")
 
-    pair_sums = _wang_pair_sums_fast if use_fast_path else _wang_pair_sums_naive
-    off_yy, diag_yy, off_11 = pair_sums(g, g, ones_w_y)
+    off_yy, diag_yy, off_11 = _wang_pair_sums_fast(g, g, ones_w_y)
 
     z1 = off_yy / (p * (n - 1.0))
     z2 = (diag_yy - off_yy / (n - 1.0)) / (n * p)
@@ -339,3 +307,21 @@ def wang_estimator(stats: SampleStats, use_fast_path: bool = True) -> np.ndarray
     if abs(denom) <= _REL_FLOOR * max(scale, 1e-300):
         raise DegenerateDenominatorError("shrinkage coefficient denominator vanishes")
     return ((z1 - z4) / denom) * stats.y_bar + (z2 * z3 / denom) * ones
+
+
+#: The sample-based estimators by name, each a function of
+#: ``(stats, mu_0, jsplus_as_printed)``; the target-free ones ignore mu_0.
+#: The lambdas look the estimators up when called, so rebinding a module
+#: name (as a tracer does) reaches every caller.
+SAMPLE_ESTIMATORS = {
+    "sample-mean": lambda stats, mu_0, as_printed: stats.y_bar,
+    "olse": lambda stats, mu_0, as_printed: olse(stats, mu_0),
+    "js": lambda stats, mu_0, as_printed: james_stein(stats),
+    "js-high-dim": lambda stats, mu_0, as_printed: js_high_dim(stats),
+    "js-positive-part": lambda stats, mu_0, as_printed: js_positive_part(stats, as_printed),
+    "wang": lambda stats, mu_0, as_printed: wang_estimator(stats),
+}
+
+#: Estimators understood by the Monte Carlo harness; the two population-side
+#: ones need the true covariance, so the backtester takes only the others.
+ESTIMATOR_KINDS = (*SAMPLE_ESTIMATORS, "olse-asymptotic", "olse-oracle")

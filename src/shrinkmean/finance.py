@@ -20,8 +20,8 @@ from .errors import (
     RaggedRowsError,
     ShrinkmeanError,
 )
-from .estimators import james_stein, js_high_dim, js_positive_part, olse, wang_estimator
-from .model import SampleStats, sample_stats
+from .estimators import SAMPLE_ESTIMATORS
+from .model import sample_stats
 
 __all__ = [
     "ReturnsPanel",
@@ -38,15 +38,6 @@ __all__ = [
 ]
 
 TARGET_STRATEGIES = ("uniform-range-draw", "signs", "ones")
-
-BACKTEST_ESTIMATORS = (
-    "sample-mean",
-    "olse",
-    "js",
-    "js-high-dim",
-    "js-positive-part",
-    "wang",
-)
 
 
 @dataclass
@@ -81,7 +72,7 @@ class BacktestConfig:
             raise ConfigError("need at least one window size")
         if any(w < 2 for w in self.windows):
             raise ConfigError("window sizes must be >= 2")
-        unknown = [e for e in self.estimators if e not in BACKTEST_ESTIMATORS]
+        unknown = [e for e in self.estimators if e not in SAMPLE_ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}")
         unknown = [t for t in self.targets if t not in TARGET_STRATEGIES]
@@ -118,44 +109,47 @@ class BacktestReport:
 def load_returns_csv(path, has_header: bool = True) -> ReturnsPanel:
     """Read a rectangular CSV of returns; rows = dates, columns = assets.
 
-    A header row, when present, supplies asset labels.  Any non-numeric
-    cell raises :class:`ParseError` naming its row and column; rows of
-    unequal length raise :class:`RaggedRowsError`.
+    A header row, when present, supplies asset labels.  Blank lines are
+    skipped.  Any non-numeric or non-finite cell raises :class:`ParseError`
+    naming its file line and column; a row, or a header, whose length
+    differs from the first data row raises :class:`RaggedRowsError`.
     """
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ParseError(f"{path}: file is empty")
 
     labels = None
-    start = 0
     if has_header:
-        labels = [cell.strip() for cell in rows[0]]
-        start = 1
-        if len(rows) == start:
+        labels = [cell.strip() for cell in rows.pop(0)[1]]
+        if not rows:
             raise ParseError(f"{path}: no data rows below the header")
 
-    width = len(rows[start])
-    data = np.empty((len(rows) - start, width))
-    for i, row in enumerate(rows[start:], start=start):
+    width = len(rows[0][1])
+    if labels is not None and len(labels) != width:
+        raise RaggedRowsError(
+            f"{path}: header has {len(labels)} labels, data rows have {width} cells"
+        )
+    data = np.empty((len(rows), width))
+    for i, (line, row) in enumerate(rows):
         if len(row) != width:
             raise RaggedRowsError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
+                f"{path}: line {line} has {len(row)} cells, expected {width}"
             )
         for j, cell in enumerate(row):
             try:
                 value = float(cell)
             except ValueError:
                 raise ParseError(
-                    f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: "
+                    f"{path}: non-numeric cell at line {line}, column {j + 1}: "
                     f"{cell!r}"
                 ) from None
             if not np.isfinite(value):
                 raise ParseError(
-                    f"{path}: non-finite cell at row {i + 1}, column {j + 1}"
+                    f"{path}: non-finite cell at line {line}, column {j + 1}"
                 )
-            data[i - start, j] = value
+            data[i, j] = value
     return ReturnsPanel(values=data, asset_labels=labels)
 
 
@@ -188,21 +182,6 @@ def target_vector(
     if strategy == "ones":
         return np.ones(p)
     raise ConfigError(f"unknown target strategy {strategy!r}")
-
-
-def _estimate(estimator: str, stats: SampleStats, mu_0, config: BacktestConfig):
-    """One estimator on a window's statistics; target-free ones ignore mu_0."""
-    if estimator == "sample-mean":
-        return stats.y_bar
-    if estimator == "olse":
-        return olse(stats, mu_0)
-    if estimator == "js":
-        return james_stein(stats)
-    if estimator == "js-high-dim":
-        return js_high_dim(stats)
-    if estimator == "js-positive-part":
-        return js_positive_part(stats, as_printed=config.jsplus_as_printed)
-    return wang_estimator(stats)
 
 
 def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestReport:
@@ -262,7 +241,8 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
             ok = True
             for est, tgt in combos:
                 try:
-                    mu_hat = _estimate(est, stats, targets[tgt], config)
+                    estimate = SAMPLE_ESTIMATORS[est]
+                    mu_hat = estimate(stats, targets[tgt], config.jsplus_as_printed)
                     preds[(est, tgt)] = float(mu_hat.mean())
                 except (ShrinkmeanError, np.linalg.LinAlgError):
                     failures[(est, tgt)] += 1

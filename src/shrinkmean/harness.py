@@ -5,17 +5,16 @@ a sub-seed derived from ``(root seed, p, round(1000 c))``, then evaluates
 every requested estimator on ``n_reps`` independent samples whose random
 streams are derived from ``(root seed, p, round(1000 c), replication + 1)``.
 Each replication builds one :class:`SampleStats`, whose covariance
-factorization every sample-based estimator reads.  Replications may run on a thread pool; results are stored by replication
-index and reduced in that fixed order, so a report is bit-identical for a
-given seed regardless of the thread count.  Recorded wall-clock runtimes
-are the one exception: they are real measurements and vary run to run.
+factorization every sample-based estimator reads.  Replications run in
+index order, so a report is bit-identical for a given seed.  Recorded
+wall-clock runtimes are the one exception: they are real measurements and
+vary run to run.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,13 +28,10 @@ from .errors import (
 )
 from .estimators import (
     ESTIMATOR_KINDS,
+    SAMPLE_ESTIMATORS,
     bona_fide_intensities,
-    james_stein,
-    js_high_dim,
-    js_positive_part,
     limit_intensities,
     oracle_intensities,
-    wang_estimator,
 )
 from .linalg import SpdFactor, spd_factor, spd_solve
 from .model import (
@@ -111,7 +107,6 @@ class McConfig:
     seed: int = 0
     eigen_recipe: EigenRecipe = DEFAULT_RECIPE
     law: InnovationLaw = field(default_factory=InnovationLaw)
-    threads: int = 1
     jsplus_as_printed: bool = True
     custom_target: np.ndarray | None = None
 
@@ -129,8 +124,10 @@ class McConfig:
             raise ConfigError("target_mode 'custom' needs a custom_target vector")
         if self.gamma not in (0, 1):
             raise ConfigError(f"gamma must be 0 or 1, got {self.gamma}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not all(p >= 2 for p in self.p_grid):
+            raise ConfigError(f"dimensions must be >= 2, got {self.p_grid}")
+        if not all(c > 0 for c in self.c_grid):
+            raise ConfigError(f"concentrations must be positive, got {self.c_grid}")
         for p in self.p_grid:
             for c in self.c_grid:
                 if cell_sample_size(p, c) < 2:
@@ -226,7 +223,6 @@ def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
 def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
     n = cell_sample_size(p, c)
     pop = cell_population(config, p, c)
-    pop.sigma_sqrt()  # warm the cache before worker threads share it
     factor = spd_factor(pop.sigma)
 
     n_reps = config.n_reps
@@ -249,7 +245,7 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
     oracle_w = np.full((n_reps, 2), np.nan) if record_oracle else None
     bf_w = np.full((n_reps, 2), np.nan) if record_bf else None
 
-    def one_rep(r: int) -> None:
+    for r in range(n_reps):
         rng = replication_rng(config.seed, p, c, r)
         stats = sample_stats(generate_sample(pop, n, config.law, rng))
         y_bar = stats.y_bar
@@ -257,9 +253,7 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
         for est in estimators:
             start = time.perf_counter()
             try:
-                if est == "sample-mean":
-                    mu_hat = y_bar
-                elif est == "olse":
+                if est == "olse":  # the bona fide weights are recorded too
                     w = bona_fide_intensities(stats, pop.mu_0)
                     mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
                     bf_w[r] = (w.alpha, w.beta)
@@ -273,25 +267,13 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
                     )
                     mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
                     oracle_w[r] = (w.alpha, w.beta)
-                elif est == "js":
-                    mu_hat = james_stein(stats)
-                elif est == "js-high-dim":
-                    mu_hat = js_high_dim(stats)
-                elif est == "js-positive-part":
-                    mu_hat = js_positive_part(stats, as_printed=config.jsplus_as_printed)
                 else:
-                    mu_hat = wang_estimator(stats)
+                    mu_hat = SAMPLE_ESTIMATORS[est](stats, pop.mu_0, config.jsplus_as_printed)
                 runtimes[est][r] = time.perf_counter() - start
                 losses[est][r] = quadratic_loss(mu_hat, pop.mu_n, factor)
             except (ShrinkmeanError, np.linalg.LinAlgError):
                 runtimes[est][r] = time.perf_counter() - start
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(one_rep, range(n_reps)))
-    else:
-        for r in range(n_reps):
-            one_rep(r)
+        del stats  # free this sample before the next one is drawn (peak memory)
 
     for est in estimators:
         failures[est] = int(np.isnan(losses[est]).sum())

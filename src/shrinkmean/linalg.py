@@ -1,8 +1,7 @@
 """Dense symmetric linear algebra building blocks.
 
-SPD factorization, solves and whitening, the symmetric PSD matrix square root,
-Moore-Penrose pseudoinverses with explicit rank reporting, and
-Haar-distributed random orthogonal matrices.
+SPD factorization, solves and whitening, the symmetric PSD matrix square
+root, and Haar-distributed random orthogonal matrices.
 
 All functions are pure: they never mutate their inputs and hold no module
 state, so they are safe to call concurrently.
@@ -19,12 +18,10 @@ from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 __all__ = [
     "SpdFactor",
-    "PseudoInverseResult",
     "spd_factor",
     "spd_solve",
     "spd_whiten",
     "sym_sqrt",
-    "pseudo_inverse",
     "haar_orthogonal",
 ]
 
@@ -37,19 +34,6 @@ class SpdFactor:
 
     dim: int
     lower: np.ndarray
-
-
-@dataclass(frozen=True)
-class PseudoInverseResult:
-    """Moore-Penrose pseudoinverse with the rank decision that produced it.
-
-    ``tolerance`` is the absolute singular-value cutoff actually applied
-    (relative tolerance times the largest singular value).
-    """
-
-    pinv: np.ndarray
-    rank: int
-    tolerance: float
 
 
 def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -131,44 +115,6 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
         )
     root = (vecs * np.sqrt(vals)) @ vecs.T
     return (root + root.T) / 2.0
-
-
-def pseudo_inverse(a: np.ndarray, rel_tol: float = 1e-10) -> PseudoInverseResult:
-    """Moore-Penrose pseudoinverse with relative singular-value truncation.
-
-    Singular values below ``rel_tol * s_max`` are treated as zero.  For
-    symmetric input the symmetric eigendecomposition is used instead of a
-    full SVD; a rank-0 (zero) matrix yields a zero pseudoinverse.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"expected a matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-
-    symmetric = a.shape[0] == a.shape[1] and np.allclose(a, a.T, atol=1e-12, rtol=1e-12)
-    if symmetric:
-        vals, vecs = np.linalg.eigh(a)
-        mags = np.abs(vals)
-        cutoff = rel_tol * float(mags.max(initial=0.0))
-        keep = mags > cutoff
-        rank = int(keep.sum())
-        if rank == 0:
-            return PseudoInverseResult(np.zeros_like(a), 0, cutoff)
-        sub = vecs[:, keep]
-        pinv = (sub / vals[keep]) @ sub.T
-        return PseudoInverseResult((pinv + pinv.T) / 2.0, rank, cutoff)
-
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = rel_tol * float(s.max(initial=0.0))
-    keep = s > cutoff
-    rank = int(keep.sum())
-    if rank == 0:
-        return PseudoInverseResult(np.zeros(a.T.shape), 0, cutoff)
-    pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
-    return PseudoInverseResult(pinv, rank, cutoff)
 
 
 def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:

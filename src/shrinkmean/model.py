@@ -253,8 +253,8 @@ class SampleStats:
     @property
     def factorization(self) -> _Factorization:
         """The shared factorization; raises the error that prevented it."""
-        # cached by hand: before Python 3.12 functools.cached_property holds
-        # one lock for all instances, serializing replications on a pool
+        # cached by hand, not with functools.cached_property, because the
+        # cache also stores the failure and raises it on every later call
         outcome = self.__dict__.get("_outcome")
         if outcome is None:
             try:

@@ -3,26 +3,12 @@
 import numpy as np
 import pytest
 
-from shrinkmean.linalg import pseudo_inverse
-
 
 def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
     """Random well-conditioned SPD matrix."""
     a = rng.standard_normal((p, p))
     spd = a @ a.T / p + jitter * np.eye(p)
     return (spd + spd.T) / 2.0
-
-
-def penrose_errors(a: np.ndarray, pinv: np.ndarray) -> list[float]:
-    """Frobenius errors of the four Moore-Penrose conditions."""
-    ap = a @ pinv
-    pa = pinv @ a
-    return [
-        float(np.linalg.norm(a @ pa - a)),
-        float(np.linalg.norm(pinv @ ap - pinv)),
-        float(np.linalg.norm(ap - ap.T)),
-        float(np.linalg.norm(pa - pa.T)),
-    ]
 
 
 def generalized_inverse_s(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -41,7 +27,26 @@ def generalized_inverse_s(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     inner = (inner + inner.T) / 2.0
     vals, vecs = np.linalg.eigh(sigma)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    return inv_sqrt @ pseudo_inverse(inner).pinv @ inv_sqrt
+    return inv_sqrt @ np.linalg.pinv(inner, rtol=1e-10, hermitian=True) @ inv_sqrt
+
+
+def wang_pair_sums_naive(
+    y: np.ndarray, w_y: np.ndarray, ones_w_y: np.ndarray
+) -> tuple[float, float, float]:
+    """Literal evaluation of the pairwise double sums of Wang's estimator:
+    the reference for ``estimators._wang_pair_sums_fast``."""
+    n = y.shape[1]
+    off_yy = 0.0
+    diag_yy = 0.0
+    off_11 = 0.0
+    for i in range(n):
+        diag_yy += float(y[:, i] @ w_y[:, i])
+        for j in range(n):
+            if j == i:
+                continue
+            off_yy += float(y[:, j] @ w_y[:, i])
+            off_11 += float(ones_w_y[i] * ones_w_y[j])
+    return off_yy, diag_yy, off_11
 
 
 @pytest.fixture

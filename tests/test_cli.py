@@ -1,0 +1,85 @@
+"""Exit codes and error output of the command-line interface."""
+
+import pytest
+
+from shrinkmean.cli import main
+from shrinkmean.finance import synthetic_panel, write_returns_csv
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error:")
+    assert err.strip().count("\n") == 0
+    assert "Traceback" not in err
+
+
+def test_demo(tmp_path, capsys):
+    code, err = run(capsys, "demo", "--out", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "backtest.csv").exists()
+    assert (tmp_path / "losses.csv").exists()
+
+
+def test_small_simulate(tmp_path, capsys):
+    code, err = run(capsys, "simulate", "--p", "20", "--c", "0.5", "--n-reps", "5",
+                    "--estimators", "sample-mean,olse,js", "--out", str(tmp_path))
+    assert code == 0, err
+    lines = (tmp_path / "losses.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "law = cauchy",
+        "override_lambda_max = big",
+        "eigen_recipe = 0.5:1,0.4:2",
+        "eigen_recipe = 0.5",
+        "gamma = x",
+        "threads = 2",
+        "no_such_key = 1",
+    ],
+)
+def test_simulate_bad_config_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "sim.cfg"
+    path.write_text(f"p_grid = 20\nn_reps = 5\n{config}\n")
+    code, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+    assert config.split("=")[0].strip() in err
+
+
+@pytest.mark.parametrize("flags", [("--c", "0"), ("--p", "1"), ("--c", "-1")])
+def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):
+    code, err = run(capsys, "simulate", *flags, "--n-reps", "5", "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("config", ["windows = 5,x", "align_start = maybe", "seed = 1.5"])
+def test_backtest_bad_config_exits_2(tmp_path, capsys, config):
+    returns = tmp_path / "returns.csv"
+    write_returns_csv(synthetic_panel(p=4, periods=20), returns)
+    path = tmp_path / "back.cfg"
+    path.write_text(f"{config}\n")
+    code, err = run(capsys, "backtest", str(returns), "--config", str(path),
+                    "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+
+
+def test_qq_bona_fide_out_of_scope_exits_2(tmp_path, capsys):
+    code, err = run(capsys, "qq", "alpha-bf", "--c", "2", "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+
+
+def test_qq_too_few_samples_exits_3(tmp_path, capsys):
+    code, err = run(capsys, "qq", "alpha-oracle", "--n-reps", "5",
+                    "--out", str(tmp_path))
+    assert code == 3
+    assert_one_error_line(err)

@@ -3,7 +3,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import generalized_inverse_s, rand_spd, sample_with_moments
+from conftest import (
+    generalized_inverse_s,
+    rand_spd,
+    sample_with_moments,
+    wang_pair_sums_naive,
+)
 from shrinkmean.asymptotics import bona_fide_covariance, standardize
 from shrinkmean.errors import (
     DegenerateDenominatorError,
@@ -21,6 +26,8 @@ from shrinkmean.estimators import (
     limit_intensities,
     olse,
     oracle_intensities,
+    population_gram,
+    _wang_pair_sums_fast,
     wang_estimator,
 )
 from shrinkmean.harness import (
@@ -31,7 +38,7 @@ from shrinkmean.harness import (
     ks_statistic,
     run_study,
 )
-from shrinkmean.linalg import sym_sqrt
+from shrinkmean.linalg import spd_factor, sym_sqrt
 from shrinkmean.model import sample_stats
 
 
@@ -133,6 +140,24 @@ class TestOracleIntensities:
         w2 = oracle_intensities(y_bar, 7.0 * sigma, mu_n, mu_0)
         assert w1.alpha == pytest.approx(w2.alpha, abs=1e-10)
         assert w1.beta == pytest.approx(w2.beta, abs=1e-10)
+
+
+class TestPopulationGram:
+    def test_matches_inverse_form(self, rng):
+        a = rand_spd(rng, 5)
+        vectors = [rng.standard_normal(5) for _ in range(3)]
+        gram, solved = population_gram(a, vectors)
+        v = np.column_stack(vectors)
+        assert np.allclose(gram, v.T @ np.linalg.inv(a) @ v, rtol=1e-10)
+        assert np.allclose(solved, np.linalg.solve(a, v), rtol=1e-10)
+
+    def test_given_factor_is_used(self, rng):
+        a = rand_spd(rng, 4)
+        vectors = [rng.standard_normal(4), rng.standard_normal(4)]
+        gram, _ = population_gram(a, vectors)
+        # a is ignored once its factor is given
+        given, _ = population_gram(np.full((4, 4), np.nan), vectors, spd_factor(a))
+        assert np.array_equal(gram, given)
 
 
 class TestLimitIntensities:
@@ -414,18 +439,23 @@ class TestJsPositivePart:
         )
 
 
+def _wang_inputs(stats):
+    """The whitened observations g and ones_w_y that wang_estimator sums over."""
+    white = stats.whiten(np.column_stack([stats.y, np.ones(stats.p)])) / np.sqrt(stats.n)
+    g, h = white[:, :-1], white[:, -1]
+    return g, g, g.T @ h
+
+
 class TestWangEstimator:
     def test_fast_equals_naive(self, rng):
         y = rng.standard_normal((12, 6)) + 0.2
-        stats = sample_stats(y)
-        fast = wang_estimator(stats, use_fast_path=True)
-        naive = wang_estimator(stats, use_fast_path=False)
+        inputs = _wang_inputs(sample_stats(y))
+        fast = np.array(_wang_pair_sums_fast(*inputs))
+        naive = np.array(wang_pair_sums_naive(*inputs))
         assert np.max(np.abs(fast - naive)) <= 1e-10 * max(1.0, np.max(np.abs(fast)))
 
     def test_pair_sum_symmetry_n2(self, rng):
         # with two columns the off-diagonal sum has exactly two equal terms
-        from shrinkmean.estimators import _wang_pair_sums_fast
-
         y = rng.standard_normal((6, 2))
         centered = y - y.mean(axis=1, keepdims=True)
         scatter = centered @ centered.T
@@ -479,8 +509,9 @@ class TestWangEstimator:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        fast = best_of(lambda: wang_estimator(stats, use_fast_path=True))
-        naive = best_of(lambda: wang_estimator(stats, use_fast_path=False))
+        inputs = _wang_inputs(stats)
+        fast = best_of(lambda: _wang_pair_sums_fast(*inputs))
+        naive = best_of(lambda: wang_pair_sums_naive(*inputs))
         assert fast < naive
 
 

@@ -1,0 +1,109 @@
+"""CSV loading errors and the backtest's start and target options."""
+
+import numpy as np
+import pytest
+
+import shrinkmean.finance
+from shrinkmean.errors import ParseError, RaggedRowsError
+from shrinkmean.estimators import olse
+from shrinkmean.finance import (
+    BacktestConfig,
+    ReturnsPanel,
+    load_returns_csv,
+    rolling_backtest,
+)
+from shrinkmean.model import sample_stats
+
+
+def load(tmp_path, text, **kwargs):
+    path = tmp_path / "returns.csv"
+    path.write_text(text)
+    return load_returns_csv(path, **kwargs)
+
+
+class TestLoadReturnsCsv:
+    def test_round_trip(self, tmp_path):
+        panel = load(tmp_path, "a,b\n1,2\n\n3,4.5\n")
+        assert panel.asset_labels == ["a", "b"]
+        assert np.array_equal(panel.values, [[1.0, 2.0], [3.0, 4.5]])
+
+    def test_no_header(self, tmp_path):
+        panel = load(tmp_path, "1,2\n3,4\n", has_header=False)
+        assert panel.asset_labels is None
+        assert panel.values.shape == (2, 2)
+
+    def test_non_numeric_cell(self, tmp_path):
+        with pytest.raises(ParseError, match=r"non-numeric cell at line 3, column 2: 'x'"):
+            load(tmp_path, "a,b\n1,2\n3,x\n")
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        with pytest.raises(ParseError, match=r"non-finite cell at line 2, column 1"):
+            load(tmp_path, f"a,b\n{cell},2\n")
+
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        with pytest.raises(ParseError, match=r"line 5, column 2"):
+            load(tmp_path, "a,b\n1,2\n\n\n3,x\n")
+
+    def test_ragged_row(self, tmp_path):
+        with pytest.raises(RaggedRowsError, match=r"line 4 has 3 cells, expected 2"):
+            load(tmp_path, "a,b\n1,2\n\n3,4,5\n")
+
+    def test_header_wider_than_data(self, tmp_path):
+        with pytest.raises(RaggedRowsError, match=r"header has 3 labels"):
+            load(tmp_path, "a,b,c\n1,2\n3,4\n")
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ParseError, match="empty"):
+            load(tmp_path, "\n\n")
+
+    def test_header_only(self, tmp_path):
+        with pytest.raises(ParseError, match="no data rows"):
+            load(tmp_path, "a,b\n")
+
+
+def _panel(periods=20, p=4, seed=3):
+    rng = np.random.default_rng(seed)
+    return ReturnsPanel(values=0.01 * rng.standard_normal((periods, p)) + 0.002)
+
+
+class TestBacktestOptions:
+    @pytest.mark.parametrize("align_start", [True, False])
+    def test_align_start(self, align_start):
+        panel = _panel()
+        config = BacktestConfig(windows=(6, 10), estimators=("sample-mean", "olse"),
+                                align_start=align_start)
+        report = rolling_backtest(panel, config)
+        for row in report.rows:
+            start = max(config.windows) if align_start else row.window_n
+            assert row.windows_evaluated == panel.n_periods - start
+            assert row.failures == 0
+
+    def test_fixed_target(self, monkeypatch):
+        panel = _panel()
+        config = BacktestConfig(windows=(6, 10), estimators=("sample-mean", "olse"),
+                                targets=("uniform-range-draw", "signs"),
+                                align_start=True, fixed_target=True, seed=7)
+        drawn = {}  # (window size, target) -> the vectors target_vector returned
+        original = shrinkmean.finance.target_vector
+
+        def recording(strategy, window_values, rng):
+            vector = original(strategy, window_values, rng)
+            drawn.setdefault((len(window_values), strategy), []).append(vector)
+            return vector
+
+        monkeypatch.setattr(shrinkmean.finance, "target_vector", recording)
+        report = rolling_backtest(panel, config)
+
+        assert sorted(drawn) == sorted((n, t) for n in config.windows for t in config.targets)
+        assert all(len(vectors) == 1 for vectors in drawn.values())
+
+        values = panel.values
+        start = max(config.windows)
+        for (n, target), (mu_0,) in drawn.items():
+            sq = 0.0
+            for t_idx in range(start, panel.n_periods):
+                stats = sample_stats(values[t_idx - n : t_idx].T)
+                sq += (float(olse(stats, mu_0).mean()) - float(values[t_idx].mean())) ** 2
+            expected = 1e4 * sq / (panel.n_periods - start)
+            assert report.loss(n, "olse", target) == pytest.approx(expected, rel=1e-12)

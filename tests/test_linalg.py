@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import penrose_errors, rand_spd
+from conftest import rand_spd
 from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.linalg import (
     haar_orthogonal,
-    pseudo_inverse,
     spd_factor,
     spd_solve,
     spd_whiten,
@@ -124,62 +123,6 @@ class TestSymSqrt:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             sym_sqrt(np.diag([1.0, -1.0]))
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        res = pseudo_inverse(np.eye(3))
-        assert np.allclose(res.pinv, np.eye(3))
-        assert res.rank == 3
-
-    def test_diagonal_rank_deficient(self):
-        res = pseudo_inverse(np.diag([2.0, 0.0]))
-        assert np.allclose(res.pinv, np.diag([0.5, 0.0]))
-        assert res.rank == 1
-
-    def test_penrose_rank2_psd(self, rng):
-        # random rank-2 symmetric PSD 4x4
-        b = rng.standard_normal((4, 2))
-        a = b @ b.T
-        res = pseudo_inverse(a)
-        assert res.rank == 2
-        assert max(penrose_errors(a, res.pinv)) < 1e-8
-
-    def test_penrose_rectangular(self, rng):
-        a = rng.standard_normal((5, 3))
-        res = pseudo_inverse(a)
-        assert res.pinv.shape == (3, 5)
-        assert max(penrose_errors(a, res.pinv)) < 1e-8
-
-    def test_matches_inverse_when_nonsingular(self, rng):
-        a = rand_spd(rng, 5)
-        res = pseudo_inverse(a)
-        assert np.linalg.norm(res.pinv - np.linalg.inv(a)) < 1e-8
-
-    def test_zero_matrix(self):
-        res = pseudo_inverse(np.zeros((3, 3)))
-        assert res.rank == 0
-        assert np.array_equal(res.pinv, np.zeros((3, 3)))
-
-    def test_asymmetric_square(self, rng):
-        a = rng.standard_normal((4, 4))
-        res = pseudo_inverse(a)
-        assert max(penrose_errors(a, res.pinv)) < 1e-8
-
-    def test_rel_tol_validation(self):
-        with pytest.raises(ValueError):
-            pseudo_inverse(np.eye(2), rel_tol=0.0)
-        with pytest.raises(ValueError):
-            pseudo_inverse(np.eye(2), rel_tol=1.5)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_inverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_truncation_reports_tolerance(self):
-        res = pseudo_inverse(np.diag([1.0, 1e-14]), rel_tol=1e-10)
-        assert res.rank == 1
-        assert res.tolerance == pytest.approx(1e-10)
 
 
 class TestHaarOrthogonal:
