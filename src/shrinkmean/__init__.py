@@ -29,8 +29,10 @@ from .estimators import (
     js_high_dim,
     js_positive_part,
     limit_intensities,
+    limit_weights,
     olse,
     oracle_intensities,
+    oracle_weights,
     wang_estimator,
 )
 from .finance import (
@@ -52,12 +54,13 @@ from .harness import (
     run_study,
 )
 from .linalg import (
+    SpdEigen,
     SpdFactor,
     haar_orthogonal,
+    spd_eigen,
     spd_factor,
     spd_solve,
     spd_whiten,
-    sym_sqrt,
 )
 from .model import (
     DEFAULT_RECIPE,

@@ -21,7 +21,6 @@ from .errors import (
     UnsupportedConcentrationError,
 )
 from .estimators import population_gram
-from .linalg import SpdFactor
 from .model import SampleStats
 
 __all__ = [
@@ -73,10 +72,9 @@ def precision_forms(
     mu_0: np.ndarray,
     gamma: float,
     c: float,
-    sigma_factor: SpdFactor | None = None,
 ) -> AsymptoticMoments:
     """Scaled quadratic forms, their Gram determinant and scaled concentration."""
-    gram, _ = population_gram(sigma, [mu_n, mu_0], sigma_factor)
+    gram, _ = population_gram(sigma, [mu_n, mu_0])
     mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
     scale = float(len(np.asarray(mu_n))) ** (-gamma)
     mean_form = scale * mean_raw
@@ -133,7 +131,6 @@ def bona_fide_covariance(
     mu_n: np.ndarray,
     mu_0: np.ndarray,
     c: float,
-    sigma_factor: SpdFactor | None = None,
 ) -> AsymptoticMoments:
     """Joint limiting covariance of the bona fide weight pair, for c < 1.
 
@@ -146,7 +143,7 @@ def bona_fide_covariance(
         raise UnsupportedConcentrationError(
             f"joint covariance requires c in (0, 1), got {c}"
         )
-    gram, _ = population_gram(sigma, [mu_n, mu_0], sigma_factor)
+    gram, _ = population_gram(sigma, [mu_n, mu_0])
     mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
     if target_raw <= 0:
         raise DegenerateTargetError("target vector has zero precision-metric energy")

@@ -9,7 +9,7 @@ Errors go to stderr with the prefix ``error:``.
 
 Configuration files are flat ``key = value`` text; ``#`` starts a comment.
 CLI flags override file values.  A value that does not parse is a
-configuration error (exit 2) naming its key.
+configuration error (exit 2) naming its key or flag.
 """
 
 from __future__ import annotations
@@ -319,6 +319,26 @@ def cmd_demo(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2; its
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _flag(parse):
+    """``parse`` as an argparse type whose error names the value and the reason."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+    return convert
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory (default %(default)s)")
     parser.add_argument("--seed", type=int, default=None,
@@ -326,7 +346,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shrinkmean",
         description="Shrinkage estimation of high-dimensional mean vectors: "
                     "Monte Carlo studies and rolling-window backtests.",
@@ -336,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a loss/intensity study grid")
     _add_common(sim)
     sim.add_argument("--config", default=None, help="flat key = value config file")
-    sim.add_argument("--p", type=_parse_ints, default=None,
+    sim.add_argument("--p", type=_flag(_parse_ints), default=None,
                      help="comma list of dimensions, e.g. 50,100")
-    sim.add_argument("--c", type=_parse_floats, default=None,
+    sim.add_argument("--c", type=_flag(_parse_floats), default=None,
                      help="comma list of concentrations p/n, e.g. 0.5,2.0")
     sim.add_argument("--n-reps", type=int, default=None, help="replications per cell (default 1000)")
     sim.add_argument("--gamma", type=int, choices=(0, 1), default=None,
@@ -347,24 +367,24 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"comma list from {', '.join(ESTIMATOR_KINDS)}")
     sim.add_argument("--target", choices=TARGET_MODES, default=None,
                      help="target mode (default drawn)")
-    sim.add_argument("--law", type=InnovationLaw.parse, default=None,
+    sim.add_argument("--law", type=_flag(InnovationLaw.parse), default=None,
                      help="innovation law: normal, t:<df>, exponential")
     sim.add_argument("--as-printed-jsplus", action=argparse.BooleanOptionalAction,
                      default=None, help="positive-part variant as published")
 
     tab = sub.add_parser("table1", help="negative-weight frequency grid")
     _add_common(tab)
-    tab.add_argument("--p", type=_parse_ints, default=None,
+    tab.add_argument("--p", type=_flag(_parse_ints), default=None,
                      help=f"override the default grid {TABLE1_P_GRID}")
-    tab.add_argument("--c", type=_parse_floats, default=None,
+    tab.add_argument("--c", type=_flag(_parse_floats), default=None,
                      help=f"override the default grid {TABLE1_C_GRID}")
     tab.add_argument("--n-reps", type=int, default=None, help="replications per cell (default 1000)")
 
     qq = sub.add_parser("qq", help="normality diagnostics of a standardized quantity")
     _add_common(qq)
     qq.add_argument("quantity", choices=QQ_QUANTITIES)
-    qq.add_argument("--p", type=_parse_ints, default=None, help="dimension (default 250)")
-    qq.add_argument("--c", type=_parse_floats, default=None,
+    qq.add_argument("--p", type=_flag(_parse_ints), default=None, help="dimension (default 250)")
+    qq.add_argument("--c", type=_flag(_parse_floats), default=None,
                     help="concentration p/n (default 0.5)")
     qq.add_argument("--n-reps", type=int, default=None, help="sample count (default 1000)")
     qq.add_argument("--gamma", type=int, choices=(0, 1), default=None)
@@ -373,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(back)
     back.add_argument("returns", help="CSV of returns, rows = dates, columns = assets")
     back.add_argument("--config", default=None, help="flat key = value config file")
-    back.add_argument("--windows", type=_parse_ints, default=None,
+    back.add_argument("--windows", type=_flag(_parse_ints), default=None,
                       help="comma list of window sizes (default 25,50,75,100)")
     back.add_argument("--estimators", type=_parse_strs, default=None,
                       help="comma list (default sample-mean,olse)")

@@ -18,8 +18,15 @@ its :class:`SampleStats` value carries (Cholesky of S for p < n, the
 n x n Gram route to S^+ for p > n), so a sample is factorized once however
 many estimators run on it.
 
+The oracle and limit weights are 2x2 formulas in the precision-metric
+Gram of the mean vectors (:func:`oracle_weights`, :func:`limit_weights`).
+On a bare covariance the Gram comes from one Cholesky of it
+(:func:`population_gram`); the Monte Carlo harness reads it from vectors
+whitened by its population's eigenpairs instead.
+
 :data:`SAMPLE_ESTIMATORS` is the one table of estimator names that the
-Monte Carlo harness and the backtester both dispatch through.
+Monte Carlo harness and the backtester both dispatch through;
+:data:`READS_TARGET` names the entries whose estimate depends on the target.
 """
 
 from __future__ import annotations
@@ -43,8 +50,11 @@ __all__ = [
     "ShrinkageWeights",
     "population_gram",
     "SAMPLE_ESTIMATORS",
+    "READS_TARGET",
     "ESTIMATOR_KINDS",
+    "oracle_weights",
     "oracle_intensities",
+    "limit_weights",
     "limit_intensities",
     "bona_fide_intensities",
     "olse",
@@ -83,21 +93,10 @@ def population_gram(
     return stacked.T @ solved, solved
 
 
-def oracle_intensities(
-    y_bar: np.ndarray,
-    sigma: np.ndarray,
-    mu_n: np.ndarray,
-    mu_0: np.ndarray,
-    sigma_factor: SpdFactor | None = None,
-) -> ShrinkageWeights:
-    """Loss-minimizing weights for one sample, using the true covariance.
-
-    Solves the 2x2 first-order conditions of the quadratic loss in
-    (alpha, beta); ``sigma_factor`` may pass a precomputed Cholesky factor
-    of ``sigma`` to avoid refactorizing across replications.
-    """
-    y_bar = np.asarray(y_bar, dtype=float)
-    gram, _ = population_gram(sigma, [y_bar, mu_0, mu_n], sigma_factor)
+def oracle_weights(gram: np.ndarray) -> ShrinkageWeights:
+    """Loss-minimizing weights from the 3x3 precision-metric Gram of
+    (y_bar, mu_0, mu_n): the solution of the 2x2 first-order conditions of
+    the quadratic loss in (alpha, beta)."""
     h_yy, h_y0, h_yn = gram[0, 0], gram[0, 1], gram[0, 2]
     h_00, h_0n = gram[1, 1], gram[1, 2]
 
@@ -111,22 +110,29 @@ def oracle_intensities(
     return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="oracle")
 
 
-def limit_intensities(
-    sigma: np.ndarray,
-    mu_n: np.ndarray,
-    mu_0: np.ndarray,
-    c: float,
-    sigma_factor: SpdFactor | None = None,
+def oracle_intensities(
+    y_bar: np.ndarray, sigma: np.ndarray, mu_n: np.ndarray, mu_0: np.ndarray
 ) -> ShrinkageWeights:
-    """Nonrandom limits of the oracle weights under p/n -> c."""
+    """Loss-minimizing weights for one sample, using the true covariance."""
+    y_bar = np.asarray(y_bar, dtype=float)
+    gram, _ = population_gram(sigma, [y_bar, mu_0, mu_n])
+    return oracle_weights(gram)
+
+
+def limit_weights(
+    gram: np.ndarray, mu_0: np.ndarray, precision_target: np.ndarray, c: float
+) -> ShrinkageWeights:
+    """Limit weights under p/n -> c from the 2x2 precision-metric Gram of
+    (mu_0, mu_n).
+
+    ``precision_target`` is sigma^{-1} mu_0: |mu_0| |sigma^{-1} mu_0| bounds
+    the target form mu_0' sigma^{-1} mu_0 from above (Cauchy-Schwarz), and a
+    target form negligible against it is degenerate.
+    """
     if c <= 0:
         raise ValueError(f"concentration c must be positive, got {c}")
-    mu_n = np.asarray(mu_n, dtype=float)
-    mu_0 = np.asarray(mu_0, dtype=float)
-    gram, solved = population_gram(sigma, [mu_n, mu_0], sigma_factor)
-    mean_form, cross_form, target_form = gram[0, 0], gram[0, 1], gram[1, 1]
-
-    target_scale = float(np.linalg.norm(mu_0)) * float(np.linalg.norm(solved[:, 1]))
+    target_form, cross_form, mean_form = gram[0, 0], gram[0, 1], gram[1, 1]
+    target_scale = float(np.linalg.norm(mu_0)) * float(np.linalg.norm(precision_target))
     if target_form <= _REL_FLOOR * max(target_scale, 1e-300):
         raise DegenerateTargetError("target vector has zero precision-metric energy")
 
@@ -135,6 +141,14 @@ def limit_intensities(
     )
     beta = (1.0 - alpha) * cross_form / target_form
     return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="limit")
+
+
+def limit_intensities(
+    sigma: np.ndarray, mu_n: np.ndarray, mu_0: np.ndarray, c: float
+) -> ShrinkageWeights:
+    """Nonrandom limits of the oracle weights under p/n -> c."""
+    gram, solved = population_gram(sigma, [mu_0, mu_n])
+    return limit_weights(gram, mu_0, solved[:, 0], c)
 
 
 def _negligible(quad: float, v: np.ndarray, stats: SampleStats) -> bool:
@@ -321,6 +335,10 @@ SAMPLE_ESTIMATORS = {
     "js-positive-part": lambda stats, mu_0, as_printed: js_positive_part(stats, as_printed),
     "wang": lambda stats, mu_0, as_printed: wang_estimator(stats),
 }
+
+#: The entries of :data:`SAMPLE_ESTIMATORS` that read mu_0; every other
+#: entry gives one estimate whatever the target.
+READS_TARGET = frozenset({"olse"})
 
 #: Estimators understood by the Monte Carlo harness; the two population-side
 #: ones need the true covariance, so the backtester takes only the others.

@@ -20,7 +20,7 @@ from .errors import (
     RaggedRowsError,
     ShrinkmeanError,
 )
-from .estimators import SAMPLE_ESTIMATORS
+from .estimators import READS_TARGET, SAMPLE_ESTIMATORS
 from .model import sample_stats
 
 __all__ = [
@@ -75,6 +75,8 @@ class BacktestConfig:
         unknown = [e for e in self.estimators if e not in SAMPLE_ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}")
+        if not self.targets:
+            raise ConfigError("need at least one target strategy")
         unknown = [t for t in self.targets if t not in TARGET_STRATEGIES]
         if unknown:
             raise ConfigError(f"unknown target strategies: {unknown}")
@@ -193,7 +195,9 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
     default each window size starts as early as its own length allows
     (``align_start`` forces a common start at the largest window).  Target
     vectors are redrawn per window from a stream shared by all estimators;
-    ``fixed_target`` draws them once per window size instead.  A period
+    ``fixed_target`` draws them once per window size instead.  An estimator
+    that does not read the target (see :data:`READS_TARGET`) runs once per
+    window-period and its prediction serves every target.  A period
     contributes only when every (estimator, target) pair succeeds, keeping
     the comparison paired; failures are counted per pair.
     """
@@ -239,14 +243,22 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
 
             preds = {}
             ok = True
-            for est, tgt in combos:
-                try:
-                    estimate = SAMPLE_ESTIMATORS[est]
-                    mu_hat = estimate(stats, targets[tgt], config.jsplus_as_printed)
-                    preds[(est, tgt)] = float(mu_hat.mean())
-                except (ShrinkmeanError, np.linalg.LinAlgError):
-                    failures[(est, tgt)] += 1
-                    ok = False
+            for est in config.estimators:
+                estimate = SAMPLE_ESTIMATORS[est]
+                # one estimate serves every target of an estimator that ignores it
+                groups = [config.targets]
+                if est in READS_TARGET:
+                    groups = [(t,) for t in config.targets]
+                for group in groups:
+                    try:
+                        mu_hat = estimate(stats, targets[group[0]], config.jsplus_as_printed)
+                    except (ShrinkmeanError, np.linalg.LinAlgError):
+                        for tgt in group:
+                            failures[(est, tgt)] += 1
+                        ok = False
+                        continue
+                    for tgt in group:
+                        preds[(est, tgt)] = float(mu_hat.mean())
             if not ok:
                 continue
             evaluated += 1

@@ -5,8 +5,14 @@ a sub-seed derived from ``(root seed, p, round(1000 c))``, then evaluates
 every requested estimator on ``n_reps`` independent samples whose random
 streams are derived from ``(root seed, p, round(1000 c), replication + 1)``.
 Each replication builds one :class:`SampleStats`, whose covariance
-factorization every sample-based estimator reads.  Replications run in
-index order, so a report is bit-identical for a given seed.  Recorded
+factorization every sample-based estimator reads.  The population side is
+never factorized: the population carries the eigenpairs its covariance was
+built from, and their precision whitening W (W'W = sigma^{-1}) scores every
+estimate of a replication in one product, the column sums of squares of
+``W @ (M - mu_n 1')`` for the stack M of the estimates that succeeded.  The
+oracle and limit weights read their Gram from whitened vectors too: W mu_n
+and W mu_0 once per cell, W y_bar once per replication.  Replications run
+in index order, so a report is bit-identical for a given seed.  Recorded
 wall-clock runtimes are the one exception: they are real measurements and
 vary run to run.
 """
@@ -30,10 +36,9 @@ from .estimators import (
     ESTIMATOR_KINDS,
     SAMPLE_ESTIMATORS,
     bona_fide_intensities,
-    limit_intensities,
-    oracle_intensities,
+    limit_weights,
+    oracle_weights,
 )
-from .linalg import SpdFactor, spd_factor, spd_solve
 from .model import (
     DEFAULT_RECIPE,
     EigenRecipe,
@@ -195,21 +200,22 @@ class McReport:
         raise KeyError(f"no cell for p={p}, c={c}")
 
 
-def quadratic_loss(
-    mu_hat: np.ndarray, mu_n: np.ndarray, sigma_factor: SpdFactor
-) -> float:
-    """Precision-metric quadratic loss (mu_hat - mu_n)' sigma^{-1} (mu_hat - mu_n)."""
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    mu_n = np.asarray(mu_n, dtype=float)
-    if mu_hat.shape != mu_n.shape or mu_hat.shape[0] != sigma_factor.dim:
-        raise DimensionMismatchError("estimate, mean and factor dimensions differ")
-    diff = mu_hat - mu_n
-    return float(diff @ spd_solve(sigma_factor, diff))
+def quadratic_loss(estimates: np.ndarray, pop: PopulationSpec) -> np.ndarray:
+    """Precision-metric quadratic losses (mu_hat - mu_n)' sigma^{-1} (mu_hat - mu_n)
+    of the columns of the p x k stack ``estimates``, from one product with
+    the population's whitening."""
+    estimates = np.asarray(estimates, dtype=float)
+    if estimates.ndim != 2 or estimates.shape[0] != pop.p:
+        raise DimensionMismatchError(
+            f"expected a {pop.p} x k stack of estimates, got shape {estimates.shape}"
+        )
+    white = pop.whitening() @ (estimates - pop.mu_n[:, None])
+    return np.einsum("ij,ij->j", white, white)
 
 
 def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
     rng = population_rng(config.seed, p, c)
-    sigma = build_covariance(config.eigen_recipe, p, rng)
+    sigma, eigen = build_covariance(config.eigen_recipe, p, rng)
     mu_n, mu_0 = draw_mean_vectors(config.gamma, p, rng)
     if config.target_mode == "equal-to-mu_n":
         mu_0 = mu_n.copy()
@@ -217,13 +223,16 @@ def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
         mu_0 = np.asarray(config.custom_target, dtype=float)
         if mu_0.shape != (p,):
             raise ConfigError(f"custom target has length {mu_0.shape}, expected {p}")
-    return PopulationSpec(p=p, gamma=config.gamma, mu_n=mu_n, mu_0=mu_0, sigma=sigma)
+    return PopulationSpec(
+        p=p, gamma=config.gamma, mu_n=mu_n, mu_0=mu_0, sigma=sigma, eigen=eigen
+    )
 
 
 def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
     n = cell_sample_size(p, c)
     pop = cell_population(config, p, c)
-    factor = spd_factor(pop.sigma)
+    whitening = pop.whitening()
+    white_means = whitening @ np.column_stack([pop.mu_0, pop.mu_n])  # W mu_0, W mu_n
 
     n_reps = config.n_reps
     estimators = config.estimators
@@ -235,7 +244,8 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
     limit_failed: ShrinkmeanError | None = None
     if "olse-asymptotic" in estimators:
         try:
-            w = limit_intensities(pop.sigma, pop.mu_n, pop.mu_0, p / n, sigma_factor=factor)
+            precision_target = whitening.T @ white_means[:, 0]  # W'W mu_0 = sigma^{-1} mu_0
+            w = limit_weights(white_means.T @ white_means, pop.mu_0, precision_target, p / n)
             limit_alpha, limit_beta = w.alpha, w.beta
         except ShrinkmeanError as exc:
             limit_failed = exc
@@ -249,6 +259,7 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
         rng = replication_rng(config.seed, p, c, r)
         stats = sample_stats(generate_sample(pop, n, config.law, rng))
         y_bar = stats.y_bar
+        estimates = {}
 
         for est in estimators:
             start = time.perf_counter()
@@ -262,17 +273,20 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
                         raise limit_failed
                     mu_hat = limit_alpha * y_bar + limit_beta * pop.mu_0
                 elif est == "olse-oracle":
-                    w = oracle_intensities(
-                        y_bar, pop.sigma, pop.mu_n, pop.mu_0, sigma_factor=factor
-                    )
+                    white = np.column_stack([whitening @ y_bar, white_means])
+                    w = oracle_weights(white.T @ white)  # Gram of (y_bar, mu_0, mu_n)
                     mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
                     oracle_w[r] = (w.alpha, w.beta)
                 else:
                     mu_hat = SAMPLE_ESTIMATORS[est](stats, pop.mu_0, config.jsplus_as_printed)
-                runtimes[est][r] = time.perf_counter() - start
-                losses[est][r] = quadratic_loss(mu_hat, pop.mu_n, factor)
+                estimates[est] = mu_hat
             except (ShrinkmeanError, np.linalg.LinAlgError):
-                runtimes[est][r] = time.perf_counter() - start
+                pass
+            runtimes[est][r] = time.perf_counter() - start
+        if estimates:
+            scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
+            for est, loss in zip(estimates, scored):
+                losses[est][r] = loss
         del stats  # free this sample before the next one is drawn (peak memory)
 
     for est in estimators:

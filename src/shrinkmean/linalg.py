@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra building blocks.
 
-SPD factorization, solves and whitening, the symmetric PSD matrix square
-root, and Haar-distributed random orthogonal matrices.
+SPD factorization, solves and whitening, the eigenpairs of an SPD matrix
+(with its symmetric square root and precision whitening), and
+Haar-distributed random orthogonal matrices.
 
 All functions are pure: they never mutate their inputs and hold no module
 state, so they are safe to call concurrently.
@@ -21,7 +22,8 @@ __all__ = [
     "spd_factor",
     "spd_solve",
     "spd_whiten",
-    "sym_sqrt",
+    "SpdEigen",
+    "spd_eigen",
     "haar_orthogonal",
 ]
 
@@ -99,11 +101,30 @@ def spd_whiten(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Unique symmetric PSD square root of an SPD matrix.
+@dataclass(frozen=True)
+class SpdEigen:
+    """Eigenpairs of an SPD matrix, a == vectors @ diag(values) @ vectors.T,
+    with positive ``values`` and orthogonal ``vectors``."""
 
-    Computed from the symmetric eigendecomposition (not Cholesky) so the
-    result B satisfies B == B.T and B @ B == a.
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def sqrt(self) -> np.ndarray:
+        """The unique symmetric PSD square root B: B == B.T and B @ B == a."""
+        root = (self.vectors * np.sqrt(self.values)) @ self.vectors.T
+        return (root + root.T) / 2.0
+
+    def whitening(self) -> np.ndarray:
+        """W = diag(values)^{-1/2} vectors', so W'W == a^{-1} and
+        (Wu)'(Wv) == u' a^{-1} v."""
+        return self.vectors.T / np.sqrt(self.values)[:, None]
+
+
+def spd_eigen(a: np.ndarray) -> SpdEigen:
+    """Eigenpairs of a symmetric positive definite matrix, from one ``eigh``.
+
+    Raises :class:`NotPositiveDefiniteError` when the smallest eigenvalue is
+    not above ``dim * eps * max eigenvalue``.
     """
     a = _as_square(a)
     _require_symmetric(a)
@@ -113,8 +134,7 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(
             f"smallest eigenvalue {vals[0]:.3e} is not safely positive"
         )
-    root = (vecs * np.sqrt(vals)) @ vecs.T
-    return (root + root.T) / 2.0
+    return SpdEigen(values=vals, vectors=vecs)
 
 
 def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:

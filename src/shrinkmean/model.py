@@ -3,6 +3,12 @@
 A population is a frozen triple (true mean, target mean, covariance) plus
 the norm-growth exponent gamma; samples are p x n observation matrices
 built as ``sqrt(sigma) @ X + mu 1'`` from i.i.d. standardized innovations.
+The population carries the eigenpairs of its covariance, sigma = Q diag(lam)
+Q': a simulated one keeps those its covariance was built from, one given a
+bare sigma takes them from one ``eigh``.  Both the square root that
+generates samples and the precision whitening diag(lam)^{-1/2} Q' that
+scores the quadratic loss are read from them, so no population is
+factorized twice.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .errors import (
     SingularSampleError,
     UnsupportedGammaError,
 )
-from .linalg import SpdFactor, haar_orthogonal, spd_factor, spd_whiten, sym_sqrt
+from .linalg import SpdEigen, SpdFactor, haar_orthogonal, spd_eigen, spd_factor, spd_whiten
 
 __all__ = [
     "EigenRecipe",
@@ -139,14 +145,24 @@ class PopulationReport:
 
 @dataclass
 class PopulationSpec:
-    """Ground truth for one simulation scenario; frozen after construction."""
+    """Ground truth for one simulation scenario; frozen after construction.
+
+    ``eigen`` holds the eigenpairs of ``sigma`` when the caller knows them;
+    otherwise they come from one ``eigh`` of ``sigma`` on first use, which
+    raises :class:`NotPositiveDefiniteError` for a sigma that is not
+    symmetric positive definite.
+    """
 
     p: int
     gamma: float
     mu_n: np.ndarray
     mu_0: np.ndarray
     sigma: np.ndarray
+    eigen: SpdEigen | None = field(default=None, repr=False, compare=False)
     _sqrt_cache: np.ndarray | None = field(
+        default=None, repr=False, compare=False, init=False
+    )
+    _whitening_cache: np.ndarray | None = field(
         default=None, repr=False, compare=False, init=False
     )
 
@@ -160,12 +176,30 @@ class PopulationSpec:
             raise DimensionMismatchError("sigma must be p x p")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
+        eigen = self.eigen
+        if eigen is not None and (
+            eigen.values.shape != (self.p,) or eigen.vectors.shape != (self.p, self.p)
+        ):
+            raise DimensionMismatchError("eigenpairs must be p values and p x p vectors")
+
+    def _eigenpairs(self) -> SpdEigen:
+        """Eigenpairs of the covariance, from ``eigh`` on first use if not given."""
+        if self.eigen is None:
+            self.eigen = spd_eigen(self.sigma)
+        return self.eigen
 
     def sigma_sqrt(self) -> np.ndarray:
-        """Symmetric square root of the covariance, computed once and cached."""
+        """Symmetric square root Q diag(lam)^{1/2} Q' of the covariance, cached."""
         if self._sqrt_cache is None:
-            self._sqrt_cache = sym_sqrt(self.sigma)
+            self._sqrt_cache = self._eigenpairs().sqrt()
         return self._sqrt_cache
+
+    def whitening(self) -> np.ndarray:
+        """Precision whitening W = diag(lam)^{-1/2} Q', cached: W'W = sigma^{-1},
+        so (W u)'(W v) = u' sigma^{-1} v."""
+        if self._whitening_cache is None:
+            self._whitening_cache = self._eigenpairs().whitening()
+        return self._whitening_cache
 
     def validate(self, lambda_floor: float = 1e-8) -> PopulationReport:
         """Check the eigenvalue floor and the scaled mean-norm diagnostics."""
@@ -288,14 +322,14 @@ class SampleStats:
 
 def build_covariance(
     recipe: EigenRecipe, p: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Random covariance with the recipe's spectrum and Haar eigenvectors."""
+) -> tuple[np.ndarray, SpdEigen]:
+    """Random covariance with the recipe's spectrum and Haar eigenvectors,
+    returned with the eigenpairs it was built from."""
     if p < 2:
         raise DimensionMismatchError(f"p must be >= 2, got {p}")
-    values = recipe.eigenvalues(p)
-    q = haar_orthogonal(p, rng)
-    cov = (q * values) @ q.T
-    return (cov + cov.T) / 2.0
+    eigen = SpdEigen(values=recipe.eigenvalues(p), vectors=haar_orthogonal(p, rng))
+    cov = (eigen.vectors * eigen.values) @ eigen.vectors.T
+    return (cov + cov.T) / 2.0, eigen
 
 
 def draw_mean_vectors(

@@ -9,7 +9,7 @@ from shrinkmean.asymptotics import (
     residual_stat_moments,
 )
 from shrinkmean.errors import InvalidDimensionsError
-from shrinkmean.linalg import sym_sqrt
+from shrinkmean.linalg import spd_eigen
 from shrinkmean.model import sample_stats
 
 
@@ -28,7 +28,7 @@ class TestResidualStat:
         resid = mu_n @ inv @ mu_n - (mu_n @ inv @ mu_0) ** 2 / (mu_0 @ inv @ mu_0)
         mean, var = residual_stat_moments(ResidualStatParams(p, n, float(resid)))
 
-        root = sym_sqrt(sigma)
+        root = spd_eigen(sigma).sqrt()
         draws = np.array([
             residual_stat(sample_stats(root @ rng.standard_normal((p, n)) + mu_n[:, None]),
                           mu_0)

@@ -60,7 +60,8 @@ def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):
     assert_one_error_line(err)
 
 
-@pytest.mark.parametrize("config", ["windows = 5,x", "align_start = maybe", "seed = 1.5"])
+@pytest.mark.parametrize("config", ["windows = 5,x", "align_start = maybe", "seed = 1.5",
+                                    "targets = ,"])
 def test_backtest_bad_config_exits_2(tmp_path, capsys, config):
     returns = tmp_path / "returns.csv"
     write_returns_csv(synthetic_panel(p=4, periods=20), returns)
@@ -83,3 +84,18 @@ def test_qq_too_few_samples_exits_3(tmp_path, capsys):
                     "--out", str(tmp_path))
     assert code == 3
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("simulate", "--law", "cauchy"), "--law"),
+     (("backtest", "RETURNS", "--windows", "5,x"), "--windows")],
+)
+def test_bad_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
+    returns = tmp_path / "returns.csv"
+    write_returns_csv(synthetic_panel(p=4, periods=20), returns)
+    argv = [str(returns) if a == "RETURNS" else a for a in argv]
+    code, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+    assert flag in err and "usage:" not in err

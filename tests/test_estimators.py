@@ -38,7 +38,7 @@ from shrinkmean.harness import (
     ks_statistic,
     run_study,
 )
-from shrinkmean.linalg import spd_factor, sym_sqrt
+from shrinkmean.linalg import spd_eigen, spd_factor
 from shrinkmean.model import sample_stats
 
 
@@ -525,7 +525,7 @@ class TestGeneralizedInverse:
     def test_invertible_case_equals_inverse(self, rng):
         sigma = rand_spd(rng, 4)
         x = rng.standard_normal((4, 20))
-        y = sym_sqrt(sigma) @ x
+        y = spd_eigen(sigma).sqrt() @ x
         s = sample_stats(y).s
         s_minus = generalized_inverse_s(sigma, x)
         assert np.max(np.abs(s_minus - np.linalg.inv(s))) < 1e-8
@@ -533,7 +533,7 @@ class TestGeneralizedInverse:
     def test_reflexive_conditions_nonsymmetric(self, rng):
         sigma = rand_spd(rng, 6, jitter=2.0)
         x = rng.standard_normal((6, 3))
-        y = sym_sqrt(sigma) @ x
+        y = spd_eigen(sigma).sqrt() @ x
         s = sample_stats(y).s
         s_minus = generalized_inverse_s(sigma, x)
         assert np.linalg.norm(s @ s_minus @ s - s) < 1e-8

@@ -1,11 +1,13 @@
-"""CSV loading errors and the backtest's start and target options."""
+"""CSV loading errors, the backtest's start and target options, and its
+per-window-period estimator calls and pairing."""
 
 import numpy as np
 import pytest
 
+import shrinkmean.estimators
 import shrinkmean.finance
-from shrinkmean.errors import ParseError, RaggedRowsError
-from shrinkmean.estimators import olse
+from shrinkmean.errors import DegenerateDenominatorError, ParseError, RaggedRowsError
+from shrinkmean.estimators import READS_TARGET, olse
 from shrinkmean.finance import (
     BacktestConfig,
     ReturnsPanel,
@@ -107,3 +109,55 @@ class TestBacktestOptions:
                 sq += (float(olse(stats, mu_0).mean()) - float(values[t_idx].mean())) ** 2
             expected = 1e4 * sq / (panel.n_periods - start)
             assert report.loss(n, "olse", target) == pytest.approx(expected, rel=1e-12)
+
+
+HIGH_DIM = ("sample-mean", "olse", "js-high-dim", "js-positive-part", "wang")
+
+
+class TestBacktestEstimatorCalls:
+    def test_target_free_estimators_run_once_per_window_period(self, monkeypatch):
+        calls = dict.fromkeys(("olse", "js_high_dim", "js_positive_part", "wang_estimator"), 0)
+
+        def counting(name):
+            original = getattr(shrinkmean.estimators, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(shrinkmean.estimators, name, counting(name))
+        panel = _panel(periods=20, p=12)
+        config = BacktestConfig(windows=(5, 8), estimators=HIGH_DIM)
+        report = rolling_backtest(panel, config)
+        assert all(row.failures == 0 for row in report.rows)
+        periods = (20 - 5) + (20 - 8)
+        assert READS_TARGET == {"olse"}
+        assert calls == {"olse": 3 * periods, "js_high_dim": periods,
+                         "js_positive_part": periods, "wang_estimator": periods}
+
+
+class TestBacktestPairing:
+    def test_one_failure_drops_the_period_for_every_pair(self, monkeypatch):
+        panel = _panel(periods=20, p=12)
+        config = BacktestConfig(windows=(6,), estimators=HIGH_DIM)
+        clean = rolling_backtest(panel, config)
+
+        failing = panel.values[10 - 6 : 10].T  # the window that predicts period 10
+        original = shrinkmean.estimators.wang_estimator
+
+        def wang_failing_once(stats):
+            if np.array_equal(stats.y, failing):
+                raise DegenerateDenominatorError("injected failure")
+            return original(stats)
+
+        monkeypatch.setattr(shrinkmean.estimators, "wang_estimator", wang_failing_once)
+        paired = rolling_backtest(panel, config)
+
+        assert len(paired.rows) == len(clean.rows) == len(HIGH_DIM) * 3
+        for before, after in zip(clean.rows, paired.rows):
+            assert (after.estimator, after.target) == (before.estimator, before.target)
+            assert after.windows_evaluated == before.windows_evaluated - 1
+            assert after.failures == before.failures + (after.estimator == "wang")
+            assert after.loss_x1e4 != before.loss_x1e4

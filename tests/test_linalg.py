@@ -6,10 +6,10 @@ from conftest import rand_spd
 from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.linalg import (
     haar_orthogonal,
+    spd_eigen,
     spd_factor,
     spd_solve,
     spd_whiten,
-    sym_sqrt,
 )
 
 
@@ -103,26 +103,28 @@ class TestSpdWhiten:
 
 
 class TestSymSqrt:
+    # the symmetric root that spd_eigen's eigenpairs give
+
     def test_identity(self):
-        assert np.allclose(sym_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
+        assert np.allclose(spd_eigen(np.eye(4)).sqrt(), np.eye(4), atol=1e-12)
 
     def test_diagonal(self):
-        assert np.allclose(sym_sqrt(np.diag([4.0, 16.0])), np.diag([2.0, 4.0]))
+        assert np.allclose(spd_eigen(np.diag([4.0, 16.0])).sqrt(), np.diag([2.0, 4.0]))
 
     def test_square_back(self, rng):
         a = rand_spd(rng, 5)
-        b = sym_sqrt(a)
+        b = spd_eigen(a).sqrt()
         assert np.linalg.norm(b @ b - a) / np.linalg.norm(a) < 1e-10
 
     def test_symmetric_psd(self, rng):
         a = rand_spd(rng, 6)
-        b = sym_sqrt(a)
+        b = spd_eigen(a).sqrt()
         assert np.array_equal(b, b.T)
         assert np.linalg.eigvalsh(b).min() >= -1e-10
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            sym_sqrt(np.diag([1.0, -1.0]))
+            spd_eigen(np.diag([1.0, -1.0]))
 
 
 class TestHaarOrthogonal:

@@ -23,18 +23,18 @@ from shrinkmean.model import (
 
 class TestEigenRecipe:
     def test_default_multiset_p10(self, rng):
-        cov = build_covariance(DEFAULT_RECIPE, 10, rng)
+        cov, _ = build_covariance(DEFAULT_RECIPE, 10, rng)
         eigs = np.sort(np.linalg.eigvalsh(cov))
         expected = np.array([1, 1, 3, 3, 3, 3, 10, 10, 10, 10], dtype=float)
         assert np.max(np.abs(eigs - expected)) < 1e-8
 
     def test_isotropic_recipe(self, rng):
-        cov = build_covariance(EigenRecipe(((1.0, 1.0),)), 6, rng)
+        cov, _ = build_covariance(EigenRecipe(((1.0, 1.0),)), 6, rng)
         assert np.max(np.abs(cov - np.eye(6))) < 1e-10
 
     def test_override_lambda_max(self, rng):
         recipe = EigenRecipe(DEFAULT_RECIPE.proportions, override_lambda_max=50.0)
-        cov = build_covariance(recipe, 50, rng)
+        cov, _ = build_covariance(recipe, 50, rng)
         eigs = np.sort(np.linalg.eigvalsh(cov))
         assert eigs[-1] == pytest.approx(50.0, abs=1e-8)
         # only the single largest eigenvalue is replaced
@@ -53,7 +53,7 @@ class TestEigenRecipe:
         assert sorted(values.tolist()) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
 
     def test_exactly_symmetric_output(self, rng):
-        cov = build_covariance(DEFAULT_RECIPE, 15, rng)
+        cov, _ = build_covariance(DEFAULT_RECIPE, 15, rng)
         assert np.array_equal(cov, cov.T)
 
     def test_minimum_dimension(self, rng):
@@ -134,7 +134,7 @@ class TestGenerateSample:
         assert kstest(y.ravel(), "norm").pvalue > 0.01
 
     def test_column_mean_matches_population_mean(self, rng):
-        cov = build_covariance(DEFAULT_RECIPE, 5, rng)
+        cov, _ = build_covariance(DEFAULT_RECIPE, 5, rng)
         mu = rng.uniform(-1, 1, 5)
         pop = PopulationSpec(p=5, gamma=0, mu_n=mu, mu_0=mu, sigma=cov)
         n = 100_000
@@ -143,7 +143,7 @@ class TestGenerateSample:
         assert np.all(np.abs(y.mean(axis=1) - mu) <= 4 * np.sqrt(lam_max / n))
 
     def test_sample_covariance_converges(self, rng):
-        cov = build_covariance(DEFAULT_RECIPE, 5, rng)
+        cov, _ = build_covariance(DEFAULT_RECIPE, 5, rng)
         pop = PopulationSpec(p=5, gamma=0, mu_n=np.zeros(5), mu_0=np.zeros(5), sigma=cov)
         y = generate_sample(pop, 100_000, InnovationLaw(), rng)
         s = sample_stats(y).s
@@ -242,7 +242,7 @@ class TestSampleFactorization:
 
 class TestPopulationValidation:
     def test_report_fields(self, rng):
-        cov = build_covariance(DEFAULT_RECIPE, 8, rng)
+        cov, _ = build_covariance(DEFAULT_RECIPE, 8, rng)
         mu_n, mu_0 = draw_mean_vectors(0, 8, rng)
         pop = PopulationSpec(p=8, gamma=0, mu_n=mu_n, mu_0=mu_0, sigma=cov)
         report = pop.validate()

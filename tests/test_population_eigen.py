@@ -1,0 +1,148 @@
+"""The one eigendecomposition per population that samples and scores a cell.
+
+A simulated population carries the eigenpairs its covariance was built
+from; its symmetric root generates the samples and its precision whitening
+scores every estimate of a replication in one product and gives the oracle
+and limit weights their Gram.  Covers those quantities against direct
+``eigh`` / ``solve`` oracles, the bare-sigma entry points, and a guard that
+a study cell never factorizes sigma.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import shrinkmean.harness
+from conftest import rand_spd
+from shrinkmean.errors import NotPositiveDefiniteError
+from shrinkmean.estimators import limit_intensities, oracle_intensities
+from shrinkmean.harness import (
+    McConfig,
+    cell_population,
+    cell_sample_size,
+    quadratic_loss,
+    replication_rng,
+    run_study,
+)
+from shrinkmean.model import PopulationSpec, generate_sample, sample_stats
+
+ALL_MC = ("sample-mean", "olse", "olse-asymptotic", "olse-oracle", "js",
+          "js-high-dim", "js-positive-part", "wang")
+
+
+def _eigh_root(sigma):
+    vals, vecs = np.linalg.eigh(sigma)
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def _bare(sigma, rng):
+    p = sigma.shape[0]
+    return PopulationSpec(p=p, gamma=0, mu_n=rng.standard_normal(p),
+                          mu_0=rng.standard_normal(p), sigma=sigma)
+
+
+class TestPopulationEigenpairs:
+    @pytest.mark.parametrize("source", ["cell", "bare"])
+    def test_batched_losses_match_solve(self, rng, source):
+        if source == "cell":
+            pop = cell_population(McConfig(p_grid=(60,), c_grid=(0.5,), seed=3), 60, 0.5)
+        else:
+            pop = _bare(rand_spd(rng, 60), rng)
+        stack = pop.mu_n[:, None] + rng.standard_normal((60, 7)) * np.logspace(-3, 2, 7)
+        losses = quadratic_loss(stack, pop)
+        assert losses.shape == (7,)
+        for k in range(7):
+            d = stack[:, k] - pop.mu_n
+            expected = d @ np.linalg.solve(pop.sigma, d)
+            assert abs(losses[k] - expected) <= 1e-10 * expected
+
+    def test_carried_root_matches_eigh_root(self):
+        pop = cell_population(McConfig(p_grid=(80,), c_grid=(2.0,), seed=5), 80, 2.0)
+        expected = _eigh_root(pop.sigma)
+        root = pop.sigma_sqrt()
+        assert np.array_equal(root, root.T)
+        assert np.linalg.norm(root - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_bare_sigma_root(self, rng):
+        sigma = rand_spd(rng, 12)
+        root = _bare(sigma, rng).sigma_sqrt()
+        assert np.linalg.norm(root - _eigh_root(sigma)) <= 1e-12 * np.linalg.norm(sigma)
+
+    def test_whitening_inverts_sigma(self, rng):
+        pop = _bare(rand_spd(rng, 10), rng)
+        w = pop.whitening()
+        assert np.allclose(w.T @ w, np.linalg.inv(pop.sigma), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("use", ["sigma_sqrt", "whitening"])
+    def test_bare_indefinite_sigma_rejected(self, use):
+        pop = PopulationSpec(p=2, gamma=0, mu_n=np.zeros(2), mu_0=np.ones(2),
+                             sigma=np.diag([1.0, -1.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            getattr(pop, use)()
+
+
+class TestCellWeights:
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_match_bare_sigma_entry_points(self, c):
+        p, n_reps = 30, 5
+        config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=n_reps, seed=11,
+                          estimators=("olse-oracle", "olse-asymptotic"))
+        cell = run_study(config).cells[0]
+        pop = cell_population(config, p, c)
+        n = cell_sample_size(p, c)
+
+        limit = limit_intensities(pop.sigma, pop.mu_n, pop.mu_0, p / n)
+        assert cell.limit_alpha == pytest.approx(limit.alpha, rel=1e-10)
+        assert cell.limit_beta == pytest.approx(limit.beta, rel=1e-10)
+        for r in range(n_reps):
+            y = generate_sample(pop, n, config.law, replication_rng(config.seed, p, c, r))
+            w = oracle_intensities(sample_stats(y).y_bar, pop.sigma, pop.mu_n, pop.mu_0)
+            assert cell.oracle_weights[r] == pytest.approx([w.alpha, w.beta], rel=1e-10)
+
+    def test_zero_target_fails_like_bare_sigma(self):
+        # both degeneracy checks fire on the cell path as on a bare sigma
+        p = 20
+        config = McConfig(p_grid=(p,), c_grid=(0.5,), n_reps=3, target_mode="custom",
+                          custom_target=np.zeros(p),
+                          estimators=("sample-mean", "olse-oracle", "olse-asymptotic"))
+        cell = run_study(config).cells[0]
+        assert cell.failures == {"sample-mean": 0, "olse-oracle": 3, "olse-asymptotic": 3}
+
+
+class TestOneEigendecompositionPerPopulation:
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_study_cell(self, monkeypatch, c):
+        p, n_reps = 40, 6
+        n = cell_sample_size(p, c)
+        calls = {"eigh": [], "cholesky": [], "cho_solve": 0, "quadratic_loss": 0}
+
+        def recording(name, original):
+            def wrapper(a, *args, **kwargs):
+                calls[name].append(np.shape(a))
+                return original(a, *args, **kwargs)
+            return wrapper
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "cholesky", recording("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(scipy.linalg, "cho_solve",
+                            counting("cho_solve", scipy.linalg.cho_solve))
+        monkeypatch.setattr(shrinkmean.harness, "quadratic_loss",
+                            counting("quadratic_loss", quadratic_loss))
+
+        config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=n_reps, estimators=ALL_MC)
+        cell = run_study(config).cells[0]
+        assert cell.failures["olse"] == 0 and cell.failures["olse-oracle"] == 0
+
+        # no p x p eigh or Cholesky but one Cholesky of S per sample for p < n,
+        # and only the n x n Gram eigh per sample for p > n
+        assert (p, p) not in calls["eigh"]
+        assert calls["cholesky"] == ([(p, p)] * n_reps if p < n else [])
+        assert calls["eigh"] == ([] if p < n else [(n, n)] * n_reps)
+        assert calls["cho_solve"] == 0
+        assert calls["quadratic_loss"] == n_reps
