@@ -29,10 +29,8 @@ from .estimators import (
     js_high_dim,
     js_positive_part,
     limit_intensities,
-    limit_weights,
     olse,
     oracle_intensities,
-    oracle_weights,
     wang_estimator,
 )
 from .finance import (
@@ -59,7 +57,6 @@ from .linalg import (
     haar_orthogonal,
     spd_eigen,
     spd_factor,
-    spd_solve,
     spd_whiten,
 )
 from .model import (

@@ -4,7 +4,10 @@ Closed-form limiting variances for the oracle shrinkage weights, the joint
 limiting covariance of the bona fide weights (valid for p/n < 1), the
 standardization helper used by the normality diagnostics, and the exact
 noncentral-F moments of the residual quadratic-form statistic under normal
-sampling.  All functions are pure and thread-safe.
+sampling.  The population-side moments take a :class:`PopulationSpec` and
+read its precision metric sigma^{-1} through
+:meth:`PopulationSpec.precision_gram`, never factorizing sigma.  All
+functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from .errors import (
     MomentsDoNotExistError,
     UnsupportedConcentrationError,
 )
-from .estimators import population_gram
-from .model import SampleStats
+from .model import PopulationSpec, SampleStats
 
 __all__ = [
     "AsymptoticMoments",
@@ -45,8 +47,7 @@ class AsymptoticMoments:
     scaled by p^{-gamma}; ``form_det`` is their Gram determinant (always
     >= 0 by Cauchy-Schwarz) and ``scaled_concentration`` is p^{-gamma} c.
 
-    The optional fields hold the limiting variances of the oracle weights
-    (``sigma2_alpha``, ``sigma2_beta``), and for p/n < 1 the residual form
+    The optional fields hold, for p/n < 1, the residual form
     ``residual_form`` of the true mean orthogonal to the target direction,
     the projection coefficient ``projection_coef`` of the true mean on the
     target, its variance ``sigma2_residual``, and the joint 2x2 covariance
@@ -58,25 +59,18 @@ class AsymptoticMoments:
     mean_form: float
     form_det: float
     scaled_concentration: float
-    sigma2_alpha: float | None = None
-    sigma2_beta: float | None = None
     residual_form: float | None = None
     projection_coef: float | None = None
     sigma2_residual: float | None = None
     weights_cov: np.ndarray | None = None
 
 
-def precision_forms(
-    sigma: np.ndarray,
-    mu_n: np.ndarray,
-    mu_0: np.ndarray,
-    gamma: float,
-    c: float,
-) -> AsymptoticMoments:
-    """Scaled quadratic forms, their Gram determinant and scaled concentration."""
-    gram, _ = population_gram(sigma, [mu_n, mu_0])
+def precision_forms(pop: PopulationSpec, c: float) -> AsymptoticMoments:
+    """Scaled quadratic forms, their Gram determinant and scaled concentration,
+    with the scale p^{-gamma} of the population's gamma."""
+    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
     mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
-    scale = float(len(np.asarray(mu_n))) ** (-gamma)
+    scale = float(pop.p) ** (-pop.gamma)
     mean_form = scale * mean_raw
     cross_form = scale * cross_raw
     target_form = scale * target_raw
@@ -109,29 +103,22 @@ def oracle_weight_variances(moments: AsymptoticMoments) -> tuple[float, float]:
     # each weight fluctuation is a Gaussian linear part plus an independent
     # normalized chi-square part; the latter has variance 2, hence the
     # factor 2 on the det^2 terms
-    sigma2_alpha = (
+    var_alpha = (
         (ct * q00 - det) ** 2 * q00 * det + 2.0 * ct * det**2 * q00**2
     ) / denom
 
     a_coef = (det - ct * q00) * q0n
     b_coef = ct * q0n**2 - ct * det - det * qnn
-    sigma2_beta = (
+    var_beta = (
         a_coef**2 * qnn
         + b_coef**2 * q00
         + 2.0 * a_coef * b_coef * q0n
         + 2.0 * ct * det**2 * q0n**2
     ) / denom
-    moments.sigma2_alpha = float(sigma2_alpha)
-    moments.sigma2_beta = float(sigma2_beta)
-    return float(sigma2_alpha), float(sigma2_beta)
+    return float(var_alpha), float(var_beta)
 
 
-def bona_fide_covariance(
-    sigma: np.ndarray,
-    mu_n: np.ndarray,
-    mu_0: np.ndarray,
-    c: float,
-) -> AsymptoticMoments:
+def bona_fide_covariance(pop: PopulationSpec, c: float) -> AsymptoticMoments:
     """Joint limiting covariance of the bona fide weight pair, for c < 1.
 
     The pair sqrt(n) * (alpha_hat - alpha_limit, beta_hat - beta_limit) is
@@ -143,7 +130,7 @@ def bona_fide_covariance(
         raise UnsupportedConcentrationError(
             f"joint covariance requires c in (0, 1), got {c}"
         )
-    gram, _ = population_gram(sigma, [mu_n, mu_0])
+    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
     mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
     if target_raw <= 0:
         raise DegenerateTargetError("target vector has zero precision-metric energy")

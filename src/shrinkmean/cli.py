@@ -41,12 +41,12 @@ from .finance import (
 from .harness import (
     KS_COEFF_1PCT,
     McConfig,
-    TARGET_MODES,
     cell_population,
     cell_sample_size,
     ks_statistic,
     negative_frequency_table,
     qq_data,
+    run_cell,
     run_study,
     write_intensities_csv,
     write_losses_csv,
@@ -58,6 +58,9 @@ from .model import DEFAULT_RECIPE, EigenRecipe, InnovationLaw
 TABLE1_P_GRID = (20, 100, 250, 500)
 TABLE1_C_GRID = (0.5, 0.9, 2.0)
 QQ_QUANTITIES = ("alpha-oracle", "beta-oracle", "alpha-bf", "beta-bf")
+#: The target modes a flag or config key can select; ``custom`` needs a
+#: vector that only the Python API supplies.
+CLI_TARGET_MODES = ("drawn", "equal-to-mu_n")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -70,6 +73,12 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_strs(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in str(text).split(",") if part.strip())
+
+
+def _parse_target_mode(text: str) -> str:
+    if text not in CLI_TARGET_MODES:
+        raise ValueError(f"expected one of {', '.join(CLI_TARGET_MODES)}")
+    return text
 
 
 def _parse_bool(text: str) -> bool:
@@ -160,7 +169,7 @@ def _mc_config_from_args(args) -> McConfig:
         n_reps=pick(args.n_reps, "n_reps", int, 1000),
         estimators=pick(args.estimators, "estimators", _parse_strs,
                         ("sample-mean", "olse")),
-        target_mode=pick(args.target, "target_mode", str, "drawn"),
+        target_mode=pick(args.target, "target_mode", _parse_target_mode, "drawn"),
         seed=pick(args.seed, "seed", int, 0),
         eigen_recipe=_parse_recipe(file_values),
         law=pick(args.law, "law", InnovationLaw.parse, InnovationLaw()),
@@ -218,21 +227,20 @@ def cmd_qq(args) -> int:
         p_grid=(p,), c_grid=(c,), gamma=gamma, n_reps=n_reps,
         estimators=(estimator,), seed=seed,
     )
-    report = run_study(config)
-    cell = report.cells[0]
     pop = cell_population(config, p, c)
+    cell = run_cell(config, pop, c)
     n = cell_sample_size(p, c)
     c_used = p / n
 
-    limit = limit_intensities(pop.sigma, pop.mu_n, pop.mu_0, c_used)
+    limit = limit_intensities(pop, c_used)
     if quantity.endswith("-oracle"):
-        moments = precision_forms(pop.sigma, pop.mu_n, pop.mu_0, gamma, c_used)
+        moments = precision_forms(pop, c_used)
         s2a, s2b = oracle_weight_variances(moments)
         variance = s2a if quantity.startswith("alpha") else s2b
         rate = float(np.sqrt(p**gamma * n))
         weights = cell.oracle_weights
     else:
-        moments = bona_fide_covariance(pop.sigma, pop.mu_n, pop.mu_0, c_used)
+        moments = bona_fide_covariance(pop, c_used)
         idx = 0 if quantity.startswith("alpha") else 1
         variance = float(moments.weights_cov[idx, idx])
         rate = float(np.sqrt(n))
@@ -365,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mean-norm growth regime (default 0)")
     sim.add_argument("--estimators", type=_parse_strs, default=None,
                      help=f"comma list from {', '.join(ESTIMATOR_KINDS)}")
-    sim.add_argument("--target", choices=TARGET_MODES, default=None,
+    sim.add_argument("--target", choices=CLI_TARGET_MODES, default=None,
                      help="target mode (default drawn)")
     sim.add_argument("--law", type=_flag(InnovationLaw.parse), default=None,
                      help="innovation law: normal, t:<df>, exponential")

@@ -18,11 +18,10 @@ its :class:`SampleStats` value carries (Cholesky of S for p < n, the
 n x n Gram route to S^+ for p > n), so a sample is factorized once however
 many estimators run on it.
 
-The oracle and limit weights are 2x2 formulas in the precision-metric
-Gram of the mean vectors (:func:`oracle_weights`, :func:`limit_weights`).
-On a bare covariance the Gram comes from one Cholesky of it
-(:func:`population_gram`); the Monte Carlo harness reads it from vectors
-whitened by its population's eigenpairs instead.
+The oracle and limit weights take a :class:`PopulationSpec` and are 2x2
+formulas in the Gram of the mean vectors in its precision metric sigma^{-1},
+read through :meth:`PopulationSpec.precision_gram`: sigma is never
+factorized here, only whitened by the population's eigenpairs.
 
 :data:`SAMPLE_ESTIMATORS` is the one table of estimator names that the
 Monte Carlo harness and the backtester both dispatch through;
@@ -43,18 +42,15 @@ from .errors import (
     EqualDimensionsError,
     InvalidDimensionsError,
 )
-from .linalg import SpdFactor, spd_factor, spd_solve
-from .model import SampleStats
+from .linalg import spd_factor  # noqa: F401  perfbench's tracer test reads it here
+from .model import PopulationSpec, SampleStats
 
 __all__ = [
     "ShrinkageWeights",
-    "population_gram",
     "SAMPLE_ESTIMATORS",
     "READS_TARGET",
     "ESTIMATOR_KINDS",
-    "oracle_weights",
     "oracle_intensities",
-    "limit_weights",
     "limit_intensities",
     "bona_fide_intensities",
     "olse",
@@ -81,22 +77,11 @@ class ShrinkageWeights:
     kind: str
 
 
-def population_gram(
-    sigma: np.ndarray, vectors: list[np.ndarray], factor: SpdFactor | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix V' sigma^{-1} V of the ``vectors`` (the columns of V), and
-    sigma^{-1} V; ``factor`` may pass ``spd_factor(sigma)`` when it is known."""
-    if factor is None:
-        factor = spd_factor(sigma)
-    stacked = np.column_stack(vectors)
-    solved = spd_solve(factor, stacked)
-    return stacked.T @ solved, solved
-
-
-def oracle_weights(gram: np.ndarray) -> ShrinkageWeights:
-    """Loss-minimizing weights from the 3x3 precision-metric Gram of
-    (y_bar, mu_0, mu_n): the solution of the 2x2 first-order conditions of
-    the quadratic loss in (alpha, beta)."""
+def oracle_intensities(y_bar: np.ndarray, pop: PopulationSpec) -> ShrinkageWeights:
+    """Loss-minimizing weights for one sample, using the true covariance: the
+    solution of the 2x2 first-order conditions of the quadratic loss in
+    (alpha, beta), from the precision-metric Gram of (y_bar, mu_0, mu_n)."""
+    gram = pop.precision_gram(np.asarray(y_bar, dtype=float), pop.mu_0, pop.mu_n)
     h_yy, h_y0, h_yn = gram[0, 0], gram[0, 1], gram[0, 2]
     h_00, h_0n = gram[1, 1], gram[1, 2]
 
@@ -110,29 +95,23 @@ def oracle_weights(gram: np.ndarray) -> ShrinkageWeights:
     return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="oracle")
 
 
-def oracle_intensities(
-    y_bar: np.ndarray, sigma: np.ndarray, mu_n: np.ndarray, mu_0: np.ndarray
-) -> ShrinkageWeights:
-    """Loss-minimizing weights for one sample, using the true covariance."""
-    y_bar = np.asarray(y_bar, dtype=float)
-    gram, _ = population_gram(sigma, [y_bar, mu_0, mu_n])
-    return oracle_weights(gram)
+def limit_intensities(pop: PopulationSpec, c: float) -> ShrinkageWeights:
+    """Nonrandom limits of the oracle weights under p/n -> c, from the
+    precision-metric Gram of (mu_0, mu_n).
 
-
-def limit_weights(
-    gram: np.ndarray, mu_0: np.ndarray, precision_target: np.ndarray, c: float
-) -> ShrinkageWeights:
-    """Limit weights under p/n -> c from the 2x2 precision-metric Gram of
-    (mu_0, mu_n).
-
-    ``precision_target`` is sigma^{-1} mu_0: |mu_0| |sigma^{-1} mu_0| bounds
-    the target form mu_0' sigma^{-1} mu_0 from above (Cauchy-Schwarz), and a
-    target form negligible against it is degenerate.
+    |mu_0| |sigma^{-1} mu_0| bounds the target form mu_0' sigma^{-1} mu_0 from
+    above (Cauchy-Schwarz), and a target form negligible against it is
+    degenerate; sigma^{-1} mu_0 = W'(W mu_0) with W the population whitening.
     """
     if c <= 0:
         raise ValueError(f"concentration c must be positive, got {c}")
+    whitening = pop.whitening()
+    white = whitening @ np.column_stack([pop.mu_0, pop.mu_n])
+    gram = white.T @ white
     target_form, cross_form, mean_form = gram[0, 0], gram[0, 1], gram[1, 1]
-    target_scale = float(np.linalg.norm(mu_0)) * float(np.linalg.norm(precision_target))
+    target_scale = float(np.linalg.norm(pop.mu_0)) * float(
+        np.linalg.norm(whitening.T @ white[:, 0])
+    )
     if target_form <= _REL_FLOOR * max(target_scale, 1e-300):
         raise DegenerateTargetError("target vector has zero precision-metric energy")
 
@@ -141,14 +120,6 @@ def limit_weights(
     )
     beta = (1.0 - alpha) * cross_form / target_form
     return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="limit")
-
-
-def limit_intensities(
-    sigma: np.ndarray, mu_n: np.ndarray, mu_0: np.ndarray, c: float
-) -> ShrinkageWeights:
-    """Nonrandom limits of the oracle weights under p/n -> c."""
-    gram, solved = population_gram(sigma, [mu_0, mu_n])
-    return limit_weights(gram, mu_0, solved[:, 0], c)
 
 
 def _negligible(quad: float, v: np.ndarray, stats: SampleStats) -> bool:

@@ -7,12 +7,13 @@ streams are derived from ``(root seed, p, round(1000 c), replication + 1)``.
 Each replication builds one :class:`SampleStats`, whose covariance
 factorization every sample-based estimator reads.  The population side is
 never factorized: the population carries the eigenpairs its covariance was
-built from, and their precision whitening W (W'W = sigma^{-1}) scores every
-estimate of a replication in one product, the column sums of squares of
-``W @ (M - mu_n 1')`` for the stack M of the estimates that succeeded.  The
-oracle and limit weights read their Gram from whitened vectors too: W mu_n
-and W mu_0 once per cell, W y_bar once per replication.  Replications run
-in index order, so a report is bit-identical for a given seed.  Recorded
+built from, and its precision whitening W (W'W = sigma^{-1}) is the one
+precision metric of the cell.  It scores every estimate of a replication in
+one product, the column sums of squares of ``W @ (M - mu_n 1')`` for the
+stack M of the estimates that succeeded, and the oracle and limit weights
+read their Gram through it (:func:`oracle_intensities` once per
+replication, :func:`limit_intensities` once per cell).  Replications run in
+index order, so a report is bit-identical for a given seed.  Recorded
 wall-clock runtimes are the one exception: they are real measurements and
 vary run to run.
 """
@@ -36,8 +37,8 @@ from .estimators import (
     ESTIMATOR_KINDS,
     SAMPLE_ESTIMATORS,
     bona_fide_intensities,
-    limit_weights,
-    oracle_weights,
+    limit_intensities,
+    oracle_intensities,
 )
 from .model import (
     DEFAULT_RECIPE,
@@ -61,6 +62,7 @@ __all__ = [
     "cell_population",
     "replication_rng",
     "quadratic_loss",
+    "run_cell",
     "run_study",
     "negative_frequency_table",
     "qq_data",
@@ -228,12 +230,12 @@ def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
     )
 
 
-def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
+def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
+    """One study cell: ``config.n_reps`` replications at concentration ``c``
+    drawn from ``pop``, which :func:`run_study` builds as
+    ``cell_population(config, pop.p, c)``."""
+    p = pop.p
     n = cell_sample_size(p, c)
-    pop = cell_population(config, p, c)
-    whitening = pop.whitening()
-    white_means = whitening @ np.column_stack([pop.mu_0, pop.mu_n])  # W mu_0, W mu_n
-
     n_reps = config.n_reps
     estimators = config.estimators
     losses = {e: np.full(n_reps, np.nan) for e in estimators}
@@ -244,8 +246,7 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
     limit_failed: ShrinkmeanError | None = None
     if "olse-asymptotic" in estimators:
         try:
-            precision_target = whitening.T @ white_means[:, 0]  # W'W mu_0 = sigma^{-1} mu_0
-            w = limit_weights(white_means.T @ white_means, pop.mu_0, precision_target, p / n)
+            w = limit_intensities(pop, p / n)
             limit_alpha, limit_beta = w.alpha, w.beta
         except ShrinkmeanError as exc:
             limit_failed = exc
@@ -273,8 +274,7 @@ def _run_cell(config: McConfig, p: int, c: float) -> CellResult:
                         raise limit_failed
                     mu_hat = limit_alpha * y_bar + limit_beta * pop.mu_0
                 elif est == "olse-oracle":
-                    white = np.column_stack([whitening @ y_bar, white_means])
-                    w = oracle_weights(white.T @ white)  # Gram of (y_bar, mu_0, mu_n)
+                    w = oracle_intensities(y_bar, pop)
                     mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
                     oracle_w[r] = (w.alpha, w.beta)
                 else:
@@ -312,7 +312,8 @@ def run_study(config: McConfig) -> McReport:
     Estimator errors inside a replication are recorded as failures for
     that estimator (loss left NaN), never aborts.
     """
-    cells = [_run_cell(config, p, c) for p in config.p_grid for c in config.c_grid]
+    cells = [run_cell(config, cell_population(config, p, c), c)
+             for p in config.p_grid for c in config.c_grid]
     return McReport(config=config, cells=cells)
 
 

@@ -1,8 +1,11 @@
 """Dense symmetric linear algebra building blocks.
 
-SPD factorization, solves and whitening, the eigenpairs of an SPD matrix
-(with its symmetric square root and precision whitening), and
-Haar-distributed random orthogonal matrices.
+The Cholesky factorization of an SPD matrix with its whitening L^{-1} (the
+sample side's precision metric for p < n), the eigenpairs of an SPD matrix
+with its symmetric square root and precision whitening (the population
+side's one precision metric), and Haar-distributed random orthogonal
+matrices.  No function here solves against a covariance: every
+precision-metric form is a Gram of whitened vectors.
 
 All functions are pure: they never mutate their inputs and hold no module
 state, so they are safe to call concurrently.
@@ -20,7 +23,6 @@ from .errors import DimensionMismatchError, NotPositiveDefiniteError
 __all__ = [
     "SpdFactor",
     "spd_factor",
-    "spd_solve",
     "spd_whiten",
     "SpdEigen",
     "spd_eigen",
@@ -70,19 +72,6 @@ def spd_factor(a: np.ndarray) -> SpdFactor:
             f"pivot below {pivot_floor:.3e}; matrix numerically singular"
         )
     return SpdFactor(dim=p, lower=lower)
-
-
-def spd_solve(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b given ``factor = spd_factor(a)``.
-
-    ``b`` may be a vector or a matrix of right-hand sides.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != factor.dim:
-        raise DimensionMismatchError(
-            f"rhs has {b.shape[0]} rows, factor dimension is {factor.dim}"
-        )
-    return scipy.linalg.cho_solve((factor.lower, True), b, check_finite=False)
 
 
 def spd_whiten(factor: SpdFactor, b: np.ndarray) -> np.ndarray:

@@ -6,9 +6,11 @@ built as ``sqrt(sigma) @ X + mu 1'`` from i.i.d. standardized innovations.
 The population carries the eigenpairs of its covariance, sigma = Q diag(lam)
 Q': a simulated one keeps those its covariance was built from, one given a
 bare sigma takes them from one ``eigh``.  Both the square root that
-generates samples and the precision whitening diag(lam)^{-1/2} Q' that
-scores the quadratic loss are read from them, so no population is
-factorized twice.
+generates samples and the precision whitening W = diag(lam)^{-1/2} Q' are
+read from them.  W is the population's one precision metric: the loss, the
+oracle and limit weights and the asymptotic moments all read sigma^{-1}
+through :meth:`PopulationSpec.whitening` or
+:meth:`PopulationSpec.precision_gram`, so no population is factorized twice.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "DEFAULT_RECIPE",
     "InnovationLaw",
     "PopulationSpec",
-    "PopulationReport",
     "SampleStats",
     "build_covariance",
     "draw_mean_vectors",
@@ -127,22 +128,6 @@ class InnovationLaw:
         return f"t:{self.df:g}" if self.name == "t" else self.name
 
 
-@dataclass(frozen=True)
-class PopulationReport:
-    """Validation diagnostics for a population.
-
-    ``mean_norm_scaled`` and ``target_norm_scaled`` are the gamma-scaled
-    squared norms of the true and target means; both must stay finite and
-    positive, and the covariance spectrum must stay above ``lambda_floor``.
-    """
-
-    lambda_min: float
-    mean_norm_scaled: float
-    target_norm_scaled: float
-    norm_upper: float
-    ok: bool
-
-
 @dataclass
 class PopulationSpec:
     """Ground truth for one simulation scenario; frozen after construction.
@@ -201,26 +186,11 @@ class PopulationSpec:
             self._whitening_cache = self._eigenpairs().whitening()
         return self._whitening_cache
 
-    def validate(self, lambda_floor: float = 1e-8) -> PopulationReport:
-        """Check the eigenvalue floor and the scaled mean-norm diagnostics."""
-        lam_min = float(np.linalg.eigvalsh(self.sigma)[0])
-        scale = float(self.p) ** (-self.gamma)
-        m_mean = scale * float(self.mu_n @ self.mu_n)
-        m_target = scale * float(self.mu_0 @ self.mu_0)
-        ok = (
-            lam_min >= lambda_floor
-            and np.isfinite(m_mean)
-            and np.isfinite(m_target)
-            and m_mean > 0
-            and m_target > 0
-        )
-        return PopulationReport(
-            lambda_min=lam_min,
-            mean_norm_scaled=m_mean,
-            target_norm_scaled=m_target,
-            norm_upper=max(m_mean, m_target),
-            ok=ok,
-        )
+    def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
+        """Gram matrix V' sigma^{-1} V of ``vectors`` (the columns of V), read
+        through the cached whitening: (W V)'(W V)."""
+        white = self.whitening() @ np.column_stack(vectors)
+        return white.T @ white
 
 
 @dataclass(frozen=True)
@@ -333,16 +303,12 @@ def build_covariance(
 
 
 def draw_mean_vectors(
-    gamma: float,
-    p: int,
-    rng: np.random.Generator,
-    alternating: bool = False,
+    gamma: float, p: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the (true, target) mean pair for the bounded and growing regimes.
 
     gamma = 0: both vectors i.i.d. uniform on [-p^{-1/2}, p^{-1/2}], drawn
-    independently.  gamma = 1: true mean entries are i.i.d. random signs
-    (or the deterministic pattern +1,-1,+1,... when ``alternating``) and
+    independently.  gamma = 1: true mean entries are i.i.d. random signs and
     the target is the all-ones vector.
     """
     if gamma == 0:
@@ -351,10 +317,7 @@ def draw_mean_vectors(
         mu_0 = rng.uniform(-bound, bound, size=p)
         return mu_n, mu_0
     if gamma == 1:
-        if alternating:
-            mu_n = np.where(np.arange(p) % 2 == 0, 1.0, -1.0)
-        else:
-            mu_n = rng.integers(0, 2, size=p) * 2.0 - 1.0
+        mu_n = rng.integers(0, 2, size=p) * 2.0 - 1.0
         return mu_n, np.ones(p)
     raise UnsupportedGammaError(f"gamma must be 0 or 1, got {gamma}")
 

@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
+from shrinkmean.model import PopulationSpec
+
 
 def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
     """Random well-conditioned SPD matrix."""
     a = rng.standard_normal((p, p))
     spd = a @ a.T / p + jitter * np.eye(p)
     return (spd + spd.T) / 2.0
+
+
+def bare_population(sigma, mu_n, mu_0) -> PopulationSpec:
+    """The gamma = 0 population of a bare covariance and its two means; its
+    eigenpairs come from one ``eigh`` of sigma on first use."""
+    mu_n = np.asarray(mu_n, dtype=float)
+    return PopulationSpec(p=mu_n.shape[0], gamma=0, mu_n=mu_n, mu_0=mu_0, sigma=sigma)
 
 
 def generalized_inverse_s(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -99,3 +99,20 @@ def test_bad_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     assert code == 2
     assert_one_error_line(err)
     assert flag in err and "usage:" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_custom_target_exits_2(tmp_path, capsys, source):
+    # no flag or key supplies the custom target vector, so the mode is not
+    # offered; the error names the modes that are
+    if source == "flag":
+        argv = ["--target", "custom"]
+    else:
+        path = tmp_path / "sim.cfg"
+        path.write_text("target_mode = custom\n")
+        argv = ["--config", str(path)]
+    code, err = run(capsys, "simulate", "--p", "20", "--n-reps", "5", *argv,
+                    "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+    assert "drawn" in err and "equal-to-mu_n" in err

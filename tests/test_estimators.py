@@ -1,9 +1,8 @@
-import time
-
 import numpy as np
 import pytest
 
 from conftest import (
+    bare_population,
     generalized_inverse_s,
     rand_spd,
     sample_with_moments,
@@ -26,7 +25,6 @@ from shrinkmean.estimators import (
     limit_intensities,
     olse,
     oracle_intensities,
-    population_gram,
     _wang_pair_sums_fast,
     wang_estimator,
 )
@@ -38,7 +36,7 @@ from shrinkmean.harness import (
     ks_statistic,
     run_study,
 )
-from shrinkmean.linalg import spd_eigen, spd_factor
+from shrinkmean.linalg import spd_eigen
 from shrinkmean.model import sample_stats
 
 
@@ -51,15 +49,15 @@ class TestOracleIntensities:
         sigma = rand_spd(rng, 4)
         mu = rng.standard_normal(4)
         y_bar = rng.standard_normal(4)
-        w = oracle_intensities(y_bar, sigma, mu, mu)
+        w = oracle_intensities(y_bar, bare_population(sigma, mu, mu))
         assert w.alpha == pytest.approx(0.0, abs=1e-12)
         assert w.beta == pytest.approx(1.0, abs=1e-12)
         assert w.kind == "oracle"
 
     def test_hand_case(self):
         w = oracle_intensities(
-            np.array([2.0, 0.0]), np.eye(2), np.array([1.0, 0.0]),
-            np.array([0.0, 1.0]),
+            np.array([2.0, 0.0]),
+            bare_population(np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])),
         )
         assert w.alpha == pytest.approx(0.5)
         assert w.beta == pytest.approx(0.0, abs=1e-15)
@@ -71,7 +69,7 @@ class TestOracleIntensities:
         mu_n = rng.standard_normal(5)
         mu_0 = rng.standard_normal(5)
         y_bar = rng.standard_normal(5)
-        w = oracle_intensities(y_bar, sigma, mu_n, mu_0)
+        w = oracle_intensities(y_bar, bare_population(sigma, mu_n, mu_0))
 
         inv = np.linalg.inv(sigma)
         h11 = quad_form(inv, y_bar, y_bar)
@@ -90,7 +88,7 @@ class TestOracleIntensities:
         mu_n = rng.standard_normal(6)
         mu_0 = rng.standard_normal(6)
         y_bar = rng.standard_normal(6)
-        w = oracle_intensities(y_bar, sigma, mu_n, mu_0)
+        w = oracle_intensities(y_bar, bare_population(sigma, mu_n, mu_0))
         inv = np.linalg.inv(sigma)
         res1 = (
             w.alpha * quad_form(inv, y_bar, y_bar)
@@ -110,7 +108,7 @@ class TestOracleIntensities:
         sigma = rand_spd(rng, 3)
         mu_0 = rng.standard_normal(3)
         with pytest.raises(DegenerateHessianError):
-            oracle_intensities(2.0 * mu_0, sigma, rng.standard_normal(3), mu_0)
+            oracle_intensities(2.0 * mu_0, bare_population(sigma, rng.standard_normal(3), mu_0))
 
     def test_grid_optimality(self, rng):
         # oracle weights beat every (alpha, beta) on a 21x21 grid
@@ -118,7 +116,7 @@ class TestOracleIntensities:
         mu_n = rng.standard_normal(5)
         mu_0 = rng.standard_normal(5)
         y_bar = mu_n + 0.3 * rng.standard_normal(5)
-        w = oracle_intensities(y_bar, sigma, mu_n, mu_0)
+        w = oracle_intensities(y_bar, bare_population(sigma, mu_n, mu_0))
         inv = np.linalg.inv(sigma)
 
         def loss(a, b):
@@ -136,28 +134,10 @@ class TestOracleIntensities:
         mu_n = rng.standard_normal(4)
         mu_0 = rng.standard_normal(4)
         y_bar = rng.standard_normal(4)
-        w1 = oracle_intensities(y_bar, sigma, mu_n, mu_0)
-        w2 = oracle_intensities(y_bar, 7.0 * sigma, mu_n, mu_0)
+        w1 = oracle_intensities(y_bar, bare_population(sigma, mu_n, mu_0))
+        w2 = oracle_intensities(y_bar, bare_population(7.0 * sigma, mu_n, mu_0))
         assert w1.alpha == pytest.approx(w2.alpha, abs=1e-10)
         assert w1.beta == pytest.approx(w2.beta, abs=1e-10)
-
-
-class TestPopulationGram:
-    def test_matches_inverse_form(self, rng):
-        a = rand_spd(rng, 5)
-        vectors = [rng.standard_normal(5) for _ in range(3)]
-        gram, solved = population_gram(a, vectors)
-        v = np.column_stack(vectors)
-        assert np.allclose(gram, v.T @ np.linalg.inv(a) @ v, rtol=1e-10)
-        assert np.allclose(solved, np.linalg.solve(a, v), rtol=1e-10)
-
-    def test_given_factor_is_used(self, rng):
-        a = rand_spd(rng, 4)
-        vectors = [rng.standard_normal(4), rng.standard_normal(4)]
-        gram, _ = population_gram(a, vectors)
-        # a is ignored once its factor is given
-        given, _ = population_gram(np.full((4, 4), np.nan), vectors, spd_factor(a))
-        assert np.array_equal(gram, given)
 
 
 class TestLimitIntensities:
@@ -165,12 +145,12 @@ class TestLimitIntensities:
         sigma = rand_spd(rng, 5)
         mu_n = rng.standard_normal(5)
         mu_0 = rng.standard_normal(5)
-        w = limit_intensities(sigma, mu_n, mu_0, 1e-9)
+        w = limit_intensities(bare_population(sigma, mu_n, mu_0), 1e-9)
         assert w.alpha > 1.0 - 1e-6
 
     def test_orthogonal_target(self):
-        w = limit_intensities(np.eye(2), np.array([1.0, 0.0]),
-                              np.array([0.0, 1.0]), 1.0)
+        w = limit_intensities(
+            bare_population(np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])), 1.0)
         assert w.alpha == pytest.approx(0.5)
         assert w.beta == pytest.approx(0.0, abs=1e-15)
         assert w.kind == "limit"
@@ -178,7 +158,7 @@ class TestLimitIntensities:
     def test_equal_target(self, rng):
         sigma = rand_spd(rng, 4)
         mu = rng.standard_normal(4)
-        w = limit_intensities(sigma, mu, mu, 0.7)
+        w = limit_intensities(bare_population(sigma, mu, mu), 0.7)
         assert w.alpha == pytest.approx(0.0, abs=1e-12)
         assert w.beta == pytest.approx(1.0, abs=1e-12)
 
@@ -187,7 +167,7 @@ class TestLimitIntensities:
             p = int(rng.integers(3, 10))
             sigma = rand_spd(rng, p)
             w = limit_intensities(
-                sigma, rng.standard_normal(p), rng.standard_normal(p),
+                bare_population(sigma, rng.standard_normal(p), rng.standard_normal(p)),
                 float(rng.uniform(0.1, 3.0)),
             )
             assert 0.0 < w.alpha < 1.0
@@ -196,19 +176,19 @@ class TestLimitIntensities:
         sigma = rand_spd(rng, 5)
         mu_n = rng.standard_normal(5)
         mu_0 = rng.standard_normal(5)
-        w = limit_intensities(sigma, mu_n, mu_0, 0.8)
+        w = limit_intensities(bare_population(sigma, mu_n, mu_0), 0.8)
         inv = np.linalg.inv(sigma)
         link = (1.0 - w.alpha) * quad_form(inv, mu_n, mu_0) / quad_form(inv, mu_0, mu_0)
         assert w.beta == pytest.approx(link, rel=1e-10)
 
     def test_zero_target_degenerate(self, rng):
         with pytest.raises(DegenerateTargetError):
-            limit_intensities(rand_spd(rng, 3), rng.standard_normal(3),
-                              np.zeros(3), 0.5)
+            limit_intensities(
+                bare_population(rand_spd(rng, 3), rng.standard_normal(3), np.zeros(3)), 0.5)
 
     def test_nonpositive_c_rejected(self, rng):
         with pytest.raises(ValueError):
-            limit_intensities(rand_spd(rng, 3), np.ones(3), np.ones(3), 0.0)
+            limit_intensities(bare_population(rand_spd(rng, 3), np.ones(3), np.ones(3)), 0.0)
 
 
 class TestBonaFideIntensities:
@@ -290,8 +270,8 @@ class TestBonaFideIntensities:
         cell = run_study(cfg).cells[0]
         pop = cell_population(cfg, p, c)
         n = cell_sample_size(p, c)
-        lw = limit_intensities(pop.sigma, pop.mu_n, pop.mu_0, p / n)
-        cov = bona_fide_covariance(pop.sigma, pop.mu_n, pop.mu_0, p / n).weights_cov
+        lw = limit_intensities(pop, p / n)
+        cov = bona_fide_covariance(pop, p / n).weights_cov
         weights = cell.bona_fide_weights
         assert np.isfinite(weights).all()
         critical = KS_COEFF_1PCT / np.sqrt(len(weights))
@@ -497,22 +477,34 @@ class TestWangEstimator:
         with pytest.raises(InvalidDimensionsError):
             wang_estimator(sample_stats(rng.standard_normal((3, 5))))
 
-    def test_fast_path_beats_naive_timing(self, rng):
-        # recorded runtimes: fast path wins from p around 100 up
-        stats = sample_stats(rng.standard_normal((120, 60)))
+    def test_fast_path_op_count_flat_in_n(self, rng):
+        # the sum-product identity makes a fixed number of numpy calls, each
+        # one vectorized over the n observations, where the literal double
+        # loop makes O(n^2); counted through an ndarray subclass that sees
+        # every ufunc call (reductions included) and every array function
+        def numpy_calls(pair_sums, n):
+            count = [0]
 
-        def best_of(fn, reps=3):
-            times = []
-            for _ in range(reps):
-                start = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - start)
-            return min(times)
+            class Counting(np.ndarray):
+                def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                    count[0] += 1
+                    plain = [np.asarray(x) if isinstance(x, Counting) else x
+                             for x in inputs]
+                    out = getattr(ufunc, method)(*plain, **kwargs)
+                    return out.view(Counting) if isinstance(out, np.ndarray) else out
 
-        inputs = _wang_inputs(stats)
-        fast = best_of(lambda: _wang_pair_sums_fast(*inputs))
-        naive = best_of(lambda: wang_pair_sums_naive(*inputs))
-        assert fast < naive
+                def __array_function__(self, func, types, args, kwargs):
+                    count[0] += 1
+                    return super().__array_function__(func, types, args, kwargs)
+
+            inputs = _wang_inputs(sample_stats(rng.standard_normal((60, n))))
+            pair_sums(*(x.view(Counting) for x in inputs))
+            return count[0]
+
+        fast = [numpy_calls(_wang_pair_sums_fast, n) for n in (10, 40)]
+        naive = [numpy_calls(wang_pair_sums_naive, n) for n in (10, 40)]
+        assert fast[0] == fast[1] > 0
+        assert naive[1] > 10 * naive[0] > 10 * fast[0]
 
 
 class TestGeneralizedInverse:

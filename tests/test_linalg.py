@@ -8,7 +8,6 @@ from shrinkmean.linalg import (
     haar_orthogonal,
     spd_eigen,
     spd_factor,
-    spd_solve,
     spd_whiten,
 )
 
@@ -43,43 +42,6 @@ class TestSpdFactor:
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatchError):
             spd_factor(np.ones((2, 3)))
-
-
-class TestSpdSolve:
-    def test_identity_factor(self, rng):
-        b = rng.standard_normal(4)
-        f = spd_factor(np.eye(4))
-        assert np.allclose(spd_solve(f, b), b, atol=1e-14)
-
-    def test_diagonal_system(self):
-        f = spd_factor(np.diag([2.0, 2.0]))
-        assert np.allclose(spd_solve(f, np.array([2.0, 4.0])), [1.0, 2.0])
-
-    def test_residual_random(self, rng):
-        a = rand_spd(rng, 6)
-        b = rng.standard_normal(6)
-        x = spd_solve(spd_factor(a), b)
-        assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-9
-
-    def test_matrix_rhs(self, rng):
-        a = rand_spd(rng, 5)
-        b = rng.standard_normal((5, 3))
-        x = spd_solve(spd_factor(a), b)
-        assert np.linalg.norm(a @ x - b) < 1e-9
-
-    def test_dimension_mismatch(self):
-        f = spd_factor(np.eye(3))
-        with pytest.raises(DimensionMismatchError):
-            spd_solve(f, np.ones(4))
-
-    def test_solve_recovers_x(self, rng):
-        # factor/solve round trip across several random SPD systems
-        for _ in range(10):
-            p = int(rng.integers(2, 9))
-            a = rand_spd(rng, p)
-            x = rng.standard_normal(p)
-            x_hat = spd_solve(spd_factor(a), a @ x)
-            assert np.linalg.norm(x_hat - x) / np.linalg.norm(x) < 1e-9
 
 
 class TestSpdWhiten:

@@ -80,10 +80,6 @@ class TestDrawMeanVectors:
         assert np.array_equal(mu_0, np.ones(8))
         assert set(np.unique(mu_n)).issubset({-1.0, 1.0})
 
-    def test_gamma1_alternating(self, rng):
-        mu_n, _ = draw_mean_vectors(1, 6, rng, alternating=True)
-        assert np.array_equal(mu_n, [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-
     def test_unsupported_gamma(self, rng):
         with pytest.raises(UnsupportedGammaError):
             draw_mean_vectors(0.5, 10, rng)
@@ -241,29 +237,6 @@ class TestSampleFactorization:
 
 
 class TestPopulationValidation:
-    def test_report_fields(self, rng):
-        cov, _ = build_covariance(DEFAULT_RECIPE, 8, rng)
-        mu_n, mu_0 = draw_mean_vectors(0, 8, rng)
-        pop = PopulationSpec(p=8, gamma=0, mu_n=mu_n, mu_0=mu_0, sigma=cov)
-        report = pop.validate()
-        assert report.ok
-        assert report.lambda_min == pytest.approx(1.0, abs=1e-8)
-        assert report.mean_norm_scaled == pytest.approx(float(mu_n @ mu_n))
-        assert report.target_norm_scaled == pytest.approx(float(mu_0 @ mu_0))
-        assert report.norm_upper == max(
-            report.mean_norm_scaled, report.target_norm_scaled
-        )
-
-    def test_eigenvalue_floor_violation(self):
-        pop = _population(p=3, sigma=np.diag([1.0, 1.0, 1e-12]), mu=np.ones(3))
-        assert not pop.validate().ok
-
-    def test_gamma_scaling(self):
-        mu = np.ones(16)
-        pop = PopulationSpec(p=16, gamma=1.0, mu_n=mu, mu_0=mu, sigma=np.eye(16))
-        report = pop.validate()
-        assert report.mean_norm_scaled == pytest.approx(1.0)
-
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatchError):
             PopulationSpec(p=3, gamma=0, mu_n=np.zeros(2), mu_0=np.zeros(3),

@@ -4,8 +4,8 @@ A simulated population carries the eigenpairs its covariance was built
 from; its symmetric root generates the samples and its precision whitening
 scores every estimate of a replication in one product and gives the oracle
 and limit weights their Gram.  Covers those quantities against direct
-``eigh`` / ``solve`` oracles, the bare-sigma entry points, and a guard that
-a study cell never factorizes sigma.
+``eigh`` / ``solve`` / ``inv`` oracles, populations of a bare sigma, and
+guards that a study cell and the ``qq`` command never factorize sigma.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ import pytest
 import scipy.linalg
 
 import shrinkmean.harness
-from conftest import rand_spd
+from conftest import bare_population, rand_spd
+from shrinkmean.cli import main
 from shrinkmean.errors import NotPositiveDefiniteError
 from shrinkmean.estimators import limit_intensities, oracle_intensities
 from shrinkmean.harness import (
@@ -37,8 +38,16 @@ def _eigh_root(sigma):
 
 def _bare(sigma, rng):
     p = sigma.shape[0]
-    return PopulationSpec(p=p, gamma=0, mu_n=rng.standard_normal(p),
-                          mu_0=rng.standard_normal(p), sigma=sigma)
+    return bare_population(sigma, rng.standard_normal(p), rng.standard_normal(p))
+
+
+def _recording(calls, name, original):
+    """``original`` wrapped to append the shape of its first argument to
+    ``calls[name]`` on every call."""
+    def wrapper(a, *args, **kwargs):
+        calls[name].append(np.shape(a))
+        return original(a, *args, **kwargs)
+    return wrapper
 
 
 class TestPopulationEigenpairs:
@@ -68,6 +77,17 @@ class TestPopulationEigenpairs:
         root = _bare(sigma, rng).sigma_sqrt()
         assert np.linalg.norm(root - _eigh_root(sigma)) <= 1e-12 * np.linalg.norm(sigma)
 
+    @pytest.mark.parametrize("source", ["cell", "bare"])
+    def test_precision_gram_matches_inverse_form(self, rng, source):
+        if source == "cell":
+            pop = cell_population(McConfig(p_grid=(40,), c_grid=(2.0,), seed=7), 40, 2.0)
+        else:
+            pop = _bare(rand_spd(rng, 5), rng)
+        vectors = [rng.standard_normal(pop.p) for _ in range(3)]
+        v = np.column_stack(vectors)
+        expected = v.T @ np.linalg.inv(pop.sigma) @ v
+        assert np.allclose(pop.precision_gram(*vectors), expected, rtol=1e-10, atol=0)
+
     def test_whitening_inverts_sigma(self, rng):
         pop = _bare(rand_spd(rng, 10), rng)
         w = pop.whitening()
@@ -91,12 +111,13 @@ class TestCellWeights:
         pop = cell_population(config, p, c)
         n = cell_sample_size(p, c)
 
-        limit = limit_intensities(pop.sigma, pop.mu_n, pop.mu_0, p / n)
+        bare = bare_population(pop.sigma, pop.mu_n, pop.mu_0)  # eigenpairs from eigh
+        limit = limit_intensities(bare, p / n)
         assert cell.limit_alpha == pytest.approx(limit.alpha, rel=1e-10)
         assert cell.limit_beta == pytest.approx(limit.beta, rel=1e-10)
         for r in range(n_reps):
             y = generate_sample(pop, n, config.law, replication_rng(config.seed, p, c, r))
-            w = oracle_intensities(sample_stats(y).y_bar, pop.sigma, pop.mu_n, pop.mu_0)
+            w = oracle_intensities(sample_stats(y).y_bar, bare)
             assert cell.oracle_weights[r] == pytest.approx([w.alpha, w.beta], rel=1e-10)
 
     def test_zero_target_fails_like_bare_sigma(self):
@@ -116,20 +137,15 @@ class TestOneEigendecompositionPerPopulation:
         n = cell_sample_size(p, c)
         calls = {"eigh": [], "cholesky": [], "cho_solve": 0, "quadratic_loss": 0}
 
-        def recording(name, original):
-            def wrapper(a, *args, **kwargs):
-                calls[name].append(np.shape(a))
-                return original(a, *args, **kwargs)
-            return wrapper
-
         def counting(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "cholesky", recording("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "eigh", _recording(calls, "eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            _recording(calls, "cholesky", np.linalg.cholesky))
         monkeypatch.setattr(scipy.linalg, "cho_solve",
                             counting("cho_solve", scipy.linalg.cho_solve))
         monkeypatch.setattr(shrinkmean.harness, "quadratic_loss",
@@ -146,3 +162,21 @@ class TestOneEigendecompositionPerPopulation:
         assert calls["eigh"] == ([] if p < n else [(n, n)] * n_reps)
         assert calls["cho_solve"] == 0
         assert calls["quadratic_loss"] == n_reps
+
+    @pytest.mark.parametrize("quantity", ["alpha-bf", "alpha-oracle"])
+    def test_qq_command(self, monkeypatch, tmp_path, capsys, quantity):
+        # one Haar draw for the cell's population, which then feeds the study
+        # and the limit, precision-form and covariance calls alike: no second
+        # population and no Cholesky of sigma, only that of each sample's S
+        # when the bona fide weights run
+        p, n_reps = 60, 20
+        calls = {"qr": [], "cholesky": []}
+        monkeypatch.setattr(np.linalg, "qr", _recording(calls, "qr", np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            _recording(calls, "cholesky", np.linalg.cholesky))
+        code = main(["qq", quantity, "--p", str(p), "--c", "0.5", "--n-reps", str(n_reps),
+                     "--out", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        assert len((tmp_path / "qq.csv").read_text().splitlines()) == 1 + n_reps
+        assert calls["qr"] == [(p, p)]
+        assert calls["cholesky"] == ([(p, p)] * n_reps if quantity.endswith("-bf") else [])
