@@ -27,7 +27,14 @@ from .asymptotics import (
     precision_forms,
     standardize,
 )
-from .errors import ConfigError, InvalidRecipeError, ParseError, ScopeError, ShrinkmeanError
+from .errors import (
+    ConfigError,
+    InvalidRecipeError,
+    ParseError,
+    ScopeError,
+    ShrinkmeanError,
+    TooFewSamplesError,
+)
 from .estimators import ESTIMATOR_KINDS, limit_intensities
 from .finance import (
     BacktestConfig,
@@ -40,6 +47,7 @@ from .finance import (
 )
 from .harness import (
     KS_COEFF_1PCT,
+    QQ_MIN_SAMPLES,
     McConfig,
     cell_population,
     cell_sample_size,
@@ -227,6 +235,12 @@ def cmd_qq(args) -> int:
         p_grid=(p,), c_grid=(c,), gamma=gamma, n_reps=n_reps,
         estimators=(estimator,), seed=seed,
     )
+    # refuse before the cell runs; qq_data checks again, since failed
+    # replications can still leave too few samples
+    if n_reps < QQ_MIN_SAMPLES:
+        raise TooFewSamplesError(
+            f"need at least {QQ_MIN_SAMPLES} samples, got --n-reps {n_reps}"
+        )
     pop = cell_population(config, p, c)
     cell = run_cell(config, pop, c)
     n = cell_sample_size(p, c)

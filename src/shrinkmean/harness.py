@@ -15,7 +15,11 @@ read their Gram through it (:func:`oracle_intensities` once per
 replication, :func:`limit_intensities` once per cell).  Replications run in
 index order, so a report is bit-identical for a given seed.  Recorded
 wall-clock runtimes are the one exception: they are real measurements and
-vary run to run.
+vary run to run.  The QQ helpers take the standard normal quantile and CDF
+from the ``scipy.special`` ufuncs ``ndtri`` / ``ndtr`` (what
+``scipy.stats.norm`` calls at loc 0, scale 1), because importing
+``scipy.stats`` would more than double the package's import time; the
+package never loads it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     ConfigError,
@@ -57,6 +61,7 @@ __all__ = [
     "McReport",
     "TARGET_MODES",
     "KS_COEFF_1PCT",
+    "QQ_MIN_SAMPLES",
     "cell_sample_size",
     "population_rng",
     "cell_population",
@@ -78,6 +83,9 @@ TARGET_MODES = ("drawn", "equal-to-mu_n", "custom")
 #: asymptotic Kolmogorov coefficient at the 1% level; critical value is
 #: KS_COEFF_1PCT / sqrt(n_samples)
 KS_COEFF_1PCT = 1.63
+
+#: fewest samples :func:`qq_data` and :func:`ks_statistic` accept
+QQ_MIN_SAMPLES = 10
 
 
 def cell_sample_size(p: int, c: float) -> int:
@@ -342,24 +350,27 @@ def negative_frequency_table(config: McConfig) -> list[dict]:
     return rows
 
 
+def _sorted_qq_samples(samples: np.ndarray) -> np.ndarray:
+    samples = np.asarray(samples, dtype=float)
+    if samples.size < QQ_MIN_SAMPLES:
+        raise TooFewSamplesError(
+            f"need at least {QQ_MIN_SAMPLES} samples, got {samples.size}"
+        )
+    return np.sort(samples)
+
+
 def qq_data(samples: np.ndarray) -> np.ndarray:
     """Pairs (standard-normal quantile, sorted sample) at positions (i-0.5)/N."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 10:
-        raise TooFewSamplesError(f"need at least 10 samples, got {samples.size}")
-    ordered = np.sort(samples)
+    ordered = _sorted_qq_samples(samples)
     positions = (np.arange(1, ordered.size + 1) - 0.5) / ordered.size
-    return np.column_stack([norm.ppf(positions), ordered])
+    return np.column_stack([ndtri(positions), ordered])
 
 
 def ks_statistic(samples: np.ndarray) -> float:
     """Sup distance between the empirical CDF and the standard normal CDF."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 10:
-        raise TooFewSamplesError(f"need at least 10 samples, got {samples.size}")
-    ordered = np.sort(samples)
+    ordered = _sorted_qq_samples(samples)
     count = ordered.size
-    cdf = norm.cdf(ordered)
+    cdf = ndtr(ordered)
     upper = np.arange(1, count + 1) / count - cdf
     lower = cdf - np.arange(0, count) / count
     return float(max(upper.max(), lower.max()))

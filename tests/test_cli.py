@@ -2,6 +2,7 @@
 
 import pytest
 
+from shrinkmean import cli
 from shrinkmean.cli import main
 from shrinkmean.finance import synthetic_panel, write_returns_csv
 
@@ -79,11 +80,23 @@ def test_qq_bona_fide_out_of_scope_exits_2(tmp_path, capsys):
     assert_one_error_line(err)
 
 
-def test_qq_too_few_samples_exits_3(tmp_path, capsys):
+def test_qq_too_few_samples_exits_3(tmp_path, capsys, monkeypatch):
+    def no_population(*args):
+        raise AssertionError("qq built a population for too few samples")
+
+    monkeypatch.setattr(cli, "cell_population", no_population)
     code, err = run(capsys, "qq", "alpha-oracle", "--n-reps", "5",
                     "--out", str(tmp_path))
     assert code == 3
     assert_one_error_line(err)
+
+
+def test_qq_writes_pairs_and_ks_line(tmp_path, capsys):
+    code = main(["qq", "alpha-bf", "--p", "20", "--n-reps", "20", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len((tmp_path / "qq.csv").read_text().splitlines()) == 1 + 20
+    assert "KS statistic:" in out
 
 
 @pytest.mark.parametrize(
