@@ -14,9 +14,9 @@ p < n, its high-dimensional and positive-part variants for p > n, and the
 unit-target shrinkage estimator of Wang et al.
 
 Every sample-based estimator reads the one covariance factorization that
-its :class:`SampleStats` value carries (Cholesky of S for p < n, the
-n x n Gram route to S^+ for p > n), so a sample is factorized once however
-many estimators run on it.
+its :class:`SampleStats` value carries (the Cholesky factor of S for p < n,
+that of the reflected (n-1) x (n-1) Gram for p > n, through which S^+ is
+read), so a sample is factorized once however many estimators run on it.
 
 The oracle and limit weights take a :class:`PopulationSpec` and are 2x2
 formulas in the Gram of the mean vectors in its precision metric sigma^{-1},
@@ -125,8 +125,7 @@ def limit_intensities(pop: PopulationSpec, c: float) -> ShrinkageWeights:
 def _negligible(quad: float, v: np.ndarray, stats: SampleStats) -> bool:
     """Whether the energy ``quad = v'Qv`` is zero relative to the least
     energy of such a v inside the range of S (rescaling the data moves both)."""
-    f = stats.factorization
-    return f.rank == 0 or quad <= _REL_FLOOR * float(v @ v) / f.scale
+    return quad <= _REL_FLOOR * float(v @ v) / stats.factorization.scale
 
 
 def _sample_precision_forms(
@@ -139,10 +138,9 @@ def _sample_precision_forms(
         raise EqualDimensionsError("bona fide weights are undefined at p == n")
     if mu_0.shape != (p,):
         raise DimensionMismatchError("target vector length must equal p")
-    rank = stats.factorization.rank
-    if p > n and rank < 2:
-        raise InvalidDimensionsError(f"the 2x2 precision Gram needs rank(S) >= 2"
-                                     f" (n >= 3), got rank {rank} at p={p} n={n}")
+    if p > n and n < 3:
+        raise InvalidDimensionsError(f"the 2x2 precision Gram needs rank(S) = n - 1"
+                                     f" >= 2, got p={p} n={n}")
     gram = stats.precision_gram(stats.y_bar, mu_0)
     correction = p / (n - p) if p < n else 1.0 / (p / n - 1.0)
     return float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]), correction
@@ -154,8 +152,8 @@ def bona_fide_intensities(
     """Plug-in shrinkage weights from observable data only.
 
     For p < n the inverse sample covariance is used and the sample-mean
-    quadratic form is debiased by p/(n-p); for p > n the Moore-Penrose
-    pseudoinverse replaces it and the debiasing term is 1/(p/n - 1).
+    quadratic form is debiased by p/(n-p); for p > n the pseudoinverse S^+
+    (see :class:`SampleStats`) replaces it and the term is 1/(p/n - 1).
     ``clamp=True`` clips alpha to [0, 1] (for applied use; raw weights may
     legitimately be negative in small samples).
 

@@ -34,10 +34,11 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """Lower-triangular Cholesky factor L of an SPD matrix, L @ L.T == a."""
+    """Lower Cholesky factor L @ L.T == a and the floor its pivots cleared."""
 
     dim: int
     lower: np.ndarray
+    pivot_floor: float
 
 
 def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -57,7 +58,8 @@ def spd_factor(a: np.ndarray) -> SpdFactor:
     """Cholesky-factor a symmetric positive definite matrix.
 
     Raises :class:`NotPositiveDefiniteError` when the factorization breaks
-    down or any pivot falls below ``dim * eps * max(diag(a))``.
+    down or any pivot falls below ``100 * dim * eps * max(diag(a))``: in
+    trials, rank-deficient samples left pivots up to a tenth of that.
     """
     a = _as_square(a)
     _require_symmetric(a)
@@ -66,12 +68,12 @@ def spd_factor(a: np.ndarray) -> SpdFactor:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    pivot_floor = p * _EPS * float(np.diag(a).max(initial=0.0))
+    pivot_floor = 100.0 * p * _EPS * float(np.diag(a).max(initial=0.0))
     if float((np.diag(lower) ** 2).min()) <= pivot_floor:
         raise NotPositiveDefiniteError(
             f"pivot below {pivot_floor:.3e}; matrix numerically singular"
         )
-    return SpdFactor(dim=p, lower=lower)
+    return SpdFactor(dim=p, lower=lower, pivot_floor=pivot_floor)
 
 
 def spd_whiten(factor: SpdFactor, b: np.ndarray) -> np.ndarray:

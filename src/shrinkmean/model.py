@@ -195,12 +195,12 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class _Factorization:
-    cholesky: SpdFactor | None  # of S, when p < n
-    basis: np.ndarray | None  # U, when p >= n
-    eigenvalues: np.ndarray | None  # lam, when p >= n
-    rank: int
-    tolerance: float
-    scale: float
+    cholesky: SpdFactor  # of S for p < n, of the reflected Gram G = B'B for p >= n
+    reflected: np.ndarray | None  # B, when p >= n
+    gram_inverse: np.ndarray | None  # G^{-1}, when p >= n
+    rank: int  # order of the factored matrix
+    tolerance: float  # its pivot floor
+    scale: float  # its trace, trace(S)
 
 
 @dataclass(frozen=True)
@@ -211,16 +211,18 @@ class SampleStats:
     ``s`` is the sample covariance with divisor n (not n-1); the scatter
     matrix of the James-Stein family is ``n * s``.  The factorization is
     built on first use and cached, as is a failure to build it, so each
-    estimator that needs it fails once and no other does.  For p < n it is
-    the Cholesky factor of S and the precision metric Q is S^{-1}.  For
-    p >= n it is ``eigh`` of the n x n Gram ``A'A = V diag(lam) V'``, with
-    ``A = (y - y_bar 1') / sqrt(n)`` so that ``S = A A'``: the Gram
-    eigenvalues are the nonzero eigenvalues of S, the cutoff 1e-10 * lam_max
-    is applied to them and the recorded ``rank`` counts those kept.  Then
-    ``U = A V diag(lam)^{-1/2}`` is orthonormal, ``Q = S^+ = U diag(1/lam) U'``
-    and ``U U'`` projects on the range of S; neither S nor S^+ is formed.
-    Its ``scale`` bounds lam_max(S) from above (lam_max for p >= n, trace(S)
-    for p < n), so a vector v in the range of S has ``v'Qv >= |v|^2/scale``.
+    estimator that needs it fails once and no other does.  It is one
+    Cholesky factor, whose pivot floor is the rank check: S of rank below
+    min(p, n - 1) raises :class:`SingularSampleError`.  For p < n it factors
+    S, and the precision metric Q is S^{-1}.  For p >= n it factors the
+    (n-1) x (n-1) Gram ``G = B'B`` of ``B = y H[:, 1:] / sqrt(n) = (y[:, 1:]
+    - s 1') / sqrt(n)``, with H the Householder reflection ``H e_1 =
+    -1/sqrt(n)`` and ``s = y_bar - (y_bar - y_1) / (sqrt(n) + 1)``.  Then
+    ``B B' = S`` and ``Q = S^+ = B G^{-2} B'``: v is whitened as
+    ``G^{-1} B' v`` and projected on the range of S as ``B G^{-1} B' v``.
+    ``rank`` is the order of the factored matrix, ``tolerance`` its pivot
+    floor and ``scale`` its trace, trace(S) >= lam_max(S), so a vector v in
+    the range of S has ``v'Qv >= |v|^2/scale``.
     """
 
     y_bar: np.ndarray
@@ -229,30 +231,28 @@ class SampleStats:
     n: int
 
     @property
-    def c_hat(self) -> float:
-        return self.p / self.n
-
-    @property
     def s(self) -> np.ndarray:
-        s = self.y @ self.y.T / self.n - np.outer(self.y_bar, self.y_bar)
-        return (s + s.T) / 2.0
+        # y @ y.T runs as one syrk, so S is exactly symmetric
+        return self.y @ self.y.T / self.n - np.outer(self.y_bar, self.y_bar)
 
     def _factorize(self) -> _Factorization:
         if self.p < self.n:
-            s = self.s
-            try:
-                cholesky = spd_factor(s)
-            except NotPositiveDefiniteError as exc:
-                raise SingularSampleError("sample covariance is not positive definite") from exc
-            return _Factorization(cholesky, None, None, self.p, 0.0, float(np.trace(s)))
-        centered = (self.y - self.y_bar[:, None]) / np.sqrt(self.n)
-        vals, vecs = np.linalg.eigh(centered.T @ centered)
-        cutoff = 1e-10 * max(float(vals[-1]), 0.0)
-        keep = vals > cutoff
-        lam = vals[keep]
-        basis = (centered @ vecs[:, keep]) / np.sqrt(lam)
-        scale = float(lam[-1]) if lam.size else 0.0
-        return _Factorization(None, basis, lam, lam.size, cutoff, scale)
+            reflected, gram = None, self.s
+        else:
+            # the sign of H that keeps sqrt(n) - 1 out of the divisor
+            root_n = np.sqrt(self.n)
+            shift = self.y_bar - (self.y_bar - self.y[:, 0]) / (root_n + 1.0)
+            reflected = self.y[:, 1:] - shift[:, None]
+            reflected /= root_n
+            gram = reflected.T @ reflected
+        try:
+            cholesky = spd_factor(gram)
+        except NotPositiveDefiniteError as exc:
+            raise SingularSampleError("rank(S) < min(p, n - 1)") from exc
+        # np.linalg: scipy.linalg's own BLAS thread pool contends with numpy's
+        inverse = None if reflected is None else np.linalg.inv(gram)
+        return _Factorization(cholesky, reflected, inverse, cholesky.dim,
+                              cholesky.pivot_floor, float(np.trace(gram)))
 
     @property
     def factorization(self) -> _Factorization:
@@ -274,10 +274,9 @@ class SampleStats:
         """Coordinates w of a vector, or of matrix columns, with w_a'w_b = v_a'Q v_b."""
         f = self.factorization
         v = np.asarray(v, dtype=float)
-        if f.cholesky is not None:
+        if f.reflected is None:
             return spd_whiten(f.cholesky, v)
-        root = np.sqrt(f.eigenvalues)
-        return (f.basis.T @ v) / (root if v.ndim == 1 else root[:, None])
+        return f.gram_inverse @ (f.reflected.T @ v)
 
     def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
         """Gram matrix of ``vectors`` in the precision metric Q."""
@@ -287,7 +286,7 @@ class SampleStats:
     def project(self, v: np.ndarray) -> np.ndarray:
         """Projection of v on the range of S (the identity for p < n)."""
         f = self.factorization
-        return v if f.basis is None else f.basis @ (f.basis.T @ v)
+        return v if f.reflected is None else f.reflected @ self.whiten(v)
 
 
 def build_covariance(
@@ -331,8 +330,9 @@ def generate_sample(
     """Generate a p x n observation matrix sqrt(sigma) @ X + mu 1'."""
     if n < 2:
         raise DimensionMismatchError(f"n must be >= 2, got {n}")
-    x = law.draw(rng, (pop.p, n))
-    return pop.sigma_sqrt() @ x + pop.mu_n[:, None]
+    y = pop.sigma_sqrt() @ law.draw(rng, (pop.p, n))
+    y += pop.mu_n[:, None]
+    return y
 
 
 def sample_stats(y: np.ndarray) -> SampleStats:

@@ -469,7 +469,16 @@ class TestWangEstimator:
         assert np.allclose(est, expected, rtol=1e-9)
 
     def test_constant_columns_degenerate(self):
+        # S = 0 has rank 0 < n - 1, so the sample's factorization refuses it
         y = np.tile(np.array([1.0, 2.0, 3.0])[:, None], (1, 2))
+        with pytest.raises(SingularSampleError):
+            wang_estimator(sample_stats(y))
+
+    def test_ones_outside_scatter_range_degenerate(self, rng):
+        # every centered observation sums to zero, so 1 is orthogonal to the
+        # range of S, 1'S^+1 = 0 and the z3, z4 ratios are undefined
+        e = rng.standard_normal((8, 4))
+        y = 0.5 + e - e.mean(axis=0)
         with pytest.raises(DegenerateDenominatorError):
             wang_estimator(sample_stats(y))
 

@@ -20,6 +20,8 @@ from shrinkmean.model import (
     sample_stats,
 )
 
+EPS = np.finfo(float).eps
+
 
 class TestEigenRecipe:
     def test_default_multiset_p10(self, rng):
@@ -168,7 +170,6 @@ class TestSampleStats:
         stats = sample_stats(np.array([[1.0, -1.0]]))
         assert stats.y_bar[0] == 0.0
         assert stats.s[0, 0] == pytest.approx(1.0)
-        assert stats.c_hat == 0.5
 
     def test_matches_two_pass_formula(self, rng):
         y = rng.standard_normal((4, 50))
@@ -195,20 +196,41 @@ class TestSampleStats:
 
 class TestSampleFactorization:
     def test_gram_route_is_moore_penrose(self, rng):
-        # p > n: S^+ = U diag(1/lam) U' from the n x n Gram, rank n - 1
-        y = rng.standard_normal((12, 5)) + 0.3
-        stats = sample_stats(y)
-        f = stats.factorization
-        assert f.rank == 4 and f.basis.shape == (12, 4)
-        assert np.allclose(f.basis.T @ f.basis, np.eye(4), atol=1e-12)
-        s_pinv = (f.basis / f.eigenvalues) @ f.basis.T
-        assert np.max(np.abs(s_pinv - np.linalg.pinv(stats.s))) < 1e-8
-        assert f.tolerance == pytest.approx(1e-10 * f.eigenvalues.max())
-        v = rng.standard_normal(12)
-        assert np.allclose(stats.project(v), stats.s @ np.linalg.pinv(stats.s) @ v)
-        vecs = np.column_stack([v, stats.y_bar])
-        assert np.allclose(stats.precision_gram(v, stats.y_bar),
-                           vecs.T @ np.linalg.pinv(stats.s) @ vecs, rtol=1e-9)
+        # p >= n: S = B B' with B the reflected sample, and S^+ = B G^{-2} B'
+        # read through the Cholesky-checked (n-1) x (n-1) Gram G = B'B; the
+        # tolerances are relative, so they hold at every data scale
+        for p, n in ((12, 5), (250, 125), (200, 25), (5, 3)):
+            base = rng.standard_normal((p, n)) + 0.3
+            v = rng.standard_normal(p)
+            for k in (1e-6, 1.0, 1e6):
+                stats = sample_stats(k * base)
+                s = stats.s
+                f = stats.factorization
+                assert f.rank == n - 1 and f.reflected.shape == (p, n - 1)
+                b = f.reflected
+                assert np.max(np.abs(b @ b.T - s)) <= 1e-12 * np.max(np.abs(s))
+                gram_diag = np.einsum("ij,ij->j", b, b)
+                assert f.tolerance == pytest.approx(100 * (n - 1) * EPS * gram_diag.max())
+                s_pinv = np.linalg.pinv(s, rtol=1e-10, hermitian=True)
+                white = stats.whiten(np.eye(p))
+                assert np.max(np.abs(white.T @ white - s_pinv)) < 1e-8 * np.max(np.abs(s_pinv))
+                assert np.allclose(stats.project(v), s @ s_pinv @ v)
+                vecs = np.column_stack([k * v, stats.y_bar])
+                expected = vecs.T @ s_pinv @ vecs
+                assert np.allclose(stats.precision_gram(k * v, stats.y_bar), expected,
+                                   rtol=1e-9, atol=1e-9 * np.max(np.abs(expected)))
+
+    def test_repeated_observation_rejected(self, rng):
+        # rank(S) = n - 2: the pivot floor must clear the rounding pivots the
+        # singular Gram leaves, whichever observation is repeated and at
+        # any offset and scale of the data
+        for p, n in ((6, 3), (12, 5), (40, 7), (30, 20)):
+            for _ in range(100):
+                y = rng.standard_normal((p, n)) + rng.standard_normal((p, 1))
+                j = rng.integers(1, n)
+                y[:, j] = y[:, rng.choice([0, rng.integers(0, j)])]
+                with pytest.raises(SingularSampleError):
+                    sample_stats(10.0 ** rng.uniform(-6, 6) * y).factorization
 
     def test_cholesky_route(self, rng):
         stats = sample_stats(rng.standard_normal((4, 20)))

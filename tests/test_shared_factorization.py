@@ -12,7 +12,9 @@ import pytest
 import shrinkmean.finance
 import shrinkmean.harness
 import shrinkmean.model
+from shrinkmean.errors import SingularSampleError
 from shrinkmean.estimators import (
+    SAMPLE_ESTIMATORS,
     bona_fide_intensities,
     james_stein,
     js_high_dim,
@@ -39,8 +41,9 @@ def _rel_err(actual, expected):
 
 
 class TestFailureAccounting:
-    # expected counts are those of the per-estimator factorizations that
-    # the shared one replaced, recorded on the same inputs
+    # expected counts follow from each sample's dimensions and the rank of
+    # its S: an estimator fails where its dimension condition fails or where
+    # rank(S) < min(p, n - 1)
 
     def test_backtest_constant_and_square_windows(self):
         rng = np.random.default_rng(7)
@@ -50,9 +53,11 @@ class TestFailureAccounting:
             ReturnsPanel(values=values),
             BacktestConfig(windows=(6, 12), estimators=ALL_BACKTEST),
         )
+        # n = 12: the eleven windows t = 17..27 hold seven or more of the
+        # identical periods, so rank(S) < p = 6 and neither olse nor js runs
         expected = {
             6: dict.fromkeys(ALL_BACKTEST[1:], 24),  # p == n
-            12: {"olse": 11, "js": 10, "js-high-dim": 18,
+            12: {"olse": 11, "js": 11, "js-high-dim": 18,
                  "js-positive-part": 18, "wang": 18},
         }
         for row in report.rows:
@@ -92,6 +97,44 @@ class TestFailureAccounting:
         failures = {row.estimator: row.failures for row in report.rows}
         assert failures == {"sample-mean": 0, "olse": 4, "js": 4, "js-high-dim": 4,
                             "js-positive-part": 4, "wang": 0}
+
+    def test_duplicate_observation_above_p(self, rng, monkeypatch):
+        # two identical observations give rank(S) = n - 2 < n - 1, which the
+        # 1/(p/n - 1) correction and the James-Stein constants do not allow:
+        # the sample's one Cholesky refuses it for every estimator that reads it
+        high_dim = ("olse", "js-high-dim", "js-positive-part", "wang")
+        y = rng.standard_normal((12, 6)) + 0.3
+        y[:, 4] = y[:, 1]
+        stats = sample_stats(y)
+        for name in high_dim:
+            with pytest.raises(SingularSampleError):
+                SAMPLE_ESTIMATORS[name](stats, np.ones(12), True)
+
+        original = shrinkmean.harness.generate_sample
+        calls = []
+
+        def every_other_duplicated(pop, n, law, rng):
+            y = original(pop, n, law, rng)
+            calls.append(n)
+            if len(calls) % 2:
+                y[:, -1] = y[:, 0]
+            return y
+
+        monkeypatch.setattr(shrinkmean.harness, "generate_sample", every_other_duplicated)
+        cell = run_study(McConfig(p_grid=(20,), c_grid=(2.0,), n_reps=10,
+                                  estimators=("sample-mean",) + high_dim)).cells[0]
+        assert cell.failures == {"sample-mean": 0, "olse": 5, "js-high-dim": 5,
+                                 "js-positive-part": 5, "wang": 5}
+
+        values = rng.standard_normal((20, 30)) * 0.02
+        values[7] = values[3]  # both inside window [t-n, t) for t = 8 (n = 5), 10..13 (n = 10)
+        report = rolling_backtest(
+            ReturnsPanel(values=values),
+            BacktestConfig(windows=(5, 10), estimators=("sample-mean",) + high_dim),
+        )
+        for row in report.rows:
+            expected = 0 if row.estimator == "sample-mean" else {5: 1, 10: 4}[row.window_n]
+            assert row.failures == expected, row
 
 
 class TestScaleRelativeFloors:
