@@ -198,9 +198,7 @@ class _Factorization:
     cholesky: SpdFactor  # of S for p < n, of the reflected Gram G = B'B for p >= n
     reflected: np.ndarray | None  # B, when p >= n
     gram_inverse: np.ndarray | None  # G^{-1}, when p >= n
-    rank: int  # order of the factored matrix
-    tolerance: float  # its pivot floor
-    scale: float  # its trace, trace(S)
+    scale: float  # trace of the factored matrix, trace(S)
 
 
 @dataclass(frozen=True)
@@ -216,19 +214,22 @@ class SampleStats:
     min(p, n - 1) raises :class:`SingularSampleError`.  For p < n it factors
     S, and the precision metric Q is S^{-1}.  For p >= n it factors the
     (n-1) x (n-1) Gram ``G = B'B`` of ``B = y H[:, 1:] / sqrt(n) = (y[:, 1:]
-    - s 1') / sqrt(n)``, with H the Householder reflection ``H e_1 =
-    -1/sqrt(n)`` and ``s = y_bar - (y_bar - y_1) / (sqrt(n) + 1)``.  Then
+    - m 1') / sqrt(n)``, with H the Householder reflection ``H e_1 =
+    -1/sqrt(n)`` and ``m = y_bar - (y_bar - y_1) / (sqrt(n) + 1)``.  Then
     ``B B' = S`` and ``Q = S^+ = B G^{-2} B'``: v is whitened as
     ``G^{-1} B' v`` and projected on the range of S as ``B G^{-1} B' v``.
-    ``rank`` is the order of the factored matrix, ``tolerance`` its pivot
-    floor and ``scale`` its trace, trace(S) >= lam_max(S), so a vector v in
-    the range of S has ``v'Qv >= |v|^2/scale``.
+    The factor's ``dim`` is the rank of S and ``scale`` its trace, trace(S)
+    >= lam_max(S), so a vector v in the range of S has ``v'Qv >= |v|^2/scale``.
     """
 
     y_bar: np.ndarray
     y: np.ndarray
     p: int
     n: int
+
+    @property
+    def c_hat(self) -> float:
+        return self.p / self.n
 
     @property
     def s(self) -> np.ndarray:
@@ -251,8 +252,7 @@ class SampleStats:
             raise SingularSampleError("rank(S) < min(p, n - 1)") from exc
         # np.linalg: scipy.linalg's own BLAS thread pool contends with numpy's
         inverse = None if reflected is None else np.linalg.inv(gram)
-        return _Factorization(cholesky, reflected, inverse, cholesky.dim,
-                              cholesky.pivot_floor, float(np.trace(gram)))
+        return _Factorization(cholesky, reflected, inverse, float(np.trace(gram)))
 
     @property
     def factorization(self) -> _Factorization:

@@ -246,7 +246,7 @@ class TestBonaFideIntensities:
     def test_high_dim_needs_rank_two(self, rng):
         # n = 2 < 3: rank(S) = n - 1 = 1 makes the 2x2 precision Gram singular
         stats = sample_stats(rng.standard_normal((4, 2)) + 0.5)
-        assert stats.factorization.rank == 1
+        assert stats.factorization.cholesky.dim == 1
         with pytest.raises(InvalidDimensionsError):
             bona_fide_intensities(stats, rng.standard_normal(4))
 
@@ -380,6 +380,19 @@ class TestJsHighDim:
         with pytest.raises(InvalidDimensionsError):
             js_high_dim(_stats_with(np.ones(3), np.eye(3), 5, rng))
 
+    def test_mean_outside_scatter_range_degenerate_at_benchmark_shape(self, rng):
+        # rows centered and orthogonal to m: y_bar = m lies outside the range
+        # of S, and its rounding energy stays below the trace(S)-relative floor
+        m = rng.standard_normal(250)
+        e = rng.standard_normal((250, 125))
+        e -= e.mean(axis=1, keepdims=True)
+        e -= np.outer(m, m @ e) / (m @ m)
+        for k in (1e-6, 1.0, 1e6):
+            stats = sample_stats(k * (m[:, None] + e))
+            for estimator in (js_high_dim, js_positive_part):
+                with pytest.raises(DegenerateDenominatorError):
+                    estimator(stats)
+
 
 class TestJsPositivePart:
     def test_clamp_active(self, rng):
@@ -476,11 +489,16 @@ class TestWangEstimator:
 
     def test_ones_outside_scatter_range_degenerate(self, rng):
         # every centered observation sums to zero, so 1 is orthogonal to the
-        # range of S, 1'S^+1 = 0 and the z3, z4 ratios are undefined
-        e = rng.standard_normal((8, 4))
-        y = 0.5 + e - e.mean(axis=0)
-        with pytest.raises(DegenerateDenominatorError):
-            wang_estimator(sample_stats(y))
+        # range of S, 1'S^+1 = 0 and the z3, z4 ratios are undefined.  The
+        # floor divides by trace(S), up to n - 1 times lam_max(S); at 250 x 125
+        # the rounding energy 1'S^+1 is still ~1e-28 |1|^2/trace(S), far
+        # below the 1e-12 floor, at every data scale
+        for p, n in ((8, 4), (250, 125)):
+            e = rng.standard_normal((p, n))
+            y = 0.5 + e - e.mean(axis=0)
+            for k in (1e-6, 1.0, 1e6):
+                with pytest.raises(DegenerateDenominatorError):
+                    wang_estimator(sample_stats(k * y))
 
     def test_requires_p_above_n(self, rng):
         with pytest.raises(InvalidDimensionsError):

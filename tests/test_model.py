@@ -170,6 +170,7 @@ class TestSampleStats:
         stats = sample_stats(np.array([[1.0, -1.0]]))
         assert stats.y_bar[0] == 0.0
         assert stats.s[0, 0] == pytest.approx(1.0)
+        assert stats.c_hat == 0.5
 
     def test_matches_two_pass_formula(self, rng):
         y = rng.standard_normal((4, 50))
@@ -206,11 +207,11 @@ class TestSampleFactorization:
                 stats = sample_stats(k * base)
                 s = stats.s
                 f = stats.factorization
-                assert f.rank == n - 1 and f.reflected.shape == (p, n - 1)
+                assert f.cholesky.dim == n - 1 and f.reflected.shape == (p, n - 1)
                 b = f.reflected
                 assert np.max(np.abs(b @ b.T - s)) <= 1e-12 * np.max(np.abs(s))
                 gram_diag = np.einsum("ij,ij->j", b, b)
-                assert f.tolerance == pytest.approx(100 * (n - 1) * EPS * gram_diag.max())
+                assert f.cholesky.pivot_floor == pytest.approx(100 * (n - 1) * EPS * gram_diag.max())
                 s_pinv = np.linalg.pinv(s, rtol=1e-10, hermitian=True)
                 white = stats.whiten(np.eye(p))
                 assert np.max(np.abs(white.T @ white - s_pinv)) < 1e-8 * np.max(np.abs(s_pinv))
@@ -232,10 +233,29 @@ class TestSampleFactorization:
                 with pytest.raises(SingularSampleError):
                     sample_stats(10.0 ** rng.uniform(-6, 6) * y).factorization
 
+    def test_cholesky_route_floor(self, rng):
+        # p < n: the pivot floor 100 p eps max diag(S) passes full-rank
+        # samples near c = 1 with cond(sigma) = 1e4 (in trials up to p = 250
+        # their smallest pivots sat 200 and more times above it) and rejects
+        # a variable that is the sum of two others (pivots below p eps max diag(S))
+        for p, n in ((6, 8), (40, 42), (200, 201)):
+            lam = np.logspace(0, -4, p)
+            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            root = (q * np.sqrt(lam)) @ q.T
+            for _ in range(10):
+                f = sample_stats(root @ rng.standard_normal((p, n))).factorization
+                assert np.diag(f.cholesky.lower).min() ** 2 > 100 * f.cholesky.pivot_floor
+        for p, n in ((6, 8), (40, 45)):
+            for _ in range(50):
+                y = rng.standard_normal((p, n)) * rng.uniform(0.1, 10, (p, 1))
+                y[-1] = y[0] + y[1]
+                with pytest.raises(SingularSampleError):
+                    sample_stats(y).factorization
+
     def test_cholesky_route(self, rng):
         stats = sample_stats(rng.standard_normal((4, 20)))
         v = rng.standard_normal(4)
-        assert stats.factorization.rank == 4
+        assert stats.factorization.cholesky.dim == 4
         assert stats.precision_gram(v)[0, 0] == pytest.approx(
             v @ np.linalg.inv(stats.s) @ v, rel=1e-10
         )

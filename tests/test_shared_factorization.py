@@ -259,7 +259,7 @@ class TestOneFactorizationPerSample:
         config = McConfig(p_grid=(40,), c_grid=(2.0,), n_reps=5, estimators=ALL_MC)
         cell = run_study(config).cells[0]
         assert len(counted) == 5
-        assert all(s.factorization.rank == cell.n - 1 for s in counted)
+        assert all(s.factorization.cholesky.dim == cell.n - 1 for s in counted)
         assert cell.failures["olse"] == 0 and cell.failures["wang"] == 0
 
     def test_backtest(self, counted, rng):
