@@ -57,6 +57,7 @@ from .linalg import (
     haar_orthogonal,
     spd_eigen,
     spd_factor,
+    spd_solve,
     spd_whiten,
 )
 from .model import (

@@ -3,6 +3,7 @@
 Every error deliberately raised by the package derives from
 :class:`ShrinkmeanError` so callers (and the Monte Carlo harness, which
 records estimator failures instead of aborting) can catch one base class.
+:func:`reject_duplicates` is the one duplicate-entry check of the configs.
 """
 
 
@@ -76,3 +77,13 @@ class ScopeError(ShrinkmeanError):
 
 class ConfigError(ShrinkmeanError):
     """A run configuration is invalid."""
+
+
+def reject_duplicates(config: object, *names: str) -> None:
+    """Raise :class:`ConfigError` when a listed tuple field of ``config``
+    repeats an entry, which would run it twice and write duplicate rows."""
+    for name in names:
+        values = getattr(config, name)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{name} repeats {value!r}")

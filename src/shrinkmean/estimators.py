@@ -15,8 +15,11 @@ unit-target shrinkage estimator of Wang et al.
 
 Every sample-based estimator reads the one covariance factorization that
 its :class:`SampleStats` value carries (the Cholesky factor of S for p < n,
-that of the reflected (n-1) x (n-1) Gram for p > n, through which S^+ is
+that of the reflected (n-1) x (n-1) Gram G for p > n, through which S^+ is
 read), so a sample is factorized once however many estimators run on it.
+No function here solves against a covariance: each reads Q through
+:meth:`SampleStats.precision_gram` or ``whiten``, whose p > n route
+whitens with ``linalg.spd_solve`` against G, at most two columns at a time.
 
 The oracle and limit weights take a :class:`PopulationSpec` and are 2x2
 formulas in the Gram of the mean vectors in its precision metric sigma^{-1},
@@ -245,45 +248,37 @@ def js_positive_part(stats: SampleStats, as_printed: bool = True) -> np.ndarray:
     return base + clamped * projected
 
 
-def _wang_pair_sums_fast(
-    y: np.ndarray, w_y: np.ndarray, ones_w_y: np.ndarray
-) -> tuple[float, float, float]:
-    """Off-diagonal double sums via sum(i!=j) a_i b_j = sum(a) sum(b) - sum(a b)."""
-    col_tot = y.sum(axis=1)
-    total_yy = float(col_tot @ (w_y.sum(axis=1)))
-    diag_yy = float(np.einsum("ij,ij->", y, w_y))
-    off_yy = total_yy - diag_yy
-    off_11 = float(ones_w_y.sum() ** 2 - (ones_w_y**2).sum())
-    return off_yy, diag_yy, off_11
-
-
 def wang_estimator(stats: SampleStats) -> np.ndarray:
     """Unit-target shrinkage estimator of Wang et al. for p > n.
 
     Combines the sample mean and the all-ones direction with coefficients
-    built from four statistics of W = scatter^+ = S^+ / n.  W is applied
-    through the whitened observations g_k (``g_i' g_j = y_i' W y_j``), so
-    the double sums are plain dot products, evaluated through the
-    sum-product identity (the tests hold the literal double loop).
+    z1..z4, pair sums of y_i' W y_j and 1'W y_i over the observations, with
+    W = scatter^+ = S^+ / n.  They close over the Gram (a_yy, a_y1, a_11) of
+    (y_bar, 1) in Q = S^+, so only those two vectors are whitened.  With H,
+    B and G as in :class:`SampleStats`, H_1 = H[:, 1:], u = G^{-1}B'y_bar/sqrt(n):
+
+    1. y = y_bar 1' + sqrt(n) B H_1', with H_1'1 = 0, H_1'H_1 = I, G^{-1}B'B = I;
+    2. so the whitened observations are g = u 1' + H_1' (g_i'g_j = y_i'W y_j),
+       with sum_k g_k = n u and sum_k |g_k|^2 = a_yy + n - 1;
+    3. hence z1 = (a_yy - 1)/p, z2 = 1/p, z3 = a_y1/a_11 and
+       z4 = (a_y1^2/a_11 - 1/(n-1))/p.
+
+    The tests hold the literal double sums.
     """
     p, n = stats.p, stats.n
     if not (p > n >= 2):
         raise InvalidDimensionsError(f"requires p > n >= 2, got p={p} n={n}")
 
     ones = np.ones(p)
-    white = stats.whiten(np.column_stack([stats.y, ones])) / np.sqrt(n)
-    g, h = white[:, :-1], white[:, -1]
-    ones_w_y = g.T @ h  # entries 1' W y_k
-    ones_w_ones = float(h @ h)
-    if _negligible(n * ones_w_ones, ones, stats):
+    gram = stats.precision_gram(stats.y_bar, ones)
+    a_yy, a_y1, a_11 = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
+    if _negligible(a_11, ones, stats):
         raise DegenerateDenominatorError("ones vector lies outside the scatter range")
 
-    off_yy, diag_yy, off_11 = _wang_pair_sums_fast(g, g, ones_w_y)
-
-    z1 = off_yy / (p * (n - 1.0))
-    z2 = (diag_yy - off_yy / (n - 1.0)) / (n * p)
-    z3 = ones_w_y.sum() / (n * ones_w_ones)
-    z4 = off_11 / (p * (n - 1.0) * ones_w_ones)
+    z1 = (a_yy - 1.0) / p
+    z2 = 1.0 / p
+    z3 = a_y1 / a_11
+    z4 = (a_y1**2 / a_11 - 1.0 / (n - 1.0)) / p
 
     denom = z1 + z2 * z4
     scale = abs(z1) + abs(z2 * z4)

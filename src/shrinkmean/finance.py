@@ -10,7 +10,7 @@ draws, so comparisons stay paired.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     RaggedRowsError,
     ShrinkmeanError,
+    reject_duplicates,
 )
 from .estimators import READS_TARGET, SAMPLE_ESTIMATORS
 from .model import sample_stats
@@ -80,6 +81,7 @@ class BacktestConfig:
         unknown = [t for t in self.targets if t not in TARGET_STRATEGIES]
         if unknown:
             raise ConfigError(f"unknown target strategies: {unknown}")
+        reject_duplicates(self, "windows", "estimators", "targets")
 
 
 @dataclass(frozen=True)
@@ -305,28 +307,11 @@ def synthetic_panel(
 
 
 def write_backtest_csv(report: BacktestReport, path) -> None:
+    """One line per :class:`BacktestRow`, its fields in order, floats to 12
+    significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "window_n",
-                "c_hat",
-                "estimator",
-                "target",
-                "loss_x1e4",
-                "windows_evaluated",
-                "failures",
-            ]
-        )
+        writer.writerow([f.name for f in fields(BacktestRow)])
         for row in report.rows:
-            writer.writerow(
-                [
-                    row.window_n,
-                    format(row.c_hat, ".12g"),
-                    row.estimator,
-                    row.target,
-                    format(row.loss_x1e4, ".12g"),
-                    row.windows_evaluated,
-                    row.failures,
-                ]
-            )
+            writer.writerow([format(v, ".12g") if isinstance(v, float) else v
+                             for v in astuple(row)])

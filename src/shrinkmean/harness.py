@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatchError,
     ShrinkmeanError,
     TooFewSamplesError,
+    reject_duplicates,
 )
 from .estimators import (
     ESTIMATOR_KINDS,
@@ -133,6 +134,7 @@ class McConfig:
         unknown = [e for e in self.estimators if e not in ESTIMATOR_KINDS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}")
+        reject_duplicates(self, "p_grid", "c_grid", "estimators")
         if self.target_mode not in TARGET_MODES:
             raise ConfigError(f"unknown target mode {self.target_mode!r}")
         if self.target_mode == "custom" and self.custom_target is None:
@@ -248,7 +250,6 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     estimators = config.estimators
     losses = {e: np.full(n_reps, np.nan) for e in estimators}
     runtimes = {e: np.full(n_reps, np.nan) for e in estimators}
-    failures = {e: 0 for e in estimators}
 
     limit_alpha = limit_beta = None
     limit_failed: ShrinkmeanError | None = None
@@ -259,10 +260,8 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         except ShrinkmeanError as exc:
             limit_failed = exc
 
-    record_oracle = "olse-oracle" in estimators
-    record_bf = "olse" in estimators
-    oracle_w = np.full((n_reps, 2), np.nan) if record_oracle else None
-    bf_w = np.full((n_reps, 2), np.nan) if record_bf else None
+    oracle_w = np.full((n_reps, 2), np.nan) if "olse-oracle" in estimators else None
+    bf_w = np.full((n_reps, 2), np.nan) if "olse" in estimators else None
 
     for r in range(n_reps):
         rng = replication_rng(config.seed, p, c, r)
@@ -297,9 +296,7 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
                 losses[est][r] = loss
         del stats  # free this sample before the next one is drawn (peak memory)
 
-    for est in estimators:
-        failures[est] = int(np.isnan(losses[est]).sum())
-
+    failures = {est: int(np.isnan(losses[est]).sum()) for est in estimators}
     return CellResult(
         p=p,
         c=c,
@@ -421,10 +418,5 @@ def write_qq_csv(pairs: np.ndarray, quantity: str, p: int, c: float, path) -> No
 
 
 def write_table1_csv(rows: list[dict], path) -> None:
-    out = [
-        (r["p"], r["c"], r["oracle_negative_freq"], r["bona_fide_negative_freq"])
-        for r in rows
-    ]
-    _write_rows(
-        path, ["p", "c", "oracle_negative_freq", "bona_fide_negative_freq"], out
-    )
+    header = ["p", "c", "oracle_negative_freq", "bona_fide_negative_freq"]
+    _write_rows(path, header, ([r[key] for key in header] for r in rows))

@@ -1,11 +1,13 @@
 """Dense symmetric linear algebra building blocks.
 
 The Cholesky factorization of an SPD matrix with its whitening L^{-1} (the
-sample side's precision metric for p < n), the eigenpairs of an SPD matrix
-with its symmetric square root and precision whitening (the population
-side's one precision metric), and Haar-distributed random orthogonal
-matrices.  No function here solves against a covariance: every
-precision-metric form is a Gram of whitened vectors.
+sample side's precision metric for p < n) and its solve a^{-1} (through
+which the p >= n sample side whitens), the eigenpairs of an SPD matrix with
+its symmetric square root and precision whitening (the population side's
+one precision metric), and Haar-distributed random orthogonal matrices.
+No function here solves against a covariance: every precision-metric form
+is a Gram of whitened vectors, and ``spd_solve`` solves against the
+reflected (n-1) x (n-1) Gram G of a sample, never against S or sigma.
 
 All functions are pure: they never mutate their inputs and hold no module
 state, so they are safe to call concurrently.
@@ -24,6 +26,7 @@ __all__ = [
     "SpdFactor",
     "spd_factor",
     "spd_whiten",
+    "spd_solve",
     "SpdEigen",
     "spd_eigen",
     "haar_orthogonal",
@@ -90,6 +93,16 @@ def spd_whiten(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
     upper = factor.lower.T  # Fortran-ordered view: solve L x = b as U' x = b
     x = scipy.linalg.blas.dtrsm(1.0, upper, b.reshape(factor.dim, -1), lower=0, trans_a=1)
     return x.reshape(b.shape)
+
+
+def spd_solve(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b given ``factor = spd_factor(a)``: L^{-1} b, then L'^{-1} of
+    that, as two BLAS trsm calls on the factor (no inverse is formed)."""
+    x = spd_whiten(factor, b)
+    # U = L' as a Fortran-ordered view; trsm overwrites the fresh x in place
+    x = scipy.linalg.blas.dtrsm(1.0, factor.lower.T, x.reshape(factor.dim, -1),
+                                lower=0, overwrite_b=1)
+    return x.reshape(np.shape(b))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from .errors import (
     SingularSampleError,
     UnsupportedGammaError,
 )
-from .linalg import SpdEigen, SpdFactor, haar_orthogonal, spd_eigen, spd_factor, spd_whiten
+from .linalg import (SpdEigen, SpdFactor, haar_orthogonal, spd_eigen, spd_factor,
+                     spd_solve, spd_whiten)
 
 __all__ = [
     "EigenRecipe",
@@ -197,7 +198,6 @@ class PopulationSpec:
 class _Factorization:
     cholesky: SpdFactor  # of S for p < n, of the reflected Gram G = B'B for p >= n
     reflected: np.ndarray | None  # B, when p >= n
-    gram_inverse: np.ndarray | None  # G^{-1}, when p >= n
     scale: float  # trace of the factored matrix, trace(S)
 
 
@@ -217,7 +217,9 @@ class SampleStats:
     - m 1') / sqrt(n)``, with H the Householder reflection ``H e_1 =
     -1/sqrt(n)`` and ``m = y_bar - (y_bar - y_1) / (sqrt(n) + 1)``.  Then
     ``B B' = S`` and ``Q = S^+ = B G^{-2} B'``: v is whitened as
-    ``G^{-1} B' v`` and projected on the range of S as ``B G^{-1} B' v``.
+    ``G^{-1} B' v``, by the two triangular solves of G's Cholesky factor
+    (no inverse is formed or stored), and projected on the range of S as
+    ``B G^{-1} B' v``.
     The factor's ``dim`` is the rank of S and ``scale`` its trace, trace(S)
     >= lam_max(S), so a vector v in the range of S has ``v'Qv >= |v|^2/scale``.
     """
@@ -250,9 +252,7 @@ class SampleStats:
             cholesky = spd_factor(gram)
         except NotPositiveDefiniteError as exc:
             raise SingularSampleError("rank(S) < min(p, n - 1)") from exc
-        # np.linalg: scipy.linalg's own BLAS thread pool contends with numpy's
-        inverse = None if reflected is None else np.linalg.inv(gram)
-        return _Factorization(cholesky, reflected, inverse, float(np.trace(gram)))
+        return _Factorization(cholesky, reflected, float(np.trace(gram)))
 
     @property
     def factorization(self) -> _Factorization:
@@ -276,7 +276,7 @@ class SampleStats:
         v = np.asarray(v, dtype=float)
         if f.reflected is None:
             return spd_whiten(f.cholesky, v)
-        return f.gram_inverse @ (f.reflected.T @ v)
+        return spd_solve(f.cholesky, f.reflected.T @ v)
 
     def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
         """Gram matrix of ``vectors`` in the precision metric Q."""

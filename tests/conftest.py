@@ -43,7 +43,7 @@ def wang_pair_sums_naive(
     y: np.ndarray, w_y: np.ndarray, ones_w_y: np.ndarray
 ) -> tuple[float, float, float]:
     """Literal evaluation of the pairwise double sums of Wang's estimator:
-    the reference for ``estimators._wang_pair_sums_fast``."""
+    the reference for the closed form in ``estimators.wang_estimator``."""
     n = y.shape[1]
     off_yy = 0.0
     diag_yy = 0.0

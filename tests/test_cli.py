@@ -54,7 +54,8 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys, config):
     assert config.split("=")[0].strip() in err
 
 
-@pytest.mark.parametrize("flags", [("--c", "0"), ("--p", "1"), ("--c", "-1")])
+@pytest.mark.parametrize("flags", [("--c", "0"), ("--p", "1"), ("--c", "-1"),
+                                   ("--p", "20,20"), ("--estimators", "olse,olse")])
 def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):
     code, err = run(capsys, "simulate", *flags, "--n-reps", "5", "--out", str(tmp_path))
     assert code == 2
@@ -72,6 +73,24 @@ def test_backtest_bad_config_exits_2(tmp_path, capsys, config):
                     "--out", str(tmp_path))
     assert code == 2
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("field, lines", [("windows", "windows = 6,6"),
+                                          ("targets", "windows = 6\ntargets = ones,ones"),
+                                          ("estimators", "windows = 6\nestimators = olse,olse")],
+                         ids=["windows", "targets", "estimators"])
+def test_backtest_duplicate_entries_exit_2(tmp_path, capsys, field, lines):
+    # a repeated entry would run twice and write duplicate rows
+    returns = tmp_path / "returns.csv"
+    write_returns_csv(synthetic_panel(p=4, periods=20), returns)
+    path = tmp_path / "back.cfg"
+    path.write_text(f"{lines}\n")
+    code, err = run(capsys, "backtest", str(returns), "--config", str(path),
+                    "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+    assert field in err
+    assert not (tmp_path / "backtest.csv").exists()
 
 
 def test_qq_bona_fide_out_of_scope_exits_2(tmp_path, capsys):

@@ -25,7 +25,6 @@ from shrinkmean.estimators import (
     limit_intensities,
     olse,
     oracle_intensities,
-    _wang_pair_sums_fast,
     wang_estimator,
 )
 from shrinkmean.harness import (
@@ -37,7 +36,7 @@ from shrinkmean.harness import (
     run_study,
 )
 from shrinkmean.linalg import spd_eigen
-from shrinkmean.model import sample_stats
+from shrinkmean.model import SampleStats, sample_stats
 
 
 def quad_form(sigma_inv, u, v):
@@ -432,30 +431,51 @@ class TestJsPositivePart:
         )
 
 
-def _wang_inputs(stats):
-    """The whitened observations g and ones_w_y that wang_estimator sums over."""
-    white = stats.whiten(np.column_stack([stats.y, np.ones(stats.p)])) / np.sqrt(stats.n)
+def _wang_sums(stats):
+    """z1..z4 from the literal double sums over the whitened observations
+    g = whiten([y, 1]) / sqrt(n), for which g_i'g_j = y_i' S^+ y_j / n."""
+    p, n = stats.p, stats.n
+    white = stats.whiten(np.column_stack([stats.y, np.ones(p)])) / np.sqrt(n)
     g, h = white[:, :-1], white[:, -1]
-    return g, g, g.T @ h
+    ones_w_y = g.T @ h
+    off_yy, diag_yy, off_11 = wang_pair_sums_naive(g, g, ones_w_y)
+    return np.array([off_yy / (p * (n - 1.0)),
+                     (diag_yy - off_yy / (n - 1.0)) / (n * p),
+                     ones_w_y.sum() / (n * (h @ h)),
+                     off_11 / (p * (n - 1.0) * (h @ h))])
 
 
 class TestWangEstimator:
-    def test_fast_equals_naive(self, rng):
-        y = rng.standard_normal((12, 6)) + 0.2
-        inputs = _wang_inputs(sample_stats(y))
-        fast = np.array(_wang_pair_sums_fast(*inputs))
-        naive = np.array(wang_pair_sums_naive(*inputs))
-        assert np.max(np.abs(fast - naive)) <= 1e-10 * max(1.0, np.max(np.abs(fast)))
+    @pytest.mark.parametrize("p, n", [(12, 6), (60, 10), (250, 125)])
+    def test_closed_form_equals_double_sums(self, rng, p, n):
+        # the closed form of wang_estimator's docstring, in the 2x2 precision
+        # Gram of (y_bar, 1), against the literal pair sums; the estimate
+        # built from the literal sums is wang_estimator's to the same digits
+        stats = sample_stats(rng.standard_normal((p, n)) + 0.2)
+        gram = stats.precision_gram(stats.y_bar, np.ones(p))
+        a_yy, a_y1, a_11 = gram[0, 0], gram[0, 1], gram[1, 1]
+        closed = np.array([(a_yy - 1.0) / p, 1.0 / p, a_y1 / a_11,
+                           (a_y1**2 / a_11 - 1.0 / (n - 1.0)) / p])
+        z1, z2, z3, z4 = literal = _wang_sums(stats)
+        assert np.max(np.abs(closed - literal) / np.abs(literal)) <= 1e-10
+        denom = z1 + z2 * z4
+        expected = ((z1 - z4) / denom) * stats.y_bar + (z2 * z3 / denom) * np.ones(p)
+        assert np.allclose(wang_estimator(stats), expected, rtol=1e-10, atol=0)
 
-    def test_pair_sum_symmetry_n2(self, rng):
-        # with two columns the off-diagonal sum has exactly two equal terms
-        y = rng.standard_normal((6, 2))
-        centered = y - y.mean(axis=1, keepdims=True)
-        scatter = centered @ centered.T
-        w = np.linalg.pinv(scatter)
-        ones_w_y = y.T @ (w @ np.ones(6))
-        off_yy, _, _ = _wang_pair_sums_fast(y, w @ y, ones_w_y)
-        assert off_yy == pytest.approx(2.0 * float(y[:, 0] @ w @ y[:, 1]), rel=1e-10)
+    def test_whitens_two_columns_whatever_n(self, monkeypatch, rng):
+        # y_bar and 1, never the n observations
+        widths = []
+        whiten = SampleStats.whiten
+
+        def recording(stats, v):
+            widths.append(np.shape(v)[1] if np.ndim(v) == 2 else 1)
+            return whiten(stats, v)
+
+        monkeypatch.setattr(SampleStats, "whiten", recording)
+        for n in (3, 10, 40, 125):
+            widths.clear()
+            wang_estimator(sample_stats(rng.standard_normal((2 * n, n)) + 0.2))
+            assert widths == [2]
 
     def test_matches_brute_force(self, rng):
         y = rng.standard_normal((9, 4)) + 0.5
@@ -503,35 +523,6 @@ class TestWangEstimator:
     def test_requires_p_above_n(self, rng):
         with pytest.raises(InvalidDimensionsError):
             wang_estimator(sample_stats(rng.standard_normal((3, 5))))
-
-    def test_fast_path_op_count_flat_in_n(self, rng):
-        # the sum-product identity makes a fixed number of numpy calls, each
-        # one vectorized over the n observations, where the literal double
-        # loop makes O(n^2); counted through an ndarray subclass that sees
-        # every ufunc call (reductions included) and every array function
-        def numpy_calls(pair_sums, n):
-            count = [0]
-
-            class Counting(np.ndarray):
-                def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                    count[0] += 1
-                    plain = [np.asarray(x) if isinstance(x, Counting) else x
-                             for x in inputs]
-                    out = getattr(ufunc, method)(*plain, **kwargs)
-                    return out.view(Counting) if isinstance(out, np.ndarray) else out
-
-                def __array_function__(self, func, types, args, kwargs):
-                    count[0] += 1
-                    return super().__array_function__(func, types, args, kwargs)
-
-            inputs = _wang_inputs(sample_stats(rng.standard_normal((60, n))))
-            pair_sums(*(x.view(Counting) for x in inputs))
-            return count[0]
-
-        fast = [numpy_calls(_wang_pair_sums_fast, n) for n in (10, 40)]
-        naive = [numpy_calls(wang_pair_sums_naive, n) for n in (10, 40)]
-        assert fast[0] == fast[1] > 0
-        assert naive[1] > 10 * naive[0] > 10 * fast[0]
 
 
 class TestGeneralizedInverse:

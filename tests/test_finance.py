@@ -1,12 +1,17 @@
-"""CSV loading errors, the backtest's start and target options, and its
-per-window-period estimator calls and pairing."""
+"""CSV loading errors, the backtest's config checks, start and target
+options, and its per-window-period estimator calls and pairing."""
 
 import numpy as np
 import pytest
 
 import shrinkmean.estimators
 import shrinkmean.finance
-from shrinkmean.errors import DegenerateDenominatorError, ParseError, RaggedRowsError
+from shrinkmean.errors import (
+    ConfigError,
+    DegenerateDenominatorError,
+    ParseError,
+    RaggedRowsError,
+)
 from shrinkmean.estimators import READS_TARGET, olse
 from shrinkmean.finance import (
     BacktestConfig,
@@ -67,6 +72,14 @@ class TestLoadReturnsCsv:
 def _panel(periods=20, p=4, seed=3):
     rng = np.random.default_rng(seed)
     return ReturnsPanel(values=0.01 * rng.standard_normal((periods, p)) + 0.002)
+
+
+@pytest.mark.parametrize("field, value", [("windows", (20, 20)),
+                                          ("estimators", ("olse", "sample-mean", "olse")),
+                                          ("targets", ("ones", "ones"))])
+def test_duplicate_entries_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        BacktestConfig(**{field: value})
 
 
 class TestBacktestOptions:

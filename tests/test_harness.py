@@ -1,4 +1,5 @@
-"""QQ diagnostics, custom targets and the package's import footprint."""
+"""QQ diagnostics, custom targets, config validation and the package's
+import footprint."""
 
 import os
 import subprocess
@@ -60,3 +61,17 @@ class TestCustomTarget:
     def test_missing_vector_rejected(self):
         with pytest.raises(ConfigError):
             McConfig(p_grid=(20,), c_grid=(0.5,), target_mode="custom")
+
+
+class TestDuplicateEntries:
+    @pytest.mark.parametrize("field, value", [("p_grid", (20, 40, 20)),
+                                              ("c_grid", (0.5, 0.5)),
+                                              ("estimators", ("olse", "olse"))])
+    def test_rejected(self, field, value):
+        fields = {"p_grid": (20,), "c_grid": (0.5,), field: value}
+        with pytest.raises(ConfigError, match=field):
+            McConfig(**fields)
+
+    def test_distinct_entries_accepted(self):
+        config = McConfig(p_grid=(20, 40), c_grid=(0.5, 2.0), estimators=("olse", "wang"))
+        assert config.estimators == ("olse", "wang")

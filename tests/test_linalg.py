@@ -8,6 +8,7 @@ from shrinkmean.linalg import (
     haar_orthogonal,
     spd_eigen,
     spd_factor,
+    spd_solve,
     spd_whiten,
 )
 
@@ -62,6 +63,32 @@ class TestSpdWhiten:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             spd_whiten(spd_factor(np.eye(3)), np.ones(4))
+
+
+class TestSpdSolve:
+    @pytest.mark.parametrize("dim", [2, 24, 124])
+    @pytest.mark.parametrize("columns", [None, 1, 2, 5])
+    def test_equals_linalg_solve(self, rng, dim, columns):
+        a = rand_spd(rng, dim)
+        b = rng.standard_normal(dim if columns is None else (dim, columns))
+        x = spd_solve(spd_factor(a), b)
+        assert x.shape == b.shape
+        expected = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_unchanged(self, rng, order):
+        f = spd_factor(rand_spd(rng, 6))
+        lower = f.lower.copy()
+        for b in (rng.standard_normal(6), np.asarray(rng.standard_normal((6, 2)), order=order)):
+            kept = b.copy()
+            spd_solve(f, b)
+            np.testing.assert_array_equal(b, kept)
+        np.testing.assert_array_equal(f.lower, lower)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            spd_solve(spd_factor(np.eye(3)), np.ones((4, 2)))
 
 
 class TestSymSqrt:

@@ -7,7 +7,8 @@ and limit weights their Gram.  Covers those quantities against direct
 ``eigh`` / ``solve`` / ``inv`` oracles, populations of a bare sigma, and
 guards that a study cell and the ``qq`` command never factorize sigma, that
 a sample or backtest window-period makes one Cholesky and no ``eigh``, and
-that no BLAS or LAPACK routine of ``scipy.linalg`` runs when p > n.
+that the only BLAS or LAPACK routine of ``scipy.linalg`` that runs, on
+either side of p = n, is a triangular solve of at most two columns.
 """
 
 import numpy as np
@@ -205,15 +206,20 @@ class TestOneEigendecompositionPerPopulation:
 
 @pytest.fixture
 def scipy_blas_calls(monkeypatch):
-    """Names of the BLAS and LAPACK routines of ``scipy.linalg`` called while
-    the test runs: its f2py wrappers, whether called directly or fetched
-    through the memoized ``get_blas_funcs`` / ``get_lapack_funcs``, and the
-    batched C kernels behind ``scipy.linalg.inv`` and ``solve``."""
+    """(name, columns) of the BLAS and LAPACK routines of ``scipy.linalg``
+    called while the test runs: its f2py wrappers, whether called directly or
+    fetched through the memoized ``get_blas_funcs`` / ``get_lapack_funcs``,
+    and the batched C kernels behind ``scipy.linalg.inv`` and ``solve``.
+    ``columns`` is that of the last positional array argument, the right-hand
+    side of a solve (1 for a vector, None when no array is passed)."""
     calls = []
 
     def counting(name, routine):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            arrays = [a for a in args if isinstance(a, np.ndarray)]
+            columns = None if not arrays else (
+                arrays[-1].shape[1] if arrays[-1].ndim == 2 else 1)
+            calls.append((name, columns))
             return routine(*args, **kwargs)
         return wrapper
 
@@ -237,20 +243,28 @@ class TestOneBlas:
     def test_no_scipy_blas_above_p_equals_n(self, scipy_blas_calls, c):
         """scipy.linalg links its own OpenBLAS, with its own thread pool.
 
-        Where numpy's pool has just run, the two spin against each other: on
-        a 2-core x86-64 host with two-thread OpenBLAS 0.3.31, building G^{-1}
-        of a 250 x 125 sample with scipy's ``dpotri`` in place of
-        ``np.linalg.inv`` made its factorization and one whitening of 127
-        columns 5x slower (8.0 ms against 1.6 ms, median of 35 samples).
-        So the p > n route calls no scipy routine; for p < n the triangular
-        solve ``dtrsm`` of ``linalg.spd_whiten`` is the one that runs.
+        Where numpy's pool has just run, a wide scipy call spins against it:
+        on a 2-core x86-64 host with two-thread OpenBLAS 0.3.31, building
+        G^{-1} of a 250 x 125 sample with scipy's ``dpotri`` made its
+        factorization and one whitening of 127 columns 5x slower than
+        ``np.linalg.inv`` (8.0 ms against 1.6 ms, median of 35 samples).  A
+        triangular solve of at most two columns does not: timed in place,
+        right after a numpy GEMM, ``linalg.spd_solve`` (two ``dtrsm``) of
+        two columns against that G took 0.03-0.07 ms, against 0.2-0.27 ms
+        for numpy's own ``np.linalg.solve(G, .)``, while 125 columns took
+        1.0-1.5 ms against numpy's 0.82 ms (medians of 35 samples).  So on
+        both routes the only scipy routine is ``dtrsm`` (or ``dpotrs``), and
+        it never solves for more than the two columns of a precision Gram.
         """
         scipy.linalg.cho_factor(np.eye(2))
         scipy.linalg.inv(np.eye(2))
-        assert scipy_blas_calls == ["dpotrf", "_inv"]  # the counter sees both routes
+        scipy.linalg.blas.dtrsm(1.0, np.eye(2), np.ones(2))
+        # the counter sees every route, and the width of a solve
+        assert scipy_blas_calls == [("dpotrf", 2), ("_inv", 2), ("dtrsm", 1)]
         scipy_blas_calls.clear()
 
         config = McConfig(p_grid=(40,), c_grid=(c,), n_reps=3, estimators=ALL_MC)
         cell = run_study(config).cells[0]
         assert cell.failures["olse"] == 0 and cell.failures["wang" if c > 1 else "js"] == 0
-        assert set(scipy_blas_calls) == (set() if c > 1 else {"dtrsm"})
+        assert {name for name, _ in scipy_blas_calls} == {"dtrsm"}
+        assert {columns for _, columns in scipy_blas_calls} <= {1, 2}
