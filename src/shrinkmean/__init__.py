@@ -9,11 +9,8 @@ Carlo harness and a rolling-window portfolio backtester.
 """
 
 from .asymptotics import (
-    AsymptoticMoments,
-    ResidualStatParams,
     bona_fide_covariance,
     oracle_weight_variances,
-    precision_forms,
     projection_stat,
     residual_stat,
     residual_stat_moments,

@@ -1,18 +1,18 @@
 """Asymptotic variances and finite-sample distributional oracles.
 
-Closed-form limiting variances for the oracle shrinkage weights, the joint
-limiting covariance of the bona fide weights (valid for p/n < 1), the
-standardization helper used by the normality diagnostics, and the exact
-noncentral-F moments of the residual quadratic-form statistic under normal
-sampling.  The population-side moments take a :class:`PopulationSpec` and
-read its precision metric sigma^{-1} through
+Plain functions of the population: :func:`oracle_weight_variances` returns
+the limiting variances of the two oracle shrinkage weights,
+:func:`bona_fide_covariance` the 2x2 limiting covariance of the bona fide
+weight pair (valid for p/n < 1), :func:`standardize` the map the normality
+diagnostics apply, and :func:`residual_stat_moments` the exact
+noncentral-F mean and variance of the residual quadratic-form statistic
+under normal sampling.  The population-side functions take a
+:class:`PopulationSpec` and read its precision metric sigma^{-1} through
 :meth:`PopulationSpec.precision_gram`, never factorizing sigma.  All
 functions are pure and thread-safe.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .errors import (
 from .model import PopulationSpec, SampleStats
 
 __all__ = [
-    "AsymptoticMoments",
-    "ResidualStatParams",
-    "precision_forms",
     "oracle_weight_variances",
     "bona_fide_covariance",
     "standardize",
@@ -38,64 +35,22 @@ __all__ = [
 ]
 
 
-@dataclass
-class AsymptoticMoments:
-    """Scaled precision-metric quadratic forms and derived limit moments.
-
-    ``mean_form``, ``cross_form`` and ``target_form`` are the quadratic
-    forms of the true and target means in the inverse-covariance metric,
-    scaled by p^{-gamma}; ``form_det`` is their Gram determinant (always
-    >= 0 by Cauchy-Schwarz) and ``scaled_concentration`` is p^{-gamma} c.
-
-    The optional fields hold, for p/n < 1, the residual form
-    ``residual_form`` of the true mean orthogonal to the target direction,
-    the projection coefficient ``projection_coef`` of the true mean on the
-    target, its variance ``sigma2_residual``, and the joint 2x2 covariance
-    ``weights_cov`` of the bona fide weight pair.
-    """
-
-    target_form: float
-    cross_form: float
-    mean_form: float
-    form_det: float
-    scaled_concentration: float
-    residual_form: float | None = None
-    projection_coef: float | None = None
-    sigma2_residual: float | None = None
-    weights_cov: np.ndarray | None = None
-
-
-def precision_forms(pop: PopulationSpec, c: float) -> AsymptoticMoments:
-    """Scaled quadratic forms, their Gram determinant and scaled concentration,
-    with the scale p^{-gamma} of the population's gamma."""
-    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
-    mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
-    scale = float(pop.p) ** (-pop.gamma)
-    mean_form = scale * mean_raw
-    cross_form = scale * cross_raw
-    target_form = scale * target_raw
-    det = target_form * mean_form - cross_form**2
-    return AsymptoticMoments(
-        target_form=target_form,
-        cross_form=cross_form,
-        mean_form=mean_form,
-        form_det=det,
-        scaled_concentration=scale * c,
-    )
-
-
-def oracle_weight_variances(moments: AsymptoticMoments) -> tuple[float, float]:
-    """Limiting variances of the two oracle shrinkage weights.
+def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float]:
+    """Limiting variances (var_alpha, var_beta) of the two oracle shrinkage
+    weights at concentration ``c``.
 
     The standardized weights converge to standard normals at rate
     sqrt(p^gamma * n); these are the variances used in that
-    standardization.
+    standardization.  They are functions of the precision-metric Gram of
+    (mu_n, mu_0) and of the concentration, both scaled by p^{-gamma} with
+    the population's gamma.
     """
-    q00 = moments.target_form
-    q0n = moments.cross_form
-    qnn = moments.mean_form
-    det = moments.form_det
-    ct = moments.scaled_concentration
+    scale = float(pop.p) ** (-pop.gamma)
+    gram = scale * pop.precision_gram(pop.mu_n, pop.mu_0)
+    qnn, q0n, q00 = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
+    # Gram determinant, >= 0 by Cauchy-Schwarz
+    det = q00 * qnn - q0n**2
+    ct = scale * c
     denom = (ct * q00 + det) ** 4
     if ct * q00 + det <= 0:
         raise DegenerateDenominatorError("scaled concentration and Gram determinant "
@@ -118,13 +73,15 @@ def oracle_weight_variances(moments: AsymptoticMoments) -> tuple[float, float]:
     return float(var_alpha), float(var_beta)
 
 
-def bona_fide_covariance(pop: PopulationSpec, c: float) -> AsymptoticMoments:
-    """Joint limiting covariance of the bona fide weight pair, for c < 1.
+def bona_fide_covariance(pop: PopulationSpec, c: float) -> np.ndarray:
+    """Joint limiting 2x2 covariance of the bona fide weight pair, for c < 1.
 
     The pair sqrt(n) * (alpha_hat - alpha_limit, beta_hat - beta_limit) is
-    asymptotically centered normal with this 2x2 covariance.  The variance
-    of the residual form carries a 1/(1-c) pole, so concentrations c >= 1
-    are rejected.
+    asymptotically centered normal with this covariance.  It is a function
+    of the residual form of mu_n orthogonal to mu_0 and of the projection
+    coefficient of mu_n on mu_0, both in the precision metric.  The
+    variance of the residual form carries a 1/(1-c) pole, so
+    concentrations c >= 1 are rejected.
     """
     if not 0.0 < c < 1.0:
         raise UnsupportedConcentrationError(
@@ -141,22 +98,11 @@ def bona_fide_covariance(pop: PopulationSpec, c: float) -> AsymptoticMoments:
 
     top = c**2 * sigma2_resid / (c + resid) ** 4
     extra = (c**2 / (c + resid) ** 2) * (1.0 + (resid + c) / (1.0 - c)) / target_raw
-    cov = np.array(
+    return np.array(
         [
             [top, top * proj],
             [top * proj, top * proj**2 + extra],
         ]
-    )
-    return AsymptoticMoments(
-        target_form=target_raw,
-        cross_form=cross_raw,
-        mean_form=mean_raw,
-        form_det=target_raw * mean_raw - cross_raw**2,
-        scaled_concentration=c,
-        residual_form=float(resid),
-        projection_coef=float(proj),
-        sigma2_residual=float(sigma2_resid),
-        weights_cov=cov,
     )
 
 
@@ -170,45 +116,28 @@ def standardize(
     return rate * (values - center) / np.sqrt(variance)
 
 
-@dataclass(frozen=True)
-class ResidualStatParams:
-    """Dimensions and noncentrality ingredient of the residual statistic.
-
-    ``residual_form`` is the population residual quadratic form; the
-    scaled statistic ``scale * s_hat`` follows a noncentral F distribution
-    with p-1 and n-p+1 degrees of freedom and noncentrality
-    n * residual_form.
-    """
-
-    p: int
-    n: int
-    residual_form: float
-
-    def __post_init__(self) -> None:
-        if not self.n > self.p >= 2:
-            raise ValueError(f"requires n > p >= 2, got p={self.p} n={self.n}")
-        if self.residual_form < 0:
-            raise ValueError("residual_form must be nonnegative")
-
-    @property
-    def scale(self) -> float:
-        return self.n * (self.n - self.p + 1.0) / ((self.n - 1.0) * (self.p - 1.0))
-
-
-def residual_stat_moments(params: ResidualStatParams) -> tuple[float, float]:
+def residual_stat_moments(p: int, n: int, residual_form: float) -> tuple[float, float]:
     """Exact mean and variance of the residual statistic under normal sampling.
 
-    Uses the closed-form noncentral-F moments and divides the scale back
-    out, so the returned values are moments of the raw statistic.  Used as
-    a Monte Carlo oracle only, never in estimation.
+    ``residual_form`` is the population residual quadratic form.  The
+    scaled statistic ``scale * s_hat``, with
+    scale = n (n-p+1) / ((n-1) (p-1)), follows a noncentral F distribution
+    with p-1 and n-p+1 degrees of freedom and noncentrality
+    n * residual_form.  Uses the closed-form noncentral-F moments and
+    divides the scale back out, so the returned values are moments of the
+    raw statistic.  Used as a Monte Carlo oracle only, never in estimation.
     """
-    d1 = params.p - 1.0
-    d2 = params.n - params.p + 1.0
+    if not n > p >= 2:
+        raise ValueError(f"requires n > p >= 2, got p={p} n={n}")
+    if residual_form < 0:
+        raise ValueError("residual_form must be nonnegative")
+    d1 = p - 1.0
+    d2 = n - p + 1.0
     if d2 <= 4.0:
         raise MomentsDoNotExistError(
             f"variance needs n - p + 1 > 4, got {d2:.0f}"
         )
-    lam = params.n * params.residual_form
+    lam = n * residual_form
     mean_f = d2 * (d1 + lam) / (d1 * (d2 - 2.0))
     var_f = (
         2.0
@@ -216,7 +145,8 @@ def residual_stat_moments(params: ResidualStatParams) -> tuple[float, float]:
         * ((d1 + lam) ** 2 + (d1 + 2.0 * lam) * (d2 - 2.0))
         / ((d2 - 2.0) ** 2 * (d2 - 4.0))
     )
-    return mean_f / params.scale, var_f / params.scale**2
+    scale = n * d2 / ((n - 1.0) * d1)
+    return mean_f / scale, var_f / scale**2
 
 
 def _sample_target_gram(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:

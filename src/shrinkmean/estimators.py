@@ -131,7 +131,7 @@ def _negligible(quad: float, v: np.ndarray, stats: SampleStats) -> bool:
     return quad <= _REL_FLOOR * float(v @ v) / stats.factorization.scale
 
 
-def _sample_precision_forms(
+def _sample_quadratic_forms(
     stats: SampleStats, mu_0: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(ybar'Qybar, ybar'Qmu0, mu0'Qmu0, correction) with Q the inverse or
@@ -169,7 +169,7 @@ def bona_fide_intensities(
     orthogonal to mu_0, and 1/r is convex (Jensen's inequality).
     """
     mu_0 = np.asarray(mu_0, dtype=float)
-    a_yy, a_y0, a_00, correction = _sample_precision_forms(stats, mu_0)
+    a_yy, a_y0, a_00, correction = _sample_quadratic_forms(stats, mu_0)
     det = a_yy * a_00 - a_y0 * a_y0
     if abs(det) <= _REL_FLOOR * abs(a_yy * a_00) or _negligible(a_00, mu_0, stats):
         raise DegenerateDenominatorError(

@@ -47,7 +47,6 @@ class ReturnsPanel:
 
     values: np.ndarray
     asset_labels: list[str] | None = None
-    date_labels: list[str] | None = None
 
     @property
     def n_assets(self) -> int:

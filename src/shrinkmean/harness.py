@@ -79,7 +79,7 @@ __all__ = [
     "write_table1_csv",
 ]
 
-TARGET_MODES = ("drawn", "equal-to-mu_n", "custom")
+TARGET_MODES = ("drawn", "equal-to-mu_n")
 
 #: asymptotic Kolmogorov coefficient at the 1% level; critical value is
 #: KS_COEFF_1PCT / sqrt(n_samples)
@@ -124,7 +124,6 @@ class McConfig:
     eigen_recipe: EigenRecipe = DEFAULT_RECIPE
     law: InnovationLaw = field(default_factory=InnovationLaw)
     jsplus_as_printed: bool = True
-    custom_target: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.n_reps < 1:
@@ -136,9 +135,8 @@ class McConfig:
             raise ConfigError(f"unknown estimators: {unknown}")
         reject_duplicates(self, "p_grid", "c_grid", "estimators")
         if self.target_mode not in TARGET_MODES:
-            raise ConfigError(f"unknown target mode {self.target_mode!r}")
-        if self.target_mode == "custom" and self.custom_target is None:
-            raise ConfigError("target_mode 'custom' needs a custom_target vector")
+            raise ConfigError(f"unknown target_mode {self.target_mode!r}, expected one of "
+                              f"{', '.join(TARGET_MODES)}")
         if self.gamma not in (0, 1):
             raise ConfigError(f"gamma must be 0 or 1, got {self.gamma}")
         if not all(p >= 2 for p in self.p_grid):
@@ -205,12 +203,6 @@ class McReport:
     config: McConfig
     cells: list[CellResult]
 
-    def cell(self, p: int, c: float) -> CellResult:
-        for cell in self.cells:
-            if cell.p == p and cell.c == c:
-                return cell
-        raise KeyError(f"no cell for p={p}, c={c}")
-
 
 def quadratic_loss(estimates: np.ndarray, pop: PopulationSpec) -> np.ndarray:
     """Precision-metric quadratic losses (mu_hat - mu_n)' sigma^{-1} (mu_hat - mu_n)
@@ -231,10 +223,6 @@ def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
     mu_n, mu_0 = draw_mean_vectors(config.gamma, p, rng)
     if config.target_mode == "equal-to-mu_n":
         mu_0 = mu_n.copy()
-    elif config.target_mode == "custom":
-        mu_0 = np.asarray(config.custom_target, dtype=float)
-        if mu_0.shape != (p,):
-            raise ConfigError(f"custom target has length {mu_0.shape}, expected {p}")
     return PopulationSpec(
         p=p, gamma=config.gamma, mu_n=mu_n, mu_0=mu_0, sigma=sigma, eigen=eigen
     )
@@ -243,7 +231,9 @@ def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
 def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     """One study cell: ``config.n_reps`` replications at concentration ``c``
     drawn from ``pop``, which :func:`run_study` builds as
-    ``cell_population(config, pop.p, c)``."""
+    ``cell_population(config, pop.p, c)``.  To score another target on the
+    same population and sample streams, pass
+    ``dataclasses.replace(pop, mu_0=target)``."""
     p = pop.p
     n = cell_sample_size(p, c)
     n_reps = config.n_reps

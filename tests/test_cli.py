@@ -118,10 +118,22 @@ def test_qq_writes_pairs_and_ks_line(tmp_path, capsys):
     assert "KS statistic:" in out
 
 
+def test_qq_oracle_writes_pairs_and_ks_line(tmp_path, capsys):
+    code = main(["qq", "beta-oracle", "--p", "20", "--n-reps", "20", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len((tmp_path / "qq.csv").read_text().splitlines()) == 1 + 20
+    assert "KS statistic:" in out
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [(("simulate", "--law", "cauchy"), "--law"),
-     (("backtest", "RETURNS", "--windows", "5,x"), "--windows")],
+     (("backtest", "RETURNS", "--windows", "5,x"), "--windows"),
+     # qq runs one cell: it takes one p and one c, not a list or nothing
+     (("qq", "alpha-oracle", "--p", ""), "--p"),
+     (("qq", "alpha-oracle", "--p", "20,40"), "--p"),
+     (("qq", "alpha-oracle", "--c", "0.5,2"), "--c")],
 )
 def test_bad_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     returns = tmp_path / "returns.csv"

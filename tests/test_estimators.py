@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from shrinkmean.harness import (
     cell_population,
     cell_sample_size,
     ks_statistic,
+    run_cell,
     run_study,
 )
 from shrinkmean.linalg import spd_eigen
@@ -270,7 +273,7 @@ class TestBonaFideIntensities:
         pop = cell_population(cfg, p, c)
         n = cell_sample_size(p, c)
         lw = limit_intensities(pop, p / n)
-        cov = bona_fide_covariance(pop, p / n).weights_cov
+        cov = bona_fide_covariance(pop, p / n)
         weights = cell.bona_fide_weights
         assert np.isfinite(weights).all()
         critical = KS_COEFF_1PCT / np.sqrt(len(weights))
@@ -567,14 +570,12 @@ class TestTrends:
         p_grid = (50, 100, 200, 400)
         medians = []
         for p in p_grid:
-            betas = [
-                run_study(McConfig(
-                    p_grid=(p,), c_grid=(0.5,), gamma=0.0, n_reps=3,
-                    estimators=("olse-oracle",), seed=seed, target_mode="custom",
-                    custom_target=np.ones(p),
-                )).cells[0].oracle_weights[:, 1]
-                for seed in range(56, 76)
-            ]
+            betas = []
+            for seed in range(56, 76):
+                config = McConfig(p_grid=(p,), c_grid=(0.5,), gamma=0.0, n_reps=3,
+                                  estimators=("olse-oracle",), seed=seed)
+                pop = replace(cell_population(config, p, 0.5), mu_0=np.ones(p))
+                betas.append(run_cell(config, pop, 0.5).oracle_weights[:, 1])
             medians.append(float(np.median(np.abs(np.concatenate(betas)))))
         slope = np.polyfit(np.log(p_grid), np.log(medians), 1)[0]
         assert -1.5 <= slope <= -0.75

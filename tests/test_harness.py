@@ -1,7 +1,9 @@
-"""QQ diagnostics, custom targets, config validation and the package's
-import footprint."""
+"""QQ diagnostics, config validation and the package's import footprint
+and exports."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from scipy.stats import kstest, norm
 
 import shrinkmean
 from shrinkmean.errors import ConfigError, TooFewSamplesError
-from shrinkmean.harness import McConfig, cell_population, ks_statistic, qq_data, run_study
+from shrinkmean.harness import McConfig, ks_statistic, qq_data
 
 
 def test_import_does_not_load_scipy_stats():
@@ -24,6 +26,14 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(shrinkmean.__path__)))
+def test_every_exported_name_resolves(module):
+    # a deleted function or class must leave its module's __all__ as well
+    mod = importlib.import_module(f"shrinkmean.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
 
 
 class TestQqHelpers:
@@ -42,25 +52,6 @@ class TestQqHelpers:
     def test_nine_samples_rejected(self, helper):
         with pytest.raises(TooFewSamplesError):
             helper(np.arange(9.0))
-
-
-class TestCustomTarget:
-    def test_population_uses_the_given_target(self):
-        target = np.linspace(-1.0, 1.0, 20)
-        config = McConfig(p_grid=(20,), c_grid=(0.5,), target_mode="custom",
-                          custom_target=target)
-        pop = cell_population(config, 20, 0.5)
-        np.testing.assert_array_equal(pop.mu_0, target)
-
-    def test_wrong_length_rejected(self):
-        config = McConfig(p_grid=(20,), c_grid=(0.5,), n_reps=2, target_mode="custom",
-                          custom_target=np.ones(19))
-        with pytest.raises(ConfigError):
-            run_study(config)
-
-    def test_missing_vector_rejected(self):
-        with pytest.raises(ConfigError):
-            McConfig(p_grid=(20,), c_grid=(0.5,), target_mode="custom")
 
 
 class TestDuplicateEntries:

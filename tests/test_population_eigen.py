@@ -11,6 +11,8 @@ that the only BLAS or LAPACK routine of ``scipy.linalg`` that runs, on
 either side of p = n, is a triangular solve of at most two columns.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,6 +32,7 @@ from shrinkmean.harness import (
     cell_sample_size,
     quadratic_loss,
     replication_rng,
+    run_cell,
     run_study,
 )
 from shrinkmean.model import PopulationSpec, generate_sample, sample_stats
@@ -130,10 +133,10 @@ class TestCellWeights:
     def test_zero_target_fails_like_bare_sigma(self):
         # both degeneracy checks fire on the cell path as on a bare sigma
         p = 20
-        config = McConfig(p_grid=(p,), c_grid=(0.5,), n_reps=3, target_mode="custom",
-                          custom_target=np.zeros(p),
+        config = McConfig(p_grid=(p,), c_grid=(0.5,), n_reps=3,
                           estimators=("sample-mean", "olse-oracle", "olse-asymptotic"))
-        cell = run_study(config).cells[0]
+        pop = replace(cell_population(config, p, 0.5), mu_0=np.zeros(p))
+        cell = run_cell(config, pop, 0.5)
         assert cell.failures == {"sample-mean": 0, "olse-oracle": 3, "olse-asymptotic": 3}
 
 
