@@ -152,7 +152,7 @@ def residual_stat_moments(p: int, n: int, residual_form: float) -> tuple[float, 
 def _sample_target_gram(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:
     if stats.p >= stats.n:
         raise InvalidDimensionsError(f"requires p < n, got p={stats.p} n={stats.n}")
-    return stats.precision_gram(stats.y_bar, np.asarray(mu_0, dtype=float))
+    return stats.mean_gram(np.asarray(mu_0, dtype=float))
 
 
 def residual_stat(stats: SampleStats, mu_0: np.ndarray) -> float:

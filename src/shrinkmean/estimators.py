@@ -14,12 +14,12 @@ p < n, its high-dimensional and positive-part variants for p > n, and the
 unit-target shrinkage estimator of Wang et al.
 
 Every sample-based estimator reads the one covariance factorization that
-its :class:`SampleStats` value carries (the Cholesky factor of S for p < n,
-that of the reflected (n-1) x (n-1) Gram G for p > n, through which S^+ is
-read), so a sample is factorized once however many estimators run on it.
-No function here solves against a covariance: each reads Q through
-:meth:`SampleStats.precision_gram` or ``whiten``, whose p > n route
-whitens with ``linalg.spd_solve`` against G, at most two columns at a time.
+its :class:`SampleStats` value carries (the Cholesky factor of S = BB' for
+p < n, that of the reflected (n-1) x (n-1) Gram G = B'B for p > n, through
+which S^+ is read), so a sample is factorized once however many estimators
+run on it.  No function here solves against a covariance: the factorization
+whitens y_bar once, and :meth:`SampleStats.mean_gram` or ``whiten`` whiten
+one new vector per call (p > n: ``linalg.spd_solve`` against G).
 
 The oracle and limit weights take a :class:`PopulationSpec` and are 2x2
 formulas in the Gram of the mean vectors in its precision metric sigma^{-1},
@@ -144,7 +144,7 @@ def _sample_quadratic_forms(
     if p > n and n < 3:
         raise InvalidDimensionsError(f"the 2x2 precision Gram needs rank(S) = n - 1"
                                      f" >= 2, got p={p} n={n}")
-    gram = stats.precision_gram(stats.y_bar, mu_0)
+    gram = stats.mean_gram(mu_0)
     correction = p / (n - p) if p < n else 1.0 / (p / n - 1.0)
     return float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]), correction
 
@@ -190,7 +190,7 @@ def olse(stats: SampleStats, mu_0: np.ndarray, clamp: bool = False) -> np.ndarra
 
 def _mean_energy(stats: SampleStats) -> float:
     """y_bar' Q y_bar, rejected when negligible (y_bar outside the range)."""
-    white = stats.whiten(stats.y_bar)
+    white = stats.factorization.white_mean
     quad = float(white @ white)
     if _negligible(quad, stats.y_bar, stats):
         raise DegenerateDenominatorError("sample mean lies outside the scatter range")
@@ -224,7 +224,7 @@ def js_high_dim(stats: SampleStats) -> np.ndarray:
         raise InvalidDimensionsError(f"requires p > n >= 3, got p={p} n={n}")
     quad = _mean_energy(stats) / n
     a = 2.0 * (n - 2.0) / (p - n + 3.0)
-    return stats.y_bar - (a / quad) * stats.project(stats.y_bar)
+    return stats.y_bar - (a / quad) * stats.projected_mean()
 
 
 def js_positive_part(stats: SampleStats, as_printed: bool = True) -> np.ndarray:
@@ -242,7 +242,7 @@ def js_positive_part(stats: SampleStats, as_printed: bool = True) -> np.ndarray:
     if not (p > n >= 3):
         raise InvalidDimensionsError(f"requires p > n >= 3, got p={p} n={n}")
     quad = _mean_energy(stats) / n
-    projected = stats.project(stats.y_bar)
+    projected = stats.projected_mean()
     clamped = max(0.0, 1.0 - ((n - 2.0) / (p - n + 3.0)) / quad)
     base = stats.y_bar + projected if as_printed else stats.y_bar - projected
     return base + clamped * projected
@@ -254,8 +254,8 @@ def wang_estimator(stats: SampleStats) -> np.ndarray:
     Combines the sample mean and the all-ones direction with coefficients
     z1..z4, pair sums of y_i' W y_j and 1'W y_i over the observations, with
     W = scatter^+ = S^+ / n.  They close over the Gram (a_yy, a_y1, a_11) of
-    (y_bar, 1) in Q = S^+, so only those two vectors are whitened.  With H,
-    B and G as in :class:`SampleStats`, H_1 = H[:, 1:], u = G^{-1}B'y_bar/sqrt(n):
+    (y_bar, 1) in Q = S^+, so only 1 is whitened here (y_bar already is).
+    With H, B, G as in :class:`SampleStats`, H_1 = H[:, 1:], u = G^{-1}B'y_bar/sqrt(n):
 
     1. y = y_bar 1' + sqrt(n) B H_1', with H_1'1 = 0, H_1'H_1 = I, G^{-1}B'B = I;
     2. so the whitened observations are g = u 1' + H_1' (g_i'g_j = y_i'W y_j),
@@ -270,7 +270,7 @@ def wang_estimator(stats: SampleStats) -> np.ndarray:
         raise InvalidDimensionsError(f"requires p > n >= 2, got p={p} n={n}")
 
     ones = np.ones(p)
-    gram = stats.precision_gram(stats.y_bar, ones)
+    gram = stats.mean_gram(ones)
     a_yy, a_y1, a_11 = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
     if _negligible(a_11, ones, stats):
         raise DegenerateDenominatorError("ones vector lies outside the scatter range")

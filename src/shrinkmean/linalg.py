@@ -7,7 +7,7 @@ its symmetric square root and precision whitening (the population side's
 one precision metric), and Haar-distributed random orthogonal matrices.
 No function here solves against a covariance: every precision-metric form
 is a Gram of whitened vectors, and ``spd_solve`` solves against the
-reflected (n-1) x (n-1) Gram G of a sample, never against S or sigma.
+reflected (n-1) x (n-1) Gram G of a sample, one new vector per call.
 
 All functions are pure: they never mutate their inputs and hold no module
 state, so they are safe to call concurrently.
@@ -44,35 +44,35 @@ class SpdFactor:
     pivot_floor: float
 
 
-def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """``a`` as a float array, checked square, finite and symmetric within tol."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def _require_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
+        raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotPositiveDefiniteError("matrix has a non-finite entry")
     scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
     if float(np.abs(a - a.T).max(initial=0.0)) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
+    return a
 
 
 def spd_factor(a: np.ndarray) -> SpdFactor:
     """Cholesky-factor a symmetric positive definite matrix.
 
-    Raises :class:`NotPositiveDefiniteError` when the factorization breaks
-    down or any pivot falls below ``100 * dim * eps * max(diag(a))``: in
-    trials, rank-deficient samples left pivots up to a tenth of that.
+    Raises :class:`NotPositiveDefiniteError` for a non-finite entry, or when
+    the factorization breaks down or a pivot (NaN too) is not above ``100 *
+    dim * eps * max(diag(a))``: in trials, rank-deficient samples left
+    pivots up to a tenth of that.
     """
-    a = _as_square(a)
-    _require_symmetric(a)
+    a = _as_symmetric(a)
     p = a.shape[0]
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
     pivot_floor = 100.0 * p * _EPS * float(np.diag(a).max(initial=0.0))
-    if float((np.diag(lower) ** 2).min()) <= pivot_floor:
+    if not float((np.diag(lower) ** 2).min()) > pivot_floor:
         raise NotPositiveDefiniteError(
             f"pivot below {pivot_floor:.3e}; matrix numerically singular"
         )
@@ -127,14 +127,13 @@ class SpdEigen:
 def spd_eigen(a: np.ndarray) -> SpdEigen:
     """Eigenpairs of a symmetric positive definite matrix, from one ``eigh``.
 
-    Raises :class:`NotPositiveDefiniteError` when the smallest eigenvalue is
-    not above ``dim * eps * max eigenvalue``.
+    Raises :class:`NotPositiveDefiniteError` for a non-finite entry or when
+    the smallest eigenvalue is not above ``dim * eps * max eigenvalue``.
     """
-    a = _as_square(a)
-    _require_symmetric(a)
+    a = _as_symmetric(a)
     vals, vecs = np.linalg.eigh(a)
     p = a.shape[0]
-    if vals[0] <= p * _EPS * max(float(vals[-1]), 0.0):
+    if not vals[0] > p * _EPS * max(float(vals[-1]), 0.0):
         raise NotPositiveDefiniteError(
             f"smallest eigenvalue {vals[0]:.3e} is not safely positive"
         )

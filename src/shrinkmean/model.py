@@ -47,7 +47,7 @@ __all__ = [
 class EigenRecipe:
     """Covariance spectrum given as (fraction, eigenvalue) groups.
 
-    Fractions must sum to 1 and eigenvalues must be positive.  When
+    Fractions must sum to 1 and eigenvalues must be positive and finite.  When
     ``override_lambda_max`` is set, the single largest eigenvalue of the
     assembled spectrum is replaced by that value (extreme-spectrum runs).
     """
@@ -58,15 +58,16 @@ class EigenRecipe:
     def __post_init__(self) -> None:
         if not self.proportions:
             raise InvalidRecipeError("recipe needs at least one group")
+        # written so that NaN fails every check, and a sum of 1 needs finite fractions
         total = sum(f for f, _ in self.proportions)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise InvalidRecipeError(f"fractions sum to {total}, expected 1")
         if any(f < 0 for f, _ in self.proportions):
             raise InvalidRecipeError("fractions must be nonnegative")
-        if any(v <= 0 for _, v in self.proportions):
-            raise InvalidRecipeError("eigenvalues must be positive")
-        if self.override_lambda_max is not None and self.override_lambda_max <= 0:
-            raise InvalidRecipeError("override_lambda_max must be positive")
+        if not all(0 < v < np.inf for _, v in self.proportions):
+            raise InvalidRecipeError("eigenvalues must be positive and finite")
+        if self.override_lambda_max is not None and not 0 < self.override_lambda_max < np.inf:
+            raise InvalidRecipeError("override_lambda_max must be positive and finite")
 
     def eigenvalues(self, p: int) -> np.ndarray:
         """Expand the recipe into p eigenvalues.
@@ -93,8 +94,8 @@ DEFAULT_RECIPE = EigenRecipe(((0.2, 1.0), (0.4, 3.0), (0.4, 10.0)))
 class InnovationLaw:
     """Zero-mean, unit-variance innovation distribution.
 
-    Supported names: ``normal``, ``t`` (standardized Student t, needs
-    ``df > 4`` so fourth moments exist), ``exponential`` (unit exponential
+    Supported names: ``normal``, ``t`` (standardized Student t, needs a
+    finite ``df > 4`` so fourth moments exist), ``exponential`` (unit exponential
     shifted by -1).
     """
 
@@ -105,8 +106,8 @@ class InnovationLaw:
         if self.name not in ("normal", "t", "exponential"):
             raise ValueError(f"unknown innovation law {self.name!r}")
         if self.name == "t":
-            if self.df is None or self.df <= 4:
-                raise ValueError("t law requires df > 4")
+            if self.df is None or not 4 < self.df < np.inf:
+                raise ValueError("t law requires a finite df > 4")
         elif self.df is not None:
             raise ValueError(f"law {self.name!r} takes no df parameter")
 
@@ -196,36 +197,37 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class _Factorization:
-    cholesky: SpdFactor  # of S for p < n, of the reflected Gram G = B'B for p >= n
-    reflected: np.ndarray | None  # B, when p >= n
+    cholesky: SpdFactor  # of B B' = S for p < n, of the reflected Gram G = B'B for p >= n
+    white_mean: np.ndarray  # y_bar whitened, once for every estimator
     scale: float  # trace of the factored matrix, trace(S)
 
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Sufficient statistics of one p x n sample ``y``, with the one
-    factorization of its covariance that every estimator shares.
+    """Sufficient statistics of one p x n sample y: its row means ``y_bar``
+    and its reflected sample ``reflected``, ``B = y H[:, 1:] / sqrt(n) =
+    (y[:, 1:] - m 1') / sqrt(n)``, with H the Householder reflection ``H e_1
+    = -1/sqrt(n)`` and ``m = y_bar - (y_bar - y_1) / (sqrt(n) + 1)``.  Then
+    ``B B' = S``, the sample covariance with divisor n (the scatter matrix of
+    the James-Stein family is ``n * S``), formed without the cancellation of
+    y y'/n - y_bar y_bar' when the means are large against the spread.
 
-    ``s`` is the sample covariance with divisor n (not n-1); the scatter
-    matrix of the James-Stein family is ``n * s``.  The factorization is
-    built on first use and cached, as is a failure to build it, so each
-    estimator that needs it fails once and no other does.  It is one
-    Cholesky factor, whose pivot floor is the rank check: S of rank below
-    min(p, n - 1) raises :class:`SingularSampleError`.  For p < n it factors
-    S, and the precision metric Q is S^{-1}.  For p >= n it factors the
-    (n-1) x (n-1) Gram ``G = B'B`` of ``B = y H[:, 1:] / sqrt(n) = (y[:, 1:]
-    - m 1') / sqrt(n)``, with H the Householder reflection ``H e_1 =
-    -1/sqrt(n)`` and ``m = y_bar - (y_bar - y_1) / (sqrt(n) + 1)``.  Then
-    ``B B' = S`` and ``Q = S^+ = B G^{-2} B'``: v is whitened as
-    ``G^{-1} B' v``, by the two triangular solves of G's Cholesky factor
-    (no inverse is formed or stored), and projected on the range of S as
-    ``B G^{-1} B' v``.
+    The one factorization every estimator shares is built on first use and
+    cached, as is a failure to build it, so each estimator that needs it
+    fails once and no other does.  It is one Cholesky factor of one syrk of
+    B, whose pivot floor is the rank check: S of rank below min(p, n - 1)
+    raises :class:`SingularSampleError`.  For p < n it factors ``B B' = S =
+    L L'`` and reads Q = S^{-1} as ``(L^{-1} u)'(L^{-1} v)``.  For p >= n it
+    factors ``G = B'B``, and ``Q = S^+ = B G^{-2} B'``: v is whitened as
+    ``G^{-1} B' v`` by two triangular solves (no inverse is formed) and
+    projected on the range of S as ``B G^{-1} B' v``.  It whitens y_bar once,
+    so each later call whitens only its one new vector.
     The factor's ``dim`` is the rank of S and ``scale`` its trace, trace(S)
     >= lam_max(S), so a vector v in the range of S has ``v'Qv >= |v|^2/scale``.
     """
 
     y_bar: np.ndarray
-    y: np.ndarray
+    reflected: np.ndarray
     p: int
     n: int
 
@@ -233,26 +235,16 @@ class SampleStats:
     def c_hat(self) -> float:
         return self.p / self.n
 
-    @property
-    def s(self) -> np.ndarray:
-        # y @ y.T runs as one syrk, so S is exactly symmetric
-        return self.y @ self.y.T / self.n - np.outer(self.y_bar, self.y_bar)
-
     def _factorize(self) -> _Factorization:
-        if self.p < self.n:
-            reflected, gram = None, self.s
-        else:
-            # the sign of H that keeps sqrt(n) - 1 out of the divisor
-            root_n = np.sqrt(self.n)
-            shift = self.y_bar - (self.y_bar - self.y[:, 0]) / (root_n + 1.0)
-            reflected = self.y[:, 1:] - shift[:, None]
-            reflected /= root_n
-            gram = reflected.T @ reflected
+        b = self.reflected
+        # one syrk on either side of p = n, so the factored matrix is exactly symmetric
+        gram = b @ b.T if self.p < self.n else b.T @ b
         try:
             cholesky = spd_factor(gram)
         except NotPositiveDefiniteError as exc:
             raise SingularSampleError("rank(S) < min(p, n - 1)") from exc
-        return _Factorization(cholesky, reflected, float(np.trace(gram)))
+        white_mean = self._whiten(cholesky, self.y_bar)
+        return _Factorization(cholesky, white_mean, float(np.trace(gram)))
 
     @property
     def factorization(self) -> _Factorization:
@@ -270,23 +262,24 @@ class SampleStats:
             raise outcome
         return outcome
 
+    def _whiten(self, cholesky: SpdFactor, v: np.ndarray) -> np.ndarray:
+        if self.p < self.n:
+            return spd_whiten(cholesky, v)
+        return spd_solve(cholesky, self.reflected.T @ v)
+
     def whiten(self, v: np.ndarray) -> np.ndarray:
         """Coordinates w of a vector, or of matrix columns, with w_a'w_b = v_a'Q v_b."""
-        f = self.factorization
-        v = np.asarray(v, dtype=float)
-        if f.reflected is None:
-            return spd_whiten(f.cholesky, v)
-        return spd_solve(f.cholesky, f.reflected.T @ v)
+        return self._whiten(self.factorization.cholesky, np.asarray(v, dtype=float))
 
-    def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
-        """Gram matrix of ``vectors`` in the precision metric Q."""
-        white = self.whiten(np.column_stack(vectors))
+    def mean_gram(self, v: np.ndarray) -> np.ndarray:
+        """Gram matrix of (y_bar, v) in the precision metric Q; only v is whitened."""
+        white = np.column_stack([self.factorization.white_mean, self.whiten(v)])
         return white.T @ white
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Projection of v on the range of S (the identity for p < n)."""
-        f = self.factorization
-        return v if f.reflected is None else f.reflected @ self.whiten(v)
+    def projected_mean(self) -> np.ndarray:
+        """Projection of y_bar on the range of S (y_bar itself for p < n)."""
+        white_mean = self.factorization.white_mean
+        return self.y_bar if self.p < self.n else self.reflected @ white_mean
 
 
 def build_covariance(
@@ -336,12 +329,18 @@ def generate_sample(
 
 
 def sample_stats(y: np.ndarray) -> SampleStats:
-    """Row means of a p x n matrix; the covariance and its factorization
-    are built on first use (see :class:`SampleStats`)."""
+    """Row means and reflected sample of a p x n matrix; the factorization
+    is built on first use (see :class:`SampleStats`)."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise DimensionMismatchError(f"expected a p x n matrix, got shape {y.shape}")
     p, n = y.shape
     if n < 2:
         raise DimensionMismatchError(f"n must be >= 2, got {n}")
-    return SampleStats(y_bar=y.mean(axis=1), y=y, p=p, n=n)
+    y_bar = y.mean(axis=1)
+    # the sign of H that keeps sqrt(n) - 1 out of the divisor
+    root_n = np.sqrt(n)
+    shift = y_bar - (y_bar - y[:, 0]) / (root_n + 1.0)
+    reflected = y[:, 1:] - shift[:, None]
+    reflected /= root_n
+    return SampleStats(y_bar=y_bar, reflected=reflected, p=p, n=n)

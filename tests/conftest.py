@@ -20,6 +20,13 @@ def bare_population(sigma, mu_n, mu_0) -> PopulationSpec:
     return PopulationSpec(p=mu_n.shape[0], gamma=0, mu_n=mu_n, mu_0=mu_0, sigma=sigma)
 
 
+def sample_covariance(y: np.ndarray) -> np.ndarray:
+    """Divisor-n sample covariance (y - y_bar 1')(y - y_bar 1')' / n, by the
+    two-pass formula: an oracle independent of the reflected sample."""
+    centered = y - y.mean(axis=1, keepdims=True)
+    return centered @ centered.T / y.shape[1]
+
+
 def generalized_inverse_s(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Covariance-sandwiched generalized inverse of the sample covariance.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rand_spd
+from conftest import rand_spd, sample_covariance
 from shrinkmean.asymptotics import (
     oracle_weight_variances,
     projection_stat,
@@ -92,7 +92,7 @@ class TestResidualStat:
         y = rng.standard_normal((4, 12)) + 0.5
         stats = sample_stats(y)
         mu_0 = rng.standard_normal(4)
-        s_inv = np.linalg.inv(stats.s * 12 / 11)  # divisor n - 1
+        s_inv = np.linalg.inv(sample_covariance(y) * 12 / 11)  # divisor n - 1
         y_bar = stats.y_bar
         expected = y_bar @ s_inv @ y_bar - (y_bar @ s_inv @ mu_0) ** 2 / (mu_0 @ s_inv @ mu_0)
         assert residual_stat(stats, mu_0) == pytest.approx(expected, rel=1e-10)

@@ -37,9 +37,14 @@ def test_small_simulate(tmp_path, capsys):
     "config",
     [
         "law = cauchy",
+        "law = t:inf",
+        "law = t:nan",
         "override_lambda_max = big",
+        "override_lambda_max = nan",
         "eigen_recipe = 0.5:1,0.4:2",
         "eigen_recipe = 0.5",
+        "eigen_recipe = nan:1",
+        "eigen_recipe = 1:inf",
         "gamma = x",
         "threads = 2",
         "no_such_key = 1",
@@ -133,7 +138,8 @@ def test_qq_oracle_writes_pairs_and_ks_line(tmp_path, capsys):
      # qq runs one cell: it takes one p and one c, not a list or nothing
      (("qq", "alpha-oracle", "--p", ""), "--p"),
      (("qq", "alpha-oracle", "--p", "20,40"), "--p"),
-     (("qq", "alpha-oracle", "--c", "0.5,2"), "--c")],
+     (("qq", "alpha-oracle", "--c", "0.5,2"), "--c"),
+     (("simulate", "--law", "t:inf"), "--law")],
 )
 def test_bad_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     returns = tmp_path / "returns.csv"

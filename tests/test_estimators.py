@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import shrinkmean.model
 from conftest import (
     bare_population,
     generalized_inverse_s,
     rand_spd,
+    sample_covariance,
     sample_with_moments,
     wang_pair_sums_naive,
 )
@@ -39,7 +41,7 @@ from shrinkmean.harness import (
     run_study,
 )
 from shrinkmean.linalg import spd_eigen
-from shrinkmean.model import SampleStats, sample_stats
+from shrinkmean.model import sample_stats
 
 
 def quad_form(sigma_inv, u, v):
@@ -211,7 +213,7 @@ class TestBonaFideIntensities:
         mu_0 = rng.standard_normal(p)
         w = bona_fide_intensities(stats, mu_0)
 
-        s_pinv = np.linalg.pinv(stats.s)
+        s_pinv = np.linalg.pinv(sample_covariance(y))
         a_yy = quad_form(s_pinv, stats.y_bar, stats.y_bar)
         a_y0 = quad_form(s_pinv, stats.y_bar, mu_0)
         a_00 = quad_form(s_pinv, mu_0, mu_0)
@@ -226,7 +228,7 @@ class TestBonaFideIntensities:
         stats = sample_stats(y)
         mu_0 = np.ones(3)
         w = bona_fide_intensities(stats, mu_0)
-        s_inv = np.linalg.inv(stats.s)
+        s_inv = np.linalg.inv(sample_covariance(y))
         a_yy = quad_form(s_inv, stats.y_bar, stats.y_bar)
         a_y0 = quad_form(s_inv, stats.y_bar, mu_0)
         a_00 = quad_form(s_inv, mu_0, mu_0)
@@ -244,6 +246,14 @@ class TestBonaFideIntensities:
         y = np.tile(np.array([1.0, 2.0])[:, None], (1, 5))
         with pytest.raises(SingularSampleError):
             bona_fide_intensities(sample_stats(y), np.ones(2))
+
+    @pytest.mark.parametrize("p, n", [(4, 20), (20, 4)])
+    def test_nan_sample_rejected(self, rng, p, n):
+        # one NaN observation fails the factorization, not the estimate
+        y = rng.standard_normal((p, n))
+        y[1, 2] = np.nan
+        with pytest.raises(SingularSampleError):
+            bona_fide_intensities(sample_stats(y), np.ones(p))
 
     def test_high_dim_needs_rank_two(self, rng):
         # n = 2 < 3: rank(S) = n - 1 = 1 makes the 2x2 precision Gram singular
@@ -349,7 +359,7 @@ class TestJamesStein:
 def _high_dim_sample(rng, p, n):
     y = rng.standard_normal((p, n)) + 0.3
     stats = sample_stats(y)
-    return y, stats, n * stats.s
+    return y, stats, n * sample_covariance(y)
 
 
 class TestJsHighDim:
@@ -434,11 +444,11 @@ class TestJsPositivePart:
         )
 
 
-def _wang_sums(stats):
+def _wang_sums(y, stats):
     """z1..z4 from the literal double sums over the whitened observations
     g = whiten([y, 1]) / sqrt(n), for which g_i'g_j = y_i' S^+ y_j / n."""
     p, n = stats.p, stats.n
-    white = stats.whiten(np.column_stack([stats.y, np.ones(p)])) / np.sqrt(n)
+    white = stats.whiten(np.column_stack([y, np.ones(p)])) / np.sqrt(n)
     g, h = white[:, :-1], white[:, -1]
     ones_w_y = g.T @ h
     off_yy, diag_yy, off_11 = wang_pair_sums_naive(g, g, ones_w_y)
@@ -454,31 +464,33 @@ class TestWangEstimator:
         # the closed form of wang_estimator's docstring, in the 2x2 precision
         # Gram of (y_bar, 1), against the literal pair sums; the estimate
         # built from the literal sums is wang_estimator's to the same digits
-        stats = sample_stats(rng.standard_normal((p, n)) + 0.2)
-        gram = stats.precision_gram(stats.y_bar, np.ones(p))
+        y = rng.standard_normal((p, n)) + 0.2
+        stats = sample_stats(y)
+        gram = stats.mean_gram(np.ones(p))
         a_yy, a_y1, a_11 = gram[0, 0], gram[0, 1], gram[1, 1]
         closed = np.array([(a_yy - 1.0) / p, 1.0 / p, a_y1 / a_11,
                            (a_y1**2 / a_11 - 1.0 / (n - 1.0)) / p])
-        z1, z2, z3, z4 = literal = _wang_sums(stats)
+        z1, z2, z3, z4 = literal = _wang_sums(y, stats)
         assert np.max(np.abs(closed - literal) / np.abs(literal)) <= 1e-10
         denom = z1 + z2 * z4
         expected = ((z1 - z4) / denom) * stats.y_bar + (z2 * z3 / denom) * np.ones(p)
         assert np.allclose(wang_estimator(stats), expected, rtol=1e-10, atol=0)
 
     def test_whitens_two_columns_whatever_n(self, monkeypatch, rng):
-        # y_bar and 1, never the n observations
+        # y_bar and 1, never the n observations: y_bar when the sample is
+        # factored, then 1, each as one column of one solve against G
         widths = []
-        whiten = SampleStats.whiten
+        solve = shrinkmean.model.spd_solve
 
-        def recording(stats, v):
-            widths.append(np.shape(v)[1] if np.ndim(v) == 2 else 1)
-            return whiten(stats, v)
+        def recording(factor, b):
+            widths.append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
+            return solve(factor, b)
 
-        monkeypatch.setattr(SampleStats, "whiten", recording)
+        monkeypatch.setattr(shrinkmean.model, "spd_solve", recording)
         for n in (3, 10, 40, 125):
             widths.clear()
             wang_estimator(sample_stats(rng.standard_normal((2 * n, n)) + 0.2))
-            assert widths == [2]
+            assert widths == [1, 1]
 
     def test_matches_brute_force(self, rng):
         y = rng.standard_normal((9, 4)) + 0.5
@@ -531,7 +543,7 @@ class TestWangEstimator:
 class TestGeneralizedInverse:
     def test_identity_sigma_equals_pinv(self, rng):
         x = rng.standard_normal((6, 3))
-        s = sample_stats(x).s
+        s = sample_covariance(x)
         s_minus = generalized_inverse_s(np.eye(6), x)
         assert np.max(np.abs(s_minus - np.linalg.pinv(s))) < 1e-8
 
@@ -539,7 +551,7 @@ class TestGeneralizedInverse:
         sigma = rand_spd(rng, 4)
         x = rng.standard_normal((4, 20))
         y = spd_eigen(sigma).sqrt() @ x
-        s = sample_stats(y).s
+        s = sample_covariance(y)
         s_minus = generalized_inverse_s(sigma, x)
         assert np.max(np.abs(s_minus - np.linalg.inv(s))) < 1e-8
 
@@ -547,7 +559,7 @@ class TestGeneralizedInverse:
         sigma = rand_spd(rng, 6, jitter=2.0)
         x = rng.standard_normal((6, 3))
         y = spd_eigen(sigma).sqrt() @ x
-        s = sample_stats(y).s
+        s = sample_covariance(y)
         s_minus = generalized_inverse_s(sigma, x)
         assert np.linalg.norm(s @ s_minus @ s - s) < 1e-8
         assert np.linalg.norm(s_minus @ s @ s_minus - s_minus) < 1e-8

@@ -6,6 +6,7 @@ import pytest
 
 import shrinkmean.estimators
 import shrinkmean.finance
+import shrinkmean.model
 from shrinkmean.errors import (
     ConfigError,
     DegenerateDenominatorError,
@@ -150,6 +151,27 @@ class TestBacktestEstimatorCalls:
         assert calls == {"olse": 3 * periods, "js_high_dim": periods,
                          "js_positive_part": periods, "wang_estimator": periods}
 
+    def test_mean_whitened_once_per_window_period(self, monkeypatch):
+        # p > n: one solve against G for y_bar when the window is factored,
+        # one per target for olse and one for Wang's ones vector; the
+        # James-Stein pair reads the whitened y_bar and solves nothing
+        calls = []
+        solve = shrinkmean.model.spd_solve
+
+        def counting(factor, b):
+            calls.append(np.shape(b))
+            return solve(factor, b)
+
+        monkeypatch.setattr(shrinkmean.model, "spd_solve", counting)
+        panel = _panel(periods=20, p=12)
+        config = BacktestConfig(windows=(5, 8),
+                                estimators=("olse", "js-high-dim", "js-positive-part", "wang"))
+        report = rolling_backtest(panel, config)
+        assert all(row.failures == 0 for row in report.rows)
+        periods = (20 - 5) + (20 - 8)
+        assert len(calls) == 5 * periods
+        assert all(len(shape) == 1 for shape in calls)  # one vector per solve
+
 
 class TestBacktestPairing:
     def test_one_failure_drops_the_period_for_every_pair(self, monkeypatch):
@@ -161,7 +183,7 @@ class TestBacktestPairing:
         original = shrinkmean.estimators.wang_estimator
 
         def wang_failing_once(stats):
-            if np.array_equal(stats.y, failing):
+            if np.array_equal(stats.y_bar, failing.mean(axis=1)):
                 raise DegenerateDenominatorError("injected failure")
             return original(stats)
 

@@ -40,6 +40,15 @@ class TestSpdFactor:
         with pytest.raises(ValueError):
             spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_rejected(self, bad, where):
+        # a NaN pivot compares False with the floor either way round
+        a = 2.0 * np.eye(3)
+        a[where] = a[where[::-1]] = bad
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_factor(a)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatchError):
             spd_factor(np.ones((2, 3)))
@@ -114,6 +123,14 @@ class TestSymSqrt:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             spd_eigen(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_rejected(self, bad, where):
+        a = 2.0 * np.eye(3)
+        a[where] = a[where[::-1]] = bad
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_eigen(a)
 
 
 class TestHaarOrthogonal:

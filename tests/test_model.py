@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 import shrinkmean.model
+from conftest import sample_covariance
 from shrinkmean.errors import (
     DimensionMismatchError,
     InvalidRecipeError,
@@ -144,7 +145,7 @@ class TestGenerateSample:
         cov, _ = build_covariance(DEFAULT_RECIPE, 5, rng)
         pop = PopulationSpec(p=5, gamma=0, mu_n=np.zeros(5), mu_0=np.zeros(5), sigma=cov)
         y = generate_sample(pop, 100_000, InnovationLaw(), rng)
-        s = sample_stats(y).s
+        s = sample_covariance(y)
         assert np.linalg.norm(s - cov) / np.linalg.norm(cov) < 0.05
 
     def test_bit_reproducible(self):
@@ -164,12 +165,14 @@ class TestSampleStats:
         y = np.tile(mu[:, None], (1, 7))
         stats = sample_stats(y)
         assert np.allclose(stats.y_bar, mu)
-        assert np.max(np.abs(stats.s)) < 1e-14
+        b = stats.reflected
+        assert np.max(np.abs(b @ b.T)) < 1e-14
 
     def test_hand_arithmetic_p1(self):
         stats = sample_stats(np.array([[1.0, -1.0]]))
         assert stats.y_bar[0] == 0.0
-        assert stats.s[0, 0] == pytest.approx(1.0)
+        b = stats.reflected
+        assert (b @ b.T)[0, 0] == pytest.approx(1.0)
         assert stats.c_hat == 0.5
 
     def test_matches_two_pass_formula(self, rng):
@@ -179,20 +182,22 @@ class TestSampleStats:
         two_pass = sum(
             np.outer(y[:, k] - y_bar, y[:, k] - y_bar) for k in range(50)
         ) / 50
-        assert np.max(np.abs(stats.s - two_pass)) < 1e-10
+        b = stats.reflected
+        assert np.max(np.abs(b @ b.T - two_pass)) < 1e-10
 
     def test_psd_always(self, rng):
         for _ in range(20):
             y = rng.standard_normal((6, 4))  # n < p gives singular but PSD s
-            stats = sample_stats(y)
-            assert np.linalg.eigvalsh(stats.s).min() >= -1e-10
+            b = sample_stats(y).reflected
+            assert np.linalg.eigvalsh(b @ b.T).min() >= -1e-10
 
     def test_pd_when_n_exceeds_p(self):
         # continuous law, n > p: strictly positive definite in 100 seeded runs
         for seed in range(100):
             rng = np.random.default_rng(seed)
             y = rng.standard_normal((20, 40))
-            assert np.linalg.eigvalsh(sample_stats(y).s).min() > 0
+            b = sample_stats(y).reflected
+            assert np.linalg.eigvalsh(b @ b.T).min() > 0
 
 
 class TestSampleFactorization:
@@ -205,20 +210,21 @@ class TestSampleFactorization:
             v = rng.standard_normal(p)
             for k in (1e-6, 1.0, 1e6):
                 stats = sample_stats(k * base)
-                s = stats.s
+                s = sample_covariance(k * base)
                 f = stats.factorization
-                assert f.cholesky.dim == n - 1 and f.reflected.shape == (p, n - 1)
-                b = f.reflected
+                assert f.cholesky.dim == n - 1 and stats.reflected.shape == (p, n - 1)
+                b = stats.reflected
                 assert np.max(np.abs(b @ b.T - s)) <= 1e-12 * np.max(np.abs(s))
                 gram_diag = np.einsum("ij,ij->j", b, b)
                 assert f.cholesky.pivot_floor == pytest.approx(100 * (n - 1) * EPS * gram_diag.max())
                 s_pinv = np.linalg.pinv(s, rtol=1e-10, hermitian=True)
                 white = stats.whiten(np.eye(p))
                 assert np.max(np.abs(white.T @ white - s_pinv)) < 1e-8 * np.max(np.abs(s_pinv))
-                assert np.allclose(stats.project(v), s @ s_pinv @ v)
-                vecs = np.column_stack([k * v, stats.y_bar])
+                y_bar = stats.y_bar
+                assert np.allclose(stats.projected_mean(), s @ s_pinv @ y_bar)
+                vecs = np.column_stack([y_bar, k * v])
                 expected = vecs.T @ s_pinv @ vecs
-                assert np.allclose(stats.precision_gram(k * v, stats.y_bar), expected,
+                assert np.allclose(stats.mean_gram(k * v), expected,
                                    rtol=1e-9, atol=1e-9 * np.max(np.abs(expected)))
 
     def test_repeated_observation_rejected(self, rng):
@@ -252,14 +258,37 @@ class TestSampleFactorization:
                 with pytest.raises(SingularSampleError):
                     sample_stats(y).factorization
 
+    def test_large_means_keep_rank_deficiency(self, rng):
+        # p < n: S is formed as B B' from the reflected sample, so means of
+        # 1e2 to 1e4 times the spread cannot cancel a variable that is the
+        # sum of two others into a passing pivot, as the one-pass formula
+        # y y'/n - y_bar y_bar' would
+        p, n = 5, 50
+        for _ in range(200):
+            spread = rng.uniform(0.1, 10, (p, 1))
+            y = rng.standard_normal((p, n)) * spread
+            y[-1] = y[0] + y[1]
+            y += spread * 10.0 ** rng.uniform(2, 4, (p, 1))
+            with pytest.raises(SingularSampleError):
+                sample_stats(y).factorization
+
+    def test_large_means_keep_full_rank(self, rng):
+        # and means of 1e8 times the spread leave every full-rank sample passing
+        p, n = 5, 50
+        for _ in range(200):
+            spread = rng.uniform(0.1, 10, (p, 1))
+            y = (rng.standard_normal((p, n)) + 1e8) * spread
+            assert sample_stats(y).factorization.cholesky.dim == p
+
     def test_cholesky_route(self, rng):
-        stats = sample_stats(rng.standard_normal((4, 20)))
+        y = rng.standard_normal((4, 20))
+        stats = sample_stats(y)
         v = rng.standard_normal(4)
         assert stats.factorization.cholesky.dim == 4
-        assert stats.precision_gram(v)[0, 0] == pytest.approx(
-            v @ np.linalg.inv(stats.s) @ v, rel=1e-10
+        assert stats.mean_gram(v)[1, 1] == pytest.approx(
+            v @ np.linalg.inv(sample_covariance(y)) @ v, rel=1e-10
         )
-        assert np.array_equal(stats.project(v), v)
+        assert np.array_equal(stats.projected_mean(), stats.y_bar)
 
     def test_failure_built_once_and_raised_each_time(self, monkeypatch):
         calls = []
