@@ -66,6 +66,7 @@ from .model import (
     build_covariance,
     draw_mean_vectors,
     generate_sample,
+    innovation_stats,
     sample_stats,
 )
 

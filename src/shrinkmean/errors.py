@@ -35,6 +35,10 @@ class DegenerateTargetError(ShrinkmeanError):
     """The target vector has (numerically) zero energy in the precision metric."""
 
 
+class NonFiniteDataError(ShrinkmeanError):
+    """A sample holds a NaN or infinite entry, or a row whose sum overflows."""
+
+
 class SingularSampleError(ShrinkmeanError):
     """The sample covariance matrix is not invertible although p < n."""
 

@@ -10,7 +10,7 @@ draws, so comparisons stay paired.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -135,7 +135,22 @@ def load_returns_csv(path, has_header: bool = True) -> ReturnsPanel:
             f"{path}: header has {len(labels)} labels, data rows have {width} cells"
         )
     data = np.empty((len(rows), width))
-    for i, (line, row) in enumerate(rows):
+    for i, (_, row) in enumerate(rows):
+        try:
+            if len(row) != width:
+                raise ValueError
+            data[i] = [float(cell) for cell in row]
+        except ValueError:
+            _raise_first_bad_cell(path, rows[: i + 1], width)
+    if not np.isfinite(data).all():
+        _raise_first_bad_cell(path, rows, width)
+    return ReturnsPanel(values=data, asset_labels=labels)
+
+
+def _raise_first_bad_cell(path, rows, width: int) -> None:
+    """Raise for the first ragged row, or non-numeric or non-finite cell, of
+    ``rows`` in file order; called only when there is one."""
+    for line, row in rows:
         if len(row) != width:
             raise RaggedRowsError(
                 f"{path}: line {line} has {len(row)} cells, expected {width}"
@@ -152,8 +167,6 @@ def load_returns_csv(path, has_header: bool = True) -> ReturnsPanel:
                 raise ParseError(
                     f"{path}: non-finite cell at line {line}, column {j + 1}"
                 )
-            data[i, j] = value
-    return ReturnsPanel(values=data, asset_labels=labels)
 
 
 def write_returns_csv(panel: ReturnsPanel, path) -> None:
@@ -310,7 +323,9 @@ def write_backtest_csv(report: BacktestReport, path) -> None:
     significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow([f.name for f in fields(BacktestRow)])
+        names = [f.name for f in fields(BacktestRow)]
+        writer.writerow(names)
         for row in report.rows:
+            values = (getattr(row, name) for name in names)
             writer.writerow([format(v, ".12g") if isinstance(v, float) else v
-                             for v in astuple(row)])
+                             for v in values])

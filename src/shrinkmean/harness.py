@@ -4,8 +4,11 @@ A study runs a grid of (p, c) cells.  Each cell draws one population from
 a sub-seed derived from ``(root seed, p, round(1000 c))``, then evaluates
 every requested estimator on ``n_reps`` independent samples whose random
 streams are derived from ``(root seed, p, round(1000 c), replication + 1)``.
-Each replication builds one :class:`SampleStats`, whose covariance
-factorization every sample-based estimator reads.  The population side is
+Each replication draws its p x n innovations z from the cell's law and
+builds one :class:`SampleStats` of the sample sqrt(sigma) z + mu_n 1' from
+them with :func:`innovation_stats`, which forms neither that sample nor,
+below p = n, its covariance; every sample-based estimator reads the one
+covariance factorization those statistics carry.  The population side is
 never factorized: the population carries the eigenpairs its covariance was
 built from, and its precision whitening W (W'W = sigma^{-1}) is the one
 precision metric of the cell.  It scores every estimate of a replication in
@@ -52,8 +55,7 @@ from .model import (
     PopulationSpec,
     build_covariance,
     draw_mean_vectors,
-    generate_sample,
-    sample_stats,
+    innovation_stats,
 )
 
 __all__ = [
@@ -255,7 +257,7 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
 
     for r in range(n_reps):
         rng = replication_rng(config.seed, p, c, r)
-        stats = sample_stats(generate_sample(pop, n, config.law, rng))
+        stats = innovation_stats(pop, config.law.draw(rng, (p, n)))
         y_bar = stats.y_bar
         estimates = {}
 

@@ -49,10 +49,13 @@ def _as_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # NaN and +-inf propagate through max and min, and NaN fails both comparisons
+    top, bottom = float(a.max(initial=0.0)), float(a.min(initial=0.0))
+    if not -np.inf < bottom <= top < np.inf:
         raise NotPositiveDefiniteError("matrix has a non-finite entry")
-    scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
-    if float(np.abs(a - a.T).max(initial=0.0)) > tol * scale:
+    scale = max(top, -bottom, 1.0)
+    # a - a.T is exactly antisymmetric, so its max is its largest magnitude
+    if float((a - a.T).max(initial=0.0)) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return a
 

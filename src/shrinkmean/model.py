@@ -1,16 +1,20 @@
 """Simulation populations and sample generation.
 
 A population is a frozen triple (true mean, target mean, covariance) plus
-the norm-growth exponent gamma; samples are p x n observation matrices
-built as ``sqrt(sigma) @ X + mu 1'`` from i.i.d. standardized innovations.
+the norm-growth exponent gamma; a sample is the p x n matrix
+``y = R z + mu 1'`` of i.i.d. standardized innovations z mixed by the
+symmetric square root R = sigma^{1/2}.  :func:`generate_sample` forms y and
+:func:`sample_stats` reads its statistics; a Monte Carlo replication reads
+the same statistics from z alone through :func:`innovation_stats`, which
+never forms y, and below p = n forms no p x p x n product either.
 The population carries the eigenpairs of its covariance, sigma = Q diag(lam)
 Q': a simulated one keeps those its covariance was built from, one given a
-bare sigma takes them from one ``eigh``.  Both the square root that
-generates samples and the precision whitening W = diag(lam)^{-1/2} Q' are
-read from them.  W is the population's one precision metric: the loss, the
-oracle and limit weights and the asymptotic moments all read sigma^{-1}
-through :meth:`PopulationSpec.whitening` or
-:meth:`PopulationSpec.precision_gram`, so no population is factorized twice.
+bare sigma takes them from one ``eigh``.  Both the square root R and the
+precision whitening W = diag(lam)^{-1/2} Q' are read from them, and R^{-1} =
+Q W.  W is the population's one precision metric: the loss, the oracle and
+limit weights and the asymptotic moments all read sigma^{-1} through
+:meth:`PopulationSpec.whitening` or :meth:`PopulationSpec.precision_gram`,
+so no population is factorized twice.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidRecipeError,
+    NonFiniteDataError,
     NotPositiveDefiniteError,
     ShrinkmeanError,
     SingularSampleError,
@@ -39,6 +44,7 @@ __all__ = [
     "build_covariance",
     "draw_mean_vectors",
     "generate_sample",
+    "innovation_stats",
     "sample_stats",
 ]
 
@@ -188,6 +194,11 @@ class PopulationSpec:
             self._whitening_cache = self._eigenpairs().whitening()
         return self._whitening_cache
 
+    def sqrt_solve(self, v: np.ndarray) -> np.ndarray:
+        """R^{-1} v for the symmetric root R = :meth:`sigma_sqrt`, as Q (W v):
+        it reads the eigenvectors and the cached whitening, no other p x p matrix."""
+        return self._eigenpairs().vectors @ (self.whitening() @ v)
+
     def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
         """Gram matrix V' sigma^{-1} V of ``vectors`` (the columns of V), read
         through the cached whitening: (W V)'(W V)."""
@@ -197,9 +208,9 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class _Factorization:
-    cholesky: SpdFactor  # of B B' = S for p < n, of the reflected Gram G = B'B for p >= n
+    cholesky: SpdFactor  # of B B' (B_z B_z' with a population) for p < n, of G = B'B for p >= n
     white_mean: np.ndarray  # y_bar whitened, once for every estimator
-    scale: float  # trace of the factored matrix, trace(S)
+    scale: float  # trace(S)
 
 
 @dataclass(frozen=True)
@@ -212,24 +223,39 @@ class SampleStats:
     the James-Stein family is ``n * S``), formed without the cancellation of
     y y'/n - y_bar y_bar' when the means are large against the spread.
 
+    A simulated sample y = R z + mu_n 1' below p = n may instead keep the
+    reflected sample ``B_z`` of its innovations z, with ``population`` the
+    population whose root R = ``population.sigma_sqrt()`` mixes them: then
+    B = R B_z and ``S = R S_z R`` with ``S_z = B_z B_z'``, and neither y nor
+    B nor S is formed (see :func:`innovation_stats`).
+
     The one factorization every estimator shares is built on first use and
     cached, as is a failure to build it, so each estimator that needs it
     fails once and no other does.  It is one Cholesky factor of one syrk of
-    B, whose pivot floor is the rank check: S of rank below min(p, n - 1)
-    raises :class:`SingularSampleError`.  For p < n it factors ``B B' = S =
-    L L'`` and reads Q = S^{-1} as ``(L^{-1} u)'(L^{-1} v)``.  For p >= n it
-    factors ``G = B'B``, and ``Q = S^+ = B G^{-2} B'``: v is whitened as
-    ``G^{-1} B' v`` by two triangular solves (no inverse is formed) and
-    projected on the range of S as ``B G^{-1} B' v``.  It whitens y_bar once,
-    so each later call whitens only its one new vector.
-    The factor's ``dim`` is the rank of S and ``scale`` its trace, trace(S)
-    >= lam_max(S), so a vector v in the range of S has ``v'Qv >= |v|^2/scale``.
+    the reflected sample, whose pivot floor is the rank check: S of rank
+    below min(p, n - 1) raises :class:`SingularSampleError`.  For p < n it
+    factors ``B B' = S = L L'`` and reads Q = S^{-1} as ``(L^{-1} u)'(L^{-1}
+    v)``; with a population it factors ``S_z = L_z L_z'`` (rank S = rank S_z)
+    and whitens v as ``L_z^{-1} R^{-1} v``, R^{-1} v read as Q(W v) by
+    :meth:`PopulationSpec.sqrt_solve`.  For p >= n it factors ``G = B'B``,
+    and ``Q = S^+ = B G^{-2} B'``: v is whitened as ``G^{-1} B' v`` by two
+    triangular solves (no inverse is formed) and projected on the range of S
+    as ``B G^{-1} B' v``.  It whitens y_bar once, so each later call whitens
+    only its one new vector.  The factor's ``dim`` is the rank of S and
+    ``scale`` its trace, trace(S) >= lam_max(S), so a vector v in the range
+    of S has ``v'Qv >= |v|^2/scale``; with a population it is trace(R S_z R)
+    = <sigma, S_z>, read in O(p^2).
     """
 
     y_bar: np.ndarray
     reflected: np.ndarray
     p: int
     n: int
+    population: PopulationSpec | None = None
+
+    def __post_init__(self) -> None:
+        if self.population is not None and not self.population.p == self.p < self.n:
+            raise DimensionMismatchError("innovation statistics need p < n and a p-dimensional population")
 
     @property
     def c_hat(self) -> float:
@@ -244,7 +270,9 @@ class SampleStats:
         except NotPositiveDefiniteError as exc:
             raise SingularSampleError("rank(S) < min(p, n - 1)") from exc
         white_mean = self._whiten(cholesky, self.y_bar)
-        return _Factorization(cholesky, white_mean, float(np.trace(gram)))
+        pop = self.population
+        scale = np.trace(gram) if pop is None else np.vdot(pop.sigma, gram)
+        return _Factorization(cholesky, white_mean, float(scale))
 
     @property
     def factorization(self) -> _Factorization:
@@ -263,9 +291,11 @@ class SampleStats:
         return outcome
 
     def _whiten(self, cholesky: SpdFactor, v: np.ndarray) -> np.ndarray:
-        if self.p < self.n:
-            return spd_whiten(cholesky, v)
-        return spd_solve(cholesky, self.reflected.T @ v)
+        if self.p >= self.n:
+            return spd_solve(cholesky, self.reflected.T @ v)
+        if self.population is not None:
+            v = self.population.sqrt_solve(v)
+        return spd_whiten(cholesky, v)
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
         """Coordinates w of a vector, or of matrix columns, with w_a'w_b = v_a'Q v_b."""
@@ -328,19 +358,54 @@ def generate_sample(
     return y
 
 
+def _reflect(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means of a p x n matrix and its reflected sample x H[:, 1:] / sqrt(n)
+    (see :class:`SampleStats`); rejects a non-finite mean."""
+    if x.ndim != 2:
+        raise DimensionMismatchError(f"expected a p x n matrix, got shape {x.shape}")
+    n = x.shape[1]
+    if n < 2:
+        raise DimensionMismatchError(f"n must be >= 2, got {n}")
+    # a row mean is non-finite exactly when its row holds a NaN or an inf or
+    # its sum overflows, so p values check the whole sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_bar = x.mean(axis=1)
+    if not np.isfinite(x_bar).all():
+        raise NonFiniteDataError("sample has a NaN or infinite entry, or a row whose sum overflows")
+    # the sign of H that keeps sqrt(n) - 1 out of the divisor
+    root_n = np.sqrt(n)
+    shift = x_bar - (x_bar - x[:, 0]) / (root_n + 1.0)
+    reflected = x[:, 1:] - shift[:, None]
+    reflected /= root_n
+    return x_bar, reflected
+
+
 def sample_stats(y: np.ndarray) -> SampleStats:
     """Row means and reflected sample of a p x n matrix; the factorization
     is built on first use (see :class:`SampleStats`)."""
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise DimensionMismatchError(f"expected a p x n matrix, got shape {y.shape}")
+    y_bar, reflected = _reflect(y)
     p, n = y.shape
-    if n < 2:
-        raise DimensionMismatchError(f"n must be >= 2, got {n}")
-    y_bar = y.mean(axis=1)
-    # the sign of H that keeps sqrt(n) - 1 out of the divisor
-    root_n = np.sqrt(n)
-    shift = y_bar - (y_bar - y[:, 0]) / (root_n + 1.0)
-    reflected = y[:, 1:] - shift[:, None]
-    reflected /= root_n
     return SampleStats(y_bar=y_bar, reflected=reflected, p=p, n=n)
+
+
+def innovation_stats(pop: PopulationSpec, z: np.ndarray) -> SampleStats:
+    """The statistics ``sample_stats(R @ z + pop.mu_n[:, None])`` of the
+    sample mixed from the p x n innovations z by R = ``pop.sigma_sqrt()``,
+    read from z without forming that sample.
+
+    The reflection is linear and removes the mean, so the sample's mean is R
+    z_bar + mu_n and its reflected sample R B_z.  For p >= n that product is
+    formed and factored as :func:`sample_stats` would; for p < n the
+    statistics keep B_z and factor S_z = B_z B_z' (see :class:`SampleStats`).
+    """
+    z = np.asarray(z, dtype=float)
+    z_bar, reflected = _reflect(z)
+    p, n = z.shape
+    if p != pop.p:
+        raise DimensionMismatchError(f"expected {pop.p} x n innovations, got {p} x {n}")
+    root = pop.sigma_sqrt()
+    y_bar = root @ z_bar + pop.mu_n
+    if p >= n:
+        return SampleStats(y_bar=y_bar, reflected=root @ reflected, p=p, n=n)
+    return SampleStats(y_bar=y_bar, reflected=reflected, p=p, n=n, population=pop)

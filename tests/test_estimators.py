@@ -19,6 +19,7 @@ from shrinkmean.errors import (
     DegenerateTargetError,
     EqualDimensionsError,
     InvalidDimensionsError,
+    NonFiniteDataError,
     SingularSampleError,
 )
 from shrinkmean.estimators import (
@@ -249,10 +250,10 @@ class TestBonaFideIntensities:
 
     @pytest.mark.parametrize("p, n", [(4, 20), (20, 4)])
     def test_nan_sample_rejected(self, rng, p, n):
-        # one NaN observation fails the factorization, not the estimate
+        # one NaN observation is rejected as such before any estimate is made
         y = rng.standard_normal((p, n))
         y[1, 2] = np.nan
-        with pytest.raises(SingularSampleError):
+        with pytest.raises(NonFiniteDataError):
             bona_fide_intensities(sample_stats(y), np.ones(p))
 
     def test_high_dim_needs_rank_two(self, rng):

@@ -40,7 +40,7 @@ class TestSpdFactor:
         with pytest.raises(ValueError):
             spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_rejected(self, bad, where):
         # a NaN pivot compares False with the floor either way round
@@ -124,7 +124,7 @@ class TestSymSqrt:
         with pytest.raises(NotPositiveDefiniteError):
             spd_eigen(np.diag([1.0, -1.0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_rejected(self, bad, where):
         a = 2.0 * np.eye(3)

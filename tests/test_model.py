@@ -7,6 +7,7 @@ from conftest import sample_covariance
 from shrinkmean.errors import (
     DimensionMismatchError,
     InvalidRecipeError,
+    NonFiniteDataError,
     SingularSampleError,
     UnsupportedGammaError,
 )
@@ -15,9 +16,11 @@ from shrinkmean.model import (
     EigenRecipe,
     InnovationLaw,
     PopulationSpec,
+    SampleStats,
     build_covariance,
     draw_mean_vectors,
     generate_sample,
+    innovation_stats,
     sample_stats,
 )
 
@@ -198,6 +201,65 @@ class TestSampleStats:
             y = rng.standard_normal((20, 40))
             b = sample_stats(y).reflected
             assert np.linalg.eigvalsh(b @ b.T).min() > 0
+
+
+class TestNonFiniteData:
+    # rejected from the row means, before any arithmetic on the sample warns,
+    # on both sides of p = n and by both constructors
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows, cols, values", [
+        ([2], [1], [np.nan]),
+        ([2], [1], [np.inf]),
+        ([2], [1], [-np.inf]),
+        ([1, 1], [0, 2], [np.inf, -np.inf]),  # inf - inf within one row
+        ([0, 0], [0, 1], [1e308, 1e308]),  # the row sum overflows
+    ])
+    def test_rejected(self, rng, rows, cols, values):
+        pop = _population(p=4)
+        for n in (3, 20):
+            z = rng.standard_normal((4, n))
+            z[rows, cols] = values
+            with pytest.raises(NonFiniteDataError, match="NaN or infinite"):
+                sample_stats(z)
+            with pytest.raises(NonFiniteDataError, match="NaN or infinite"):
+                innovation_stats(pop, z)
+
+
+class TestInnovationStats:
+    def test_whitening_reads_the_mixed_sample(self, rng):
+        # p < n: S^{-1} of y = R z + mu 1' read through L_z^{-1} R^{-1}, with
+        # no y, B or S formed; the sample itself is the reference
+        cov, eigen = build_covariance(DEFAULT_RECIPE, 6, rng)
+        mu = rng.uniform(-1, 1, 6)
+        pop = PopulationSpec(p=6, gamma=0, mu_n=mu, mu_0=mu, sigma=cov, eigen=eigen)
+        z = rng.standard_normal((6, 15))
+        y = pop.sigma_sqrt() @ z + mu[:, None]
+        stats = innovation_stats(pop, z)
+        assert stats.population is pop and stats.reflected.shape == (6, 14)
+        s = sample_covariance(y)
+        assert np.allclose(stats.y_bar, y.mean(axis=1), rtol=1e-13, atol=1e-13)
+        white = stats.whiten(np.eye(6))
+        precision = np.linalg.inv(s)
+        assert np.max(np.abs(white.T @ white - precision)) < 1e-10 * np.max(np.abs(precision))
+        assert stats.factorization.scale == pytest.approx(np.trace(s), rel=1e-12)
+
+    def test_high_dim_forms_the_reflected_sample(self, rng):
+        pop = _population(p=6, sigma=np.diag(np.arange(1.0, 7.0)))
+        z = rng.standard_normal((6, 4))
+        stats = innovation_stats(pop, z)
+        expected = sample_stats(pop.sigma_sqrt() @ z).reflected
+        assert stats.population is None
+        assert np.allclose(stats.reflected, expected, rtol=1e-13, atol=1e-13)
+
+    def test_dimension_checks(self, rng):
+        pop = _population(p=5)
+        with pytest.raises(DimensionMismatchError):
+            innovation_stats(pop, rng.standard_normal((4, 10)))
+        with pytest.raises(DimensionMismatchError):
+            innovation_stats(pop, rng.standard_normal((5, 1)))
+        # a population mixes B_z only below p = n
+        with pytest.raises(DimensionMismatchError):
+            SampleStats(np.zeros(5), np.zeros((5, 4)), 5, 5, population=pop)
 
 
 class TestSampleFactorization:

@@ -12,7 +12,7 @@ import pytest
 import shrinkmean.finance
 import shrinkmean.harness
 import shrinkmean.model
-from shrinkmean.errors import SingularSampleError
+from shrinkmean.errors import InvalidDimensionsError, SingularSampleError
 from shrinkmean.estimators import (
     SAMPLE_ESTIMATORS,
     bona_fide_intensities,
@@ -22,9 +22,16 @@ from shrinkmean.estimators import (
     wang_estimator,
 )
 from shrinkmean.finance import BacktestConfig, ReturnsPanel, rolling_backtest
-from shrinkmean.harness import McConfig, run_study
+from shrinkmean.harness import (
+    McConfig,
+    cell_population,
+    cell_sample_size,
+    replication_rng,
+    run_cell,
+    run_study,
+)
 from shrinkmean.linalg import haar_orthogonal, spd_factor
-from shrinkmean.model import sample_stats
+from shrinkmean.model import InnovationLaw, innovation_stats, sample_stats
 
 ALL_BACKTEST = ("sample-mean", "olse", "js", "js-high-dim", "js-positive-part", "wang")
 ALL_MC = ALL_BACKTEST[:2] + ("olse-asymptotic", "olse-oracle") + ALL_BACKTEST[2:]
@@ -64,17 +71,18 @@ class TestFailureAccounting:
             assert row.failures == expected[row.window_n].get(row.estimator, 0), row
 
     def test_study_constant_and_square_cells(self, monkeypatch):
-        original = shrinkmean.harness.generate_sample
+        # identical columns of the innovations z are identical columns of the
+        # sample sqrt(sigma) z + mu_n 1' the study scores
+        original = shrinkmean.harness.innovation_stats
         calls = []
 
-        def every_other_constant(pop, n, law, rng):
-            y = original(pop, n, law, rng)
-            calls.append(n)
+        def every_other_constant(pop, z):
+            calls.append(z.shape[1])
             if len(calls) % 2:
-                y[:] = y[:, :1]  # identical columns: S = 0
-            return y
+                z[:] = z[:, :1]  # identical columns: S = 0
+            return original(pop, z)
 
-        monkeypatch.setattr(shrinkmean.harness, "generate_sample", every_other_constant)
+        monkeypatch.setattr(shrinkmean.harness, "innovation_stats", every_other_constant)
         report = run_study(McConfig(p_grid=(6,), c_grid=(0.25, 1.0), n_reps=10,
                                     estimators=ALL_MC, seed=3))
         low, square = report.cells
@@ -110,17 +118,16 @@ class TestFailureAccounting:
             with pytest.raises(SingularSampleError):
                 SAMPLE_ESTIMATORS[name](stats, np.ones(12), True)
 
-        original = shrinkmean.harness.generate_sample
+        original = shrinkmean.harness.innovation_stats
         calls = []
 
-        def every_other_duplicated(pop, n, law, rng):
-            y = original(pop, n, law, rng)
-            calls.append(n)
+        def every_other_duplicated(pop, z):
+            calls.append(z.shape[1])
             if len(calls) % 2:
-                y[:, -1] = y[:, 0]
-            return y
+                z[:, -1] = z[:, 0]  # and so the sample's last observation is its first
+            return original(pop, z)
 
-        monkeypatch.setattr(shrinkmean.harness, "generate_sample", every_other_duplicated)
+        monkeypatch.setattr(shrinkmean.harness, "innovation_stats", every_other_duplicated)
         cell = run_study(McConfig(p_grid=(20,), c_grid=(2.0,), n_reps=10,
                                   estimators=("sample-mean",) + high_dim)).cells[0]
         assert cell.failures == {"sample-mean": 0, "olse": 5, "js-high-dim": 5,
@@ -241,18 +248,63 @@ def test_estimators_match_inverse_oracles(p, n):
     assert _rel_err(wang_estimator(stats), _oracle_wang(y)) < 1e-10
 
 
+def _wang_condition(stats):
+    """How much Wang's estimator magnifies relative rounding errors of its
+    Gram (a_yy, a_y1, a_11) (see ``wang_estimator``): z1 = (a_yy - 1)/p
+    cancels by a_yy/|a_yy - 1|, and its denominator z1 + z2 z4 by
+    (|z1| + |z2 z4|)/|z1 + z2 z4|."""
+    p, n = stats.p, stats.n
+    gram = stats.mean_gram(np.ones(p))
+    z1 = (gram[0, 0] - 1.0) / p
+    z2_z4 = (gram[0, 1] ** 2 / gram[1, 1] - 1.0 / (n - 1.0)) / p**2
+    return (gram[0, 0] / abs(p * z1)) * (abs(z1) + abs(z2_z4)) / abs(z1 + z2_z4)
+
+
+@pytest.mark.parametrize("law", ["normal", "t:6", "exponential"])
+@pytest.mark.parametrize("p, c", [(30, 0.5), (30, 2.0)])
+def test_innovations_give_the_sample_estimates(law, p, c):
+    # a study reads each replication from its innovations z; the statistics
+    # of the sample sqrt(sigma) z + mu_n 1' itself are the reference.  Both
+    # routes round differently, so Wang's estimator, whose coefficients can
+    # nearly cancel, agrees only to 1e-12 times its magnification
+    config = McConfig(p_grid=(p,), c_grid=(c,), law=InnovationLaw.parse(law), seed=5)
+    pop = cell_population(config, p, c)
+    z = config.law.draw(replication_rng(config.seed, p, c, 0), (p, cell_sample_size(p, c)))
+    fast = innovation_stats(pop, z)
+    slow = sample_stats(pop.sigma_sqrt() @ z + pop.mu_n[:, None])
+    assert fast.factorization.scale == pytest.approx(slow.factorization.scale, rel=1e-12)
+    for name, estimator in SAMPLE_ESTIMATORS.items():
+        for as_printed in (True, False):
+            try:
+                expected = estimator(slow, pop.mu_0, as_printed)
+            except InvalidDimensionsError:
+                with pytest.raises(InvalidDimensionsError):
+                    estimator(fast, pop.mu_0, as_printed)
+                continue
+            tol = 1e-12 * (_wang_condition(slow) if name == "wang" else 1.0)
+            assert _rel_err(estimator(fast, pop.mu_0, as_printed), expected) < tol, name
+    w_fast = bona_fide_intensities(fast, pop.mu_0)
+    w_slow = bona_fide_intensities(slow, pop.mu_0)
+    assert _rel_err([w_fast.alpha, w_fast.beta], [w_slow.alpha, w_slow.beta]) < 1e-12
+
+
 class TestOneFactorizationPerSample:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Samples whose statistics the harness and the backtester built."""
+        """Statistics the harness (from innovations) and the backtester
+        (from windows) built."""
         made = []
 
-        def counting(y):
-            made.append(shrinkmean.model.sample_stats(y))
-            return made[-1]
+        def counting(build):
+            def counted_build(*args):
+                made.append(build(*args))
+                return made[-1]
+            return counted_build
 
-        for module in (shrinkmean.harness, shrinkmean.finance):
-            monkeypatch.setattr(module, "sample_stats", counting)
+        monkeypatch.setattr(shrinkmean.harness, "innovation_stats",
+                            counting(shrinkmean.model.innovation_stats))
+        monkeypatch.setattr(shrinkmean.finance, "sample_stats",
+                            counting(shrinkmean.model.sample_stats))
         return made
 
     def test_study(self, counted):
@@ -261,6 +313,24 @@ class TestOneFactorizationPerSample:
         assert len(counted) == 5
         assert all(s.factorization.cholesky.dim == cell.n - 1 for s in counted)
         assert cell.failures["olse"] == 0 and cell.failures["wang"] == 0
+
+    def test_cell_forms_no_sample(self, counted, monkeypatch):
+        # a replication reads its statistics from its innovations, on both
+        # sides of p = n: one constructor call, and no sample y is generated
+        def forbidden(*args):
+            raise AssertionError("a Monte Carlo cell formed a sample")
+
+        for module in (shrinkmean.model, shrinkmean.harness):
+            for name in ("generate_sample", "sample_stats"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        config = McConfig(p_grid=(20,), c_grid=(0.5, 2.0), n_reps=3, estimators=ALL_MC)
+        for c in config.c_grid:
+            pop = cell_population(config, 20, c)
+            counted.clear()
+            cell = run_cell(config, pop, c)
+            assert len(counted) == config.n_reps
+            assert all(s.factorization.cholesky.dim == min(20, cell.n - 1) for s in counted)
+            assert cell.failures["olse"] == 0
 
     def test_backtest(self, counted, rng):
         panel = ReturnsPanel(values=rng.standard_normal((20, 30)) * 0.02)
