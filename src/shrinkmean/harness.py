@@ -16,23 +16,23 @@ one product, the column sums of squares of ``W @ (M - mu_n 1')`` for the
 stack M of the estimates that succeeded, and the oracle and limit weights
 read their Gram through it (:func:`oracle_intensities` once per
 replication, :func:`limit_intensities` once per cell).  Replications run in
-index order, so a report is bit-identical for a given seed.  Recorded
-wall-clock runtimes are the one exception: they are real measurements and
-vary run to run.  The QQ helpers take the standard normal quantile and CDF
-from the ``scipy.special`` ufuncs ``ndtri`` / ``ndtr`` (what
-``scipy.stats.norm`` calls at loc 0, scale 1), because importing
-``scipy.stats`` would more than double the package's import time; the
-package never loads it.
+index order, so a study's reports and CSVs are bit-identical for a given
+seed; no wall-clock time is recorded.  The QQ helpers take the standard
+normal quantile from :class:`statistics.NormalDist` and the CDF from
+``math.erfc``, so importing the package loads no scipy subpackage but the
+``scipy.linalg`` its triangular solves need: ``scipy.special`` would cost
+every run about 3 MB of resident memory, and ``scipy.stats`` more than
+double the import time, for helpers only the ``qq`` command calls.
 """
 
 from __future__ import annotations
 
 import csv
-import time
+import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     ConfigError,
@@ -153,13 +153,12 @@ class McConfig:
 
 @dataclass
 class CellResult:
-    """Per-replication losses, runtimes and shrinkage weights of one cell."""
+    """Per-replication losses and shrinkage weights of one cell."""
 
     p: int
     c: float
     n: int
     losses: dict[str, np.ndarray]
-    runtimes: dict[str, np.ndarray]
     failures: dict[str, int]
     oracle_weights: np.ndarray | None = None
     bona_fide_weights: np.ndarray | None = None
@@ -177,11 +176,6 @@ class CellResult:
         if good.size < 2:
             return float("nan")
         return float(good.std(ddof=1) / np.sqrt(good.size))
-
-    def mean_runtime(self, estimator: str) -> float:
-        vals = self.runtimes[estimator]
-        good = vals[np.isfinite(vals)]
-        return float(good.mean()) if good.size else float("nan")
 
     def negative_frequency(self, kind: str) -> float:
         """Fraction of replications whose alpha weight is negative."""
@@ -241,7 +235,6 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     n_reps = config.n_reps
     estimators = config.estimators
     losses = {e: np.full(n_reps, np.nan) for e in estimators}
-    runtimes = {e: np.full(n_reps, np.nan) for e in estimators}
 
     limit_alpha = limit_beta = None
     limit_failed: ShrinkmeanError | None = None
@@ -262,7 +255,6 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         estimates = {}
 
         for est in estimators:
-            start = time.perf_counter()
             try:
                 if est == "olse":  # the bona fide weights are recorded too
                     w = bona_fide_intensities(stats, pop.mu_0)
@@ -281,7 +273,6 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
                 estimates[est] = mu_hat
             except (ShrinkmeanError, np.linalg.LinAlgError):
                 pass
-            runtimes[est][r] = time.perf_counter() - start
         if estimates:
             scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
             for est, loss in zip(estimates, scored):
@@ -294,7 +285,6 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         c=c,
         n=n,
         losses=losses,
-        runtimes=runtimes,
         failures=failures,
         oracle_weights=oracle_w,
         bona_fide_weights=bf_w,
@@ -352,14 +342,15 @@ def qq_data(samples: np.ndarray) -> np.ndarray:
     """Pairs (standard-normal quantile, sorted sample) at positions (i-0.5)/N."""
     ordered = _sorted_qq_samples(samples)
     positions = (np.arange(1, ordered.size + 1) - 0.5) / ordered.size
-    return np.column_stack([ndtri(positions), ordered])
+    quantile = NormalDist().inv_cdf
+    return np.column_stack([[quantile(q) for q in positions], ordered])
 
 
 def ks_statistic(samples: np.ndarray) -> float:
     """Sup distance between the empirical CDF and the standard normal CDF."""
     ordered = _sorted_qq_samples(samples)
     count = ordered.size
-    cdf = ndtr(ordered)
+    cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2)) for x in ordered])
     upper = np.arange(1, count + 1) / count - cdf
     lower = cdf - np.arange(0, count) / count
     return float(max(upper.max(), lower.max()))
@@ -383,11 +374,8 @@ def write_losses_csv(report: McReport, path) -> None:
     rows = []
     for cell in report.cells:
         for est in report.config.estimators:
-            rows.append(
-                (cell.p, cell.c, est, cell.mean_loss(est), cell.loss_se(est),
-                 cell.mean_runtime(est))
-            )
-    _write_rows(path, ["p", "c", "estimator", "mean_loss", "se", "mean_runtime_s"], rows)
+            rows.append((cell.p, cell.c, est, cell.mean_loss(est), cell.loss_se(est)))
+    _write_rows(path, ["p", "c", "estimator", "mean_loss", "se"], rows)
 
 
 def write_intensities_csv(report: McReport, path) -> None:

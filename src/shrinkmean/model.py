@@ -263,16 +263,21 @@ class SampleStats:
 
     def _factorize(self) -> _Factorization:
         b = self.reflected
-        # one syrk on either side of p = n, so the factored matrix is exactly symmetric
-        gram = b @ b.T if self.p < self.n else b.T @ b
+        pop = self.population
+        # one syrk on either side of p = n, so the factored matrix is exactly
+        # symmetric; an entry of the sample too large to square overflows it,
+        # and any overflowed entry makes the trace inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = b @ b.T if self.p < self.n else b.T @ b
+            scale = float(np.trace(gram) if pop is None else np.vdot(pop.sigma, gram))
+        if not np.isfinite(scale):
+            raise NonFiniteDataError("sample has an entry too large to square: trace(S) overflows")
         try:
             cholesky = spd_factor(gram)
         except NotPositiveDefiniteError as exc:
             raise SingularSampleError("rank(S) < min(p, n - 1)") from exc
         white_mean = self._whiten(cholesky, self.y_bar)
-        pop = self.population
-        scale = np.trace(gram) if pop is None else np.vdot(pop.sigma, gram)
-        return _Factorization(cholesky, white_mean, float(scale))
+        return _Factorization(cholesky, white_mean, scale)
 
     @property
     def factorization(self) -> _Factorization:
@@ -405,7 +410,14 @@ def innovation_stats(pop: PopulationSpec, z: np.ndarray) -> SampleStats:
     if p != pop.p:
         raise DimensionMismatchError(f"expected {pop.p} x n innovations, got {p} x {n}")
     root = pop.sigma_sqrt()
-    y_bar = root @ z_bar + pop.mu_n
+    # an entry near the largest float can overflow the mixing; an overflowed
+    # B reaches its factorization, which rejects a non-finite trace(S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_bar = root @ z_bar + pop.mu_n
+        if p >= n:
+            reflected = root @ reflected
+    if not np.isfinite(y_bar).all():
+        raise NonFiniteDataError("sample has an entry too large to mix: R z_bar + mu_n overflows")
     if p >= n:
-        return SampleStats(y_bar=y_bar, reflected=root @ reflected, p=p, n=n)
+        return SampleStats(y_bar=y_bar, reflected=reflected, p=p, n=n)
     return SampleStats(y_bar=y_bar, reflected=reflected, p=p, n=n, population=pop)

@@ -204,8 +204,10 @@ class TestSampleStats:
 
 
 class TestNonFiniteData:
-    # rejected from the row means, before any arithmetic on the sample warns,
-    # on both sides of p = n and by both constructors
+    # a non-finite row mean is rejected by the constructors, and a finite
+    # entry too large to square by the factorization (or, for innovations,
+    # by the mixing), before any arithmetic on the sample warns, on both
+    # sides of p = n and by both constructors
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rows, cols, values", [
         ([2], [1], [np.nan]),
@@ -213,16 +215,21 @@ class TestNonFiniteData:
         ([2], [1], [-np.inf]),
         ([1, 1], [0, 2], [np.inf, -np.inf]),  # inf - inf within one row
         ([0, 0], [0, 1], [1e308, 1e308]),  # the row sum overflows
+        ([1], [1], [1e300]),  # finite row sums; the syrk overflows
+        ([1], [1], [1.7e308]),  # finite row sums; at n = 3 the mixing by R = 4 I overflows
     ])
     def test_rejected(self, rng, rows, cols, values):
-        pop = _population(p=4)
+        pop = _population(p=4, sigma=16 * np.eye(4))
         for n in (3, 20):
             z = rng.standard_normal((4, n))
             z[rows, cols] = values
-            with pytest.raises(NonFiniteDataError, match="NaN or infinite"):
-                sample_stats(z)
-            with pytest.raises(NonFiniteDataError, match="NaN or infinite"):
-                innovation_stats(pop, z)
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite_means = np.isfinite(z.mean(axis=1)).all()
+            match = "too large" if finite_means else "NaN or infinite"
+            with pytest.raises(NonFiniteDataError, match=match):
+                sample_stats(z).factorization
+            with pytest.raises(NonFiniteDataError, match=match):
+                innovation_stats(pop, z).factorization
 
 
 class TestInnovationStats:
