@@ -34,7 +34,7 @@ from .errors import (
     ShrinkmeanError,
     TooFewSamplesError,
 )
-from .estimators import ESTIMATOR_KINDS, limit_intensities
+from .estimators import ESTIMATOR_KINDS, SAMPLE_ESTIMATORS, limit_intensities
 from .finance import (
     BacktestConfig,
     TARGET_STRATEGIES,
@@ -125,12 +125,12 @@ def read_flat_config(path) -> dict[str, str]:
 
 _SIMULATE_KEYS = {
     "p_grid", "c_grid", "gamma", "n_reps", "estimators", "target_mode",
-    "seed", "eigen_recipe", "override_lambda_max", "law", "jsplus_as_printed",
+    "seed", "eigen_recipe", "override_lambda_max", "law",
 }
 
 _BACKTEST_KEYS = {
     "windows", "estimators", "targets", "seed", "align_start",
-    "fixed_target", "jsplus_as_printed", "has_header",
+    "fixed_target", "has_header",
 }
 
 
@@ -172,8 +172,6 @@ def _mc_config_from_args(args) -> McConfig:
         seed=pick(args.seed, "seed", int, 0),
         eigen_recipe=_parse_recipe(file_values),
         law=pick(args.law, "law", InnovationLaw.parse, InnovationLaw()),
-        jsplus_as_printed=pick(args.as_printed_jsplus, "jsplus_as_printed",
-                               _parse_bool, True),
     )
 
 
@@ -273,8 +271,6 @@ def _backtest_config_from_args(args) -> tuple[BacktestConfig, bool]:
         seed=pick(args.seed, "seed", int, 0),
         align_start=pick(args.align_start, "align_start", _parse_bool, False),
         fixed_target=pick(None, "fixed_target", _parse_bool, False),
-        jsplus_as_printed=pick(args.as_printed_jsplus, "jsplus_as_printed",
-                               _parse_bool, True),
     )
     has_header = pick(args.no_header if args.no_header is None else not args.no_header,
                       "has_header", _parse_bool, True)
@@ -378,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="target mode (default drawn)")
     sim.add_argument("--law", type=_flag(InnovationLaw.parse), default=None,
                      help="innovation law: normal, t:<df>, exponential")
-    sim.add_argument("--as-printed-jsplus", action=argparse.BooleanOptionalAction,
-                     default=None, help="positive-part variant as published")
 
     tab = sub.add_parser("table1", help="negative-weight frequency grid")
     _add_common(tab)
@@ -405,13 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     back.add_argument("--windows", type=_flag(_parse_ints), default=None,
                       help="comma list of window sizes (default 25,50,75,100)")
     back.add_argument("--estimators", type=_parse_strs, default=None,
-                      help="comma list (default sample-mean,olse)")
+                      help=f"comma list from {', '.join(SAMPLE_ESTIMATORS)} "
+                           "(default sample-mean,olse)")
     back.add_argument("--target", type=_parse_strs, default=None,
                       help=f"comma list from {', '.join(TARGET_STRATEGIES)}")
     back.add_argument("--align-start", action=argparse.BooleanOptionalAction,
                       default=None, help="start every window size at the largest window")
-    back.add_argument("--as-printed-jsplus", action=argparse.BooleanOptionalAction,
-                      default=None, help="positive-part variant as published")
     back.add_argument("--no-header", action="store_true", default=None,
                       help="returns CSV has no header row")
 

@@ -11,7 +11,10 @@ The shrinkage family estimates the mean as ``alpha * y_bar + beta * mu_0``:
 
 Four benchmarks are included: the (modified) James-Stein estimator for
 p < n, its high-dimensional and positive-part variants for p > n, and the
-unit-target shrinkage estimator of Wang et al.
+unit-target shrinkage estimator of Wang et al.  The positive-part variant
+has two registry entries, ``js-positive-part`` (the published (I + P) y_bar
+display) and ``js-positive-part-conventional`` (the (I - P) y_bar form), so
+one run can score both.
 
 Every sample-based estimator reads the one covariance factorization that
 its :class:`SampleStats` value carries (the Cholesky factor of S = BB' for
@@ -234,9 +237,10 @@ def js_positive_part(stats: SampleStats, as_printed: bool = True) -> np.ndarray:
     The published display adds the in-range component to the sample mean,
     ``(I + P) y_bar``, with P the range projector; the conventional
     positive-part decomposition keeps the out-of-range component only,
-    ``(I - P) y_bar``.  ``as_printed`` selects between them (default: the
-    published form).  In both cases the clamped term
-    ``max(0, 1 - ((n-2)/(p-n+3)) / (y_bar' scatter^+ y_bar)) * P y_bar``
+    ``(I - P) y_bar``.  ``as_printed`` selects between them: the registry
+    entry ``js-positive-part`` is the published form (the default) and
+    ``js-positive-part-conventional`` the other.  In both cases the clamped
+    term ``max(0, 1 - ((n-2)/(p-n+3)) / (y_bar' scatter^+ y_bar)) * P y_bar``
     is added.
     """
     p, n = stats.p, stats.n
@@ -288,17 +292,18 @@ def wang_estimator(stats: SampleStats) -> np.ndarray:
     return ((z1 - z4) / denom) * stats.y_bar + (z2 * z3 / denom) * ones
 
 
-#: The sample-based estimators by name, each a function of
-#: ``(stats, mu_0, jsplus_as_printed)``; the target-free ones ignore mu_0.
-#: The lambdas look the estimators up when called, so rebinding a module
-#: name (as a tracer does) reaches every caller.
+#: The sample-based estimators by name, each a function of ``(stats, mu_0)``;
+#: the target-free ones ignore mu_0.  The lambdas look the estimators up when
+#: called, so rebinding a module name (as a tracer does) reaches every caller.
 SAMPLE_ESTIMATORS = {
-    "sample-mean": lambda stats, mu_0, as_printed: stats.y_bar,
-    "olse": lambda stats, mu_0, as_printed: olse(stats, mu_0),
-    "js": lambda stats, mu_0, as_printed: james_stein(stats),
-    "js-high-dim": lambda stats, mu_0, as_printed: js_high_dim(stats),
-    "js-positive-part": lambda stats, mu_0, as_printed: js_positive_part(stats, as_printed),
-    "wang": lambda stats, mu_0, as_printed: wang_estimator(stats),
+    "sample-mean": lambda stats, mu_0: stats.y_bar,
+    "olse": lambda stats, mu_0: olse(stats, mu_0),
+    "js": lambda stats, mu_0: james_stein(stats),
+    "js-high-dim": lambda stats, mu_0: js_high_dim(stats),
+    "js-positive-part": lambda stats, mu_0: js_positive_part(stats, as_printed=True),
+    "js-positive-part-conventional":
+        lambda stats, mu_0: js_positive_part(stats, as_printed=False),
+    "wang": lambda stats, mu_0: wang_estimator(stats),
 }
 
 #: The entries of :data:`SAMPLE_ESTIMATORS` that read mu_0; every other

@@ -65,7 +65,6 @@ class BacktestConfig:
     seed: int = 0
     align_start: bool = False
     fixed_target: bool = False
-    jsplus_as_printed: bool = True
 
     def __post_init__(self) -> None:
         if not self.windows:
@@ -265,7 +264,7 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
                     groups = [(t,) for t in config.targets]
                 for group in groups:
                     try:
-                        mu_hat = estimate(stats, targets[group[0]], config.jsplus_as_printed)
+                        mu_hat = estimate(stats, targets[group[0]])
                     except (ShrinkmeanError, np.linalg.LinAlgError):
                         for tgt in group:
                             failures[(est, tgt)] += 1

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionMismatchError,
+    NonFiniteDataError,
     ShrinkmeanError,
     TooFewSamplesError,
     reject_duplicates,
@@ -125,7 +126,6 @@ class McConfig:
     seed: int = 0
     eigen_recipe: EigenRecipe = DEFAULT_RECIPE
     law: InnovationLaw = field(default_factory=InnovationLaw)
-    jsplus_as_printed: bool = True
 
     def __post_init__(self) -> None:
         if self.n_reps < 1:
@@ -162,8 +162,6 @@ class CellResult:
     failures: dict[str, int]
     oracle_weights: np.ndarray | None = None
     bona_fide_weights: np.ndarray | None = None
-    limit_alpha: float | None = None
-    limit_beta: float | None = None
 
     def mean_loss(self, estimator: str) -> float:
         vals = self.losses[estimator]
@@ -236,12 +234,11 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     estimators = config.estimators
     losses = {e: np.full(n_reps, np.nan) for e in estimators}
 
-    limit_alpha = limit_beta = None
+    limit = None
     limit_failed: ShrinkmeanError | None = None
     if "olse-asymptotic" in estimators:
         try:
-            w = limit_intensities(pop, p / n)
-            limit_alpha, limit_beta = w.alpha, w.beta
+            limit = limit_intensities(pop, p / n)
         except ShrinkmeanError as exc:
             limit_failed = exc
 
@@ -263,13 +260,13 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
                 elif est == "olse-asymptotic":
                     if limit_failed is not None:
                         raise limit_failed
-                    mu_hat = limit_alpha * y_bar + limit_beta * pop.mu_0
+                    mu_hat = limit.alpha * y_bar + limit.beta * pop.mu_0
                 elif est == "olse-oracle":
                     w = oracle_intensities(y_bar, pop)
                     mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
                     oracle_w[r] = (w.alpha, w.beta)
                 else:
-                    mu_hat = SAMPLE_ESTIMATORS[est](stats, pop.mu_0, config.jsplus_as_printed)
+                    mu_hat = SAMPLE_ESTIMATORS[est](stats, pop.mu_0)
                 estimates[est] = mu_hat
             except (ShrinkmeanError, np.linalg.LinAlgError):
                 pass
@@ -288,8 +285,6 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         failures=failures,
         oracle_weights=oracle_w,
         bona_fide_weights=bf_w,
-        limit_alpha=limit_alpha,
-        limit_beta=limit_beta,
     )
 
 
@@ -335,6 +330,8 @@ def _sorted_qq_samples(samples: np.ndarray) -> np.ndarray:
         raise TooFewSamplesError(
             f"need at least {QQ_MIN_SAMPLES} samples, got {samples.size}"
         )
+    if not np.isfinite(samples).all():
+        raise NonFiniteDataError("QQ samples hold a NaN or infinite entry")
     return np.sort(samples)
 
 

@@ -257,10 +257,6 @@ class SampleStats:
         if self.population is not None and not self.population.p == self.p < self.n:
             raise DimensionMismatchError("innovation statistics need p < n and a p-dimensional population")
 
-    @property
-    def c_hat(self) -> float:
-        return self.p / self.n
-
     def _factorize(self) -> _Factorization:
         b = self.reflected
         pop = self.population

@@ -33,6 +33,15 @@ def test_small_simulate(tmp_path, capsys):
     assert len(lines) == 1 + 3
 
 
+def test_small_table1(tmp_path, capsys):
+    code, err = run(capsys, "table1", "--p", "20", "--c", "0.5,2", "--n-reps", "5",
+                    "--out", str(tmp_path))
+    assert code == 0, err
+    lines = (tmp_path / "table1.csv").read_text().splitlines()
+    assert lines[0] == "p,c,oracle_negative_freq,bona_fide_negative_freq"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["20", "0.5"], ["20", "2"]]
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -48,6 +57,7 @@ def test_small_simulate(tmp_path, capsys):
         "gamma = x",
         "threads = 2",
         "no_such_key = 1",
+        "jsplus_as_printed = false",
     ],
 )
 def test_simulate_bad_config_exits_2(tmp_path, capsys, config):
@@ -67,8 +77,10 @@ def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):
     assert_one_error_line(err)
 
 
+# jsplus_as_printed comes with a window that fits the 20-period panel, so
+# only the unknown key can fail that run
 @pytest.mark.parametrize("config", ["windows = 5,x", "align_start = maybe", "seed = 1.5",
-                                    "targets = ,"])
+                                    "targets = ,", "windows = 5\njsplus_as_printed = false"])
 def test_backtest_bad_config_exits_2(tmp_path, capsys, config):
     returns = tmp_path / "returns.csv"
     write_returns_csv(synthetic_panel(p=4, periods=20), returns)
@@ -139,7 +151,12 @@ def test_qq_oracle_writes_pairs_and_ks_line(tmp_path, capsys):
      (("qq", "alpha-oracle", "--p", ""), "--p"),
      (("qq", "alpha-oracle", "--p", "20,40"), "--p"),
      (("qq", "alpha-oracle", "--c", "0.5,2"), "--c"),
-     (("simulate", "--law", "t:inf"), "--law")],
+     (("simulate", "--law", "t:inf"), "--law"),
+     # the positive-part forms are estimator names, not a flag
+     (("simulate", "--p", "20", "--n-reps", "2", "--no-as-printed-jsplus"),
+      "--no-as-printed-jsplus"),
+     (("backtest", "RETURNS", "--windows", "5", "--no-as-printed-jsplus"),
+      "--no-as-printed-jsplus")],
 )
 def test_bad_flag_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     returns = tmp_path / "returns.csv"

@@ -13,7 +13,7 @@ from shrinkmean.errors import (
     ParseError,
     RaggedRowsError,
 )
-from shrinkmean.estimators import READS_TARGET, olse
+from shrinkmean.estimators import READS_TARGET, js_positive_part, olse
 from shrinkmean.finance import (
     BacktestConfig,
     ReturnsPanel,
@@ -150,6 +150,27 @@ class TestBacktestEstimatorCalls:
         assert READS_TARGET == {"olse"}
         assert calls == {"olse": 3 * periods, "js_high_dim": periods,
                          "js_positive_part": periods, "wang_estimator": periods}
+
+    def test_both_positive_part_forms(self):
+        # each registry name of the positive-part estimator is its own row,
+        # scored from js_positive_part in that form
+        panel = _panel(periods=20, p=12)
+        forms = {"js-positive-part": True, "js-positive-part-conventional": False}
+        config = BacktestConfig(windows=(5, 8), estimators=tuple(forms))
+        report = rolling_backtest(panel, config)
+        assert len(report.rows) == 2 * len(forms) * len(config.targets)
+        values = panel.values
+        for row in report.rows:
+            n = row.window_n
+            sq = 0.0
+            for t_idx in range(n, panel.n_periods):
+                stats = sample_stats(values[t_idx - n : t_idx].T)
+                pred = float(js_positive_part(stats, as_printed=forms[row.estimator]).mean())
+                sq += (pred - float(values[t_idx].mean())) ** 2
+            assert row.failures == 0
+            assert row.loss_x1e4 == pytest.approx(1e4 * sq / (panel.n_periods - n), rel=1e-12)
+        losses = {row.estimator: row.loss_x1e4 for row in report.rows}
+        assert losses["js-positive-part"] != losses["js-positive-part-conventional"]
 
     def test_mean_whitened_once_per_window_period(self, monkeypatch):
         # p > n: one solve against G for y_bar when the window is factored,

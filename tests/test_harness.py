@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import kstest, norm
 
 import shrinkmean
-from shrinkmean.errors import ConfigError, TooFewSamplesError
+from shrinkmean.errors import ConfigError, NonFiniteDataError, TooFewSamplesError
 from shrinkmean.harness import McConfig, ks_statistic, qq_data
 
 
@@ -60,6 +60,13 @@ class TestQqHelpers:
     def test_nine_samples_rejected(self, helper):
         with pytest.raises(TooFewSamplesError):
             helper(np.arange(9.0))
+
+    @pytest.mark.parametrize("helper", [qq_data, ks_statistic])
+    def test_nan_sample_rejected(self, helper, rng):
+        # a NaN would sort last and pair with the largest quantile, and
+        # turn the KS statistic into NaN
+        with pytest.raises(NonFiniteDataError):
+            helper(np.append(rng.standard_normal(20), np.nan))
 
 
 class TestDuplicateEntries:

@@ -176,7 +176,7 @@ class TestSampleStats:
         assert stats.y_bar[0] == 0.0
         b = stats.reflected
         assert (b @ b.T)[0, 0] == pytest.approx(1.0)
-        assert stats.c_hat == 0.5
+        assert (stats.p, stats.n) == (1, 2)
 
     def test_matches_two_pass_formula(self, rng):
         y = rng.standard_normal((4, 50))

@@ -123,12 +123,14 @@ class TestCellWeights:
 
         bare = bare_population(pop.sigma, pop.mu_n, pop.mu_0)  # eigenpairs from eigh
         limit = limit_intensities(bare, p / n)
-        assert cell.limit_alpha == pytest.approx(limit.alpha, rel=1e-10)
-        assert cell.limit_beta == pytest.approx(limit.beta, rel=1e-10)
         for r in range(n_reps):
             y = generate_sample(pop, n, config.law, replication_rng(config.seed, p, c, r))
-            w = oracle_intensities(sample_stats(y).y_bar, bare)
+            y_bar = sample_stats(y).y_bar
+            w = oracle_intensities(y_bar, bare)
             assert cell.oracle_weights[r] == pytest.approx([w.alpha, w.beta], rel=1e-10)
+            limit_mean = limit.alpha * y_bar + limit.beta * pop.mu_0
+            assert cell.losses["olse-asymptotic"][r] == pytest.approx(
+                quadratic_loss(limit_mean[:, None], bare)[0], rel=1e-10)
 
     def test_zero_target_fails_like_bare_sigma(self):
         # both degeneracy checks fire on the cell path as on a bare sigma

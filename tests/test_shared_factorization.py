@@ -116,7 +116,7 @@ class TestFailureAccounting:
         stats = sample_stats(y)
         for name in high_dim:
             with pytest.raises(SingularSampleError):
-                SAMPLE_ESTIMATORS[name](stats, np.ones(12), True)
+                SAMPLE_ESTIMATORS[name](stats, np.ones(12))
 
         original = shrinkmean.harness.innovation_stats
         calls = []
@@ -274,15 +274,14 @@ def test_innovations_give_the_sample_estimates(law, p, c):
     slow = sample_stats(pop.sigma_sqrt() @ z + pop.mu_n[:, None])
     assert fast.factorization.scale == pytest.approx(slow.factorization.scale, rel=1e-12)
     for name, estimator in SAMPLE_ESTIMATORS.items():
-        for as_printed in (True, False):
-            try:
-                expected = estimator(slow, pop.mu_0, as_printed)
-            except InvalidDimensionsError:
-                with pytest.raises(InvalidDimensionsError):
-                    estimator(fast, pop.mu_0, as_printed)
-                continue
-            tol = 1e-12 * (_wang_condition(slow) if name == "wang" else 1.0)
-            assert _rel_err(estimator(fast, pop.mu_0, as_printed), expected) < tol, name
+        try:
+            expected = estimator(slow, pop.mu_0)
+        except InvalidDimensionsError:
+            with pytest.raises(InvalidDimensionsError):
+                estimator(fast, pop.mu_0)
+            continue
+        tol = 1e-12 * (_wang_condition(slow) if name == "wang" else 1.0)
+        assert _rel_err(estimator(fast, pop.mu_0), expected) < tol, name
     w_fast = bona_fide_intensities(fast, pop.mu_0)
     w_slow = bona_fide_intensities(slow, pop.mu_0)
     assert _rel_err([w_fast.alpha, w_fast.beta], [w_slow.alpha, w_slow.beta]) < 1e-12
