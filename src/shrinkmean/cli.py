@@ -8,15 +8,17 @@ pass).  Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 Errors go to stderr with the prefix ``error:``.
 
 Configuration files are flat ``key = value`` text; ``#`` starts a comment.
-CLI flags override file values.  A value that does not parse is a
-configuration error (exit 2) naming its key or flag.
+CLI flags override file values.  The CLI forwards only the settings a flag
+or the file gives, so the defaults live in one place: ``McConfig``,
+``BacktestConfig`` and ``load_returns_csv``, and the constants below for
+the grids and the cell that no class fixes.  A value that does not parse is
+a configuration error (exit 2) naming its key or flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,12 @@ from .model import DEFAULT_RECIPE, EigenRecipe, InnovationLaw
 
 TABLE1_P_GRID = (20, 100, 250, 500)
 TABLE1_C_GRID = (0.5, 0.9, 2.0)
+#: the grid ``simulate`` runs when neither a flag nor the config file sets one
+SIMULATE_P_GRID = (100,)
+SIMULATE_C_GRID = (0.5,)
+#: the one cell ``qq`` runs when no flag sets it
+QQ_P = 250
+QQ_C = 0.5
 QQ_QUANTITIES = ("alpha-oracle", "beta-oracle", "alpha-bf", "beta-bf")
 
 
@@ -86,24 +94,13 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_recipe(file_values: dict[str, str]) -> EigenRecipe:
-    """The recipe of ``eigen_recipe = fraction:eigenvalue,...`` (default
-    groups when absent) with the optional ``override_lambda_max``."""
-    override = _pick(file_values, None, "override_lambda_max", float, None)
-    text = file_values.get("eigen_recipe")
-    try:
-        groups = DEFAULT_RECIPE.proportions
-        if text is not None:
-            pairs = (part.split(":") for part in _parse_strs(text))
-            groups = tuple((float(frac), float(val)) for frac, val in pairs)
-        return EigenRecipe(groups, override_lambda_max=override)
-    except (ValueError, InvalidRecipeError) as exc:
-        raise ConfigError(
-            f"eigen_recipe = {text!r}, override_lambda_max = {override!r}: {exc}"
-        ) from None
+def _parse_groups(text: str) -> tuple[tuple[float, float], ...]:
+    """The ``fraction:eigenvalue,...`` groups of an eigenvalue recipe."""
+    pairs = (part.split(":") for part in _parse_strs(text))
+    return tuple((float(frac), float(val)) for frac, val in pairs)
 
 
 def read_flat_config(path) -> dict[str, str]:
@@ -123,56 +120,74 @@ def read_flat_config(path) -> dict[str, str]:
     return values
 
 
-_SIMULATE_KEYS = {
-    "p_grid", "c_grid", "gamma", "n_reps", "estimators", "target_mode",
-    "seed", "eigen_recipe", "override_lambda_max", "law",
+#: The parser of every config-file key.  A key is also the argparse dest of
+#: its flag, if it has one, and the keyword it sets: of McConfig, of
+#: BacktestConfig, or ``has_header`` of load_returns_csv; ``eigen_recipe``
+#: and ``override_lambda_max`` together make McConfig's recipe.
+_PARSERS = {
+    "p_grid": _parse_ints,
+    "c_grid": _parse_floats,
+    "gamma": float,
+    "n_reps": int,
+    "estimators": _parse_strs,
+    "target_mode": str,
+    "seed": int,
+    "eigen_recipe": _parse_groups,
+    "override_lambda_max": float,
+    "law": InnovationLaw.parse,
+    "windows": _parse_ints,
+    "targets": _parse_strs,
+    "align_start": _parse_bool,
+    "fixed_target": _parse_bool,
+    "has_header": _parse_bool,
 }
 
-_BACKTEST_KEYS = {
-    "windows", "estimators", "targets", "seed", "align_start",
-    "fixed_target", "has_header",
-}
+_SIMULATE_KEYS = ("p_grid", "c_grid", "gamma", "n_reps", "estimators", "target_mode",
+                  "seed", "eigen_recipe", "override_lambda_max", "law")
+_BACKTEST_KEYS = ("windows", "estimators", "targets", "seed", "align_start",
+                  "fixed_target", "has_header")
 
 
-def _file_values(path, allowed: set[str]) -> dict[str, str]:
-    """The values of the config file at ``path`` ({} for none); keys outside
-    ``allowed`` are an error."""
-    if path is None:
-        return {}
-    values = read_flat_config(path)
-    unknown = sorted(set(values) - allowed)
+def _settings(args, keys: tuple[str, ...]) -> dict:
+    """The settings among ``keys`` that the user gave, by keyword: the flag if
+    given, else the parsed value in the ``--config`` file, if the command
+    takes one.  A key set by neither is left out, so the class or function it
+    goes to supplies its own default.  Keys outside ``keys`` in the file, and
+    values that do not parse, are a :class:`ConfigError` naming the key."""
+    path = getattr(args, "config", None)
+    file_values = {} if path is None else read_flat_config(path)
+    unknown = sorted(set(file_values) - set(keys))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    return values
+    settings = {}
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is None and key in file_values:
+            try:
+                value = _PARSERS[key](file_values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key} = {file_values[key]!r}: {exc}") from None
+        if value is not None:
+            settings[key] = value
+    return settings
 
 
-def _pick(file_values: dict[str, str], flag_value, key: str, parse, default):
-    """The flag value if given, else the parsed file value, else the default."""
-    if flag_value is not None:
-        return flag_value
-    if key not in file_values:
-        return default
-    try:
-        return parse(file_values[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {file_values[key]!r}: {exc}") from None
+def _take(settings: dict, *keys: str) -> dict:
+    """Remove ``keys`` from ``settings``; return the ones it held."""
+    return {key: settings.pop(key) for key in keys if key in settings}
 
 
 def _mc_config_from_args(args) -> McConfig:
-    file_values = _file_values(args.config, _SIMULATE_KEYS)
-    pick = partial(_pick, file_values)
-    return McConfig(
-        p_grid=pick(args.p, "p_grid", _parse_ints, (100,)),
-        c_grid=pick(args.c, "c_grid", _parse_floats, (0.5,)),
-        gamma=pick(args.gamma, "gamma", float, 0.0),
-        n_reps=pick(args.n_reps, "n_reps", int, 1000),
-        estimators=pick(args.estimators, "estimators", _parse_strs,
-                        ("sample-mean", "olse")),
-        target_mode=pick(args.target, "target_mode", str, "drawn"),
-        seed=pick(args.seed, "seed", int, 0),
-        eigen_recipe=_parse_recipe(file_values),
-        law=pick(args.law, "law", InnovationLaw.parse, InnovationLaw()),
-    )
+    settings = _settings(args, _SIMULATE_KEYS)
+    recipe = _take(settings, "eigen_recipe", "override_lambda_max")
+    if recipe:
+        given = ", ".join(recipe)
+        groups = recipe.pop("eigen_recipe", DEFAULT_RECIPE.proportions)
+        try:
+            settings["eigen_recipe"] = EigenRecipe(groups, **recipe)
+        except InvalidRecipeError as exc:
+            raise ConfigError(f"{given}: {exc}") from None
+    return McConfig(**{"p_grid": SIMULATE_P_GRID, "c_grid": SIMULATE_C_GRID, **settings})
 
 
 def _out_dir(args) -> Path:
@@ -192,14 +207,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    config = McConfig(
-        p_grid=args.p if args.p is not None else TABLE1_P_GRID,
-        c_grid=args.c if args.c is not None else TABLE1_C_GRID,
-        gamma=0.0,
-        n_reps=args.n_reps if args.n_reps is not None else 1000,
-        estimators=("olse", "olse-oracle"),
-        seed=args.seed if args.seed is not None else 0,
-    )
+    config = McConfig(**{
+        "p_grid": TABLE1_P_GRID,
+        "c_grid": TABLE1_C_GRID,
+        "estimators": ("olse", "olse-oracle"),
+        **_settings(args, ("p_grid", "c_grid", "n_reps", "seed")),
+    })
     rows = negative_frequency_table(config)
     out = _out_dir(args)
     write_table1_csv(rows, out / "table1.csv")
@@ -208,27 +221,20 @@ def cmd_table1(args) -> int:
 
 
 def cmd_qq(args) -> int:
-    quantity = args.quantity
-    p = args.p if args.p is not None else 250
-    c = args.c if args.c is not None else 0.5
-    n_reps = args.n_reps if args.n_reps is not None else 1000
-    gamma = float(args.gamma) if args.gamma is not None else 0.0
-    seed = args.seed if args.seed is not None else 0
+    quantity, p, c = args.quantity, args.p, args.c
     if quantity.endswith("-bf") and c >= 1:
         raise ScopeError(
             f"bona fide standardization requires c < 1, got c={c}"
         )
 
     estimator = "olse-oracle" if quantity.endswith("-oracle") else "olse"
-    config = McConfig(
-        p_grid=(p,), c_grid=(c,), gamma=gamma, n_reps=n_reps,
-        estimators=(estimator,), seed=seed,
-    )
+    config = McConfig(p_grid=(p,), c_grid=(c,), estimators=(estimator,),
+                      **_settings(args, ("n_reps", "gamma", "seed")))
     # refuse before the cell runs; qq_data checks again, since failed
     # replications can still leave too few samples
-    if n_reps < QQ_MIN_SAMPLES:
+    if config.n_reps < QQ_MIN_SAMPLES:
         raise TooFewSamplesError(
-            f"need at least {QQ_MIN_SAMPLES} samples, got --n-reps {n_reps}"
+            f"need at least {QQ_MIN_SAMPLES} samples, got --n-reps {config.n_reps}"
         )
     pop = cell_population(config, p, c)
     cell = run_cell(config, pop, c)
@@ -240,7 +246,7 @@ def cmd_qq(args) -> int:
     center = (limit.alpha, limit.beta)[column]
     if quantity.endswith("-oracle"):
         variance = oracle_weight_variances(pop, c_used)[column]
-        rate = float(np.sqrt(p**gamma * n))
+        rate = float(np.sqrt(p**config.gamma * n))
         weights = cell.oracle_weights
     else:
         variance = float(bona_fide_covariance(pop, c_used)[column, column])
@@ -261,25 +267,11 @@ def cmd_qq(args) -> int:
     return 0
 
 
-def _backtest_config_from_args(args) -> tuple[BacktestConfig, bool]:
-    pick = partial(_pick, _file_values(args.config, _BACKTEST_KEYS))
-    config = BacktestConfig(
-        windows=pick(args.windows, "windows", _parse_ints, (25, 50, 75, 100)),
-        estimators=pick(args.estimators, "estimators", _parse_strs,
-                        ("sample-mean", "olse")),
-        targets=pick(args.target, "targets", _parse_strs, TARGET_STRATEGIES),
-        seed=pick(args.seed, "seed", int, 0),
-        align_start=pick(args.align_start, "align_start", _parse_bool, False),
-        fixed_target=pick(None, "fixed_target", _parse_bool, False),
-    )
-    has_header = pick(args.no_header if args.no_header is None else not args.no_header,
-                      "has_header", _parse_bool, True)
-    return config, has_header
-
-
 def cmd_backtest(args) -> int:
-    config, has_header = _backtest_config_from_args(args)
-    panel = load_returns_csv(args.returns, has_header=has_header)
+    settings = _settings(args, _BACKTEST_KEYS)
+    load = _take(settings, "has_header")
+    config = BacktestConfig(**settings)
+    panel = load_returns_csv(args.returns, **load)
     report = rolling_backtest(panel, config)
     out = _out_dir(args)
     write_backtest_csv(report, out / "backtest.csv")
@@ -289,25 +281,24 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = _settings(args, ("seed",))
     out = _out_dir(args)
 
-    panel = synthetic_panel(p=30, periods=140, seed=seed)
+    panel = synthetic_panel(p=30, periods=140, **seed)
     panel_path = out / "demo_returns.csv"
     write_returns_csv(panel, panel_path)
 
     config = BacktestConfig(
         windows=(25,),
         estimators=("sample-mean", "olse", "js-high-dim", "js-positive-part", "wang"),
-        targets=("uniform-range-draw", "signs", "ones"),
-        seed=seed,
+        **seed,
     )
     report = rolling_backtest(panel, config)
     write_backtest_csv(report, out / "backtest.csv")
 
     mc = McConfig(
-        p_grid=(20,), c_grid=(0.5,), gamma=0.0, n_reps=50,
-        estimators=("sample-mean", "olse", "olse-oracle"), seed=seed,
+        p_grid=(20,), c_grid=(0.5,), n_reps=50,
+        estimators=("sample-mean", "olse", "olse-oracle"), **seed,
     )
     study = run_study(mc)
     write_losses_csv(study, out / "losses.csv")
@@ -344,72 +335,99 @@ def _flag(parse):
     return convert
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _show(value) -> str:
+    """A default as --help shows it: a tuple as a comma list, floats as %g."""
+    items = value if isinstance(value, tuple) else (value,)
+    return ",".join(format(v, "g") if isinstance(v, float) else str(v) for v in items)
+
+
+def _default(cls, name: str) -> str:
+    """The default of the dataclass field ``cls.name``, as --help shows it."""
+    return _show(cls.__dataclass_fields__[name].default)
+
+
+def _add_common(parser: argparse.ArgumentParser, config_class) -> None:
     parser.add_argument("--out", default=".", help="output directory (default %(default)s)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="root seed; identical seeds give identical outputs (default 0)")
+                        help="root seed; identical seeds give identical outputs "
+                             f"(default {_default(config_class, 'seed')})")
+
+
+def _add_n_reps(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--n-reps", type=int, default=None,
+                        help=f"{what} (default {_default(McConfig, 'n_reps')})")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  A flag's dest is the config key it overrides
+    (see :func:`_settings`), and a flag whose default lives in a class
+    defaults to None, meaning unset."""
     parser = _Parser(
         prog="shrinkmean",
         description="Shrinkage estimation of high-dimensional mean vectors: "
                     "Monte Carlo studies and rolling-window backtests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gamma_help = f"mean-norm growth regime (default {_default(McConfig, 'gamma')})"
 
     sim = sub.add_parser("simulate", help="run a loss/intensity study grid")
-    _add_common(sim)
+    _add_common(sim, McConfig)
     sim.add_argument("--config", default=None, help="flat key = value config file")
-    sim.add_argument("--p", type=_flag(_parse_ints), default=None,
-                     help="comma list of dimensions, e.g. 50,100")
-    sim.add_argument("--c", type=_flag(_parse_floats), default=None,
-                     help="comma list of concentrations p/n, e.g. 0.5,2.0")
-    sim.add_argument("--n-reps", type=int, default=None, help="replications per cell (default 1000)")
-    sim.add_argument("--gamma", type=int, choices=(0, 1), default=None,
-                     help="mean-norm growth regime (default 0)")
+    sim.add_argument("--p", dest="p_grid", metavar="P", type=_flag(_parse_ints), default=None,
+                     help="comma list of dimensions, e.g. 50,100 "
+                          f"(default {_show(SIMULATE_P_GRID)})")
+    sim.add_argument("--c", dest="c_grid", metavar="C", type=_flag(_parse_floats), default=None,
+                     help="comma list of concentrations p/n, e.g. 0.5,2.0 "
+                          f"(default {_show(SIMULATE_C_GRID)})")
+    _add_n_reps(sim, "replications per cell")
+    sim.add_argument("--gamma", type=int, choices=(0, 1), default=None, help=gamma_help)
     sim.add_argument("--estimators", type=_parse_strs, default=None,
-                     help=f"comma list from {', '.join(ESTIMATOR_KINDS)}")
-    sim.add_argument("--target", choices=TARGET_MODES, default=None,
-                     help="target mode (default drawn)")
+                     help=f"comma list from {', '.join(ESTIMATOR_KINDS)} "
+                          f"(default {_default(McConfig, 'estimators')})")
+    sim.add_argument("--target", dest="target_mode", choices=TARGET_MODES, default=None,
+                     help=f"target mode (default {_default(McConfig, 'target_mode')})")
     sim.add_argument("--law", type=_flag(InnovationLaw.parse), default=None,
-                     help="innovation law: normal, t:<df>, exponential")
+                     help="innovation law: normal, t:<df>, exponential "
+                          f"(default {InnovationLaw().spec_string()})")
 
     tab = sub.add_parser("table1", help="negative-weight frequency grid")
-    _add_common(tab)
-    tab.add_argument("--p", type=_flag(_parse_ints), default=None,
+    _add_common(tab, McConfig)
+    tab.add_argument("--p", dest="p_grid", metavar="P", type=_flag(_parse_ints), default=None,
                      help=f"override the default grid {TABLE1_P_GRID}")
-    tab.add_argument("--c", type=_flag(_parse_floats), default=None,
+    tab.add_argument("--c", dest="c_grid", metavar="C", type=_flag(_parse_floats), default=None,
                      help=f"override the default grid {TABLE1_C_GRID}")
-    tab.add_argument("--n-reps", type=int, default=None, help="replications per cell (default 1000)")
+    _add_n_reps(tab, "replications per cell")
 
     qq = sub.add_parser("qq", help="normality diagnostics of a standardized quantity")
-    _add_common(qq)
+    _add_common(qq, McConfig)
     qq.add_argument("quantity", choices=QQ_QUANTITIES)
-    qq.add_argument("--p", type=_flag(int), default=None, help="dimension (default 250)")
-    qq.add_argument("--c", type=_flag(float), default=None,
-                    help="concentration p/n (default 0.5)")
-    qq.add_argument("--n-reps", type=int, default=None, help="sample count (default 1000)")
-    qq.add_argument("--gamma", type=int, choices=(0, 1), default=None)
+    qq.add_argument("--p", type=_flag(int), default=QQ_P,
+                    help="dimension (default %(default)s)")
+    qq.add_argument("--c", type=_flag(float), default=QQ_C,
+                    help="concentration p/n (default %(default)s)")
+    _add_n_reps(qq, "sample count")
+    qq.add_argument("--gamma", type=int, choices=(0, 1), default=None, help=gamma_help)
 
     back = sub.add_parser("backtest", help="rolling-window backtest on a returns CSV")
-    _add_common(back)
+    _add_common(back, BacktestConfig)
     back.add_argument("returns", help="CSV of returns, rows = dates, columns = assets")
     back.add_argument("--config", default=None, help="flat key = value config file")
     back.add_argument("--windows", type=_flag(_parse_ints), default=None,
-                      help="comma list of window sizes (default 25,50,75,100)")
+                      help="comma list of window sizes "
+                           f"(default {_default(BacktestConfig, 'windows')})")
     back.add_argument("--estimators", type=_parse_strs, default=None,
                       help=f"comma list from {', '.join(SAMPLE_ESTIMATORS)} "
-                           "(default sample-mean,olse)")
-    back.add_argument("--target", type=_parse_strs, default=None,
-                      help=f"comma list from {', '.join(TARGET_STRATEGIES)}")
+                           f"(default {_default(BacktestConfig, 'estimators')})")
+    back.add_argument("--target", dest="targets", metavar="TARGET", type=_parse_strs, default=None,
+                      help=f"comma list from {', '.join(TARGET_STRATEGIES)} "
+                           f"(default {_default(BacktestConfig, 'targets')})")
     back.add_argument("--align-start", action=argparse.BooleanOptionalAction,
                       default=None, help="start every window size at the largest window")
-    back.add_argument("--no-header", action="store_true", default=None,
-                      help="returns CSV has no header row")
+    back.add_argument("--no-header", dest="has_header", action="store_false",
+                      default=None, help="returns CSV has no header row")
 
     demo = sub.add_parser("demo", help="write a synthetic panel and run a small pass")
-    _add_common(demo)
+    _add_common(demo, McConfig)
     return parser
 
 

@@ -153,16 +153,13 @@ def _sample_quadratic_forms(
     return float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]), correction
 
 
-def bona_fide_intensities(
-    stats: SampleStats, mu_0: np.ndarray, clamp: bool = False
-) -> ShrinkageWeights:
+def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeights:
     """Plug-in shrinkage weights from observable data only.
 
     For p < n the inverse sample covariance is used and the sample-mean
     quadratic form is debiased by p/(n-p); for p > n the pseudoinverse S^+
     (see :class:`SampleStats`) replaces it and the term is 1/(p/n - 1).
-    ``clamp=True`` clips alpha to [0, 1] (for applied use; raw weights may
-    legitimately be negative in small samples).
+    The weights are not clipped: alpha may be negative in small samples.
 
     For p < n the raw weights are sqrt(n)-consistent for the limits of
     :func:`limit_intensities`: sqrt(n) (alpha - alpha_limit, beta -
@@ -180,15 +177,13 @@ def bona_fide_intensities(
             "sample mean and target are collinear in the sample precision metric"
         )
     alpha = ((a_yy - correction) * a_00 - a_y0**2) / det
-    if clamp:
-        alpha = min(max(alpha, 0.0), 1.0)
     beta = (1.0 - alpha) * a_y0 / a_00
     return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="bona-fide")
 
 
-def olse(stats: SampleStats, mu_0: np.ndarray, clamp: bool = False) -> np.ndarray:
+def olse(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:
     """Optimal linear shrinkage estimate alpha * y_bar + beta * mu_0."""
-    w = bona_fide_intensities(stats, mu_0, clamp=clamp)
+    w = bona_fide_intensities(stats, mu_0)
     return w.alpha * stats.y_bar + w.beta * np.asarray(mu_0, dtype=float)
 
 

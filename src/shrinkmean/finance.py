@@ -22,6 +22,7 @@ from .errors import (
     reject_duplicates,
 )
 from .estimators import READS_TARGET, SAMPLE_ESTIMATORS
+from .harness import write_rows
 from .model import sample_stats
 
 __all__ = [
@@ -61,21 +62,21 @@ class ReturnsPanel:
 class BacktestConfig:
     windows: tuple[int, ...] = (25, 50, 75, 100)
     estimators: tuple[str, ...] = ("sample-mean", "olse")
-    targets: tuple[str, ...] = ("uniform-range-draw", "signs", "ones")
+    targets: tuple[str, ...] = TARGET_STRATEGIES
     seed: int = 0
     align_start: bool = False
     fixed_target: bool = False
 
     def __post_init__(self) -> None:
         if not self.windows:
-            raise ConfigError("need at least one window size")
+            raise ConfigError("windows must name at least one window size")
         if any(w < 2 for w in self.windows):
             raise ConfigError("window sizes must be >= 2")
         unknown = [e for e in self.estimators if e not in SAMPLE_ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}")
         if not self.targets:
-            raise ConfigError("need at least one target strategy")
+            raise ConfigError("targets must name at least one target strategy")
         unknown = [t for t in self.targets if t not in TARGET_STRATEGIES]
         if unknown:
             raise ConfigError(f"unknown target strategies: {unknown}")
@@ -169,12 +170,7 @@ def _raise_first_bad_cell(path, rows, width: int) -> None:
 
 
 def write_returns_csv(panel: ReturnsPanel, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if panel.asset_labels is not None:
-            writer.writerow(panel.asset_labels)
-        for row in panel.values:
-            writer.writerow([format(v, ".12g") for v in row])
+    write_rows(path, panel.asset_labels, panel.values)
 
 
 def target_vector(
@@ -270,8 +266,9 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
                             failures[(est, tgt)] += 1
                         ok = False
                         continue
+                    pred = float(mu_hat.mean())
                     for tgt in group:
-                        preds[(est, tgt)] = float(mu_hat.mean())
+                        preds[(est, tgt)] = pred
             if not ok:
                 continue
             evaluated += 1
@@ -294,37 +291,25 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
     return BacktestReport(rows=rows)
 
 
-def synthetic_panel(
-    p: int,
-    periods: int,
-    seed: int = 0,
-    mean_scale: float = 1.0,
-    vol: float = 0.02,
-) -> ReturnsPanel:
+def synthetic_panel(p: int, periods: int, seed: int = 0) -> ReturnsPanel:
     """Small i.i.d. Gaussian demo panel with bounded per-asset means.
 
-    Asset means are uniform on +-mean_scale/sqrt(p) (the bounded-norm
-    regime) and returns share a mild one-factor correlation; suitable for
-    smoke tests and the bundled demo, not a market model.
+    Asset means are uniform on +-1/sqrt(p) (the bounded-norm regime) and
+    returns, of scale 0.02, share a mild one-factor correlation; suitable
+    for smoke tests and the bundled demo, not a market model.
     """
     rng = np.random.default_rng(seed)
-    means = rng.uniform(-mean_scale / np.sqrt(p), mean_scale / np.sqrt(p), size=p)
+    bound = 1.0 / np.sqrt(p)
+    means = rng.uniform(-bound, bound, size=p)
     loadings = rng.uniform(0.2, 0.8, size=p)
     factor = rng.standard_normal((periods, 1))
     noise = rng.standard_normal((periods, p))
-    data = vol * (factor @ loadings[None, :] + noise) + means[None, :]
+    data = 0.02 * (factor @ loadings[None, :] + noise) + means[None, :]
     labels = [f"asset_{k + 1}" for k in range(p)]
     return ReturnsPanel(values=data, asset_labels=labels)
 
 
 def write_backtest_csv(report: BacktestReport, path) -> None:
-    """One line per :class:`BacktestRow`, its fields in order, floats to 12
-    significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        names = [f.name for f in fields(BacktestRow)]
-        writer.writerow(names)
-        for row in report.rows:
-            values = (getattr(row, name) for name in names)
-            writer.writerow([format(v, ".12g") if isinstance(v, float) else v
-                             for v in values])
+    """One line per :class:`BacktestRow`, its fields in order."""
+    names = [f.name for f in fields(BacktestRow)]
+    write_rows(path, names, ([getattr(row, name) for name in names] for row in report.rows))

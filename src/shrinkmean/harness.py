@@ -80,6 +80,7 @@ __all__ = [
     "write_intensities_csv",
     "write_qq_csv",
     "write_table1_csv",
+    "write_rows",
 ]
 
 TARGET_MODES = ("drawn", "equal-to-mu_n")
@@ -353,18 +354,15 @@ def ks_statistic(samples: np.ndarray) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
-
-
-def _write_rows(path, header: list[str], rows) -> None:
+def write_rows(path, header: list[str] | None, rows) -> None:
+    """Write ``rows`` as CSV under ``header`` (no header line for None): the
+    package's one CSV writer, with floats to 12 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
+        if header is not None:
+            writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in row])
 
 
 def write_losses_csv(report: McReport, path) -> None:
@@ -372,7 +370,7 @@ def write_losses_csv(report: McReport, path) -> None:
     for cell in report.cells:
         for est in report.config.estimators:
             rows.append((cell.p, cell.c, est, cell.mean_loss(est), cell.loss_se(est)))
-    _write_rows(path, ["p", "c", "estimator", "mean_loss", "se"], rows)
+    write_rows(path, ["p", "c", "estimator", "mean_loss", "se"], rows)
 
 
 def write_intensities_csv(report: McReport, path) -> None:
@@ -386,14 +384,14 @@ def write_intensities_csv(report: McReport, path) -> None:
                 continue
             for r in range(weights.shape[0]):
                 rows.append((cell.p, cell.c, kind, r, weights[r, 0], weights[r, 1]))
-    _write_rows(path, ["p", "c", "kind", "replication", "alpha", "beta"], rows)
+    write_rows(path, ["p", "c", "kind", "replication", "alpha", "beta"], rows)
 
 
 def write_qq_csv(pairs: np.ndarray, quantity: str, p: int, c: float, path) -> None:
     rows = [(quantity, p, c, float(t), float(e)) for t, e in pairs]
-    _write_rows(path, ["quantity", "p", "c", "theoretical", "empirical"], rows)
+    write_rows(path, ["quantity", "p", "c", "theoretical", "empirical"], rows)
 
 
 def write_table1_csv(rows: list[dict], path) -> None:
     header = ["p", "c", "oracle_negative_freq", "bona_fide_negative_freq"]
-    _write_rows(path, header, ([r[key] for key in header] for r in rows))
+    write_rows(path, header, ([r[key] for key in header] for r in rows))

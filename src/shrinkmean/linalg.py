@@ -44,8 +44,9 @@ class SpdFactor:
     pivot_floor: float
 
 
-def _as_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """``a`` as a float array, checked square, finite and symmetric within tol."""
+def _as_symmetric(a: np.ndarray) -> np.ndarray:
+    """``a`` as a float array, checked square, finite and symmetric within
+    1e-12 of its largest entry magnitude (or of 1)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
@@ -55,7 +56,7 @@ def _as_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise NotPositiveDefiniteError("matrix has a non-finite entry")
     scale = max(top, -bottom, 1.0)
     # a - a.T is exactly antisymmetric, so its max is its largest magnitude
-    if float((a - a.T).max(initial=0.0)) > tol * scale:
+    if float((a - a.T).max(initial=0.0)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return a
 

@@ -1,10 +1,14 @@
-"""Exit codes and error output of the command-line interface."""
+"""Exit codes, error output and settings precedence of the command-line
+interface."""
+
+import csv
 
 import pytest
 
 from shrinkmean import cli
 from shrinkmean.cli import main
-from shrinkmean.finance import synthetic_panel, write_returns_csv
+from shrinkmean.finance import BacktestConfig, synthetic_panel, write_returns_csv
+from shrinkmean.harness import McConfig
 
 
 def run(capsys, *argv):
@@ -42,6 +46,42 @@ def test_small_table1(tmp_path, capsys):
     assert [line.split(",")[:2] for line in lines[1:]] == [["20", "0.5"], ["20", "2"]]
 
 
+@pytest.mark.parametrize("lines, flags, n_reps", [
+    ("n_reps = 5", ("--n-reps", "3"), 3),
+    ("n_reps = 5", (), 5),
+    ("", (), McConfig(p_grid=(4,), c_grid=(0.5,)).n_reps),
+], ids=["flag", "file", "default"])
+def test_simulate_flag_beats_file_beats_default(tmp_path, capsys, lines, flags, n_reps):
+    path = tmp_path / "sim.cfg"
+    path.write_text(f"p_grid = 4\n{lines}\n")
+    code, err = run(capsys, "simulate", "--config", str(path), *flags, "--out", str(tmp_path))
+    assert code == 0, err
+    # one bona fide (alpha, beta) row per replication of the one cell
+    assert len((tmp_path / "intensities.csv").read_text().splitlines()) == 1 + n_reps
+
+
+@pytest.mark.parametrize("lines, flags, evaluated", [
+    ("windows = 5,10\nalign_start = true", ("--windows", "6,8", "--no-align-start"),
+     {6: 95, 8: 93}),
+    ("windows = 5,10\nalign_start = true", (), {5: 91, 10: 91}),
+    ("", (), {n: 101 - n for n in BacktestConfig().windows}),
+], ids=["flag", "file", "default"])
+def test_backtest_flag_beats_file_beats_default(tmp_path, capsys, lines, flags, evaluated):
+    # a 101-period panel: window n evaluates 101 - n periods unless aligned
+    # at the largest window; a False flag must beat a true file value too
+    assert not BacktestConfig().align_start
+    returns = tmp_path / "returns.csv"
+    write_returns_csv(synthetic_panel(p=4, periods=101), returns)
+    path = tmp_path / "back.cfg"
+    path.write_text(f"{lines}\n")
+    code, err = run(capsys, "backtest", str(returns), "--config", str(path), *flags,
+                    "--out", str(tmp_path))
+    assert code == 0, err
+    with open(tmp_path / "backtest.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {int(r["window_n"]): int(r["windows_evaluated"]) for r in rows} == evaluated
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -77,19 +117,22 @@ def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):
     assert_one_error_line(err)
 
 
-# jsplus_as_printed comes with a window that fits the 20-period panel, so
-# only the unknown key can fail that run
 @pytest.mark.parametrize("config", ["windows = 5,x", "align_start = maybe", "seed = 1.5",
-                                    "targets = ,", "windows = 5\njsplus_as_printed = false"])
+                                    "targets = ,", "windows = ,",
+                                    "windows = 5\njsplus_as_printed = false"])
 def test_backtest_bad_config_exits_2(tmp_path, capsys, config):
+    # every case starts from a window that fits the 20-period panel (a later
+    # line overrides it), so only the key under test can fail the run
     returns = tmp_path / "returns.csv"
     write_returns_csv(synthetic_panel(p=4, periods=20), returns)
     path = tmp_path / "back.cfg"
-    path.write_text(f"{config}\n")
+    path.write_text(f"windows = 5\n{config}\n")
     code, err = run(capsys, "backtest", str(returns), "--config", str(path),
                     "--out", str(tmp_path))
     assert code == 2
     assert_one_error_line(err)
+    assert config.splitlines()[-1].split("=")[0].strip() in err
+
 
 
 @pytest.mark.parametrize("field, lines", [("windows", "windows = 6,6"),
