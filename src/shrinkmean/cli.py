@@ -210,7 +210,6 @@ def cmd_table1(args) -> int:
     config = McConfig(**{
         "p_grid": TABLE1_P_GRID,
         "c_grid": TABLE1_C_GRID,
-        "estimators": ("olse", "olse-oracle"),
         **_settings(args, ("p_grid", "c_grid", "n_reps", "seed")),
     })
     rows = negative_frequency_table(config)
@@ -222,10 +221,11 @@ def cmd_table1(args) -> int:
 
 def cmd_qq(args) -> int:
     quantity, p, c = args.quantity, args.p, args.c
-    if quantity.endswith("-bf") and c >= 1:
-        raise ScopeError(
-            f"bona fide standardization requires c < 1, got c={c}"
-        )
+    n = cell_sample_size(p, c)
+    c_used = p / n  # the cell's c, after n is rounded
+    if quantity.endswith("-bf") and c_used >= 1:
+        raise ScopeError(f"bona fide standardization requires c < 1, got "
+                         f"c = p/n = {p}/{n}")
 
     estimator = "olse-oracle" if quantity.endswith("-oracle") else "olse"
     config = McConfig(p_grid=(p,), c_grid=(c,), estimators=(estimator,),
@@ -238,8 +238,6 @@ def cmd_qq(args) -> int:
         )
     pop = cell_population(config, p, c)
     cell = run_cell(config, pop, c)
-    n = cell_sample_size(p, c)
-    c_used = p / n
 
     column = 0 if quantity.startswith("alpha") else 1
     limit = limit_intensities(pop, c_used)
@@ -423,8 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
                            f"(default {_default(BacktestConfig, 'targets')})")
     back.add_argument("--align-start", action=argparse.BooleanOptionalAction,
                       default=None, help="start every window size at the largest window")
-    back.add_argument("--no-header", dest="has_header", action="store_false",
-                      default=None, help="returns CSV has no header row")
+    back.add_argument("--header", dest="has_header", action=argparse.BooleanOptionalAction,
+                      default=None, help="the CSV's first row holds asset labels")
+    back.add_argument("--fixed-target", action=argparse.BooleanOptionalAction, default=None,
+                      help="draw the targets once per window size, not per period")
 
     demo = sub.add_parser("demo", help="write a synthetic panel and run a small pass")
     _add_common(demo, McConfig)

@@ -1,13 +1,13 @@
 """Mean-vector estimators.
 
-The shrinkage family estimates the mean as ``alpha * y_bar + beta * mu_0``:
-
-* oracle weights   -- loss-minimizing for the observed sample, computable
-  only with the true covariance and true mean;
-* limit weights    -- their nonrandom large-dimension equivalents;
-* bona fide weights -- plug-in estimates using only the observed sample,
-  with an inverse sample covariance for p < n and its Moore-Penrose
-  pseudoinverse for p > n.
+The shrinkage family estimates the mean as ``alpha * y_bar + beta * mu_0``.
+Its oracle, limit and bona fide weights all solve one 2x2 system, the
+first-order conditions of the quadratic loss: ``gram @ (alpha, beta) = rhs``,
+with ``gram`` the Gram of (y_bar, mu_0) in a precision metric and ``rhs``
+its column against mu_n.  That column is known to the oracle (true
+covariance and mean), taken in the limit p/n -> c, or estimated from the
+sample alone (inverse sample covariance for p < n, its Moore-Penrose
+pseudoinverse for p > n).
 
 Four benchmarks are included: the (modified) James-Stein estimator for
 p < n, its high-dimensional and positive-part variants for p > n, and the
@@ -25,10 +25,10 @@ run on it.  No function here solves against a covariance: the factorization
 whitens y_bar once, and :meth:`SampleStats.mean_gram` or ``whiten`` whiten
 one new vector per call (p > n: ``linalg.spd_solve`` against G).
 
-The oracle and limit weights take a :class:`PopulationSpec` and are 2x2
-formulas in the Gram of the mean vectors in its precision metric sigma^{-1},
-read through :meth:`PopulationSpec.precision_gram`: sigma is never
-factorized here, only whitened by the population's eigenpairs.
+The oracle and limit weights take a :class:`PopulationSpec` and read the
+Gram of the mean vectors in its precision metric sigma^{-1} through
+:meth:`PopulationSpec.precision_gram`: sigma is never factorized here, only
+whitened by the population's eigenpairs.
 
 :data:`SAMPLE_ESTIMATORS` is the one table of estimator names that the
 Monte Carlo harness and the backtester both dispatch through;
@@ -72,61 +72,55 @@ _REL_FLOOR = 1e-12  # degenerate-denominator threshold, relative to operand scal
 
 @dataclass(frozen=True)
 class ShrinkageWeights:
-    """A (sample-mean weight, target weight) pair with its provenance.
+    """A (sample-mean weight, target weight) pair.
 
-    ``kind`` is one of ``oracle``, ``limit``, ``bona-fide``.  Limit weights
-    have alpha in (0, 1) whenever the two mean directions are not parallel;
-    oracle and bona fide weights may be negative in small samples.
+    Limit weights have alpha in (0, 1) whenever the two mean directions are
+    not parallel; oracle and bona fide weights may be negative in small
+    samples.
     """
 
     alpha: float
     beta: float
-    kind: str
+
+
+def _solve_weights(gram: np.ndarray, rhs: np.ndarray, error: Exception) -> ShrinkageWeights:
+    """Solve ``gram @ (alpha, beta) = rhs``; raise ``error`` when ``gram`` is
+    singular relative to |g_yy g_00|, which no rescaling of y_bar or mu_0 moves."""
+    (g_yy, g_y0), (_, g_00) = gram.tolist()
+    r_y, r_0 = rhs.tolist()
+    det = g_yy * g_00 - g_y0 * g_y0
+    if abs(det) <= _REL_FLOOR * abs(g_yy * g_00):
+        raise error
+    return ShrinkageWeights(alpha=(r_y * g_00 - g_y0 * r_0) / det,
+                            beta=(g_yy * r_0 - g_y0 * r_y) / det)
 
 
 def oracle_intensities(y_bar: np.ndarray, pop: PopulationSpec) -> ShrinkageWeights:
-    """Loss-minimizing weights for one sample, using the true covariance: the
-    solution of the 2x2 first-order conditions of the quadratic loss in
-    (alpha, beta), from the precision-metric Gram of (y_bar, mu_0, mu_n)."""
-    gram = pop.precision_gram(np.asarray(y_bar, dtype=float), pop.mu_0, pop.mu_n)
-    h_yy, h_y0, h_yn = gram[0, 0], gram[0, 1], gram[0, 2]
-    h_00, h_0n = gram[1, 1], gram[1, 2]
+    """Loss-minimizing weights for one sample, using the true covariance.
 
-    det = h_yy * h_00 - h_y0 * h_y0
-    if abs(det) <= _REL_FLOOR * abs(h_yy * h_00):
-        raise DegenerateHessianError(
-            "sample mean and target are collinear in the precision metric"
-        )
-    alpha = (h_yn * h_00 - h_0n * h_y0) / det
-    beta = (h_yy * h_0n - h_y0 * h_yn) / det
-    return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="oracle")
+    The system is the sigma^{-1} Gram of (y_bar, mu_0) against the right-hand
+    side (y_bar' sigma^{-1} mu_n, mu_0' sigma^{-1} mu_n)."""
+    gram = pop.precision_gram(np.asarray(y_bar, dtype=float), pop.mu_0, pop.mu_n)
+    return _solve_weights(gram[:2, :2], gram[:2, 2], DegenerateHessianError(
+        "sample mean and target are collinear in the precision metric"))
 
 
 def limit_intensities(pop: PopulationSpec, c: float) -> ShrinkageWeights:
-    """Nonrandom limits of the oracle weights under p/n -> c, from the
-    precision-metric Gram of (mu_0, mu_n).
+    """Nonrandom limits of the oracle weights under p/n -> c.
 
-    |mu_0| |sigma^{-1} mu_0| bounds the target form mu_0' sigma^{-1} mu_0 from
-    above (Cauchy-Schwarz), and a target form negligible against it is
-    degenerate; sigma^{-1} mu_0 = W'(W mu_0) with W the population whitening.
+    With G the sigma^{-1} Gram of (mu_n, mu_0), y_bar' sigma^{-1} y_bar tends
+    to G_00 + c and every other entry of the oracle system to its G
+    counterpart, so the system is (G + c e_0 e_0') w = G[:, 0]: the bona fide
+    system below with kappa = c.  Its determinant is at least
+    c mu_0' sigma^{-1} mu_0, so it rejects a target of no precision-metric
+    energy, whatever the scale of mu_0.
     """
     if c <= 0:
         raise ValueError(f"concentration c must be positive, got {c}")
-    whitening = pop.whitening()
-    white = whitening @ np.column_stack([pop.mu_0, pop.mu_n])
-    gram = white.T @ white
-    target_form, cross_form, mean_form = gram[0, 0], gram[0, 1], gram[1, 1]
-    target_scale = float(np.linalg.norm(pop.mu_0)) * float(
-        np.linalg.norm(whitening.T @ white[:, 0])
-    )
-    if target_form <= _REL_FLOOR * max(target_scale, 1e-300):
-        raise DegenerateTargetError("target vector has zero precision-metric energy")
-
-    alpha = (mean_form * target_form - cross_form**2) / (
-        (c + mean_form) * target_form - cross_form**2
-    )
-    beta = (1.0 - alpha) * cross_form / target_form
-    return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="limit")
+    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
+    return _solve_weights(gram + np.diag([c, 0.0]), gram[0], DegenerateTargetError(
+        "target vector has zero precision-metric energy, or lies along mu_n at"
+        " negligible c"))
 
 
 def _negligible(quad: float, v: np.ndarray, stats: SampleStats) -> bool:
@@ -135,31 +129,15 @@ def _negligible(quad: float, v: np.ndarray, stats: SampleStats) -> bool:
     return quad <= _REL_FLOOR * float(v @ v) / stats.factorization.scale
 
 
-def _sample_quadratic_forms(
-    stats: SampleStats, mu_0: np.ndarray
-) -> tuple[float, float, float, float]:
-    """(ybar'Qybar, ybar'Qmu0, mu0'Qmu0, correction) with Q the inverse or
-    pseudoinverse of the sample covariance, depending on p vs n."""
-    p, n = stats.p, stats.n
-    if p == n:
-        raise EqualDimensionsError("bona fide weights are undefined at p == n")
-    if mu_0.shape != (p,):
-        raise DimensionMismatchError("target vector length must equal p")
-    if p > n and n < 3:
-        raise InvalidDimensionsError(f"the 2x2 precision Gram needs rank(S) = n - 1"
-                                     f" >= 2, got p={p} n={n}")
-    gram = stats.mean_gram(mu_0)
-    correction = p / (n - p) if p < n else 1.0 / (p / n - 1.0)
-    return float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]), correction
-
-
 def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeights:
     """Plug-in shrinkage weights from observable data only.
 
-    For p < n the inverse sample covariance is used and the sample-mean
-    quadratic form is debiased by p/(n-p); for p > n the pseudoinverse S^+
-    (see :class:`SampleStats`) replaces it and the term is 1/(p/n - 1).
-    The weights are not clipped: alpha may be negative in small samples.
+    With A the Gram of (y_bar, mu_0) in Q, the inverse sample covariance for
+    p < n or its pseudoinverse S^+ for p > n (see :class:`SampleStats`), the
+    system is A w = A[:, 0] - kappa e_0: kappa = p/(n-p) below p = n and
+    1/(p/n - 1) above debiases y_bar'Q y_bar.  So alpha = 1 - kappa (A^{-1})_00
+    and beta = -kappa (A^{-1})_10, unclipped: alpha may be negative in small
+    samples.
 
     For p < n the raw weights are sqrt(n)-consistent for the limits of
     :func:`limit_intensities`: sqrt(n) (alpha - alpha_limit, beta -
@@ -170,15 +148,20 @@ def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeig
     orthogonal to mu_0, and 1/r is convex (Jensen's inequality).
     """
     mu_0 = np.asarray(mu_0, dtype=float)
-    a_yy, a_y0, a_00, correction = _sample_quadratic_forms(stats, mu_0)
-    det = a_yy * a_00 - a_y0 * a_y0
-    if abs(det) <= _REL_FLOOR * abs(a_yy * a_00) or _negligible(a_00, mu_0, stats):
-        raise DegenerateDenominatorError(
-            "sample mean and target are collinear in the sample precision metric"
-        )
-    alpha = ((a_yy - correction) * a_00 - a_y0**2) / det
-    beta = (1.0 - alpha) * a_y0 / a_00
-    return ShrinkageWeights(alpha=float(alpha), beta=float(beta), kind="bona-fide")
+    p, n = stats.p, stats.n
+    if p == n:
+        raise EqualDimensionsError("bona fide weights are undefined at p == n")
+    if mu_0.shape != (p,):
+        raise DimensionMismatchError("target vector length must equal p")
+    if p > n and n < 3:
+        raise InvalidDimensionsError(f"the 2x2 precision Gram needs rank(S) = n - 1"
+                                     f" >= 2, got p={p} n={n}")
+    gram = stats.mean_gram(mu_0)
+    if _negligible(gram[1, 1], mu_0, stats):
+        raise DegenerateDenominatorError("target vector lies outside the scatter range")
+    kappa = p / (n - p) if p < n else 1.0 / (p / n - 1.0)
+    return _solve_weights(gram, gram[0] - [kappa, 0.0], DegenerateDenominatorError(
+        "sample mean and target are collinear in the sample precision metric"))
 
 
 def olse(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:

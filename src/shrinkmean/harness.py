@@ -236,15 +236,15 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     losses = {e: np.full(n_reps, np.nan) for e in estimators}
 
     limit = None
-    limit_failed: ShrinkmeanError | None = None
     if "olse-asymptotic" in estimators:
         try:
             limit = limit_intensities(pop, p / n)
-        except ShrinkmeanError as exc:
-            limit_failed = exc
+        except ShrinkmeanError:
+            pass  # its losses stay NaN: a failure in every replication
 
-    oracle_w = np.full((n_reps, 2), np.nan) if "olse-oracle" in estimators else None
-    bf_w = np.full((n_reps, 2), np.nan) if "olse" in estimators else None
+    # the weights of these entries are recorded too
+    recorded = {e: np.full((n_reps, 2), np.nan) for e in ("olse", "olse-oracle")
+                if e in estimators}
 
     for r in range(n_reps):
         rng = replication_rng(config.seed, p, c, r)
@@ -254,21 +254,20 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
 
         for est in estimators:
             try:
-                if est == "olse":  # the bona fide weights are recorded too
+                if est == "olse":
                     w = bona_fide_intensities(stats, pop.mu_0)
-                    mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
-                    bf_w[r] = (w.alpha, w.beta)
-                elif est == "olse-asymptotic":
-                    if limit_failed is not None:
-                        raise limit_failed
-                    mu_hat = limit.alpha * y_bar + limit.beta * pop.mu_0
                 elif est == "olse-oracle":
                     w = oracle_intensities(y_bar, pop)
-                    mu_hat = w.alpha * y_bar + w.beta * pop.mu_0
-                    oracle_w[r] = (w.alpha, w.beta)
+                elif est == "olse-asymptotic":
+                    if limit is None:
+                        continue
+                    w = limit
                 else:
-                    mu_hat = SAMPLE_ESTIMATORS[est](stats, pop.mu_0)
-                estimates[est] = mu_hat
+                    estimates[est] = SAMPLE_ESTIMATORS[est](stats, pop.mu_0)
+                    continue
+                if est in recorded:
+                    recorded[est][r] = (w.alpha, w.beta)
+                estimates[est] = w.alpha * y_bar + w.beta * pop.mu_0
             except (ShrinkmeanError, np.linalg.LinAlgError):
                 pass
         if estimates:
@@ -284,8 +283,8 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         n=n,
         losses=losses,
         failures=failures,
-        oracle_weights=oracle_w,
-        bona_fide_weights=bf_w,
+        oracle_weights=recorded.get("olse-oracle"),
+        bona_fide_weights=recorded.get("olse"),
     )
 
 
@@ -302,27 +301,12 @@ def run_study(config: McConfig) -> McReport:
 
 def negative_frequency_table(config: McConfig) -> list[dict]:
     """Per-cell frequencies of a negative alpha weight, oracle and bona fide.
-
-    The estimator set is widened to include both weight-producing
-    estimators if the configuration lacks them.
-    """
-    needed = {"olse", "olse-oracle"}
-    if not needed.issubset(config.estimators):
-        config = replace(
-            config, estimators=tuple(sorted(needed.union(config.estimators)))
-        )
-    report = run_study(config)
-    rows = []
-    for cell in report.cells:
-        rows.append(
-            {
-                "p": cell.p,
-                "c": cell.c,
-                "oracle_negative_freq": cell.negative_frequency("oracle"),
-                "bona_fide_negative_freq": cell.negative_frequency("bona-fide"),
-            }
-        )
-    return rows
+    Only the two estimators that record weights run, whatever ``config`` lists."""
+    report = run_study(replace(config, estimators=("olse", "olse-oracle")))
+    return [{"p": cell.p, "c": cell.c,
+             "oracle_negative_freq": cell.negative_frequency("oracle"),
+             "bona_fide_negative_freq": cell.negative_frequency("bona-fide")}
+            for cell in report.cells]
 
 
 def _sorted_qq_samples(samples: np.ndarray) -> np.ndarray:

@@ -60,26 +60,37 @@ def test_simulate_flag_beats_file_beats_default(tmp_path, capsys, lines, flags, 
     assert len((tmp_path / "intensities.csv").read_text().splitlines()) == 1 + n_reps
 
 
+def backtest_rows(capsys, out, *argv):
+    code, err = run(capsys, "backtest", *argv, "--out", str(out))
+    assert code == 0, err
+    with open(out / "backtest.csv", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 @pytest.mark.parametrize("lines, flags, evaluated", [
     ("windows = 5,10\nalign_start = true", ("--windows", "6,8", "--no-align-start"),
      {6: 95, 8: 93}),
     ("windows = 5,10\nalign_start = true", (), {5: 91, 10: 91}),
+    ("has_header = false", ("--header",), None),
+    ("fixed_target = true", ("--no-fixed-target",), None),
     ("", (), {n: 101 - n for n in BacktestConfig().windows}),
-], ids=["flag", "file", "default"])
+], ids=["flag", "file", "header-flag", "fixed-target-flag", "default"])
 def test_backtest_flag_beats_file_beats_default(tmp_path, capsys, lines, flags, evaluated):
     # a 101-period panel: window n evaluates 101 - n periods unless aligned
-    # at the largest window; a False flag must beat a true file value too
+    # at the largest window; a False flag must beat a true file value too,
+    # and a True flag a false one.  With ``evaluated`` None the flag undoes
+    # the file, so the run matches the default run row for row.
     assert not BacktestConfig().align_start
+    assert not BacktestConfig().fixed_target
     returns = tmp_path / "returns.csv"
     write_returns_csv(synthetic_panel(p=4, periods=101), returns)
     path = tmp_path / "back.cfg"
     path.write_text(f"{lines}\n")
-    code, err = run(capsys, "backtest", str(returns), "--config", str(path), *flags,
-                    "--out", str(tmp_path))
-    assert code == 0, err
-    with open(tmp_path / "backtest.csv", newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert {int(r["window_n"]): int(r["windows_evaluated"]) for r in rows} == evaluated
+    rows = backtest_rows(capsys, tmp_path / "run", str(returns), "--config", str(path), *flags)
+    if evaluated is None:
+        assert rows == backtest_rows(capsys, tmp_path / "default", str(returns))
+    else:
+        assert {int(r["window_n"]): int(r["windows_evaluated"]) for r in rows} == evaluated
 
 
 @pytest.mark.parametrize(
@@ -157,6 +168,20 @@ def test_qq_bona_fide_out_of_scope_exits_2(tmp_path, capsys):
     code, err = run(capsys, "qq", "alpha-bf", "--c", "2", "--out", str(tmp_path))
     assert code == 2
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("p, c", [(20, 0.98), (250, 0.999)])
+def test_qq_bona_fide_rounded_c_out_of_scope_exits_2(tmp_path, capsys, monkeypatch, p, c):
+    # n = round(p / c) = p, so the cell's c is 1 although the nominal c is not
+    def no_population(*args):
+        raise AssertionError("qq built a population outside its scope")
+
+    monkeypatch.setattr(cli, "cell_population", no_population)
+    code, err = run(capsys, "qq", "alpha-bf", "--p", str(p), "--c", str(c),
+                    "--n-reps", "10", "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+    assert not (tmp_path / "qq.csv").exists()
 
 
 def test_qq_too_few_samples_exits_3(tmp_path, capsys, monkeypatch):

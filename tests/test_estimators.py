@@ -57,7 +57,6 @@ class TestOracleIntensities:
         w = oracle_intensities(y_bar, bare_population(sigma, mu, mu))
         assert w.alpha == pytest.approx(0.0, abs=1e-12)
         assert w.beta == pytest.approx(1.0, abs=1e-12)
-        assert w.kind == "oracle"
 
     def test_hand_case(self):
         w = oracle_intensities(
@@ -158,7 +157,6 @@ class TestLimitIntensities:
             bare_population(np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])), 1.0)
         assert w.alpha == pytest.approx(0.5)
         assert w.beta == pytest.approx(0.0, abs=1e-15)
-        assert w.kind == "limit"
 
     def test_equal_target(self, rng):
         sigma = rand_spd(rng, 4)
@@ -202,7 +200,6 @@ class TestBonaFideIntensities:
         w = bona_fide_intensities(stats, np.array([0.0, 1.0]))
         assert w.alpha == pytest.approx(0.75)
         assert w.beta == pytest.approx(0.0, abs=1e-15)
-        assert w.kind == "bona-fide"
 
     def test_high_dim_matches_svd_oracle(self, rng):
         # p > n: brute-force route forms the pseudoinverse via numpy and
@@ -289,6 +286,36 @@ class TestBonaFideIntensities:
         for column, center in ((0, lw.alpha), (1, lw.beta)):
             z = standardize(weights[:, column], center, cov[column, column], np.sqrt(n))
             assert ks_statistic(z) < critical
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+class TestTargetScaleInvariance:
+    """mu_0 -> s mu_0 leaves alpha and s * beta unchanged, so no degeneracy
+    check may depend on the scale of the target."""
+
+    @staticmethod
+    def assert_invariant(weights, scale):
+        base, scaled = weights(1.0), weights(scale)
+        assert abs(scaled.alpha - base.alpha) <= 1e-12 * abs(base.alpha)
+        assert abs(scale * scaled.beta - base.beta) <= 1e-12 * abs(base.beta)
+
+    def test_oracle(self, rng, scale):
+        sigma = rand_spd(rng, 5)
+        mu_n, mu_0, y_bar = rng.standard_normal((3, 5))
+        self.assert_invariant(
+            lambda s: oracle_intensities(y_bar, bare_population(sigma, mu_n, s * mu_0)), scale)
+
+    def test_limit(self, rng, scale):
+        sigma = rand_spd(rng, 5)
+        mu_n, mu_0 = rng.standard_normal((2, 5))
+        self.assert_invariant(
+            lambda s: limit_intensities(bare_population(sigma, mu_n, s * mu_0), 0.7), scale)
+
+    @pytest.mark.parametrize("p, n", [(5, 20), (20, 5)])
+    def test_bona_fide(self, rng, scale, p, n):
+        stats = sample_stats(rng.standard_normal((p, n)) + 0.5)
+        mu_0 = rng.standard_normal(p)
+        self.assert_invariant(lambda s: bona_fide_intensities(stats, s * mu_0), scale)
 
 
 class TestOlse:
