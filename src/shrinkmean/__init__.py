@@ -11,9 +11,6 @@ Carlo harness and a rolling-window portfolio backtester.
 from .asymptotics import (
     bona_fide_covariance,
     oracle_weight_variances,
-    projection_stat,
-    residual_stat,
-    residual_stat_moments,
     standardize,
 )
 from .errors import ShrinkmeanError
@@ -52,7 +49,6 @@ from .linalg import (
     SpdEigen,
     SpdFactor,
     haar_orthogonal,
-    spd_eigen,
     spd_factor,
     spd_solve,
     spd_whiten,

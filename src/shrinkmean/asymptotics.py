@@ -1,12 +1,10 @@
-"""Asymptotic variances and finite-sample distributional oracles.
+"""Asymptotic variances of the shrinkage weights.
 
 Plain functions of the population: :func:`oracle_weight_variances` returns
 the limiting variances of the two oracle shrinkage weights,
 :func:`bona_fide_covariance` the 2x2 limiting covariance of the bona fide
-weight pair (valid for p/n < 1), :func:`standardize` the map the normality
-diagnostics apply, and :func:`residual_stat_moments` the exact
-noncentral-F mean and variance of the residual quadratic-form statistic
-under normal sampling.  The population-side functions take a
+weight pair (valid for p/n < 1), and :func:`standardize` the map the
+normality diagnostics apply.  The population-side functions take a
 :class:`PopulationSpec` and read its precision metric sigma^{-1} through
 :meth:`PopulationSpec.precision_gram`, never factorizing sigma.  All
 functions are pure and thread-safe.
@@ -19,19 +17,14 @@ import numpy as np
 from .errors import (
     DegenerateDenominatorError,
     DegenerateTargetError,
-    InvalidDimensionsError,
-    MomentsDoNotExistError,
     UnsupportedConcentrationError,
 )
-from .model import PopulationSpec, SampleStats
+from .model import PopulationSpec
 
 __all__ = [
     "oracle_weight_variances",
     "bona_fide_covariance",
     "standardize",
-    "residual_stat_moments",
-    "residual_stat",
-    "projection_stat",
 ]
 
 
@@ -114,64 +107,3 @@ def standardize(
         raise ValueError(f"variance must be positive, got {variance}")
     values = np.asarray(values, dtype=float)
     return rate * (values - center) / np.sqrt(variance)
-
-
-def residual_stat_moments(p: int, n: int, residual_form: float) -> tuple[float, float]:
-    """Exact mean and variance of the residual statistic under normal sampling.
-
-    ``residual_form`` is the population residual quadratic form.  The
-    scaled statistic ``scale * s_hat``, with
-    scale = n (n-p+1) / ((n-1) (p-1)), follows a noncentral F distribution
-    with p-1 and n-p+1 degrees of freedom and noncentrality
-    n * residual_form.  Uses the closed-form noncentral-F moments and
-    divides the scale back out, so the returned values are moments of the
-    raw statistic.  Used as a Monte Carlo oracle only, never in estimation.
-    """
-    if not n > p >= 2:
-        raise ValueError(f"requires n > p >= 2, got p={p} n={n}")
-    if residual_form < 0:
-        raise ValueError("residual_form must be nonnegative")
-    d1 = p - 1.0
-    d2 = n - p + 1.0
-    if d2 <= 4.0:
-        raise MomentsDoNotExistError(
-            f"variance needs n - p + 1 > 4, got {d2:.0f}"
-        )
-    lam = n * residual_form
-    mean_f = d2 * (d1 + lam) / (d1 * (d2 - 2.0))
-    var_f = (
-        2.0
-        * (d2 / d1) ** 2
-        * ((d1 + lam) ** 2 + (d1 + 2.0 * lam) * (d2 - 2.0))
-        / ((d2 - 2.0) ** 2 * (d2 - 4.0))
-    )
-    scale = n * d2 / ((n - 1.0) * d1)
-    return mean_f / scale, var_f / scale**2
-
-
-def _sample_target_gram(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:
-    if stats.p >= stats.n:
-        raise InvalidDimensionsError(f"requires p < n, got p={stats.p} n={stats.n}")
-    return stats.mean_gram(np.asarray(mu_0, dtype=float))
-
-
-def residual_stat(stats: SampleStats, mu_0: np.ndarray) -> float:
-    """Sample residual quadratic form of the mean orthogonal to the target.
-
-    Requires p < n.  Uses the unbiased (divisor n-1) sample covariance:
-    with that divisor the scaled statistic follows the noncentral F law of
-    :func:`residual_stat_moments` exactly; it scales S^{-1} by (n-1)/n.
-    """
-    gram = _sample_target_gram(stats, mu_0)
-    resid = gram[0, 0] - gram[0, 1] ** 2 / gram[1, 1]
-    return float(resid * (stats.n - 1.0) / stats.n)
-
-
-def projection_stat(stats: SampleStats, mu_0: np.ndarray) -> float:
-    """Sample projection coefficient of the mean on the target direction.
-
-    Requires p < n.  Invariant to the covariance divisor (the scaling
-    cancels in the ratio).
-    """
-    gram = _sample_target_gram(stats, mu_0)
-    return float(gram[0, 1] / gram[1, 1])

@@ -59,10 +59,6 @@ class UnsupportedConcentrationError(ShrinkmeanError):
     """The joint covariance of the bona fide weights requires p/n < 1."""
 
 
-class MomentsDoNotExistError(ShrinkmeanError):
-    """Requested distribution moments are undefined for these degrees of freedom."""
-
-
 class TooFewSamplesError(ShrinkmeanError):
     """Normality diagnostics need at least 10 samples."""
 

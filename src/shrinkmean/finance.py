@@ -72,6 +72,8 @@ class BacktestConfig:
             raise ConfigError("windows must name at least one window size")
         if any(w < 2 for w in self.windows):
             raise ConfigError("window sizes must be >= 2")
+        if not self.estimators:
+            raise ConfigError("estimators must name at least one estimator")
         unknown = [e for e in self.estimators if e not in SAMPLE_ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}")

@@ -133,6 +133,8 @@ class McConfig:
             raise ConfigError("n_reps must be >= 1")
         if not self.p_grid or not self.c_grid:
             raise ConfigError("p_grid and c_grid must be nonempty")
+        if not self.estimators:
+            raise ConfigError("estimators must name at least one estimator")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_KINDS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}")
@@ -214,13 +216,11 @@ def quadratic_loss(estimates: np.ndarray, pop: PopulationSpec) -> np.ndarray:
 
 def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
     rng = population_rng(config.seed, p, c)
-    sigma, eigen = build_covariance(config.eigen_recipe, p, rng)
+    eigen = build_covariance(config.eigen_recipe, p, rng)
     mu_n, mu_0 = draw_mean_vectors(config.gamma, p, rng)
     if config.target_mode == "equal-to-mu_n":
         mu_0 = mu_n.copy()
-    return PopulationSpec(
-        p=p, gamma=config.gamma, mu_n=mu_n, mu_0=mu_0, sigma=sigma, eigen=eigen
-    )
+    return PopulationSpec(p=p, gamma=config.gamma, mu_n=mu_n, mu_0=mu_0, eigen=eigen)
 
 
 def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:

@@ -2,9 +2,11 @@
 
 The Cholesky factorization of an SPD matrix with its whitening L^{-1} (the
 sample side's precision metric for p < n) and its solve a^{-1} (through
-which the p >= n sample side whitens), the eigenpairs of an SPD matrix with
-its symmetric square root and precision whitening (the population side's
-one precision metric), and Haar-distributed random orthogonal matrices.
+which the p >= n sample side whitens), the checked eigenpairs of an SPD
+matrix with the matrix, its symmetric square root and its precision
+whitening read from them (the population side's one precision metric:
+nothing here eigendecomposes a matrix), and Haar-distributed random
+orthogonal matrices.
 No function here solves against a covariance: every precision-metric form
 is a Gram of whitened vectors, and ``spd_solve`` solves against the
 reflected (n-1) x (n-1) Gram G of a sample, one new vector per call.
@@ -28,7 +30,6 @@ __all__ = [
     "spd_whiten",
     "spd_solve",
     "SpdEigen",
-    "spd_eigen",
     "haar_orthogonal",
 ]
 
@@ -46,7 +47,7 @@ class SpdFactor:
 
 def _as_symmetric(a: np.ndarray) -> np.ndarray:
     """``a`` as a float array, checked square, finite and symmetric within
-    1e-12 of its largest entry magnitude (or of 1)."""
+    1e-12 of its largest entry magnitude, whatever its scale."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
@@ -54,7 +55,7 @@ def _as_symmetric(a: np.ndarray) -> np.ndarray:
     top, bottom = float(a.max(initial=0.0)), float(a.min(initial=0.0))
     if not -np.inf < bottom <= top < np.inf:
         raise NotPositiveDefiniteError("matrix has a non-finite entry")
-    scale = max(top, -bottom, 1.0)
+    scale = max(top, -bottom)
     # a - a.T is exactly antisymmetric, so its max is its largest magnitude
     if float((a - a.T).max(initial=0.0)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
@@ -111,11 +112,36 @@ def spd_solve(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdEigen:
-    """Eigenpairs of an SPD matrix, a == vectors @ diag(values) @ vectors.T,
-    with positive ``values`` and orthogonal ``vectors``."""
+    """Eigenpairs of an SPD matrix, a == vectors @ diag(values) @ vectors.T.
+
+    Checked when built: k ``values`` and k x k ``vectors``, otherwise
+    :class:`DimensionMismatchError`; positive, finite values and finite
+    vectors, otherwise :class:`NotPositiveDefiniteError`.  The vectors are
+    taken to be orthogonal, as a Haar draw's are.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        vectors = np.asarray(self.vectors, dtype=float)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "vectors", vectors)
+        if values.ndim != 1 or vectors.shape != (values.size, values.size):
+            raise DimensionMismatchError(
+                f"eigenpairs must be k values and k x k vectors, got shapes "
+                f"{values.shape} and {vectors.shape}")
+        # NaN fails the comparison, so one check rejects it with 0, -x and inf
+        if not ((values > 0) & (values < np.inf)).all():
+            raise NotPositiveDefiniteError("eigenvalues must be positive and finite")
+        if not np.isfinite(vectors).all():
+            raise NotPositiveDefiniteError("eigenvectors must be finite")
+
+    def matrix(self) -> np.ndarray:
+        """The matrix a itself, symmetrized so that a == a.T exactly."""
+        a = (self.vectors * self.values) @ self.vectors.T
+        return (a + a.T) / 2.0
 
     def sqrt(self) -> np.ndarray:
         """The unique symmetric PSD square root B: B == B.T and B @ B == a."""
@@ -126,22 +152,6 @@ class SpdEigen:
         """W = diag(values)^{-1/2} vectors', so W'W == a^{-1} and
         (Wu)'(Wv) == u' a^{-1} v."""
         return self.vectors.T / np.sqrt(self.values)[:, None]
-
-
-def spd_eigen(a: np.ndarray) -> SpdEigen:
-    """Eigenpairs of a symmetric positive definite matrix, from one ``eigh``.
-
-    Raises :class:`NotPositiveDefiniteError` for a non-finite entry or when
-    the smallest eigenvalue is not above ``dim * eps * max eigenvalue``.
-    """
-    a = _as_symmetric(a)
-    vals, vecs = np.linalg.eigh(a)
-    p = a.shape[0]
-    if not vals[0] > p * _EPS * max(float(vals[-1]), 0.0):
-        raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {vals[0]:.3e} is not safely positive"
-        )
-    return SpdEigen(values=vals, vectors=vecs)
 
 
 def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:

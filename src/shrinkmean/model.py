@@ -7,14 +7,14 @@ symmetric square root R = sigma^{1/2}.  :func:`generate_sample` forms y and
 :func:`sample_stats` reads its statistics; a Monte Carlo replication reads
 the same statistics from z alone through :func:`innovation_stats`, which
 never forms y, and below p = n forms no p x p x n product either.
-The population carries the eigenpairs of its covariance, sigma = Q diag(lam)
-Q': a simulated one keeps those its covariance was built from, one given a
-bare sigma takes them from one ``eigh``.  Both the square root R and the
-precision whitening W = diag(lam)^{-1/2} Q' are read from them, and R^{-1} =
-Q W.  W is the population's one precision metric: the loss, the oracle and
-limit weights and the asymptotic moments all read sigma^{-1} through
-:meth:`PopulationSpec.whitening` or :meth:`PopulationSpec.precision_gram`,
-so no population is factorized twice.
+The population's covariance is given as its eigenpairs, sigma = Q diag(lam)
+Q', the ones a simulated covariance is drawn from, so it is never
+eigendecomposed.  Sigma itself, the square root R and the
+precision whitening W = diag(lam)^{-1/2} Q' are read from them on first
+use, and R^{-1} = Q W.  W is the population's one precision metric: the
+loss, the oracle and limit weights and the asymptotic variances all read
+sigma^{-1} through :meth:`PopulationSpec.whitening` or
+:meth:`PopulationSpec.precision_gram`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .errors import (
     SingularSampleError,
     UnsupportedGammaError,
 )
-from .linalg import (SpdEigen, SpdFactor, haar_orthogonal, spd_eigen, spd_factor,
-                     spd_solve, spd_whiten)
+from .linalg import SpdEigen, SpdFactor, haar_orthogonal, spd_factor, spd_solve, spd_whiten
 
 __all__ = [
     "EigenRecipe",
@@ -140,18 +139,21 @@ class InnovationLaw:
 class PopulationSpec:
     """Ground truth for one simulation scenario; frozen after construction.
 
-    ``eigen`` holds the eigenpairs of ``sigma`` when the caller knows them;
-    otherwise they come from one ``eigh`` of ``sigma`` on first use, which
-    raises :class:`NotPositiveDefiniteError` for a sigma that is not
-    symmetric positive definite.
+    The covariance is given only as its eigenpairs ``eigen``, checked when
+    built (see :class:`SpdEigen`): p values and p x p vectors, otherwise
+    :class:`DimensionMismatchError`; positive, finite values and finite
+    vectors, otherwise :class:`NotPositiveDefiniteError`.  Sigma, its root and
+    its whitening are read from them on first use and cached.
     """
 
     p: int
     gamma: float
     mu_n: np.ndarray
     mu_0: np.ndarray
-    sigma: np.ndarray
-    eigen: SpdEigen | None = field(default=None, repr=False, compare=False)
+    eigen: SpdEigen = field(repr=False, compare=False)
+    _sigma_cache: np.ndarray | None = field(
+        default=None, repr=False, compare=False, init=False
+    )
     _sqrt_cache: np.ndarray | None = field(
         default=None, repr=False, compare=False, init=False
     )
@@ -162,42 +164,36 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         self.mu_n = np.asarray(self.mu_n, dtype=float)
         self.mu_0 = np.asarray(self.mu_0, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
         if self.mu_n.shape != (self.p,) or self.mu_0.shape != (self.p,):
             raise DimensionMismatchError("mean vectors must have length p")
-        if self.sigma.shape != (self.p, self.p):
-            raise DimensionMismatchError("sigma must be p x p")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        eigen = self.eigen
-        if eigen is not None and (
-            eigen.values.shape != (self.p,) or eigen.vectors.shape != (self.p, self.p)
-        ):
+        if self.eigen.values.shape != (self.p,):
             raise DimensionMismatchError("eigenpairs must be p values and p x p vectors")
 
-    def _eigenpairs(self) -> SpdEigen:
-        """Eigenpairs of the covariance, from ``eigh`` on first use if not given."""
-        if self.eigen is None:
-            self.eigen = spd_eigen(self.sigma)
-        return self.eigen
+    def sigma(self) -> np.ndarray:
+        """The covariance Q diag(lam) Q', exactly symmetric, cached."""
+        if self._sigma_cache is None:
+            self._sigma_cache = self.eigen.matrix()
+        return self._sigma_cache
 
     def sigma_sqrt(self) -> np.ndarray:
         """Symmetric square root Q diag(lam)^{1/2} Q' of the covariance, cached."""
         if self._sqrt_cache is None:
-            self._sqrt_cache = self._eigenpairs().sqrt()
+            self._sqrt_cache = self.eigen.sqrt()
         return self._sqrt_cache
 
     def whitening(self) -> np.ndarray:
         """Precision whitening W = diag(lam)^{-1/2} Q', cached: W'W = sigma^{-1},
         so (W u)'(W v) = u' sigma^{-1} v."""
         if self._whitening_cache is None:
-            self._whitening_cache = self._eigenpairs().whitening()
+            self._whitening_cache = self.eigen.whitening()
         return self._whitening_cache
 
     def sqrt_solve(self, v: np.ndarray) -> np.ndarray:
         """R^{-1} v for the symmetric root R = :meth:`sigma_sqrt`, as Q (W v):
         it reads the eigenvectors and the cached whitening, no other p x p matrix."""
-        return self._eigenpairs().vectors @ (self.whitening() @ v)
+        return self.eigen.vectors @ (self.whitening() @ v)
 
     def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
         """Gram matrix V' sigma^{-1} V of ``vectors`` (the columns of V), read
@@ -265,7 +261,7 @@ class SampleStats:
         # and any overflowed entry makes the trace inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             gram = b @ b.T if self.p < self.n else b.T @ b
-            scale = float(np.trace(gram) if pop is None else np.vdot(pop.sigma, gram))
+            scale = float(np.trace(gram) if pop is None else np.vdot(pop.sigma(), gram))
         if not np.isfinite(scale):
             raise NonFiniteDataError("sample has an entry too large to square: trace(S) overflows")
         try:
@@ -313,16 +309,12 @@ class SampleStats:
         return self.y_bar if self.p < self.n else self.reflected @ white_mean
 
 
-def build_covariance(
-    recipe: EigenRecipe, p: int, rng: np.random.Generator
-) -> tuple[np.ndarray, SpdEigen]:
-    """Random covariance with the recipe's spectrum and Haar eigenvectors,
-    returned with the eigenpairs it was built from."""
+def build_covariance(recipe: EigenRecipe, p: int, rng: np.random.Generator) -> SpdEigen:
+    """Eigenpairs of a random covariance: the recipe's spectrum and Haar
+    eigenvectors."""
     if p < 2:
         raise DimensionMismatchError(f"p must be >= 2, got {p}")
-    eigen = SpdEigen(values=recipe.eigenvalues(p), vectors=haar_orthogonal(p, rng))
-    cov = (eigen.vectors * eigen.values) @ eigen.vectors.T
-    return (cov + cov.T) / 2.0, eigen
+    return SpdEigen(values=recipe.eigenvalues(p), vectors=haar_orthogonal(p, rng))
 
 
 def draw_mean_vectors(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shrinkmean.linalg import SpdEigen
 from shrinkmean.model import PopulationSpec
 
 
@@ -13,11 +14,19 @@ def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarra
     return (spd + spd.T) / 2.0
 
 
+def eigenpairs(sigma) -> SpdEigen:
+    """Eigenpairs of a symmetric matrix, from one ``eigh``; those of a matrix
+    that is not positive definite are rejected when built."""
+    values, vectors = np.linalg.eigh(np.asarray(sigma, dtype=float))
+    return SpdEigen(values=values, vectors=vectors)
+
+
 def bare_population(sigma, mu_n, mu_0) -> PopulationSpec:
-    """The gamma = 0 population of a bare covariance and its two means; its
-    eigenpairs come from one ``eigh`` of sigma on first use."""
+    """The gamma = 0 population of a bare covariance and its two means, with
+    the :func:`eigenpairs` of sigma."""
     mu_n = np.asarray(mu_n, dtype=float)
-    return PopulationSpec(p=mu_n.shape[0], gamma=0, mu_n=mu_n, mu_0=mu_0, sigma=sigma)
+    return PopulationSpec(p=mu_n.shape[0], gamma=0, mu_n=mu_n, mu_0=mu_0,
+                          eigen=eigenpairs(sigma))
 
 
 def sample_covariance(y: np.ndarray) -> np.ndarray:

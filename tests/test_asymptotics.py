@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import rand_spd, sample_covariance
-from shrinkmean.asymptotics import (
-    oracle_weight_variances,
+from conftest import eigenpairs, rand_spd, sample_covariance
+from noncentral_f import (
+    MomentsDoNotExistError,
     projection_stat,
     residual_stat,
     residual_stat_moments,
-    standardize,
 )
-from shrinkmean.errors import InvalidDimensionsError, MomentsDoNotExistError
+from shrinkmean.asymptotics import oracle_weight_variances, standardize
+from shrinkmean.errors import InvalidDimensionsError
 from shrinkmean.estimators import limit_intensities
 from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell
-from shrinkmean.linalg import spd_eigen
 from shrinkmean.model import sample_stats
 
 
@@ -69,7 +68,7 @@ class TestResidualStat:
         resid = mu_n @ inv @ mu_n - (mu_n @ inv @ mu_0) ** 2 / (mu_0 @ inv @ mu_0)
         mean, var = residual_stat_moments(p, n, float(resid))
 
-        root = spd_eigen(sigma).sqrt()
+        root = eigenpairs(sigma).sqrt()
         draws = np.array([
             residual_stat(sample_stats(root @ rng.standard_normal((p, n)) + mu_n[:, None]),
                           mu_0)

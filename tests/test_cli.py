@@ -128,6 +128,22 @@ def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("command", ["simulate", "backtest"])
+def test_empty_estimator_list_exits_2(tmp_path, capsys, command):
+    # a run of no estimator would write CSVs that hold only a header
+    if command == "simulate":
+        argv = ["simulate", "--p", "20", "--n-reps", "5"]
+    else:
+        returns = tmp_path / "returns.csv"
+        write_returns_csv(synthetic_panel(p=4, periods=20), returns)
+        argv = ["backtest", str(returns), "--windows", "5"]
+    code, err = run(capsys, *argv, "--estimators", ",", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert_one_error_line(err)
+    assert "estimators" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config", ["windows = 5,x", "align_start = maybe", "seed = 1.5",
                                     "targets = ,", "windows = ,",
                                     "windows = 5\njsplus_as_printed = false"])

@@ -6,6 +6,7 @@ import pytest
 import shrinkmean.model
 from conftest import (
     bare_population,
+    eigenpairs,
     generalized_inverse_s,
     rand_spd,
     sample_covariance,
@@ -41,7 +42,6 @@ from shrinkmean.harness import (
     run_cell,
     run_study,
 )
-from shrinkmean.linalg import spd_eigen
 from shrinkmean.model import sample_stats
 
 
@@ -576,7 +576,7 @@ class TestGeneralizedInverse:
     def test_invertible_case_equals_inverse(self, rng):
         sigma = rand_spd(rng, 4)
         x = rng.standard_normal((4, 20))
-        y = spd_eigen(sigma).sqrt() @ x
+        y = eigenpairs(sigma).sqrt() @ x
         s = sample_covariance(y)
         s_minus = generalized_inverse_s(sigma, x)
         assert np.max(np.abs(s_minus - np.linalg.inv(s))) < 1e-8
@@ -584,7 +584,7 @@ class TestGeneralizedInverse:
     def test_reflexive_conditions_nonsymmetric(self, rng):
         sigma = rand_spd(rng, 6, jitter=2.0)
         x = rng.standard_normal((6, 3))
-        y = spd_eigen(sigma).sqrt() @ x
+        y = eigenpairs(sigma).sqrt() @ x
         s = sample_covariance(y)
         s_minus = generalized_inverse_s(sigma, x)
         assert np.linalg.norm(s @ s_minus @ s - s) < 1e-8

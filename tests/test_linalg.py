@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import rand_spd
+from conftest import eigenpairs, rand_spd
 from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.linalg import (
+    SpdEigen,
     haar_orthogonal,
-    spd_eigen,
     spd_factor,
     spd_solve,
     spd_whiten,
@@ -39,6 +39,17 @@ class TestSpdFactor:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13])
+    def test_symmetry_check_is_scale_free(self, scale):
+        # the tolerance is relative to the largest entry at every scale, or
+        # a tiny asymmetric matrix would pass and its lower triangle, another
+        # matrix, be factored
+        a = scale * np.array([[2.0, 1.0], [0.5, 2.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_factor(a)
+        f = spd_factor((a + a.T) / 2.0)
+        assert np.allclose(f.lower @ f.lower.T, (a + a.T) / 2.0, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -101,36 +112,41 @@ class TestSpdSolve:
 
 
 class TestSymSqrt:
-    # the symmetric root that spd_eigen's eigenpairs give
+    # the symmetric root that checked eigenpairs give
 
     def test_identity(self):
-        assert np.allclose(spd_eigen(np.eye(4)).sqrt(), np.eye(4), atol=1e-12)
+        assert np.allclose(eigenpairs(np.eye(4)).sqrt(), np.eye(4), atol=1e-12)
 
     def test_diagonal(self):
-        assert np.allclose(spd_eigen(np.diag([4.0, 16.0])).sqrt(), np.diag([2.0, 4.0]))
+        assert np.allclose(eigenpairs(np.diag([4.0, 16.0])).sqrt(), np.diag([2.0, 4.0]))
 
     def test_square_back(self, rng):
         a = rand_spd(rng, 5)
-        b = spd_eigen(a).sqrt()
+        b = eigenpairs(a).sqrt()
         assert np.linalg.norm(b @ b - a) / np.linalg.norm(a) < 1e-10
 
     def test_symmetric_psd(self, rng):
         a = rand_spd(rng, 6)
-        b = spd_eigen(a).sqrt()
+        b = eigenpairs(a).sqrt()
         assert np.array_equal(b, b.T)
         assert np.linalg.eigvalsh(b).min() >= -1e-10
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            spd_eigen(np.diag([1.0, -1.0]))
+            SpdEigen(values=np.array([-1.0, 1.0]), vectors=np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_rejected(self, bad, where):
-        a = 2.0 * np.eye(3)
-        a[where] = a[where[::-1]] = bad
+        # the eigenpairs of 2 I with a bad entry: a bad eigenvalue on the
+        # diagonal, a bad eigenvector entry off it
+        values, vectors = np.full(3, 2.0), np.eye(3)
+        if where == (0, 0):
+            values[0] = bad
+        else:
+            vectors[where] = vectors[where[::-1]] = bad
         with pytest.raises(NotPositiveDefiniteError):
-            spd_eigen(a)
+            SpdEigen(values=values, vectors=vectors)
 
 
 class TestHaarOrthogonal:

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 import shrinkmean.model
-from conftest import sample_covariance
+from conftest import eigenpairs, sample_covariance
 from shrinkmean.errors import (
     DimensionMismatchError,
     InvalidRecipeError,
@@ -29,18 +29,18 @@ EPS = np.finfo(float).eps
 
 class TestEigenRecipe:
     def test_default_multiset_p10(self, rng):
-        cov, _ = build_covariance(DEFAULT_RECIPE, 10, rng)
+        cov = build_covariance(DEFAULT_RECIPE, 10, rng).matrix()
         eigs = np.sort(np.linalg.eigvalsh(cov))
         expected = np.array([1, 1, 3, 3, 3, 3, 10, 10, 10, 10], dtype=float)
         assert np.max(np.abs(eigs - expected)) < 1e-8
 
     def test_isotropic_recipe(self, rng):
-        cov, _ = build_covariance(EigenRecipe(((1.0, 1.0),)), 6, rng)
+        cov = build_covariance(EigenRecipe(((1.0, 1.0),)), 6, rng).matrix()
         assert np.max(np.abs(cov - np.eye(6))) < 1e-10
 
     def test_override_lambda_max(self, rng):
         recipe = EigenRecipe(DEFAULT_RECIPE.proportions, override_lambda_max=50.0)
-        cov, _ = build_covariance(recipe, 50, rng)
+        cov = build_covariance(recipe, 50, rng).matrix()
         eigs = np.sort(np.linalg.eigvalsh(cov))
         assert eigs[-1] == pytest.approx(50.0, abs=1e-8)
         # only the single largest eigenvalue is replaced
@@ -59,7 +59,7 @@ class TestEigenRecipe:
         assert sorted(values.tolist()) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
 
     def test_exactly_symmetric_output(self, rng):
-        cov, _ = build_covariance(DEFAULT_RECIPE, 15, rng)
+        cov = build_covariance(DEFAULT_RECIPE, 15, rng).matrix()
         assert np.array_equal(cov, cov.T)
 
     def test_minimum_dimension(self, rng):
@@ -126,7 +126,7 @@ class TestInnovationLaw:
 def _population(p=5, gamma=0.0, sigma=None, mu=None):
     sigma = np.eye(p) if sigma is None else sigma
     mu = np.zeros(p) if mu is None else mu
-    return PopulationSpec(p=p, gamma=gamma, mu_n=mu, mu_0=mu.copy(), sigma=sigma)
+    return PopulationSpec(p=p, gamma=gamma, mu_n=mu, mu_0=mu.copy(), eigen=eigenpairs(sigma))
 
 
 class TestGenerateSample:
@@ -136,19 +136,20 @@ class TestGenerateSample:
         assert kstest(y.ravel(), "norm").pvalue > 0.01
 
     def test_column_mean_matches_population_mean(self, rng):
-        cov, _ = build_covariance(DEFAULT_RECIPE, 5, rng)
+        eigen = build_covariance(DEFAULT_RECIPE, 5, rng)
         mu = rng.uniform(-1, 1, 5)
-        pop = PopulationSpec(p=5, gamma=0, mu_n=mu, mu_0=mu, sigma=cov)
+        pop = PopulationSpec(p=5, gamma=0, mu_n=mu, mu_0=mu, eigen=eigen)
         n = 100_000
         y = generate_sample(pop, n, InnovationLaw(), rng)
         lam_max = 10.0
         assert np.all(np.abs(y.mean(axis=1) - mu) <= 4 * np.sqrt(lam_max / n))
 
     def test_sample_covariance_converges(self, rng):
-        cov, _ = build_covariance(DEFAULT_RECIPE, 5, rng)
-        pop = PopulationSpec(p=5, gamma=0, mu_n=np.zeros(5), mu_0=np.zeros(5), sigma=cov)
+        eigen = build_covariance(DEFAULT_RECIPE, 5, rng)
+        pop = PopulationSpec(p=5, gamma=0, mu_n=np.zeros(5), mu_0=np.zeros(5), eigen=eigen)
         y = generate_sample(pop, 100_000, InnovationLaw(), rng)
         s = sample_covariance(y)
+        cov = pop.sigma()
         assert np.linalg.norm(s - cov) / np.linalg.norm(cov) < 0.05
 
     def test_bit_reproducible(self):
@@ -236,9 +237,9 @@ class TestInnovationStats:
     def test_whitening_reads_the_mixed_sample(self, rng):
         # p < n: S^{-1} of y = R z + mu 1' read through L_z^{-1} R^{-1}, with
         # no y, B or S formed; the sample itself is the reference
-        cov, eigen = build_covariance(DEFAULT_RECIPE, 6, rng)
+        eigen = build_covariance(DEFAULT_RECIPE, 6, rng)
         mu = rng.uniform(-1, 1, 6)
-        pop = PopulationSpec(p=6, gamma=0, mu_n=mu, mu_0=mu, sigma=cov, eigen=eigen)
+        pop = PopulationSpec(p=6, gamma=0, mu_n=mu, mu_0=mu, eigen=eigen)
         z = rng.standard_normal((6, 15))
         y = pop.sigma_sqrt() @ z + mu[:, None]
         stats = innovation_stats(pop, z)
@@ -380,4 +381,4 @@ class TestPopulationValidation:
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatchError):
             PopulationSpec(p=3, gamma=0, mu_n=np.zeros(2), mu_0=np.zeros(3),
-                           sigma=np.eye(3))
+                           eigen=eigenpairs(np.eye(3)))

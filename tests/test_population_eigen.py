@@ -1,14 +1,18 @@
-"""The one eigendecomposition per population that samples and scores a cell.
+"""The eigenpairs that are a population's covariance, and the one
+eigendecomposition per population that samples and scores a cell.
 
-A simulated population carries the eigenpairs its covariance was built
-from; its symmetric root generates the samples and its precision whitening
-scores every estimate of a replication in one product and gives the oracle
-and limit weights their Gram.  Covers those quantities against direct
-``eigh`` / ``solve`` / ``inv`` oracles, populations of a bare sigma, and
-guards that a study cell and the ``qq`` command never factorize sigma, that
-a sample or backtest window-period makes one Cholesky and no ``eigh``, and
-that the only BLAS or LAPACK routine of ``scipy.linalg`` that runs, on
-either side of p = n, is a triangular solve of at most two columns.
+A population's covariance is given only as its eigenpairs, checked when the
+population is built; a simulated population carries those its covariance
+was drawn from.  Its symmetric root generates the samples and its precision
+whitening scores every estimate of a replication in one product and gives
+the oracle and limit weights their Gram.  Covers the construction checks;
+those quantities against direct ``eigh`` / ``solve`` / ``inv`` oracles, for
+simulated populations and for populations whose eigenpairs the test takes
+from one ``eigh`` of a bare sigma; and guards that a study cell and the
+``qq`` command never factorize sigma, that a sample or backtest
+window-period makes one Cholesky and no ``eigh``, and that the only BLAS or
+LAPACK routine of ``scipy.linalg`` that runs, on either side of p = n, is a
+triangular solve of at most two columns.
 """
 
 from dataclasses import replace
@@ -23,7 +27,7 @@ import scipy.linalg._flapack
 import shrinkmean.harness
 from conftest import bare_population, rand_spd
 from shrinkmean.cli import main
-from shrinkmean.errors import NotPositiveDefiniteError
+from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.estimators import SAMPLE_ESTIMATORS, limit_intensities, oracle_intensities
 from shrinkmean.finance import BacktestConfig, ReturnsPanel, rolling_backtest
 from shrinkmean.harness import (
@@ -35,6 +39,7 @@ from shrinkmean.harness import (
     run_cell,
     run_study,
 )
+from shrinkmean.linalg import SpdEigen
 from shrinkmean.model import PopulationSpec, generate_sample, sample_stats
 
 ALL_MC = ("sample-mean", "olse", "olse-asymptotic", "olse-oracle", "js",
@@ -72,12 +77,12 @@ class TestPopulationEigenpairs:
         assert losses.shape == (7,)
         for k in range(7):
             d = stack[:, k] - pop.mu_n
-            expected = d @ np.linalg.solve(pop.sigma, d)
+            expected = d @ np.linalg.solve(pop.sigma(), d)
             assert abs(losses[k] - expected) <= 1e-10 * expected
 
     def test_carried_root_matches_eigh_root(self):
         pop = cell_population(McConfig(p_grid=(80,), c_grid=(2.0,), seed=5), 80, 2.0)
-        expected = _eigh_root(pop.sigma)
+        expected = _eigh_root(pop.sigma())
         root = pop.sigma_sqrt()
         assert np.array_equal(root, root.T)
         assert np.linalg.norm(root - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -95,20 +100,62 @@ class TestPopulationEigenpairs:
             pop = _bare(rand_spd(rng, 5), rng)
         vectors = [rng.standard_normal(pop.p) for _ in range(3)]
         v = np.column_stack(vectors)
-        expected = v.T @ np.linalg.inv(pop.sigma) @ v
+        expected = v.T @ np.linalg.inv(pop.sigma()) @ v
         assert np.allclose(pop.precision_gram(*vectors), expected, rtol=1e-10, atol=0)
 
     def test_whitening_inverts_sigma(self, rng):
         pop = _bare(rand_spd(rng, 10), rng)
         w = pop.whitening()
-        assert np.allclose(w.T @ w, np.linalg.inv(pop.sigma), rtol=1e-10, atol=1e-12)
+        assert np.allclose(w.T @ w, np.linalg.inv(pop.sigma()), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("use", ["sigma_sqrt", "whitening"])
     def test_bare_indefinite_sigma_rejected(self, use):
-        pop = PopulationSpec(p=2, gamma=0, mu_n=np.zeros(2), mu_0=np.ones(2),
-                             sigma=np.diag([1.0, -1.0]))
+        # rejected when the population is built, before either use
         with pytest.raises(NotPositiveDefiniteError):
-            getattr(pop, use)()
+            getattr(bare_population(np.diag([1.0, -1.0]), np.zeros(2), np.ones(2)), use)()
+
+
+def _built(values, vectors):
+    """A 3-dimensional population of the given eigenpairs."""
+    return PopulationSpec(p=3, gamma=0, mu_n=np.zeros(3), mu_0=np.ones(3),
+                          eigen=SpdEigen(values=values, vectors=vectors))
+
+
+class TestPopulationChecks:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_eigenvalue_rejected(self, bad):
+        with pytest.raises(NotPositiveDefiniteError):
+            _built(np.array([1.0, bad, 2.0]), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvector_rejected(self, bad):
+        vectors = np.eye(3)
+        vectors[2, 1] = bad
+        with pytest.raises(NotPositiveDefiniteError):
+            _built(np.ones(3), vectors)
+
+    @pytest.mark.parametrize("values, vectors", [
+        (np.ones(3), np.eye(4)[:3]),  # 3 x 4 vectors
+        (np.ones(2), np.eye(2)),  # 2 eigenpairs of a 3-dimensional population
+        (np.ones(4), np.eye(4)),
+    ])
+    def test_wrong_shapes_rejected(self, values, vectors):
+        with pytest.raises(DimensionMismatchError):
+            _built(values, vectors)
+
+    def test_sigma_is_exactly_symmetric(self):
+        pop = cell_population(McConfig(p_grid=(50,), c_grid=(0.5,), seed=2), 50, 0.5)
+        sigma = pop.sigma()
+        assert np.array_equal(sigma, sigma.T)
+        assert pop.sigma() is sigma  # read once
+
+    def test_replaced_target_keeps_sigma(self, rng):
+        # run_cell's route to another target on the same population
+        pop = cell_population(McConfig(p_grid=(30,), c_grid=(2.0,), seed=4), 30, 2.0)
+        other = replace(pop, mu_0=rng.standard_normal(30))
+        assert other.eigen is pop.eigen
+        assert np.array_equal(other.sigma(), pop.sigma())
+        assert np.array_equal(other.whitening(), pop.whitening())
 
 
 class TestCellWeights:
@@ -121,7 +168,7 @@ class TestCellWeights:
         pop = cell_population(config, p, c)
         n = cell_sample_size(p, c)
 
-        bare = bare_population(pop.sigma, pop.mu_n, pop.mu_0)  # eigenpairs from eigh
+        bare = bare_population(pop.sigma(), pop.mu_n, pop.mu_0)  # eigenpairs from eigh
         limit = limit_intensities(bare, p / n)
         for r in range(n_reps):
             y = generate_sample(pop, n, config.law, replication_rng(config.seed, p, c, r))
