@@ -245,13 +245,11 @@ def cmd_qq(args) -> int:
     if quantity.endswith("-oracle"):
         variance = oracle_weight_variances(pop, c_used)[column]
         rate = float(np.sqrt(p**config.gamma * n))
-        weights = cell.oracle_weights
     else:
         variance = float(bona_fide_covariance(pop, c_used)[column, column])
         rate = float(np.sqrt(n))
-        weights = cell.bona_fide_weights
 
-    raw = weights[:, column]
+    raw = cell.weights[estimator][:, column]
     raw = raw[np.isfinite(raw)]
     z = standardize(raw, center, variance, rate)
     pairs = qq_data(z)
@@ -453,9 +451,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ShrinkmeanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

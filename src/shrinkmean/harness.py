@@ -92,6 +92,10 @@ KS_COEFF_1PCT = 1.63
 #: fewest samples :func:`qq_data` and :func:`ks_statistic` accept
 QQ_MIN_SAMPLES = 10
 
+#: the estimators whose weights a cell records, each with its ``kind`` in
+#: intensities.csv, in the order their rows are written
+_INTENSITY_KINDS = {"olse-oracle": "oracle", "olse": "bona-fide"}
+
 
 def cell_sample_size(p: int, c: float) -> int:
     """Sample size n = round(p / c), half values rounding up."""
@@ -154,17 +158,17 @@ class McConfig:
                     raise ConfigError(f"cell p={p} c={c} yields n < 2")
 
 
-@dataclass
+@dataclass(eq=False)
 class CellResult:
-    """Per-replication losses and shrinkage weights of one cell."""
+    """Per-replication losses of one cell, and the n_reps x 2 (alpha, beta)
+    shrinkage weights of each of ``olse`` and ``olse-oracle`` that ran."""
 
     p: int
     c: float
     n: int
     losses: dict[str, np.ndarray]
     failures: dict[str, int]
-    oracle_weights: np.ndarray | None = None
-    bona_fide_weights: np.ndarray | None = None
+    weights: dict[str, np.ndarray]
 
     def mean_loss(self, estimator: str) -> float:
         vals = self.losses[estimator]
@@ -178,15 +182,11 @@ class CellResult:
             return float("nan")
         return float(good.std(ddof=1) / np.sqrt(good.size))
 
-    def negative_frequency(self, kind: str) -> float:
+    def negative_frequency(self, estimator: str) -> float:
         """Fraction of replications whose alpha weight is negative."""
-        weights = {
-            "oracle": self.oracle_weights,
-            "bona-fide": self.bona_fide_weights,
-        }[kind]
-        if weights is None:
-            raise ConfigError(f"{kind} weights were not recorded in this cell")
-        alphas = weights[:, 0]
+        if estimator not in self.weights:
+            raise ConfigError(f"{estimator} weights were not recorded in this cell")
+        alphas = self.weights[estimator][:, 0]
         good = alphas[np.isfinite(alphas)]
         if good.size == 0:
             return float("nan")
@@ -228,7 +228,8 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     drawn from ``pop``, which :func:`run_study` builds as
     ``cell_population(config, pop.p, c)``.  To score another target on the
     same population and sample streams, pass
-    ``dataclasses.replace(pop, mu_0=target)``."""
+    ``dataclasses.replace(pop, mu_0=target)``: it shares the eigenpairs, and
+    with them the root and whitening already read from them."""
     p = pop.p
     n = cell_sample_size(p, c)
     n_reps = config.n_reps
@@ -242,9 +243,7 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         except ShrinkmeanError:
             pass  # its losses stay NaN: a failure in every replication
 
-    # the weights of these entries are recorded too
-    recorded = {e: np.full((n_reps, 2), np.nan) for e in ("olse", "olse-oracle")
-                if e in estimators}
+    recorded = {e: np.full((n_reps, 2), np.nan) for e in _INTENSITY_KINDS if e in estimators}
 
     for r in range(n_reps):
         rng = replication_rng(config.seed, p, c, r)
@@ -268,7 +267,7 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
                 if est in recorded:
                     recorded[est][r] = (w.alpha, w.beta)
                 estimates[est] = w.alpha * y_bar + w.beta * pop.mu_0
-            except (ShrinkmeanError, np.linalg.LinAlgError):
+            except ShrinkmeanError:
                 pass
         if estimates:
             scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
@@ -283,8 +282,7 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         n=n,
         losses=losses,
         failures=failures,
-        oracle_weights=recorded.get("olse-oracle"),
-        bona_fide_weights=recorded.get("olse"),
+        weights=recorded,
     )
 
 
@@ -304,8 +302,8 @@ def negative_frequency_table(config: McConfig) -> list[dict]:
     Only the two estimators that record weights run, whatever ``config`` lists."""
     report = run_study(replace(config, estimators=("olse", "olse-oracle")))
     return [{"p": cell.p, "c": cell.c,
-             "oracle_negative_freq": cell.negative_frequency("oracle"),
-             "bona_fide_negative_freq": cell.negative_frequency("bona-fide")}
+             "oracle_negative_freq": cell.negative_frequency("olse-oracle"),
+             "bona_fide_negative_freq": cell.negative_frequency("olse")}
             for cell in report.cells]
 
 
@@ -360,14 +358,9 @@ def write_losses_csv(report: McReport, path) -> None:
 def write_intensities_csv(report: McReport, path) -> None:
     rows = []
     for cell in report.cells:
-        for kind, weights in (
-            ("oracle", cell.oracle_weights),
-            ("bona-fide", cell.bona_fide_weights),
-        ):
-            if weights is None:
-                continue
-            for r in range(weights.shape[0]):
-                rows.append((cell.p, cell.c, kind, r, weights[r, 0], weights[r, 1]))
+        for estimator, kind in _INTENSITY_KINDS.items():
+            for r, (alpha, beta) in enumerate(cell.weights.get(estimator, ())):
+                rows.append((cell.p, cell.c, kind, r, alpha, beta))
     write_rows(path, ["p", "c", "kind", "replication", "alpha", "beta"], rows)
 
 

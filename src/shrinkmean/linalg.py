@@ -3,10 +3,10 @@
 The Cholesky factorization of an SPD matrix with its whitening L^{-1} (the
 sample side's precision metric for p < n) and its solve a^{-1} (through
 which the p >= n sample side whitens), the checked eigenpairs of an SPD
-matrix with the matrix, its symmetric square root and its precision
-whitening read from them (the population side's one precision metric:
-nothing here eigendecomposes a matrix), and Haar-distributed random
-orthogonal matrices.
+matrix with its symmetric square root and its precision whitening, each
+read from them once and cached on them (the population side's one
+precision metric: nothing here eigendecomposes a matrix, and nothing forms
+the matrix itself), and Haar-distributed random orthogonal matrices.
 No function here solves against a covariance: every precision-metric form
 is a Gram of whitened vectors, and ``spd_solve`` solves against the
 reflected (n-1) x (n-1) Gram G of a sample, one new vector per call.
@@ -18,6 +18,7 @@ state, so they are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +37,7 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpdFactor:
     """Lower Cholesky factor L @ L.T == a and the floor its pivots cleared."""
 
@@ -110,14 +111,16 @@ def spd_solve(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
     return x.reshape(np.shape(b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpdEigen:
     """Eigenpairs of an SPD matrix, a == vectors @ diag(values) @ vectors.T.
 
     Checked when built: k ``values`` and k x k ``vectors``, otherwise
     :class:`DimensionMismatchError`; positive, finite values and finite
     vectors, otherwise :class:`NotPositiveDefiniteError`.  The vectors are
-    taken to be orthogonal, as a Haar draw's are.
+    taken to be orthogonal, as a Haar draw's are.  The root and the
+    whitening are each formed on first read and kept, so every holder of
+    these eigenpairs shares them.
     """
 
     values: np.ndarray
@@ -138,16 +141,13 @@ class SpdEigen:
         if not np.isfinite(vectors).all():
             raise NotPositiveDefiniteError("eigenvectors must be finite")
 
-    def matrix(self) -> np.ndarray:
-        """The matrix a itself, symmetrized so that a == a.T exactly."""
-        a = (self.vectors * self.values) @ self.vectors.T
-        return (a + a.T) / 2.0
-
-    def sqrt(self) -> np.ndarray:
+    @cached_property
+    def root(self) -> np.ndarray:
         """The unique symmetric PSD square root B: B == B.T and B @ B == a."""
         root = (self.vectors * np.sqrt(self.values)) @ self.vectors.T
         return (root + root.T) / 2.0
 
+    @cached_property
     def whitening(self) -> np.ndarray:
         """W = diag(values)^{-1/2} vectors', so W'W == a^{-1} and
         (Wu)'(Wv) == u' a^{-1} v."""

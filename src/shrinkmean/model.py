@@ -1,7 +1,7 @@
 """Simulation populations and sample generation.
 
-A population is a frozen triple (true mean, target mean, covariance) plus
-the norm-growth exponent gamma; a sample is the p x n matrix
+A population is an immutable triple (true mean, target mean, covariance)
+plus the norm-growth exponent gamma; a sample is the p x n matrix
 ``y = R z + mu 1'`` of i.i.d. standardized innovations z mixed by the
 symmetric square root R = sigma^{1/2}.  :func:`generate_sample` forms y and
 :func:`sample_stats` reads its statistics; a Monte Carlo replication reads
@@ -9,12 +9,12 @@ the same statistics from z alone through :func:`innovation_stats`, which
 never forms y, and below p = n forms no p x p x n product either.
 The population's covariance is given as its eigenpairs, sigma = Q diag(lam)
 Q', the ones a simulated covariance is drawn from, so it is never
-eigendecomposed.  Sigma itself, the square root R and the
-precision whitening W = diag(lam)^{-1/2} Q' are read from them on first
-use, and R^{-1} = Q W.  W is the population's one precision metric: the
-loss, the oracle and limit weights and the asymptotic variances all read
-sigma^{-1} through :meth:`PopulationSpec.whitening` or
-:meth:`PopulationSpec.precision_gram`.
+eigendecomposed and sigma itself is never formed.  The square root R and
+the precision whitening W = diag(lam)^{-1/2} Q' are read from them on first
+use and cached on the eigenpairs, and R^{-1} = Q W.  W is the population's
+one precision metric: the loss, the oracle and limit weights and the
+asymptotic variances all read sigma^{-1} through
+:meth:`PopulationSpec.whitening` or :meth:`PopulationSpec.precision_gram`.
 """
 
 from __future__ import annotations
@@ -135,35 +135,27 @@ class InnovationLaw:
         return f"t:{self.df:g}" if self.name == "t" else self.name
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PopulationSpec:
-    """Ground truth for one simulation scenario; frozen after construction.
+    """Ground truth for one simulation scenario, an immutable value.
 
     The covariance is given only as its eigenpairs ``eigen``, checked when
     built (see :class:`SpdEigen`): p values and p x p vectors, otherwise
     :class:`DimensionMismatchError`; positive, finite values and finite
-    vectors, otherwise :class:`NotPositiveDefiniteError`.  Sigma, its root and
-    its whitening are read from them on first use and cached.
+    vectors, otherwise :class:`NotPositiveDefiniteError`.  Its root and its
+    whitening are cached on the eigenpairs, so ``dataclasses.replace(pop,
+    mu_0=target)`` shares them.
     """
 
     p: int
     gamma: float
     mu_n: np.ndarray
     mu_0: np.ndarray
-    eigen: SpdEigen = field(repr=False, compare=False)
-    _sigma_cache: np.ndarray | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
-    _sqrt_cache: np.ndarray | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
-    _whitening_cache: np.ndarray | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
+    eigen: SpdEigen = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.mu_n = np.asarray(self.mu_n, dtype=float)
-        self.mu_0 = np.asarray(self.mu_0, dtype=float)
+        object.__setattr__(self, "mu_n", np.asarray(self.mu_n, dtype=float))
+        object.__setattr__(self, "mu_0", np.asarray(self.mu_0, dtype=float))
         if self.mu_n.shape != (self.p,) or self.mu_0.shape != (self.p,):
             raise DimensionMismatchError("mean vectors must have length p")
         if self.gamma < 0:
@@ -171,29 +163,14 @@ class PopulationSpec:
         if self.eigen.values.shape != (self.p,):
             raise DimensionMismatchError("eigenpairs must be p values and p x p vectors")
 
-    def sigma(self) -> np.ndarray:
-        """The covariance Q diag(lam) Q', exactly symmetric, cached."""
-        if self._sigma_cache is None:
-            self._sigma_cache = self.eigen.matrix()
-        return self._sigma_cache
-
     def sigma_sqrt(self) -> np.ndarray:
-        """Symmetric square root Q diag(lam)^{1/2} Q' of the covariance, cached."""
-        if self._sqrt_cache is None:
-            self._sqrt_cache = self.eigen.sqrt()
-        return self._sqrt_cache
+        """Symmetric square root R = Q diag(lam)^{1/2} Q' of the covariance."""
+        return self.eigen.root
 
     def whitening(self) -> np.ndarray:
-        """Precision whitening W = diag(lam)^{-1/2} Q', cached: W'W = sigma^{-1},
+        """Precision whitening W = diag(lam)^{-1/2} Q': W'W = sigma^{-1},
         so (W u)'(W v) = u' sigma^{-1} v."""
-        if self._whitening_cache is None:
-            self._whitening_cache = self.eigen.whitening()
-        return self._whitening_cache
-
-    def sqrt_solve(self, v: np.ndarray) -> np.ndarray:
-        """R^{-1} v for the symmetric root R = :meth:`sigma_sqrt`, as Q (W v):
-        it reads the eigenvectors and the cached whitening, no other p x p matrix."""
-        return self.eigen.vectors @ (self.whitening() @ v)
+        return self.eigen.whitening
 
     def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
         """Gram matrix V' sigma^{-1} V of ``vectors`` (the columns of V), read
@@ -202,14 +179,14 @@ class PopulationSpec:
         return white.T @ white
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Factorization:
     cholesky: SpdFactor  # of B B' (B_z B_z' with a population) for p < n, of G = B'B for p >= n
     white_mean: np.ndarray  # y_bar whitened, once for every estimator
-    scale: float  # trace(S)
+    scale: float  # at least lam_max(S): trace(S), or lam_max(sigma) trace(S_z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleStats:
     """Sufficient statistics of one p x n sample y: its row means ``y_bar``
     and its reflected sample ``reflected``, ``B = y H[:, 1:] / sqrt(n) =
@@ -232,15 +209,22 @@ class SampleStats:
     below min(p, n - 1) raises :class:`SingularSampleError`.  For p < n it
     factors ``B B' = S = L L'`` and reads Q = S^{-1} as ``(L^{-1} u)'(L^{-1}
     v)``; with a population it factors ``S_z = L_z L_z'`` (rank S = rank S_z)
-    and whitens v as ``L_z^{-1} R^{-1} v``, R^{-1} v read as Q(W v) by
-    :meth:`PopulationSpec.sqrt_solve`.  For p >= n it factors ``G = B'B``,
+    and whitens v as ``L_z^{-1} R^{-1} v``, R^{-1} v read as Q(W v) from the
+    population's eigenvectors and whitening.  For p >= n it factors ``G = B'B``,
     and ``Q = S^+ = B G^{-2} B'``: v is whitened as ``G^{-1} B' v`` by two
     triangular solves (no inverse is formed) and projected on the range of S
     as ``B G^{-1} B' v``.  It whitens y_bar once, so each later call whitens
-    only its one new vector.  The factor's ``dim`` is the rank of S and
-    ``scale`` its trace, trace(S) >= lam_max(S), so a vector v in the range
-    of S has ``v'Qv >= |v|^2/scale``; with a population it is trace(R S_z R)
-    = <sigma, S_z>, read in O(p^2).
+    only its one new vector.  The factor's ``dim`` is the rank of S.
+
+    ``scale`` bounds lam_max(S) from above, so that a vector v in the range
+    of S has ``v'Qv >= |v|^2/scale``.  Without a population it is trace(S),
+    read from the factored Gram.  With one it is lam_max(sigma) trace(S_z),
+    read in O(p) from the eigenvalues and S_z, so no p x p sigma is formed:
+    lam_max(R S_z R) <= lam_max(sigma) lam_max(S_z) <= lam_max(sigma)
+    trace(S_z).  The two routes' scales differ, but the population route
+    runs only below p = n, where a factored S has full rank, so a test
+    ``v'Qv <= tol |v|^2/scale`` with tol < 1 fires only for v = 0 under
+    either scale.
     """
 
     y_bar: np.ndarray
@@ -261,9 +245,11 @@ class SampleStats:
         # and any overflowed entry makes the trace inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             gram = b @ b.T if self.p < self.n else b.T @ b
-            scale = float(np.trace(gram) if pop is None else np.vdot(pop.sigma(), gram))
+            scale = float(np.trace(gram))
         if not np.isfinite(scale):
             raise NonFiniteDataError("sample has an entry too large to square: trace(S) overflows")
+        if pop is not None:
+            scale *= float(pop.eigen.values.max())
         try:
             cholesky = spd_factor(gram)
         except NotPositiveDefiniteError as exc:
@@ -291,7 +277,7 @@ class SampleStats:
         if self.p >= self.n:
             return spd_solve(cholesky, self.reflected.T @ v)
         if self.population is not None:
-            v = self.population.sqrt_solve(v)
+            v = self.population.eigen.vectors @ (self.population.whitening() @ v)
         return spd_whiten(cholesky, v)
 
     def whiten(self, v: np.ndarray) -> np.ndarray:

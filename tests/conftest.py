@@ -14,6 +14,13 @@ def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarra
     return (spd + spd.T) / 2.0
 
 
+def covariance(eigen: SpdEigen) -> np.ndarray:
+    """The matrix Q diag(lam) Q' of eigenpairs, symmetrized so that it
+    equals its transpose exactly: the covariance a population never forms."""
+    a = (eigen.vectors * eigen.values) @ eigen.vectors.T
+    return (a + a.T) / 2.0
+
+
 def eigenpairs(sigma) -> SpdEigen:
     """Eigenpairs of a symmetric matrix, from one ``eigh``; those of a matrix
     that is not positive definite are rejected when built."""

@@ -39,7 +39,7 @@ class TestOracleWeightVariances:
             config = McConfig(p_grid=(p,), c_grid=(c,), gamma=gamma, n_reps=n_reps,
                               estimators=("olse-oracle",), seed=seed)
             pop = cell_population(config, p, c)
-            weights = run_cell(config, pop, c).oracle_weights
+            weights = run_cell(config, pop, c).weights["olse-oracle"]
             limit = limit_intensities(pop, p / n)
             variances = oracle_weight_variances(pop, p / n)
             rate = np.sqrt(p**gamma * n)
@@ -68,7 +68,7 @@ class TestResidualStat:
         resid = mu_n @ inv @ mu_n - (mu_n @ inv @ mu_0) ** 2 / (mu_0 @ inv @ mu_0)
         mean, var = residual_stat_moments(p, n, float(resid))
 
-        root = eigenpairs(sigma).sqrt()
+        root = eigenpairs(sigma).root
         draws = np.array([
             residual_stat(sample_stats(root @ rng.standard_normal((p, n)) + mu_n[:, None]),
                           mu_0)

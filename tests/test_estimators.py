@@ -280,7 +280,7 @@ class TestBonaFideIntensities:
         n = cell_sample_size(p, c)
         lw = limit_intensities(pop, p / n)
         cov = bona_fide_covariance(pop, p / n)
-        weights = cell.bona_fide_weights
+        weights = cell.weights["olse"]
         assert np.isfinite(weights).all()
         critical = KS_COEFF_1PCT / np.sqrt(len(weights))
         for column, center in ((0, lw.alpha), (1, lw.beta)):
@@ -576,7 +576,7 @@ class TestGeneralizedInverse:
     def test_invertible_case_equals_inverse(self, rng):
         sigma = rand_spd(rng, 4)
         x = rng.standard_normal((4, 20))
-        y = eigenpairs(sigma).sqrt() @ x
+        y = eigenpairs(sigma).root @ x
         s = sample_covariance(y)
         s_minus = generalized_inverse_s(sigma, x)
         assert np.max(np.abs(s_minus - np.linalg.inv(s))) < 1e-8
@@ -584,7 +584,7 @@ class TestGeneralizedInverse:
     def test_reflexive_conditions_nonsymmetric(self, rng):
         sigma = rand_spd(rng, 6, jitter=2.0)
         x = rng.standard_normal((6, 3))
-        y = eigenpairs(sigma).sqrt() @ x
+        y = eigenpairs(sigma).root @ x
         s = sample_covariance(y)
         s_minus = generalized_inverse_s(sigma, x)
         assert np.linalg.norm(s @ s_minus @ s - s) < 1e-8
@@ -613,7 +613,7 @@ class TestTrends:
                 config = McConfig(p_grid=(p,), c_grid=(0.5,), gamma=0.0, n_reps=3,
                                   estimators=("olse-oracle",), seed=seed)
                 pop = replace(cell_population(config, p, 0.5), mu_0=np.ones(p))
-                betas.append(run_cell(config, pop, 0.5).oracle_weights[:, 1])
+                betas.append(run_cell(config, pop, 0.5).weights["olse-oracle"][:, 1])
             medians.append(float(np.median(np.abs(np.concatenate(betas)))))
         slope = np.polyfit(np.log(p_grid), np.log(medians), 1)[0]
         assert -1.5 <= slope <= -0.75

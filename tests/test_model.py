@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 import shrinkmean.model
-from conftest import eigenpairs, sample_covariance
+from conftest import covariance, eigenpairs, sample_covariance
 from shrinkmean.errors import (
     DimensionMismatchError,
     InvalidRecipeError,
@@ -11,6 +13,9 @@ from shrinkmean.errors import (
     SingularSampleError,
     UnsupportedGammaError,
 )
+from shrinkmean.finance import ReturnsPanel
+from shrinkmean.harness import McConfig, cell_population, run_study
+from shrinkmean.linalg import spd_factor
 from shrinkmean.model import (
     DEFAULT_RECIPE,
     EigenRecipe,
@@ -29,18 +34,18 @@ EPS = np.finfo(float).eps
 
 class TestEigenRecipe:
     def test_default_multiset_p10(self, rng):
-        cov = build_covariance(DEFAULT_RECIPE, 10, rng).matrix()
+        cov = covariance(build_covariance(DEFAULT_RECIPE, 10, rng))
         eigs = np.sort(np.linalg.eigvalsh(cov))
         expected = np.array([1, 1, 3, 3, 3, 3, 10, 10, 10, 10], dtype=float)
         assert np.max(np.abs(eigs - expected)) < 1e-8
 
     def test_isotropic_recipe(self, rng):
-        cov = build_covariance(EigenRecipe(((1.0, 1.0),)), 6, rng).matrix()
+        cov = covariance(build_covariance(EigenRecipe(((1.0, 1.0),)), 6, rng))
         assert np.max(np.abs(cov - np.eye(6))) < 1e-10
 
     def test_override_lambda_max(self, rng):
         recipe = EigenRecipe(DEFAULT_RECIPE.proportions, override_lambda_max=50.0)
-        cov = build_covariance(recipe, 50, rng).matrix()
+        cov = covariance(build_covariance(recipe, 50, rng))
         eigs = np.sort(np.linalg.eigvalsh(cov))
         assert eigs[-1] == pytest.approx(50.0, abs=1e-8)
         # only the single largest eigenvalue is replaced
@@ -59,8 +64,8 @@ class TestEigenRecipe:
         assert sorted(values.tolist()) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
 
     def test_exactly_symmetric_output(self, rng):
-        cov = build_covariance(DEFAULT_RECIPE, 15, rng).matrix()
-        assert np.array_equal(cov, cov.T)
+        root = build_covariance(DEFAULT_RECIPE, 15, rng).root
+        assert np.array_equal(root, root.T)
 
     def test_minimum_dimension(self, rng):
         with pytest.raises(DimensionMismatchError):
@@ -149,7 +154,7 @@ class TestGenerateSample:
         pop = PopulationSpec(p=5, gamma=0, mu_n=np.zeros(5), mu_0=np.zeros(5), eigen=eigen)
         y = generate_sample(pop, 100_000, InnovationLaw(), rng)
         s = sample_covariance(y)
-        cov = pop.sigma()
+        cov = covariance(pop.eigen)
         assert np.linalg.norm(s - cov) / np.linalg.norm(cov) < 0.05
 
     def test_bit_reproducible(self):
@@ -249,7 +254,11 @@ class TestInnovationStats:
         white = stats.whiten(np.eye(6))
         precision = np.linalg.inv(s)
         assert np.max(np.abs(white.T @ white - precision)) < 1e-10 * np.max(np.abs(precision))
-        assert stats.factorization.scale == pytest.approx(np.trace(s), rel=1e-12)
+        # the scale bounds lam_max(S), read without sigma: lam_max(sigma) trace(S_z)
+        scale = stats.factorization.scale
+        s_z = sample_covariance(z)
+        assert scale == pytest.approx(eigen.values.max() * np.trace(s_z), rel=1e-12)
+        assert scale >= np.linalg.eigvalsh(s).max()
 
     def test_high_dim_forms_the_reflected_sample(self, rng):
         pop = _population(p=6, sigma=np.diag(np.arange(1.0, 7.0)))
@@ -382,3 +391,27 @@ class TestPopulationValidation:
         with pytest.raises(DimensionMismatchError):
             PopulationSpec(p=3, gamma=0, mu_n=np.zeros(2), mu_0=np.zeros(3),
                            eigen=eigenpairs(np.eye(3)))
+
+
+def _cell_stats():
+    pop = cell_population(McConfig(p_grid=(4,), c_grid=(0.5,)), 4, 0.5)
+    return innovation_stats(pop, np.random.default_rng(0).standard_normal((4, 8)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cell_population(McConfig(p_grid=(4,), c_grid=(0.5,)), 4, 0.5),
+    lambda: build_covariance(DEFAULT_RECIPE, 4, np.random.default_rng(0)),
+    lambda: spd_factor(np.eye(3)),
+    _cell_stats,
+    lambda: _cell_stats().factorization,
+    lambda: ReturnsPanel(values=np.zeros((3, 2))),
+    lambda: run_study(McConfig(p_grid=(4,), c_grid=(0.5,), n_reps=2)).cells[0],
+], ids=["PopulationSpec", "SpdEigen", "SpdFactor", "SampleStats", "_Factorization",
+        "ReturnsPanel", "CellResult"])
+def test_array_holders_compare_by_identity(build):
+    # field-wise == over ndarrays raises or compares shared arrays, and
+    # hashing them raises: a value holding arrays is equal only to itself
+    value = build()
+    assert value == value
+    assert value != copy.copy(value)
+    assert hash(value) == hash(value)

@@ -15,7 +15,7 @@ LAPACK routine of ``scipy.linalg`` that runs, on either side of p = n, is a
 triangular solve of at most two columns.
 """
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ import scipy.linalg._fblas
 import scipy.linalg._flapack
 
 import shrinkmean.harness
-from conftest import bare_population, rand_spd
+from conftest import bare_population, covariance, rand_spd
 from shrinkmean.cli import main
 from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.estimators import SAMPLE_ESTIMATORS, limit_intensities, oracle_intensities
@@ -77,12 +77,12 @@ class TestPopulationEigenpairs:
         assert losses.shape == (7,)
         for k in range(7):
             d = stack[:, k] - pop.mu_n
-            expected = d @ np.linalg.solve(pop.sigma(), d)
+            expected = d @ np.linalg.solve(covariance(pop.eigen), d)
             assert abs(losses[k] - expected) <= 1e-10 * expected
 
     def test_carried_root_matches_eigh_root(self):
         pop = cell_population(McConfig(p_grid=(80,), c_grid=(2.0,), seed=5), 80, 2.0)
-        expected = _eigh_root(pop.sigma())
+        expected = _eigh_root(covariance(pop.eigen))
         root = pop.sigma_sqrt()
         assert np.array_equal(root, root.T)
         assert np.linalg.norm(root - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -100,13 +100,13 @@ class TestPopulationEigenpairs:
             pop = _bare(rand_spd(rng, 5), rng)
         vectors = [rng.standard_normal(pop.p) for _ in range(3)]
         v = np.column_stack(vectors)
-        expected = v.T @ np.linalg.inv(pop.sigma()) @ v
+        expected = v.T @ np.linalg.inv(covariance(pop.eigen)) @ v
         assert np.allclose(pop.precision_gram(*vectors), expected, rtol=1e-10, atol=0)
 
     def test_whitening_inverts_sigma(self, rng):
         pop = _bare(rand_spd(rng, 10), rng)
         w = pop.whitening()
-        assert np.allclose(w.T @ w, np.linalg.inv(pop.sigma()), rtol=1e-10, atol=1e-12)
+        assert np.allclose(w.T @ w, np.linalg.inv(covariance(pop.eigen)), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("use", ["sigma_sqrt", "whitening"])
     def test_bare_indefinite_sigma_rejected(self, use):
@@ -143,19 +143,27 @@ class TestPopulationChecks:
         with pytest.raises(DimensionMismatchError):
             _built(values, vectors)
 
-    def test_sigma_is_exactly_symmetric(self):
+    def test_root_is_exactly_symmetric(self):
         pop = cell_population(McConfig(p_grid=(50,), c_grid=(0.5,), seed=2), 50, 0.5)
-        sigma = pop.sigma()
-        assert np.array_equal(sigma, sigma.T)
-        assert pop.sigma() is sigma  # read once
+        root = pop.sigma_sqrt()
+        assert np.array_equal(root, root.T)
+        assert pop.sigma_sqrt() is root  # read once
 
-    def test_replaced_target_keeps_sigma(self, rng):
-        # run_cell's route to another target on the same population
+    def test_replaced_target_keeps_root_and_whitening(self, rng):
+        # run_cell's route to another target on the same population reuses
+        # the views already read, not copies of them
         pop = cell_population(McConfig(p_grid=(30,), c_grid=(2.0,), seed=4), 30, 2.0)
+        root, whitening = pop.sigma_sqrt(), pop.whitening()
         other = replace(pop, mu_0=rng.standard_normal(30))
         assert other.eigen is pop.eigen
-        assert np.array_equal(other.sigma(), pop.sigma())
-        assert np.array_equal(other.whitening(), pop.whitening())
+        assert other.sigma_sqrt() is root
+        assert other.whitening() is whitening
+
+    def test_fields_cannot_be_assigned(self):
+        pop = cell_population(McConfig(p_grid=(5,), c_grid=(0.5,)), 5, 0.5)
+        for name, value in (("mu_0", np.zeros(5)), ("eigen", None), ("p", 6)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pop, name, value)
 
 
 class TestCellWeights:
@@ -168,13 +176,13 @@ class TestCellWeights:
         pop = cell_population(config, p, c)
         n = cell_sample_size(p, c)
 
-        bare = bare_population(pop.sigma(), pop.mu_n, pop.mu_0)  # eigenpairs from eigh
+        bare = bare_population(covariance(pop.eigen), pop.mu_n, pop.mu_0)  # eigenpairs from eigh
         limit = limit_intensities(bare, p / n)
         for r in range(n_reps):
             y = generate_sample(pop, n, config.law, replication_rng(config.seed, p, c, r))
             y_bar = sample_stats(y).y_bar
             w = oracle_intensities(y_bar, bare)
-            assert cell.oracle_weights[r] == pytest.approx([w.alpha, w.beta], rel=1e-10)
+            assert cell.weights["olse-oracle"][r] == pytest.approx([w.alpha, w.beta], rel=1e-10)
             limit_mean = limit.alpha * y_bar + limit.beta * pop.mu_0
             assert cell.losses["olse-asymptotic"][r] == pytest.approx(
                 quadratic_loss(limit_mean[:, None], bare)[0], rel=1e-10)

@@ -272,7 +272,10 @@ def test_innovations_give_the_sample_estimates(law, p, c):
     z = config.law.draw(replication_rng(config.seed, p, c, 0), (p, cell_sample_size(p, c)))
     fast = innovation_stats(pop, z)
     slow = sample_stats(pop.sigma_sqrt() @ z + pop.mu_n[:, None])
-    assert fast.factorization.scale == pytest.approx(slow.factorization.scale, rel=1e-12)
+    if fast.population is None:  # p >= n: both routes factor the mixed sample
+        assert fast.factorization.scale == pytest.approx(slow.factorization.scale, rel=1e-12)
+    else:  # p < n: lam_max(sigma) trace(S_z) >= <sigma, S_z> = trace(S)
+        assert fast.factorization.scale >= slow.factorization.scale
     for name, estimator in SAMPLE_ESTIMATORS.items():
         try:
             expected = estimator(slow, pop.mu_0)
