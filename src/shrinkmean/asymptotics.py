@@ -1,18 +1,18 @@
-"""Asymptotic variances of the shrinkage weights.
+"""Asymptotic covariances of the shrinkage weights, and :func:`standardize`,
+the map the normality diagnostics apply.  All functions are pure.
 
-Plain functions of the population: :func:`oracle_weight_variances` returns
-the limiting variances of the two oracle shrinkage weights,
-:func:`bona_fide_covariance` the 2x2 limiting covariance of the bona fide
-weight pair (valid for p/n < 1), and :func:`standardize` the map the
-normality diagnostics apply.  The population-side functions take a
-:class:`PopulationSpec` and read its precision metric sigma^{-1} through
-:meth:`PopulationSpec.precision_gram`, never factorizing sigma.  All
-functions are pure and thread-safe.
+Every weight pair solves a 2x2 system A w = b (see :mod:`.estimators`), whose
+limit is A = G + c e_0 e_0' and b = G e_0, with G the sigma^{-1} Gram of
+(mu_n, mu_0) read through :meth:`PopulationSpec.precision_gram` (sigma is
+never factorized).  A fluctuation moves the weights by dw = A^{-1}(db - dA w).
+Writing db - dA w = V d for jointly Gaussian fluctuations d of covariance
+Omega gives both covariances by one identity: A^{-1} V Omega V' A^{-T}.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import (
     DegenerateDenominatorError,
@@ -27,6 +27,15 @@ __all__ = [
     "standardize",
 ]
 
+_PAIRS = ((0, 0), (0, 1), (1, 1))  # the distinct entries (00, 01, 11) of a symmetric 2x2
+
+
+def _delta_covariance(system: np.ndarray, mixing: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """A^{-1} V Omega V' A^{-T}, the covariance of dw = A^{-1} V d (exactly symmetric)."""
+    half = np.linalg.solve(system, mixing)
+    cov = half @ omega @ half.T
+    return (cov + cov.T) / 2.0
+
 
 def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float]:
     """Limiting variances (var_alpha, var_beta) of the two oracle shrinkage
@@ -34,69 +43,53 @@ def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float
 
     The standardized weights converge to standard normals at rate
     sqrt(p^gamma * n); these are the variances used in that
-    standardization.  They are functions of the precision-metric Gram of
-    (mu_n, mu_0) and of the concentration, both scaled by p^{-gamma} with
-    the population's gamma.
+    standardization.  With G the p^{-gamma}-scaled Gram and y_bar = mu_n + e,
+    the fluctuations are g = mu_n' sigma^{-1} e, h = mu_0' sigma^{-1} e and
+    chi = e' sigma^{-1} e - c, scaled alike: dA = [[2g + chi, h], [h, 0]]
+    and db = (g, 0), so V = [[1 - 2 alpha, -beta, -alpha], [0, -alpha, 0]]
+    and Omega = diag(G, 2 p^{-gamma} c) under the normal law.
     """
     scale = float(pop.p) ** (-pop.gamma)
     gram = scale * pop.precision_gram(pop.mu_n, pop.mu_0)
-    qnn, q0n, q00 = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
-    # Gram determinant, >= 0 by Cauchy-Schwarz
-    det = q00 * qnn - q0n**2
     ct = scale * c
-    denom = (ct * q00 + det) ** 4
-    if ct * q00 + det <= 0:
+    # det A = ct G_11 + det G, with det G >= 0 by Cauchy-Schwarz
+    if ct * gram[1, 1] + (gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2) <= 0:
         raise DegenerateDenominatorError("scaled concentration and Gram determinant "
                                          "must have positive sum")
-    # each weight fluctuation is a Gaussian linear part plus an independent
-    # normalized chi-square part; the latter has variance 2, hence the
-    # factor 2 on the det^2 terms
-    var_alpha = (
-        (ct * q00 - det) ** 2 * q00 * det + 2.0 * ct * det**2 * q00**2
-    ) / denom
-
-    a_coef = (det - ct * q00) * q0n
-    b_coef = ct * q0n**2 - ct * det - det * qnn
-    var_beta = (
-        a_coef**2 * qnn
-        + b_coef**2 * q00
-        + 2.0 * a_coef * b_coef * q0n
-        + 2.0 * ct * det**2 * q0n**2
-    ) / denom
-    return float(var_alpha), float(var_beta)
+    system = gram + np.diag([ct, 0.0])
+    alpha, beta = np.linalg.solve(system, gram[0])
+    mixing = np.array([[1.0 - 2.0 * alpha, -beta, -alpha], [0.0, -alpha, 0.0]])
+    cov = _delta_covariance(system, mixing, block_diag(gram, 2.0 * ct))
+    return float(cov[0, 0]), float(cov[1, 1])
 
 
 def bona_fide_covariance(pop: PopulationSpec, c: float) -> np.ndarray:
     """Joint limiting 2x2 covariance of the bona fide weight pair, for c < 1.
 
     The pair sqrt(n) * (alpha_hat - alpha_limit, beta_hat - beta_limit) is
-    asymptotically centered normal with this covariance.  It is a function
-    of the residual form of mu_n orthogonal to mu_0 and of the projection
-    coefficient of mu_n on mu_0, both in the precision metric.  The
-    variance of the residual form carries a 1/(1-c) pole, so
-    concentrations c >= 1 are rejected.
+    asymptotically centered normal with this covariance.  The weights are
+    w = e_0 - kappa A_S^{-1} e_0 with A_S the S^{-1} Gram of (y_bar, mu_0),
+    which tends to A / (1 - c), so dw = A_S^{-1} dA_S (e_0 - w): V =
+    [[1 - alpha, -beta, 0], [0, 1 - alpha, -beta]] acts on (dA_00, dA_01,
+    dA_11).  Omega, the covariance of sqrt(n) (1 - c)^{3/2} dA_S, sums the
+    normal-law (inverse-Wishart) covariance G_ik G_jl + G_il G_jk of the
+    S^{-1} block, y_bar's linear part and its chi-square part 2c at (00, 00).
+    The result carries a 1/(1-c) pole, so concentrations c >= 1 are rejected.
     """
     if not 0.0 < c < 1.0:
-        raise UnsupportedConcentrationError(
-            f"joint covariance requires c in (0, 1), got {c}"
-        )
+        raise UnsupportedConcentrationError(f"joint covariance requires c in (0, 1), got {c}")
     gram = pop.precision_gram(pop.mu_n, pop.mu_0)
-    mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
-    if target_raw <= 0:
+    (m, x), (_, t) = gram.tolist()
+    if t <= 0:
         raise DegenerateTargetError("target vector has zero precision-metric energy")
 
-    resid = mean_raw - cross_raw**2 / target_raw
-    proj = cross_raw / target_raw
-    sigma2_resid = 2.0 * (c + 2.0 * resid) + 2.0 / (1.0 - c) * (c + resid) ** 2
-
-    top = c**2 * sigma2_resid / (c + resid) ** 4
-    extra = (c**2 / (c + resid) ** 2) * (1.0 + (resid + c) / (1.0 - c)) / target_raw
-    return np.array(
-        [
-            [top, top * proj],
-            [top * proj, top * proj**2 + extra],
-        ]
-    )
+    system = gram + np.diag([c, 0.0])
+    alpha, beta = np.linalg.solve(system, gram[0])
+    mixing = np.array([[1.0 - alpha, -beta, 0.0], [0.0, 1.0 - alpha, -beta]])
+    omega = np.array([[gram[i, k] * gram[j, l] + gram[i, l] * gram[j, k] for k, l in _PAIRS]
+                      for i, j in _PAIRS])
+    omega[:2, :2] += [[4.0 * m + 2.0 * c, 2.0 * x], [2.0 * x, t]]
+    return _delta_covariance(system, mixing, omega) / (1.0 - c)
 
 
 def standardize(

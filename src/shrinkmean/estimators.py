@@ -48,6 +48,7 @@ from .errors import (
     DimensionMismatchError,
     EqualDimensionsError,
     InvalidDimensionsError,
+    NonFiniteDataError,
 )
 from .linalg import spd_factor  # noqa: F401  perfbench's tracer test reads it here
 from .model import PopulationSpec, SampleStats
@@ -153,6 +154,8 @@ def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeig
         raise EqualDimensionsError("bona fide weights are undefined at p == n")
     if mu_0.shape != (p,):
         raise DimensionMismatchError("target vector length must equal p")
+    if not np.isfinite(mu_0).all():
+        raise NonFiniteDataError("target vector has a NaN or infinite entry")
     if p > n and n < 3:
         raise InvalidDimensionsError(f"the 2x2 precision Gram needs rank(S) = n - 1"
                                      f" >= 2, got p={p} n={n}")

@@ -142,9 +142,10 @@ class PopulationSpec:
     The covariance is given only as its eigenpairs ``eigen``, checked when
     built (see :class:`SpdEigen`): p values and p x p vectors, otherwise
     :class:`DimensionMismatchError`; positive, finite values and finite
-    vectors, otherwise :class:`NotPositiveDefiniteError`.  Its root and its
-    whitening are cached on the eigenpairs, so ``dataclasses.replace(pop,
-    mu_0=target)`` shares them.
+    vectors, otherwise :class:`NotPositiveDefiniteError`.  Non-finite means
+    raise :class:`NonFiniteDataError`.  Its root and its whitening are cached
+    on the eigenpairs, so ``dataclasses.replace(pop, mu_0=target)`` shares
+    them.
     """
 
     p: int
@@ -158,6 +159,8 @@ class PopulationSpec:
         object.__setattr__(self, "mu_0", np.asarray(self.mu_0, dtype=float))
         if self.mu_n.shape != (self.p,) or self.mu_0.shape != (self.p,):
             raise DimensionMismatchError("mean vectors must have length p")
+        if not (np.isfinite(self.mu_n).all() and np.isfinite(self.mu_0).all()):
+            raise NonFiniteDataError("mean vectors must have finite entries")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if self.eigen.values.shape != (self.p,):

@@ -59,7 +59,7 @@ def generalized_inverse_s(sigma: np.ndarray, x: np.ndarray) -> np.ndarray:
     inner = (inner + inner.T) / 2.0
     vals, vecs = np.linalg.eigh(sigma)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    return inv_sqrt @ np.linalg.pinv(inner, rtol=1e-10, hermitian=True) @ inv_sqrt
+    return inv_sqrt @ np.linalg.pinv(inner, 1e-10, hermitian=True) @ inv_sqrt
 
 
 def wang_pair_sums_naive(

@@ -1,18 +1,98 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import eigenpairs, rand_spd, sample_covariance
+from conftest import bare_population, eigenpairs, rand_spd, sample_covariance
 from noncentral_f import (
     MomentsDoNotExistError,
     projection_stat,
     residual_stat,
     residual_stat_moments,
 )
-from shrinkmean.asymptotics import oracle_weight_variances, standardize
-from shrinkmean.errors import InvalidDimensionsError
+from shrinkmean.asymptotics import bona_fide_covariance, oracle_weight_variances, standardize
+from shrinkmean.errors import (
+    DegenerateDenominatorError,
+    DegenerateTargetError,
+    InvalidDimensionsError,
+    UnsupportedConcentrationError,
+)
 from shrinkmean.estimators import limit_intensities
 from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell
 from shrinkmean.model import sample_stats
+
+
+def oracle_variances_closed_form(pop, c):
+    """Hand-expanded limiting variances of the two oracle weights: the
+    reference for the delta-method identity of ``oracle_weight_variances``.
+    Each weight fluctuation is a Gaussian linear part plus an independent
+    normalized chi-square part of variance 2, hence the factor 2 on the
+    det^2 terms."""
+    scale = float(pop.p) ** (-pop.gamma)
+    gram = scale * pop.precision_gram(pop.mu_n, pop.mu_0)
+    qnn, q0n, q00 = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
+    det = q00 * qnn - q0n**2
+    ct = scale * c
+    denom = (ct * q00 + det) ** 4
+    var_alpha = ((ct * q00 - det) ** 2 * q00 * det + 2.0 * ct * det**2 * q00**2) / denom
+    a_coef = (det - ct * q00) * q0n
+    b_coef = ct * q0n**2 - ct * det - det * qnn
+    var_beta = (a_coef**2 * qnn + b_coef**2 * q00 + 2.0 * a_coef * b_coef * q0n
+                + 2.0 * ct * det**2 * q0n**2) / denom
+    return var_alpha, var_beta
+
+
+def bona_fide_covariance_closed_form(pop, c):
+    """Hand-expanded limiting covariance of the bona fide weight pair, c < 1:
+    the reference for the identity of ``bona_fide_covariance``.  With resid
+    the residual form of mu_n orthogonal to mu_0 and proj its projection
+    coefficient on mu_0, alpha_hat = 1 - kappa / r_hat and beta_hat =
+    (1 - alpha_hat) proj_hat, so Cov(alpha_hat, beta_hat) = -proj Var(alpha_hat)."""
+    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
+    mean_raw, cross_raw, target_raw = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
+    resid = mean_raw - cross_raw**2 / target_raw
+    proj = cross_raw / target_raw
+    sigma2_resid = 2.0 * (c + 2.0 * resid) + 2.0 / (1.0 - c) * (c + resid) ** 2
+    top = c**2 * sigma2_resid / (c + resid) ** 4
+    extra = (c**2 / (c + resid) ** 2) * (1.0 + (resid + c) / (1.0 - c)) / target_raw
+    return np.array([[top, -top * proj], [-top * proj, top * proj**2 + extra]])
+
+
+class TestDeltaMethodIdentity:
+    def test_matches_the_closed_forms(self):
+        # 240 random cells, p in 10..150, gamma in {0, 1}, the oracle at c in
+        # (0.05, 3) (both sides of 1) and the bona fide pair at c in
+        # (0.05, 0.95).  The closed forms lose a few digits to cancellation
+        # (up to 1.5e-13 relative over 300 random cells), so the check is to
+        # 1e-12 relative; the off-diagonal, which may be near zero, relative
+        # to sqrt(var_alpha var_beta), its Cauchy-Schwarz bound.
+        rng = np.random.default_rng(19)
+        for cell in range(240):
+            p = int(rng.integers(10, 151))
+            c_oracle, c_bona_fide = rng.uniform(0.05, 3.0), rng.uniform(0.05, 0.95)
+            config = McConfig(p_grid=(p,), c_grid=(c_oracle,), gamma=cell % 2, seed=cell)
+            pop = cell_population(config, p, c_oracle)
+            got = oracle_weight_variances(pop, c_oracle)
+            want = oracle_variances_closed_form(pop, c_oracle)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+            got = bona_fide_covariance(pop, c_bona_fide)
+            want = bona_fide_covariance_closed_form(pop, c_bona_fide)
+            assert np.diag(got) == pytest.approx(np.diag(want), rel=1e-12, abs=0.0)
+            assert abs(got[0, 1] - want[0, 1]) <= 1e-12 * np.sqrt(want[0, 0] * want[1, 1])
+            assert got[0, 1] == got[1, 0]
+
+    def test_degenerate_inputs_rejected(self, rng):
+        pop = bare_population(rand_spd(rng, 4), rng.standard_normal(4), np.zeros(4))
+        # a zero target makes det A = c G_11 + det G vanish
+        with pytest.raises(DegenerateDenominatorError):
+            oracle_weight_variances(pop, 0.5)
+        with pytest.raises(DegenerateTargetError):
+            bona_fide_covariance(pop, 0.5)
+        pop = replace(pop, mu_0=rng.standard_normal(4))
+        for c in (-0.5, 0.0, 1.0, 2.0):  # the 1/(1-c) pole and beyond
+            with pytest.raises(UnsupportedConcentrationError):
+                bona_fide_covariance(pop, c)
 
 
 class TestOracleWeightVariances:
@@ -51,6 +131,39 @@ class TestOracleWeightVariances:
             pooled = np.concatenate(z[column])
             assert pooled.size == n_pops * n_reps
             assert abs(pooled.std(ddof=1) - 1.0) <= bound
+
+
+class TestBonaFideCovariance:
+    @pytest.mark.parametrize("p, c", [(3, 0.2), (8, 0.5), (40, 0.9)])
+    def test_cross_covariance_follows_the_projection(self, rng, p, c):
+        # beta_hat = (1 - alpha_hat) proj_hat, with proj = x/t the projection
+        # coefficient of mu_n on mu_0, so Cov(alpha_hat, beta_hat) tends to
+        # -proj Var(alpha_hat): the limit moves beta against alpha
+        pop = bare_population(rand_spd(rng, p), rng.standard_normal(p), rng.standard_normal(p))
+        (_, x), (_, t) = pop.precision_gram(pop.mu_n, pop.mu_0)
+        cov = bona_fide_covariance(pop, c)
+        assert cov[0, 1] == pytest.approx(-(x / t) * cov[0, 0], rel=1e-12, abs=0.0)
+
+    def test_correlation_matches_monte_carlo(self):
+        # 800 bona fide weight pairs at p=100, c=0.5 with mu_0 = mu_n (so
+        # proj = 1, alpha_limit = 0, beta_limit = 1); the sample correlation
+        # measured -0.57 at seed 0 (and -0.63, -0.67 at seeds 1, 2) against
+        # the limit's -0.55 (-0.60, -0.61).  A sample correlation has standard
+        # error (1 - rho^2)/sqrt(N) = 0.025 here; the bound allows four of
+        # those plus n^{-1/2} = 0.071, the rate at which a sqrt(n)-normalized
+        # statistic approaches its limit.  A limit of the wrong sign misses by
+        # about 1.1.
+        p, c, n_reps = 100, 0.5, 800
+        config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=n_reps, estimators=("olse",),
+                          target_mode="equal-to-mu_n", seed=0)
+        pop = cell_population(config, p, c)
+        weights = run_cell(config, pop, c).weights["olse"]
+        assert np.isfinite(weights).all()
+        n = cell_sample_size(p, c)
+        cov = bona_fide_covariance(pop, p / n)
+        limit = cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1])
+        bound = 4.0 * (1.0 - limit**2) / np.sqrt(n_reps) + 1.0 / np.sqrt(n)
+        assert abs(np.corrcoef(weights.T)[0, 1] - limit) <= bound
 
 
 class TestResidualStat:

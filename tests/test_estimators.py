@@ -253,6 +253,16 @@ class TestBonaFideIntensities:
         with pytest.raises(NonFiniteDataError):
             bona_fide_intensities(sample_stats(y), np.ones(p))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("p, n", [(5, 20), (12, 6)])
+    def test_non_finite_target_rejected(self, rng, p, n, bad):
+        # rejected before it is whitened: not NaN weights, nor above p = n a
+        # RuntimeWarning from the product with the reflected sample
+        mu_0 = rng.standard_normal(p)
+        mu_0[1] = bad
+        with pytest.raises(NonFiniteDataError):
+            bona_fide_intensities(sample_stats(rng.standard_normal((p, n)) + 0.5), mu_0)
+
     def test_high_dim_needs_rank_two(self, rng):
         # n = 2 < 3: rank(S) = n - 1 = 1 makes the 2x2 precision Gram singular
         stats = sample_stats(rng.standard_normal((4, 2)) + 0.5)

@@ -296,7 +296,7 @@ class TestSampleFactorization:
                 assert np.max(np.abs(b @ b.T - s)) <= 1e-12 * np.max(np.abs(s))
                 gram_diag = np.einsum("ij,ij->j", b, b)
                 assert f.cholesky.pivot_floor == pytest.approx(100 * (n - 1) * EPS * gram_diag.max())
-                s_pinv = np.linalg.pinv(s, rtol=1e-10, hermitian=True)
+                s_pinv = np.linalg.pinv(s, 1e-10, hermitian=True)
                 white = stats.whiten(np.eye(p))
                 assert np.max(np.abs(white.T @ white - s_pinv)) < 1e-8 * np.max(np.abs(s_pinv))
                 y_bar = stats.y_bar

@@ -195,7 +195,7 @@ def _oracle_precision(y):
     p, n = y.shape
     centered = y - y.mean(axis=1, keepdims=True)
     s = centered @ centered.T / n
-    return np.linalg.inv(s) if p < n else np.linalg.pinv(s, rtol=1e-10, hermitian=True)
+    return np.linalg.inv(s) if p < n else np.linalg.pinv(s, 1e-10, hermitian=True)
 
 
 def _oracle_weights(y, mu_0):
