@@ -15,15 +15,15 @@ from .asymptotics import (
 )
 from .errors import ShrinkmeanError
 from .estimators import (
-    ESTIMATOR_KINDS,
-    SAMPLE_ESTIMATORS,
+    ESTIMATORS,
+    NEEDS_POPULATION,
     ShrinkageWeights,
     bona_fide_intensities,
+    evaluate,
     james_stein,
     js_high_dim,
     js_positive_part,
     limit_intensities,
-    olse,
     oracle_intensities,
     wang_estimator,
 )

@@ -36,7 +36,7 @@ from .errors import (
     ShrinkmeanError,
     TooFewSamplesError,
 )
-from .estimators import ESTIMATOR_KINDS, SAMPLE_ESTIMATORS, limit_intensities
+from .estimators import ESTIMATORS, NEEDS_POPULATION, limit_intensities
 from .finance import (
     BacktestConfig,
     TARGET_STRATEGIES,
@@ -221,15 +221,15 @@ def cmd_table1(args) -> int:
 
 def cmd_qq(args) -> int:
     quantity, p, c = args.quantity, args.p, args.c
+    estimator = "olse-oracle" if quantity.endswith("-oracle") else "olse"
+    # the config validates the cell before n and p / n are taken from it
+    config = McConfig(p_grid=(p,), c_grid=(c,), estimators=(estimator,),
+                      **_settings(args, ("n_reps", "gamma", "seed")))
     n = cell_sample_size(p, c)
     c_used = p / n  # the cell's c, after n is rounded
     if quantity.endswith("-bf") and c_used >= 1:
         raise ScopeError(f"bona fide standardization requires c < 1, got "
                          f"c = p/n = {p}/{n}")
-
-    estimator = "olse-oracle" if quantity.endswith("-oracle") else "olse"
-    config = McConfig(p_grid=(p,), c_grid=(c,), estimators=(estimator,),
-                      **_settings(args, ("n_reps", "gamma", "seed")))
     # refuse before the cell runs; qq_data checks again, since failed
     # replications can still leave too few samples
     if config.n_reps < QQ_MIN_SAMPLES:
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_n_reps(sim, "replications per cell")
     sim.add_argument("--gamma", type=int, choices=(0, 1), default=None, help=gamma_help)
     sim.add_argument("--estimators", type=_parse_strs, default=None,
-                     help=f"comma list from {', '.join(ESTIMATOR_KINDS)} "
+                     help=f"comma list from {', '.join(ESTIMATORS)} "
                           f"(default {_default(McConfig, 'estimators')})")
     sim.add_argument("--target", dest="target_mode", choices=TARGET_MODES, default=None,
                      help=f"target mode (default {_default(McConfig, 'target_mode')})")
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma list of window sizes "
                            f"(default {_default(BacktestConfig, 'windows')})")
     back.add_argument("--estimators", type=_parse_strs, default=None,
-                      help=f"comma list from {', '.join(SAMPLE_ESTIMATORS)} "
+                      help="comma list from "
+                           f"{', '.join(e for e in ESTIMATORS if e not in NEEDS_POPULATION)} "
                            f"(default {_default(BacktestConfig, 'estimators')})")
     back.add_argument("--target", dest="targets", metavar="TARGET", type=_parse_strs, default=None,
                       help=f"comma list from {', '.join(TARGET_STRATEGIES)} "

@@ -30,9 +30,12 @@ Gram of the mean vectors in its precision metric sigma^{-1} through
 :meth:`PopulationSpec.precision_gram`: sigma is never factorized here, only
 whitened by the population's eigenpairs.
 
-:data:`SAMPLE_ESTIMATORS` is the one table of estimator names that the
-Monte Carlo harness and the backtester both dispatch through;
-:data:`READS_TARGET` names the entries whose estimate depends on the target.
+:data:`ESTIMATORS` is the one table of estimator names that the Monte
+Carlo harness and the backtester both dispatch through, and :func:`evaluate`
+the one call they make: it composes ``alpha * y_bar + beta * mu_0`` from the
+weights of the three shrinkage entries.  :data:`NEEDS_POPULATION` names the
+entries that read the true population, so the backtester takes only the
+others; :data:`READS_TARGET` names those whose estimate depends on the target.
 """
 
 from __future__ import annotations
@@ -55,13 +58,13 @@ from .model import PopulationSpec, SampleStats
 
 __all__ = [
     "ShrinkageWeights",
-    "SAMPLE_ESTIMATORS",
+    "ESTIMATORS",
+    "NEEDS_POPULATION",
     "READS_TARGET",
-    "ESTIMATOR_KINDS",
+    "evaluate",
     "oracle_intensities",
     "limit_intensities",
     "bona_fide_intensities",
-    "olse",
     "james_stein",
     "js_high_dim",
     "js_positive_part",
@@ -167,12 +170,6 @@ def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeig
         "sample mean and target are collinear in the sample precision metric"))
 
 
-def olse(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:
-    """Optimal linear shrinkage estimate alpha * y_bar + beta * mu_0."""
-    w = bona_fide_intensities(stats, mu_0)
-    return w.alpha * stats.y_bar + w.beta * np.asarray(mu_0, dtype=float)
-
-
 def _mean_energy(stats: SampleStats) -> float:
     """y_bar' Q y_bar, rejected when negligible (y_bar outside the range)."""
     white = stats.factorization.white_mean
@@ -273,24 +270,39 @@ def wang_estimator(stats: SampleStats) -> np.ndarray:
     return ((z1 - z4) / denom) * stats.y_bar + (z2 * z3 / denom) * ones
 
 
-#: The sample-based estimators by name, each a function of ``(stats, mu_0)``;
-#: the target-free ones ignore mu_0.  The lambdas look the estimators up when
+#: Every estimator by name, each a function of ``(stats, mu_0, pop)`` with
+#: ``pop`` the population the sample was drawn from (None in a backtest) and,
+#: when given, ``mu_0`` its target.  The three shrinkage entries return their
+#: :class:`ShrinkageWeights` and every other entry an estimate; the
+#: target-free ones ignore mu_0.  The lambdas look the estimators up when
 #: called, so rebinding a module name (as a tracer does) reaches every caller.
-SAMPLE_ESTIMATORS = {
-    "sample-mean": lambda stats, mu_0: stats.y_bar,
-    "olse": lambda stats, mu_0: olse(stats, mu_0),
-    "js": lambda stats, mu_0: james_stein(stats),
-    "js-high-dim": lambda stats, mu_0: js_high_dim(stats),
-    "js-positive-part": lambda stats, mu_0: js_positive_part(stats, as_printed=True),
+ESTIMATORS = {
+    "sample-mean": lambda stats, mu_0, pop: stats.y_bar,
+    "olse": lambda stats, mu_0, pop: bona_fide_intensities(stats, mu_0),
+    "js": lambda stats, mu_0, pop: james_stein(stats),
+    "js-high-dim": lambda stats, mu_0, pop: js_high_dim(stats),
+    "js-positive-part": lambda stats, mu_0, pop: js_positive_part(stats, as_printed=True),
     "js-positive-part-conventional":
-        lambda stats, mu_0: js_positive_part(stats, as_printed=False),
-    "wang": lambda stats, mu_0: wang_estimator(stats),
+        lambda stats, mu_0, pop: js_positive_part(stats, as_printed=False),
+    "wang": lambda stats, mu_0, pop: wang_estimator(stats),
+    "olse-asymptotic": lambda stats, mu_0, pop: limit_intensities(pop, stats.p / stats.n),
+    "olse-oracle": lambda stats, mu_0, pop: oracle_intensities(stats.y_bar, pop),
 }
 
-#: The entries of :data:`SAMPLE_ESTIMATORS` that read mu_0; every other
-#: entry gives one estimate whatever the target.
+#: The entries of :data:`ESTIMATORS` that need the true population.
+NEEDS_POPULATION = frozenset({"olse-asymptotic", "olse-oracle"})
+
+#: The entries of :data:`ESTIMATORS` outside :data:`NEEDS_POPULATION` that
+#: read mu_0; every other such entry gives one estimate whatever the target.
 READS_TARGET = frozenset({"olse"})
 
-#: Estimators understood by the Monte Carlo harness; the two population-side
-#: ones need the true covariance, so the backtester takes only the others.
-ESTIMATOR_KINDS = (*SAMPLE_ESTIMATORS, "olse-asymptotic", "olse-oracle")
+
+def evaluate(name: str, stats: SampleStats, mu_0: np.ndarray,
+             pop: PopulationSpec | None = None) -> tuple[np.ndarray, ShrinkageWeights | None]:
+    """The estimate of ``ESTIMATORS[name]`` on one sample, and its shrinkage
+    weights (None for an entry that gives no weights), composed here as
+    ``alpha * y_bar + beta * mu_0``."""
+    result = ESTIMATORS[name](stats, mu_0, pop)
+    if not isinstance(result, ShrinkageWeights):
+        return result, None
+    return result.alpha * stats.y_bar + result.beta * np.asarray(mu_0, dtype=float), result

@@ -4,7 +4,10 @@ Each estimator predicts the next-period return of the equally-weighted
 portfolio from the most recent n observations; performance is the average
 squared deviation from the realized portfolio return, scaled by 1e4.
 All estimators in one run see identical windows and identical target
-draws, so comparisons stay paired.
+draws, so comparisons stay paired.  Each runs through
+:func:`shrinkmean.estimators.evaluate`, as in the Monte Carlo harness, so
+every entry of :data:`ESTIMATORS` outside :data:`NEEDS_POPULATION` (which
+a returns panel cannot supply) is a backtest estimator.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     ShrinkmeanError,
     reject_duplicates,
 )
-from .estimators import READS_TARGET, SAMPLE_ESTIMATORS
+from .estimators import ESTIMATORS, NEEDS_POPULATION, READS_TARGET, evaluate
 from .harness import write_rows
 from .model import sample_stats
 
@@ -74,9 +77,14 @@ class BacktestConfig:
             raise ConfigError("window sizes must be >= 2")
         if not self.estimators:
             raise ConfigError("estimators must name at least one estimator")
-        unknown = [e for e in self.estimators if e not in SAMPLE_ESTIMATORS]
+        unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}")
+        population_side = [e for e in self.estimators if e in NEEDS_POPULATION]
+        if population_side:
+            accepted = ", ".join(e for e in ESTIMATORS if e not in NEEDS_POPULATION)
+            raise ConfigError(f"estimators {population_side} need the true population, which a"
+                              f" backtest does not have; it accepts {accepted}")
         if not self.targets:
             raise ConfigError("targets must name at least one target strategy")
         unknown = [t for t in self.targets if t not in TARGET_STRATEGIES]
@@ -255,14 +263,13 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
             preds = {}
             ok = True
             for est in config.estimators:
-                estimate = SAMPLE_ESTIMATORS[est]
                 # one estimate serves every target of an estimator that ignores it
                 groups = [config.targets]
                 if est in READS_TARGET:
                     groups = [(t,) for t in config.targets]
                 for group in groups:
                     try:
-                        mu_hat = estimate(stats, targets[group[0]])
+                        mu_hat, _ = evaluate(est, stats, targets[group[0]])
                     except ShrinkmeanError:
                         for tgt in group:
                             failures[(est, tgt)] += 1

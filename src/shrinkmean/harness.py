@@ -4,6 +4,9 @@ A study runs a grid of (p, c) cells.  Each cell draws one population from
 a sub-seed derived from ``(root seed, p, round(1000 c))``, then evaluates
 every requested estimator on ``n_reps`` independent samples whose random
 streams are derived from ``(root seed, p, round(1000 c), replication + 1)``.
+Every estimator runs through :func:`shrinkmean.estimators.evaluate`, the
+one call the backtester makes too, so a name in the one table
+:data:`ESTIMATORS` is all a study needs.
 Each replication draws its p x n innovations z from the cell's law and
 builds one :class:`SampleStats` of the sample sqrt(sigma) z + mu_n 1' from
 them with :func:`innovation_stats`, which forms neither that sample nor,
@@ -14,8 +17,7 @@ built from, and its precision whitening W (W'W = sigma^{-1}) is the one
 precision metric of the cell.  It scores every estimate of a replication in
 one product, the column sums of squares of ``W @ (M - mu_n 1')`` for the
 stack M of the estimates that succeeded, and the oracle and limit weights
-read their Gram through it (:func:`oracle_intensities` once per
-replication, :func:`limit_intensities` once per cell).  Replications run in
+read their Gram through it, both once per replication.  Replications run in
 index order, so a study's reports and CSVs are bit-identical for a given
 seed; no wall-clock time is recorded.  The QQ helpers take the standard
 normal quantile from :class:`statistics.NormalDist` and the CDF from
@@ -42,13 +44,7 @@ from .errors import (
     TooFewSamplesError,
     reject_duplicates,
 )
-from .estimators import (
-    ESTIMATOR_KINDS,
-    SAMPLE_ESTIMATORS,
-    bona_fide_intensities,
-    limit_intensities,
-    oracle_intensities,
-)
+from .estimators import ESTIMATORS, evaluate
 from .model import (
     DEFAULT_RECIPE,
     EigenRecipe,
@@ -139,7 +135,7 @@ class McConfig:
             raise ConfigError("p_grid and c_grid must be nonempty")
         if not self.estimators:
             raise ConfigError("estimators must name at least one estimator")
-        unknown = [e for e in self.estimators if e not in ESTIMATOR_KINDS]
+        unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ConfigError(f"unknown estimators: {unknown}")
         reject_duplicates(self, "p_grid", "c_grid", "estimators")
@@ -235,40 +231,19 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     n_reps = config.n_reps
     estimators = config.estimators
     losses = {e: np.full(n_reps, np.nan) for e in estimators}
-
-    limit = None
-    if "olse-asymptotic" in estimators:
-        try:
-            limit = limit_intensities(pop, p / n)
-        except ShrinkmeanError:
-            pass  # its losses stay NaN: a failure in every replication
-
     recorded = {e: np.full((n_reps, 2), np.nan) for e in _INTENSITY_KINDS if e in estimators}
 
     for r in range(n_reps):
         rng = replication_rng(config.seed, p, c, r)
         stats = innovation_stats(pop, config.law.draw(rng, (p, n)))
-        y_bar = stats.y_bar
         estimates = {}
-
         for est in estimators:
             try:
-                if est == "olse":
-                    w = bona_fide_intensities(stats, pop.mu_0)
-                elif est == "olse-oracle":
-                    w = oracle_intensities(y_bar, pop)
-                elif est == "olse-asymptotic":
-                    if limit is None:
-                        continue
-                    w = limit
-                else:
-                    estimates[est] = SAMPLE_ESTIMATORS[est](stats, pop.mu_0)
-                    continue
-                if est in recorded:
-                    recorded[est][r] = (w.alpha, w.beta)
-                estimates[est] = w.alpha * y_bar + w.beta * pop.mu_0
+                estimates[est], w = evaluate(est, stats, pop.mu_0, pop)
             except ShrinkmeanError:
-                pass
+                continue
+            if est in recorded:
+                recorded[est][r] = (w.alpha, w.beta)
         if estimates:
             scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
             for est, loss in zip(estimates, scored):

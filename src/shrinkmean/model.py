@@ -78,9 +78,11 @@ class EigenRecipe:
         """Expand the recipe into p eigenvalues.
 
         Each group gets floor(fraction * p) values; any remainder goes to
-        the last group.
+        the last group.  The product is rounded to 9 decimals before the
+        floor, so a product that floating point puts just below an integer
+        (0.29 * 100 = 28.999999999999996) counts as that integer.
         """
-        counts = [int(np.floor(f * p)) for f, _ in self.proportions]
+        counts = [int(np.floor(round(f * p, 9))) for f, _ in self.proportions]
         counts[-1] += p - sum(counts)
         values = np.concatenate(
             [np.full(k, v) for k, (_, v) in zip(counts, self.proportions)]

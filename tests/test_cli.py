@@ -128,6 +128,16 @@ def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("quantity, flags", [("alpha-bf", ("--c", "0")),
+                                             ("alpha-bf", ("--p", "0")),
+                                             ("alpha-oracle", ("--c", "nan"))])
+def test_qq_bad_cell_exits_2(tmp_path, capsys, quantity, flags):
+    # the cell is validated before its sample size and p/n are computed
+    code, err = run(capsys, "qq", quantity, *flags, "--n-reps", "10", "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+
+
 @pytest.mark.parametrize("command", ["simulate", "backtest"])
 def test_empty_estimator_list_exits_2(tmp_path, capsys, command):
     # a run of no estimator would write CSVs that hold only a header
@@ -142,6 +152,18 @@ def test_empty_estimator_list_exits_2(tmp_path, capsys, command):
     assert_one_error_line(err)
     assert "estimators" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_backtest_population_estimator_exits_2(tmp_path, capsys):
+    # the oracle is a known estimator that a returns panel cannot feed
+    returns = tmp_path / "returns.csv"
+    write_returns_csv(synthetic_panel(p=4, periods=20), returns)
+    code, err = run(capsys, "backtest", str(returns), "--windows", "5",
+                    "--estimators", "sample-mean,olse-oracle", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert_one_error_line(err)
+    assert "['olse-oracle'] need the true population" in err
+    assert "accepts sample-mean, olse, js," in err and "unknown" not in err
 
 
 @pytest.mark.parametrize("config", ["windows = 5,x", "align_start = maybe", "seed = 1.5",

@@ -24,15 +24,18 @@ from shrinkmean.errors import (
     SingularSampleError,
 )
 from shrinkmean.estimators import (
+    ESTIMATORS,
+    ShrinkageWeights,
     bona_fide_intensities,
+    evaluate,
     james_stein,
     js_high_dim,
     js_positive_part,
     limit_intensities,
-    olse,
     oracle_intensities,
     wang_estimator,
 )
+from shrinkmean.finance import BacktestConfig, ReturnsPanel, rolling_backtest
 from shrinkmean.harness import (
     KS_COEFF_1PCT,
     McConfig,
@@ -334,13 +337,30 @@ class TestOlse:
         stats = sample_stats(y)
         mu_0 = rng.standard_normal(3)
         w = bona_fide_intensities(stats, mu_0)
-        est = olse(stats, mu_0)
+        est, weights = evaluate("olse", stats, mu_0)
+        assert weights == w
         assert np.allclose(est, w.alpha * stats.y_bar + w.beta * mu_0)
 
     def test_hand_composition(self, rng):
         stats = sample_stats(sample_with_moments(np.array([2.0, 0.0]), np.eye(2), 4, rng))
-        est = olse(stats, np.array([0.0, 1.0]))
+        est, _ = evaluate("olse", stats, np.array([0.0, 1.0]))
         assert np.allclose(est, [1.5, 0.0])
+
+    def test_table_entry_serves_both_harnesses(self, monkeypatch, rng):
+        # weights (1, 0) make an entry the sample mean: one table entry is
+        # all a Monte Carlo study and a backtest need to score it
+        monkeypatch.setitem(ESTIMATORS, "unit-weights",
+                            lambda stats, mu_0, pop: ShrinkageWeights(1.0, 0.0))
+        names = ("sample-mean", "unit-weights")
+        study = run_study(McConfig(p_grid=(12,), c_grid=(0.5, 2.0), n_reps=5,
+                                   estimators=names, seed=3))
+        for cell in study.cells:
+            assert np.array_equal(cell.losses["unit-weights"], cell.losses["sample-mean"])
+        panel = ReturnsPanel(values=0.01 * rng.standard_normal((30, 12)))
+        report = rolling_backtest(panel, BacktestConfig(windows=(6, 20), estimators=names))
+        for row in report.rows:
+            assert row.failures == 0
+            assert row.loss_x1e4 == report.loss(row.window_n, "sample-mean", row.target)
 
     def test_unit_weights_reduce_to_sample_mean(self):
         # a sample where the weights come out at (1, 0) reproduces y_bar:

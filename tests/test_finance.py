@@ -13,7 +13,7 @@ from shrinkmean.errors import (
     ParseError,
     RaggedRowsError,
 )
-from shrinkmean.estimators import READS_TARGET, js_positive_part, olse
+from shrinkmean.estimators import READS_TARGET, evaluate, js_positive_part
 from shrinkmean.finance import (
     BacktestConfig,
     ReturnsPanel,
@@ -120,7 +120,8 @@ class TestBacktestOptions:
             sq = 0.0
             for t_idx in range(start, panel.n_periods):
                 stats = sample_stats(values[t_idx - n : t_idx].T)
-                sq += (float(olse(stats, mu_0).mean()) - float(values[t_idx].mean())) ** 2
+                estimate, _ = evaluate("olse", stats, mu_0)
+                sq += (float(estimate.mean()) - float(values[t_idx].mean())) ** 2
             expected = 1e4 * sq / (panel.n_periods - start)
             assert report.loss(n, "olse", target) == pytest.approx(expected, rel=1e-12)
 
@@ -130,7 +131,8 @@ HIGH_DIM = ("sample-mean", "olse", "js-high-dim", "js-positive-part", "wang")
 
 class TestBacktestEstimatorCalls:
     def test_target_free_estimators_run_once_per_window_period(self, monkeypatch):
-        calls = dict.fromkeys(("olse", "js_high_dim", "js_positive_part", "wang_estimator"), 0)
+        calls = dict.fromkeys(
+            ("bona_fide_intensities", "js_high_dim", "js_positive_part", "wang_estimator"), 0)
 
         def counting(name):
             original = getattr(shrinkmean.estimators, name)
@@ -148,7 +150,7 @@ class TestBacktestEstimatorCalls:
         assert all(row.failures == 0 for row in report.rows)
         periods = (20 - 5) + (20 - 8)
         assert READS_TARGET == {"olse"}
-        assert calls == {"olse": 3 * periods, "js_high_dim": periods,
+        assert calls == {"bona_fide_intensities": 3 * periods, "js_high_dim": periods,
                          "js_positive_part": periods, "wang_estimator": periods}
 
     def test_both_positive_part_forms(self):

@@ -63,6 +63,12 @@ class TestEigenRecipe:
         values = EigenRecipe(((0.5, 1.0), (0.5, 2.0))).eigenvalues(7)
         assert sorted(values.tolist()) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
 
+    def test_group_count_of_an_inexact_product(self):
+        # 0.29 * 100 is 28.999999999999996 in floating point, yet 29 values
+        values = EigenRecipe(((0.29, 1.0), (0.71, 10.0))).eigenvalues(100)
+        assert np.count_nonzero(values == 1.0) == 29
+        assert np.count_nonzero(values == 10.0) == 71
+
     def test_exactly_symmetric_output(self, rng):
         root = build_covariance(DEFAULT_RECIPE, 15, rng).root
         assert np.array_equal(root, root.T)

@@ -30,7 +30,12 @@ from shrinkmean.errors import (
     NonFiniteDataError,
     NotPositiveDefiniteError,
 )
-from shrinkmean.estimators import SAMPLE_ESTIMATORS, limit_intensities, oracle_intensities
+from shrinkmean.estimators import (
+    ESTIMATORS,
+    NEEDS_POPULATION,
+    limit_intensities,
+    oracle_intensities,
+)
 from shrinkmean.finance import BacktestConfig, ReturnsPanel, rolling_backtest
 from shrinkmean.harness import (
     McConfig,
@@ -249,7 +254,8 @@ class TestOneEigendecompositionPerPopulation:
         monkeypatch.setattr(np.linalg, "cholesky",
                             _recording(calls, "cholesky", np.linalg.cholesky))
         panel = ReturnsPanel(values=rng.standard_normal((20, 30)) * 0.02)
-        config = BacktestConfig(windows=(5, 10), estimators=tuple(SAMPLE_ESTIMATORS))
+        names = tuple(e for e in ESTIMATORS if e not in NEEDS_POPULATION)
+        config = BacktestConfig(windows=(5, 10), estimators=names)
         report = rolling_backtest(panel, config)
         # js needs p < n and fails every window-period; nothing else fails
         assert all(row.failures == (20 - row.window_n if row.estimator == "js" else 0)
