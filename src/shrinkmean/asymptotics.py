@@ -12,7 +12,6 @@ Omega gives both covariances by one identity: A^{-1} V Omega V' A^{-T}.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     DegenerateDenominatorError,
@@ -59,7 +58,9 @@ def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float
     system = gram + np.diag([ct, 0.0])
     alpha, beta = np.linalg.solve(system, gram[0])
     mixing = np.array([[1.0 - 2.0 * alpha, -beta, -alpha], [0.0, -alpha, 0.0]])
-    cov = _delta_covariance(system, mixing, block_diag(gram, 2.0 * ct))
+    omega = np.pad(gram, (0, 1))  # the block diagonal diag(G, 2 c p^{-gamma})
+    omega[2, 2] = 2.0 * ct
+    cov = _delta_covariance(system, mixing, omega)
     return float(cov[0, 0]), float(cov[1, 1])
 
 

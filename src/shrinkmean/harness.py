@@ -17,9 +17,18 @@ built from, and its precision whitening W (W'W = sigma^{-1}) is the one
 precision metric of the cell.  It scores every estimate of a replication in
 one product, the column sums of squares of ``W @ (M - mu_n 1')`` for the
 stack M of the estimates that succeeded, and the oracle and limit weights
-read their Gram through it, both once per replication.  Replications run in
-index order, so a study's reports and CSVs are bit-identical for a given
-seed; no wall-clock time is recorded.  The QQ helpers take the standard
+read their Gram through it, both once per replication.  While the main
+thread evaluates replication r, one helper thread draws replication r + 1's
+innovations: it calls only :func:`replication_rng` and
+:meth:`InnovationLaw.draw`, whose fill releases the GIL, and it ends with
+its cell, also when a draw or an estimator raises.  The main thread's BLAS
+calls meanwhile run under :func:`shrinkmean.linalg.fewer_blas_threads`, so
+the helper gets the core that OpenBLAS's extra thread would spin on;
+:func:`run_study` holds that limit over its population builds too, since a
+BLAS call on all threads leaves the extra one spinning for about 0.1 s.
+Each replication keeps its own stream and its results their index, so a
+study's reports and CSVs are the same for a given seed whatever the thread
+timing; no wall-clock time is recorded.  The QQ helpers take the standard
 normal quantile from :class:`statistics.NormalDist` and the CDF from
 ``math.erfc``, so importing the package loads no scipy subpackage but the
 ``scipy.linalg`` its triangular solves need: ``scipy.special`` would cost
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
@@ -45,6 +55,7 @@ from .errors import (
     reject_duplicates,
 )
 from .estimators import ESTIMATORS, evaluate
+from .linalg import fewer_blas_threads
 from .model import (
     DEFAULT_RECIPE,
     EigenRecipe,
@@ -233,22 +244,28 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     losses = {e: np.full(n_reps, np.nan) for e in estimators}
     recorded = {e: np.full((n_reps, 2), np.nan) for e in _INTENSITY_KINDS if e in estimators}
 
-    for r in range(n_reps):
-        rng = replication_rng(config.seed, p, c, r)
-        stats = innovation_stats(pop, config.law.draw(rng, (p, n)))
-        estimates = {}
-        for est in estimators:
-            try:
-                estimates[est], w = evaluate(est, stats, pop.mu_0, pop)
-            except ShrinkmeanError:
-                continue
-            if est in recorded:
-                recorded[est][r] = (w.alpha, w.beta)
-        if estimates:
-            scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
-            for est, loss in zip(estimates, scored):
-                losses[est][r] = loss
-        del stats  # free this sample before the next one is drawn (peak memory)
+    def draw(r: int) -> np.ndarray:
+        return config.law.draw(replication_rng(config.seed, p, c, r), (p, n))
+
+    with fewer_blas_threads(), ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0)
+        for r in range(n_reps):
+            stats = innovation_stats(pop, pending.result())
+            if r + 1 < n_reps:
+                pending = helper.submit(draw, r + 1)
+            estimates = {}
+            for est in estimators:
+                try:
+                    estimates[est], w = evaluate(est, stats, pop.mu_0, pop)
+                except ShrinkmeanError:
+                    continue
+                if est in recorded:
+                    recorded[est][r] = (w.alpha, w.beta)
+            if estimates:
+                scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
+                for est, loss in zip(estimates, scored):
+                    losses[est][r] = loss
+            del stats  # free these statistics before the next are built (peak memory)
 
     failures = {est: int(np.isnan(losses[est]).sum()) for est in estimators}
     return CellResult(
@@ -267,8 +284,9 @@ def run_study(config: McConfig) -> McReport:
     Estimator errors inside a replication are recorded as failures for
     that estimator (loss left NaN), never aborts.
     """
-    cells = [run_cell(config, cell_population(config, p, c), c)
-             for p in config.p_grid for c in config.c_grid]
+    with fewer_blas_threads():
+        cells = [run_cell(config, cell_population(config, p, c), c)
+                 for p in config.p_grid for c in config.c_grid]
     return McReport(config=config, cells=cells)
 
 

@@ -11,14 +11,23 @@ No function here solves against a covariance: every precision-metric form
 is a Gram of whitened vectors, and ``spd_solve`` solves against the
 reflected (n-1) x (n-1) Gram G of a sample, one new vector per call.
 
-All functions are pure: they never mutate their inputs and hold no module
-state, so they are safe to call concurrently.
+The linear algebra functions are pure: they never mutate their inputs and
+hold no module state, so they are safe to call concurrently.  The one
+exception is :func:`fewer_blas_threads`, which changes process-wide state:
+while it is entered, every BLAS call in the process, on any thread, runs on
+one thread fewer of the OpenBLAS builds bundled in numpy's and scipy's
+wheels.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +41,8 @@ __all__ = [
     "spd_solve",
     "SpdEigen",
     "haar_orthogonal",
+    "blas_thread_counts",
+    "fewer_blas_threads",
 ]
 
 _EPS = np.finfo(float).eps
@@ -168,3 +179,79 @@ def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
     signs = np.sign(np.diagonal(r))
     signs = np.where(signs == 0.0, 1.0, signs)
     return q * signs
+
+
+#: names of the OpenBLAS thread-count (get, set) pair, in probe order: the
+#: scipy-openblas builds of numpy's and scipy's wheels, then plain OpenBLAS,
+#: each with the ``64_`` suffix of an ILP64 build, then without.  The setter
+#: acts on the whole process (so, in OpenBLAS 0.3.30-0.3.31, does
+#: ``openblas_set_num_threads_local``, which therefore adds nothing)
+_THREAD_SYMBOLS = tuple((f"{stem}_get_num_threads{suffix}", f"{stem}_set_num_threads{suffix}")
+                        for stem in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+
+
+def _thread_pair(path: str):
+    """The (get, set) thread-count functions of the library at ``path``, or None."""
+    try:
+        lib = ctypes.CDLL(path)  # the handle of the copy its package already loaded
+    except OSError:
+        return None
+    for get_name, set_name in _THREAD_SYMBOLS:
+        get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+@cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) pair of each OpenBLAS in numpy's and scipy's wheels
+    (``<package>.libs/*openblas*``); empty where there is none (MKL, a
+    system BLAS, a build without the pair)."""
+    pairs = []
+    for package in (np, scipy):
+        libs = os.path.join(os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs")
+        pairs += filter(None, map(_thread_pair, sorted(glob.glob(os.path.join(libs, "*openblas*")))))
+    return tuple(pairs)
+
+
+def blas_thread_counts() -> tuple[int, ...]:
+    """Current thread count of each OpenBLAS :func:`fewer_blas_threads`
+    controls, in probe order; empty where it controls none."""
+    return tuple(get() for get, _ in _openblas_thread_controls())
+
+
+_lowering_lock = threading.Lock()
+_lowering_depth = 0
+_saved_counts: tuple[int, ...] = ()
+
+
+@contextmanager
+def fewer_blas_threads():
+    """Run the block with each OpenBLAS of :func:`blas_thread_counts` on one
+    thread fewer (never below one), restoring the counts on exit.
+
+    This frees a core for a thread that works beside BLAS: on 2-core x86-64
+    with OpenBLAS 0.3.31, the second BLAS thread gained nothing on p = 250
+    syrk and Cholesky calls and spun between them.  The counts are process
+    state, so nested or overlapping entries, from any threads, lower them
+    once, on the first entry, and the last exit restores them.  Where no
+    OpenBLAS is found it does nothing.
+    """
+    global _lowering_depth, _saved_counts
+    with _lowering_lock:
+        if _lowering_depth == 0:
+            _saved_counts = blas_thread_counts()
+            for (_, put), count in zip(_openblas_thread_controls(), _saved_counts):
+                put(max(1, count - 1))
+        _lowering_depth += 1
+    try:
+        yield
+    finally:
+        with _lowering_lock:
+            _lowering_depth -= 1
+            if _lowering_depth == 0:
+                for (_, put), count in zip(_openblas_thread_controls(), _saved_counts):
+                    put(count)

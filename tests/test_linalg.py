@@ -1,11 +1,17 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from conftest import eigenpairs, rand_spd
+from shrinkmean import linalg
 from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.linalg import (
     SpdEigen,
+    blas_thread_counts,
+    fewer_blas_threads,
     haar_orthogonal,
     spd_factor,
     spd_solve,
@@ -191,3 +197,100 @@ class TestHaarOrthogonal:
         q1 = haar_orthogonal(6, np.random.default_rng(11))
         q2 = haar_orthogonal(6, np.random.default_rng(11))
         assert np.array_equal(q1, q2)
+
+
+class TestFewerBlasThreads:
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        """Two stand-in libraries at 4 and 1 threads in place of the probed ones."""
+        counts = [4, 1]
+        controls = tuple((lambda i=i: counts[i], lambda value, i=i: counts.__setitem__(i, value))
+                         for i in range(len(counts)))
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: controls)
+        return counts
+
+    def test_one_fewer_never_below_one(self, fake):
+        with fewer_blas_threads():
+            assert blas_thread_counts() == (3, 1)
+        assert fake == [4, 1]
+
+    def test_restored_after_an_error(self, fake):
+        with pytest.raises(KeyError), fewer_blas_threads():
+            raise KeyError("inside")
+        assert fake == [4, 1]
+
+    def test_nested_entries_lower_once(self, fake):
+        with fewer_blas_threads():
+            with fewer_blas_threads():
+                assert fake == [3, 1]
+            assert fake == [3, 1]
+        assert fake == [4, 1]
+
+    def test_overlapping_threads_restore_on_the_last_exit(self, fake):
+        # entered on this thread, then on another that exits first, and the
+        # other way round: the counts stay lowered until both have left
+        entered, release = threading.Event(), threading.Event()
+
+        def other():
+            with fewer_blas_threads():
+                entered.set()
+                release.wait(10)
+
+        with fewer_blas_threads():
+            worker = threading.Thread(target=other)
+            worker.start()
+            assert entered.wait(10)
+        assert fake == [3, 1]
+        release.set()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert fake == [4, 1]
+
+    def test_many_threads_entering_at_once(self, fake):
+        # more threads than cores, switching every microsecond: a lost update
+        # of the entry count would lower twice or restore while one is inside
+        seen, errors = set(), []
+
+        def enter_repeatedly():
+            try:
+                for _ in range(200):
+                    with fewer_blas_threads():
+                        seen.add(tuple(fake))
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_repeatedly) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and not errors
+        assert seen == {(3, 1)}
+        assert fake == [4, 1]
+
+    def test_without_a_library_it_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: ())
+        with fewer_blas_threads():
+            assert blas_thread_counts() == ()
+
+    def test_real_counts_lowered_and_restored(self):
+        before = blas_thread_counts()
+        with fewer_blas_threads():
+            assert blas_thread_counts() == tuple(max(1, count - 1) for count in before)
+        assert blas_thread_counts() == before
+
+    def test_probe_finds_the_wheel_openblas(self):
+        # a change of wheel layout or symbol names would otherwise turn the
+        # limit into a silent no-op
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+            pytest.skip("numpy does not report its BLAS as a dict")
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy is built against {blas.get('name')}, not scipy-openblas")
+        assert len(blas_thread_counts()) >= 1

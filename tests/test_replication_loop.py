@@ -1,0 +1,147 @@
+"""``run_cell``'s replication loop: a helper thread draws replication r + 1
+while the main thread evaluates replication r, under one BLAS thread fewer.
+The results must be those of the plain serial loop, and the helper thread
+and the BLAS thread counts must not outlive the cell."""
+
+import threading
+
+import numpy as np
+import pytest
+
+from shrinkmean import harness
+from shrinkmean.errors import ShrinkmeanError
+from shrinkmean.estimators import ESTIMATORS, evaluate
+from shrinkmean.harness import (
+    McConfig,
+    cell_population,
+    cell_sample_size,
+    quadratic_loss,
+    replication_rng,
+    run_cell,
+)
+from shrinkmean.linalg import blas_thread_counts
+from shrinkmean.model import InnovationLaw, innovation_stats
+
+#: the BLAS thread counts before any test ran (read at collection): a count
+#: a cell failed to restore would otherwise become the next test's "before"
+START_COUNTS = blas_thread_counts()
+
+
+def serial_cell(config, pop, c):
+    """(losses, weights) of every replication of a cell, one after another on
+    this thread: draw, statistics, every estimator, one stacked loss."""
+    p, n = pop.p, cell_sample_size(pop.p, c)
+    losses = {e: np.full(config.n_reps, np.nan) for e in config.estimators}
+    weights = {e: np.full((config.n_reps, 2), np.nan)
+               for e in ("olse-oracle", "olse") if e in config.estimators}
+    for r in range(config.n_reps):
+        z = config.law.draw(replication_rng(config.seed, p, c, r), (p, n))
+        stats = innovation_stats(pop, z)
+        estimates = {}
+        for est in config.estimators:
+            try:
+                estimates[est], w = evaluate(est, stats, pop.mu_0, pop)
+            except ShrinkmeanError:
+                continue
+            if est in weights:
+                weights[est][r] = (w.alpha, w.beta)
+        if estimates:
+            scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
+            for est, loss in zip(estimates, scored):
+                losses[est][r] = loss
+    return losses, weights
+
+
+def cell_config(p, c, law, n_reps):
+    return McConfig(p_grid=(p,), c_grid=(c,), n_reps=n_reps, estimators=tuple(ESTIMATORS),
+                    seed=3, law=InnovationLaw.parse(law))
+
+
+@pytest.mark.parametrize("law", ["normal", "t:6", "exponential"])
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_matches_the_serial_loop_bit_for_bit(c, law):
+    # at p = 12 OpenBLAS runs every call on one thread whatever its count, so
+    # the pipelined loop must reproduce the serial one exactly
+    config = cell_config(12, c, law, n_reps=8)
+    cell = run_cell(config, cell_population(config, 12, c), c)
+    losses, weights = serial_cell(config, cell_population(config, 12, c), c)
+    assert cell.losses.keys() == losses.keys() and cell.weights.keys() == weights.keys()
+    for est in losses:
+        np.testing.assert_array_equal(cell.losses[est], losses[est])
+        assert cell.failures[est] == np.isnan(losses[est]).sum()
+    for est in weights:
+        np.testing.assert_array_equal(cell.weights[est], weights[est])
+
+
+def test_matches_the_serial_loop_at_p250():
+    # at p = 250 the serial loop's BLAS calls may run on one thread more,
+    # which changes their partitioning and so the last bits of a result
+    config = cell_config(250, 2.0, "normal", n_reps=2)
+    cell = run_cell(config, cell_population(config, 250, 2.0), 2.0)
+    losses, weights = serial_cell(config, cell_population(config, 250, 2.0), 2.0)
+    for got, want in [(cell.losses[e], losses[e]) for e in losses] + \
+                     [(cell.weights[e], weights[e]) for e in weights]:
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def failing_on_call(monkeypatch, owner, name, call):
+    """Make ``owner.name`` raise a fresh error on its ``call``-th call (1-based)
+    and return (the error, the list of calls made)."""
+    real = getattr(owner, name)
+    error = RuntimeError(f"{name} fails on call {call}")
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if len(calls) == call:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    return error, calls
+
+
+class TestCleanUp:
+    """Neither the helper thread nor the lowered BLAS thread counts outlive
+    ``run_cell``, however it ends."""
+
+    config = McConfig(p_grid=(40,), c_grid=(0.5,), n_reps=6, estimators=("olse",), seed=1)
+
+    def run(self):
+        return run_cell(self.config, cell_population(self.config, 40, 0.5), 0.5)
+
+    @pytest.fixture(autouse=True)
+    def clean(self):
+        threads = threading.active_count()
+        assert blas_thread_counts() == START_COUNTS
+        yield
+        assert threading.active_count() == threads
+        assert blas_thread_counts() == START_COUNTS
+
+    def test_after_a_normal_return(self, monkeypatch):
+        seen = []
+        real = harness.innovation_stats
+
+        def recording(pop, z):
+            seen.append(blas_thread_counts())
+            return real(pop, z)
+
+        monkeypatch.setattr(harness, "innovation_stats", recording)
+        self.run()
+        assert seen == [tuple(max(1, count - 1) for count in START_COUNTS)] * self.config.n_reps
+
+    def test_draw_error_on_replication_3(self, monkeypatch):
+        # the helper draws replications in order, so the fourth draw is
+        # replication 3; no later draw is started
+        error, calls = failing_on_call(monkeypatch, InnovationLaw, "draw", 4)
+        with pytest.raises(RuntimeError) as raised:
+            self.run()
+        assert raised.value is error
+        assert len(calls) == 4 and threading.main_thread() not in calls
+
+    def test_main_thread_error_with_a_draw_pending(self, monkeypatch):
+        error, _ = failing_on_call(monkeypatch, harness, "innovation_stats", 3)
+        with pytest.raises(RuntimeError) as raised:
+            self.run()
+        assert raised.value is error
