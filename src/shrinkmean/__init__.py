@@ -62,7 +62,6 @@ from .model import (
     build_covariance,
     draw_mean_vectors,
     generate_sample,
-    innovation_stats,
     sample_stats,
 )
 

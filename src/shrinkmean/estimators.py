@@ -18,9 +18,8 @@ one run can score both.
 
 Every sample-based estimator reads the one covariance factorization that
 its :class:`SampleStats` value carries (the Cholesky factor of S = BB' for
-p < n, or of the innovations' S_z for a simulated sample, that of the
-reflected (n-1) x (n-1) Gram G = B'B for p > n, through which S^+ is
-read), so a sample is factorized once however many estimators
+p < n, that of the reflected (n-1) x (n-1) Gram G = B'B for p > n, through
+which S^+ is read), so a sample is factorized once however many estimators
 run on it.  No function here solves against a covariance: the factorization
 whitens y_bar once, and :meth:`SampleStats.mean_gram` or ``whiten`` whiten
 one new vector per call (p > n: ``linalg.spd_solve`` against G).

@@ -7,25 +7,31 @@ streams are derived from ``(root seed, p, round(1000 c), replication + 1)``.
 Every estimator runs through :func:`shrinkmean.estimators.evaluate`, the
 one call the backtester makes too, so a name in the one table
 :data:`ESTIMATORS` is all a study needs.
-Each replication draws its p x n innovations z from the cell's law and
-builds one :class:`SampleStats` of the sample sqrt(sigma) z + mu_n 1' from
-them with :func:`innovation_stats`, which forms neither that sample nor,
-below p = n, its covariance; every sample-based estimator reads the one
-covariance factorization those statistics carry.  The population side is
-never factorized: the population carries the eigenpairs its covariance was
-built from, and its precision whitening W (W'W = sigma^{-1}) is the one
-precision metric of the cell.  It scores every estimate of a replication in
-one product, the column sums of squares of ``W @ (M - mu_n 1')`` for the
-stack M of the estimates that succeeded, and the oracle and limit weights
-read their Gram through it, both once per replication.  While the main
-thread evaluates replication r, one helper thread draws replication r + 1's
-innovations: it calls only :func:`replication_rng` and
-:meth:`InnovationLaw.draw`, whose fill releases the GIL, and it ends with
-its cell, also when a draw or an estimator raises.  The main thread's BLAS
-calls meanwhile run under :func:`shrinkmean.linalg.fewer_blas_threads`, so
-the helper gets the core that OpenBLAS's extra thread would spin on;
-:func:`run_study` holds that limit over its population builds too, since a
-BLAS call on all threads leaves the extra one spinning for about 0.1 s.
+Each replication draws its p x n innovations z from the cell's law; its
+sample is y = R z + mu_n 1', with R = sigma^{1/2}.  Below p = n the cell is
+scored in its whitened frame :meth:`PopulationSpec.whitened`, the
+coordinates x = R^{-1} y, where the sample is z + R^{-1} mu_n 1': a
+replication's :class:`SampleStats` are z's with y_bar shifted, and neither
+y nor R is formed.  Every estimator that runs there is equivariant, so the
+frame gives the numbers of y itself (the argument is in :func:`run_cell`).
+At or above p = n the frame is the population itself and the statistics
+are those of R z, with y_bar shifted by mu_n.  Every sample-based
+estimator reads the one covariance factorization those statistics carry.
+The population side is never factorized: the frame carries the eigenpairs
+its covariance was built from, and its precision whitening W (W'W =
+sigma^{-1}, the identity in the whitened frame) is the one precision metric
+of the cell.  It scores every estimate of a replication in one product, the
+column sums of squares of ``W @ (M - mu_n 1')`` for the stack M of the
+estimates that succeeded, and the oracle and limit weights read their Gram
+through it, both once per replication.  While the main thread evaluates
+replication r, one helper thread draws replication r + 1's innovations: it
+calls only :func:`replication_rng` and :meth:`InnovationLaw.draw`, whose
+fill releases the GIL, and it ends with its cell, also when a draw or an
+estimator raises.  The main thread's BLAS calls meanwhile run under
+:func:`shrinkmean.linalg.fewer_blas_threads`, so the helper gets the core
+that OpenBLAS's extra thread would spin on; :func:`cell_population` builds
+under that limit too, since a BLAS call on all threads leaves the extra one
+spinning for about 0.1 s.
 Each replication keeps its own stream and its results their index, so a
 study's reports and CSVs are the same for a given seed whatever the thread
 timing; no wall-clock time is recorded.  The QQ helpers take the standard
@@ -63,7 +69,7 @@ from .model import (
     PopulationSpec,
     build_covariance,
     draw_mean_vectors,
-    innovation_stats,
+    sample_stats,
 )
 
 __all__ = [
@@ -222,9 +228,14 @@ def quadratic_loss(estimates: np.ndarray, pop: PopulationSpec) -> np.ndarray:
 
 
 def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
-    rng = population_rng(config.seed, p, c)
-    eigen = build_covariance(config.eigen_recipe, p, rng)
-    mu_n, mu_0 = draw_mean_vectors(config.gamma, p, rng)
+    """The population of one cell, drawn from :func:`population_rng`.  It is
+    built on one BLAS thread fewer, as its cell runs: its p x p Haar QR on
+    every thread would leave OpenBLAS's extra one spinning beside the cell's
+    draws."""
+    with fewer_blas_threads():
+        rng = population_rng(config.seed, p, c)
+        eigen = build_covariance(config.eigen_recipe, p, rng)
+        mu_n, mu_0 = draw_mean_vectors(config.gamma, p, rng)
     if config.target_mode == "equal-to-mu_n":
         mu_0 = mu_n.copy()
     return PopulationSpec(p=p, gamma=config.gamma, mu_n=mu_n, mu_0=mu_0, eigen=eigen)
@@ -249,20 +260,35 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
 
     with fewer_blas_threads(), ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(draw, 0)
+        # Below p = n the cell runs in the frame x = R^{-1} y.  Only
+        # sample-mean, olse, js, olse-oracle and olse-asymptotic run there:
+        # the other four raise InvalidDimensionsError for p <= n.  Each of the
+        # five is equivariant under y -> A y with mu_0 -> A mu_0, for any
+        # invertible A: its estimate is y_bar or a combination of y_bar and
+        # mu_0 whose weights read only S^{-1} or sigma^{-1} quadratic forms of
+        # y_bar, mu_0 and mu_n, which A leaves unchanged (S -> A S A', sigma
+        # -> A sigma A').  So with A = R^{-1} its (alpha, beta) do not change,
+        # its estimate is R^{-1} times the original, and the sigma^{-1} loss
+        # is the Euclidean loss in the frame.  Above, S^+ is not
+        # affine-equivariant and Wang's all-ones direction is fixed, so there
+        # the frame is pop itself.
+        frame, root = (pop.whitened(), None) if p < n else (pop, pop.sigma_sqrt())
         for r in range(n_reps):
-            stats = innovation_stats(pop, pending.result())
+            # a common shift leaves the reflected sample unchanged: shift y_bar alone
+            stats = sample_stats(pending.result() if root is None else root @ pending.result())
+            stats = replace(stats, y_bar=stats.y_bar + frame.mu_n)
             if r + 1 < n_reps:
                 pending = helper.submit(draw, r + 1)
             estimates = {}
             for est in estimators:
                 try:
-                    estimates[est], w = evaluate(est, stats, pop.mu_0, pop)
+                    estimates[est], w = evaluate(est, stats, frame.mu_0, frame)
                 except ShrinkmeanError:
                     continue
                 if est in recorded:
                     recorded[est][r] = (w.alpha, w.beta)
             if estimates:
-                scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
+                scored = quadratic_loss(np.column_stack(list(estimates.values())), frame)
                 for est, loss in zip(estimates, scored):
                     losses[est][r] = loss
             del stats  # free these statistics before the next are built (peak memory)
@@ -284,9 +310,8 @@ def run_study(config: McConfig) -> McReport:
     Estimator errors inside a replication are recorded as failures for
     that estimator (loss left NaN), never aborts.
     """
-    with fewer_blas_threads():
-        cells = [run_cell(config, cell_population(config, p, c), c)
-                 for p in config.p_grid for c in config.c_grid]
+    cells = [run_cell(config, cell_population(config, p, c), c)
+             for p in config.p_grid for c in config.c_grid]
     return McReport(config=config, cells=cells)
 
 

@@ -4,9 +4,8 @@ A population is an immutable triple (true mean, target mean, covariance)
 plus the norm-growth exponent gamma; a sample is the p x n matrix
 ``y = R z + mu 1'`` of i.i.d. standardized innovations z mixed by the
 symmetric square root R = sigma^{1/2}.  :func:`generate_sample` forms y and
-:func:`sample_stats` reads its statistics; a Monte Carlo replication reads
-the same statistics from z alone through :func:`innovation_stats`, which
-never forms y, and below p = n forms no p x p x n product either.
+:func:`sample_stats` reads the statistics of any p x n matrix into one
+:class:`SampleStats` value, which knows nothing of a population.
 The population's covariance is given as its eigenpairs, sigma = Q diag(lam)
 Q', the ones a simulated covariance is drawn from, so it is never
 eigendecomposed and sigma itself is never formed.  The square root R and
@@ -15,6 +14,10 @@ use and cached on the eigenpairs, and R^{-1} = Q W.  W is the population's
 one precision metric: the loss, the oracle and limit weights and the
 asymptotic variances all read sigma^{-1} through
 :meth:`PopulationSpec.whitening` or :meth:`PopulationSpec.precision_gram`.
+:meth:`PopulationSpec.whitened` is the population seen in the coordinates
+x = R^{-1} y, the frame in which a Monte Carlo cell below p = n is scored:
+there the covariance is the identity, a sample is z + R^{-1} mu_n 1', and
+sigma^{-1} forms are Euclidean ones.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "build_covariance",
     "draw_mean_vectors",
     "generate_sample",
-    "innovation_stats",
     "sample_stats",
 ]
 
@@ -183,12 +185,23 @@ class PopulationSpec:
         white = self.whitening() @ np.column_stack(vectors)
         return white.T @ white
 
+    def whitened(self) -> "PopulationSpec":
+        """This population in the coordinates x = R^{-1} y: identity
+        eigenpairs and the means R^{-1} mu_n and R^{-1} mu_0, read as Q (W
+        [mu_n, mu_0]), so no root is formed.  u' sigma^{-1} v is the
+        Euclidean product of the images of u and v, and a sample R z + mu_n
+        1' is z + R^{-1} mu_n 1' there."""
+        means = np.column_stack([self.mu_n, self.mu_0])
+        mu_n, mu_0 = (self.eigen.vectors @ (self.whitening() @ means)).T
+        return PopulationSpec(p=self.p, gamma=self.gamma, mu_n=mu_n, mu_0=mu_0,
+                              eigen=SpdEigen(values=np.ones(self.p), vectors=np.eye(self.p)))
+
 
 @dataclass(frozen=True, eq=False)
 class _Factorization:
-    cholesky: SpdFactor  # of B B' (B_z B_z' with a population) for p < n, of G = B'B for p >= n
+    cholesky: SpdFactor  # of S = B B' for p < n, of G = B'B for p >= n
     white_mean: np.ndarray  # y_bar whitened, once for every estimator
-    scale: float  # at least lam_max(S): trace(S), or lam_max(sigma) trace(S_z)
+    scale: float  # trace(S), at least lam_max(S)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,50 +214,30 @@ class SampleStats:
     the James-Stein family is ``n * S``), formed without the cancellation of
     y y'/n - y_bar y_bar' when the means are large against the spread.
 
-    A simulated sample y = R z + mu_n 1' below p = n may instead keep the
-    reflected sample ``B_z`` of its innovations z, with ``population`` the
-    population whose root R = ``population.sigma_sqrt()`` mixes them: then
-    B = R B_z and ``S = R S_z R`` with ``S_z = B_z B_z'``, and neither y nor
-    B nor S is formed (see :func:`innovation_stats`).
-
     The one factorization every estimator shares is built on first use and
     cached, as is a failure to build it, so each estimator that needs it
     fails once and no other does.  It is one Cholesky factor of one syrk of
     the reflected sample, whose pivot floor is the rank check: S of rank
     below min(p, n - 1) raises :class:`SingularSampleError`.  For p < n it
     factors ``B B' = S = L L'`` and reads Q = S^{-1} as ``(L^{-1} u)'(L^{-1}
-    v)``; with a population it factors ``S_z = L_z L_z'`` (rank S = rank S_z)
-    and whitens v as ``L_z^{-1} R^{-1} v``, R^{-1} v read as Q(W v) from the
-    population's eigenvectors and whitening.  For p >= n it factors ``G = B'B``,
-    and ``Q = S^+ = B G^{-2} B'``: v is whitened as ``G^{-1} B' v`` by two
-    triangular solves (no inverse is formed) and projected on the range of S
-    as ``B G^{-1} B' v``.  It whitens y_bar once, so each later call whitens
-    only its one new vector.  The factor's ``dim`` is the rank of S.
+    v)``.  For p >= n it factors ``G = B'B``, and ``Q = S^+ = B G^{-2} B'``: v
+    is whitened as ``G^{-1} B' v`` by two triangular solves (no inverse is
+    formed) and projected on the range of S as ``B G^{-1} B' v``.  It whitens
+    y_bar once, so each later call whitens only its one new vector.  The
+    factor's ``dim`` is the rank of S.
 
-    ``scale`` bounds lam_max(S) from above, so that a vector v in the range
-    of S has ``v'Qv >= |v|^2/scale``.  Without a population it is trace(S),
-    read from the factored Gram.  With one it is lam_max(sigma) trace(S_z),
-    read in O(p) from the eigenvalues and S_z, so no p x p sigma is formed:
-    lam_max(R S_z R) <= lam_max(sigma) lam_max(S_z) <= lam_max(sigma)
-    trace(S_z).  The two routes' scales differ, but the population route
-    runs only below p = n, where a factored S has full rank, so a test
-    ``v'Qv <= tol |v|^2/scale`` with tol < 1 fires only for v = 0 under
-    either scale.
+    ``scale`` is trace(S), read from the factored Gram: it bounds lam_max(S)
+    from above, so that a vector v in the range of S has ``v'Qv >=
+    |v|^2/scale``.
     """
 
     y_bar: np.ndarray
     reflected: np.ndarray
     p: int
     n: int
-    population: PopulationSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.population is not None and not self.population.p == self.p < self.n:
-            raise DimensionMismatchError("innovation statistics need p < n and a p-dimensional population")
 
     def _factorize(self) -> _Factorization:
         b = self.reflected
-        pop = self.population
         # one syrk on either side of p = n, so the factored matrix is exactly
         # symmetric; an entry of the sample too large to square overflows it,
         # and any overflowed entry makes the trace inf or NaN
@@ -253,8 +246,6 @@ class SampleStats:
             scale = float(np.trace(gram))
         if not np.isfinite(scale):
             raise NonFiniteDataError("sample has an entry too large to square: trace(S) overflows")
-        if pop is not None:
-            scale *= float(pop.eigen.values.max())
         try:
             cholesky = spd_factor(gram)
         except NotPositiveDefiniteError as exc:
@@ -281,8 +272,6 @@ class SampleStats:
     def _whiten(self, cholesky: SpdFactor, v: np.ndarray) -> np.ndarray:
         if self.p >= self.n:
             return spd_solve(cholesky, self.reflected.T @ v)
-        if self.population is not None:
-            v = self.population.eigen.vectors @ (self.population.whitening() @ v)
         return spd_whiten(cholesky, v)
 
     def whiten(self, v: np.ndarray) -> np.ndarray:
@@ -342,61 +331,25 @@ def generate_sample(
     return y
 
 
-def _reflect(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means of a p x n matrix and its reflected sample x H[:, 1:] / sqrt(n)
-    (see :class:`SampleStats`); rejects a non-finite mean."""
-    if x.ndim != 2:
-        raise DimensionMismatchError(f"expected a p x n matrix, got shape {x.shape}")
-    n = x.shape[1]
+def sample_stats(y: np.ndarray) -> SampleStats:
+    """Row means and reflected sample of a p x n matrix (see
+    :class:`SampleStats`), whose factorization is built on first use;
+    rejects a non-finite mean."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        raise DimensionMismatchError(f"expected a p x n matrix, got shape {y.shape}")
+    p, n = y.shape
     if n < 2:
         raise DimensionMismatchError(f"n must be >= 2, got {n}")
     # a row mean is non-finite exactly when its row holds a NaN or an inf or
     # its sum overflows, so p values check the whole sample
     with np.errstate(over="ignore", invalid="ignore"):
-        x_bar = x.mean(axis=1)
-    if not np.isfinite(x_bar).all():
+        y_bar = y.mean(axis=1)
+    if not np.isfinite(y_bar).all():
         raise NonFiniteDataError("sample has a NaN or infinite entry, or a row whose sum overflows")
     # the sign of H that keeps sqrt(n) - 1 out of the divisor
     root_n = np.sqrt(n)
-    shift = x_bar - (x_bar - x[:, 0]) / (root_n + 1.0)
-    reflected = x[:, 1:] - shift[:, None]
+    shift = y_bar - (y_bar - y[:, 0]) / (root_n + 1.0)
+    reflected = y[:, 1:] - shift[:, None]
     reflected /= root_n
-    return x_bar, reflected
-
-
-def sample_stats(y: np.ndarray) -> SampleStats:
-    """Row means and reflected sample of a p x n matrix; the factorization
-    is built on first use (see :class:`SampleStats`)."""
-    y = np.asarray(y, dtype=float)
-    y_bar, reflected = _reflect(y)
-    p, n = y.shape
     return SampleStats(y_bar=y_bar, reflected=reflected, p=p, n=n)
-
-
-def innovation_stats(pop: PopulationSpec, z: np.ndarray) -> SampleStats:
-    """The statistics ``sample_stats(R @ z + pop.mu_n[:, None])`` of the
-    sample mixed from the p x n innovations z by R = ``pop.sigma_sqrt()``,
-    read from z without forming that sample.
-
-    The reflection is linear and removes the mean, so the sample's mean is R
-    z_bar + mu_n and its reflected sample R B_z.  For p >= n that product is
-    formed and factored as :func:`sample_stats` would; for p < n the
-    statistics keep B_z and factor S_z = B_z B_z' (see :class:`SampleStats`).
-    """
-    z = np.asarray(z, dtype=float)
-    z_bar, reflected = _reflect(z)
-    p, n = z.shape
-    if p != pop.p:
-        raise DimensionMismatchError(f"expected {pop.p} x n innovations, got {p} x {n}")
-    root = pop.sigma_sqrt()
-    # an entry near the largest float can overflow the mixing; an overflowed
-    # B reaches its factorization, which rejects a non-finite trace(S)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y_bar = root @ z_bar + pop.mu_n
-        if p >= n:
-            reflected = root @ reflected
-    if not np.isfinite(y_bar).all():
-        raise NonFiniteDataError("sample has an entry too large to mix: R z_bar + mu_n overflows")
-    if p >= n:
-        return SampleStats(y_bar=y_bar, reflected=reflected, p=p, n=n)
-    return SampleStats(y_bar=y_bar, reflected=reflected, p=p, n=n, population=pop)

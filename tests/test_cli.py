@@ -7,6 +7,7 @@ import pytest
 
 from shrinkmean import cli
 from shrinkmean.cli import main
+from shrinkmean.estimators import ESTIMATORS
 from shrinkmean.finance import BacktestConfig, synthetic_panel, write_returns_csv
 from shrinkmean.harness import McConfig
 
@@ -27,6 +28,24 @@ def test_demo(tmp_path, capsys):
     assert code == 0, err
     assert (tmp_path / "backtest.csv").exists()
     assert (tmp_path / "losses.csv").exists()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (("simulate", "--p", "30", "--c", "0.5,2", "--n-reps", "6", "--law", "t:6",
+      "--estimators", ",".join(ESTIMATORS)), ["intensities.csv", "losses.csv"]),
+    (("demo",), ["backtest.csv", "demo_returns.csv", "intensities.csv", "losses.csv"]),
+], ids=["simulate", "demo"])
+def test_same_seed_gives_byte_identical_files(tmp_path, capsys, argv, files):
+    # simulate covers both sides of p = n (the whitened frame and R z) and
+    # the helper thread that draws the next replication
+    written = []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        out.mkdir()
+        code, err = run(capsys, *argv, "--seed", "4", "--out", str(out))
+        assert code == 0, err
+        assert sorted(path.name for path in out.iterdir()) == files
+        written.append([(out / name).read_bytes() for name in files])
+    assert written[0] == written[1]
 
 
 def test_small_simulate(tmp_path, capsys):

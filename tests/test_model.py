@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from shrinkmean.model import (
     build_covariance,
     draw_mean_vectors,
     generate_sample,
-    innovation_stats,
     sample_stats,
 )
 
@@ -216,10 +216,10 @@ class TestSampleStats:
 
 
 class TestNonFiniteData:
-    # a non-finite row mean is rejected by the constructors, and a finite
-    # entry too large to square by the factorization (or, for innovations,
-    # by the mixing), before any arithmetic on the sample warns, on both
-    # sides of p = n and by both constructors
+    # a non-finite row mean is rejected by sample_stats, and a finite entry
+    # too large to square by the factorization, before any arithmetic on the
+    # sample warns, on both sides of p = n; so is an overflow of the mixing
+    # R z that a cell at or above p = n forms
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rows, cols, values", [
         ([2], [1], [np.nan]),
@@ -231,58 +231,67 @@ class TestNonFiniteData:
         ([1], [1], [1.7e308]),  # finite row sums; at n = 3 the mixing by R = 4 I overflows
     ])
     def test_rejected(self, rng, rows, cols, values):
-        pop = _population(p=4, sigma=16 * np.eye(4))
+        root = _population(p=4, sigma=16 * np.eye(4)).sigma_sqrt()
         for n in (3, 20):
             z = rng.standard_normal((4, n))
             z[rows, cols] = values
             with np.errstate(over="ignore", invalid="ignore"):
                 finite_means = np.isfinite(z.mean(axis=1)).all()
+                mixed = root @ z
             match = "too large" if finite_means else "NaN or infinite"
             with pytest.raises(NonFiniteDataError, match=match):
                 sample_stats(z).factorization
-            with pytest.raises(NonFiniteDataError, match=match):
-                innovation_stats(pop, z).factorization
+            with pytest.raises(NonFiniteDataError):
+                sample_stats(mixed).factorization
 
 
 class TestInnovationStats:
+    """A cell reads each replication's statistics from its innovations z:
+    below p = n those of z in the whitened frame, at or above p = n those of
+    R z, in either case with only y_bar shifted."""
+
     def test_whitening_reads_the_mixed_sample(self, rng):
-        # p < n: S^{-1} of y = R z + mu 1' read through L_z^{-1} R^{-1}, with
-        # no y, B or S formed; the sample itself is the reference
+        # p < n: S^{-1} forms of y = R z + mu 1' are S_z^{-1} forms of the
+        # frame's images R^{-1} v, with no y, B or S formed; the sample
+        # itself is the reference
         eigen = build_covariance(DEFAULT_RECIPE, 6, rng)
-        mu = rng.uniform(-1, 1, 6)
-        pop = PopulationSpec(p=6, gamma=0, mu_n=mu, mu_0=mu, eigen=eigen)
+        mu, target = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
+        pop = PopulationSpec(p=6, gamma=0, mu_n=mu, mu_0=target, eigen=eigen)
+        frame = pop.whitened()
+        root = pop.sigma_sqrt()
+        assert np.allclose(root @ frame.mu_n, mu, rtol=1e-13, atol=1e-13)
+        assert np.allclose(root @ frame.mu_0, target, rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(frame.whitening(), np.eye(6))
         z = rng.standard_normal((6, 15))
-        y = pop.sigma_sqrt() @ z + mu[:, None]
-        stats = innovation_stats(pop, z)
-        assert stats.population is pop and stats.reflected.shape == (6, 14)
+        y = root @ z + mu[:, None]
+        z_stats = sample_stats(z)
+        stats = replace(z_stats, y_bar=z_stats.y_bar + frame.mu_n)
+        assert np.allclose(root @ stats.y_bar, y.mean(axis=1), rtol=1e-13, atol=1e-13)
         s = sample_covariance(y)
-        assert np.allclose(stats.y_bar, y.mean(axis=1), rtol=1e-13, atol=1e-13)
-        white = stats.whiten(np.eye(6))
+        white = stats.whiten(np.linalg.inv(root))
         precision = np.linalg.inv(s)
         assert np.max(np.abs(white.T @ white - precision)) < 1e-10 * np.max(np.abs(precision))
-        # the scale bounds lam_max(S), read without sigma: lam_max(sigma) trace(S_z)
-        scale = stats.factorization.scale
-        s_z = sample_covariance(z)
-        assert scale == pytest.approx(eigen.values.max() * np.trace(s_z), rel=1e-12)
-        assert scale >= np.linalg.eigvalsh(s).max()
+        # the scale is the frame's trace(S_z), which bounds lam_max(S_z)
+        assert stats.factorization.scale == pytest.approx(np.trace(sample_covariance(z)), rel=1e-12)
+        # and the Gram the oracle reads is the population's
+        assert np.allclose(frame.precision_gram(stats.y_bar, frame.mu_0, frame.mu_n),
+                           pop.precision_gram(root @ stats.y_bar, target, mu), rtol=1e-12)
 
     def test_high_dim_forms_the_reflected_sample(self, rng):
-        pop = _population(p=6, sigma=np.diag(np.arange(1.0, 7.0)))
+        # p >= n: the cell forms R z, whose reflected sample is that of
+        # R z + mu 1', since a common shift leaves the reflection unchanged
+        pop = _population(p=6, sigma=np.diag(np.arange(1.0, 7.0)), mu=rng.uniform(-1, 1, 6))
         z = rng.standard_normal((6, 4))
-        stats = innovation_stats(pop, z)
-        expected = sample_stats(pop.sigma_sqrt() @ z).reflected
-        assert stats.population is None
-        assert np.allclose(stats.reflected, expected, rtol=1e-13, atol=1e-13)
+        mixed = sample_stats(pop.sigma_sqrt() @ z)
+        expected = sample_stats(pop.sigma_sqrt() @ z + pop.mu_n[:, None])
+        assert np.allclose(mixed.reflected, expected.reflected, rtol=1e-13, atol=1e-13)
+        assert np.allclose(mixed.y_bar + pop.mu_n, expected.y_bar, rtol=1e-13, atol=1e-13)
 
     def test_dimension_checks(self, rng):
-        pop = _population(p=5)
         with pytest.raises(DimensionMismatchError):
-            innovation_stats(pop, rng.standard_normal((4, 10)))
+            sample_stats(rng.standard_normal(10))
         with pytest.raises(DimensionMismatchError):
-            innovation_stats(pop, rng.standard_normal((5, 1)))
-        # a population mixes B_z only below p = n
-        with pytest.raises(DimensionMismatchError):
-            SampleStats(np.zeros(5), np.zeros((5, 4)), 5, 5, population=pop)
+            sample_stats(rng.standard_normal((5, 1)))
 
 
 class TestSampleFactorization:
@@ -400,8 +409,7 @@ class TestPopulationValidation:
 
 
 def _cell_stats():
-    pop = cell_population(McConfig(p_grid=(4,), c_grid=(0.5,)), 4, 0.5)
-    return innovation_stats(pop, np.random.default_rng(0).standard_normal((4, 8)))
+    return sample_stats(np.random.default_rng(0).standard_normal((4, 8)))
 
 
 @pytest.mark.parametrize("build", [

@@ -1,9 +1,12 @@
 """``run_cell``'s replication loop: a helper thread draws replication r + 1
 while the main thread evaluates replication r, under one BLAS thread fewer.
 The results must be those of the plain serial loop, and the helper thread
-and the BLAS thread counts must not outlive the cell."""
+and the BLAS thread counts must not outlive the cell.  Below p = n the loop
+scores the cell in its whitened frame, which must reproduce every
+estimator's losses and weights on the mixed sample itself."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,36 +23,55 @@ from shrinkmean.harness import (
     run_cell,
 )
 from shrinkmean.linalg import blas_thread_counts
-from shrinkmean.model import InnovationLaw, innovation_stats
+from shrinkmean.model import InnovationLaw, sample_stats
 
 #: the BLAS thread counts before any test ran (read at collection): a count
 #: a cell failed to restore would otherwise become the next test's "before"
 START_COUNTS = blas_thread_counts()
 
 
-def serial_cell(config, pop, c):
+def serial_cell(config, pop, c, mixed=False):
     """(losses, weights) of every replication of a cell, one after another on
-    this thread: draw, statistics, every estimator, one stacked loss."""
+    this thread: draw, statistics, every estimator, one stacked loss.  The
+    statistics are built as ``run_cell`` builds them: below p = n those of z
+    shifted into the whitened frame, which is scored in place of ``pop``,
+    and at or above p = n those of R z shifted by mu_n.  With ``mixed`` they
+    are those of the sample R z + mu_n 1' itself, scored against ``pop``."""
     p, n = pop.p, cell_sample_size(pop.p, c)
+    frame = pop.whitened() if p < n and not mixed else pop
     losses = {e: np.full(config.n_reps, np.nan) for e in config.estimators}
     weights = {e: np.full((config.n_reps, 2), np.nan)
                for e in ("olse-oracle", "olse") if e in config.estimators}
     for r in range(config.n_reps):
         z = config.law.draw(replication_rng(config.seed, p, c, r), (p, n))
-        stats = innovation_stats(pop, z)
+        if mixed:
+            stats = sample_stats(pop.sigma_sqrt() @ z + pop.mu_n[:, None])
+        else:
+            stats = sample_stats(z if frame is not pop else pop.sigma_sqrt() @ z)
+            stats = replace(stats, y_bar=stats.y_bar + frame.mu_n)
         estimates = {}
         for est in config.estimators:
             try:
-                estimates[est], w = evaluate(est, stats, pop.mu_0, pop)
+                estimates[est], w = evaluate(est, stats, frame.mu_0, frame)
             except ShrinkmeanError:
                 continue
             if est in weights:
                 weights[est][r] = (w.alpha, w.beta)
         if estimates:
-            scored = quadratic_loss(np.column_stack(list(estimates.values())), pop)
+            scored = quadratic_loss(np.column_stack(list(estimates.values())), frame)
             for est, loss in zip(estimates, scored):
                 losses[est][r] = loss
     return losses, weights
+
+
+def assert_close(cell, losses, weights):
+    """The cell's losses and weights have the NaN pattern of ``losses`` and
+    ``weights`` and match them within 1e-10 relative."""
+    assert cell.losses.keys() == losses.keys() and cell.weights.keys() == weights.keys()
+    for got, want in [(cell.losses[e], losses[e]) for e in losses] + \
+                     [(cell.weights[e], weights[e]) for e in weights]:
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def cell_config(p, c, law, n_reps):
@@ -78,11 +100,29 @@ def test_matches_the_serial_loop_at_p250():
     # which changes their partitioning and so the last bits of a result
     config = cell_config(250, 2.0, "normal", n_reps=2)
     cell = run_cell(config, cell_population(config, 250, 2.0), 2.0)
-    losses, weights = serial_cell(config, cell_population(config, 250, 2.0), 2.0)
-    for got, want in [(cell.losses[e], losses[e]) for e in losses] + \
-                     [(cell.weights[e], weights[e]) for e in weights]:
-        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+    assert_close(cell, *serial_cell(config, cell_population(config, 250, 2.0), 2.0))
+
+
+@pytest.mark.parametrize("law", ["normal", "t:6", "exponential"])
+@pytest.mark.parametrize("c", [0.5, 0.9])
+@pytest.mark.parametrize("p", [12, 40])
+def test_whitened_frame_matches_the_mixed_sample(p, c, law):
+    # below p = n every estimator that runs is equivariant under y -> R^{-1} y
+    # with mu_0 -> R^{-1} mu_0, and the sigma^{-1} loss is the frame's
+    # Euclidean one, so the frame reproduces the mixed sample up to rounding
+    config = cell_config(p, c, law, n_reps=6)
+    pop = cell_population(config, p, c)
+    assert_close(run_cell(config, pop, c), *serial_cell(config, pop, c, mixed=True))
+
+
+def test_whitened_frame_guard_fires(monkeypatch):
+    # an estimator that is not equivariant (y_bar + 1 maps to R y_bar + R 1,
+    # not R y_bar + 1) scores differently in the frame
+    monkeypatch.setitem(ESTIMATORS, "mean-plus-one", lambda stats, mu_0, pop: stats.y_bar + 1.0)
+    config = cell_config(12, 0.5, "normal", n_reps=3)
+    pop = cell_population(config, 12, 0.5)
+    with pytest.raises(AssertionError):
+        assert_close(run_cell(config, pop, 0.5), *serial_cell(config, pop, 0.5, mixed=True))
 
 
 def failing_on_call(monkeypatch, owner, name, call):
@@ -104,7 +144,7 @@ def failing_on_call(monkeypatch, owner, name, call):
 
 class TestCleanUp:
     """Neither the helper thread nor the lowered BLAS thread counts outlive
-    ``run_cell``, however it ends."""
+    ``run_cell`` or ``cell_population``, however the cell ends."""
 
     config = McConfig(p_grid=(40,), c_grid=(0.5,), n_reps=6, estimators=("olse",), seed=1)
 
@@ -121,15 +161,27 @@ class TestCleanUp:
 
     def test_after_a_normal_return(self, monkeypatch):
         seen = []
-        real = harness.innovation_stats
+        real = harness.sample_stats
 
-        def recording(pop, z):
+        def recording(z):
             seen.append(blas_thread_counts())
-            return real(pop, z)
+            return real(z)
 
-        monkeypatch.setattr(harness, "innovation_stats", recording)
+        monkeypatch.setattr(harness, "sample_stats", recording)
         self.run()
         assert seen == [tuple(max(1, count - 1) for count in START_COUNTS)] * self.config.n_reps
+
+    def test_population_builds_on_one_thread_fewer(self, monkeypatch):
+        seen = []
+        real = harness.build_covariance
+
+        def recording(*args):
+            seen.append(blas_thread_counts())
+            return real(*args)
+
+        monkeypatch.setattr(harness, "build_covariance", recording)
+        cell_population(self.config, 40, 0.5)
+        assert seen == [tuple(max(1, count - 1) for count in START_COUNTS)]
 
     def test_draw_error_on_replication_3(self, monkeypatch):
         # the helper draws replications in order, so the fourth draw is
@@ -141,7 +193,7 @@ class TestCleanUp:
         assert len(calls) == 4 and threading.main_thread() not in calls
 
     def test_main_thread_error_with_a_draw_pending(self, monkeypatch):
-        error, _ = failing_on_call(monkeypatch, harness, "innovation_stats", 3)
+        error, _ = failing_on_call(monkeypatch, harness, "sample_stats", 3)
         with pytest.raises(RuntimeError) as raised:
             self.run()
         assert raised.value is error

@@ -6,6 +6,8 @@ brute-force pseudoinverse/inverse oracles for every sample-based estimator,
 and a guard that a study or backtest builds one factorization per sample.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from shrinkmean.harness import (
     run_study,
 )
 from shrinkmean.linalg import haar_orthogonal, spd_factor
-from shrinkmean.model import InnovationLaw, innovation_stats, sample_stats
+from shrinkmean.model import InnovationLaw, sample_stats
 
 ALL_BACKTEST = ("sample-mean", "olse", "js", "js-high-dim", "js-positive-part", "wang")
 ALL_MC = ALL_BACKTEST[:2] + ("olse-asymptotic", "olse-oracle") + ALL_BACKTEST[2:]
@@ -73,18 +75,19 @@ class TestFailureAccounting:
             assert row.failures == expected[row.window_n].get(row.estimator, 0), row
 
     def test_study_constant_and_square_cells(self, monkeypatch):
-        # identical columns of the innovations z are identical columns of the
-        # sample sqrt(sigma) z + mu_n 1' the study scores
-        original = shrinkmean.harness.innovation_stats
+        # the study reads z below p = n and R z at p = n, and identical
+        # columns of either are identical columns of the sample
+        # sqrt(sigma) z + mu_n 1' the study scores
+        original = shrinkmean.harness.sample_stats
         calls = []
 
-        def every_other_constant(pop, z):
-            calls.append(z.shape[1])
+        def every_other_constant(x):
+            calls.append(x.shape[1])
             if len(calls) % 2:
-                z[:] = z[:, :1]  # identical columns: S = 0
-            return original(pop, z)
+                x[:] = x[:, :1]  # identical columns: S = 0
+            return original(x)
 
-        monkeypatch.setattr(shrinkmean.harness, "innovation_stats", every_other_constant)
+        monkeypatch.setattr(shrinkmean.harness, "sample_stats", every_other_constant)
         report = run_study(McConfig(p_grid=(6,), c_grid=(0.25, 1.0), n_reps=10,
                                     estimators=ALL_MC, seed=3))
         low, square = report.cells
@@ -120,16 +123,16 @@ class TestFailureAccounting:
             with pytest.raises(SingularSampleError):
                 evaluate(name, stats, np.ones(12))
 
-        original = shrinkmean.harness.innovation_stats
+        original = shrinkmean.harness.sample_stats
         calls = []
 
-        def every_other_duplicated(pop, z):
-            calls.append(z.shape[1])
+        def every_other_duplicated(x):
+            calls.append(x.shape[1])
             if len(calls) % 2:
-                z[:, -1] = z[:, 0]  # and so the sample's last observation is its first
-            return original(pop, z)
+                x[:, -1] = x[:, 0]  # and so the sample's last observation is its first
+            return original(x)
 
-        monkeypatch.setattr(shrinkmean.harness, "innovation_stats", every_other_duplicated)
+        monkeypatch.setattr(shrinkmean.harness, "sample_stats", every_other_duplicated)
         cell = run_study(McConfig(p_grid=(20,), c_grid=(2.0,), n_reps=10,
                                   estimators=("sample-mean",) + high_dim)).cells[0]
         assert cell.failures == {"sample-mean": 0, "olse": 5, "js-high-dim": 5,
@@ -265,29 +268,32 @@ def _wang_condition(stats):
 @pytest.mark.parametrize("law", ["normal", "t:6", "exponential"])
 @pytest.mark.parametrize("p, c", [(30, 0.5), (30, 2.0)])
 def test_innovations_give_the_sample_estimates(law, p, c):
-    # a study reads each replication from its innovations z; the statistics
-    # of the sample sqrt(sigma) z + mu_n 1' itself are the reference.  Both
-    # routes round differently, so Wang's estimator, whose coefficients can
-    # nearly cancel, agrees only to 1e-12 times its magnification
+    # a study reads each replication from its innovations z: below p = n in
+    # the whitened frame, whose estimates R maps back, and at or above p = n
+    # through R z; the statistics of the sample sqrt(sigma) z + mu_n 1'
+    # itself are the reference.  Both routes round differently, so Wang's
+    # estimator, whose coefficients can nearly cancel, agrees only to 1e-12
+    # times its magnification
     config = McConfig(p_grid=(p,), c_grid=(c,), law=InnovationLaw.parse(law), seed=5)
     pop = cell_population(config, p, c)
-    z = config.law.draw(replication_rng(config.seed, p, c, 0), (p, cell_sample_size(p, c)))
-    fast = innovation_stats(pop, z)
-    slow = sample_stats(pop.sigma_sqrt() @ z + pop.mu_n[:, None])
-    if fast.population is None:  # p >= n: both routes factor the mixed sample
-        assert fast.factorization.scale == pytest.approx(slow.factorization.scale, rel=1e-12)
-    else:  # p < n: lam_max(sigma) trace(S_z) >= <sigma, S_z> = trace(S)
-        assert fast.factorization.scale >= slow.factorization.scale
+    n = cell_sample_size(p, c)
+    z = config.law.draw(replication_rng(config.seed, p, c, 0), (p, n))
+    root = pop.sigma_sqrt()
+    frame, back = (pop.whitened(), root) if p < n else (pop, np.eye(p))
+    fast = sample_stats(z if p < n else root @ z)
+    fast = replace(fast, y_bar=fast.y_bar + frame.mu_n)
+    slow = sample_stats(root @ z + pop.mu_n[:, None])
+    assert fast.factorization.cholesky.dim == slow.factorization.cholesky.dim == min(p, n - 1)
     for name in (e for e in ESTIMATORS if e not in NEEDS_POPULATION):
         try:
             expected, _ = evaluate(name, slow, pop.mu_0)
         except InvalidDimensionsError:
             with pytest.raises(InvalidDimensionsError):
-                evaluate(name, fast, pop.mu_0)
+                evaluate(name, fast, frame.mu_0)
             continue
         tol = 1e-12 * (_wang_condition(slow) if name == "wang" else 1.0)
-        assert _rel_err(evaluate(name, fast, pop.mu_0)[0], expected) < tol, name
-    w_fast = bona_fide_intensities(fast, pop.mu_0)
+        assert _rel_err(back @ evaluate(name, fast, frame.mu_0)[0], expected) < tol, name
+    w_fast = bona_fide_intensities(fast, frame.mu_0)
     w_slow = bona_fide_intensities(slow, pop.mu_0)
     assert _rel_err([w_fast.alpha, w_fast.beta], [w_slow.alpha, w_slow.beta]) < 1e-12
 
@@ -305,10 +311,8 @@ class TestOneFactorizationPerSample:
                 return made[-1]
             return counted_build
 
-        monkeypatch.setattr(shrinkmean.harness, "innovation_stats",
-                            counting(shrinkmean.model.innovation_stats))
-        monkeypatch.setattr(shrinkmean.finance, "sample_stats",
-                            counting(shrinkmean.model.sample_stats))
+        for module in (shrinkmean.harness, shrinkmean.finance):
+            monkeypatch.setattr(module, "sample_stats", counting(shrinkmean.model.sample_stats))
         return made
 
     def test_study(self, counted):
@@ -320,19 +324,24 @@ class TestOneFactorizationPerSample:
 
     def test_cell_forms_no_sample(self, counted, monkeypatch):
         # a replication reads its statistics from its innovations, on both
-        # sides of p = n: one constructor call, and no sample y is generated
+        # sides of p = n: one constructor call on z below p = n and on R z
+        # above, and no shifted sample y is generated or formed
         def forbidden(*args):
             raise AssertionError("a Monte Carlo cell formed a sample")
 
         for module in (shrinkmean.model, shrinkmean.harness):
-            for name in ("generate_sample", "sample_stats"):
-                monkeypatch.setattr(module, name, forbidden, raising=False)
+            monkeypatch.setattr(module, "generate_sample", forbidden, raising=False)
         config = McConfig(p_grid=(20,), c_grid=(0.5, 2.0), n_reps=3, estimators=ALL_MC)
         for c in config.c_grid:
             pop = cell_population(config, 20, c)
             counted.clear()
             cell = run_cell(config, pop, c)
             assert len(counted) == config.n_reps
+            for r, stats in enumerate(counted):
+                z = config.law.draw(replication_rng(config.seed, 20, c, r), (20, cell.n))
+                read = sample_stats(z if c < 1 else pop.sigma_sqrt() @ z)
+                np.testing.assert_array_equal(stats.y_bar, read.y_bar)
+                np.testing.assert_array_equal(stats.reflected, read.reflected)
             assert all(s.factorization.cholesky.dim == min(20, cell.n - 1) for s in counted)
             assert cell.failures["olse"] == 0
 
