@@ -26,6 +26,7 @@ from .errors import (
 )
 from .estimators import ESTIMATORS, NEEDS_POPULATION, READS_TARGET, evaluate
 from .harness import write_rows
+from .linalg import fewer_blas_threads
 from .model import sample_stats
 
 __all__ = [
@@ -205,6 +206,7 @@ def target_vector(
     raise ConfigError(f"unknown target strategy {strategy!r}")
 
 
+@fewer_blas_threads()
 def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestReport:
     """Evaluate every (window, estimator, target) combination on the panel.
 
@@ -219,6 +221,11 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
     window-period and its prediction serves every target.  A period
     contributes only when every (estimator, target) pair succeeds, keeping
     the comparison paired; failures are counted per pair.
+
+    It runs on one BLAS thread fewer (see
+    :func:`shrinkmean.linalg.fewer_blas_threads`): its BLAS calls are small
+    and many, and beside them OpenBLAS's extra thread only spins, so on
+    2-core x86-64 it about doubled the CPU time and saved no wall time.
     """
     values = panel.values
     total = values.shape[0]

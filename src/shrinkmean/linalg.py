@@ -11,26 +11,29 @@ No function here solves against a covariance: every precision-metric form
 is a Gram of whitened vectors, and ``spd_solve`` solves against the
 reflected (n-1) x (n-1) Gram G of a sample, one new vector per call.
 
+Every BLAS and LAPACK call goes to the one BLAS library numpy links: the
+triangular solves call its CBLAS ``dtrsv`` through ctypes, resolved once
+through the handle of numpy's multiarray extension, so importing this
+module loads no second BLAS (scipy's wheels bundle their own, with their
+own thread pool).  Where no such symbol resolves, the solves fall back to
+``np.linalg.solve`` on the factor.
+
 The linear algebra functions are pure: they never mutate their inputs and
 hold no module state, so they are safe to call concurrently.  The one
 exception is :func:`fewer_blas_threads`, which changes process-wide state:
 while it is entered, every BLAS call in the process, on any thread, runs on
-one thread fewer of the OpenBLAS builds bundled in numpy's and scipy's
-wheels.
+one thread fewer of numpy's OpenBLAS.
 """
 
 from __future__ import annotations
 
 import ctypes
-import glob
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
@@ -55,6 +58,15 @@ class SpdFactor:
     dim: int
     lower: np.ndarray
     pivot_floor: float
+
+    def __post_init__(self) -> None:
+        # the solves read ``lower`` in place, C-ordered, and reuse its address
+        lower = np.ascontiguousarray(self.lower, dtype=float)
+        if lower.shape != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"factor must be {self.dim} x {self.dim}, got shape {lower.shape}")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "_address", lower.ctypes.data)
 
 
 def _as_symmetric(a: np.ndarray) -> np.ndarray:
@@ -99,32 +111,89 @@ def spd_factor(a: np.ndarray) -> SpdFactor:
 def spd_whiten(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
     """L^{-1} b given ``factor = spd_factor(a)``, so (L^{-1}u)'(L^{-1}v) = u'a^{-1}v.
 
-    BLAS trsm: LAPACK trtrs (scipy's ``solve_triangular``) ran several times
-    slower under two-thread OpenBLAS 0.3.31 on 2-core x86-64.
+    One CBLAS ``dtrsv`` per column of b.  On x86-64, for one column at dim
+    250, numpy's OpenBLAS 0.3.31 ``dtrsv`` took 14-16 us and its ``dtrsm``
+    52-67 us (one thread), against about 27 us for the ``dtrsm`` of scipy's
+    own OpenBLAS 0.3.30; LAPACK ``trtrs`` (scipy's ``solve_triangular``) ran
+    several times slower.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != factor.dim:
-        raise DimensionMismatchError(
-            f"rhs has {b.shape[0]} rows, factor dimension is {factor.dim}"
-        )
-    upper = factor.lower.T  # Fortran-ordered view: solve L x = b as U' x = b
-    x = scipy.linalg.blas.dtrsm(1.0, upper, b.reshape(factor.dim, -1), lower=0, trans_a=1)
-    return x.reshape(b.shape)
+    return _triangular_solves(factor, b, (_TRANS,))
 
 
 def spd_solve(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
     """a^{-1} b given ``factor = spd_factor(a)``: L^{-1} b, then L'^{-1} of
-    that, as two BLAS trsm calls on the factor (no inverse is formed)."""
-    x = spd_whiten(factor, b)
-    # U = L' as a Fortran-ordered view; trsm overwrites the fresh x in place
-    x = scipy.linalg.blas.dtrsm(1.0, factor.lower.T, x.reshape(factor.dim, -1),
-                                lower=0, overwrite_b=1)
-    return x.reshape(np.shape(b))
+    that, as two ``dtrsv`` calls per column on the factor (no inverse is
+    formed)."""
+    return _triangular_solves(factor, b, (_TRANS, _NO_TRANS))
+
+
+#: CBLAS enumerators (cblas.h): column-major order, upper triangle, the
+#: matrix transposed or not, a diagonal that is not implicitly one
+_COL_MAJOR, _UPPER, _NO_TRANS, _TRANS, _NON_UNIT = 102, 121, 111, 112, 131
+
+
+def _numpy_blas():
+    """ctypes handle of numpy's multiarray extension, through whose
+    dependencies the BLAS numpy links resolves; None if it cannot be opened."""
+    try:
+        from numpy._core import _multiarray_umath as extension
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as extension
+    try:
+        return ctypes.CDLL(extension.__file__)  # the copy numpy already loaded
+    except OSError:
+        return None
+
+
+def _resolve_dtrsv(lib):
+    """CBLAS ``dtrsv`` of ``lib`` with its signature declared, or None: the
+    scipy-openblas and plain ILP64 names (64-bit integers), then the LP64
+    name (32-bit integers)."""
+    for name, integer in (("scipy_cblas_dtrsv64_", ctypes.c_int64),
+                          ("cblas_dtrsv64_", ctypes.c_int64),
+                          ("cblas_dtrsv", ctypes.c_int)):
+        routine = getattr(lib, name, None)
+        if routine is not None:
+            routine.argtypes = (ctypes.c_int,) * 4 + (integer, ctypes.c_void_p, integer,
+                                                      ctypes.c_void_p, integer)
+            routine.restype = None
+            return routine
+    return None
+
+
+_NUMPY_BLAS = _numpy_blas()
+_dtrsv = _resolve_dtrsv(_NUMPY_BLAS)
+
+
+def _triangular_solves(factor: SpdFactor, b: np.ndarray, ops: tuple[int, ...]) -> np.ndarray:
+    """b's columns solved against the factor once per entry of ``ops``, in
+    order: ``_TRANS`` solves with L, ``_NO_TRANS`` with L'.  Column-major,
+    the C-ordered L reads as U = L', so L is U transposed."""
+    x = np.array(b, dtype=float, order="F")  # the one copy, solved in place
+    dim = factor.dim
+    if x.shape[0] != dim:
+        raise DimensionMismatchError(f"rhs has {x.shape[0]} rows, factor dimension is {dim}")
+    if _dtrsv is None:
+        columns = x.reshape(dim, -1, order="F")  # a view: x is Fortran-ordered
+        for op in ops:
+            columns = np.linalg.solve(factor.lower if op == _TRANS else factor.lower.T, columns)
+        return columns.reshape(x.shape)
+    if x.size:
+        # from_buffer needs C order, which x.T has, and reads the address
+        # about three times faster than x.ctypes.data
+        address = ctypes.addressof(ctypes.c_char.from_buffer(x.T))
+        for column in range(address, address + x.nbytes, x.itemsize * dim):
+            for op in ops:
+                _dtrsv(_COL_MAJOR, _UPPER, op, _NON_UNIT, dim, factor._address, dim, column, 1)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
 class SpdEigen:
     """Eigenpairs of an SPD matrix, a == vectors @ diag(values) @ vectors.T.
+
+    ``vectors=None`` stands for the standard basis, a == diag(values): no
+    k x k array is held, and :meth:`whiten` scales rows.
 
     Checked when built: k ``values`` and k x k ``vectors``, otherwise
     :class:`DimensionMismatchError`; positive, finite values and finite
@@ -135,26 +204,31 @@ class SpdEigen:
     """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        vectors = np.asarray(self.vectors, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
-        if values.ndim != 1 or vectors.shape != (values.size, values.size):
-            raise DimensionMismatchError(
-                f"eigenpairs must be k values and k x k vectors, got shapes "
-                f"{values.shape} and {vectors.shape}")
+        if values.ndim != 1:
+            raise DimensionMismatchError(f"eigenvalues must be a vector, got shape {values.shape}")
+        if self.vectors is not None:
+            vectors = np.asarray(self.vectors, dtype=float)
+            object.__setattr__(self, "vectors", vectors)
+            if vectors.shape != (values.size, values.size):
+                raise DimensionMismatchError(
+                    f"eigenpairs must be k values and k x k vectors, got shapes "
+                    f"{values.shape} and {vectors.shape}")
+            if not np.isfinite(vectors).all():
+                raise NotPositiveDefiniteError("eigenvectors must be finite")
         # NaN fails the comparison, so one check rejects it with 0, -x and inf
         if not ((values > 0) & (values < np.inf)).all():
             raise NotPositiveDefiniteError("eigenvalues must be positive and finite")
-        if not np.isfinite(vectors).all():
-            raise NotPositiveDefiniteError("eigenvectors must be finite")
 
     @cached_property
     def root(self) -> np.ndarray:
         """The unique symmetric PSD square root B: B == B.T and B @ B == a."""
+        if self.vectors is None:
+            return np.diag(np.sqrt(self.values))
         root = (self.vectors * np.sqrt(self.values)) @ self.vectors.T
         return (root + root.T) / 2.0
 
@@ -162,7 +236,17 @@ class SpdEigen:
     def whitening(self) -> np.ndarray:
         """W = diag(values)^{-1/2} vectors', so W'W == a^{-1} and
         (Wu)'(Wv) == u' a^{-1} v."""
+        if self.vectors is None:
+            return np.diag(1.0 / np.sqrt(self.values))
         return self.vectors.T / np.sqrt(self.values)[:, None]
+
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        """W v for the columns of a k x m matrix v: one product with
+        :attr:`whitening`, or, on the standard basis, where W is diagonal, v's
+        rows scaled by W's diagonal, which gives the same numbers."""
+        if self.vectors is None:
+            return v * (1.0 / np.sqrt(self.values))[:, None]
+        return self.whitening @ v
 
 
 def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,39 +266,25 @@ def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
 
 
 #: names of the OpenBLAS thread-count (get, set) pair, in probe order: the
-#: scipy-openblas builds of numpy's and scipy's wheels, then plain OpenBLAS,
-#: each with the ``64_`` suffix of an ILP64 build, then without.  The setter
-#: acts on the whole process (so, in OpenBLAS 0.3.30-0.3.31, does
+#: scipy-openblas build of numpy's wheels, then plain OpenBLAS, each with the
+#: ``64_`` suffix of an ILP64 build, then without.  The setter acts on the
+#: whole process (so, in OpenBLAS 0.3.30-0.3.31, does
 #: ``openblas_set_num_threads_local``, which therefore adds nothing)
 _THREAD_SYMBOLS = tuple((f"{stem}_get_num_threads{suffix}", f"{stem}_set_num_threads{suffix}")
                         for stem in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
 
 
-def _thread_pair(path: str):
-    """The (get, set) thread-count functions of the library at ``path``, or None."""
-    try:
-        lib = ctypes.CDLL(path)  # the handle of the copy its package already loaded
-    except OSError:
-        return None
+@cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) pair of the OpenBLAS numpy links, as a tuple of one;
+    empty where there is none (MKL, another BLAS, a build without the pair)."""
     for get_name, set_name in _THREAD_SYMBOLS:
-        get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        get, put = getattr(_NUMPY_BLAS, get_name, None), getattr(_NUMPY_BLAS, set_name, None)
         if get is not None and put is not None:
             get.argtypes, get.restype = (), ctypes.c_int
             put.argtypes, put.restype = (ctypes.c_int,), None
-            return get, put
-    return None
-
-
-@cache
-def _openblas_thread_controls() -> tuple:
-    """The (get, set) pair of each OpenBLAS in numpy's and scipy's wheels
-    (``<package>.libs/*openblas*``); empty where there is none (MKL, a
-    system BLAS, a build without the pair)."""
-    pairs = []
-    for package in (np, scipy):
-        libs = os.path.join(os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs")
-        pairs += filter(None, map(_thread_pair, sorted(glob.glob(os.path.join(libs, "*openblas*")))))
-    return tuple(pairs)
+            return ((get, put),)
+    return ()
 
 
 def blas_thread_counts() -> tuple[int, ...]:

@@ -16,7 +16,8 @@ asymptotic variances all read sigma^{-1} through
 :meth:`PopulationSpec.whitening` or :meth:`PopulationSpec.precision_gram`.
 :meth:`PopulationSpec.whitened` is the population seen in the coordinates
 x = R^{-1} y, the frame in which a Monte Carlo cell below p = n is scored:
-there the covariance is the identity, a sample is z + R^{-1} mu_n 1', and
+there the covariance is the identity, held as unit eigenvalues on the
+standard basis with no p x p array, a sample is z + R^{-1} mu_n 1', and
 sigma^{-1} forms are Euclidean ones.
 """
 
@@ -181,20 +182,20 @@ class PopulationSpec:
 
     def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
         """Gram matrix V' sigma^{-1} V of ``vectors`` (the columns of V), read
-        through the cached whitening: (W V)'(W V)."""
-        white = self.whitening() @ np.column_stack(vectors)
+        through the whitening: (W V)'(W V)."""
+        white = self.eigen.whiten(np.column_stack(vectors))
         return white.T @ white
 
     def whitened(self) -> "PopulationSpec":
-        """This population in the coordinates x = R^{-1} y: identity
-        eigenpairs and the means R^{-1} mu_n and R^{-1} mu_0, read as Q (W
-        [mu_n, mu_0]), so no root is formed.  u' sigma^{-1} v is the
-        Euclidean product of the images of u and v, and a sample R z + mu_n
-        1' is z + R^{-1} mu_n 1' there."""
-        means = np.column_stack([self.mu_n, self.mu_0])
-        mu_n, mu_0 = (self.eigen.vectors @ (self.whitening() @ means)).T
+        """This population in the coordinates x = R^{-1} y: unit eigenvalues
+        on the standard basis, so no p x p array, and the means R^{-1} mu_n
+        and R^{-1} mu_0, read as Q (W [mu_n, mu_0]), so no root is formed.
+        u' sigma^{-1} v is the Euclidean product of the images of u and v,
+        and a sample R z + mu_n 1' is z + R^{-1} mu_n 1' there."""
+        white = self.eigen.whiten(np.column_stack([self.mu_n, self.mu_0]))
+        mu_n, mu_0 = (white if self.eigen.vectors is None else self.eigen.vectors @ white).T
         return PopulationSpec(p=self.p, gamma=self.gamma, mu_n=mu_n, mu_0=mu_0,
-                              eigen=SpdEigen(values=np.ones(self.p), vectors=np.eye(self.p)))
+                              eigen=SpdEigen(values=np.ones(self.p), vectors=None))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from shrinkmean.finance import (
     load_returns_csv,
     rolling_backtest,
 )
+from shrinkmean.linalg import blas_thread_counts
 from shrinkmean.model import sample_stats
 
 
@@ -194,6 +195,20 @@ class TestBacktestEstimatorCalls:
         periods = (20 - 5) + (20 - 8)
         assert len(calls) == 5 * periods
         assert all(len(shape) == 1 for shape in calls)  # one vector per solve
+
+    def test_runs_on_one_blas_thread_fewer(self, monkeypatch):
+        # every window-period sees the lowered counts, and they are
+        # restored when the backtest returns
+        before, seen = blas_thread_counts(), []
+
+        def recording(y):
+            seen.append(blas_thread_counts())
+            return sample_stats(y)
+
+        monkeypatch.setattr(shrinkmean.finance, "sample_stats", recording)
+        rolling_backtest(_panel(periods=20, p=12), BacktestConfig(windows=(5, 8)))
+        assert seen == [tuple(max(1, count - 1) for count in before)] * ((20 - 5) + (20 - 8))
+        assert blas_thread_counts() == before
 
 
 class TestBacktestPairing:

@@ -20,7 +20,8 @@ from shrinkmean.harness import McConfig, ks_statistic, qq_data
 def test_import_loads_neither_scipy_stats_nor_special():
     # scipy.stats costs about two-thirds of a cold import and scipy.special
     # about 3 MB of resident memory; the package takes the normal quantile
-    # and CDF from the standard library and needs only scipy.linalg
+    # and CDF from the standard library (and loads no scipy module at all:
+    # test_population_eigen.TestOneBlas)
     src = str(Path(shrinkmean.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, shrinkmean, shrinkmean.cli; "

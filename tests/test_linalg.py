@@ -1,5 +1,6 @@
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,12 +72,36 @@ class TestSpdFactor:
             spd_factor(np.ones((2, 3)))
 
 
+DIMS, COLUMNS = (2, 24, 124), (None, 1, 2, 5)
+
+
+def both_routes(monkeypatch, solve, factor, b):
+    """``solve(factor, b)`` in C and in F order, through the resolved CBLAS
+    ``dtrsv`` and through the ``np.linalg.solve`` fallback that a resolver
+    finding none of its names leaves: four results, each of b's shape."""
+    results = [solve(factor, np.asarray(b, order=order)) for order in "CF"]
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_dtrsv", linalg._resolve_dtrsv(SimpleNamespace()))
+        results += [solve(factor, np.asarray(b, order=order)) for order in "CF"]
+    assert all(x.shape == np.shape(b) for x in results)
+    scale = np.max(np.abs(results[0]))
+    assert all(np.max(np.abs(x - results[0])) <= 1e-12 * scale for x in results)
+    return results
+
+
 class TestSpdWhiten:
-    def test_gram_is_inverse_form(self, rng):
+    def test_gram_is_inverse_form(self, rng, monkeypatch):
         a = rand_spd(rng, 6)
         b = rng.standard_normal((6, 3))
         white = spd_whiten(spd_factor(a), b)
         assert np.allclose(white.T @ white, b.T @ np.linalg.inv(a) @ b, atol=1e-10)
+        # every route and input order, at the dimensions spd_solve is tested at
+        for dim in DIMS:
+            factor = spd_factor(rand_spd(rng, dim))
+            for columns in COLUMNS:
+                b = rng.standard_normal(dim if columns is None else (dim, columns))
+                for white in both_routes(monkeypatch, spd_whiten, factor, b):
+                    assert np.max(np.abs(factor.lower @ white - b)) <= 1e-12 * np.max(np.abs(b))
 
     def test_vector_is_triangular_solve(self, rng):
         a = rand_spd(rng, 5)
@@ -92,15 +117,14 @@ class TestSpdWhiten:
 
 
 class TestSpdSolve:
-    @pytest.mark.parametrize("dim", [2, 24, 124])
-    @pytest.mark.parametrize("columns", [None, 1, 2, 5])
-    def test_equals_linalg_solve(self, rng, dim, columns):
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_equals_linalg_solve(self, rng, monkeypatch, dim, columns):
         a = rand_spd(rng, dim)
         b = rng.standard_normal(dim if columns is None else (dim, columns))
-        x = spd_solve(spd_factor(a), b)
-        assert x.shape == b.shape
         expected = np.linalg.solve(a, b)
-        assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+        for x in both_routes(monkeypatch, spd_solve, spd_factor(a), b):
+            assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_inputs_unchanged(self, rng, order):
@@ -293,4 +317,5 @@ class TestFewerBlasThreads:
             pytest.skip("numpy does not report its BLAS as a dict")
         if blas.get("name") != "scipy-openblas":
             pytest.skip(f"numpy is built against {blas.get('name')}, not scipy-openblas")
-        assert len(blas_thread_counts()) >= 1
+        assert len(blas_thread_counts()) == 1
+        assert linalg._dtrsv is not None  # or every solve takes the fallback

@@ -261,6 +261,7 @@ class TestInnovationStats:
         root = pop.sigma_sqrt()
         assert np.allclose(root @ frame.mu_n, mu, rtol=1e-13, atol=1e-13)
         assert np.allclose(root @ frame.mu_0, target, rtol=1e-13, atol=1e-13)
+        assert frame.eigen.vectors is None  # the standard basis, held as no array
         np.testing.assert_array_equal(frame.whitening(), np.eye(6))
         z = rng.standard_normal((6, 15))
         y = root @ z + mu[:, None]

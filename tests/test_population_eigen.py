@@ -10,18 +10,19 @@ those quantities against direct ``eigh`` / ``solve`` / ``inv`` oracles, for
 simulated populations and for populations whose eigenpairs the test takes
 from one ``eigh`` of a bare sigma; and guards that a study cell and the
 ``qq`` command never factorize sigma, that a sample or backtest
-window-period makes one Cholesky and no ``eigh``, and that the only BLAS or
-LAPACK routine of ``scipy.linalg`` that runs, on either side of p = n, is a
-triangular solve of at most two columns.
+window-period makes one Cholesky and no ``eigh``, and that neither side of
+p = n nor the backtest loads scipy, or with it a second BLAS.
 """
 
-import importlib
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import shrinkmean
 import shrinkmean.harness
 from conftest import bare_population, covariance, rand_spd
 from shrinkmean.cli import main
@@ -114,6 +115,26 @@ class TestPopulationEigenpairs:
         pop = _bare(rand_spd(rng, 10), rng)
         w = pop.whitening()
         assert np.allclose(w.T @ w, np.linalg.inv(covariance(pop.eigen)), rtol=1e-10, atol=1e-12)
+
+    def test_standard_basis_whitens_by_scaling(self, rng):
+        # eigenvectors None stand for the identity, a diagonal covariance:
+        # no p x p array is held, and scaling rows gives the numbers of the
+        # dense identity eigenpairs bit for bit
+        p = 30
+        mu, target, values = rng.standard_normal(p), rng.standard_normal(p), rng.uniform(1, 10, p)
+        diagonal, dense = (PopulationSpec(p=p, gamma=0, mu_n=mu, mu_0=target,
+                                          eigen=SpdEigen(values=values, vectors=vectors))
+                           for vectors in (None, np.eye(p)))
+        stack = rng.standard_normal((p, 4))
+        np.testing.assert_array_equal(quadratic_loss(stack, diagonal), quadratic_loss(stack, dense))
+        np.testing.assert_array_equal(diagonal.precision_gram(mu, target, stack[:, 0]),
+                                      dense.precision_gram(mu, target, stack[:, 0]))
+        frame, dense_frame = diagonal.whitened(), dense.whitened()
+        np.testing.assert_array_equal(frame.mu_n, dense_frame.mu_n)
+        np.testing.assert_array_equal(frame.mu_0, dense_frame.mu_0)
+        assert frame.eigen.vectors is None and dense_frame.eigen.vectors is None
+        for use in ("sigma_sqrt", "whitening"):
+            np.testing.assert_array_equal(getattr(diagonal, use)(), getattr(dense, use)())
 
     @pytest.mark.parametrize("use", ["sigma_sqrt", "whitening"])
     def test_bare_indefinite_sigma_rejected(self, use):
@@ -219,7 +240,7 @@ class TestOneEigendecompositionPerPopulation:
     def test_study_cell(self, monkeypatch, c):
         p, n_reps = 40, 6
         n = cell_sample_size(p, c)
-        calls = {"eigh": [], "cholesky": [], "cho_solve": 0, "quadratic_loss": 0}
+        calls = {"eigh": [], "cholesky": [], "quadratic_loss": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -230,8 +251,6 @@ class TestOneEigendecompositionPerPopulation:
         monkeypatch.setattr(np.linalg, "eigh", _recording(calls, "eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "cholesky",
                             _recording(calls, "cholesky", np.linalg.cholesky))
-        monkeypatch.setattr(scipy.linalg, "cho_solve",
-                            counting("cho_solve", scipy.linalg.cho_solve))
         monkeypatch.setattr(shrinkmean.harness, "quadratic_loss",
                             counting("quadratic_loss", quadratic_loss))
 
@@ -243,7 +262,6 @@ class TestOneEigendecompositionPerPopulation:
         # reflected (n-1) x (n-1) Gram for p > n
         assert calls["eigh"] == []
         assert calls["cholesky"] == [(p, p) if p < n else (n - 1, n - 1)] * n_reps
-        assert calls["cho_solve"] == 0
         assert calls["quadratic_loss"] == n_reps
 
     def test_backtest_window_periods(self, monkeypatch, rng):
@@ -282,76 +300,33 @@ class TestOneEigendecompositionPerPopulation:
         assert calls["cholesky"] == ([(p, p)] * n_reps if quantity.endswith("-bf") else [])
 
 
-@pytest.fixture
-def scipy_blas_calls(monkeypatch):
-    """(name, columns) of the BLAS and LAPACK routines of ``scipy.linalg``
-    called while the test runs: its f2py wrappers, whether called directly or
-    fetched through the memoized ``get_blas_funcs`` / ``get_lapack_funcs``,
-    and, where the installed scipy has them, the batched C kernels behind
-    ``scipy.linalg.inv`` and ``solve``.
-    ``columns`` is that of the last positional array argument, the right-hand
-    side of a solve (1 for a vector, None when no array is passed)."""
-    calls = []
-
-    def counting(name, routine):
-        def wrapper(*args, **kwargs):
-            arrays = [a for a in args if isinstance(a, np.ndarray)]
-            columns = None if not arrays else (
-                arrays[-1].shape[1] if arrays[-1].ndim == 2 else 1)
-            calls.append((name, columns))
-            return routine(*args, **kwargs)
-        return wrapper
-
-    for module_name in ("blas", "lapack", "_fblas", "_flapack", "_batched_linalg"):
-        try:
-            module = importlib.import_module(f"scipy.linalg.{module_name}")
-        except ImportError:
-            continue  # older scipy (1.10) has no _batched_linalg
-        for name, routine in list(vars(module).items()):
-            if type(routine).__name__ in ("fortran", "builtin_function_or_method"):
-                monkeypatch.setattr(module, name, counting(name, routine))
-    memos = (scipy.linalg.blas.get_blas_funcs.memo, scipy.linalg.lapack.get_lapack_funcs.memo)
-    saved = [dict(memo) for memo in memos]
-    for memo in memos:
-        memo.clear()
-    yield calls
-    for memo, entries in zip(memos, saved):
-        memo.clear()
-        memo.update(entries)
-
-
 class TestOneBlas:
-    @pytest.mark.parametrize("c", [0.5, 2.0])
-    def test_no_scipy_blas_above_p_equals_n(self, scipy_blas_calls, c):
-        """scipy.linalg links its own OpenBLAS, with its own thread pool.
-
-        Where numpy's pool has just run, a wide scipy call spins against it:
-        on a 2-core x86-64 host with two-thread OpenBLAS 0.3.31, building
-        G^{-1} of a 250 x 125 sample with scipy's ``dpotri`` made its
-        factorization and one whitening of 127 columns 5x slower than
-        ``np.linalg.inv`` (8.0 ms against 1.6 ms, median of 35 samples).  A
-        triangular solve of at most two columns does not: timed in place,
-        right after a numpy GEMM, ``linalg.spd_solve`` (two ``dtrsm``) of
-        two columns against that G took 0.03-0.07 ms, against 0.2-0.27 ms
-        for numpy's own ``np.linalg.solve(G, .)``, while 125 columns took
-        1.0-1.5 ms against numpy's 0.82 ms (medians of 35 samples).  So on
-        both routes the only scipy routine is ``dtrsm`` (or ``dpotrs``), and
-        it never solves for more than the two columns of a precision Gram.
+    def test_no_scipy_module_loads(self):
+        """scipy's wheels bundle their own OpenBLAS, with its own thread pool,
+        which :func:`shrinkmean.linalg.fewer_blas_threads` would have to
+        reach too.  In a fresh interpreter, a p = 40 cell on each side of
+        p = n with every estimator, then a backtest with every backtest
+        estimator, leave no scipy module loaded, and one BLAS is controlled.
         """
-        # the counter sees every route, and the width of a solve; inv runs
-        # a batched kernel or getrf / getri, as the scipy version has it
-        scipy.linalg.cho_factor(np.eye(2))
-        assert scipy_blas_calls == [("dpotrf", 2)]
-        scipy_blas_calls.clear()
-        scipy.linalg.inv(np.eye(2))
-        assert scipy_blas_calls
-        scipy_blas_calls.clear()
-        scipy.linalg.blas.dtrsm(1.0, np.eye(2), np.ones(2))
-        assert scipy_blas_calls == [("dtrsm", 1)]
-        scipy_blas_calls.clear()
-
-        config = McConfig(p_grid=(40,), c_grid=(c,), n_reps=3, estimators=ALL_MC)
-        cell = run_study(config).cells[0]
-        assert cell.failures["olse"] == 0 and cell.failures["wang" if c > 1 else "js"] == 0
-        assert {name for name, _ in scipy_blas_calls} == {"dtrsm"}
-        assert {columns for _, columns in scipy_blas_calls} <= {1, 2}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(shrinkmean.__file__)))
+        code = """if True:
+            import sys
+            from shrinkmean.estimators import ESTIMATORS, NEEDS_POPULATION
+            from shrinkmean.finance import BacktestConfig, rolling_backtest, synthetic_panel
+            from shrinkmean.harness import McConfig, run_study
+            from shrinkmean.linalg import blas_thread_counts
+            for c in (0.5, 2.0):
+                config = McConfig(p_grid=(40,), c_grid=(c,), n_reps=3, estimators=tuple(ESTIMATORS))
+                cell = run_study(config).cells[0]
+                assert cell.failures["olse"] == 0 and cell.failures["wang" if c > 1 else "js"] == 0
+            names = tuple(e for e in ESTIMATORS if e not in NEEDS_POPULATION)
+            report = rolling_backtest(synthetic_panel(30, 40), BacktestConfig(windows=(10, 35), estimators=names))
+            assert not any(row.failures for row in report.rows if row.estimator == "olse")
+            print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), len(blas_thread_counts()))
+        """
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        loaded, controlled = out.rsplit(None, 1)
+        assert loaded == "[]"
+        assert int(controlled) <= 1
