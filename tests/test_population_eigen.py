@@ -301,24 +301,25 @@ class TestOneEigendecompositionPerPopulation:
 
 
 class TestOneBlas:
-    def test_no_scipy_module_loads(self):
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_no_scipy_blas_above_p_equals_n(self, c):
         """scipy's wheels bundle their own OpenBLAS, with its own thread pool,
         which :func:`shrinkmean.linalg.fewer_blas_threads` would have to
-        reach too.  In a fresh interpreter, a p = 40 cell on each side of
-        p = n with every estimator, then a backtest with every backtest
-        estimator, leave no scipy module loaded, and one BLAS is controlled.
+        reach too.  In a fresh interpreter, a p = 40 cell at ratio c with
+        every estimator, then a backtest with every backtest estimator,
+        leave no scipy module loaded, and one BLAS is controlled.
         """
         src = os.path.dirname(os.path.dirname(os.path.abspath(shrinkmean.__file__)))
-        code = """if True:
+        code = f"""if True:
             import sys
             from shrinkmean.estimators import ESTIMATORS, NEEDS_POPULATION
             from shrinkmean.finance import BacktestConfig, rolling_backtest, synthetic_panel
             from shrinkmean.harness import McConfig, run_study
             from shrinkmean.linalg import blas_thread_counts
-            for c in (0.5, 2.0):
-                config = McConfig(p_grid=(40,), c_grid=(c,), n_reps=3, estimators=tuple(ESTIMATORS))
-                cell = run_study(config).cells[0]
-                assert cell.failures["olse"] == 0 and cell.failures["wang" if c > 1 else "js"] == 0
+            c = {c!r}
+            config = McConfig(p_grid=(40,), c_grid=(c,), n_reps=3, estimators=tuple(ESTIMATORS))
+            cell = run_study(config).cells[0]
+            assert cell.failures["olse"] == 0 and cell.failures["wang" if c > 1 else "js"] == 0
             names = tuple(e for e in ESTIMATORS if e not in NEEDS_POPULATION)
             report = rolling_backtest(synthetic_panel(30, 40), BacktestConfig(windows=(10, 35), estimators=names))
             assert not any(row.failures for row in report.rows if row.estimator == "olse")
