@@ -4,20 +4,20 @@ the map the normality diagnostics apply.  All functions are pure.
 Every weight pair solves a 2x2 system A w = b (see :mod:`.estimators`), whose
 limit is A = G + c e_0 e_0' and b = G e_0, with G the sigma^{-1} Gram of
 (mu_n, mu_0) read through :meth:`PopulationSpec.precision_gram` (sigma is
-never factorized).  A fluctuation moves the weights by dw = A^{-1}(db - dA w).
-Writing db - dA w = V d for jointly Gaussian fluctuations d of covariance
-Omega gives both covariances by one identity: A^{-1} V Omega V' A^{-T}.
+never factorized).  Both CLTs are centred at the solution (alpha, beta) of
+that limit system, which :func:`.estimators.limit_intensities` solves and
+checks; it is not solved again here.  A fluctuation moves the weights by dw =
+A^{-1}(db - dA w).  Writing db - dA w = V d for jointly Gaussian
+fluctuations d of covariance Omega gives both covariances by one identity:
+A^{-1} V Omega V' A^{-T}, each at rate sqrt(n) and for any gamma.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominatorError,
-    DegenerateTargetError,
-    UnsupportedConcentrationError,
-)
+from .errors import UnsupportedConcentrationError
+from .estimators import limit_intensities
 from .model import PopulationSpec
 
 __all__ = [
@@ -36,30 +36,31 @@ def _delta_covariance(system: np.ndarray, mixing: np.ndarray, omega: np.ndarray)
     return (cov + cov.T) / 2.0
 
 
+def _limit_system(pop: PopulationSpec, c: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """G, A = G + c e_0 e_0' and the limits alpha, beta that solve A w = G e_0,
+    read from :func:`limit_intensities`, which rejects c <= 0 and a singular A."""
+    limit = limit_intensities(pop, c)
+    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
+    return gram, gram + np.diag([c, 0.0]), limit.alpha, limit.beta
+
+
 def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float]:
     """Limiting variances (var_alpha, var_beta) of the two oracle shrinkage
     weights at concentration ``c``.
 
-    The standardized weights converge to standard normals at rate
-    sqrt(p^gamma * n); these are the variances used in that
-    standardization.  With G the p^{-gamma}-scaled Gram and y_bar = mu_n + e,
-    the fluctuations are g = mu_n' sigma^{-1} e, h = mu_0' sigma^{-1} e and
-    chi = e' sigma^{-1} e - c, scaled alike: dA = [[2g + chi, h], [h, 0]]
-    and db = (g, 0), so V = [[1 - 2 alpha, -beta, -alpha], [0, -alpha, 0]]
-    and Omega = diag(G, 2 p^{-gamma} c) under the normal law.
+    sqrt(n) (w - w_limit) / sqrt(var) tends to a standard normal for each
+    weight.  With y_bar = mu_n + e, the fluctuations are g = mu_n' sigma^{-1} e,
+    h = mu_0' sigma^{-1} e and chi = e' sigma^{-1} e - c: dA = [[2g + chi, h],
+    [h, 0]] and db = (g, 0), so V = [[1 - 2 alpha, -beta, -alpha], [0, -alpha,
+    0]] and Omega = diag(G, 2c) under the normal law.  The paper scales G and
+    c by p^{-gamma} and the rate by p^{gamma/2}; every entry of A and Omega
+    then carries p^{-gamma}, so its variances are these times p^gamma and
+    standardize every weight to the same value.
     """
-    scale = float(pop.p) ** (-pop.gamma)
-    gram = scale * pop.precision_gram(pop.mu_n, pop.mu_0)
-    ct = scale * c
-    # det A = ct G_11 + det G, with det G >= 0 by Cauchy-Schwarz
-    if ct * gram[1, 1] + (gram[0, 0] * gram[1, 1] - gram[0, 1] ** 2) <= 0:
-        raise DegenerateDenominatorError("scaled concentration and Gram determinant "
-                                         "must have positive sum")
-    system = gram + np.diag([ct, 0.0])
-    alpha, beta = np.linalg.solve(system, gram[0])
+    gram, system, alpha, beta = _limit_system(pop, c)
     mixing = np.array([[1.0 - 2.0 * alpha, -beta, -alpha], [0.0, -alpha, 0.0]])
-    omega = np.pad(gram, (0, 1))  # the block diagonal diag(G, 2 c p^{-gamma})
-    omega[2, 2] = 2.0 * ct
+    omega = np.pad(gram, (0, 1))  # the block diagonal diag(G, 2c)
+    omega[2, 2] = 2.0 * c
     cov = _delta_covariance(system, mixing, omega)
     return float(cov[0, 0]), float(cov[1, 1])
 
@@ -67,25 +68,20 @@ def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float
 def bona_fide_covariance(pop: PopulationSpec, c: float) -> np.ndarray:
     """Joint limiting 2x2 covariance of the bona fide weight pair, for c < 1.
 
-    The pair sqrt(n) * (alpha_hat - alpha_limit, beta_hat - beta_limit) is
-    asymptotically centered normal with this covariance.  The weights are
-    w = e_0 - kappa A_S^{-1} e_0 with A_S the S^{-1} Gram of (y_bar, mu_0),
-    which tends to A / (1 - c), so dw = A_S^{-1} dA_S (e_0 - w): V =
-    [[1 - alpha, -beta, 0], [0, 1 - alpha, -beta]] acts on (dA_00, dA_01,
-    dA_11).  Omega, the covariance of sqrt(n) (1 - c)^{3/2} dA_S, sums the
+    The pair sqrt(n) * (alpha_hat - alpha_limit, beta_hat - beta_limit), at
+    the limits of :func:`limit_intensities`, is asymptotically centered
+    normal with this covariance.  The weights are w = e_0 - kappa A_S^{-1}
+    e_0 with A_S the S^{-1} Gram of (y_bar, mu_0), which tends to A / (1 -
+    c), so dw = A_S^{-1} dA_S (e_0 - w): V = [[1 - alpha, -beta, 0], [0, 1 -
+    alpha, -beta]] acts on (dA_00, dA_01, dA_11).  Omega, the covariance of sqrt(n) (1 - c)^{3/2} dA_S, sums the
     normal-law (inverse-Wishart) covariance G_ik G_jl + G_il G_jk of the
     S^{-1} block, y_bar's linear part and its chi-square part 2c at (00, 00).
     The result carries a 1/(1-c) pole, so concentrations c >= 1 are rejected.
     """
     if not 0.0 < c < 1.0:
         raise UnsupportedConcentrationError(f"joint covariance requires c in (0, 1), got {c}")
-    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
+    gram, system, alpha, beta = _limit_system(pop, c)
     (m, x), (_, t) = gram.tolist()
-    if t <= 0:
-        raise DegenerateTargetError("target vector has zero precision-metric energy")
-
-    system = gram + np.diag([c, 0.0])
-    alpha, beta = np.linalg.solve(system, gram[0])
     mixing = np.array([[1.0 - alpha, -beta, 0.0], [0.0, 1.0 - alpha, -beta]])
     omega = np.array([[gram[i, k] * gram[j, l] + gram[i, l] * gram[j, k] for k, l in _PAIRS]
                       for i, j in _PAIRS])
@@ -97,7 +93,7 @@ def standardize(
     values: np.ndarray, center: float, variance: float, rate: float
 ) -> np.ndarray:
     """Map values to rate * (value - center) / sqrt(variance)."""
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not 0 < variance < np.inf:  # written so that NaN fails it
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     values = np.asarray(values, dtype=float)
     return rate * (values - center) / np.sqrt(variance)

@@ -244,14 +244,12 @@ def cmd_qq(args) -> int:
     center = (limit.alpha, limit.beta)[column]
     if quantity.endswith("-oracle"):
         variance = oracle_weight_variances(pop, c_used)[column]
-        rate = float(np.sqrt(p**config.gamma * n))
     else:
         variance = float(bona_fide_covariance(pop, c_used)[column, column])
-        rate = float(np.sqrt(n))
 
     raw = cell.weights[estimator][:, column]
     raw = raw[np.isfinite(raw)]
-    z = standardize(raw, center, variance, rate)
+    z = standardize(raw, center, variance, float(np.sqrt(n)))
     pairs = qq_data(z)
     stat = ks_statistic(z)
     out = _out_dir(args)

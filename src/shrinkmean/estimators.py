@@ -27,7 +27,8 @@ one new vector per call (p > n: ``linalg.spd_solve`` against G).
 The oracle and limit weights take a :class:`PopulationSpec` and read the
 Gram of the mean vectors in its precision metric sigma^{-1} through
 :meth:`PopulationSpec.precision_gram`: sigma is never factorized here, only
-whitened by the population's eigenpairs.
+whitened by the population's eigenpairs.  The limit weights are also the
+centres of both weight CLTs, which :mod:`.asymptotics` reads from here.
 
 :data:`ESTIMATORS` is the one table of estimator names that the Monte
 Carlo harness and the backtester both dispatch through, and :func:`evaluate`

@@ -239,7 +239,7 @@ def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
         mu_n, mu_0 = draw_mean_vectors(config.gamma, p, rng)
     if config.target_mode == "equal-to-mu_n":
         mu_0 = mu_n.copy()
-    return PopulationSpec(p=p, gamma=config.gamma, mu_n=mu_n, mu_0=mu_0, eigen=eigen)
+    return PopulationSpec(p=p, mu_n=mu_n, mu_0=mu_0, eigen=eigen)
 
 
 def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:

@@ -288,8 +288,9 @@ def _openblas_thread_controls() -> tuple:
 
 
 def blas_thread_counts() -> tuple[int, ...]:
-    """Current thread count of each OpenBLAS :func:`fewer_blas_threads`
-    controls, in probe order; empty where it controls none."""
+    """Current thread count of numpy's OpenBLAS, the one library
+    :func:`fewer_blas_threads` controls, as a tuple of one; empty where numpy
+    links no OpenBLAS whose count it can set."""
     return tuple(get() for get, _ in _openblas_thread_controls())
 
 
@@ -300,14 +301,14 @@ _saved_counts: tuple[int, ...] = ()
 
 @contextmanager
 def fewer_blas_threads():
-    """Run the block with each OpenBLAS of :func:`blas_thread_counts` on one
-    thread fewer (never below one), restoring the counts on exit.
+    """Run the block with numpy's OpenBLAS on one thread fewer (never below
+    one), restoring its count on exit.
 
     This frees a core for a thread that works beside BLAS: on 2-core x86-64
     with OpenBLAS 0.3.31, the second BLAS thread gained nothing on p = 250
-    syrk and Cholesky calls and spun between them.  The counts are process
-    state, so nested or overlapping entries, from any threads, lower them
-    once, on the first entry, and the last exit restores them.  Where no
+    syrk and Cholesky calls and spun between them.  The count is process
+    state, so nested or overlapping entries, from any threads, lower it
+    once, on the first entry, and the last exit restores it.  Where no
     OpenBLAS is found it does nothing.
     """
     global _lowering_depth, _saved_counts

@@ -1,7 +1,7 @@
 """Simulation populations and sample generation.
 
-A population is an immutable triple (true mean, target mean, covariance)
-plus the norm-growth exponent gamma; a sample is the p x n matrix
+A population is an immutable triple (true mean, target mean, covariance),
+whatever regime its means were drawn in; a sample is the p x n matrix
 ``y = R z + mu 1'`` of i.i.d. standardized innovations z mixed by the
 symmetric square root R = sigma^{1/2}.  :func:`generate_sample` forms y and
 :func:`sample_stats` reads the statistics of any p x n matrix into one
@@ -150,11 +150,11 @@ class PopulationSpec:
     vectors, otherwise :class:`NotPositiveDefiniteError`.  Non-finite means
     raise :class:`NonFiniteDataError`.  Its root and its whitening are cached
     on the eigenpairs, so ``dataclasses.replace(pop, mu_0=target)`` shares
-    them.
+    them.  It carries no growth exponent gamma, which only chooses how
+    :func:`draw_mean_vectors` draws the means.
     """
 
     p: int
-    gamma: float
     mu_n: np.ndarray
     mu_0: np.ndarray
     eigen: SpdEigen = field(repr=False)
@@ -166,8 +166,6 @@ class PopulationSpec:
             raise DimensionMismatchError("mean vectors must have length p")
         if not (np.isfinite(self.mu_n).all() and np.isfinite(self.mu_0).all()):
             raise NonFiniteDataError("mean vectors must have finite entries")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
         if self.eigen.values.shape != (self.p,):
             raise DimensionMismatchError("eigenpairs must be p values and p x p vectors")
 
@@ -194,7 +192,7 @@ class PopulationSpec:
         and a sample R z + mu_n 1' is z + R^{-1} mu_n 1' there."""
         white = self.eigen.whiten(np.column_stack([self.mu_n, self.mu_0]))
         mu_n, mu_0 = (white if self.eigen.vectors is None else self.eigen.vectors @ white).T
-        return PopulationSpec(p=self.p, gamma=self.gamma, mu_n=mu_n, mu_0=mu_0,
+        return PopulationSpec(p=self.p, mu_n=mu_n, mu_0=mu_0,
                               eigen=SpdEigen(values=np.ones(self.p), vectors=None))
 
 

@@ -29,10 +29,10 @@ def eigenpairs(sigma) -> SpdEigen:
 
 
 def bare_population(sigma, mu_n, mu_0) -> PopulationSpec:
-    """The gamma = 0 population of a bare covariance and its two means, with
-    the :func:`eigenpairs` of sigma."""
+    """The population of a bare covariance and its two means, with the
+    :func:`eigenpairs` of sigma."""
     mu_n = np.asarray(mu_n, dtype=float)
-    return PopulationSpec(p=mu_n.shape[0], gamma=0, mu_n=mu_n, mu_0=mu_0,
+    return PopulationSpec(p=mu_n.shape[0], mu_n=mu_n, mu_0=mu_0,
                           eigen=eigenpairs(sigma))
 
 

@@ -12,7 +12,6 @@ from noncentral_f import (
 )
 from shrinkmean.asymptotics import bona_fide_covariance, oracle_weight_variances, standardize
 from shrinkmean.errors import (
-    DegenerateDenominatorError,
     DegenerateTargetError,
     InvalidDimensionsError,
     UnsupportedConcentrationError,
@@ -22,13 +21,15 @@ from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_
 from shrinkmean.model import sample_stats
 
 
-def oracle_variances_closed_form(pop, c):
-    """Hand-expanded limiting variances of the two oracle weights: the
-    reference for the delta-method identity of ``oracle_weight_variances``.
-    Each weight fluctuation is a Gaussian linear part plus an independent
-    normalized chi-square part of variance 2, hence the factor 2 on the
-    det^2 terms."""
-    scale = float(pop.p) ** (-pop.gamma)
+def oracle_variances_closed_form(pop, c, gamma):
+    """Hand-expanded limiting variances of the two oracle weights in the
+    paper's form, with the Gram and c scaled by p^{-gamma} and the weights
+    standardized at rate sqrt(p^gamma n): the reference for the delta-method
+    identity of ``oracle_weight_variances``, which is on the sqrt(n) scale,
+    so equals this times p^{-gamma}.  Each weight fluctuation is a Gaussian
+    linear part plus an independent normalized chi-square part of variance
+    2, hence the factor 2 on the det^2 terms."""
+    scale = float(pop.p) ** (-gamma)
     gram = scale * pop.precision_gram(pop.mu_n, pop.mu_0)
     qnn, q0n, q00 = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
     det = q00 * qnn - q0n**2
@@ -70,11 +71,13 @@ class TestDeltaMethodIdentity:
         for cell in range(240):
             p = int(rng.integers(10, 151))
             c_oracle, c_bona_fide = rng.uniform(0.05, 3.0), rng.uniform(0.05, 0.95)
-            config = McConfig(p_grid=(p,), c_grid=(c_oracle,), gamma=cell % 2, seed=cell)
+            gamma = cell % 2
+            config = McConfig(p_grid=(p,), c_grid=(c_oracle,), gamma=gamma, seed=cell)
             pop = cell_population(config, p, c_oracle)
             got = oracle_weight_variances(pop, c_oracle)
-            want = oracle_variances_closed_form(pop, c_oracle)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            want = oracle_variances_closed_form(pop, c_oracle, gamma)
+            assert got == pytest.approx([float(p) ** -gamma * v for v in want],
+                                        rel=1e-12, abs=0.0)
 
             got = bona_fide_covariance(pop, c_bona_fide)
             want = bona_fide_covariance_closed_form(pop, c_bona_fide)
@@ -84,12 +87,16 @@ class TestDeltaMethodIdentity:
 
     def test_degenerate_inputs_rejected(self, rng):
         pop = bare_population(rand_spd(rng, 4), rng.standard_normal(4), np.zeros(4))
-        # a zero target makes det A = c G_11 + det G vanish
-        with pytest.raises(DegenerateDenominatorError):
+        # a zero target makes det A = c G_11 + det G vanish, for both
+        # covariances alike: the limit system is solved and checked once
+        with pytest.raises(DegenerateTargetError):
             oracle_weight_variances(pop, 0.5)
         with pytest.raises(DegenerateTargetError):
             bona_fide_covariance(pop, 0.5)
         pop = replace(pop, mu_0=rng.standard_normal(4))
+        for c in (-0.5, 0.0):  # the limit system needs c > 0
+            with pytest.raises(ValueError):
+                oracle_weight_variances(pop, c)
         for c in (-0.5, 0.0, 1.0, 2.0):  # the 1/(1-c) pole and beyond
             with pytest.raises(UnsupportedConcentrationError):
                 bona_fide_covariance(pop, c)
@@ -98,11 +105,12 @@ class TestDeltaMethodIdentity:
 class TestOracleWeightVariances:
     @pytest.mark.parametrize("gamma, c", [(0, 0.5), (0, 2.0), (1, 0.5), (1, 2.0)])
     def test_pooled_sd_of_standardized_weights(self, gamma, c):
-        # sqrt(p^gamma n) (w - w_limit) / sqrt(var) is asymptotically N(0, 1)
-        # for both oracle weights, with var from oracle_weight_variances.  The
-        # variance depends on how the drawn means sit in the covariance's
-        # eigenbasis, so one population per cell says little: pool 20
-        # populations (root seeds 56..75) x 50 replications at p=100, each
+        # sqrt(n) (w - w_limit) / sqrt(var) is asymptotically N(0, 1) for
+        # both oracle weights at either gamma, with var from
+        # oracle_weight_variances.  The variance depends on how the drawn
+        # means sit in the covariance's eigenbasis, so one population per
+        # cell says little: pool 20 populations (root seeds 56..75) x 50
+        # replications at p=100, each
         # standardized with its own variance.  Only the spread is checked:
         # each weight is centred at its own pooled mean, since at gamma=0
         # the alpha weights sit about +0.1 above the limit, a centre shift
@@ -122,15 +130,23 @@ class TestOracleWeightVariances:
             weights = run_cell(config, pop, c).weights["olse-oracle"]
             limit = limit_intensities(pop, p / n)
             variances = oracle_weight_variances(pop, p / n)
-            rate = np.sqrt(p**gamma * n)
             for column, center in enumerate((limit.alpha, limit.beta)):
                 z[column].append(standardize(weights[:, column], center,
-                                             variances[column], rate))
+                                             variances[column], np.sqrt(n)))
         bound = 3.0 / np.sqrt(2 * n_pops * n_reps) + 1.0 / np.sqrt(n)
         for column in (0, 1):
             pooled = np.concatenate(z[column])
             assert pooled.size == n_pops * n_reps
             assert abs(pooled.std(ddof=1) - 1.0) <= bound
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("variance", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_variance_not_positive_and_finite(self, variance):
+        # NaN would pass a bare "variance <= 0" and return NaN, and inf
+        # would return zeros
+        with pytest.raises(ValueError):
+            standardize(np.ones(3), 0.0, variance, 1.0)
 
 
 class TestBonaFideCovariance:

@@ -3,13 +3,15 @@ interface."""
 
 import csv
 
+import numpy as np
 import pytest
 
 from shrinkmean import cli
 from shrinkmean.cli import main
-from shrinkmean.estimators import ESTIMATORS
+from shrinkmean.estimators import ESTIMATORS, limit_intensities
 from shrinkmean.finance import BacktestConfig, synthetic_panel, write_returns_csv
-from shrinkmean.harness import McConfig
+from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell
+from test_asymptotics import oracle_variances_closed_form
 
 
 def run(capsys, *argv):
@@ -266,6 +268,30 @@ def test_qq_oracle_writes_pairs_and_ks_line(tmp_path, capsys):
     assert code == 0
     assert len((tmp_path / "qq.csv").read_text().splitlines()) == 1 + 20
     assert "KS statistic:" in out
+
+
+def test_qq_growing_means_match_the_paper_standardization(tmp_path, capsys):
+    # at gamma = 1 qq standardizes at sqrt(n) with variances of the unscaled
+    # Gram; the paper standardizes at sqrt(p^gamma n) with the variances of
+    # the p^{-gamma}-scaled Gram.  The factors p^gamma cancel, so the
+    # empirical column is the paper's, recomputed here from the same cell
+    p, c = 40, cli.QQ_C
+    code = main(["qq", "alpha-oracle", "--gamma", "1", "--p", str(p), "--n-reps", "20",
+                 "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    with open(tmp_path / "qq.csv", newline="") as handle:
+        got = [float(row["empirical"]) for row in csv.DictReader(handle)]
+
+    config = McConfig(p_grid=(p,), c_grid=(c,), gamma=1, n_reps=20, estimators=("olse-oracle",))
+    pop = cell_population(config, p, c)
+    alpha = run_cell(config, pop, c).weights["olse-oracle"][:, 0]
+    n = cell_sample_size(p, c)
+    var_alpha, _ = oracle_variances_closed_form(pop, p / n, 1)
+    want = np.sort(np.sqrt(p * n) * (alpha - limit_intensities(pop, p / n).alpha)
+                   / np.sqrt(var_alpha))
+    assert len(got) == 20
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize(

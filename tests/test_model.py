@@ -134,10 +134,10 @@ class TestInnovationLaw:
             InnovationLaw("cauchy")
 
 
-def _population(p=5, gamma=0.0, sigma=None, mu=None):
+def _population(p=5, sigma=None, mu=None):
     sigma = np.eye(p) if sigma is None else sigma
     mu = np.zeros(p) if mu is None else mu
-    return PopulationSpec(p=p, gamma=gamma, mu_n=mu, mu_0=mu.copy(), eigen=eigenpairs(sigma))
+    return PopulationSpec(p=p, mu_n=mu, mu_0=mu.copy(), eigen=eigenpairs(sigma))
 
 
 class TestGenerateSample:
@@ -149,7 +149,7 @@ class TestGenerateSample:
     def test_column_mean_matches_population_mean(self, rng):
         eigen = build_covariance(DEFAULT_RECIPE, 5, rng)
         mu = rng.uniform(-1, 1, 5)
-        pop = PopulationSpec(p=5, gamma=0, mu_n=mu, mu_0=mu, eigen=eigen)
+        pop = PopulationSpec(p=5, mu_n=mu, mu_0=mu, eigen=eigen)
         n = 100_000
         y = generate_sample(pop, n, InnovationLaw(), rng)
         lam_max = 10.0
@@ -157,7 +157,7 @@ class TestGenerateSample:
 
     def test_sample_covariance_converges(self, rng):
         eigen = build_covariance(DEFAULT_RECIPE, 5, rng)
-        pop = PopulationSpec(p=5, gamma=0, mu_n=np.zeros(5), mu_0=np.zeros(5), eigen=eigen)
+        pop = PopulationSpec(p=5, mu_n=np.zeros(5), mu_0=np.zeros(5), eigen=eigen)
         y = generate_sample(pop, 100_000, InnovationLaw(), rng)
         s = sample_covariance(y)
         cov = covariance(pop.eigen)
@@ -256,7 +256,7 @@ class TestInnovationStats:
         # itself is the reference
         eigen = build_covariance(DEFAULT_RECIPE, 6, rng)
         mu, target = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
-        pop = PopulationSpec(p=6, gamma=0, mu_n=mu, mu_0=target, eigen=eigen)
+        pop = PopulationSpec(p=6, mu_n=mu, mu_0=target, eigen=eigen)
         frame = pop.whitened()
         root = pop.sigma_sqrt()
         assert np.allclose(root @ frame.mu_n, mu, rtol=1e-13, atol=1e-13)
@@ -405,7 +405,7 @@ class TestSampleFactorization:
 class TestPopulationValidation:
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatchError):
-            PopulationSpec(p=3, gamma=0, mu_n=np.zeros(2), mu_0=np.zeros(3),
+            PopulationSpec(p=3, mu_n=np.zeros(2), mu_0=np.zeros(3),
                            eigen=eigenpairs(np.eye(3)))
 
 

@@ -122,7 +122,7 @@ class TestPopulationEigenpairs:
         # dense identity eigenpairs bit for bit
         p = 30
         mu, target, values = rng.standard_normal(p), rng.standard_normal(p), rng.uniform(1, 10, p)
-        diagonal, dense = (PopulationSpec(p=p, gamma=0, mu_n=mu, mu_0=target,
+        diagonal, dense = (PopulationSpec(p=p, mu_n=mu, mu_0=target,
                                           eigen=SpdEigen(values=values, vectors=vectors))
                            for vectors in (None, np.eye(p)))
         stack = rng.standard_normal((p, 4))
@@ -145,7 +145,7 @@ class TestPopulationEigenpairs:
 
 def _built(values, vectors):
     """A 3-dimensional population of the given eigenpairs."""
-    return PopulationSpec(p=3, gamma=0, mu_n=np.zeros(3), mu_0=np.ones(3),
+    return PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3),
                           eigen=SpdEigen(values=values, vectors=vectors))
 
 
@@ -178,7 +178,7 @@ class TestPopulationChecks:
         means = {"mu_n": np.zeros(3), "mu_0": np.ones(3)}
         means[field][1] = bad
         with pytest.raises(NonFiniteDataError):
-            PopulationSpec(p=3, gamma=0, eigen=SpdEigen(values=np.ones(3), vectors=np.eye(3)),
+            PopulationSpec(p=3, eigen=SpdEigen(values=np.ones(3), vectors=np.eye(3)),
                            **means)
 
     def test_root_is_exactly_symmetric(self):
