@@ -23,15 +23,17 @@ sigma^{-1}, the identity in the whitened frame) is the one precision metric
 of the cell.  It scores every estimate of a replication in one product, the
 column sums of squares of ``W @ (M - mu_n 1')`` for the stack M of the
 estimates that succeeded, and the oracle and limit weights read their Gram
-through it, both once per replication.  While the main thread evaluates
-replication r, one helper thread draws replication r + 1's innovations: it
-calls only :func:`replication_rng` and :meth:`InnovationLaw.draw`, whose
-fill releases the GIL, and it ends with its cell, also when a draw or an
-estimator raises.  The main thread's BLAS calls meanwhile run under
-:func:`shrinkmean.linalg.fewer_blas_threads`, so the helper gets the core
-that OpenBLAS's extra thread would spin on; :func:`cell_population` builds
-under that limit too, since a BLAS call on all threads leaves the extra one
-spinning for about 0.1 s.
+through it, both once per replication.  One helper thread draws the
+innovations two replications ahead: replications 0 and 1 are queued when
+the cell starts, and replication r + 2 once the main thread has built
+replication r's statistics, so while the main thread evaluates replication r
+the helper draws r + 1 and then r + 2.  It calls only :func:`replication_rng`
+and :meth:`InnovationLaw.draw`, whose fill releases the GIL, and it ends with
+its cell, also when a draw or an estimator raises.  The main thread's BLAS
+calls meanwhile run under :func:`shrinkmean.linalg.fewer_blas_threads`, so
+the helper gets the core that OpenBLAS's extra thread would spin on;
+:func:`cell_population` builds under that limit too, since a BLAS call on
+all threads leaves the extra one spinning for about 0.1 s.
 Each replication keeps its own stream and its results their index, so a
 study's reports and CSVs are the same for a given seed whatever the thread
 timing; no wall-clock time is recorded.  The QQ helpers take the standard
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
@@ -260,7 +263,7 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         return config.law.draw(replication_rng(config.seed, p, c, r), (p, n))
 
     with fewer_blas_threads(), ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, 0)
+        pending = deque(helper.submit(draw, r) for r in range(min(2, n_reps)))
         # Below p = n the cell runs in the frame x = R^{-1} y.  Only
         # sample-mean, olse, js, olse-oracle and olse-asymptotic run there:
         # the other four raise InvalidDimensionsError for p <= n.  Each of the
@@ -279,12 +282,17 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
             # alone.  Replication r - 1's statistics are freed only once these
             # are built: freed first, they left the heap top free, and glibc
             # returned it to the OS and faulted it back in every replication
-            # (p = 250, n = 500: 28,852 against 457 minor faults per 50
-            # replications, a fifth of the wall time) for no lower peak memory
-            stats = sample_stats(pending.result() if root is None else root @ pending.result())
+            # (p = 250, n = 500, study plus CSV writes: 29,145 against 946
+            # minor faults per 50 replications, a quarter of the wall time)
+            # for 1 MB less peak memory
+            stats = sample_stats(pending.popleft().result() if root is None
+                                 else root @ pending.popleft().result())
             stats = replace(stats, y_bar=stats.y_bar + frame.mu_n)
-            if r + 1 < n_reps:
-                pending = helper.submit(draw, r + 1)
+            # with r + 1 already queued, the helper never waits for this
+            # statistics build to get its next draw.  Queued before the build,
+            # r + 2's innovations cost 1 MB more peak memory for no gain
+            if r + 2 < n_reps:
+                pending.append(helper.submit(draw, r + 2))
             estimates = {}
             for est in estimators:
                 try:

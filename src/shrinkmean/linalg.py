@@ -80,8 +80,9 @@ def _as_symmetric(a: np.ndarray) -> np.ndarray:
     if not -np.inf < bottom <= top < np.inf:
         raise NotPositiveDefiniteError("matrix has a non-finite entry")
     scale = max(top, -bottom)
-    # a - a.T is exactly antisymmetric, so its max is its largest magnitude
-    if float((a - a.T).max(initial=0.0)) > 1e-12 * scale:
+    # a - a.T is exactly antisymmetric, so its max is its largest magnitude;
+    # an exactly symmetric a, such as every syrk Gram, skips that temporary
+    if not np.array_equal(a, a.T) and float((a - a.T).max(initial=0.0)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return a
 

@@ -58,6 +58,20 @@ class TestSpdFactor:
         f = spd_factor((a + a.T) / 2.0)
         assert np.allclose(f.lower @ f.lower.T, (a + a.T) / 2.0, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_symmetry_tolerance_at_every_scale(self, scale):
+        # an exactly symmetric matrix skips the a - a.T test; any other meets
+        # the same bound, 1e-12 of the largest entry magnitude (here scale)
+        a = scale * np.array([[1.0, 0.25], [0.25, 1.0]])
+        spd_factor(a)
+        near, far = a.copy(), a.copy()
+        near[0, 1] += 0.5e-12 * scale
+        far[0, 1] += 2e-12 * scale
+        assert not np.array_equal(near, near.T)
+        np.testing.assert_array_equal(spd_factor(near).lower, np.linalg.cholesky(near))
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_factor(far)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_rejected(self, bad, where):

@@ -1,11 +1,14 @@
-"""``run_cell``'s replication loop: a helper thread draws replication r + 1
-while the main thread evaluates replication r, under one BLAS thread fewer.
-The results must be those of the plain serial loop, and the helper thread
-and the BLAS thread counts must not outlive the cell.  Below p = n the loop
-scores the cell in its whitened frame, which must reproduce every
-estimator's losses and weights on the mixed sample itself."""
+"""``run_cell``'s replication loop: a helper thread draws replications r + 1
+and r + 2 while the main thread evaluates replication r, under one BLAS
+thread fewer, and starts no draw more than two replications ahead of the
+newest statistics built.  The results must be those of the plain serial
+loop, and the helper thread and the BLAS thread counts must not outlive the
+cell.  Below p = n the loop scores the cell in its whitened frame, which
+must reproduce every estimator's losses and weights on the mixed sample
+itself."""
 
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +145,17 @@ def failing_on_call(monkeypatch, owner, name, call):
     return error, calls
 
 
+@pytest.fixture(autouse=True)
+def clean():
+    """No test of this module leaves a thread running or a BLAS thread count
+    lowered."""
+    threads = threading.active_count()
+    assert blas_thread_counts() == START_COUNTS
+    yield
+    assert threading.active_count() == threads
+    assert blas_thread_counts() == START_COUNTS
+
+
 class TestCleanUp:
     """Neither the helper thread nor the lowered BLAS thread counts outlive
     ``run_cell`` or ``cell_population``, however the cell ends."""
@@ -150,14 +164,6 @@ class TestCleanUp:
 
     def run(self):
         return run_cell(self.config, cell_population(self.config, 40, 0.5), 0.5)
-
-    @pytest.fixture(autouse=True)
-    def clean(self):
-        threads = threading.active_count()
-        assert blas_thread_counts() == START_COUNTS
-        yield
-        assert threading.active_count() == threads
-        assert blas_thread_counts() == START_COUNTS
 
     def test_after_a_normal_return(self, monkeypatch):
         seen = []
@@ -185,15 +191,60 @@ class TestCleanUp:
 
     def test_draw_error_on_replication_3(self, monkeypatch):
         # the helper draws replications in order, so the fourth draw is
-        # replication 3; no later draw is started
+        # replication 3.  Replication 4's draw was queued once replication
+        # 2's statistics were built, before replication 3's error reached the
+        # main thread, so it runs too; no later draw is started
         error, calls = failing_on_call(monkeypatch, InnovationLaw, "draw", 4)
         with pytest.raises(RuntimeError) as raised:
             self.run()
         assert raised.value is error
-        assert len(calls) == 4 and threading.main_thread() not in calls
+        assert len(calls) == 5 and threading.main_thread() not in calls
 
     def test_main_thread_error_with_a_draw_pending(self, monkeypatch):
         error, _ = failing_on_call(monkeypatch, harness, "sample_stats", 3)
         with pytest.raises(RuntimeError) as raised:
             self.run()
         assert raised.value is error
+
+    def test_main_thread_error_on_replication_0(self, monkeypatch):
+        # replications 0 and 1 are queued before the loop starts, so the
+        # helper still owes replication 1 when replication 0's statistics
+        # fail: it draws it, is joined, and no further draw is queued
+        error, _ = failing_on_call(monkeypatch, harness, "sample_stats", 1)
+        draws = []
+        real = InnovationLaw.draw
+
+        def recording(law, rng, shape):
+            draws.append(threading.current_thread())
+            return real(law, rng, shape)
+
+        monkeypatch.setattr(InnovationLaw, "draw", recording)
+        with pytest.raises(RuntimeError) as raised:
+            self.run()
+        assert raised.value is error
+        assert len(draws) == 2 and threading.main_thread() not in draws
+
+
+def test_draws_stay_two_replications_ahead(monkeypatch):
+    # replication r's draw starts only once replication r - 2's statistics
+    # are built, so r - built <= 1 for the count of statistics built.  The
+    # main thread is slowed so that the helper runs as far ahead as it may
+    built, ahead = [], []
+    real_stats, real_draw = harness.sample_stats, InnovationLaw.draw
+
+    def slow_stats(z):
+        time.sleep(0.02)
+        stats = real_stats(z)
+        built.append(None)
+        return stats
+
+    def recording(law, rng, shape):
+        ahead.append(len(ahead) - len(built))
+        return real_draw(law, rng, shape)
+
+    monkeypatch.setattr(harness, "sample_stats", slow_stats)
+    monkeypatch.setattr(InnovationLaw, "draw", recording)
+    config = McConfig(p_grid=(40,), c_grid=(0.5,), n_reps=8, estimators=("olse",), seed=1)
+    run_cell(config, cell_population(config, 40, 0.5), 0.5)
+    assert len(ahead) == config.n_reps and len(built) == config.n_reps
+    assert max(ahead) <= 1
