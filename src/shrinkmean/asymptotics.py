@@ -3,13 +3,13 @@ the map the normality diagnostics apply.  All functions are pure.
 
 Every weight pair solves a 2x2 system A w = b (see :mod:`.estimators`), whose
 limit is A = G + c e_0 e_0' and b = G e_0, with G the sigma^{-1} Gram of
-(mu_n, mu_0) read through :meth:`PopulationSpec.precision_gram` (sigma is
-never factorized).  Both CLTs are centred at the solution (alpha, beta) of
-that limit system, which :func:`.estimators.limit_intensities` solves and
-checks; it is not solved again here.  A fluctuation moves the weights by dw =
-A^{-1}(db - dA w).  Writing db - dA w = V d for jointly Gaussian
-fluctuations d of covariance Omega gives both covariances by one identity:
-A^{-1} V Omega V' A^{-T}, each at rate sqrt(n) and for any gamma.
+(mu_n, mu_0), for example ``pop.precision_gram(pop.mu_n, pop.mu_0)``.  Every
+function here reads only (G, c).  Both CLTs are centred at the solution
+(alpha, beta) of that limit system, which :func:`.estimators.limit_weights`
+solves and checks; it is not solved again here.  A fluctuation moves the
+weights by dw = A^{-1}(db - dA w).  Writing db - dA w = V d for jointly
+Gaussian fluctuations d of covariance Omega gives both covariances by one
+identity: A^{-1} V Omega V' A^{-T}, each at rate sqrt(n) and for any gamma.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedConcentrationError
-from .estimators import limit_intensities
-from .model import PopulationSpec
+from .estimators import limit_weights
 
 __all__ = [
     "oracle_weight_variances",
@@ -36,17 +35,17 @@ def _delta_covariance(system: np.ndarray, mixing: np.ndarray, omega: np.ndarray)
     return (cov + cov.T) / 2.0
 
 
-def _limit_system(pop: PopulationSpec, c: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _limit_system(gram: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """G, A = G + c e_0 e_0' and the limits alpha, beta that solve A w = G e_0,
-    read from :func:`limit_intensities`, which rejects c <= 0 and a singular A."""
-    limit = limit_intensities(pop, c)
-    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
+    read from :func:`limit_weights`, which rejects c <= 0 and a singular A."""
+    gram = np.asarray(gram, dtype=float)
+    limit = limit_weights(gram, c)
     return gram, gram + np.diag([c, 0.0]), limit.alpha, limit.beta
 
 
-def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float]:
+def oracle_weight_variances(gram: np.ndarray, c: float) -> tuple[float, float]:
     """Limiting variances (var_alpha, var_beta) of the two oracle shrinkage
-    weights at concentration ``c``.
+    weights at concentration ``c``, from the sigma^{-1} Gram G of (mu_n, mu_0).
 
     sqrt(n) (w - w_limit) / sqrt(var) tends to a standard normal for each
     weight.  With y_bar = mu_n + e, the fluctuations are g = mu_n' sigma^{-1} e,
@@ -57,7 +56,7 @@ def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float
     then carries p^{-gamma}, so its variances are these times p^gamma and
     standardize every weight to the same value.
     """
-    gram, system, alpha, beta = _limit_system(pop, c)
+    gram, system, alpha, beta = _limit_system(gram, c)
     mixing = np.array([[1.0 - 2.0 * alpha, -beta, -alpha], [0.0, -alpha, 0.0]])
     omega = np.pad(gram, (0, 1))  # the block diagonal diag(G, 2c)
     omega[2, 2] = 2.0 * c
@@ -65,11 +64,12 @@ def oracle_weight_variances(pop: PopulationSpec, c: float) -> tuple[float, float
     return float(cov[0, 0]), float(cov[1, 1])
 
 
-def bona_fide_covariance(pop: PopulationSpec, c: float) -> np.ndarray:
-    """Joint limiting 2x2 covariance of the bona fide weight pair, for c < 1.
+def bona_fide_covariance(gram: np.ndarray, c: float) -> np.ndarray:
+    """Joint limiting 2x2 covariance of the bona fide weight pair, for c < 1,
+    from the sigma^{-1} Gram G of (mu_n, mu_0).
 
     The pair sqrt(n) * (alpha_hat - alpha_limit, beta_hat - beta_limit), at
-    the limits of :func:`limit_intensities`, is asymptotically centered
+    the limits of :func:`limit_weights`, is asymptotically centered
     normal with this covariance.  The weights are w = e_0 - kappa A_S^{-1}
     e_0 with A_S the S^{-1} Gram of (y_bar, mu_0), which tends to A / (1 -
     c), so dw = A_S^{-1} dA_S (e_0 - w): V = [[1 - alpha, -beta, 0], [0, 1 -
@@ -80,7 +80,7 @@ def bona_fide_covariance(pop: PopulationSpec, c: float) -> np.ndarray:
     """
     if not 0.0 < c < 1.0:
         raise UnsupportedConcentrationError(f"joint covariance requires c in (0, 1), got {c}")
-    gram, system, alpha, beta = _limit_system(pop, c)
+    gram, system, alpha, beta = _limit_system(gram, c)
     (m, x), (_, t) = gram.tolist()
     mixing = np.array([[1.0 - alpha, -beta, 0.0], [0.0, 1.0 - alpha, -beta]])
     omega = np.array([[gram[i, k] * gram[j, l] + gram[i, l] * gram[j, k] for k, l in _PAIRS]

@@ -36,7 +36,7 @@ from .errors import (
     ShrinkmeanError,
     TooFewSamplesError,
 )
-from .estimators import ESTIMATORS, NEEDS_POPULATION, limit_intensities
+from .estimators import ESTIMATORS, NEEDS_POPULATION, limit_weights
 from .finance import (
     BacktestConfig,
     TARGET_STRATEGIES,
@@ -240,12 +240,13 @@ def cmd_qq(args) -> int:
     cell = run_cell(config, pop, c)
 
     column = 0 if quantity.startswith("alpha") else 1
-    limit = limit_intensities(pop, c_used)
+    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
+    limit = limit_weights(gram, c_used)
     center = (limit.alpha, limit.beta)[column]
     if quantity.endswith("-oracle"):
-        variance = oracle_weight_variances(pop, c_used)[column]
+        variance = oracle_weight_variances(gram, c_used)[column]
     else:
-        variance = float(bona_fide_covariance(pop, c_used)[column, column])
+        variance = float(bona_fide_covariance(gram, c_used)[column, column])
 
     raw = cell.weights[estimator][:, column]
     raw = raw[np.isfinite(raw)]

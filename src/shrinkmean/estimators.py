@@ -27,7 +27,8 @@ one new vector per call (p > n: ``linalg.spd_solve`` against G).
 The oracle and limit weights take a :class:`PopulationSpec` and read the
 Gram of the mean vectors in its precision metric sigma^{-1} through
 :meth:`PopulationSpec.precision_gram`: sigma is never factorized here, only
-whitened by the population's eigenpairs.  The limit weights are also the
+whitened by the population's eigenpairs.  The limit weights read only that
+Gram G of (mu_n, mu_0) and c (:func:`limit_weights`); they are also the
 centres of both weight CLTs, which :mod:`.asymptotics` reads from here.
 
 :data:`ESTIMATORS` is the one table of estimator names that the Monte
@@ -64,6 +65,7 @@ __all__ = [
     "evaluate",
     "oracle_intensities",
     "limit_intensities",
+    "limit_weights",
     "bona_fide_intensities",
     "james_stein",
     "js_high_dim",
@@ -110,18 +112,22 @@ def oracle_intensities(y_bar: np.ndarray, pop: PopulationSpec) -> ShrinkageWeigh
 
 
 def limit_intensities(pop: PopulationSpec, c: float) -> ShrinkageWeights:
-    """Nonrandom limits of the oracle weights under p/n -> c.
+    """Nonrandom limits of the oracle weights under p/n -> c: :func:`limit_weights`."""
+    return limit_weights(pop.precision_gram(pop.mu_n, pop.mu_0), c)
 
-    With G the sigma^{-1} Gram of (mu_n, mu_0), y_bar' sigma^{-1} y_bar tends
-    to G_00 + c and every other entry of the oracle system to its G
-    counterpart, so the system is (G + c e_0 e_0') w = G[:, 0]: the bona fide
-    system below with kappa = c.  Its determinant is at least
-    c mu_0' sigma^{-1} mu_0, so it rejects a target of no precision-metric
-    energy, whatever the scale of mu_0.
+
+def limit_weights(gram: np.ndarray, c: float) -> ShrinkageWeights:
+    """Limit weights from the sigma^{-1} Gram G of (mu_n, mu_0) and c.
+
+    y_bar' sigma^{-1} y_bar tends to G_00 + c and every other entry of the
+    oracle system to its G counterpart, so the system is (G + c e_0 e_0') w
+    = G[:, 0]: the bona fide system below with kappa = c.  Its determinant
+    is at least c mu_0' sigma^{-1} mu_0, so it rejects a target of no
+    precision-metric energy, whatever the scale of mu_0.
     """
     if c <= 0:
         raise ValueError(f"concentration c must be positive, got {c}")
-    gram = pop.precision_gram(pop.mu_n, pop.mu_0)
+    gram = np.asarray(gram, dtype=float)
     return _solve_weights(gram + np.diag([c, 0.0]), gram[0], DegenerateTargetError(
         "target vector has zero precision-metric energy, or lies along mu_n at"
         " negligible c"))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DimensionMismatchError,
     ParseError,
     RaggedRowsError,
     ShrinkmeanError,
@@ -224,10 +225,11 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
 
     It runs on one BLAS thread fewer (see
     :func:`shrinkmean.linalg.fewer_blas_threads`): its BLAS calls are small
-    and many, and beside them OpenBLAS's extra thread only spins, so on
-    2-core x86-64 it about doubled the CPU time and saved no wall time.
+    and many, and beside them OpenBLAS's extra thread only spins.
     """
     values = panel.values
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise DimensionMismatchError(f"panel needs periods x assets, assets >= 1: {values.shape}")
     total = values.shape[0]
     if max(config.windows) >= total:
         raise ConfigError(

@@ -33,15 +33,14 @@ its cell, also when a draw or an estimator raises.  The main thread's BLAS
 calls meanwhile run under :func:`shrinkmean.linalg.fewer_blas_threads`, so
 the helper gets the core that OpenBLAS's extra thread would spin on;
 :func:`cell_population` builds under that limit too, since a BLAS call on
-all threads leaves the extra one spinning for about 0.1 s.
+all threads leaves the extra one spinning after it returns.
 Each replication keeps its own stream and its results their index, so a
 study's reports and CSVs are the same for a given seed whatever the thread
 timing; no wall-clock time is recorded.  The QQ helpers take the standard
 normal quantile from :class:`statistics.NormalDist` and the CDF from
 ``math.erfc``, so importing the package loads no scipy module at all (the
 triangular solves call numpy's own BLAS, see :mod:`shrinkmean.linalg`):
-``scipy.special`` would cost every run about 3 MB of resident memory, and
-``scipy.stats`` more than double the import time, for helpers only the
+scipy would add memory and import time to every run for helpers only the
 ``qq`` command calls.
 """
 
@@ -280,17 +279,14 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
         for r in range(n_reps):
             # a common shift leaves the reflected sample unchanged: shift y_bar
             # alone.  Replication r - 1's statistics are freed only once these
-            # are built: freed first, they left the heap top free, and glibc
-            # returned it to the OS and faulted it back in every replication
-            # (p = 250, n = 500, study plus CSV writes: 29,145 against 946
-            # minor faults per 50 replications, a quarter of the wall time)
-            # for 1 MB less peak memory
+            # are built: freed first, they leave the heap top free, which glibc
+            # returns to the OS and faults back in every replication
             stats = sample_stats(pending.popleft().result() if root is None
                                  else root @ pending.popleft().result())
             stats = replace(stats, y_bar=stats.y_bar + frame.mu_n)
             # with r + 1 already queued, the helper never waits for this
             # statistics build to get its next draw.  Queued before the build,
-            # r + 2's innovations cost 1 MB more peak memory for no gain
+            # r + 2's innovations would only add peak memory
             if r + 2 < n_reps:
                 pending.append(helper.submit(draw, r + 2))
             estimates = {}

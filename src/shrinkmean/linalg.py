@@ -11,12 +11,13 @@ No function here solves against a covariance: every precision-metric form
 is a Gram of whitened vectors, and ``spd_solve`` solves against the
 reflected (n-1) x (n-1) Gram G of a sample, one new vector per call.
 
-Every BLAS and LAPACK call goes to the one BLAS library numpy links: the
-triangular solves call its CBLAS ``dtrsv`` through ctypes, resolved once
-through the handle of numpy's multiarray extension, so importing this
-module loads no second BLAS (scipy's wheels bundle their own, with their
-own thread pool).  Where no such symbol resolves, the solves fall back to
-``np.linalg.solve`` on the factor.
+Every BLAS and LAPACK call goes to the one BLAS library numpy links, whose
+CBLAS ``dtrsv`` (for the triangular solves) and OpenBLAS thread-count getter
+and setter are resolved once, at import, through the ctypes handle of
+numpy's multiarray extension: no second BLAS is loaded (scipy's wheels
+bundle their own, with their own thread pool).  Without ``dtrsv`` the solves
+fall back to ``np.linalg.solve`` on the factor; without the thread pair,
+:func:`blas_threads` is None and :func:`fewer_blas_threads` does nothing.
 
 The linear algebra functions are pure: they never mutate their inputs and
 hold no module state, so they are safe to call concurrently.  The one
@@ -31,7 +32,7 @@ import ctypes
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ __all__ = [
     "spd_solve",
     "SpdEigen",
     "haar_orthogonal",
-    "blas_thread_counts",
+    "blas_threads",
     "fewer_blas_threads",
 ]
 
@@ -70,11 +71,12 @@ class SpdFactor:
 
 
 def _as_symmetric(a: np.ndarray) -> np.ndarray:
-    """``a`` as a float array, checked square, finite and symmetric within
-    1e-12 of its largest entry magnitude, whatever its scale."""
+    """``a`` as a float array, checked square, non-empty, finite and
+    symmetric within 1e-12 of its largest entry magnitude, whatever its
+    scale."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatchError(f"matrix must be square and non-empty, got shape {a.shape}")
     # NaN and +-inf propagate through max and min, and NaN fails both comparisons
     top, bottom = float(a.max(initial=0.0)), float(a.min(initial=0.0))
     if not -np.inf < bottom <= top < np.inf:
@@ -112,11 +114,8 @@ def spd_factor(a: np.ndarray) -> SpdFactor:
 def spd_whiten(factor: SpdFactor, b: np.ndarray) -> np.ndarray:
     """L^{-1} b given ``factor = spd_factor(a)``, so (L^{-1}u)'(L^{-1}v) = u'a^{-1}v.
 
-    One CBLAS ``dtrsv`` per column of b.  On x86-64, for one column at dim
-    250, numpy's OpenBLAS 0.3.31 ``dtrsv`` took 14-16 us and its ``dtrsm``
-    52-67 us (one thread), against about 27 us for the ``dtrsm`` of scipy's
-    own OpenBLAS 0.3.30; LAPACK ``trtrs`` (scipy's ``solve_triangular``) ran
-    several times slower.
+    One CBLAS ``dtrsv`` per column of b: for the one or two columns a
+    sample whitens, it ran faster than ``dtrsm`` or LAPACK ``trtrs``.
     """
     return _triangular_solves(factor, b, (_TRANS,))
 
@@ -146,24 +145,46 @@ def _numpy_blas():
         return None
 
 
+def _routine(lib, names, argtypes, restype):
+    """The first of ``names`` that ``lib`` exports, its signature declared;
+    None if it exports none of them."""
+    routine = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if routine is not None:
+        routine.argtypes, routine.restype = argtypes, restype
+    return routine
+
+
 def _resolve_dtrsv(lib):
-    """CBLAS ``dtrsv`` of ``lib`` with its signature declared, or None: the
-    scipy-openblas and plain ILP64 names (64-bit integers), then the LP64
-    name (32-bit integers)."""
-    for name, integer in (("scipy_cblas_dtrsv64_", ctypes.c_int64),
-                          ("cblas_dtrsv64_", ctypes.c_int64),
-                          ("cblas_dtrsv", ctypes.c_int)):
-        routine = getattr(lib, name, None)
+    """CBLAS ``dtrsv`` of ``lib``, or None: the scipy-openblas and plain
+    ILP64 names (64-bit integers), then the LP64 name (32-bit integers)."""
+    for names, integer in ((("scipy_cblas_dtrsv64_", "cblas_dtrsv64_"), ctypes.c_int64),
+                           (("cblas_dtrsv",), ctypes.c_int)):
+        argtypes = (ctypes.c_int,) * 4 + (integer, ctypes.c_void_p) * 2 + (integer,)
+        routine = _routine(lib, names, argtypes, None)
         if routine is not None:
-            routine.argtypes = (ctypes.c_int,) * 4 + (integer, ctypes.c_void_p, integer,
-                                                      ctypes.c_void_p, integer)
-            routine.restype = None
             return routine
     return None
 
 
+def _resolve_thread_controls(lib):
+    """The OpenBLAS thread-count getter and setter of ``lib``, both from one
+    name family, or (None, None): the scipy-openblas build of numpy's wheels,
+    then plain OpenBLAS, each with the ``64_`` suffix of an ILP64 build, then
+    without.  The setter acts on the whole process (so, in OpenBLAS
+    0.3.30-0.3.31, does ``openblas_set_num_threads_local``, which therefore
+    adds nothing)."""
+    for stem in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = _routine(lib, (f"{stem}_get_num_threads{suffix}",), (), ctypes.c_int)
+            put = _routine(lib, (f"{stem}_set_num_threads{suffix}",), (ctypes.c_int,), None)
+            if get is not None and put is not None:
+                return get, put
+    return None, None
+
+
 _NUMPY_BLAS = _numpy_blas()
 _dtrsv = _resolve_dtrsv(_NUMPY_BLAS)
+_get_threads, _set_threads = _resolve_thread_controls(_NUMPY_BLAS)
 
 
 def _triangular_solves(factor: SpdFactor, b: np.ndarray, ops: tuple[int, ...]) -> np.ndarray:
@@ -266,38 +287,15 @@ def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
-#: names of the OpenBLAS thread-count (get, set) pair, in probe order: the
-#: scipy-openblas build of numpy's wheels, then plain OpenBLAS, each with the
-#: ``64_`` suffix of an ILP64 build, then without.  The setter acts on the
-#: whole process (so, in OpenBLAS 0.3.30-0.3.31, does
-#: ``openblas_set_num_threads_local``, which therefore adds nothing)
-_THREAD_SYMBOLS = tuple((f"{stem}_get_num_threads{suffix}", f"{stem}_set_num_threads{suffix}")
-                        for stem in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
-
-
-@cache
-def _openblas_thread_controls() -> tuple:
-    """The (get, set) pair of the OpenBLAS numpy links, as a tuple of one;
-    empty where there is none (MKL, another BLAS, a build without the pair)."""
-    for get_name, set_name in _THREAD_SYMBOLS:
-        get, put = getattr(_NUMPY_BLAS, get_name, None), getattr(_NUMPY_BLAS, set_name, None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            put.argtypes, put.restype = (ctypes.c_int,), None
-            return ((get, put),)
-    return ()
-
-
-def blas_thread_counts() -> tuple[int, ...]:
-    """Current thread count of numpy's OpenBLAS, the one library
-    :func:`fewer_blas_threads` controls, as a tuple of one; empty where numpy
-    links no OpenBLAS whose count it can set."""
-    return tuple(get() for get, _ in _openblas_thread_controls())
+def blas_threads() -> int | None:
+    """Current thread count of numpy's OpenBLAS, which :func:`fewer_blas_threads`
+    lowers; None where numpy links no OpenBLAS whose count it can set."""
+    return None if _get_threads is None else _get_threads()
 
 
 _lowering_lock = threading.Lock()
 _lowering_depth = 0
-_saved_counts: tuple[int, ...] = ()
+_saved_threads = 0
 
 
 @contextmanager
@@ -305,25 +303,21 @@ def fewer_blas_threads():
     """Run the block with numpy's OpenBLAS on one thread fewer (never below
     one), restoring its count on exit.
 
-    This frees a core for a thread that works beside BLAS: on 2-core x86-64
-    with OpenBLAS 0.3.31, the second BLAS thread gained nothing on p = 250
-    syrk and Cholesky calls and spun between them.  The count is process
+    This frees a core for a thread that works beside BLAS, where OpenBLAS's
+    extra thread would only spin between small calls.  The count is process
     state, so nested or overlapping entries, from any threads, lower it
-    once, on the first entry, and the last exit restores it.  Where no
-    OpenBLAS is found it does nothing.
+    once, on the first entry, and the last exit restores it.
     """
-    global _lowering_depth, _saved_counts
+    global _lowering_depth, _saved_threads
     with _lowering_lock:
-        if _lowering_depth == 0:
-            _saved_counts = blas_thread_counts()
-            for (_, put), count in zip(_openblas_thread_controls(), _saved_counts):
-                put(max(1, count - 1))
+        if _lowering_depth == 0 and _set_threads is not None:
+            _saved_threads = _get_threads()
+            _set_threads(max(1, _saved_threads - 1))
         _lowering_depth += 1
     try:
         yield
     finally:
         with _lowering_lock:
             _lowering_depth -= 1
-            if _lowering_depth == 0:
-                for (_, put), count in zip(_openblas_thread_controls(), _saved_counts):
-                    put(count)
+            if _lowering_depth == 0 and _set_threads is not None:
+                _set_threads(_saved_threads)

@@ -338,8 +338,8 @@ def sample_stats(y: np.ndarray) -> SampleStats:
     if y.ndim != 2:
         raise DimensionMismatchError(f"expected a p x n matrix, got shape {y.shape}")
     p, n = y.shape
-    if n < 2:
-        raise DimensionMismatchError(f"n must be >= 2, got {n}")
+    if p < 1 or n < 2:
+        raise DimensionMismatchError(f"need p >= 1 and n >= 2, got p = {p}, n = {n}")
     # a row mean is non-finite exactly when its row holds a NaN or an inf or
     # its sum overflows, so p values check the whole sample
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,6 +36,18 @@ def bare_population(sigma, mu_n, mu_0) -> PopulationSpec:
                           eigen=eigenpairs(sigma))
 
 
+def one_fewer(count: int | None) -> int | None:
+    """The thread count :func:`shrinkmean.linalg.fewer_blas_threads` sets from
+    ``count``: one fewer, never below one; None where there is no count."""
+    return None if count is None else max(1, count - 1)
+
+
+def limit_gram(pop: PopulationSpec) -> np.ndarray:
+    """The sigma^{-1} Gram of (mu_n, mu_0), which the limit weights and both
+    weight CLTs read."""
+    return pop.precision_gram(pop.mu_n, pop.mu_0)
+
+
 def sample_covariance(y: np.ndarray) -> np.ndarray:
     """Divisor-n sample covariance (y - y_bar 1')(y - y_bar 1')' / n, by the
     two-pass formula: an oracle independent of the reflected sample."""

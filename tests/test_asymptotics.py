@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bare_population, eigenpairs, rand_spd, sample_covariance
+from conftest import bare_population, eigenpairs, limit_gram, rand_spd, sample_covariance
 from noncentral_f import (
     MomentsDoNotExistError,
     projection_stat,
@@ -18,7 +18,8 @@ from shrinkmean.errors import (
 )
 from shrinkmean.estimators import limit_intensities
 from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell
-from shrinkmean.model import sample_stats
+from shrinkmean.linalg import SpdEigen
+from shrinkmean.model import PopulationSpec, sample_stats
 
 
 def oracle_variances_closed_form(pop, c, gamma):
@@ -74,32 +75,52 @@ class TestDeltaMethodIdentity:
             gamma = cell % 2
             config = McConfig(p_grid=(p,), c_grid=(c_oracle,), gamma=gamma, seed=cell)
             pop = cell_population(config, p, c_oracle)
-            got = oracle_weight_variances(pop, c_oracle)
+            got = oracle_weight_variances(limit_gram(pop), c_oracle)
             want = oracle_variances_closed_form(pop, c_oracle, gamma)
             assert got == pytest.approx([float(p) ** -gamma * v for v in want],
                                         rel=1e-12, abs=0.0)
 
-            got = bona_fide_covariance(pop, c_bona_fide)
+            got = bona_fide_covariance(limit_gram(pop), c_bona_fide)
             want = bona_fide_covariance_closed_form(pop, c_bona_fide)
             assert np.diag(got) == pytest.approx(np.diag(want), rel=1e-12, abs=0.0)
             assert abs(got[0, 1] - want[0, 1]) <= 1e-12 * np.sqrt(want[0, 0] * want[1, 1])
             assert got[0, 1] == got[1, 0]
+
+    def test_populations_with_one_gram_share_the_covariances(self):
+        # a spherical population and one with another sigma (permuted
+        # eigenvectors, unequal eigenvalues) and other means, whose whitened
+        # means are the spherical one's: every entry is a small integer times
+        # a power of two, so both Grams are exact and equal, and so must be
+        # the covariances, to the bit
+        white_n, white_0 = np.array([1.0, 2.0, 0.0, 3.0]), np.array([0.0, 1.0, 1.0, 1.0])
+        spherical = PopulationSpec(p=4, mu_n=white_n, mu_0=white_0,
+                                   eigen=SpdEigen(values=np.ones(4), vectors=None))
+        perm, root = np.eye(4)[[2, 0, 3, 1]], np.array([2.0, 1.0, 4.0, 8.0])
+        skewed = PopulationSpec(p=4, mu_n=perm @ (root * white_n), mu_0=perm @ (root * white_0),
+                                eigen=SpdEigen(values=root**2, vectors=perm))
+        assert not np.array_equal(skewed.mu_n, spherical.mu_n)
+        assert np.array_equal(limit_gram(skewed), limit_gram(spherical))
+        for c in (0.5, 2.0):
+            assert (oracle_weight_variances(limit_gram(skewed), c)
+                    == oracle_weight_variances(limit_gram(spherical), c))
+        assert np.array_equal(bona_fide_covariance(limit_gram(skewed), 0.5),
+                              bona_fide_covariance(limit_gram(spherical), 0.5))
 
     def test_degenerate_inputs_rejected(self, rng):
         pop = bare_population(rand_spd(rng, 4), rng.standard_normal(4), np.zeros(4))
         # a zero target makes det A = c G_11 + det G vanish, for both
         # covariances alike: the limit system is solved and checked once
         with pytest.raises(DegenerateTargetError):
-            oracle_weight_variances(pop, 0.5)
+            oracle_weight_variances(limit_gram(pop), 0.5)
         with pytest.raises(DegenerateTargetError):
-            bona_fide_covariance(pop, 0.5)
+            bona_fide_covariance(limit_gram(pop), 0.5)
         pop = replace(pop, mu_0=rng.standard_normal(4))
         for c in (-0.5, 0.0):  # the limit system needs c > 0
             with pytest.raises(ValueError):
-                oracle_weight_variances(pop, c)
+                oracle_weight_variances(limit_gram(pop), c)
         for c in (-0.5, 0.0, 1.0, 2.0):  # the 1/(1-c) pole and beyond
             with pytest.raises(UnsupportedConcentrationError):
-                bona_fide_covariance(pop, c)
+                bona_fide_covariance(limit_gram(pop), c)
 
 
 class TestOracleWeightVariances:
@@ -129,7 +150,7 @@ class TestOracleWeightVariances:
             pop = cell_population(config, p, c)
             weights = run_cell(config, pop, c).weights["olse-oracle"]
             limit = limit_intensities(pop, p / n)
-            variances = oracle_weight_variances(pop, p / n)
+            variances = oracle_weight_variances(limit_gram(pop), p / n)
             for column, center in enumerate((limit.alpha, limit.beta)):
                 z[column].append(standardize(weights[:, column], center,
                                              variances[column], np.sqrt(n)))
@@ -157,7 +178,7 @@ class TestBonaFideCovariance:
         # -proj Var(alpha_hat): the limit moves beta against alpha
         pop = bare_population(rand_spd(rng, p), rng.standard_normal(p), rng.standard_normal(p))
         (_, x), (_, t) = pop.precision_gram(pop.mu_n, pop.mu_0)
-        cov = bona_fide_covariance(pop, c)
+        cov = bona_fide_covariance(limit_gram(pop), c)
         assert cov[0, 1] == pytest.approx(-(x / t) * cov[0, 0], rel=1e-12, abs=0.0)
 
     def test_correlation_matches_monte_carlo(self):
@@ -176,7 +197,7 @@ class TestBonaFideCovariance:
         weights = run_cell(config, pop, c).weights["olse"]
         assert np.isfinite(weights).all()
         n = cell_sample_size(p, c)
-        cov = bona_fide_covariance(pop, p / n)
+        cov = bona_fide_covariance(limit_gram(pop), p / n)
         limit = cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1])
         bound = 4.0 * (1.0 - limit**2) / np.sqrt(n_reps) + 1.0 / np.sqrt(n)
         assert abs(np.corrcoef(weights.T)[0, 1] - limit) <= bound

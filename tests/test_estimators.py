@@ -8,6 +8,7 @@ from conftest import (
     bare_population,
     eigenpairs,
     generalized_inverse_s,
+    limit_gram,
     rand_spd,
     sample_covariance,
     sample_with_moments,
@@ -292,7 +293,7 @@ class TestBonaFideIntensities:
         pop = cell_population(cfg, p, c)
         n = cell_sample_size(p, c)
         lw = limit_intensities(pop, p / n)
-        cov = bona_fide_covariance(pop, p / n)
+        cov = bona_fide_covariance(limit_gram(pop), p / n)
         weights = cell.weights["olse"]
         assert np.isfinite(weights).all()
         critical = KS_COEFF_1PCT / np.sqrt(len(weights))

@@ -4,12 +4,14 @@ options, and its per-window-period estimator calls and pairing."""
 import numpy as np
 import pytest
 
+from conftest import one_fewer
 import shrinkmean.estimators
 import shrinkmean.finance
 import shrinkmean.model
 from shrinkmean.errors import (
     ConfigError,
     DegenerateDenominatorError,
+    DimensionMismatchError,
     ParseError,
     RaggedRowsError,
 )
@@ -20,7 +22,7 @@ from shrinkmean.finance import (
     load_returns_csv,
     rolling_backtest,
 )
-from shrinkmean.linalg import blas_thread_counts
+from shrinkmean.linalg import blas_threads
 from shrinkmean.model import sample_stats
 
 
@@ -85,6 +87,12 @@ def test_duplicate_entries_rejected(field, value):
 
 
 class TestBacktestOptions:
+    def test_panel_without_assets_rejected(self):
+        # no asset column leaves every window empty: rejected before the
+        # loop, not by numpy's reduction of an empty target range
+        with pytest.raises(DimensionMismatchError):
+            rolling_backtest(ReturnsPanel(values=np.empty((30, 0))), BacktestConfig(windows=(10,)))
+
     @pytest.mark.parametrize("align_start", [True, False])
     def test_align_start(self, align_start):
         panel = _panel()
@@ -197,18 +205,18 @@ class TestBacktestEstimatorCalls:
         assert all(len(shape) == 1 for shape in calls)  # one vector per solve
 
     def test_runs_on_one_blas_thread_fewer(self, monkeypatch):
-        # every window-period sees the lowered counts, and they are
-        # restored when the backtest returns
-        before, seen = blas_thread_counts(), []
+        # every window-period sees the lowered count, and it is restored
+        # when the backtest returns
+        before, seen = blas_threads(), []
 
         def recording(y):
-            seen.append(blas_thread_counts())
+            seen.append(blas_threads())
             return sample_stats(y)
 
         monkeypatch.setattr(shrinkmean.finance, "sample_stats", recording)
         rolling_backtest(_panel(periods=20, p=12), BacktestConfig(windows=(5, 8)))
-        assert seen == [tuple(max(1, count - 1) for count in before)] * ((20 - 5) + (20 - 8))
-        assert blas_thread_counts() == before
+        assert seen == [one_fewer(before)] * ((20 - 5) + (20 - 8))
+        assert blas_threads() == before
 
 
 class TestBacktestPairing:

@@ -1,3 +1,4 @@
+import ctypes
 import sys
 import threading
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from shrinkmean import linalg
 from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.linalg import (
     SpdEigen,
-    blas_thread_counts,
+    blas_threads,
     fewer_blas_threads,
     haar_orthogonal,
     spd_factor,
@@ -84,6 +85,10 @@ class TestSpdFactor:
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatchError):
             spd_factor(np.ones((2, 3)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            spd_factor(np.zeros((0, 0)))
 
 
 DIMS, COLUMNS = (2, 24, 124), (None, 1, 2, 5)
@@ -240,33 +245,34 @@ class TestHaarOrthogonal:
 class TestFewerBlasThreads:
     @pytest.fixture
     def fake(self, monkeypatch):
-        """Two stand-in libraries at 4 and 1 threads in place of the probed ones."""
-        counts = [4, 1]
-        controls = tuple((lambda i=i: counts[i], lambda value, i=i: counts.__setitem__(i, value))
-                         for i in range(len(counts)))
-        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: controls)
-        return counts
+        """A stand-in library at 4 threads in place of numpy's OpenBLAS."""
+        count = [4]
+        monkeypatch.setattr(linalg, "_get_threads", lambda: count[0])
+        monkeypatch.setattr(linalg, "_set_threads", lambda value: count.__setitem__(0, value))
+        return count
 
     def test_one_fewer_never_below_one(self, fake):
-        with fewer_blas_threads():
-            assert blas_thread_counts() == (3, 1)
-        assert fake == [4, 1]
+        for start, lowered in ((4, 3), (1, 1)):
+            fake[0] = start
+            with fewer_blas_threads():
+                assert blas_threads() == lowered
+            assert fake == [start]
 
     def test_restored_after_an_error(self, fake):
         with pytest.raises(KeyError), fewer_blas_threads():
             raise KeyError("inside")
-        assert fake == [4, 1]
+        assert fake == [4]
 
     def test_nested_entries_lower_once(self, fake):
         with fewer_blas_threads():
             with fewer_blas_threads():
-                assert fake == [3, 1]
-            assert fake == [3, 1]
-        assert fake == [4, 1]
+                assert fake == [3]
+            assert fake == [3]
+        assert fake == [4]
 
     def test_overlapping_threads_restore_on_the_last_exit(self, fake):
         # entered on this thread, then on another that exits first, and the
-        # other way round: the counts stay lowered until both have left
+        # other way round: the count stays lowered until both have left
         entered, release = threading.Event(), threading.Event()
 
         def other():
@@ -278,11 +284,11 @@ class TestFewerBlasThreads:
             worker = threading.Thread(target=other)
             worker.start()
             assert entered.wait(10)
-        assert fake == [3, 1]
+        assert fake == [3]
         release.set()
         worker.join(10)
         assert not worker.is_alive()
-        assert fake == [4, 1]
+        assert fake == [4]
 
     def test_many_threads_entering_at_once(self, fake):
         # more threads than cores, switching every microsecond: a lost update
@@ -293,7 +299,7 @@ class TestFewerBlasThreads:
             try:
                 for _ in range(200):
                     with fewer_blas_threads():
-                        seen.add(tuple(fake))
+                        seen.add(fake[0])
             except BaseException as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -308,19 +314,20 @@ class TestFewerBlasThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers) and not errors
-        assert seen == {(3, 1)}
-        assert fake == [4, 1]
+        assert seen == {3}
+        assert fake == [4]
 
     def test_without_a_library_it_does_nothing(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: ())
+        monkeypatch.setattr(linalg, "_get_threads", None)
+        monkeypatch.setattr(linalg, "_set_threads", None)
         with fewer_blas_threads():
-            assert blas_thread_counts() == ()
+            assert blas_threads() is None
 
     def test_real_counts_lowered_and_restored(self):
-        before = blas_thread_counts()
+        before = blas_threads()
         with fewer_blas_threads():
-            assert blas_thread_counts() == tuple(max(1, count - 1) for count in before)
-        assert blas_thread_counts() == before
+            assert blas_threads() == (None if before is None else max(1, before - 1))
+        assert blas_threads() == before
 
     def test_probe_finds_the_wheel_openblas(self):
         # a change of wheel layout or symbol names would otherwise turn the
@@ -331,5 +338,45 @@ class TestFewerBlasThreads:
             pytest.skip("numpy does not report its BLAS as a dict")
         if blas.get("name") != "scipy-openblas":
             pytest.skip(f"numpy is built against {blas.get('name')}, not scipy-openblas")
-        assert len(blas_thread_counts()) == 1
+        assert blas_threads() is not None
         assert linalg._dtrsv is not None  # or every solve takes the fallback
+
+
+def fake_library(*names):
+    """A stand-in for a ctypes library that exports exactly ``names``, each a
+    routine whose ``__name__`` is its name and whose signature can be set."""
+    return SimpleNamespace(**{name: SimpleNamespace(__name__=name) for name in names})
+
+
+class TestProbeNames:
+    # one name family each: the scipy-openblas ILP64 build of numpy's 2.x
+    # wheels, a plain ILP64 OpenBLAS, and an LP64 OpenBLAS such as numpy 1.x
+    # wheels link
+    @pytest.mark.parametrize("dtrsv, integer, stem, suffix", [
+        ("scipy_cblas_dtrsv64_", ctypes.c_int64, "scipy_openblas", "64_"),
+        ("cblas_dtrsv64_", ctypes.c_int64, "openblas", "64_"),
+        ("cblas_dtrsv", ctypes.c_int, "openblas", ""),
+    ], ids=["scipy-openblas-ilp64", "openblas-ilp64", "openblas-lp64"])
+    def test_each_family_resolves_with_its_integer_width(self, dtrsv, integer, stem, suffix):
+        get_name, set_name = f"{stem}_get_num_threads{suffix}", f"{stem}_set_num_threads{suffix}"
+        lib = fake_library(dtrsv, get_name, set_name)
+        routine = linalg._resolve_dtrsv(lib)
+        assert routine.__name__ == dtrsv
+        assert routine.argtypes == (ctypes.c_int,) * 4 + (integer, ctypes.c_void_p, integer,
+                                                          ctypes.c_void_p, integer)
+        assert routine.restype is None
+        get, put = linalg._resolve_thread_controls(lib)
+        assert (get.__name__, put.__name__) == (get_name, set_name)
+        assert (get.argtypes, get.restype) == ((), ctypes.c_int)
+        assert (put.argtypes, put.restype) == ((ctypes.c_int,), None)
+
+    def test_ilp64_names_come_first(self):
+        lib = fake_library("cblas_dtrsv", "cblas_dtrsv64_", "scipy_cblas_dtrsv64_")
+        assert linalg._resolve_dtrsv(lib).__name__ == "scipy_cblas_dtrsv64_"
+
+    def test_a_getter_without_its_setter_gives_no_control(self):
+        # each family lacks its setter, and the one setter present belongs to
+        # another family than the getters: no pair, so no thread control
+        lib = fake_library("scipy_openblas_get_num_threads64_", "openblas_get_num_threads",
+                           "openblas_set_num_threads64_")
+        assert linalg._resolve_thread_controls(lib) == (None, None)

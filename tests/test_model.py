@@ -206,6 +206,12 @@ class TestSampleStats:
             b = sample_stats(y).reflected
             assert np.linalg.eigvalsh(b @ b.T).min() >= -1e-10
 
+    def test_no_rows_rejected(self):
+        # the factorization's pivot check would otherwise reduce an empty
+        # diagonal and raise numpy's ValueError past every ShrinkmeanError
+        with pytest.raises(DimensionMismatchError):
+            sample_stats(np.zeros((0, 5))).factorization
+
     def test_pd_when_n_exceeds_p(self):
         # continuous law, n > p: strictly positive definite in 100 seeded runs
         for seed in range(100):

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import one_fewer
 from shrinkmean import harness
 from shrinkmean.errors import ShrinkmeanError
 from shrinkmean.estimators import ESTIMATORS, evaluate
@@ -25,12 +26,12 @@ from shrinkmean.harness import (
     replication_rng,
     run_cell,
 )
-from shrinkmean.linalg import blas_thread_counts
+from shrinkmean.linalg import blas_threads
 from shrinkmean.model import InnovationLaw, sample_stats
 
-#: the BLAS thread counts before any test ran (read at collection): a count
+#: the BLAS thread count before any test ran (read at collection): a count
 #: a cell failed to restore would otherwise become the next test's "before"
-START_COUNTS = blas_thread_counts()
+START_THREADS = blas_threads()
 
 
 def serial_cell(config, pop, c, mixed=False):
@@ -150,10 +151,10 @@ def clean():
     """No test of this module leaves a thread running or a BLAS thread count
     lowered."""
     threads = threading.active_count()
-    assert blas_thread_counts() == START_COUNTS
+    assert blas_threads() == START_THREADS
     yield
     assert threading.active_count() == threads
-    assert blas_thread_counts() == START_COUNTS
+    assert blas_threads() == START_THREADS
 
 
 class TestCleanUp:
@@ -170,24 +171,24 @@ class TestCleanUp:
         real = harness.sample_stats
 
         def recording(z):
-            seen.append(blas_thread_counts())
+            seen.append(blas_threads())
             return real(z)
 
         monkeypatch.setattr(harness, "sample_stats", recording)
         self.run()
-        assert seen == [tuple(max(1, count - 1) for count in START_COUNTS)] * self.config.n_reps
+        assert seen == [one_fewer(START_THREADS)] * self.config.n_reps
 
     def test_population_builds_on_one_thread_fewer(self, monkeypatch):
         seen = []
         real = harness.build_covariance
 
         def recording(*args):
-            seen.append(blas_thread_counts())
+            seen.append(blas_threads())
             return real(*args)
 
         monkeypatch.setattr(harness, "build_covariance", recording)
         cell_population(self.config, 40, 0.5)
-        assert seen == [tuple(max(1, count - 1) for count in START_COUNTS)]
+        assert seen == [one_fewer(START_THREADS)]
 
     def test_draw_error_on_replication_3(self, monkeypatch):
         # the helper draws replications in order, so the fourth draw is
