@@ -37,7 +37,8 @@ def _delta_covariance(system: np.ndarray, mixing: np.ndarray, omega: np.ndarray)
 
 def _limit_system(gram: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """G, A = G + c e_0 e_0' and the limits alpha, beta that solve A w = G e_0,
-    read from :func:`limit_weights`, which rejects c <= 0 and a singular A."""
+    read from :func:`limit_weights`, which rejects a c that is not positive
+    and finite (NaN included) and a singular A."""
     gram = np.asarray(gram, dtype=float)
     limit = limit_weights(gram, c)
     return gram, gram + np.diag([c, 0.0]), limit.alpha, limit.beta

@@ -125,8 +125,8 @@ def limit_weights(gram: np.ndarray, c: float) -> ShrinkageWeights:
     is at least c mu_0' sigma^{-1} mu_0, so it rejects a target of no
     precision-metric energy, whatever the scale of mu_0.
     """
-    if c <= 0:
-        raise ValueError(f"concentration c must be positive, got {c}")
+    if not 0 < c < np.inf:  # a NaN c fails this too
+        raise ValueError(f"concentration c must be positive and finite, got {c}")
     gram = np.asarray(gram, dtype=float)
     return _solve_weights(gram + np.diag([c, 0.0]), gram[0], DegenerateTargetError(
         "target vector has zero precision-metric energy, or lies along mu_n at"

@@ -193,9 +193,12 @@ def target_vector(
     ``uniform-range-draw`` first averages each asset over the window, then
     draws every coordinate uniformly between the smallest and largest of
     those averages; ``signs`` draws i.i.d. +-1 entries; ``ones`` is the
-    all-ones vector.
+    all-ones vector.  A window with no row or no asset column raises
+    :class:`DimensionMismatchError`, whatever the strategy.
     """
     window_values = np.asarray(window_values, dtype=float)
+    if window_values.ndim != 2 or 0 in window_values.shape:
+        raise DimensionMismatchError(f"window needs rows and assets: {window_values.shape}")
     p = window_values.shape[1]
     if strategy == "uniform-range-draw":
         means = window_values.mean(axis=0)
@@ -217,11 +220,18 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
     default each window size starts as early as its own length allows
     (``align_start`` forces a common start at the largest window).  Target
     vectors are redrawn per window from a stream shared by all estimators;
-    ``fixed_target`` draws them once per window size instead.  An estimator
-    that does not read the target (see :data:`READS_TARGET`) runs once per
-    window-period and its prediction serves every target.  A period
-    contributes only when every (estimator, target) pair succeeds, keeping
-    the comparison paired; failures are counted per pair.
+    ``fixed_target`` draws them once per window size instead.
+
+    Every (estimator, target) pair is scored under three rules:
+
+    - an estimator outside :data:`READS_TARGET` runs once per
+      window-period, and its prediction, or its failure, is copied to
+      every target;
+    - a period counts only when no pair failed (raised a
+      :class:`ShrinkmeanError`), so the comparison stays paired; failures
+      are counted per pair, in counted periods or not;
+    - a NaN estimate that did not raise is scored, not counted as a
+      failure, so its pair's loss reads NaN.
 
     It runs on one BLAS thread fewer (see
     :func:`shrinkmean.linalg.fewer_blas_threads`): its BLAS calls are small
@@ -236,74 +246,56 @@ def rolling_backtest(panel: ReturnsPanel, config: BacktestConfig) -> BacktestRep
             f"largest window {max(config.windows)} must be < {total} periods"
         )
     common_start = max(config.windows)
+    pairs = (len(config.estimators), len(config.targets))
     rows: list[BacktestRow] = []
 
     for n in config.windows:
         start = common_start if config.align_start else n
-        combos = [(e, t) for e in config.estimators for t in config.targets]
-        sq_sums = {key: 0.0 for key in combos}
-        failures = {key: 0 for key in combos}
+        sq_sums = np.zeros(pairs)
+        failures = np.zeros(pairs, dtype=int)
         evaluated = 0
-
-        fixed_targets = None
-        if config.fixed_target:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, n, 0))
-            )
-            fixed_targets = {
-                t: target_vector(t, values[start - n : start], rng)
-                for t in config.targets
-            }
 
         for t_idx in range(start, total):
             window = values[t_idx - n : t_idx]
             stats = sample_stats(window.T)
             realized = float(values[t_idx].mean())
-            if fixed_targets is not None:
-                targets = fixed_targets
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((config.seed, n, t_idx))
-                )
-                targets = {
-                    t: target_vector(t, window, rng) for t in config.targets
-                }
+            if t_idx == start or not config.fixed_target:
+                # fixed targets come from the first window, under period key 0
+                key = 0 if config.fixed_target else t_idx
+                rng = np.random.default_rng(np.random.SeedSequence((config.seed, n, key)))
+                targets = [target_vector(t, window, rng) for t in config.targets]
 
-            preds = {}
-            ok = True
-            for est in config.estimators:
-                # one estimate serves every target of an estimator that ignores it
-                groups = [config.targets]
-                if est in READS_TARGET:
-                    groups = [(t,) for t in config.targets]
-                for group in groups:
+            preds = np.empty(pairs)
+            failed = np.zeros(pairs, dtype=bool)
+            for i, est in enumerate(config.estimators):
+                # an estimator that ignores the target runs on the first one,
+                # and that prediction or failure fills the rest of its row
+                runs = len(targets) if est in READS_TARGET else 1
+                for j in range(runs):
                     try:
-                        mu_hat, _ = evaluate(est, stats, targets[group[0]])
+                        mu_hat, _ = evaluate(est, stats, targets[j])
                     except ShrinkmeanError:
-                        for tgt in group:
-                            failures[(est, tgt)] += 1
-                        ok = False
+                        failed[i, j] = True
                         continue
-                    pred = float(mu_hat.mean())
-                    for tgt in group:
-                        preds[(est, tgt)] = pred
-            if not ok:
+                    preds[i, j] = mu_hat.mean()
+                preds[i, runs:], failed[i, runs:] = preds[i, 0], failed[i, 0]
+            failures += failed
+            if failed.any():
                 continue
             evaluated += 1
-            for key, pred in preds.items():
-                sq_sums[key] += (pred - realized) ** 2
+            sq_sums += (preds - realized) ** 2
 
-        for est, tgt in combos:
-            loss = 1e4 * sq_sums[(est, tgt)] / evaluated if evaluated else float("nan")
+        losses = 1e4 * sq_sums / evaluated if evaluated else np.full(pairs, np.nan)
+        for (i, j), loss in np.ndenumerate(losses):
             rows.append(
                 BacktestRow(
                     window_n=n,
                     c_hat=panel.n_assets / n,
-                    estimator=est,
-                    target=tgt,
-                    loss_x1e4=loss,
+                    estimator=config.estimators[i],
+                    target=config.targets[j],
+                    loss_x1e4=float(loss),
                     windows_evaluated=evaluated,
-                    failures=failures[(est, tgt)],
+                    failures=int(failures[i, j]),
                 )
             )
     return BacktestReport(rows=rows)
@@ -314,8 +306,11 @@ def synthetic_panel(p: int, periods: int, seed: int = 0) -> ReturnsPanel:
 
     Asset means are uniform on +-1/sqrt(p) (the bounded-norm regime) and
     returns, of scale 0.02, share a mild one-factor correlation; suitable
-    for smoke tests and the bundled demo, not a market model.
+    for smoke tests and the bundled demo, not a market model.  A panel
+    with no asset or no period raises :class:`DimensionMismatchError`.
     """
+    if p < 1 or periods < 1:
+        raise DimensionMismatchError(f"panel needs p >= 1 assets and periods >= 1: {p}, {periods}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(p)
     means = rng.uniform(-bound, bound, size=p)

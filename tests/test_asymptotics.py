@@ -115,7 +115,7 @@ class TestDeltaMethodIdentity:
         with pytest.raises(DegenerateTargetError):
             bona_fide_covariance(limit_gram(pop), 0.5)
         pop = replace(pop, mu_0=rng.standard_normal(4))
-        for c in (-0.5, 0.0):  # the limit system needs c > 0
+        for c in (-0.5, 0.0, np.nan, np.inf):  # the limit system needs 0 < c < inf
             with pytest.raises(ValueError):
                 oracle_weight_variances(limit_gram(pop), c)
         for c in (-0.5, 0.0, 1.0, 2.0):  # the 1/(1-c) pole and beyond

@@ -33,6 +33,7 @@ from shrinkmean.estimators import (
     js_high_dim,
     js_positive_part,
     limit_intensities,
+    limit_weights,
     oracle_intensities,
     wang_estimator,
 )
@@ -196,6 +197,16 @@ class TestLimitIntensities:
     def test_nonpositive_c_rejected(self, rng):
         with pytest.raises(ValueError):
             limit_intensities(bare_population(rand_spd(rng, 3), np.ones(3), np.ones(3)), 0.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_c_rejected(self, rng, c):
+        # NaN would pass a bare "c <= 0" and give NaN weights, and inf would
+        # be blamed on the target; both are the concentration's fault
+        pop = bare_population(rand_spd(rng, 3), rng.standard_normal(3), rng.standard_normal(3))
+        with pytest.raises(ValueError, match="positive and finite"):
+            limit_weights(pop.precision_gram(pop.mu_n, pop.mu_0), c)
+        with pytest.raises(ValueError, match="positive and finite"):
+            limit_intensities(pop, c)
 
 
 class TestBonaFideIntensities:

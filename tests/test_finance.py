@@ -1,5 +1,6 @@
-"""CSV loading errors, the backtest's config checks, start and target
-options, and its per-window-period estimator calls and pairing."""
+"""CSV loading errors, empty windows and panels, the backtest's config
+checks, start and target options, and its per-window-period estimator calls
+and pairing."""
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from shrinkmean.errors import (
 )
 from shrinkmean.estimators import READS_TARGET, evaluate, js_positive_part
 from shrinkmean.finance import (
+    TARGET_STRATEGIES,
     BacktestConfig,
     ReturnsPanel,
     load_returns_csv,
     rolling_backtest,
+    synthetic_panel,
+    target_vector,
 )
 from shrinkmean.linalg import blas_threads
 from shrinkmean.model import sample_stats
@@ -76,6 +80,22 @@ class TestLoadReturnsCsv:
 def _panel(periods=20, p=4, seed=3):
     rng = np.random.default_rng(seed)
     return ReturnsPanel(values=0.01 * rng.standard_normal((periods, p)) + 0.002)
+
+
+@pytest.mark.parametrize("strategy", TARGET_STRATEGIES)
+@pytest.mark.parametrize("shape", [(5, 0), (0, 5)], ids=["no-asset", "no-row"])
+def test_empty_window_has_no_target(strategy, shape):
+    # numpy would reject a 0-column range draw, warn on a 0-row mean and
+    # return NaN targets, or return an empty or full vector without a word
+    with pytest.raises(DimensionMismatchError):
+        target_vector(strategy, np.empty(shape), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("p, periods", [(0, 30), (5, 0)])
+def test_empty_synthetic_panel_rejected(p, periods):
+    # p = 0 would divide by zero for the mean bound, then overflow the draw
+    with pytest.raises(DimensionMismatchError):
+        synthetic_panel(p, periods)
 
 
 @pytest.mark.parametrize("field, value", [("windows", (20, 20)),
@@ -242,3 +262,32 @@ class TestBacktestPairing:
             assert after.windows_evaluated == before.windows_evaluated - 1
             assert after.failures == before.failures + (after.estimator == "wang")
             assert after.loss_x1e4 != before.loss_x1e4
+
+    def test_nan_estimate_is_scored_not_failed(self, monkeypatch):
+        # an estimate that comes back NaN without raising is not a failure:
+        # the period still counts and that entry's losses read NaN, while
+        # every other pair keeps the loss of the clean run
+        panel = _panel(periods=20, p=12)
+        config = BacktestConfig(windows=(6,), estimators=HIGH_DIM)
+        clean = rolling_backtest(panel, config)
+
+        nan_window = panel.values[10 - 6 : 10].T  # the window that predicts period 10
+        original = shrinkmean.estimators.wang_estimator
+
+        def wang_nan_once(stats):
+            if np.array_equal(stats.y_bar, nan_window.mean(axis=1)):
+                return np.full(stats.p, np.nan)
+            return original(stats)
+
+        monkeypatch.setattr(shrinkmean.estimators, "wang_estimator", wang_nan_once)
+        scored = rolling_backtest(panel, config)
+
+        assert len(scored.rows) == len(clean.rows) == len(HIGH_DIM) * 3
+        for before, after in zip(clean.rows, scored.rows):
+            assert (after.estimator, after.target) == (before.estimator, before.target)
+            assert after.windows_evaluated == before.windows_evaluated == 20 - 6
+            assert after.failures == before.failures == 0
+            if after.estimator == "wang":
+                assert np.isnan(after.loss_x1e4)
+            else:
+                assert after.loss_x1e4 == before.loss_x1e4
