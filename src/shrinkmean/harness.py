@@ -19,11 +19,13 @@ are those of R z, with y_bar shifted by mu_n.  Every sample-based
 estimator reads the one covariance factorization those statistics carry.
 The population side is never factorized: the frame carries the eigenpairs
 its covariance was built from, and its precision whitening W (W'W =
-sigma^{-1}, the identity in the whitened frame) is the one precision metric
-of the cell.  It scores every estimate of a replication in one product, the
-column sums of squares of ``W @ (M - mu_n 1')`` for the stack M of the
-estimates that succeeded, and the oracle and limit weights read their Gram
-through it, both once per replication.  One helper thread draws the
+sigma^{-1}, the identity in the whitened frame), which the eigenpairs apply
+without forming it, is the one precision metric of the cell.  It scores
+every estimate of a replication at once, the column sums of squares of
+``W (M - mu_n 1')`` for the stack M of the estimates that succeeded, and
+the oracle and limit weights read their Gram through it, both once per
+replication.  R is formed once per cell, and only at or above p = n.
+One helper thread draws the
 innovations two replications ahead: replications 0 and 1 are queued when
 the cell starts, and replication r + 2 once the main thread has built
 replication r's statistics, so while the main thread evaluates replication r
@@ -249,8 +251,7 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     drawn from ``pop``, which :func:`run_study` builds as
     ``cell_population(config, pop.p, c)``.  To score another target on the
     same population and sample streams, pass
-    ``dataclasses.replace(pop, mu_0=target)``: it shares the eigenpairs, and
-    with them the root and whitening already read from them."""
+    ``dataclasses.replace(pop, mu_0=target)``, which shares the eigenpairs."""
     p = pop.p
     n = cell_sample_size(p, c)
     n_reps = config.n_reps

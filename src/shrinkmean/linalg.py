@@ -3,8 +3,8 @@
 The Cholesky factorization of an SPD matrix with its whitening L^{-1} (the
 sample side's precision metric for p < n) and its solve a^{-1} (through
 which the p >= n sample side whitens), the checked eigenpairs of an SPD
-matrix with its symmetric square root and its precision whitening, each
-read from them once and cached on them (the population side's one
+matrix, a plain value from which its symmetric square root and its
+precision whitening are computed on each use (the population side's one
 precision metric: nothing here eigendecomposes a matrix, and nothing forms
 the matrix itself), and Haar-distributed random orthogonal matrices.
 No function here solves against a covariance: every precision-metric form
@@ -32,7 +32,6 @@ import ctypes
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -220,9 +219,9 @@ class SpdEigen:
     Checked when built: k ``values`` and k x k ``vectors``, otherwise
     :class:`DimensionMismatchError`; positive, finite values and finite
     vectors, otherwise :class:`NotPositiveDefiniteError`.  The vectors are
-    taken to be orthogonal, as a Haar draw's are.  The root and the
-    whitening are each formed on first read and kept, so every holder of
-    these eigenpairs shares them.
+    taken to be orthogonal, as a Haar draw's are.  Nothing else is held:
+    the root is formed on each read, and :meth:`whiten` forms no whitening
+    matrix.
     """
 
     values: np.ndarray
@@ -246,29 +245,22 @@ class SpdEigen:
         if not ((values > 0) & (values < np.inf)).all():
             raise NotPositiveDefiniteError("eigenvalues must be positive and finite")
 
-    @cached_property
+    @property
     def root(self) -> np.ndarray:
-        """The unique symmetric PSD square root B: B == B.T and B @ B == a."""
+        """The unique symmetric PSD square root B: B == B.T and B @ B == a,
+        formed on each read."""
         if self.vectors is None:
             return np.diag(np.sqrt(self.values))
         root = (self.vectors * np.sqrt(self.values)) @ self.vectors.T
         return (root + root.T) / 2.0
 
-    @cached_property
-    def whitening(self) -> np.ndarray:
-        """W = diag(values)^{-1/2} vectors', so W'W == a^{-1} and
-        (Wu)'(Wv) == u' a^{-1} v."""
-        if self.vectors is None:
-            return np.diag(1.0 / np.sqrt(self.values))
-        return self.vectors.T / np.sqrt(self.values)[:, None]
-
     def whiten(self, v: np.ndarray) -> np.ndarray:
-        """W v for the columns of a k x m matrix v: one product with
-        :attr:`whitening`, or, on the standard basis, where W is diagonal, v's
-        rows scaled by W's diagonal, which gives the same numbers."""
-        if self.vectors is None:
-            return v * (1.0 / np.sqrt(self.values))[:, None]
-        return self.whitening @ v
+        """W v = diag(values)^{-1/2} vectors' v, for a k-vector or the columns
+        of a k x m matrix v: W'W == a^{-1}, so (Wu)'(Wv) == u' a^{-1} v.  W is
+        not formed: v is rotated, unless the basis is the standard one, and
+        its rows are scaled."""
+        u = v if self.vectors is None else self.vectors.T @ v
+        return (u.T * (1.0 / np.sqrt(self.values))).T
 
 
 def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:

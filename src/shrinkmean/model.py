@@ -8,12 +8,13 @@ symmetric square root R = sigma^{1/2}.  :func:`generate_sample` forms y and
 :class:`SampleStats` value, which knows nothing of a population.
 The population's covariance is given as its eigenpairs, sigma = Q diag(lam)
 Q', the ones a simulated covariance is drawn from, so it is never
-eigendecomposed and sigma itself is never formed.  The square root R and
-the precision whitening W = diag(lam)^{-1/2} Q' are read from them on first
-use and cached on the eigenpairs, and R^{-1} = Q W.  W is the population's
-one precision metric: the loss, the oracle and limit weights and the
-asymptotic variances all read sigma^{-1} through
-:meth:`PopulationSpec.whitening` or :meth:`PopulationSpec.precision_gram`.
+eigendecomposed and sigma itself is never formed.  The eigenpairs are a
+plain value: the square root R is formed from them on each read, and the
+precision whitening W = diag(lam)^{-1/2} Q' is applied to vectors without
+being formed, with R^{-1} = Q W.  W is the population's one precision
+metric: the loss, the oracle and limit weights and the asymptotic variances
+all read sigma^{-1} through :meth:`SpdEigen.whiten`, most of them through
+:meth:`PopulationSpec.precision_gram`.
 :meth:`PopulationSpec.whitened` is the population seen in the coordinates
 x = R^{-1} y, the frame in which a Monte Carlo cell below p = n is scored:
 there the covariance is the identity, held as unit eigenvalues on the
@@ -148,10 +149,8 @@ class PopulationSpec:
     built (see :class:`SpdEigen`): p values and p x p vectors, otherwise
     :class:`DimensionMismatchError`; positive, finite values and finite
     vectors, otherwise :class:`NotPositiveDefiniteError`.  Non-finite means
-    raise :class:`NonFiniteDataError`.  Its root and its whitening are cached
-    on the eigenpairs, so ``dataclasses.replace(pop, mu_0=target)`` shares
-    them.  It carries no growth exponent gamma, which only chooses how
-    :func:`draw_mean_vectors` draws the means.
+    raise :class:`NonFiniteDataError`.  It carries no growth exponent gamma,
+    which only chooses how :func:`draw_mean_vectors` draws the means.
     """
 
     p: int
@@ -170,13 +169,9 @@ class PopulationSpec:
             raise DimensionMismatchError("eigenpairs must be p values and p x p vectors")
 
     def sigma_sqrt(self) -> np.ndarray:
-        """Symmetric square root R = Q diag(lam)^{1/2} Q' of the covariance."""
+        """Symmetric square root R = Q diag(lam)^{1/2} Q' of the covariance,
+        formed on each call."""
         return self.eigen.root
-
-    def whitening(self) -> np.ndarray:
-        """Precision whitening W = diag(lam)^{-1/2} Q': W'W = sigma^{-1},
-        so (W u)'(W v) = u' sigma^{-1} v."""
-        return self.eigen.whitening
 
     def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
         """Gram matrix V' sigma^{-1} V of ``vectors`` (the columns of V), read

@@ -92,10 +92,11 @@ def backtest_rows(capsys, out, *argv):
     ("windows = 5,10\nalign_start = true", ("--windows", "6,8", "--no-align-start"),
      {6: 95, 8: 93}),
     ("windows = 5,10\nalign_start = true", (), {5: 91, 10: 91}),
+    ("windows = 5,10\nalign_start = off", (), {5: 96, 10: 91}),
     ("has_header = false", ("--header",), None),
     ("fixed_target = true", ("--no-fixed-target",), None),
     ("", (), {n: 101 - n for n in BacktestConfig().windows}),
-], ids=["flag", "file", "header-flag", "fixed-target-flag", "default"])
+], ids=["flag", "file", "file-false", "header-flag", "fixed-target-flag", "default"])
 def test_backtest_flag_beats_file_beats_default(tmp_path, capsys, lines, flags, evaluated):
     # a 101-period panel: window n evaluates 101 - n periods unless aligned
     # at the largest window; a False flag must beat a true file value too,
@@ -139,6 +140,21 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys, config):
     assert code == 2
     assert_one_error_line(err)
     assert config.split("=")[0].strip() in err
+
+
+@pytest.mark.parametrize("text, match", [
+    (None, "config file not found"),
+    ("n_reps = 5\np_grid 20", "sim.cfg:2: expected 'key = value'"),
+], ids=["missing", "no-equals"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, text, match):
+    path = tmp_path / "sim.cfg"
+    if text is not None:
+        path.write_text(f"{text}\n")
+    code, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert_one_error_line(err)
+    assert match in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags", [("--c", "0"), ("--p", "1"), ("--c", "-1"),

@@ -19,6 +19,7 @@ from shrinkmean.errors import (
     DegenerateDenominatorError,
     DegenerateHessianError,
     DegenerateTargetError,
+    DimensionMismatchError,
     EqualDimensionsError,
     InvalidDimensionsError,
     NonFiniteDataError,
@@ -277,6 +278,27 @@ class TestBonaFideIntensities:
         mu_0[1] = bad
         with pytest.raises(NonFiniteDataError):
             bona_fide_intensities(sample_stats(rng.standard_normal((p, n)) + 0.5), mu_0)
+
+    @pytest.mark.parametrize("p, n", [(5, 20), (12, 6)])
+    def test_target_length_must_equal_p(self, rng, p, n):
+        with pytest.raises(DimensionMismatchError):
+            bona_fide_intensities(sample_stats(rng.standard_normal((p, n))), np.ones(p + 1))
+
+    @pytest.mark.parametrize("p, n", [(5, 20), (12, 6)])
+    def test_target_outside_scatter_range_degenerate(self, rng, p, n):
+        # mu_0'Q mu_0 = 0: a zero target, and above p = n a target orthogonal
+        # to every centered observation, which S^+ maps to zero
+        e = rng.standard_normal((p, n))
+        e -= e.mean(axis=1, keepdims=True)
+        targets = [np.zeros(p)]
+        if p > n:
+            m = rng.standard_normal(p)
+            e -= np.outer(m, m @ e) / (m @ m)
+            targets.append(m)
+        stats = sample_stats(e + 0.5)
+        for mu_0 in targets:
+            with pytest.raises(DegenerateDenominatorError, match="outside the scatter range"):
+                bona_fide_intensities(stats, mu_0)
 
     def test_high_dim_needs_rank_two(self, rng):
         # n = 2 < 3: rank(S) = n - 1 = 1 makes the 2x2 precision Gram singular
@@ -606,6 +628,21 @@ class TestWangEstimator:
     def test_requires_p_above_n(self, rng):
         with pytest.raises(InvalidDimensionsError):
             wang_estimator(sample_stats(rng.standard_normal((3, 5))))
+
+    @pytest.mark.parametrize("k", [1e-6, 1.0, 1e6])
+    def test_vanishing_denominator_degenerate(self, rng, k):
+        # the mean t v whose Gram (t^2 A, t B, C) solves z1 + z2 z4 = 0:
+        # t^2 (A + B^2 / (C p)) = 1 + 1 / (p (n - 1)); a mean 1% longer
+        # leaves the denominator well clear of the floor
+        p, n = 12, 6
+        e = rng.standard_normal((p, n))
+        e -= e.mean(axis=1, keepdims=True)
+        v = rng.standard_normal(p)
+        (a, b), (_, c) = sample_stats(e + v[:, None]).mean_gram(np.ones(p))
+        t = np.sqrt((1.0 + 1.0 / (p * (n - 1))) / (a + b**2 / (c * p)))
+        with pytest.raises(DegenerateDenominatorError, match="denominator vanishes"):
+            wang_estimator(sample_stats(k * (e + t * v[:, None])))
+        assert np.isfinite(wang_estimator(sample_stats(k * (e + 1.01 * t * v[:, None])))).all()
 
 
 class TestGeneralizedInverse:

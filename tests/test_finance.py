@@ -106,12 +106,42 @@ def test_duplicate_entries_rejected(field, value):
         BacktestConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"windows": (1, 10)}, "window sizes must be >= 2"),
+    ({"estimators": ("olse", "olse+")}, "unknown estimators"),
+    ({"targets": ("ones", "zeros")}, "unknown target strategies"),
+], ids=["window-below-2", "unknown-estimator", "unknown-target"])
+def test_invalid_entries_rejected(fields, match):
+    with pytest.raises(ConfigError, match=match):
+        BacktestConfig(**fields)
+
+
+def test_unknown_target_strategy_rejected():
+    with pytest.raises(ConfigError, match="zeros"):
+        target_vector("zeros", np.ones((5, 3)), np.random.default_rng(0))
+
+
 class TestBacktestOptions:
     def test_panel_without_assets_rejected(self):
         # no asset column leaves every window empty: rejected before the
         # loop, not by numpy's reduction of an empty target range
         with pytest.raises(DimensionMismatchError):
             rolling_backtest(ReturnsPanel(values=np.empty((30, 0))), BacktestConfig(windows=(10,)))
+
+    @pytest.mark.parametrize("windows", [(20,), (5, 25)])
+    def test_window_needs_a_later_period(self, windows):
+        # a window of all 20 periods leaves no period to predict
+        with pytest.raises(ConfigError, match="must be < 20 periods"):
+            rolling_backtest(_panel(periods=20), BacktestConfig(windows=windows))
+
+    @pytest.mark.parametrize("key", [(6, "olse", "ones"), (5, "js", "ones"),
+                                     (5, "olse", "zeros")],
+                             ids=["window", "estimator", "target"])
+    def test_loss_of_a_row_not_run(self, key):
+        report = rolling_backtest(_panel(), BacktestConfig(windows=(5,)))
+        assert np.isfinite(report.loss(5, "olse", "ones"))
+        with pytest.raises(KeyError, match="no row for"):
+            report.loss(*key)
 
     @pytest.mark.parametrize("align_start", [True, False])
     def test_align_start(self, align_start):

@@ -1,11 +1,13 @@
-"""QQ diagnostics, config validation and the package's import footprint
-and exports."""
+"""QQ diagnostics, config validation, the loss's and the weight
+frequency's input checks, and the package's import footprint and
+exports."""
 
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,20 @@ import pytest
 from scipy.stats import kstest, norm
 
 import shrinkmean
-from shrinkmean.errors import ConfigError, NonFiniteDataError, TooFewSamplesError
-from shrinkmean.harness import McConfig, ks_statistic, qq_data
+from shrinkmean.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteDataError,
+    TooFewSamplesError,
+)
+from shrinkmean.harness import (
+    McConfig,
+    cell_population,
+    ks_statistic,
+    qq_data,
+    quadratic_loss,
+    run_cell,
+)
 
 
 def test_import_loads_neither_scipy_stats_nor_special():
@@ -82,3 +96,35 @@ class TestDuplicateEntries:
     def test_distinct_entries_accepted(self):
         config = McConfig(p_grid=(20, 40), c_grid=(0.5, 2.0), estimators=("olse", "wang"))
         assert config.estimators == ("olse", "wang")
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"n_reps": 0}, "n_reps"),
+    ({"c_grid": ()}, "nonempty"),
+    ({"estimators": ("olse", "olse+")}, "unknown estimators"),
+    ({"gamma": 0.5}, "gamma"),
+    ({"p_grid": (2,), "c_grid": (2.0,)}, "n < 2"),  # n = round(2 / 2) = 1
+], ids=["no-replication", "empty-grid", "unknown-estimator", "gamma", "n-below-2"])
+def test_config_rejected(fields, match):
+    with pytest.raises(ConfigError, match=match):
+        McConfig(**{"p_grid": (20,), "c_grid": (0.5,), **fields})
+
+
+def test_negative_frequency_of_failed_or_unrecorded_weights():
+    # a zero target fails the bona fide weights of every replication, which
+    # leaves no alpha to count; sample-mean records no weights at all
+    config = McConfig(p_grid=(20,), c_grid=(0.5,), n_reps=3, estimators=("sample-mean", "olse"))
+    pop = replace(cell_population(config, 20, 0.5), mu_0=np.zeros(20))
+    cell = run_cell(config, pop, 0.5)
+    assert cell.failures == {"sample-mean": 0, "olse": 3}
+    assert np.isnan(cell.negative_frequency("olse"))
+    for estimator in ("sample-mean", "olse-oracle"):
+        with pytest.raises(ConfigError, match=f"{estimator} weights were not recorded"):
+            cell.negative_frequency(estimator)
+
+
+@pytest.mark.parametrize("shape", [(20,), (21, 2), (20, 2, 1)])
+def test_quadratic_loss_needs_a_p_by_k_stack(shape):
+    pop = cell_population(McConfig(p_grid=(20,), c_grid=(0.5,)), 20, 0.5)
+    with pytest.raises(DimensionMismatchError):
+        quadratic_loss(np.zeros(shape), pop)

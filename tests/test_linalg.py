@@ -12,6 +12,7 @@ from shrinkmean import linalg
 from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.linalg import (
     SpdEigen,
+    SpdFactor,
     blas_threads,
     fewer_blas_threads,
     haar_orthogonal,
@@ -196,6 +197,29 @@ class TestSymSqrt:
             vectors[where] = vectors[where[::-1]] = bad
         with pytest.raises(NotPositiveDefiniteError):
             SpdEigen(values=values, vectors=vectors)
+
+
+class TestEigenWhiten:
+    @pytest.mark.parametrize("basis", ["standard", "dense"])
+    def test_vector_is_its_one_column(self, rng, basis):
+        # a k-vector whitens to a k-vector on either basis, not to a k x k
+        # broadcast of it
+        vectors = None if basis == "standard" else haar_orthogonal(4, rng)
+        eigen = SpdEigen(values=rng.uniform(1.0, 10.0, 4), vectors=vectors)
+        v = rng.standard_normal(4)
+        white = eigen.whiten(v)
+        assert white.shape == (4,)
+        np.testing.assert_array_equal(white, eigen.whiten(v[:, None])[:, 0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpdFactor(dim=3, lower=np.eye(2), pivot_floor=0.0),
+    lambda: SpdEigen(values=np.ones((2, 2)), vectors=None),
+    lambda: SpdEigen(values=np.ones((2, 2)), vectors=np.eye(2)),
+], ids=["factor-not-dim-square", "values-not-a-vector", "values-not-a-vector-with-vectors"])
+def test_malformed_shape_rejected(build):
+    with pytest.raises(DimensionMismatchError):
+        build()
 
 
 class TestHaarOrthogonal:

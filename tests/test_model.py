@@ -59,6 +59,14 @@ class TestEigenRecipe:
         with pytest.raises(InvalidRecipeError):
             EigenRecipe(((0.5, 1.0), (0.5, 0.0)))
 
+    @pytest.mark.parametrize("proportions, match", [
+        ((), "at least one group"),
+        (((1.25, 1.0), (-0.25, 2.0)), "nonnegative"),  # they sum to 1
+    ], ids=["no-group", "negative-fraction"])
+    def test_malformed_groups_rejected(self, proportions, match):
+        with pytest.raises(InvalidRecipeError, match=match):
+            EigenRecipe(proportions)
+
     def test_floor_remainder_to_last_group(self):
         values = EigenRecipe(((0.5, 1.0), (0.5, 2.0))).eigenvalues(7)
         assert sorted(values.tolist()) == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
@@ -132,6 +140,11 @@ class TestInnovationLaw:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             InnovationLaw("cauchy")
+
+    @pytest.mark.parametrize("name", ["normal", "exponential"])
+    def test_df_only_for_t(self, name):
+        with pytest.raises(ValueError, match="takes no df"):
+            InnovationLaw(name, df=6.0)
 
 
 def _population(p=5, sigma=None, mu=None):
@@ -268,7 +281,7 @@ class TestInnovationStats:
         assert np.allclose(root @ frame.mu_n, mu, rtol=1e-13, atol=1e-13)
         assert np.allclose(root @ frame.mu_0, target, rtol=1e-13, atol=1e-13)
         assert frame.eigen.vectors is None  # the standard basis, held as no array
-        np.testing.assert_array_equal(frame.whitening(), np.eye(6))
+        np.testing.assert_array_equal(frame.eigen.whiten(np.eye(6)), np.eye(6))
         z = rng.standard_normal((6, 15))
         y = root @ z + mu[:, None]
         z_stats = sample_stats(z)

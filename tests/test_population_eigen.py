@@ -113,7 +113,7 @@ class TestPopulationEigenpairs:
 
     def test_whitening_inverts_sigma(self, rng):
         pop = _bare(rand_spd(rng, 10), rng)
-        w = pop.whitening()
+        w = pop.eigen.whiten(np.eye(10))  # W itself, as the images of e_1..e_p
         assert np.allclose(w.T @ w, np.linalg.inv(covariance(pop.eigen)), rtol=1e-10, atol=1e-12)
 
     def test_standard_basis_whitens_by_scaling(self, rng):
@@ -133,14 +133,17 @@ class TestPopulationEigenpairs:
         np.testing.assert_array_equal(frame.mu_n, dense_frame.mu_n)
         np.testing.assert_array_equal(frame.mu_0, dense_frame.mu_0)
         assert frame.eigen.vectors is None and dense_frame.eigen.vectors is None
-        for use in ("sigma_sqrt", "whitening"):
-            np.testing.assert_array_equal(getattr(diagonal, use)(), getattr(dense, use)())
+        np.testing.assert_array_equal(diagonal.sigma_sqrt(), dense.sigma_sqrt())
+        np.testing.assert_array_equal(diagonal.eigen.whiten(np.eye(p)),
+                                      dense.eigen.whiten(np.eye(p)))
 
     @pytest.mark.parametrize("use", ["sigma_sqrt", "whitening"])
     def test_bare_indefinite_sigma_rejected(self, use):
         # rejected when the population is built, before either use
+        uses = {"sigma_sqrt": lambda pop: pop.sigma_sqrt(),
+                "whitening": lambda pop: pop.eigen.whiten(np.eye(2))}
         with pytest.raises(NotPositiveDefiniteError):
-            getattr(bare_population(np.diag([1.0, -1.0]), np.zeros(2), np.ones(2)), use)()
+            uses[use](bare_population(np.diag([1.0, -1.0]), np.zeros(2), np.ones(2)))
 
 
 def _built(values, vectors):
@@ -185,17 +188,17 @@ class TestPopulationChecks:
         pop = cell_population(McConfig(p_grid=(50,), c_grid=(0.5,), seed=2), 50, 0.5)
         root = pop.sigma_sqrt()
         assert np.array_equal(root, root.T)
-        assert pop.sigma_sqrt() is root  # read once
+        # formed on each read, from the same eigenpairs to the same bits
+        np.testing.assert_array_equal(pop.sigma_sqrt(), root)
 
     def test_replaced_target_keeps_root_and_whitening(self, rng):
-        # run_cell's route to another target on the same population reuses
-        # the views already read, not copies of them
+        # run_cell's route to another target on the same population shares
+        # its eigenpairs, so the root and the whitening are the same
         pop = cell_population(McConfig(p_grid=(30,), c_grid=(2.0,), seed=4), 30, 2.0)
-        root, whitening = pop.sigma_sqrt(), pop.whitening()
         other = replace(pop, mu_0=rng.standard_normal(30))
         assert other.eigen is pop.eigen
-        assert other.sigma_sqrt() is root
-        assert other.whitening() is whitening
+        np.testing.assert_array_equal(other.sigma_sqrt(), pop.sigma_sqrt())
+        np.testing.assert_array_equal(other.eigen.whiten(np.eye(30)), pop.eigen.whiten(np.eye(30)))
 
     def test_fields_cannot_be_assigned(self):
         pop = cell_population(McConfig(p_grid=(5,), c_grid=(0.5,)), 5, 0.5)

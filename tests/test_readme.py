@@ -1,0 +1,22 @@
+"""The README's Python API example runs as printed."""
+
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _python_api_block() -> str:
+    """The one ``python`` code block of the README's "Python API" section."""
+    section = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = section.split("```python\n")[1:]
+    assert len(blocks) == 1
+    return blocks[0].split("\n```", 1)[0]
+
+
+def test_python_api_example_runs(capsys):
+    exec(compile(_python_api_block(), str(README), "exec"), {"__name__": "readme_example"})
+    lines = capsys.readouterr().out.splitlines()
+    # 2 cells x 3 estimators, then 2 windows x 2 estimators x 1 target
+    assert len(lines) == 6 + 4
+    assert all(line.endswith(", 0 failed") for line in lines[:6])
