@@ -237,13 +237,16 @@ def js_positive_part(stats: SampleStats, as_printed: bool = True) -> np.ndarray:
     return base + clamped * projected
 
 
-def wang_estimator(stats: SampleStats) -> np.ndarray:
+def wang_estimator(stats: SampleStats, direction: np.ndarray | None = None) -> np.ndarray:
     """Unit-target shrinkage estimator of Wang et al. for p > n.
 
-    Combines the sample mean and the all-ones direction with coefficients
+    Combines the sample mean and the all-ones direction 1 with coefficients
     z1..z4, pair sums of y_i' W y_j and 1'W y_i over the observations, with
     W = scatter^+ = S^+ / n.  They close over the Gram (a_yy, a_y1, a_11) of
     (y_bar, 1) in Q = S^+, so only 1 is whitened here (y_bar already is).
+    ``direction`` is 1 read in the sample's coordinates, None for the
+    all-ones vector itself: for a sample Q'y, rotated by an orthogonal Q,
+    it is Q'1, and the estimate is Q' times that of y.
     With H, B, G as in :class:`SampleStats`, H_1 = H[:, 1:], u = G^{-1}B'y_bar/sqrt(n):
 
     1. y = y_bar 1' + sqrt(n) B H_1', with H_1'1 = 0, H_1'H_1 = I, G^{-1}B'B = I;
@@ -258,7 +261,9 @@ def wang_estimator(stats: SampleStats) -> np.ndarray:
     if not (p > n >= 2):
         raise InvalidDimensionsError(f"requires p > n >= 2, got p={p} n={n}")
 
-    ones = np.ones(p)
+    ones = np.ones(p) if direction is None else np.asarray(direction, dtype=float)
+    if ones.shape != (p,):
+        raise DimensionMismatchError("direction length must equal p")
     gram = stats.mean_gram(ones)
     a_yy, a_y1, a_11 = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
     if _negligible(a_11, ones, stats):
@@ -278,10 +283,11 @@ def wang_estimator(stats: SampleStats) -> np.ndarray:
 
 #: Every estimator by name, each a function of ``(stats, mu_0, pop)`` with
 #: ``pop`` the population the sample was drawn from (None in a backtest) and,
-#: when given, ``mu_0`` its target.  The three shrinkage entries return their
-#: :class:`ShrinkageWeights` and every other entry an estimate; the
-#: target-free ones ignore mu_0.  The lambdas look the estimators up when
-#: called, so rebinding a module name (as a tracer does) reaches every caller.
+#: when given, ``mu_0`` its target and ``pop.ones`` Wang's direction.  The
+#: three shrinkage entries return their :class:`ShrinkageWeights` and every
+#: other entry an estimate; the target-free ones ignore mu_0.  The lambdas
+#: look the estimators up when called, so rebinding a module name (as a
+#: tracer does) reaches every caller.
 ESTIMATORS = {
     "sample-mean": lambda stats, mu_0, pop: stats.y_bar,
     "olse": lambda stats, mu_0, pop: bona_fide_intensities(stats, mu_0),
@@ -290,7 +296,7 @@ ESTIMATORS = {
     "js-positive-part": lambda stats, mu_0, pop: js_positive_part(stats, as_printed=True),
     "js-positive-part-conventional":
         lambda stats, mu_0, pop: js_positive_part(stats, as_printed=False),
-    "wang": lambda stats, mu_0, pop: wang_estimator(stats),
+    "wang": lambda stats, mu_0, pop: wang_estimator(stats, None if pop is None else pop.ones),
     "olse-asymptotic": lambda stats, mu_0, pop: limit_intensities(pop, stats.p / stats.n),
     "olse-oracle": lambda stats, mu_0, pop: oracle_intensities(stats.y_bar, pop),
 }

@@ -3,10 +3,11 @@
 The Cholesky factorization of an SPD matrix with its whitening L^{-1} (the
 sample side's precision metric for p < n) and its solve a^{-1} (through
 which the p >= n sample side whitens), the checked eigenpairs of an SPD
-matrix, a plain value from which its symmetric square root and its
-precision whitening are computed on each use (the population side's one
-precision metric: nothing here eigendecomposes a matrix, and nothing forms
-the matrix itself), and Haar-distributed random orthogonal matrices.
+matrix, a plain value from which its symmetric square root, its
+precision whitening (the population side's one precision metric) and the
+root's product with a sample, read in the eigenbasis, are computed on each
+use (nothing here eigendecomposes a matrix, and nothing forms the matrix
+itself), and Haar-distributed random orthogonal matrices.
 No function here solves against a covariance: every precision-metric form
 is a Gram of whitened vectors, and ``spd_solve`` solves against the
 reflected (n-1) x (n-1) Gram G of a sample, one new vector per call.
@@ -214,14 +215,14 @@ class SpdEigen:
     """Eigenpairs of an SPD matrix, a == vectors @ diag(values) @ vectors.T.
 
     ``vectors=None`` stands for the standard basis, a == diag(values): no
-    k x k array is held, and :meth:`whiten` scales rows.
+    k x k array is held, and :meth:`whiten` and :meth:`color` scale rows.
 
     Checked when built: k ``values`` and k x k ``vectors``, otherwise
     :class:`DimensionMismatchError`; positive, finite values and finite
     vectors, otherwise :class:`NotPositiveDefiniteError`.  The vectors are
     taken to be orthogonal, as a Haar draw's are.  Nothing else is held:
-    the root is formed on each read, and :meth:`whiten` forms no whitening
-    matrix.
+    the root is formed on each read, and :meth:`whiten` and :meth:`color`
+    form neither a whitening matrix nor the root.
     """
 
     values: np.ndarray
@@ -262,6 +263,17 @@ class SpdEigen:
         u = v if self.vectors is None else self.vectors.T @ v
         return (u.T * (1.0 / np.sqrt(self.values))).T
 
+    def color(self, z: np.ndarray) -> np.ndarray:
+        """diag(values)^{1/2} vectors' z, for a k-vector or the columns of a
+        k x m matrix z: the product B z with the root B, read in the
+        eigenbasis, since vectors' B == diag(values)^{1/2} vectors'.  No root
+        is formed: z is rotated, or copied on the standard basis, and the
+        rows of that new array are scaled in place."""
+        u = np.array(z, dtype=float) if self.vectors is None else self.vectors.T @ z
+        rows = u.T  # a view: scaling its last axis scales u's rows
+        rows *= np.sqrt(self.values)
+        return u
+
 
 def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a Haar-distributed p x p orthogonal matrix.
@@ -296,9 +308,11 @@ def fewer_blas_threads():
     one), restoring its count on exit.
 
     This frees a core for a thread that works beside BLAS, where OpenBLAS's
-    extra thread would only spin between small calls.  The count is process
-    state, so nested or overlapping entries, from any threads, lower it
-    once, on the first entry, and the last exit restores it.
+    extra thread would only spin between small calls.  That thread may call
+    BLAS itself, on the threads left: on two cores, one, so each call runs
+    on its caller's thread.  The count is process state, so nested or
+    overlapping entries, from any threads, lower it once, on the first
+    entry, and the last exit restores it.
     """
     global _lowering_depth, _saved_threads
     with _lowering_lock:

@@ -15,11 +15,14 @@ being formed, with R^{-1} = Q W.  W is the population's one precision
 metric: the loss, the oracle and limit weights and the asymptotic variances
 all read sigma^{-1} through :meth:`SpdEigen.whiten`, most of them through
 :meth:`PopulationSpec.precision_gram`.
-:meth:`PopulationSpec.whitened` is the population seen in the coordinates
-x = R^{-1} y, the frame in which a Monte Carlo cell below p = n is scored:
-there the covariance is the identity, held as unit eigenvalues on the
-standard basis with no p x p array, a sample is z + R^{-1} mu_n 1', and
-sigma^{-1} forms are Euclidean ones.
+A Monte Carlo cell is scored in a frame on the standard basis, with no
+p x p array, whose sigma^{-1} forms are row scalings.  Below p = n it is
+:meth:`PopulationSpec.whitened`, the population in the coordinates x =
+R^{-1} y, where the covariance is the identity and a sample is z + R^{-1}
+mu_n 1'.  At or above p = n it is :meth:`PopulationSpec.rotated`, the
+coordinates u = Q' y, where the covariance is diag(lam) and a sample is
+:meth:`SpdEigen.color` of z plus Q' mu_n 1'.  Each frame carries its image
+of the all-ones vector, the direction of Wang's estimator.
 """
 
 from __future__ import annotations
@@ -148,23 +151,30 @@ class PopulationSpec:
     The covariance is given only as its eigenpairs ``eigen``, checked when
     built (see :class:`SpdEigen`): p values and p x p vectors, otherwise
     :class:`DimensionMismatchError`; positive, finite values and finite
-    vectors, otherwise :class:`NotPositiveDefiniteError`.  Non-finite means
-    raise :class:`NonFiniteDataError`.  It carries no growth exponent gamma,
-    which only chooses how :func:`draw_mean_vectors` draws the means.
+    vectors, otherwise :class:`NotPositiveDefiniteError`.  ``ones``, Wang's
+    direction, is the all-ones vector in this population's coordinates:
+    that vector itself by default, its image in a frame.  A mean or ``ones``
+    not of length p raises :class:`DimensionMismatchError`, a non-finite one
+    :class:`NonFiniteDataError`.  It carries no growth exponent gamma, which
+    only chooses how :func:`draw_mean_vectors` draws the means.
     """
 
     p: int
     mu_n: np.ndarray
     mu_0: np.ndarray
     eigen: SpdEigen = field(repr=False)
+    ones: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu_n", np.asarray(self.mu_n, dtype=float))
         object.__setattr__(self, "mu_0", np.asarray(self.mu_0, dtype=float))
-        if self.mu_n.shape != (self.p,) or self.mu_0.shape != (self.p,):
-            raise DimensionMismatchError("mean vectors must have length p")
-        if not (np.isfinite(self.mu_n).all() and np.isfinite(self.mu_0).all()):
-            raise NonFiniteDataError("mean vectors must have finite entries")
+        object.__setattr__(self, "ones", np.ones(self.p) if self.ones is None
+                           else np.asarray(self.ones, dtype=float))
+        vectors = (self.mu_n, self.mu_0, self.ones)
+        if any(v.shape != (self.p,) for v in vectors):
+            raise DimensionMismatchError("mean and direction vectors must have length p")
+        if not all(np.isfinite(v).all() for v in vectors):
+            raise NonFiniteDataError("mean and direction vectors must have finite entries")
         if self.eigen.values.shape != (self.p,):
             raise DimensionMismatchError("eigenpairs must be p values and p x p vectors")
 
@@ -181,14 +191,29 @@ class PopulationSpec:
 
     def whitened(self) -> "PopulationSpec":
         """This population in the coordinates x = R^{-1} y: unit eigenvalues
-        on the standard basis, so no p x p array, and the means R^{-1} mu_n
-        and R^{-1} mu_0, read as Q (W [mu_n, mu_0]), so no root is formed.
-        u' sigma^{-1} v is the Euclidean product of the images of u and v,
-        and a sample R z + mu_n 1' is z + R^{-1} mu_n 1' there."""
-        white = self.eigen.whiten(np.column_stack([self.mu_n, self.mu_0]))
-        mu_n, mu_0 = (white if self.eigen.vectors is None else self.eigen.vectors @ white).T
-        return PopulationSpec(p=self.p, mu_n=mu_n, mu_0=mu_0,
+        on the standard basis, so no p x p array, and the images R^{-1} of
+        mu_n, mu_0 and ``ones``, read as Q (W [mu_n, mu_0, ones]), so no
+        root is formed.  u' sigma^{-1} v is the Euclidean product of the
+        images of u and v, and a sample R z + mu_n 1' is z + R^{-1} mu_n 1'
+        there."""
+        white = self.eigen.whiten(np.column_stack([self.mu_n, self.mu_0, self.ones]))
+        mu_n, mu_0, ones = (white if self.eigen.vectors is None
+                            else self.eigen.vectors @ white).T
+        return PopulationSpec(p=self.p, mu_n=mu_n, mu_0=mu_0, ones=ones,
                               eigen=SpdEigen(values=np.ones(self.p), vectors=None))
+
+    def rotated(self) -> "PopulationSpec":
+        """This population in the coordinates u = Q' y of its eigenbasis: the
+        eigenvalues on the standard basis and the images Q' of mu_n, mu_0
+        and ``ones``, so sigma^{-1} forms keep their values.  A sample R z +
+        mu_n 1' is :meth:`SpdEigen.color` of z plus Q' mu_n 1' there.  On
+        the standard basis the population is its own rotation."""
+        if self.eigen.vectors is None:
+            return self
+        mu_n, mu_0, ones = (self.eigen.vectors.T
+                            @ np.column_stack([self.mu_n, self.mu_0, self.ones])).T
+        return PopulationSpec(p=self.p, mu_n=mu_n, mu_0=mu_0, ones=ones,
+                              eigen=SpdEigen(values=self.eigen.values, vectors=None))
 
 
 @dataclass(frozen=True, eq=False)

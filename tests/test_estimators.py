@@ -48,6 +48,7 @@ from shrinkmean.harness import (
     run_cell,
     run_study,
 )
+from shrinkmean.linalg import haar_orthogonal
 from shrinkmean.model import sample_stats
 
 
@@ -643,6 +644,22 @@ class TestWangEstimator:
         with pytest.raises(DegenerateDenominatorError, match="denominator vanishes"):
             wang_estimator(sample_stats(k * (e + t * v[:, None])))
         assert np.isfinite(wang_estimator(sample_stats(k * (e + 1.01 * t * v[:, None])))).all()
+
+    def test_direction_rotates_with_the_sample(self, rng):
+        # S^+ forms are orthogonally equivariant, the all-ones direction is
+        # not: for Q'y the estimate is Q' times that of y only when the
+        # direction is Q'1 too.  None and np.ones are the same direction
+        p, n = 12, 6
+        y = rng.standard_normal((p, n)) + 0.5
+        q = haar_orthogonal(p, rng)
+        est = wang_estimator(sample_stats(y))
+        np.testing.assert_array_equal(wang_estimator(sample_stats(y), np.ones(p)), est)
+        rotated = sample_stats(q.T @ y)
+        np.testing.assert_allclose(q @ wang_estimator(rotated, q.T @ np.ones(p)), est,
+                                   rtol=1e-10, atol=0)
+        assert not np.allclose(q @ wang_estimator(rotated), est, rtol=1e-3, atol=0)
+        with pytest.raises(DimensionMismatchError):
+            wang_estimator(rotated, np.ones(p + 1))
 
 
 class TestGeneralizedInverse:

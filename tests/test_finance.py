@@ -278,10 +278,10 @@ class TestBacktestPairing:
         failing = panel.values[10 - 6 : 10].T  # the window that predicts period 10
         original = shrinkmean.estimators.wang_estimator
 
-        def wang_failing_once(stats):
+        def wang_failing_once(stats, direction=None):
             if np.array_equal(stats.y_bar, failing.mean(axis=1)):
                 raise DegenerateDenominatorError("injected failure")
-            return original(stats)
+            return original(stats, direction)
 
         monkeypatch.setattr(shrinkmean.estimators, "wang_estimator", wang_failing_once)
         paired = rolling_backtest(panel, config)
@@ -304,10 +304,10 @@ class TestBacktestPairing:
         nan_window = panel.values[10 - 6 : 10].T  # the window that predicts period 10
         original = shrinkmean.estimators.wang_estimator
 
-        def wang_nan_once(stats):
+        def wang_nan_once(stats, direction=None):
             if np.array_equal(stats.y_bar, nan_window.mean(axis=1)):
                 return np.full(stats.p, np.nan)
-            return original(stats)
+            return original(stats, direction)
 
         monkeypatch.setattr(shrinkmean.estimators, "wang_estimator", wang_nan_once)
         scored = rolling_backtest(panel, config)

@@ -212,6 +212,35 @@ class TestEigenWhiten:
         np.testing.assert_array_equal(white, eigen.whiten(v[:, None])[:, 0])
 
 
+class TestEigenColor:
+    def test_root_product_read_in_the_eigenbasis(self, rng):
+        # Q' (B z) for the root B, without B
+        eigen = SpdEigen(values=rng.uniform(1.0, 10.0, 6), vectors=haar_orthogonal(6, rng))
+        z = rng.standard_normal((6, 4))
+        np.testing.assert_allclose(eigen.color(z), eigen.vectors.T @ (eigen.root @ z),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("basis", ["standard", "dense"])
+    def test_vector_is_its_one_column_and_input_kept(self, rng, basis):
+        vectors = None if basis == "standard" else haar_orthogonal(4, rng)
+        eigen = SpdEigen(values=rng.uniform(1.0, 10.0, 4), vectors=vectors)
+        z = rng.standard_normal((4, 3))
+        kept = z.copy()
+        colored = eigen.color(z)
+        np.testing.assert_array_equal(z, kept)
+        # a GEMV and a GEMM column may round differently
+        assert eigen.color(z[:, 0]).shape == (4,)
+        np.testing.assert_allclose(eigen.color(z[:, 0]), colored[:, 0], rtol=1e-14, atol=1e-14)
+        if vectors is None:
+            np.testing.assert_array_equal(colored, np.sqrt(eigen.values)[:, None] * z)
+
+    def test_whiten_undoes_it_on_the_standard_basis(self, rng):
+        values = rng.uniform(1.0, 10.0, 5)
+        z = rng.standard_normal((5, 2))
+        plain = SpdEigen(values=values, vectors=None)
+        np.testing.assert_allclose(plain.whiten(plain.color(z)), z, rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: SpdFactor(dim=3, lower=np.eye(2), pivot_floor=0.0),
     lambda: SpdEigen(values=np.ones((2, 2)), vectors=None),

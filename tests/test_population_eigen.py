@@ -111,6 +111,39 @@ class TestPopulationEigenpairs:
         expected = v.T @ np.linalg.inv(covariance(pop.eigen)) @ v
         assert np.allclose(pop.precision_gram(*vectors), expected, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("source", ["cell", "bare"])
+    def test_rotated_frame_keeps_precision_forms(self, rng, source):
+        # the eigenbasis frame holds Q' mu_n, Q' mu_0 and Q' 1 on the
+        # standard basis, and every sigma^{-1} form of rotated vectors,
+        # the loss included, is the population's
+        if source == "cell":
+            pop = cell_population(McConfig(p_grid=(40,), c_grid=(2.0,), seed=7), 40, 2.0)
+        else:
+            pop = _bare(rand_spd(rng, 8), rng)
+        frame, q = pop.rotated(), pop.eigen.vectors
+        assert frame.eigen.vectors is None
+        np.testing.assert_array_equal(frame.eigen.values, pop.eigen.values)
+        for image, vector in ((frame.mu_n, pop.mu_n), (frame.mu_0, pop.mu_0),
+                              (frame.ones, np.ones(pop.p))):
+            np.testing.assert_allclose(q @ image, vector, rtol=1e-12, atol=1e-14)
+        stack = pop.mu_n[:, None] + rng.standard_normal((pop.p, 3))
+        np.testing.assert_allclose(quadratic_loss(q.T @ stack, frame), quadratic_loss(stack, pop),
+                                   rtol=1e-12, atol=0)
+        vectors = [rng.standard_normal(pop.p) for _ in range(3)]
+        gram = pop.precision_gram(*vectors)
+        np.testing.assert_allclose(frame.precision_gram(*(q.T @ v for v in vectors)), gram,
+                                   rtol=0, atol=1e-12 * np.abs(gram).max())
+
+    def test_frames_carry_the_direction(self, rng):
+        # the whitened frame holds R^{-1} 1; on the standard basis the
+        # eigenbasis frame is the population itself
+        pop = _bare(rand_spd(rng, 8), rng)
+        np.testing.assert_allclose(pop.sigma_sqrt() @ pop.whitened().ones, np.ones(8),
+                                   rtol=1e-12, atol=0)
+        plain = PopulationSpec(p=8, mu_n=pop.mu_n, mu_0=pop.mu_0,
+                               eigen=SpdEigen(values=pop.eigen.values, vectors=None))
+        assert plain.rotated() is plain
+
     def test_whitening_inverts_sigma(self, rng):
         pop = _bare(rand_spd(rng, 10), rng)
         w = pop.eigen.whiten(np.eye(10))  # W itself, as the images of e_1..e_p
@@ -183,6 +216,15 @@ class TestPopulationChecks:
         with pytest.raises(NonFiniteDataError):
             PopulationSpec(p=3, eigen=SpdEigen(values=np.ones(3), vectors=np.eye(3)),
                            **means)
+
+    def test_direction_defaults_to_ones_and_is_checked(self):
+        np.testing.assert_array_equal(_built(np.ones(3), np.eye(3)).ones, np.ones(3))
+        eigen = SpdEigen(values=np.ones(3), vectors=np.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3), eigen=eigen, ones=np.ones(4))
+        with pytest.raises(NonFiniteDataError):
+            PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3), eigen=eigen,
+                           ones=np.array([1.0, np.nan, 1.0]))
 
     def test_root_is_exactly_symmetric(self):
         pop = cell_population(McConfig(p_grid=(50,), c_grid=(0.5,), seed=2), 50, 0.5)
@@ -301,6 +343,29 @@ class TestOneEigendecompositionPerPopulation:
         assert len((tmp_path / "qq.csv").read_text().splitlines()) == 1 + n_reps
         assert calls["qr"] == [(p, p)]
         assert calls["cholesky"] == ([(p, p)] * n_reps if quantity.endswith("-bf") else [])
+
+
+class TestNoRoot:
+    @pytest.mark.parametrize("basis", ["dense", "standard"])
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_study_cell(self, monkeypatch, c, basis):
+        # below p = n a cell runs in its whitened frame and at or above in
+        # its eigenbasis frame, whose helper mixes each draw without R: no
+        # cell forms R = sigma^{1/2}, on either basis, whichever estimators run
+        p = 30
+        config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=3, estimators=tuple(ESTIMATORS))
+        pop = cell_population(config, p, c)
+        if basis == "standard":
+            pop = PopulationSpec(p=p, mu_n=pop.mu_n, mu_0=pop.mu_0,
+                                 eigen=SpdEigen(values=pop.eigen.values, vectors=None))
+
+        def forbidden(eigen):
+            raise AssertionError("a Monte Carlo cell formed the root")
+
+        monkeypatch.setattr(SpdEigen, "root", property(forbidden))
+        cell = run_cell(config, pop, c)
+        assert cell.failures["olse"] == 0 and cell.failures["olse-oracle"] == 0
+        assert cell.failures["wang" if c > 1 else "js"] == 0
 
 
 class TestOneBlas:

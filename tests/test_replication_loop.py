@@ -5,7 +5,7 @@ newest statistics built.  The results must be those of the plain serial
 loop, and the helper thread and the BLAS thread counts must not outlive the
 cell.  Below p = n the loop scores the cell in its whitened frame, which
 must reproduce every estimator's losses and weights on the mixed sample
-itself."""
+itself, and at or above p = n so does the eigenbasis frame."""
 
 import threading
 import time
@@ -17,7 +17,7 @@ import pytest
 from conftest import one_fewer
 from shrinkmean import harness
 from shrinkmean.errors import ShrinkmeanError
-from shrinkmean.estimators import ESTIMATORS, evaluate
+from shrinkmean.estimators import ESTIMATORS, evaluate, wang_estimator
 from shrinkmean.harness import (
     McConfig,
     cell_population,
@@ -38,11 +38,13 @@ def serial_cell(config, pop, c, mixed=False):
     """(losses, weights) of every replication of a cell, one after another on
     this thread: draw, statistics, every estimator, one stacked loss.  The
     statistics are built as ``run_cell`` builds them: below p = n those of z
-    shifted into the whitened frame, which is scored in place of ``pop``,
-    and at or above p = n those of R z shifted by mu_n.  With ``mixed`` they
-    are those of the sample R z + mu_n 1' itself, scored against ``pop``."""
+    shifted into the whitened frame, and at or above p = n those of
+    diag(lam)^{1/2} Q' z shifted into the eigenbasis frame, each frame
+    scored in place of ``pop``.  With ``mixed`` they are those of the sample
+    R z + mu_n 1' itself, scored against ``pop``, whose Wang direction is
+    the all-ones vector."""
     p, n = pop.p, cell_sample_size(pop.p, c)
-    frame = pop.whitened() if p < n and not mixed else pop
+    frame = pop if mixed else pop.whitened() if p < n else pop.rotated()
     losses = {e: np.full(config.n_reps, np.nan) for e in config.estimators}
     weights = {e: np.full((config.n_reps, 2), np.nan)
                for e in ("olse-oracle", "olse") if e in config.estimators}
@@ -51,7 +53,7 @@ def serial_cell(config, pop, c, mixed=False):
         if mixed:
             stats = sample_stats(pop.sigma_sqrt() @ z + pop.mu_n[:, None])
         else:
-            stats = sample_stats(z if frame is not pop else pop.sigma_sqrt() @ z)
+            stats = sample_stats(z if p < n else pop.eigen.color(z))
             stats = replace(stats, y_bar=stats.y_bar + frame.mu_n)
         estimates = {}
         for est in config.estimators:
@@ -117,6 +119,42 @@ def test_whitened_frame_matches_the_mixed_sample(p, c, law):
     config = cell_config(p, c, law, n_reps=6)
     pop = cell_population(config, p, c)
     assert_close(run_cell(config, pop, c), *serial_cell(config, pop, c, mixed=True))
+
+
+@pytest.mark.parametrize("law", ["normal", "t:6", "exponential"])
+@pytest.mark.parametrize("p", [12, 250])
+def test_eigenbasis_frame_matches_the_mixed_sample(p, law):
+    # at or above p = n every estimator is equivariant under y -> Q'y, with
+    # mu_0 and Wang's direction rotated alike, and the sigma^{-1} loss is
+    # orthogonally invariant, so the frame reproduces the mixed sample, run
+    # with Wang on the all-ones vector, up to rounding, whatever the law
+    config = cell_config(p, 2.0, law, n_reps=2)
+    pop = cell_population(config, p, 2.0)
+    np.testing.assert_array_equal(pop.ones, np.ones(p))
+    assert_close(run_cell(config, pop, 2.0), *serial_cell(config, pop, 2.0, mixed=True))
+
+
+def test_eigenbasis_frame_guard_fires(monkeypatch):
+    # Wang's all-ones direction, left unrotated in the frame, is another
+    # direction, so its losses move
+    monkeypatch.setitem(ESTIMATORS, "wang", lambda stats, mu_0, pop: wang_estimator(stats))
+    config = cell_config(12, 2.0, "normal", n_reps=2)
+    pop = cell_population(config, 12, 2.0)
+    with pytest.raises(AssertionError):
+        assert_close(run_cell(config, pop, 2.0), *serial_cell(config, pop, 2.0, mixed=True))
+
+
+def test_two_threads_in_blas_repeat_bit_for_bit():
+    # at p = 250 and p > n the helper's GEMM runs beside the main thread's
+    # syrk and Cholesky; each BLAS call partitions its work alike whatever
+    # runs beside it, so a rerun gives the same bits
+    config = cell_config(250, 2.0, "normal", n_reps=4)
+    pop = cell_population(config, 250, 2.0)
+    first, second = run_cell(config, pop, 2.0), run_cell(config, pop, 2.0)
+    for est in first.losses:
+        np.testing.assert_array_equal(first.losses[est], second.losses[est])
+    for est in first.weights:
+        np.testing.assert_array_equal(first.weights[est], second.weights[est])
 
 
 def test_whitened_frame_guard_fires(monkeypatch):

@@ -270,17 +270,17 @@ def _wang_condition(stats):
 def test_innovations_give_the_sample_estimates(law, p, c):
     # a study reads each replication from its innovations z: below p = n in
     # the whitened frame, whose estimates R maps back, and at or above p = n
-    # through R z; the statistics of the sample sqrt(sigma) z + mu_n 1'
-    # itself are the reference.  Both routes round differently, so Wang's
-    # estimator, whose coefficients can nearly cancel, agrees only to 1e-12
-    # times its magnification
+    # in the eigenbasis frame, whose estimates Q maps back; the statistics of
+    # the sample sqrt(sigma) z + mu_n 1' itself are the reference.  Both
+    # routes round differently, so Wang's estimator, whose coefficients can
+    # nearly cancel, agrees only to 1e-12 times its magnification
     config = McConfig(p_grid=(p,), c_grid=(c,), law=InnovationLaw.parse(law), seed=5)
     pop = cell_population(config, p, c)
     n = cell_sample_size(p, c)
     z = config.law.draw(replication_rng(config.seed, p, c, 0), (p, n))
     root = pop.sigma_sqrt()
-    frame, back = (pop.whitened(), root) if p < n else (pop, np.eye(p))
-    fast = sample_stats(z if p < n else root @ z)
+    frame, back = (pop.whitened(), root) if p < n else (pop.rotated(), pop.eigen.vectors)
+    fast = sample_stats(z if p < n else pop.eigen.color(z))
     fast = replace(fast, y_bar=fast.y_bar + frame.mu_n)
     slow = sample_stats(root @ z + pop.mu_n[:, None])
     assert fast.factorization.cholesky.dim == slow.factorization.cholesky.dim == min(p, n - 1)
@@ -289,10 +289,10 @@ def test_innovations_give_the_sample_estimates(law, p, c):
             expected, _ = evaluate(name, slow, pop.mu_0)
         except InvalidDimensionsError:
             with pytest.raises(InvalidDimensionsError):
-                evaluate(name, fast, frame.mu_0)
+                evaluate(name, fast, frame.mu_0, frame)
             continue
         tol = 1e-12 * (_wang_condition(slow) if name == "wang" else 1.0)
-        assert _rel_err(back @ evaluate(name, fast, frame.mu_0)[0], expected) < tol, name
+        assert _rel_err(back @ evaluate(name, fast, frame.mu_0, frame)[0], expected) < tol, name
     w_fast = bona_fide_intensities(fast, frame.mu_0)
     w_slow = bona_fide_intensities(slow, pop.mu_0)
     assert _rel_err([w_fast.alpha, w_fast.beta], [w_slow.alpha, w_slow.beta]) < 1e-12
@@ -324,8 +324,9 @@ class TestOneFactorizationPerSample:
 
     def test_cell_forms_no_sample(self, counted, monkeypatch):
         # a replication reads its statistics from its innovations, on both
-        # sides of p = n: one constructor call on z below p = n and on R z
-        # above, and no shifted sample y is generated or formed
+        # sides of p = n: one constructor call on z below p = n and on
+        # diag(lam)^{1/2} Q' z above, and no shifted sample y is generated
+        # or formed
         def forbidden(*args):
             raise AssertionError("a Monte Carlo cell formed a sample")
 
@@ -339,7 +340,7 @@ class TestOneFactorizationPerSample:
             assert len(counted) == config.n_reps
             for r, stats in enumerate(counted):
                 z = config.law.draw(replication_rng(config.seed, 20, c, r), (20, cell.n))
-                read = sample_stats(z if c < 1 else pop.sigma_sqrt() @ z)
+                read = sample_stats(z if c < 1 else pop.eigen.color(z))
                 np.testing.assert_array_equal(stats.y_bar, read.y_bar)
                 np.testing.assert_array_equal(stats.reflected, read.reflected)
             assert all(s.factorization.cholesky.dim == min(20, cell.n - 1) for s in counted)
