@@ -6,63 +6,36 @@ both the dimension and the sample size are large.  The package also ships
 the classical benchmarks (James-Stein family, unit-target shrinkage), the
 limiting moments needed for normality diagnostics, a reproducible Monte
 Carlo harness and a rolling-window portfolio backtester.
+
+``shrinkmean.<name>`` resolves any name in a submodule's ``__all__`` on
+first use, so importing the package loads no submodule.
 """
 
-from .asymptotics import (
-    bona_fide_covariance,
-    oracle_weight_variances,
-    standardize,
-)
+import importlib
+
 from .errors import ShrinkmeanError
-from .estimators import (
-    ESTIMATORS,
-    NEEDS_POPULATION,
-    ShrinkageWeights,
-    bona_fide_intensities,
-    evaluate,
-    james_stein,
-    js_high_dim,
-    js_positive_part,
-    limit_intensities,
-    oracle_intensities,
-    wang_estimator,
-)
-from .finance import (
-    BacktestConfig,
-    BacktestReport,
-    ReturnsPanel,
-    load_returns_csv,
-    rolling_backtest,
-    synthetic_panel,
-    target_vector,
-)
-from .harness import (
-    McConfig,
-    McReport,
-    ks_statistic,
-    negative_frequency_table,
-    qq_data,
-    quadratic_loss,
-    run_study,
-)
-from .linalg import (
-    SpdEigen,
-    SpdFactor,
-    haar_orthogonal,
-    spd_factor,
-    spd_solve,
-    spd_whiten,
-)
-from .model import (
-    DEFAULT_RECIPE,
-    EigenRecipe,
-    InnovationLaw,
-    PopulationSpec,
-    SampleStats,
-    build_covariance,
-    draw_mean_vectors,
-    generate_sample,
-    sample_stats,
-)
 
 __version__ = "0.1.0"
+
+# lower layers first: a lookup loads the modules listed before its name's
+# own, which that module imports anyway except asymptotics
+_SUBMODULES = ("linalg", "model", "estimators", "asymptotics", "harness", "finance")
+
+
+def __getattr__(name: str):
+    # looked up on every read and never stored here, so a name read while a
+    # submodule global is patched reads the original once the patch is undone
+    if name in _SUBMODULES:  # ``from shrinkmean import linalg`` loads linalg alone
+        return importlib.import_module(f"{__name__}.{name}")
+    for sub in _SUBMODULES:
+        module = importlib.import_module(f"{__name__}.{sub}")
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    names = set(globals())
+    for sub in _SUBMODULES:
+        names.update(importlib.import_module(f"{__name__}.{sub}").__all__)
+    return sorted(names)

@@ -147,38 +147,37 @@ def load_returns_csv(path, has_header: bool = True) -> ReturnsPanel:
             f"{path}: header has {len(labels)} labels, data rows have {width} cells"
         )
     data = np.empty((len(rows), width))
-    for i, (_, row) in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         try:
             if len(row) != width:
                 raise ValueError
             data[i] = [float(cell) for cell in row]
+            if not np.isfinite(data[i]).all():
+                raise ValueError
         except ValueError:
-            _raise_first_bad_cell(path, rows[: i + 1], width)
-    if not np.isfinite(data).all():
-        _raise_first_bad_cell(path, rows, width)
+            _raise_first_bad_cell(path, line, row, width)
     return ReturnsPanel(values=data, asset_labels=labels)
 
 
-def _raise_first_bad_cell(path, rows, width: int) -> None:
-    """Raise for the first ragged row, or non-numeric or non-finite cell, of
-    ``rows`` in file order; called only when there is one."""
-    for line, row in rows:
-        if len(row) != width:
-            raise RaggedRowsError(
-                f"{path}: line {line} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell at line {line}, column {j + 1}: "
-                    f"{cell!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise ParseError(
-                    f"{path}: non-finite cell at line {line}, column {j + 1}"
-                )
+def _raise_first_bad_cell(path, line: int, row: list[str], width: int) -> None:
+    """Raise for ``row``, the file's first row that is ragged or holds a
+    non-numeric or non-finite cell, naming its first bad cell."""
+    if len(row) != width:
+        raise RaggedRowsError(
+            f"{path}: line {line} has {len(row)} cells, expected {width}"
+        ) from None
+    for j, cell in enumerate(row):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric cell at line {line}, column {j + 1}: "
+                f"{cell!r}"
+            ) from None
+        if not np.isfinite(value):
+            raise ParseError(
+                f"{path}: non-finite cell at line {line}, column {j + 1}"
+            ) from None
 
 
 def write_returns_csv(panel: ReturnsPanel, path) -> None:

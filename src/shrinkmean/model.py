@@ -1,11 +1,11 @@
-"""Simulation populations and sample generation.
+"""Simulation populations and sample statistics.
 
 A population is an immutable triple (true mean, target mean, covariance),
 whatever regime its means were drawn in; a sample is the p x n matrix
 ``y = R z + mu 1'`` of i.i.d. standardized innovations z mixed by the
-symmetric square root R = sigma^{1/2}.  :func:`generate_sample` forms y and
-:func:`sample_stats` reads the statistics of any p x n matrix into one
-:class:`SampleStats` value, which knows nothing of a population.
+symmetric square root R = sigma^{1/2}.  :func:`sample_stats` reads the
+statistics of any p x n matrix into one :class:`SampleStats` value, which
+knows nothing of a population.
 The population's covariance is given as its eigenpairs, sigma = Q diag(lam)
 Q', the ones a simulated covariance is drawn from, so it is never
 eigendecomposed and sigma itself is never formed.  The eigenpairs are a
@@ -50,7 +50,6 @@ __all__ = [
     "SampleStats",
     "build_covariance",
     "draw_mean_vectors",
-    "generate_sample",
     "sample_stats",
 ]
 
@@ -334,20 +333,6 @@ def draw_mean_vectors(
         mu_n = rng.integers(0, 2, size=p) * 2.0 - 1.0
         return mu_n, np.ones(p)
     raise UnsupportedGammaError(f"gamma must be 0 or 1, got {gamma}")
-
-
-def generate_sample(
-    pop: PopulationSpec,
-    n: int,
-    law: InnovationLaw,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Generate a p x n observation matrix sqrt(sigma) @ X + mu 1'."""
-    if n < 2:
-        raise DimensionMismatchError(f"n must be >= 2, got {n}")
-    y = pop.sigma_sqrt() @ law.draw(rng, (pop.p, n))
-    y += pop.mu_n[:, None]
-    return y
 
 
 def sample_stats(y: np.ndarray) -> SampleStats:

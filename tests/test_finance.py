@@ -64,6 +64,18 @@ class TestLoadReturnsCsv:
         with pytest.raises(RaggedRowsError, match=r"line 4 has 3 cells, expected 2"):
             load(tmp_path, "a,b\n1,2\n\n3,4,5\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3,inf\n\nx,4\n", "non-finite cell at line 3, column 2"),
+        ("a,b\n1,-inf\n1,2,3\n", "non-finite cell at line 2, column 2"),
+        ("a,b,c\n1,nan,x\n", "non-finite cell at line 2, column 2"),
+        ("a,b,c\n1,x,nan\n", "non-numeric cell at line 2, column 2: 'x'"),
+    ], ids=["earlier-line", "before-ragged-row", "earlier-column", "non-numeric-first"])
+    def test_first_bad_cell_in_file_order(self, tmp_path, text, message):
+        # a non-finite cell is only seen once its row converts, yet it is
+        # reported before any later bad cell of its row or of the file
+        with pytest.raises(ParseError, match=message):
+            load(tmp_path, text)
+
     def test_header_wider_than_data(self, tmp_path):
         with pytest.raises(RaggedRowsError, match=r"header has 3 labels"):
             load(tmp_path, "a,b,c\n1,2\n3,4\n")

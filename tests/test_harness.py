@@ -31,18 +31,22 @@ from shrinkmean.harness import (
 )
 
 
+def _fresh_output(code: str) -> str:
+    """What ``code`` prints in a new interpreter that imports this package."""
+    src = str(Path(shrinkmean.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.strip()
+
+
 def test_import_loads_neither_scipy_stats_nor_special():
     # scipy.stats costs about two-thirds of a cold import and scipy.special
     # about 3 MB of resident memory; the package takes the normal quantile
     # and CDF from the standard library (and loads no scipy module at all:
     # test_population_eigen.TestOneBlas)
-    src = str(Path(shrinkmean.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, shrinkmean, shrinkmean.cli; "
             "print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert _fresh_output(code) == "[]"
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(shrinkmean.__path__)))
@@ -51,6 +55,59 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"shrinkmean.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+class TestPackageRoot:
+    # the names the package root re-exported eagerly before it resolved
+    # them on first use, by the submodule that defines them
+    ROOT_NAMES = {
+        "asymptotics": ("bona_fide_covariance", "oracle_weight_variances", "standardize"),
+        "errors": ("ShrinkmeanError",),
+        "estimators": ("ESTIMATORS", "NEEDS_POPULATION", "ShrinkageWeights",
+                       "bona_fide_intensities", "evaluate", "james_stein", "js_high_dim",
+                       "js_positive_part", "limit_intensities", "oracle_intensities",
+                       "wang_estimator"),
+        "finance": ("BacktestConfig", "BacktestReport", "ReturnsPanel", "load_returns_csv",
+                    "rolling_backtest", "synthetic_panel", "target_vector"),
+        "harness": ("McConfig", "McReport", "ks_statistic", "negative_frequency_table",
+                    "qq_data", "quadratic_loss", "run_study"),
+        "linalg": ("SpdEigen", "SpdFactor", "haar_orthogonal", "spd_factor", "spd_solve",
+                   "spd_whiten"),
+        "model": ("DEFAULT_RECIPE", "EigenRecipe", "InnovationLaw", "PopulationSpec",
+                  "SampleStats", "build_covariance", "draw_mean_vectors", "sample_stats"),
+    }
+
+    def test_import_loads_no_submodule(self):
+        code = ("import sys, shrinkmean; print(sorted(m for m in sys.modules "
+                "if m == 'numpy' or m.startswith('shrinkmean')))")
+        assert _fresh_output(code) == "['shrinkmean', 'shrinkmean.errors']"
+
+    @pytest.mark.parametrize("module, name", [(m, n) for m, names in ROOT_NAMES.items()
+                                              for n in names])
+    def test_name_is_the_submodule_object(self, module, name):
+        own = getattr(importlib.import_module(f"shrinkmean.{module}"), name)
+        namespace = {}
+        exec(f"from shrinkmean import {name}", namespace)
+        assert getattr(shrinkmean, name) is own and namespace[name] is own
+        assert name in dir(shrinkmean)
+
+    def test_unknown_name_and_submodule_import(self):
+        for name in ("no_such_name", "generate_sample"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(shrinkmean, name)
+        from shrinkmean import cli
+
+        assert cli is sys.modules["shrinkmean.cli"]
+
+    def test_name_read_under_a_patch_is_not_kept(self, monkeypatch):
+        from shrinkmean import linalg
+
+        original, patched = linalg.spd_factor, object()
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "spd_factor", patched)
+            assert shrinkmean.spd_factor is patched
+        assert shrinkmean.spd_factor is original
+        assert "spd_factor" not in vars(shrinkmean)
 
 
 class TestQqHelpers:

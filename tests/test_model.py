@@ -7,6 +7,7 @@ from scipy.stats import kstest
 
 import shrinkmean.model
 from conftest import covariance, eigenpairs, sample_covariance
+from sampling import generate_sample
 from shrinkmean.errors import (
     DimensionMismatchError,
     InvalidRecipeError,
@@ -25,7 +26,6 @@ from shrinkmean.model import (
     SampleStats,
     build_covariance,
     draw_mean_vectors,
-    generate_sample,
     sample_stats,
 )
 

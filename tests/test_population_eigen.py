@@ -25,6 +25,7 @@ import pytest
 import shrinkmean
 import shrinkmean.harness
 from conftest import bare_population, covariance, rand_spd
+from sampling import generate_sample
 from shrinkmean.cli import main
 from shrinkmean.errors import (
     DimensionMismatchError,
@@ -48,7 +49,7 @@ from shrinkmean.harness import (
     run_study,
 )
 from shrinkmean.linalg import SpdEigen
-from shrinkmean.model import PopulationSpec, generate_sample, sample_stats
+from shrinkmean.model import PopulationSpec, sample_stats
 
 ALL_MC = ("sample-mean", "olse", "olse-asymptotic", "olse-oracle", "js",
           "js-high-dim", "js-positive-part", "wang")
