@@ -8,11 +8,13 @@ pass).  Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 Errors go to stderr with the prefix ``error:``.
 
 Configuration files are flat ``key = value`` text; ``#`` starts a comment.
-CLI flags override file values.  The CLI forwards only the settings a flag
-or the file gives, so the defaults live in one place: ``McConfig``,
-``BacktestConfig`` and ``load_returns_csv``, and the constants below for
-the grids and the cell that no class fixes.  A value that does not parse is
-a configuration error (exit 2) naming its key or flag.
+A command's file takes the config keys of its flags, and ``simulate``'s
+also the two recipe keys that no flag sets.  CLI flags override file
+values.  The CLI forwards only the settings a flag or the file gives, so the
+defaults live in one place: ``McConfig``, ``BacktestConfig`` and
+``load_returns_csv``, and the constants below for the grids and the cell
+that no class fixes.  A value that does not parse is a configuration error
+(exit 2) naming its key or flag.
 """
 
 from __future__ import annotations
@@ -76,16 +78,9 @@ QQ_C = 0.5
 QQ_QUANTITIES = ("alpha-oracle", "beta-oracle", "alpha-bf", "beta-bf")
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in str(text).split(",") if part.strip())
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
-
-
-def _parse_strs(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in str(text).split(",") if part.strip())
+def _comma_list(parse_item):
+    """A parser of comma lists: each nonblank entry, stripped, by ``parse_item``."""
+    return lambda text: tuple(parse_item(part.strip()) for part in text.split(",") if part.strip())
 
 
 def _parse_bool(text: str) -> bool:
@@ -97,10 +92,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_groups(text: str) -> tuple[tuple[float, float], ...]:
-    """The ``fraction:eigenvalue,...`` groups of an eigenvalue recipe."""
-    pairs = (part.split(":") for part in _parse_strs(text))
-    return tuple((float(frac), float(val)) for frac, val in pairs)
+def _parse_group(text: str) -> tuple[float, float]:
+    """One ``fraction:eigenvalue`` group of an eigenvalue recipe."""
+    frac, val = text.split(":")
+    return float(frac), float(val)
 
 
 def read_flat_config(path) -> dict[str, str]:
@@ -108,8 +103,12 @@ def read_flat_config(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -120,48 +119,45 @@ def read_flat_config(path) -> dict[str, str]:
     return values
 
 
-#: The parser of every config-file key.  A key is also the argparse dest of
-#: its flag, if it has one, and the keyword it sets: of McConfig, of
+#: The parser of every config-file key, and of the flag that sets it.  A key
+#: is also the argparse dest of that flag, or of a ``set_defaults`` entry for
+#: a key that no flag sets, and the keyword it sets: of McConfig, of
 #: BacktestConfig, or ``has_header`` of load_returns_csv; ``eigen_recipe``
 #: and ``override_lambda_max`` together make McConfig's recipe.
 _PARSERS = {
-    "p_grid": _parse_ints,
-    "c_grid": _parse_floats,
+    "p_grid": _comma_list(int),
+    "c_grid": _comma_list(float),
     "gamma": float,
     "n_reps": int,
-    "estimators": _parse_strs,
+    "estimators": _comma_list(str),
     "target_mode": str,
     "seed": int,
-    "eigen_recipe": _parse_groups,
+    "eigen_recipe": _comma_list(_parse_group),
     "override_lambda_max": float,
     "law": InnovationLaw.parse,
-    "windows": _parse_ints,
-    "targets": _parse_strs,
+    "windows": _comma_list(int),
+    "targets": _comma_list(str),
     "align_start": _parse_bool,
     "fixed_target": _parse_bool,
     "has_header": _parse_bool,
 }
 
-_SIMULATE_KEYS = ("p_grid", "c_grid", "gamma", "n_reps", "estimators", "target_mode",
-                  "seed", "eigen_recipe", "override_lambda_max", "law")
-_BACKTEST_KEYS = ("windows", "estimators", "targets", "seed", "align_start",
-                  "fixed_target", "has_header")
 
-
-def _settings(args, keys: tuple[str, ...]) -> dict:
-    """The settings among ``keys`` that the user gave, by keyword: the flag if
-    given, else the parsed value in the ``--config`` file, if the command
-    takes one.  A key set by neither is left out, so the class or function it
-    goes to supplies its own default.  Keys outside ``keys`` in the file, and
-    values that do not parse, are a :class:`ConfigError` naming the key."""
+def _settings(args) -> dict:
+    """The settings that the user gave, by keyword: the flag if given, else
+    the parsed value in the ``--config`` file, if the command takes one.  A
+    command's keys are the dests of its namespace that ``_PARSERS`` knows.  A
+    key set by neither is left out, so the class or function it goes to
+    supplies its own default.  Other keys in the file, and values that do not
+    parse, are a :class:`ConfigError` naming the key."""
+    flags = {key: value for key, value in vars(args).items() if key in _PARSERS}
     path = getattr(args, "config", None)
     file_values = {} if path is None else read_flat_config(path)
-    unknown = sorted(set(file_values) - set(keys))
+    unknown = sorted(set(file_values) - set(flags))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
     settings = {}
-    for key in keys:
-        value = getattr(args, key, None)
+    for key, value in flags.items():
         if value is None and key in file_values:
             try:
                 value = _PARSERS[key](file_values[key])
@@ -178,7 +174,7 @@ def _take(settings: dict, *keys: str) -> dict:
 
 
 def _mc_config_from_args(args) -> McConfig:
-    settings = _settings(args, _SIMULATE_KEYS)
+    settings = _settings(args)
     recipe = _take(settings, "eigen_recipe", "override_lambda_max")
     if recipe:
         given = ", ".join(recipe)
@@ -207,11 +203,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    config = McConfig(**{
-        "p_grid": TABLE1_P_GRID,
-        "c_grid": TABLE1_C_GRID,
-        **_settings(args, ("p_grid", "c_grid", "n_reps", "seed")),
-    })
+    config = McConfig(**{"p_grid": TABLE1_P_GRID, "c_grid": TABLE1_C_GRID, **_settings(args)})
     rows = negative_frequency_table(config)
     out = _out_dir(args)
     write_table1_csv(rows, out / "table1.csv")
@@ -223,8 +215,7 @@ def cmd_qq(args) -> int:
     quantity, p, c = args.quantity, args.p, args.c
     estimator = "olse-oracle" if quantity.endswith("-oracle") else "olse"
     # the config validates the cell before n and p / n are taken from it
-    config = McConfig(p_grid=(p,), c_grid=(c,), estimators=(estimator,),
-                      **_settings(args, ("n_reps", "gamma", "seed")))
+    config = McConfig(p_grid=(p,), c_grid=(c,), estimators=(estimator,), **_settings(args))
     n = cell_sample_size(p, c)
     c_used = p / n  # the cell's c, after n is rounded
     if quantity.endswith("-bf") and c_used >= 1:
@@ -263,7 +254,7 @@ def cmd_qq(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    settings = _settings(args, _BACKTEST_KEYS)
+    settings = _settings(args)
     load = _take(settings, "has_header")
     config = BacktestConfig(**settings)
     panel = load_returns_csv(args.returns, **load)
@@ -276,25 +267,25 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    seed = _settings(args, ("seed",))
-    out = _out_dir(args)
-
-    panel = synthetic_panel(p=30, periods=140, **seed)
-    panel_path = out / "demo_returns.csv"
-    write_returns_csv(panel, panel_path)
-
+    seed = _settings(args)
+    # the configs check the seed before --out is made
     config = BacktestConfig(
         windows=(25,),
         estimators=("sample-mean", "olse", "js-high-dim", "js-positive-part", "wang"),
         **seed,
     )
-    report = rolling_backtest(panel, config)
-    write_backtest_csv(report, out / "backtest.csv")
-
     mc = McConfig(
         p_grid=(20,), c_grid=(0.5,), n_reps=50,
         estimators=("sample-mean", "olse", "olse-oracle"), **seed,
     )
+    out = _out_dir(args)
+
+    panel = synthetic_panel(p=30, periods=140, **seed)
+    panel_path = out / "demo_returns.csv"
+    write_returns_csv(panel, panel_path)
+    report = rolling_backtest(panel, config)
+    write_backtest_csv(report, out / "backtest.csv")
+
     study = run_study(mc)
     write_losses_csv(study, out / "losses.csv")
     write_intensities_csv(study, out / "intensities.csv")
@@ -341,22 +332,28 @@ def _default(cls, name: str) -> str:
     return _show(cls.__dataclass_fields__[name].default)
 
 
+def _add_setting(parser: argparse.ArgumentParser, flag: str, dest: str, **kwargs) -> None:
+    """Add ``flag``, which sets the config key ``dest``: it parses as the key
+    does and defaults to None, meaning unset."""
+    parser.add_argument(flag, dest=dest, type=_flag(_PARSERS[dest]), default=None, **kwargs)
+
+
 def _add_common(parser: argparse.ArgumentParser, config_class) -> None:
     parser.add_argument("--out", default=".", help="output directory (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="root seed; identical seeds give identical outputs "
-                             f"(default {_default(config_class, 'seed')})")
+    _add_setting(parser, "--seed", "seed",
+                 help="root seed; identical seeds give identical outputs "
+                      f"(default {_default(config_class, 'seed')})")
 
 
 def _add_n_reps(parser: argparse.ArgumentParser, what: str) -> None:
-    parser.add_argument("--n-reps", type=int, default=None,
-                        help=f"{what} (default {_default(McConfig, 'n_reps')})")
+    _add_setting(parser, "--n-reps", "n_reps",
+                 help=f"{what} (default {_default(McConfig, 'n_reps')})")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser.  A flag's dest is the config key it overrides
-    (see :func:`_settings`), and a flag whose default lives in a class
-    defaults to None, meaning unset."""
+    (see :func:`_settings`), and a flag whose default lives in a class or a
+    constant defaults to None, meaning unset."""
     parser = _Parser(
         prog="shrinkmean",
         description="Shrinkage estimation of high-dimensional mean vectors: "
@@ -368,29 +365,31 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a loss/intensity study grid")
     _add_common(sim, McConfig)
     sim.add_argument("--config", default=None, help="flat key = value config file")
-    sim.add_argument("--p", dest="p_grid", metavar="P", type=_flag(_parse_ints), default=None,
-                     help="comma list of dimensions, e.g. 50,100 "
-                          f"(default {_show(SIMULATE_P_GRID)})")
-    sim.add_argument("--c", dest="c_grid", metavar="C", type=_flag(_parse_floats), default=None,
-                     help="comma list of concentrations p/n, e.g. 0.5,2.0 "
-                          f"(default {_show(SIMULATE_C_GRID)})")
+    _add_setting(sim, "--p", "p_grid", metavar="P",
+                 help="comma list of dimensions, e.g. 50,100 "
+                      f"(default {_show(SIMULATE_P_GRID)})")
+    _add_setting(sim, "--c", "c_grid", metavar="C",
+                 help="comma list of concentrations p/n, e.g. 0.5,2.0 "
+                      f"(default {_show(SIMULATE_C_GRID)})")
     _add_n_reps(sim, "replications per cell")
-    sim.add_argument("--gamma", type=int, choices=(0, 1), default=None, help=gamma_help)
-    sim.add_argument("--estimators", type=_parse_strs, default=None,
-                     help=f"comma list from {', '.join(ESTIMATORS)} "
-                          f"(default {_default(McConfig, 'estimators')})")
-    sim.add_argument("--target", dest="target_mode", choices=TARGET_MODES, default=None,
-                     help=f"target mode (default {_default(McConfig, 'target_mode')})")
-    sim.add_argument("--law", type=_flag(InnovationLaw.parse), default=None,
-                     help="innovation law: normal, t:<df>, exponential "
-                          f"(default {InnovationLaw().spec_string()})")
+    _add_setting(sim, "--gamma", "gamma", choices=(0, 1), help=gamma_help)
+    _add_setting(sim, "--estimators", "estimators",
+                 help=f"comma list from {', '.join(ESTIMATORS)} "
+                      f"(default {_default(McConfig, 'estimators')})")
+    _add_setting(sim, "--target", "target_mode", choices=TARGET_MODES,
+                 help=f"target mode (default {_default(McConfig, 'target_mode')})")
+    _add_setting(sim, "--law", "law",
+                 help="innovation law: normal, t:<df>, exponential "
+                      f"(default {InnovationLaw().spec_string()})")
+    # the config-file keys that no flag sets
+    sim.set_defaults(eigen_recipe=None, override_lambda_max=None)
 
     tab = sub.add_parser("table1", help="negative-weight frequency grid")
     _add_common(tab, McConfig)
-    tab.add_argument("--p", dest="p_grid", metavar="P", type=_flag(_parse_ints), default=None,
-                     help=f"override the default grid {TABLE1_P_GRID}")
-    tab.add_argument("--c", dest="c_grid", metavar="C", type=_flag(_parse_floats), default=None,
-                     help=f"override the default grid {TABLE1_C_GRID}")
+    _add_setting(tab, "--p", "p_grid", metavar="P",
+                 help=f"override the default grid {TABLE1_P_GRID}")
+    _add_setting(tab, "--c", "c_grid", metavar="C",
+                 help=f"override the default grid {TABLE1_C_GRID}")
     _add_n_reps(tab, "replications per cell")
 
     qq = sub.add_parser("qq", help="normality diagnostics of a standardized quantity")
@@ -401,22 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
     qq.add_argument("--c", type=_flag(float), default=QQ_C,
                     help="concentration p/n (default %(default)s)")
     _add_n_reps(qq, "sample count")
-    qq.add_argument("--gamma", type=int, choices=(0, 1), default=None, help=gamma_help)
+    _add_setting(qq, "--gamma", "gamma", choices=(0, 1), help=gamma_help)
 
     back = sub.add_parser("backtest", help="rolling-window backtest on a returns CSV")
     _add_common(back, BacktestConfig)
     back.add_argument("returns", help="CSV of returns, rows = dates, columns = assets")
     back.add_argument("--config", default=None, help="flat key = value config file")
-    back.add_argument("--windows", type=_flag(_parse_ints), default=None,
-                      help="comma list of window sizes "
-                           f"(default {_default(BacktestConfig, 'windows')})")
-    back.add_argument("--estimators", type=_parse_strs, default=None,
-                      help="comma list from "
-                           f"{', '.join(e for e in ESTIMATORS if e not in NEEDS_POPULATION)} "
-                           f"(default {_default(BacktestConfig, 'estimators')})")
-    back.add_argument("--target", dest="targets", metavar="TARGET", type=_parse_strs, default=None,
-                      help=f"comma list from {', '.join(TARGET_STRATEGIES)} "
-                           f"(default {_default(BacktestConfig, 'targets')})")
+    _add_setting(back, "--windows", "windows",
+                 help="comma list of window sizes "
+                      f"(default {_default(BacktestConfig, 'windows')})")
+    _add_setting(back, "--estimators", "estimators",
+                 help="comma list from "
+                      f"{', '.join(e for e in ESTIMATORS if e not in NEEDS_POPULATION)} "
+                      f"(default {_default(BacktestConfig, 'estimators')})")
+    _add_setting(back, "--target", "targets", metavar="TARGET",
+                 help=f"comma list from {', '.join(TARGET_STRATEGIES)} "
+                      f"(default {_default(BacktestConfig, 'targets')})")
     back.add_argument("--align-start", action=argparse.BooleanOptionalAction,
                       default=None, help="start every window size at the largest window")
     back.add_argument("--header", dest="has_header", action=argparse.BooleanOptionalAction,

@@ -93,6 +93,8 @@ class BacktestConfig:
         if unknown:
             raise ConfigError(f"unknown target strategies: {unknown}")
         reject_duplicates(self, "windows", "estimators", "targets")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,20 @@ def load_returns_csv(path, has_header: bool = True) -> ReturnsPanel:
     A header row, when present, supplies asset labels.  Blank lines are
     skipped.  Any non-numeric or non-finite cell raises :class:`ParseError`
     naming its file line and column; a row, or a header, whose length
-    differs from the first data row raises :class:`RaggedRowsError`.
+    differs from the first data row raises :class:`RaggedRowsError`.  A file
+    that is not UTF-8 text, or that the csv module refuses (such as a field
+    over its size limit), raises :class:`ParseError` naming the file.
     """
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        rows = [(reader.line_num, row) for row in reader if row]
+        try:
+            rows = [(reader.line_num, row) for row in reader if row]
+        except UnicodeDecodeError as exc:
+            # the decoder's position counts from the start of its read chunk,
+            # not of the file, so only the reason is named
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: file is empty")
 

@@ -155,6 +155,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_reps < 1:
             raise ConfigError("n_reps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.p_grid or not self.c_grid:
             raise ConfigError("p_grid and c_grid must be nonempty")
         if not self.estimators:

@@ -4,10 +4,15 @@ Under normal sampling with p < n, the residual form of the sample mean
 orthogonal to the target in the sample precision metric, scaled by
 n (n-p+1) / ((n-1) (p-1)), follows a noncentral F law.  The tests check the
 shared factorization of :class:`shrinkmean.model.SampleStats` against these
-closed-form moments; nothing in the package estimates with them.
+closed-form moments, and the signs of the two alpha weights against the
+exact probabilities below; nothing in the package estimates with them.
 """
 
+import math
+from statistics import NormalDist
+
 import numpy as np
+from scipy.stats import ncf
 
 from shrinkmean.errors import InvalidDimensionsError, ShrinkmeanError
 from shrinkmean.model import SampleStats
@@ -48,6 +53,38 @@ def residual_stat_moments(p: int, n: int, residual_form: float) -> tuple[float, 
     )
     scale = n * d2 / ((n - 1.0) * d1)
     return mean_f / scale, var_f / scale**2
+
+
+def population_residual_form(gram: np.ndarray) -> float:
+    """R = G00 - G01^2 / G11 of the sigma^{-1} Gram G of (mu_n, mu_0): the
+    squared length of mu_n off mu_0 in the precision metric."""
+    return float(gram[0, 0] - gram[0, 1] ** 2 / gram[1, 1])
+
+
+def oracle_negative_probability(n: int, residual_form: float) -> float:
+    """P(alpha_oracle < 0) under normal sampling, at any p / n.
+
+    The oracle alpha is <y_perp, mu_perp> / |y_perp|^2 in sigma^{-1}, with
+    both vectors taken off mu_0.  Its sign is that of <y_perp, mu_perp>, a
+    normal variable of mean R and variance R / n, so the probability is
+    Phi(-sqrt(n R)).
+    """
+    return NormalDist().cdf(-math.sqrt(n * residual_form))
+
+
+def bona_fide_negative_probability(p: int, n: int, residual_form: float) -> float:
+    """P(alpha_hat < 0) under normal sampling with p < n.
+
+    The bona fide alpha is 1 - kappa / r_hat, kappa = p / (n - p), with r_hat
+    the residual form of the sample mean off mu_0 in the divisor-n S^{-1}; so
+    it is negative exactly when r_hat < kappa.  By :func:`residual_stat`'s
+    law, r_hat (n-p+1) / (p-1) follows F'(p-1, n-p+1, n R), and the
+    probability is that CDF at kappa (n-p+1) / (p-1).
+    """
+    if not n > p >= 2:
+        raise ValueError(f"requires n > p >= 2, got p={p} n={n}")
+    d1, d2 = p - 1.0, n - p + 1.0
+    return float(ncf.cdf(p / (n - p) * d2 / d1, d1, d2, n * residual_form))
 
 
 def _sample_target_gram(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:

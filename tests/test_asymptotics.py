@@ -6,6 +6,9 @@ import pytest
 from conftest import bare_population, eigenpairs, limit_gram, rand_spd, sample_covariance
 from noncentral_f import (
     MomentsDoNotExistError,
+    bona_fide_negative_probability,
+    oracle_negative_probability,
+    population_residual_form,
     projection_stat,
     residual_stat,
     residual_stat_moments,
@@ -254,3 +257,35 @@ class TestResidualStat:
             residual_stat(stats, np.ones(6))
         with pytest.raises(InvalidDimensionsError):
             projection_stat(stats, np.ones(6))
+
+
+@pytest.mark.parametrize("estimator, c", [("olse-oracle", 2.0), ("olse-oracle", 0.5),
+                                          ("olse", 0.5), ("olse", 0.9)])
+def test_alpha_sign_follows_its_exact_law(estimator, c):
+    # under the normal law the oracle alpha is negative with probability
+    # Phi(-sqrt(n R)), at any c, and for p < n the bona fide alpha with the
+    # noncentral-F CDF of noncentral_f.bona_fide_negative_probability; these
+    # are table1's two columns.  Each root seed draws its own population, so
+    # the pooled negative count is a sum of independent Bernoulli draws with
+    # known means: its z-score over the 4000 replications is close to
+    # standard normal (every cell expects 90 or more negatives), and
+    # |z| <= 4 fails a correct law less than once in 10^4.  A law off by
+    # 4 standard errors, about 0.03 in frequency at c = 0.9, fails it.
+    p, n_seeds, n_reps = 20, 4, 1000
+    n = cell_sample_size(p, c)
+    count, mean, var = 0, 0.0, 0.0
+    for seed in range(n_seeds):
+        config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=n_reps, estimators=(estimator,),
+                          seed=seed)
+        pop = cell_population(config, p, c)
+        resid = population_residual_form(limit_gram(pop))
+        if estimator == "olse-oracle":
+            prob = oracle_negative_probability(n, resid)
+        else:
+            prob = bona_fide_negative_probability(p, n, resid)
+        alpha = run_cell(config, pop, c).weights[estimator][:, 0]
+        assert np.isfinite(alpha).all()
+        count += int((alpha < 0).sum())
+        mean += n_reps * prob
+        var += n_reps * prob * (1.0 - prob)
+    assert abs(count - mean) <= 4.0 * np.sqrt(var)

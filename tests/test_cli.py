@@ -157,6 +157,137 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, text, match):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, data", [
+    ("backtest", b"a,b\n1,2\n3,\xff\n"),
+    ("backtest", b"a,b\n1," + b"2" * 200_000 + b"\n"),
+    ("simulate", b"p_grid = 20\nn_reps = \xff\n"),
+], ids=["csv-not-utf8", "csv-field-over-limit", "config-not-utf8"])
+def test_unreadable_input_bytes_exit_2(tmp_path, capsys, command, data):
+    # the csv module caps a field at 131072 characters
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    if command == "backtest":
+        argv = ["backtest", str(path), "--windows", "2"]
+    else:
+        argv = ["simulate", "--config", str(path)]
+    code, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert_one_error_line(err)
+    assert str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--p", "20", "--n-reps", "2"),
+    ("table1", "--p", "20", "--n-reps", "2"),
+    ("qq", "alpha-oracle", "--p", "20", "--n-reps", "10"),
+    ("backtest", "RETURNS", "--windows", "5"),
+    ("demo",),
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    returns = tmp_path / "returns.csv"
+    write_returns_csv(synthetic_panel(p=4, periods=20), returns)
+    argv = [str(returns) if a == "RETURNS" else a for a in argv]
+    code, err = run(capsys, *argv, "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert_one_error_line(err)
+    assert "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+#: Each config key of the two commands that read a file: a value other than
+#: the default, and the flag that gives the same value, if one does.
+CONFIG_KEYS = {
+    "simulate": {
+        "p_grid": ("20,40", ("--p", "20,40")),
+        "c_grid": ("0.5,2", ("--c", "0.5,2")),
+        "gamma": ("1", ("--gamma", "1")),
+        "n_reps": ("7", ("--n-reps", "7")),
+        "estimators": ("olse,wang", ("--estimators", "olse,wang")),
+        "target_mode": ("equal-to-mu_n", ("--target", "equal-to-mu_n")),
+        "seed": ("3", ("--seed", "3")),
+        "law": ("t:6", ("--law", "t:6")),
+        "eigen_recipe": ("0.5:1,0.5:4", None),
+        "override_lambda_max": ("20", None),
+    },
+    "backtest": {
+        "windows": ("6,8", ("--windows", "6,8")),
+        "estimators": ("olse,wang", ("--estimators", "olse,wang")),
+        "targets": ("ones,signs", ("--target", "ones,signs")),
+        "seed": ("3", ("--seed", "3")),
+        "align_start": ("true", ("--align-start",)),
+        "fixed_target": ("true", ("--fixed-target",)),
+        "has_header": ("false", ("--no-header",)),
+    },
+}
+
+
+class Started(Exception):
+    """Raised where a command would start its run, carrying what it resolved."""
+
+
+def resolved(monkeypatch, tmp_path, command, lines, *flags):
+    """The config that ``command`` resolves from a config file of ``lines``
+    and ``flags``, with the keywords it passes to load_returns_csv."""
+    load = {}
+
+    def start(*args):
+        raise Started(args[-1], load)
+
+    monkeypatch.setattr(cli, "run_study", start)
+    monkeypatch.setattr(cli, "rolling_backtest", start)
+    monkeypatch.setattr(cli, "load_returns_csv", lambda path, **kwargs: load.update(kwargs))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{lines}\n")
+    returns = ["RETURNS"] if command == "backtest" else []
+    with pytest.raises(Started) as started:
+        main([command, *returns, "--config", str(path), *flags, "--out", str(tmp_path)])
+    return started.value.args
+
+
+def test_config_keys_are_the_commands_settings():
+    assert len(CONFIG_KEYS["simulate"]) == 10 and len(CONFIG_KEYS["backtest"]) == 7
+    assert set(CONFIG_KEYS["simulate"]) | set(CONFIG_KEYS["backtest"]) == set(cli._PARSERS)
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, keys in CONFIG_KEYS.items()
+                                          for key in keys])
+def test_config_key_resolves_as_its_flag(tmp_path, monkeypatch, command, key):
+    value, flags = CONFIG_KEYS[command][key]
+    from_file = resolved(monkeypatch, tmp_path, command, f"{key} = {value}")
+    assert from_file != resolved(monkeypatch, tmp_path, command, "")
+    if flags is not None:
+        assert resolved(monkeypatch, tmp_path, command, "", *flags) == from_file
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, keys in CONFIG_KEYS.items()
+                                          for key in cli._PARSERS if key not in keys])
+def test_config_key_of_the_other_command_exits_2(tmp_path, capsys, command, key):
+    # the file is refused before the returns CSV, which does not exist, is read
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = 1\n")
+    returns = [str(tmp_path / "returns.csv")] if command == "backtest" else []
+    code, err = run(capsys, command, *returns, "--config", str(path),
+                    "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert_one_error_line(err)
+    assert f"unknown keys ['{key}']" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--n-reps"])
+def test_bad_integer_flag_names_the_reason(tmp_path, capsys, flag):
+    code, err = run(capsys, "simulate", flag, "x", "--out", str(tmp_path))
+    assert code == 2
+    assert_one_error_line(err)
+    assert f"argument {flag}: 'x': invalid literal for int()" in err
+
+
+def test_gamma_flag_reads_as_the_gamma_key(tmp_path, monkeypatch):
+    from_file = resolved(monkeypatch, tmp_path, "simulate", "gamma = 1.0")
+    assert resolved(monkeypatch, tmp_path, "simulate", "", "--gamma", "1.0") == from_file
+
+
 @pytest.mark.parametrize("flags", [("--c", "0"), ("--p", "1"), ("--c", "-1"),
                                    ("--p", "20,20"), ("--estimators", "olse,olse")])
 def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):

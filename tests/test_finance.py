@@ -122,7 +122,8 @@ def test_duplicate_entries_rejected(field, value):
     ({"windows": (1, 10)}, "window sizes must be >= 2"),
     ({"estimators": ("olse", "olse+")}, "unknown estimators"),
     ({"targets": ("ones", "zeros")}, "unknown target strategies"),
-], ids=["window-below-2", "unknown-estimator", "unknown-target"])
+    ({"seed": -1}, "seed"),
+], ids=["window-below-2", "unknown-estimator", "unknown-target", "negative-seed"])
 def test_invalid_entries_rejected(fields, match):
     with pytest.raises(ConfigError, match=match):
         BacktestConfig(**fields)

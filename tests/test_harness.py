@@ -161,7 +161,9 @@ class TestDuplicateEntries:
     ({"estimators": ("olse", "olse+")}, "unknown estimators"),
     ({"gamma": 0.5}, "gamma"),
     ({"p_grid": (2,), "c_grid": (2.0,)}, "n < 2"),  # n = round(2 / 2) = 1
-], ids=["no-replication", "empty-grid", "unknown-estimator", "gamma", "n-below-2"])
+    ({"seed": -1}, "seed"),  # numpy's seed sequences take no negative entropy
+], ids=["no-replication", "empty-grid", "unknown-estimator", "gamma", "n-below-2",
+        "negative-seed"])
 def test_config_rejected(fields, match):
     with pytest.raises(ConfigError, match=match):
         McConfig(**{"p_grid": (20,), "c_grid": (0.5,), **fields})
