@@ -9,35 +9,34 @@ one call the backtester makes too, so a name in the one table
 :data:`ESTIMATORS` is all a study needs.
 Each replication draws its p x n innovations z from the cell's law; its
 sample is y = R z + mu_n 1', with R = sigma^{1/2} = Q diag(lam)^{1/2} Q'.
-The cell is scored in a frame where neither y nor R is formed: below p = n
-the whitened frame :meth:`PopulationSpec.whitened` (x = R^{-1} y, sample
-z + R^{-1} mu_n 1'), at or above it the eigenbasis frame
-:meth:`PopulationSpec.rotated` (u = Q' y, sample diag(lam)^{1/2} Q' z +
-Q' mu_n 1').  A replication's :class:`SampleStats` are those of z, or of
-diag(lam)^{1/2} Q' z, with y_bar shifted.  Every estimator that runs in a
-frame is equivariant under its change of coordinates, so the frame gives
-the numbers of y itself, for every innovation law (the argument is in
-:func:`run_cell`).  Every sample-based estimator reads the one covariance
-factorization those statistics carry.  The population side is never
-factorized: a frame holds its covariance as eigenvalues on the standard
-basis, so its precision whitening W (W'W = sigma^{-1}) is a row scaling,
-the one precision metric of the cell.  It scores every estimate of a
-replication at once, the column sums of squares of ``W (M - mu_n 1')`` for
-the stack M of the estimates that succeeded, and the oracle and limit
-weights read their Gram through it, both once per replication.
-One helper thread draws the
-innovations two replications ahead: replications 0 and 1 are queued when
-the cell starts, and replication r + 2 once the main thread has built
-replication r's statistics, so while the main thread evaluates replication r
-the helper draws r + 1 and then r + 2.  It calls only :func:`replication_rng`,
-:meth:`InnovationLaw.draw`, whose fill releases the GIL, and at or above
-p = n :meth:`SpdEigen.color`, a GEMM that releases it too, and it ends
-with its cell, also when a draw or an estimator raises.  Both threads' BLAS
-calls meanwhile run under :func:`shrinkmean.linalg.fewer_blas_threads`, so
-the helper gets the core that OpenBLAS's extra thread would spin on, and
-calls BLAS itself on the thread left; :func:`cell_population` builds under
-that limit too, since a BLAS call on all threads leaves the extra one
-spinning after it returns.
+The cell is scored in the frame :meth:`PopulationSpec.frame` picks, where
+neither y nor R is formed: below p = n the whitened frame (x = R^{-1} y,
+sample z + R^{-1} mu_n 1'), at or above it the eigenbasis frame (u = Q' y,
+sample diag(lam)^{1/2} Q' z + Q' mu_n 1').  A replication's
+:class:`SampleStats` are those of the frame's map of z, with y_bar shifted.
+Every estimator that runs in a frame is equivariant under its change of
+coordinates, so the frame gives the numbers of y itself, for every
+innovation law (the argument is in :meth:`PopulationSpec.frame`).  Every
+sample-based estimator reads the one covariance factorization those
+statistics carry.  The population side is never factorized: a frame holds
+its covariance as eigenvalues on the standard basis, so its precision
+whitening W (W'W = sigma^{-1}) is a row scaling, the one precision metric
+of the cell.  It scores every estimate of a replication at once, the
+column sums of squares of ``W (M - mu_n 1')`` for the stack M of the
+estimates that succeeded, and the oracle and limit weights read their Gram
+through it, both once per replication.
+One helper thread draws the innovations two replications ahead: replications
+0 and 1 are queued when the cell starts, and replication r + 2 once the main
+thread has built replication r's statistics, so while the main thread
+evaluates replication r the helper draws r + 1 and then r + 2.  It calls only
+:func:`replication_rng`, :meth:`InnovationLaw.draw`, whose fill releases the
+GIL, and the frame's map, at or above p = n :meth:`PopulationSpec.color`, a
+GEMM that releases it too, and it ends with its cell, also when a draw or an
+estimator raises.  Both threads' BLAS calls meanwhile run under
+:func:`shrinkmean.linalg.fewer_blas_threads`, so the helper gets the core
+that OpenBLAS's extra thread would spin on, and calls BLAS itself on the
+thread left; :func:`cell_population` builds under that limit too, since a
+BLAS call on all threads leaves the extra one spinning after it returns.
 Each replication keeps its own stream and its results their index, so a
 study's reports and CSVs are the same for a given seed whatever the thread
 timing; no wall-clock time is recorded.  The QQ helpers take the standard
@@ -232,7 +231,7 @@ def quadratic_loss(estimates: np.ndarray, pop: PopulationSpec) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a {pop.p} x k stack of estimates, got shape {estimates.shape}"
         )
-    white = pop.eigen.whiten(estimates - pop.mu_n[:, None])
+    white = pop.whiten(estimates - pop.mu_n[:, None])
     return np.einsum("ij,ij->j", white, white)
 
 
@@ -243,20 +242,20 @@ def cell_population(config: McConfig, p: int, c: float) -> PopulationSpec:
     draws."""
     with fewer_blas_threads():
         rng = population_rng(config.seed, p, c)
-        eigen = build_covariance(config.eigen_recipe, p, rng)
+        values, vectors = build_covariance(config.eigen_recipe, p, rng)
         mu_n, mu_0 = draw_mean_vectors(config.gamma, p, rng)
     if config.target_mode == "equal-to-mu_n":
         mu_0 = mu_n.copy()
-    return PopulationSpec(p=p, mu_n=mu_n, mu_0=mu_0, eigen=eigen)
+    return PopulationSpec(p=p, mu_n=mu_n, mu_0=mu_0, values=values, vectors=vectors)
 
 
 def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     """One study cell: ``config.n_reps`` replications at concentration ``c``
     drawn from ``pop``, which :func:`run_study` builds as
-    ``cell_population(config, pop.p, c)``, and scored in its whitened frame
-    below p = n and its eigenbasis frame above.  To score another target on
-    the same population and sample streams, pass
-    ``dataclasses.replace(pop, mu_0=target)``, which shares the eigenpairs."""
+    ``cell_population(config, pop.p, c)``, and scored in its
+    :meth:`PopulationSpec.frame`.  To score another target on the same
+    population and sample streams, pass ``dataclasses.replace(pop,
+    mu_0=target)``, which shares the eigenpairs."""
     p = pop.p
     n = cell_sample_size(p, c)
     n_reps = config.n_reps
@@ -265,26 +264,12 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
     recorded = {e: np.full((n_reps, 2), np.nan) for e in _INTENSITY_KINDS if e in estimators}
 
     def draw(r: int) -> np.ndarray:
-        z = config.law.draw(replication_rng(config.seed, p, c, r), (p, n))
-        return z if p < n else pop.eigen.color(z)
+        return mix(config.law.draw(replication_rng(config.seed, p, c, r), (p, n)))
 
     with fewer_blas_threads(), ThreadPoolExecutor(max_workers=1) as helper:
+        # built on one BLAS thread fewer, as the population is
+        frame, mix = pop.frame(n)
         pending = deque(helper.submit(draw, r) for r in range(min(2, n_reps)))
-        # Below p = n the cell runs in the frame x = R^{-1} y.  Only
-        # sample-mean, olse, js, olse-oracle and olse-asymptotic run there:
-        # the other four raise InvalidDimensionsError for p <= n.  Each of the
-        # five is equivariant under y -> A y with mu_0 -> A mu_0, for any
-        # invertible A: its estimate is y_bar or a combination of y_bar and
-        # mu_0 whose weights read only S^{-1} or sigma^{-1} quadratic forms of
-        # y_bar, mu_0 and mu_n, which A leaves unchanged (S -> A S A', sigma
-        # -> A sigma A').  So with A = R^{-1} its (alpha, beta) do not change,
-        # its estimate is R^{-1} times the original, and the sigma^{-1} loss
-        # is the Euclidean loss in the frame.  At or above p = n, S^+ and the
-        # range projector are equivariant only for orthogonal A (S^+ -> A S^+
-        # A'), so the cell runs in the eigenbasis frame, A = Q', with Wang's
-        # direction mapped too.  Both maps act on the sample y, not on z, so
-        # they are exact for every innovation law
-        frame = pop.whitened() if p < n else pop.rotated()
         for r in range(n_reps):
             # a common shift leaves the reflected sample unchanged: shift y_bar
             # alone.  Replication r - 1's statistics are freed only once these

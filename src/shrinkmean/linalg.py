@@ -2,12 +2,10 @@
 
 The Cholesky factorization of an SPD matrix with its whitening L^{-1} (the
 sample side's precision metric for p < n) and its solve a^{-1} (through
-which the p >= n sample side whitens), the checked eigenpairs of an SPD
-matrix, a plain value from which its symmetric square root, its
-precision whitening (the population side's one precision metric) and the
-root's product with a sample, read in the eigenbasis, are computed on each
-use (nothing here eigendecomposes a matrix, and nothing forms the matrix
-itself), and Haar-distributed random orthogonal matrices.
+which the p >= n sample side whitens), and Haar-distributed random
+orthogonal matrices, the eigenvectors a population's covariance is drawn
+with (:class:`shrinkmean.model.PopulationSpec` holds its eigenpairs).
+Nothing here eigendecomposes a matrix.
 No function here solves against a covariance: every precision-metric form
 is a Gram of whitened vectors, and ``spd_solve`` solves against the
 reflected (n-1) x (n-1) Gram G of a sample, one new vector per call.
@@ -43,7 +41,6 @@ __all__ = [
     "spd_factor",
     "spd_whiten",
     "spd_solve",
-    "SpdEigen",
     "haar_orthogonal",
     "blas_threads",
     "fewer_blas_threads",
@@ -208,71 +205,6 @@ def _triangular_solves(factor: SpdFactor, b: np.ndarray, ops: tuple[int, ...]) -
             for op in ops:
                 _dtrsv(_COL_MAJOR, _UPPER, op, _NON_UNIT, dim, factor._address, dim, column, 1)
     return x
-
-
-@dataclass(frozen=True, eq=False)
-class SpdEigen:
-    """Eigenpairs of an SPD matrix, a == vectors @ diag(values) @ vectors.T.
-
-    ``vectors=None`` stands for the standard basis, a == diag(values): no
-    k x k array is held, and :meth:`whiten` and :meth:`color` scale rows.
-
-    Checked when built: k ``values`` and k x k ``vectors``, otherwise
-    :class:`DimensionMismatchError`; positive, finite values and finite
-    vectors, otherwise :class:`NotPositiveDefiniteError`.  The vectors are
-    taken to be orthogonal, as a Haar draw's are.  Nothing else is held:
-    the root is formed on each read, and :meth:`whiten` and :meth:`color`
-    form neither a whitening matrix nor the root.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray | None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise DimensionMismatchError(f"eigenvalues must be a vector, got shape {values.shape}")
-        if self.vectors is not None:
-            vectors = np.asarray(self.vectors, dtype=float)
-            object.__setattr__(self, "vectors", vectors)
-            if vectors.shape != (values.size, values.size):
-                raise DimensionMismatchError(
-                    f"eigenpairs must be k values and k x k vectors, got shapes "
-                    f"{values.shape} and {vectors.shape}")
-            if not np.isfinite(vectors).all():
-                raise NotPositiveDefiniteError("eigenvectors must be finite")
-        # NaN fails the comparison, so one check rejects it with 0, -x and inf
-        if not ((values > 0) & (values < np.inf)).all():
-            raise NotPositiveDefiniteError("eigenvalues must be positive and finite")
-
-    @property
-    def root(self) -> np.ndarray:
-        """The unique symmetric PSD square root B: B == B.T and B @ B == a,
-        formed on each read."""
-        if self.vectors is None:
-            return np.diag(np.sqrt(self.values))
-        root = (self.vectors * np.sqrt(self.values)) @ self.vectors.T
-        return (root + root.T) / 2.0
-
-    def whiten(self, v: np.ndarray) -> np.ndarray:
-        """W v = diag(values)^{-1/2} vectors' v, for a k-vector or the columns
-        of a k x m matrix v: W'W == a^{-1}, so (Wu)'(Wv) == u' a^{-1} v.  W is
-        not formed: v is rotated, unless the basis is the standard one, and
-        its rows are scaled."""
-        u = v if self.vectors is None else self.vectors.T @ v
-        return (u.T * (1.0 / np.sqrt(self.values))).T
-
-    def color(self, z: np.ndarray) -> np.ndarray:
-        """diag(values)^{1/2} vectors' z, for a k-vector or the columns of a
-        k x m matrix z: the product B z with the root B, read in the
-        eigenbasis, since vectors' B == diag(values)^{1/2} vectors'.  No root
-        is formed: z is rotated, or copied on the standard basis, and the
-        rows of that new array are scaled in place."""
-        u = np.array(z, dtype=float) if self.vectors is None else self.vectors.T @ z
-        rows = u.T  # a view: scaling its last axis scales u's rows
-        rows *= np.sqrt(self.values)
-        return u
 
 
 def haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,32 +1,30 @@
 """Simulation populations and sample statistics.
 
-A population is an immutable triple (true mean, target mean, covariance),
-whatever regime its means were drawn in; a sample is the p x n matrix
-``y = R z + mu 1'`` of i.i.d. standardized innovations z mixed by the
+A population is an immutable value: a true mean, a target mean and a
+covariance, whatever regime its means were drawn in; a sample is the p x n
+matrix ``y = R z + mu 1'`` of i.i.d. standardized innovations z mixed by the
 symmetric square root R = sigma^{1/2}.  :func:`sample_stats` reads the
 statistics of any p x n matrix into one :class:`SampleStats` value, which
 knows nothing of a population.
-The population's covariance is given as its eigenpairs, sigma = Q diag(lam)
+A population holds its covariance as its eigenpairs, sigma = Q diag(lam)
 Q', the ones a simulated covariance is drawn from, so it is never
-eigendecomposed and sigma itself is never formed.  The eigenpairs are a
-plain value: the square root R is formed from them on each read, and the
-precision whitening W = diag(lam)^{-1/2} Q' is applied to vectors without
-being formed, with R^{-1} = Q W.  W is the population's one precision
-metric: the loss, the oracle and limit weights and the asymptotic variances
-all read sigma^{-1} through :meth:`SpdEigen.whiten`, most of them through
+eigendecomposed and sigma itself is never formed.  The root R is formed
+from them on each read, and the precision whitening W = diag(lam)^{-1/2} Q'
+is applied to vectors without being formed, with R^{-1} = Q W.  W is the
+population's one precision metric: the loss, the oracle and limit weights
+and the asymptotic variances all read sigma^{-1} through
+:meth:`PopulationSpec.whiten`, most of them through
 :meth:`PopulationSpec.precision_gram`.
-A Monte Carlo cell is scored in a frame on the standard basis, with no
-p x p array, whose sigma^{-1} forms are row scalings.  Below p = n it is
-:meth:`PopulationSpec.whitened`, the population in the coordinates x =
-R^{-1} y, where the covariance is the identity and a sample is z + R^{-1}
-mu_n 1'.  At or above p = n it is :meth:`PopulationSpec.rotated`, the
-coordinates u = Q' y, where the covariance is diag(lam) and a sample is
-:meth:`SpdEigen.color` of z plus Q' mu_n 1'.  Each frame carries its image
-of the all-ones vector, the direction of Wang's estimator.
+A Monte Carlo cell is scored in the frame :meth:`PopulationSpec.frame`
+picks, a population on the standard basis, with no p x p array, whose
+sigma^{-1} forms are row scalings: the whitened frame below p = n and the
+eigenbasis frame at or above it.  Each frame carries its image of the
+all-ones vector, the direction of Wang's estimator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +38,7 @@ from .errors import (
     SingularSampleError,
     UnsupportedGammaError,
 )
-from .linalg import SpdEigen, SpdFactor, haar_orthogonal, spd_factor, spd_solve, spd_whiten
+from .linalg import SpdFactor, haar_orthogonal, spd_factor, spd_solve, spd_whiten
 
 __all__ = [
     "EigenRecipe",
@@ -147,21 +145,26 @@ class InnovationLaw:
 class PopulationSpec:
     """Ground truth for one simulation scenario, an immutable value.
 
-    The covariance is given only as its eigenpairs ``eigen``, checked when
-    built (see :class:`SpdEigen`): p values and p x p vectors, otherwise
-    :class:`DimensionMismatchError`; positive, finite values and finite
-    vectors, otherwise :class:`NotPositiveDefiniteError`.  ``ones``, Wang's
-    direction, is the all-ones vector in this population's coordinates:
-    that vector itself by default, its image in a frame.  A mean or ``ones``
-    not of length p raises :class:`DimensionMismatchError`, a non-finite one
-    :class:`NonFiniteDataError`.  It carries no growth exponent gamma, which
-    only chooses how :func:`draw_mean_vectors` draws the means.
+    The covariance is given only as its eigenpairs, sigma == vectors @
+    diag(values) @ vectors.T, checked when built: p ``values`` and p x p
+    ``vectors``, otherwise :class:`DimensionMismatchError`; positive, finite
+    values and finite vectors, otherwise :class:`NotPositiveDefiniteError`.
+    The vectors are taken to be orthogonal, as a Haar draw's are.
+    ``vectors=None`` stands for the standard basis, sigma == diag(values):
+    no p x p array is held, and :meth:`whiten` and :meth:`color` scale rows.
+    ``ones``, Wang's direction, is the all-ones vector in this population's
+    coordinates: that vector itself by default, its image in a frame.  A
+    mean or ``ones`` not of length p raises :class:`DimensionMismatchError`,
+    a non-finite one :class:`NonFiniteDataError`.  It carries no growth
+    exponent gamma, which only chooses how :func:`draw_mean_vectors` draws
+    the means.
     """
 
     p: int
     mu_n: np.ndarray
     mu_0: np.ndarray
-    eigen: SpdEigen = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    vectors: np.ndarray | None = field(repr=False)
     ones: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -169,23 +172,55 @@ class PopulationSpec:
         object.__setattr__(self, "mu_0", np.asarray(self.mu_0, dtype=float))
         object.__setattr__(self, "ones", np.ones(self.p) if self.ones is None
                            else np.asarray(self.ones, dtype=float))
-        vectors = (self.mu_n, self.mu_0, self.ones)
-        if any(v.shape != (self.p,) for v in vectors):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.vectors is not None:
+            object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
+        means = (self.mu_n, self.mu_0, self.ones)
+        if any(v.shape != (self.p,) for v in means):
             raise DimensionMismatchError("mean and direction vectors must have length p")
-        if not all(np.isfinite(v).all() for v in vectors):
+        if not all(np.isfinite(v).all() for v in means):
             raise NonFiniteDataError("mean and direction vectors must have finite entries")
-        if self.eigen.values.shape != (self.p,):
+        dense = self.vectors is not None
+        if self.values.shape != (self.p,) or dense and self.vectors.shape != (self.p, self.p):
             raise DimensionMismatchError("eigenpairs must be p values and p x p vectors")
+        # NaN fails the comparison, so one check rejects it with 0, -x and inf
+        if not ((self.values > 0) & (self.values < np.inf)).all():
+            raise NotPositiveDefiniteError("eigenvalues must be positive and finite")
+        if dense and not np.isfinite(self.vectors).all():
+            raise NotPositiveDefiniteError("eigenvectors must be finite")
 
     def sigma_sqrt(self) -> np.ndarray:
-        """Symmetric square root R = Q diag(lam)^{1/2} Q' of the covariance,
-        formed on each call."""
-        return self.eigen.root
+        """The symmetric square root R = Q diag(lam)^{1/2} Q' of the
+        covariance, R == R.T exactly and R @ R == sigma, formed on each
+        call."""
+        if self.vectors is None:
+            return np.diag(np.sqrt(self.values))
+        root = (self.vectors * np.sqrt(self.values)) @ self.vectors.T
+        return (root + root.T) / 2.0
+
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        """W v = diag(lam)^{-1/2} Q' v, for a p-vector or the columns of a
+        p x m matrix v: W'W == sigma^{-1}, so (Wu)'(Wv) == u' sigma^{-1} v.  W
+        is not formed: v is rotated, unless the basis is the standard one,
+        and its rows are scaled."""
+        u = v if self.vectors is None else self.vectors.T @ v
+        return (u.T * (1.0 / np.sqrt(self.values))).T
+
+    def color(self, z: np.ndarray) -> np.ndarray:
+        """diag(lam)^{1/2} Q' z, for a p-vector or the columns of a p x m
+        matrix z: the product R z with the root R, read in the eigenbasis,
+        since Q' R == diag(lam)^{1/2} Q'.  No root is formed: z is rotated,
+        or copied on the standard basis, and the rows of that new array are
+        scaled in place."""
+        u = np.array(z, dtype=float) if self.vectors is None else self.vectors.T @ z
+        rows = u.T  # a view: scaling its last axis scales u's rows
+        rows *= np.sqrt(self.values)
+        return u
 
     def precision_gram(self, *vectors: np.ndarray) -> np.ndarray:
         """Gram matrix V' sigma^{-1} V of ``vectors`` (the columns of V), read
         through the whitening: (W V)'(W V)."""
-        white = self.eigen.whiten(np.column_stack(vectors))
+        white = self.whiten(np.column_stack(vectors))
         return white.T @ white
 
     def whitened(self) -> "PopulationSpec":
@@ -195,24 +230,47 @@ class PopulationSpec:
         root is formed.  u' sigma^{-1} v is the Euclidean product of the
         images of u and v, and a sample R z + mu_n 1' is z + R^{-1} mu_n 1'
         there."""
-        white = self.eigen.whiten(np.column_stack([self.mu_n, self.mu_0, self.ones]))
-        mu_n, mu_0, ones = (white if self.eigen.vectors is None
-                            else self.eigen.vectors @ white).T
+        white = self.whiten(np.column_stack([self.mu_n, self.mu_0, self.ones]))
+        mu_n, mu_0, ones = (white if self.vectors is None else self.vectors @ white).T
         return PopulationSpec(p=self.p, mu_n=mu_n, mu_0=mu_0, ones=ones,
-                              eigen=SpdEigen(values=np.ones(self.p), vectors=None))
+                              values=np.ones(self.p), vectors=None)
 
     def rotated(self) -> "PopulationSpec":
         """This population in the coordinates u = Q' y of its eigenbasis: the
         eigenvalues on the standard basis and the images Q' of mu_n, mu_0
         and ``ones``, so sigma^{-1} forms keep their values.  A sample R z +
-        mu_n 1' is :meth:`SpdEigen.color` of z plus Q' mu_n 1' there.  On
-        the standard basis the population is its own rotation."""
-        if self.eigen.vectors is None:
+        mu_n 1' is :meth:`color` of z plus Q' mu_n 1' there.  On the
+        standard basis the population is its own rotation."""
+        if self.vectors is None:
             return self
-        mu_n, mu_0, ones = (self.eigen.vectors.T
+        mu_n, mu_0, ones = (self.vectors.T
                             @ np.column_stack([self.mu_n, self.mu_0, self.ones])).T
         return PopulationSpec(p=self.p, mu_n=mu_n, mu_0=mu_0, ones=ones,
-                              eigen=SpdEigen(values=self.eigen.values, vectors=None))
+                              values=self.values, vectors=None)
+
+    def frame(self, n: int) -> tuple["PopulationSpec", Callable[[np.ndarray], np.ndarray]]:
+        """The frame that scores samples of size n from this population, and
+        the map from a sample's p x n innovations z to the frame's sample
+        less its mean, frame.mu_n 1'.  A frame is a population on the
+        standard basis, so its sigma^{-1} forms are row scalings.
+
+        Below p = n it is :meth:`whitened`, A = R^{-1}, with z itself.  Only
+        sample-mean, olse, js, olse-oracle and olse-asymptotic run there: the
+        other four raise InvalidDimensionsError for p <= n.  Each of the five
+        is equivariant under y -> A y with mu_0 -> A mu_0, for any invertible
+        A: its estimate is y_bar or a combination of y_bar and mu_0 whose
+        weights read only S^{-1} or sigma^{-1} quadratic forms of y_bar, mu_0
+        and mu_n, which A leaves unchanged (S -> A S A', sigma -> A sigma
+        A').  So its (alpha, beta) do not change, its estimate is A times the
+        original, and the sigma^{-1} loss is the frame's.  At or above p = n
+        S^+ and the range projector are equivariant only for orthogonal A
+        (S^+ -> A S^+ A'), S being singular, so it is :meth:`rotated`, A =
+        Q', with :meth:`color` and Wang's direction mapped too.  Both maps
+        act on the sample y, not on z, so they are exact for every
+        innovation law."""
+        if self.p < n:
+            return self.whitened(), lambda z: z
+        return self.rotated(), self.color
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,12 +365,14 @@ class SampleStats:
         return self.y_bar if self.p < self.n else self.reflected @ white_mean
 
 
-def build_covariance(recipe: EigenRecipe, p: int, rng: np.random.Generator) -> SpdEigen:
-    """Eigenpairs of a random covariance: the recipe's spectrum and Haar
-    eigenvectors."""
+def build_covariance(
+    recipe: EigenRecipe, p: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (values, vectors) of a random covariance: the recipe's
+    spectrum and Haar eigenvectors."""
     if p < 2:
         raise DimensionMismatchError(f"p must be >= 2, got {p}")
-    return SpdEigen(values=recipe.eigenvalues(p), vectors=haar_orthogonal(p, rng))
+    return recipe.eigenvalues(p), haar_orthogonal(p, rng)
 
 
 def draw_mean_vectors(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from shrinkmean.linalg import SpdEigen
 from shrinkmean.model import PopulationSpec
 
 
@@ -14,26 +13,34 @@ def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarra
     return (spd + spd.T) / 2.0
 
 
-def covariance(eigen: SpdEigen) -> np.ndarray:
+def covariance(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """The matrix Q diag(lam) Q' of eigenpairs, symmetrized so that it
     equals its transpose exactly: the covariance a population never forms."""
-    a = (eigen.vectors * eigen.values) @ eigen.vectors.T
+    a = (vectors * values) @ vectors.T
     return (a + a.T) / 2.0
 
 
-def eigenpairs(sigma) -> SpdEigen:
-    """Eigenpairs of a symmetric matrix, from one ``eigh``; those of a matrix
-    that is not positive definite are rejected when built."""
+def eigenpairs(sigma) -> dict[str, np.ndarray]:
+    """The ``values`` and ``vectors`` fields of a symmetric matrix's
+    population, from one ``eigh``; those of a matrix that is not positive
+    definite are rejected when the population is built."""
     values, vectors = np.linalg.eigh(np.asarray(sigma, dtype=float))
-    return SpdEigen(values=values, vectors=vectors)
+    return {"values": values, "vectors": vectors}
 
 
-def bare_population(sigma, mu_n, mu_0) -> PopulationSpec:
-    """The population of a bare covariance and its two means, with the
-    :func:`eigenpairs` of sigma."""
-    mu_n = np.asarray(mu_n, dtype=float)
-    return PopulationSpec(p=mu_n.shape[0], mu_n=mu_n, mu_0=mu_0,
-                          eigen=eigenpairs(sigma))
+def eigen_population(values, vectors) -> PopulationSpec:
+    """A population of the given eigenpairs, with zero means."""
+    p = np.shape(values)[0]
+    return PopulationSpec(p=p, mu_n=np.zeros(p), mu_0=np.zeros(p), values=values, vectors=vectors)
+
+
+def bare_population(sigma, mu_n=None, mu_0=None) -> PopulationSpec:
+    """The population of a bare covariance and its two means, zero by
+    default, with the :func:`eigenpairs` of sigma."""
+    p = np.shape(sigma)[0]
+    mu_n = np.zeros(p) if mu_n is None else mu_n
+    mu_0 = np.zeros(p) if mu_0 is None else mu_0
+    return PopulationSpec(p=p, mu_n=mu_n, mu_0=mu_0, **eigenpairs(sigma))
 
 
 def one_fewer(count: int | None) -> int | None:

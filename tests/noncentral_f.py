@@ -4,8 +4,8 @@ Under normal sampling with p < n, the residual form of the sample mean
 orthogonal to the target in the sample precision metric, scaled by
 n (n-p+1) / ((n-1) (p-1)), follows a noncentral F law.  The tests check the
 shared factorization of :class:`shrinkmean.model.SampleStats` against these
-closed-form moments, and the signs of the two alpha weights against the
-exact probabilities below; nothing in the package estimates with them.
+closed-form moments, and the signs and the mean of the alpha weights
+against the exact laws below; nothing in the package estimates with them.
 """
 
 import math
@@ -85,6 +85,33 @@ def bona_fide_negative_probability(p: int, n: int, residual_form: float) -> floa
         raise ValueError(f"requires n > p >= 2, got p={p} n={n}")
     d1, d2 = p - 1.0, n - p + 1.0
     return float(ncf.cdf(p / (n - p) * d2 / d1, d1, d2, n * residual_form))
+
+
+def bona_fide_alpha_mean(p: int, n: int, residual_form: float) -> float:
+    """E[alpha_hat] under normal sampling with 4 <= p < n.
+
+    alpha_hat = 1 - kappa / r_hat, kappa = p / (n - p), and by
+    :func:`residual_stat`'s law r_hat = X / V, with X ~ chi2'(p-1, n R) and
+    V ~ chi2(n-p+1) independent.  E[V] = n-p+1, and X is a Poisson(n R / 2)
+    mixture of central chi2(p-1+2j) laws, each with E[1 / chi2(d)] =
+    1 / (d - 2), so E[alpha_hat] = 1 - kappa (n-p+1) sum_j Pois(j; n R / 2)
+    / (p-3+2j); the j = 0 term needs p >= 4.  Summed until the weights, past
+    their mode, fall below rounding; no scipy is needed.
+    """
+    if not n > p >= 4:
+        raise ValueError(f"requires n > p >= 4, got p={p} n={n}")
+    if residual_form < 0:
+        raise ValueError("residual_form must be nonnegative")
+    half = n * residual_form / 2.0
+    total, j = 0.0, 0
+    while True:
+        weight = (math.exp(j * math.log(half) - half - math.lgamma(j + 1.0)) if half > 0
+                  else float(j == 0))
+        total += weight / (p - 3.0 + 2.0 * j)
+        if j >= half and weight < 1e-17 * total:
+            break
+        j += 1
+    return 1.0 - p / (n - p) * (n - p + 1.0) * total
 
 
 def _sample_target_gram(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:

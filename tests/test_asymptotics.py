@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import ncf
 
-from conftest import bare_population, eigenpairs, limit_gram, rand_spd, sample_covariance
+from conftest import bare_population, limit_gram, rand_spd, sample_covariance
 from noncentral_f import (
     MomentsDoNotExistError,
+    bona_fide_alpha_mean,
     bona_fide_negative_probability,
     oracle_negative_probability,
     population_residual_form,
@@ -21,7 +23,6 @@ from shrinkmean.errors import (
 )
 from shrinkmean.estimators import limit_intensities
 from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell
-from shrinkmean.linalg import SpdEigen
 from shrinkmean.model import PopulationSpec, sample_stats
 
 
@@ -96,11 +97,11 @@ class TestDeltaMethodIdentity:
         # a power of two, so both Grams are exact and equal, and so must be
         # the covariances, to the bit
         white_n, white_0 = np.array([1.0, 2.0, 0.0, 3.0]), np.array([0.0, 1.0, 1.0, 1.0])
-        spherical = PopulationSpec(p=4, mu_n=white_n, mu_0=white_0,
-                                   eigen=SpdEigen(values=np.ones(4), vectors=None))
+        spherical = PopulationSpec(p=4, mu_n=white_n, mu_0=white_0, values=np.ones(4),
+                                   vectors=None)
         perm, root = np.eye(4)[[2, 0, 3, 1]], np.array([2.0, 1.0, 4.0, 8.0])
         skewed = PopulationSpec(p=4, mu_n=perm @ (root * white_n), mu_0=perm @ (root * white_0),
-                                eigen=SpdEigen(values=root**2, vectors=perm))
+                                values=root**2, vectors=perm)
         assert not np.array_equal(skewed.mu_n, spherical.mu_n)
         assert np.array_equal(limit_gram(skewed), limit_gram(spherical))
         for c in (0.5, 2.0):
@@ -221,7 +222,7 @@ class TestResidualStat:
         resid = mu_n @ inv @ mu_n - (mu_n @ inv @ mu_0) ** 2 / (mu_0 @ inv @ mu_0)
         mean, var = residual_stat_moments(p, n, float(resid))
 
-        root = eigenpairs(sigma).root
+        root = bare_population(sigma).sigma_sqrt()
         draws = np.array([
             residual_stat(sample_stats(root @ rng.standard_normal((p, n)) + mu_n[:, None]),
                           mu_0)
@@ -257,6 +258,48 @@ class TestResidualStat:
             residual_stat(stats, np.ones(6))
         with pytest.raises(InvalidDimensionsError):
             projection_stat(stats, np.ones(6))
+
+
+@pytest.mark.parametrize("p, n, resid", [(20, 40, 0.1), (20, 22, 0.3), (250, 500, 0.12),
+                                           (10, 30, 0.0)])
+def test_bona_fide_alpha_mean_matches_the_noncentral_f_integral(p, n, resid):
+    # the Poisson series against scipy's quadrature of 1 / r_hat, r_hat =
+    # F (p-1) / (n-p+1) with F ~ F'(p-1, n-p+1, n R), over the same law
+    d1, d2 = p - 1.0, n - p + 1.0
+    inverse_mean = ncf.expect(lambda f: d2 / (d1 * f), args=(d1, d2, n * resid))
+    assert bona_fide_alpha_mean(p, n, resid) == pytest.approx(1.0 - p / (n - p) * inverse_mean,
+                                                              rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, n, resid", [(3, 40, 0.1), (20, 20, 0.1), (20, 40, -0.1)])
+def test_bona_fide_alpha_mean_rejects_bad_inputs(p, n, resid):
+    with pytest.raises(ValueError):
+        bona_fide_alpha_mean(p, n, resid)
+
+
+@pytest.mark.parametrize("c", [0.5, 0.9])
+def test_bona_fide_alpha_mean_is_exact(c):
+    # under the normal law E[alpha_hat] = 1 - kappa (n-p+1) sum_j Pois(j;
+    # n R / 2) / (p-3+2j), below the limit alpha by a Jensen bias: 1 / r_hat
+    # is convex.  Each root seed draws its own population and has its own
+    # exact mean, so the pooled sum of alpha less the sum of those means,
+    # over the root of the summed per-seed sample variances, is close to
+    # standard normal over the 4000 replications; |z| <= 4 fails a correct
+    # mean less than once in 10^4.  Centred at the limit alpha instead, z
+    # reads about -23 at c = 0.5 and -29 at c = 0.9
+    p, n_seeds, n_reps = 20, 4, 1000
+    n = cell_sample_size(p, c)
+    gap, var = 0.0, 0.0
+    for seed in range(n_seeds):
+        config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=n_reps, estimators=("olse",),
+                          seed=seed)
+        pop = cell_population(config, p, c)
+        mean = bona_fide_alpha_mean(p, n, population_residual_form(limit_gram(pop)))
+        alpha = run_cell(config, pop, c).weights["olse"][:, 0]
+        assert np.isfinite(alpha).all()
+        gap += float((alpha - mean).sum())
+        var += n_reps * float(alpha.var(ddof=1))
+    assert abs(gap) <= 4.0 * np.sqrt(var)
 
 
 @pytest.mark.parametrize("estimator, c", [("olse-oracle", 2.0), ("olse-oracle", 0.5),

@@ -2,10 +2,15 @@
 interface."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shrinkmean
 from shrinkmean import cli
 from shrinkmean.cli import main
 from shrinkmean.estimators import ESTIMATORS, limit_intensities
@@ -23,6 +28,27 @@ def assert_one_error_line(err):
     assert err.startswith("error:")
     assert err.strip().count("\n") == 0
     assert "Traceback" not in err
+
+
+def run_module(*argv):
+    """(exit code, stderr) of ``python -m shrinkmean.cli`` in a new interpreter,
+    the route through ``entrypoint`` and the module's ``__main__`` block."""
+    src = str(Path(shrinkmean.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "shrinkmean.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    return done.returncode, done.stderr
+
+
+def test_module_entry_point_help():
+    code, err = run_module("--help")
+    assert code == 0, err
+
+
+def test_module_entry_point_bad_flag():
+    code, err = run_module("simulate", "--p", "x")
+    assert code == 2
+    assert_one_error_line(err)
 
 
 def test_demo(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 import shrinkmean.model
 from conftest import (
     bare_population,
-    eigenpairs,
     generalized_inverse_s,
     limit_gram,
     rand_spd,
@@ -672,7 +671,7 @@ class TestGeneralizedInverse:
     def test_invertible_case_equals_inverse(self, rng):
         sigma = rand_spd(rng, 4)
         x = rng.standard_normal((4, 20))
-        y = eigenpairs(sigma).root @ x
+        y = bare_population(sigma).sigma_sqrt() @ x
         s = sample_covariance(y)
         s_minus = generalized_inverse_s(sigma, x)
         assert np.max(np.abs(s_minus - np.linalg.inv(s))) < 1e-8
@@ -680,7 +679,7 @@ class TestGeneralizedInverse:
     def test_reflexive_conditions_nonsymmetric(self, rng):
         sigma = rand_spd(rng, 6, jitter=2.0)
         x = rng.standard_normal((6, 3))
-        y = eigenpairs(sigma).root @ x
+        y = bare_population(sigma).sigma_sqrt() @ x
         s = sample_covariance(y)
         s_minus = generalized_inverse_s(sigma, x)
         assert np.linalg.norm(s @ s_minus @ s - s) < 1e-8

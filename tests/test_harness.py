@@ -71,8 +71,7 @@ class TestPackageRoot:
                     "rolling_backtest", "synthetic_panel", "target_vector"),
         "harness": ("McConfig", "McReport", "ks_statistic", "negative_frequency_table",
                     "qq_data", "quadratic_loss", "run_study"),
-        "linalg": ("SpdEigen", "SpdFactor", "haar_orthogonal", "spd_factor", "spd_solve",
-                   "spd_whiten"),
+        "linalg": ("SpdFactor", "haar_orthogonal", "spd_factor", "spd_solve", "spd_whiten"),
         "model": ("DEFAULT_RECIPE", "EigenRecipe", "InnovationLaw", "PopulationSpec",
                   "SampleStats", "build_covariance", "draw_mean_vectors", "sample_stats"),
     }
@@ -81,6 +80,15 @@ class TestPackageRoot:
         code = ("import sys, shrinkmean; print(sorted(m for m in sys.modules "
                 "if m == 'numpy' or m.startswith('shrinkmean')))")
         assert _fresh_output(code) == "['shrinkmean', 'shrinkmean.errors']"
+
+    def test_submodule_read_loads_that_submodule_alone(self):
+        # this process has imported every submodule already, so only a new
+        # interpreter reaches the root's submodule branch
+        code = ("import sys, shrinkmean; module = shrinkmean.linalg; "
+                "print(module is sys.modules['shrinkmean.linalg'], "
+                "sorted(m for m in sys.modules if m.startswith('shrinkmean')))")
+        assert _fresh_output(code) == (
+            "True ['shrinkmean', 'shrinkmean.errors', 'shrinkmean.linalg']")
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in ROOT_NAMES.items()
                                               for n in names])

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import eigenpairs, rand_spd
+from conftest import bare_population, eigen_population, rand_spd
 from shrinkmean import linalg
 from shrinkmean.errors import DimensionMismatchError, NotPositiveDefiniteError
 from shrinkmean.linalg import (
-    SpdEigen,
     SpdFactor,
     blas_threads,
     fewer_blas_threads,
@@ -162,28 +161,28 @@ class TestSpdSolve:
 
 
 class TestSymSqrt:
-    # the symmetric root that checked eigenpairs give
+    # the symmetric root that a population's checked eigenpairs give
 
     def test_identity(self):
-        assert np.allclose(eigenpairs(np.eye(4)).root, np.eye(4), atol=1e-12)
+        assert np.allclose(bare_population(np.eye(4)).sigma_sqrt(), np.eye(4), atol=1e-12)
 
     def test_diagonal(self):
-        assert np.allclose(eigenpairs(np.diag([4.0, 16.0])).root, np.diag([2.0, 4.0]))
+        assert np.allclose(bare_population(np.diag([4.0, 16.0])).sigma_sqrt(), np.diag([2.0, 4.0]))
 
     def test_square_back(self, rng):
         a = rand_spd(rng, 5)
-        b = eigenpairs(a).root
+        b = bare_population(a).sigma_sqrt()
         assert np.linalg.norm(b @ b - a) / np.linalg.norm(a) < 1e-10
 
     def test_symmetric_psd(self, rng):
         a = rand_spd(rng, 6)
-        b = eigenpairs(a).root
+        b = bare_population(a).sigma_sqrt()
         assert np.array_equal(b, b.T)
         assert np.linalg.eigvalsh(b).min() >= -1e-10
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            SpdEigen(values=np.array([-1.0, 1.0]), vectors=np.eye(2))
+            eigen_population(np.array([-1.0, 1.0]), np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -196,7 +195,7 @@ class TestSymSqrt:
         else:
             vectors[where] = vectors[where[::-1]] = bad
         with pytest.raises(NotPositiveDefiniteError):
-            SpdEigen(values=values, vectors=vectors)
+            eigen_population(values, vectors)
 
 
 class TestEigenWhiten:
@@ -205,7 +204,7 @@ class TestEigenWhiten:
         # a k-vector whitens to a k-vector on either basis, not to a k x k
         # broadcast of it
         vectors = None if basis == "standard" else haar_orthogonal(4, rng)
-        eigen = SpdEigen(values=rng.uniform(1.0, 10.0, 4), vectors=vectors)
+        eigen = eigen_population(rng.uniform(1.0, 10.0, 4), vectors)
         v = rng.standard_normal(4)
         white = eigen.whiten(v)
         assert white.shape == (4,)
@@ -219,15 +218,15 @@ class TestEigenWhiten:
 class TestEigenColor:
     def test_root_product_read_in_the_eigenbasis(self, rng):
         # Q' (B z) for the root B, without B
-        eigen = SpdEigen(values=rng.uniform(1.0, 10.0, 6), vectors=haar_orthogonal(6, rng))
+        eigen = eigen_population(rng.uniform(1.0, 10.0, 6), haar_orthogonal(6, rng))
         z = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(eigen.color(z), eigen.vectors.T @ (eigen.root @ z),
+        np.testing.assert_allclose(eigen.color(z), eigen.vectors.T @ (eigen.sigma_sqrt() @ z),
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("basis", ["standard", "dense"])
     def test_vector_is_its_one_column_and_input_kept(self, rng, basis):
         vectors = None if basis == "standard" else haar_orthogonal(4, rng)
-        eigen = SpdEigen(values=rng.uniform(1.0, 10.0, 4), vectors=vectors)
+        eigen = eigen_population(rng.uniform(1.0, 10.0, 4), vectors)
         z = rng.standard_normal((4, 3))
         kept = z.copy()
         colored = eigen.color(z)
@@ -241,14 +240,14 @@ class TestEigenColor:
     def test_whiten_undoes_it_on_the_standard_basis(self, rng):
         values = rng.uniform(1.0, 10.0, 5)
         z = rng.standard_normal((5, 2))
-        plain = SpdEigen(values=values, vectors=None)
+        plain = eigen_population(values, None)
         np.testing.assert_allclose(plain.whiten(plain.color(z)), z, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("build", [
     lambda: SpdFactor(dim=3, lower=np.eye(2), pivot_floor=0.0),
-    lambda: SpdEigen(values=np.ones((2, 2)), vectors=None),
-    lambda: SpdEigen(values=np.ones((2, 2)), vectors=np.eye(2)),
+    lambda: eigen_population(np.ones((2, 2)), None),
+    lambda: eigen_population(np.ones((2, 2)), np.eye(2)),
 ], ids=["factor-not-dim-square", "values-not-a-vector", "values-not-a-vector-with-vectors"])
 def test_malformed_shape_rejected(build):
     with pytest.raises(DimensionMismatchError):

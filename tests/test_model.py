@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import kstest
 
 import shrinkmean.model
-from conftest import covariance, eigenpairs, sample_covariance
+from conftest import covariance, eigen_population, eigenpairs, sample_covariance
 from sampling import generate_sample
 from shrinkmean.errors import (
     DimensionMismatchError,
@@ -34,18 +34,18 @@ EPS = np.finfo(float).eps
 
 class TestEigenRecipe:
     def test_default_multiset_p10(self, rng):
-        cov = covariance(build_covariance(DEFAULT_RECIPE, 10, rng))
+        cov = covariance(*build_covariance(DEFAULT_RECIPE, 10, rng))
         eigs = np.sort(np.linalg.eigvalsh(cov))
         expected = np.array([1, 1, 3, 3, 3, 3, 10, 10, 10, 10], dtype=float)
         assert np.max(np.abs(eigs - expected)) < 1e-8
 
     def test_isotropic_recipe(self, rng):
-        cov = covariance(build_covariance(EigenRecipe(((1.0, 1.0),)), 6, rng))
+        cov = covariance(*build_covariance(EigenRecipe(((1.0, 1.0),)), 6, rng))
         assert np.max(np.abs(cov - np.eye(6))) < 1e-10
 
     def test_override_lambda_max(self, rng):
         recipe = EigenRecipe(DEFAULT_RECIPE.proportions, override_lambda_max=50.0)
-        cov = covariance(build_covariance(recipe, 50, rng))
+        cov = covariance(*build_covariance(recipe, 50, rng))
         eigs = np.sort(np.linalg.eigvalsh(cov))
         assert eigs[-1] == pytest.approx(50.0, abs=1e-8)
         # only the single largest eigenvalue is replaced
@@ -78,7 +78,7 @@ class TestEigenRecipe:
         assert np.count_nonzero(values == 10.0) == 71
 
     def test_exactly_symmetric_output(self, rng):
-        root = build_covariance(DEFAULT_RECIPE, 15, rng).root
+        root = eigen_population(*build_covariance(DEFAULT_RECIPE, 15, rng)).sigma_sqrt()
         assert np.array_equal(root, root.T)
 
     def test_minimum_dimension(self, rng):
@@ -150,7 +150,7 @@ class TestInnovationLaw:
 def _population(p=5, sigma=None, mu=None):
     sigma = np.eye(p) if sigma is None else sigma
     mu = np.zeros(p) if mu is None else mu
-    return PopulationSpec(p=p, mu_n=mu, mu_0=mu.copy(), eigen=eigenpairs(sigma))
+    return PopulationSpec(p=p, mu_n=mu, mu_0=mu.copy(), **eigenpairs(sigma))
 
 
 class TestGenerateSample:
@@ -160,20 +160,21 @@ class TestGenerateSample:
         assert kstest(y.ravel(), "norm").pvalue > 0.01
 
     def test_column_mean_matches_population_mean(self, rng):
-        eigen = build_covariance(DEFAULT_RECIPE, 5, rng)
+        values, vectors = build_covariance(DEFAULT_RECIPE, 5, rng)
         mu = rng.uniform(-1, 1, 5)
-        pop = PopulationSpec(p=5, mu_n=mu, mu_0=mu, eigen=eigen)
+        pop = PopulationSpec(p=5, mu_n=mu, mu_0=mu, values=values, vectors=vectors)
         n = 100_000
         y = generate_sample(pop, n, InnovationLaw(), rng)
         lam_max = 10.0
         assert np.all(np.abs(y.mean(axis=1) - mu) <= 4 * np.sqrt(lam_max / n))
 
     def test_sample_covariance_converges(self, rng):
-        eigen = build_covariance(DEFAULT_RECIPE, 5, rng)
-        pop = PopulationSpec(p=5, mu_n=np.zeros(5), mu_0=np.zeros(5), eigen=eigen)
+        values, vectors = build_covariance(DEFAULT_RECIPE, 5, rng)
+        pop = PopulationSpec(p=5, mu_n=np.zeros(5), mu_0=np.zeros(5), values=values,
+                             vectors=vectors)
         y = generate_sample(pop, 100_000, InnovationLaw(), rng)
         s = sample_covariance(y)
-        cov = covariance(pop.eigen)
+        cov = covariance(pop.values, pop.vectors)
         assert np.linalg.norm(s - cov) / np.linalg.norm(cov) < 0.05
 
     def test_bit_reproducible(self):
@@ -273,15 +274,15 @@ class TestInnovationStats:
         # p < n: S^{-1} forms of y = R z + mu 1' are S_z^{-1} forms of the
         # frame's images R^{-1} v, with no y, B or S formed; the sample
         # itself is the reference
-        eigen = build_covariance(DEFAULT_RECIPE, 6, rng)
+        values, vectors = build_covariance(DEFAULT_RECIPE, 6, rng)
         mu, target = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
-        pop = PopulationSpec(p=6, mu_n=mu, mu_0=target, eigen=eigen)
+        pop = PopulationSpec(p=6, mu_n=mu, mu_0=target, values=values, vectors=vectors)
         frame = pop.whitened()
         root = pop.sigma_sqrt()
         assert np.allclose(root @ frame.mu_n, mu, rtol=1e-13, atol=1e-13)
         assert np.allclose(root @ frame.mu_0, target, rtol=1e-13, atol=1e-13)
-        assert frame.eigen.vectors is None  # the standard basis, held as no array
-        np.testing.assert_array_equal(frame.eigen.whiten(np.eye(6)), np.eye(6))
+        assert frame.vectors is None  # the standard basis, held as no array
+        np.testing.assert_array_equal(frame.whiten(np.eye(6)), np.eye(6))
         z = rng.standard_normal((6, 15))
         y = root @ z + mu[:, None]
         z_stats = sample_stats(z)
@@ -424,8 +425,7 @@ class TestSampleFactorization:
 class TestPopulationValidation:
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatchError):
-            PopulationSpec(p=3, mu_n=np.zeros(2), mu_0=np.zeros(3),
-                           eigen=eigenpairs(np.eye(3)))
+            PopulationSpec(p=3, mu_n=np.zeros(2), mu_0=np.zeros(3), **eigenpairs(np.eye(3)))
 
 
 def _cell_stats():
@@ -434,13 +434,12 @@ def _cell_stats():
 
 @pytest.mark.parametrize("build", [
     lambda: cell_population(McConfig(p_grid=(4,), c_grid=(0.5,)), 4, 0.5),
-    lambda: build_covariance(DEFAULT_RECIPE, 4, np.random.default_rng(0)),
     lambda: spd_factor(np.eye(3)),
     _cell_stats,
     lambda: _cell_stats().factorization,
     lambda: ReturnsPanel(values=np.zeros((3, 2))),
     lambda: run_study(McConfig(p_grid=(4,), c_grid=(0.5,), n_reps=2)).cells[0],
-], ids=["PopulationSpec", "SpdEigen", "SpdFactor", "SampleStats", "_Factorization",
+], ids=["PopulationSpec", "SpdFactor", "SampleStats", "_Factorization",
         "ReturnsPanel", "CellResult"])
 def test_array_holders_compare_by_identity(build):
     # field-wise == over ndarrays raises or compares shared arrays, and

@@ -48,7 +48,6 @@ from shrinkmean.harness import (
     run_cell,
     run_study,
 )
-from shrinkmean.linalg import SpdEigen
 from shrinkmean.model import PopulationSpec, sample_stats
 
 ALL_MC = ("sample-mean", "olse", "olse-asymptotic", "olse-oracle", "js",
@@ -86,12 +85,12 @@ class TestPopulationEigenpairs:
         assert losses.shape == (7,)
         for k in range(7):
             d = stack[:, k] - pop.mu_n
-            expected = d @ np.linalg.solve(covariance(pop.eigen), d)
+            expected = d @ np.linalg.solve(covariance(pop.values, pop.vectors), d)
             assert abs(losses[k] - expected) <= 1e-10 * expected
 
     def test_carried_root_matches_eigh_root(self):
         pop = cell_population(McConfig(p_grid=(80,), c_grid=(2.0,), seed=5), 80, 2.0)
-        expected = _eigh_root(covariance(pop.eigen))
+        expected = _eigh_root(covariance(pop.values, pop.vectors))
         root = pop.sigma_sqrt()
         assert np.array_equal(root, root.T)
         assert np.linalg.norm(root - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -109,7 +108,7 @@ class TestPopulationEigenpairs:
             pop = _bare(rand_spd(rng, 5), rng)
         vectors = [rng.standard_normal(pop.p) for _ in range(3)]
         v = np.column_stack(vectors)
-        expected = v.T @ np.linalg.inv(covariance(pop.eigen)) @ v
+        expected = v.T @ np.linalg.inv(covariance(pop.values, pop.vectors)) @ v
         assert np.allclose(pop.precision_gram(*vectors), expected, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("source", ["cell", "bare"])
@@ -121,9 +120,9 @@ class TestPopulationEigenpairs:
             pop = cell_population(McConfig(p_grid=(40,), c_grid=(2.0,), seed=7), 40, 2.0)
         else:
             pop = _bare(rand_spd(rng, 8), rng)
-        frame, q = pop.rotated(), pop.eigen.vectors
-        assert frame.eigen.vectors is None
-        np.testing.assert_array_equal(frame.eigen.values, pop.eigen.values)
+        frame, q = pop.rotated(), pop.vectors
+        assert frame.vectors is None
+        np.testing.assert_array_equal(frame.values, pop.values)
         for image, vector in ((frame.mu_n, pop.mu_n), (frame.mu_0, pop.mu_0),
                               (frame.ones, np.ones(pop.p))):
             np.testing.assert_allclose(q @ image, vector, rtol=1e-12, atol=1e-14)
@@ -141,14 +140,14 @@ class TestPopulationEigenpairs:
         pop = _bare(rand_spd(rng, 8), rng)
         np.testing.assert_allclose(pop.sigma_sqrt() @ pop.whitened().ones, np.ones(8),
                                    rtol=1e-12, atol=0)
-        plain = PopulationSpec(p=8, mu_n=pop.mu_n, mu_0=pop.mu_0,
-                               eigen=SpdEigen(values=pop.eigen.values, vectors=None))
+        plain = PopulationSpec(p=8, mu_n=pop.mu_n, mu_0=pop.mu_0, values=pop.values, vectors=None)
         assert plain.rotated() is plain
 
     def test_whitening_inverts_sigma(self, rng):
         pop = _bare(rand_spd(rng, 10), rng)
-        w = pop.eigen.whiten(np.eye(10))  # W itself, as the images of e_1..e_p
-        assert np.allclose(w.T @ w, np.linalg.inv(covariance(pop.eigen)), rtol=1e-10, atol=1e-12)
+        w = pop.whiten(np.eye(10))  # W itself, as the images of e_1..e_p
+        assert np.allclose(w.T @ w, np.linalg.inv(covariance(pop.values, pop.vectors)),
+                           rtol=1e-10, atol=1e-12)
 
     def test_standard_basis_whitens_by_scaling(self, rng):
         # eigenvectors None stand for the identity, a diagonal covariance:
@@ -156,8 +155,7 @@ class TestPopulationEigenpairs:
         # dense identity eigenpairs bit for bit
         p = 30
         mu, target, values = rng.standard_normal(p), rng.standard_normal(p), rng.uniform(1, 10, p)
-        diagonal, dense = (PopulationSpec(p=p, mu_n=mu, mu_0=target,
-                                          eigen=SpdEigen(values=values, vectors=vectors))
+        diagonal, dense = (PopulationSpec(p=p, mu_n=mu, mu_0=target, values=values, vectors=vectors)
                            for vectors in (None, np.eye(p)))
         stack = rng.standard_normal((p, 4))
         np.testing.assert_array_equal(quadratic_loss(stack, diagonal), quadratic_loss(stack, dense))
@@ -166,24 +164,48 @@ class TestPopulationEigenpairs:
         frame, dense_frame = diagonal.whitened(), dense.whitened()
         np.testing.assert_array_equal(frame.mu_n, dense_frame.mu_n)
         np.testing.assert_array_equal(frame.mu_0, dense_frame.mu_0)
-        assert frame.eigen.vectors is None and dense_frame.eigen.vectors is None
+        assert frame.vectors is None and dense_frame.vectors is None
         np.testing.assert_array_equal(diagonal.sigma_sqrt(), dense.sigma_sqrt())
-        np.testing.assert_array_equal(diagonal.eigen.whiten(np.eye(p)),
-                                      dense.eigen.whiten(np.eye(p)))
+        np.testing.assert_array_equal(diagonal.whiten(np.eye(p)), dense.whiten(np.eye(p)))
 
     @pytest.mark.parametrize("use", ["sigma_sqrt", "whitening"])
     def test_bare_indefinite_sigma_rejected(self, use):
         # rejected when the population is built, before either use
         uses = {"sigma_sqrt": lambda pop: pop.sigma_sqrt(),
-                "whitening": lambda pop: pop.eigen.whiten(np.eye(2))}
+                "whitening": lambda pop: pop.whiten(np.eye(2))}
         with pytest.raises(NotPositiveDefiniteError):
             uses[use](bare_population(np.diag([1.0, -1.0]), np.zeros(2), np.ones(2)))
 
 
+class TestFrame:
+    @pytest.mark.parametrize("n", [9, 6, 4], ids=["below", "at", "above"])
+    def test_frame_and_map_by_side_of_p_equals_n(self, rng, n):
+        # below p = n the whitened frame, which takes z itself; at p = n,
+        # where S is singular, and above, the eigenbasis frame, which colors
+        # z.  Either way the map of z plus the frame's mu_n is the sample
+        # R z + mu_n 1' in the frame's coordinates
+        pop = _bare(rand_spd(rng, 6), rng)
+        frame, mix = pop.frame(n)
+        expected, back = ((pop.whitened(), pop.sigma_sqrt()) if n > 6
+                          else (pop.rotated(), pop.vectors))
+        assert frame.vectors is None
+        np.testing.assert_array_equal(frame.values, expected.values)
+        for name in ("mu_n", "mu_0", "ones"):
+            np.testing.assert_array_equal(getattr(frame, name), getattr(expected, name))
+        z = rng.standard_normal((6, n))
+        mixed = mix(z)
+        if n > 6:
+            assert mixed is z
+        else:
+            np.testing.assert_array_equal(mixed, pop.color(z))
+        np.testing.assert_allclose(back @ (mixed + frame.mu_n[:, None]),
+                                   pop.sigma_sqrt() @ z + pop.mu_n[:, None],
+                                   rtol=1e-12, atol=1e-12)
+
+
 def _built(values, vectors):
     """A 3-dimensional population of the given eigenpairs."""
-    return PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3),
-                          eigen=SpdEigen(values=values, vectors=vectors))
+    return PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3), values=values, vectors=vectors)
 
 
 class TestPopulationChecks:
@@ -215,17 +237,16 @@ class TestPopulationChecks:
         means = {"mu_n": np.zeros(3), "mu_0": np.ones(3)}
         means[field][1] = bad
         with pytest.raises(NonFiniteDataError):
-            PopulationSpec(p=3, eigen=SpdEigen(values=np.ones(3), vectors=np.eye(3)),
-                           **means)
+            PopulationSpec(p=3, values=np.ones(3), vectors=np.eye(3), **means)
 
     def test_direction_defaults_to_ones_and_is_checked(self):
         np.testing.assert_array_equal(_built(np.ones(3), np.eye(3)).ones, np.ones(3))
-        eigen = SpdEigen(values=np.ones(3), vectors=np.eye(3))
+        eigen = {"values": np.ones(3), "vectors": np.eye(3)}
         with pytest.raises(DimensionMismatchError):
-            PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3), eigen=eigen, ones=np.ones(4))
+            PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3), ones=np.ones(4), **eigen)
         with pytest.raises(NonFiniteDataError):
-            PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3), eigen=eigen,
-                           ones=np.array([1.0, np.nan, 1.0]))
+            PopulationSpec(p=3, mu_n=np.zeros(3), mu_0=np.ones(3),
+                           ones=np.array([1.0, np.nan, 1.0]), **eigen)
 
     def test_root_is_exactly_symmetric(self):
         pop = cell_population(McConfig(p_grid=(50,), c_grid=(0.5,), seed=2), 50, 0.5)
@@ -239,13 +260,13 @@ class TestPopulationChecks:
         # its eigenpairs, so the root and the whitening are the same
         pop = cell_population(McConfig(p_grid=(30,), c_grid=(2.0,), seed=4), 30, 2.0)
         other = replace(pop, mu_0=rng.standard_normal(30))
-        assert other.eigen is pop.eigen
+        assert other.vectors is pop.vectors
         np.testing.assert_array_equal(other.sigma_sqrt(), pop.sigma_sqrt())
-        np.testing.assert_array_equal(other.eigen.whiten(np.eye(30)), pop.eigen.whiten(np.eye(30)))
+        np.testing.assert_array_equal(other.whiten(np.eye(30)), pop.whiten(np.eye(30)))
 
     def test_fields_cannot_be_assigned(self):
         pop = cell_population(McConfig(p_grid=(5,), c_grid=(0.5,)), 5, 0.5)
-        for name, value in (("mu_0", np.zeros(5)), ("eigen", None), ("p", 6)):
+        for name, value in (("mu_0", np.zeros(5)), ("vectors", None), ("p", 6)):
             with pytest.raises(FrozenInstanceError):
                 setattr(pop, name, value)
 
@@ -260,7 +281,8 @@ class TestCellWeights:
         pop = cell_population(config, p, c)
         n = cell_sample_size(p, c)
 
-        bare = bare_population(covariance(pop.eigen), pop.mu_n, pop.mu_0)  # eigenpairs from eigh
+        # eigenpairs from eigh
+        bare = bare_population(covariance(pop.values, pop.vectors), pop.mu_n, pop.mu_0)
         limit = limit_intensities(bare, p / n)
         for r in range(n_reps):
             y = generate_sample(pop, n, config.law, replication_rng(config.seed, p, c, r))
@@ -357,13 +379,13 @@ class TestNoRoot:
         config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=3, estimators=tuple(ESTIMATORS))
         pop = cell_population(config, p, c)
         if basis == "standard":
-            pop = PopulationSpec(p=p, mu_n=pop.mu_n, mu_0=pop.mu_0,
-                                 eigen=SpdEigen(values=pop.eigen.values, vectors=None))
+            pop = PopulationSpec(p=p, mu_n=pop.mu_n, mu_0=pop.mu_0, values=pop.values,
+                                 vectors=None)
 
-        def forbidden(eigen):
+        def forbidden(pop):
             raise AssertionError("a Monte Carlo cell formed the root")
 
-        monkeypatch.setattr(SpdEigen, "root", property(forbidden))
+        monkeypatch.setattr(PopulationSpec, "sigma_sqrt", forbidden)
         cell = run_cell(config, pop, c)
         assert cell.failures["olse"] == 0 and cell.failures["olse-oracle"] == 0
         assert cell.failures["wang" if c > 1 else "js"] == 0

@@ -53,7 +53,7 @@ def serial_cell(config, pop, c, mixed=False):
         if mixed:
             stats = sample_stats(pop.sigma_sqrt() @ z + pop.mu_n[:, None])
         else:
-            stats = sample_stats(z if p < n else pop.eigen.color(z))
+            stats = sample_stats(z if p < n else pop.color(z))
             stats = replace(stats, y_bar=stats.y_bar + frame.mu_n)
         estimates = {}
         for est in config.estimators:

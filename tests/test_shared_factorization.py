@@ -279,8 +279,8 @@ def test_innovations_give_the_sample_estimates(law, p, c):
     n = cell_sample_size(p, c)
     z = config.law.draw(replication_rng(config.seed, p, c, 0), (p, n))
     root = pop.sigma_sqrt()
-    frame, back = (pop.whitened(), root) if p < n else (pop.rotated(), pop.eigen.vectors)
-    fast = sample_stats(z if p < n else pop.eigen.color(z))
+    frame, back = (pop.whitened(), root) if p < n else (pop.rotated(), pop.vectors)
+    fast = sample_stats(z if p < n else pop.color(z))
     fast = replace(fast, y_bar=fast.y_bar + frame.mu_n)
     slow = sample_stats(root @ z + pop.mu_n[:, None])
     assert fast.factorization.cholesky.dim == slow.factorization.cholesky.dim == min(p, n - 1)
@@ -340,7 +340,7 @@ class TestOneFactorizationPerSample:
             assert len(counted) == config.n_reps
             for r, stats in enumerate(counted):
                 z = config.law.draw(replication_rng(config.seed, 20, c, r), (20, cell.n))
-                read = sample_stats(z if c < 1 else pop.eigen.color(z))
+                read = sample_stats(z if c < 1 else pop.color(z))
                 np.testing.assert_array_equal(stats.y_bar, read.y_bar)
                 np.testing.assert_array_equal(stats.reflected, read.reflected)
             assert all(s.factorization.cholesky.dim == min(20, cell.n - 1) for s in counted)
