@@ -133,10 +133,11 @@ def limit_weights(gram: np.ndarray, c: float) -> ShrinkageWeights:
         " negligible c"))
 
 
-def _negligible(quad: float, v: np.ndarray, stats: SampleStats) -> bool:
-    """Whether the energy ``quad = v'Qv`` is zero relative to the least
-    energy of such a v inside the range of S (rescaling the data moves both)."""
-    return quad <= _REL_FLOOR * float(v @ v) / stats.factorization.scale
+def _energy(quad: float, v: np.ndarray, stats: SampleStats, name: str) -> float:
+    """Energy ``quad = v'Qv`` of ``name``, unless zero beside its in-range floor |v|^2/trace(S)."""
+    if quad <= _REL_FLOOR * float(v @ v) / stats.factorization.scale:
+        raise DegenerateDenominatorError(f"{name} lies outside the scatter range")
+    return quad
 
 
 def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeights:
@@ -169,20 +170,16 @@ def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeig
         raise InvalidDimensionsError(f"the 2x2 precision Gram needs rank(S) = n - 1"
                                      f" >= 2, got p={p} n={n}")
     gram = stats.mean_gram(mu_0)
-    if _negligible(gram[1, 1], mu_0, stats):
-        raise DegenerateDenominatorError("target vector lies outside the scatter range")
+    _energy(gram[1, 1], mu_0, stats, "target vector")
     kappa = p / (n - p) if p < n else 1.0 / (p / n - 1.0)
     return _solve_weights(gram, gram[0] - [kappa, 0.0], DegenerateDenominatorError(
         "sample mean and target are collinear in the sample precision metric"))
 
 
-def _mean_energy(stats: SampleStats) -> float:
-    """y_bar' Q y_bar, rejected when negligible (y_bar outside the range)."""
+def _js_statistic(stats: SampleStats) -> float:
+    """The James-Stein family's statistic y_bar' (n S)^+ y_bar."""
     white = stats.factorization.white_mean
-    quad = float(white @ white)
-    if _negligible(quad, stats.y_bar, stats):
-        raise DegenerateDenominatorError("sample mean lies outside the scatter range")
-    return quad
+    return _energy(float(white @ white), stats.y_bar, stats, "sample mean") / stats.n
 
 
 def james_stein(stats: SampleStats) -> np.ndarray:
@@ -195,7 +192,7 @@ def james_stein(stats: SampleStats) -> np.ndarray:
     p, n = stats.p, stats.n
     if p < 3 or n < p + 4:
         raise InvalidDimensionsError(f"requires n >= p + 4 and p >= 3, got p={p} n={n}")
-    quad = _mean_energy(stats) / n
+    quad = _js_statistic(stats)
     shrink = 1.0 - ((p - 2.0) / (n - p - 3.0)) / quad
     return shrink * stats.y_bar
 
@@ -210,7 +207,7 @@ def js_high_dim(stats: SampleStats) -> np.ndarray:
     p, n = stats.p, stats.n
     if not (p > n >= 3):
         raise InvalidDimensionsError(f"requires p > n >= 3, got p={p} n={n}")
-    quad = _mean_energy(stats) / n
+    quad = _js_statistic(stats)
     a = 2.0 * (n - 2.0) / (p - n + 3.0)
     return stats.y_bar - (a / quad) * stats.projected_mean()
 
@@ -230,7 +227,7 @@ def js_positive_part(stats: SampleStats, as_printed: bool = True) -> np.ndarray:
     p, n = stats.p, stats.n
     if not (p > n >= 3):
         raise InvalidDimensionsError(f"requires p > n >= 3, got p={p} n={n}")
-    quad = _mean_energy(stats) / n
+    quad = _js_statistic(stats)
     projected = stats.projected_mean()
     clamped = max(0.0, 1.0 - ((n - 2.0) / (p - n + 3.0)) / quad)
     base = stats.y_bar + projected if as_printed else stats.y_bar - projected
@@ -265,9 +262,8 @@ def wang_estimator(stats: SampleStats, direction: np.ndarray | None = None) -> n
     if ones.shape != (p,):
         raise DimensionMismatchError("direction length must equal p")
     gram = stats.mean_gram(ones)
-    a_yy, a_y1, a_11 = float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
-    if _negligible(a_11, ones, stats):
-        raise DegenerateDenominatorError("ones vector lies outside the scatter range")
+    a_yy, a_y1 = float(gram[0, 0]), float(gram[0, 1])
+    a_11 = _energy(float(gram[1, 1]), ones, stats, "ones vector")
 
     z1 = (a_yy - 1.0) / p
     z2 = 1.0 / p

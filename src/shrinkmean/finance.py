@@ -317,10 +317,13 @@ def synthetic_panel(p: int, periods: int, seed: int = 0) -> ReturnsPanel:
     Asset means are uniform on +-1/sqrt(p) (the bounded-norm regime) and
     returns, of scale 0.02, share a mild one-factor correlation; suitable
     for smoke tests and the bundled demo, not a market model.  A panel
-    with no asset or no period raises :class:`DimensionMismatchError`.
+    with no asset or no period raises :class:`DimensionMismatchError`, and a
+    negative seed :class:`ConfigError`.
     """
     if p < 1 or periods < 1:
         raise DimensionMismatchError(f"panel needs p >= 1 assets and periods >= 1: {p}, {periods}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(p)
     means = rng.uniform(-bound, bound, size=p)

@@ -86,6 +86,8 @@ class EigenRecipe:
         floor, so a product that floating point puts just below an integer
         (0.29 * 100 = 28.999999999999996) counts as that integer.
         """
+        if p < 1:
+            raise DimensionMismatchError(f"need p >= 1 eigenvalues, got p = {p}")
         counts = [int(np.floor(round(f * p, 9))) for f, _ in self.proportions]
         counts[-1] += p - sum(counts)
         values = np.concatenate(
@@ -384,6 +386,8 @@ def draw_mean_vectors(
     independently.  gamma = 1: true mean entries are i.i.d. random signs and
     the target is the all-ones vector.
     """
+    if p < 1:
+        raise DimensionMismatchError(f"need p >= 1, got p = {p}")
     if gamma == 0:
         bound = p ** (-0.5)
         mu_n = rng.uniform(-bound, bound, size=p)

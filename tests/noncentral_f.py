@@ -4,8 +4,9 @@ Under normal sampling with p < n, the residual form of the sample mean
 orthogonal to the target in the sample precision metric, scaled by
 n (n-p+1) / ((n-1) (p-1)), follows a noncentral F law.  The tests check the
 shared factorization of :class:`shrinkmean.model.SampleStats` against these
-closed-form moments, and the signs and the mean of the alpha weights
-against the exact laws below; nothing in the package estimates with them.
+closed-form moments, the signs and the mean of the alpha weights, and the
+risk of the James-Stein estimator against the exact laws below; nothing in
+the package estimates with them.
 """
 
 import math
@@ -87,31 +88,65 @@ def bona_fide_negative_probability(p: int, n: int, residual_form: float) -> floa
     return float(ncf.cdf(p / (n - p) * d2 / d1, d1, d2, n * residual_form))
 
 
+def inverse_chi2_mean(d: int, delta: float) -> float:
+    """E[1 / X] for X ~ chi2'(d, delta), d >= 3.
+
+    X is a Poisson(delta / 2) mixture of central chi2(d+2j) laws, each with
+    E[1 / chi2(d+2j)] = 1 / (d-2+2j), so E[1 / X] = sum_j Pois(j; delta / 2)
+    / (d-2+2j).  Summed until the weights, past their mode, fall below
+    rounding; no scipy is needed.
+    """
+    if d < 3:
+        raise ValueError(f"requires d >= 3, got d={d}")
+    if delta < 0:
+        raise ValueError("noncentrality must be nonnegative")
+    half = delta / 2.0
+    total, j = 0.0, 0
+    while True:
+        weight = (math.exp(j * math.log(half) - half - math.lgamma(j + 1.0)) if half > 0
+                  else float(j == 0))
+        total += weight / (d - 2.0 + 2.0 * j)
+        if j >= half and weight < 1e-17 * total:
+            break
+        j += 1
+    return total
+
+
 def bona_fide_alpha_mean(p: int, n: int, residual_form: float) -> float:
     """E[alpha_hat] under normal sampling with 4 <= p < n.
 
     alpha_hat = 1 - kappa / r_hat, kappa = p / (n - p), and by
     :func:`residual_stat`'s law r_hat = X / V, with X ~ chi2'(p-1, n R) and
-    V ~ chi2(n-p+1) independent.  E[V] = n-p+1, and X is a Poisson(n R / 2)
-    mixture of central chi2(p-1+2j) laws, each with E[1 / chi2(d)] =
-    1 / (d - 2), so E[alpha_hat] = 1 - kappa (n-p+1) sum_j Pois(j; n R / 2)
-    / (p-3+2j); the j = 0 term needs p >= 4.  Summed until the weights, past
-    their mode, fall below rounding; no scipy is needed.
+    V ~ chi2(n-p+1) independent.  E[V] = n-p+1, so E[alpha_hat] = 1 - kappa
+    (n-p+1) E[1 / X], by :func:`inverse_chi2_mean`.
     """
     if not n > p >= 4:
         raise ValueError(f"requires n > p >= 4, got p={p} n={n}")
     if residual_form < 0:
         raise ValueError("residual_form must be nonnegative")
-    half = n * residual_form / 2.0
-    total, j = 0.0, 0
-    while True:
-        weight = (math.exp(j * math.log(half) - half - math.lgamma(j + 1.0)) if half > 0
-                  else float(j == 0))
-        total += weight / (p - 3.0 + 2.0 * j)
-        if j >= half and weight < 1e-17 * total:
-            break
-        j += 1
-    return 1.0 - p / (n - p) * (n - p + 1.0) * total
+    return 1.0 - p / (n - p) * (n - p + 1.0) * inverse_chi2_mean(p - 1, n * residual_form)
+
+
+def james_stein_risk(a: float, p: int, n: int, delta: float) -> float:
+    """Exact risk of (1 - a / (X'W^{-1}X)) X under normal sampling, p >= 3, n > p.
+
+    X = sqrt(n) y_bar ~ N(sqrt(n) mu_n, sigma) and W = n S ~ W_p(sigma, m),
+    m = n - 1, independent; the loss is the sigma^{-1} quadratic loss of X,
+    n times that of the mean estimate, and delta = n mu_n' sigma^{-1} mu_n.
+    X'W^{-1}X = X'sigma^{-1}X / V with V ~ chi2(m-p+1) independent of X, so
+    given V this is the known-covariance estimator with constant aV, whose
+    risk Stein's lemma gives.  Averaging over E[V] = m-p+1 and E[V^2] =
+    (m-p+1)(m-p+3):
+
+    R(a) = p - [2a (m-p+1)(p-2) - a^2 (m-p+1)(m-p+3)] E[1 / chi2'(p, delta)],
+
+    a quadratic in a, least at a* = (p-2)/(m-p+3), with R(0) = p.
+    """
+    if not n > p >= 3:
+        raise ValueError(f"requires n > p >= 3, got p={p} n={n}")
+    dof = n - p  # m - p + 1
+    gain = 2.0 * a * dof * (p - 2.0) - a * a * dof * (dof + 2.0)
+    return p - gain * inverse_chi2_mean(p, delta)
 
 
 def _sample_target_gram(stats: SampleStats, mu_0: np.ndarray) -> np.ndarray:

@@ -2,13 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import ncf
+from scipy.stats import ncf, ncx2
 
 from conftest import bare_population, limit_gram, rand_spd, sample_covariance
 from noncentral_f import (
     MomentsDoNotExistError,
     bona_fide_alpha_mean,
     bona_fide_negative_probability,
+    inverse_chi2_mean,
+    james_stein_risk,
     oracle_negative_probability,
     population_residual_form,
     projection_stat,
@@ -21,8 +23,8 @@ from shrinkmean.errors import (
     InvalidDimensionsError,
     UnsupportedConcentrationError,
 )
-from shrinkmean.estimators import limit_intensities
-from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell
+from shrinkmean.estimators import limit_intensities, limit_weights
+from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell, run_study
 from shrinkmean.model import PopulationSpec, sample_stats
 
 
@@ -299,6 +301,87 @@ def test_bona_fide_alpha_mean_is_exact(c):
         assert np.isfinite(alpha).all()
         gap += float((alpha - mean).sum())
         var += n_reps * float(alpha.var(ddof=1))
+    assert abs(gap) <= 4.0 * np.sqrt(var)
+
+
+def test_bona_fide_alpha_gap_falls_like_root_n():
+    # E[alpha_hat] - alpha_limit = b / n + O(n^-2): kappa (n-p+1) E[1 / X],
+    # X ~ chi2'(p-1, n R), expands in 1/n about its limit, and the Jensen
+    # term Var X / (E X)^3 is of the same order.  So the standardized gap
+    # sqrt(n) (E[alpha_hat] - alpha_limit) / sd is b / (sd sqrt(n)) times
+    # 1 + O(1/n), and its log-log slope over p = 50..1000 (n = 100..2000)
+    # is -1/2 up to that O(1/n) tilt and the drift of each p's drawn R;
+    # seeds 0-3 read -0.514 to -0.520.  |slope + 1/2| <= 0.1 rejects a gap
+    # that falls like 1/n or not at all.  Every gap is negative: 1 / r_hat
+    # is convex.  Exact laws only, no Monte Carlo
+    c, ps = 0.5, (50, 100, 250, 1000)
+    for seed in range(4):
+        config = McConfig(p_grid=ps, c_grid=(c,), n_reps=1, estimators=("olse",), seed=seed)
+        gaps = []
+        for p in ps:
+            n = cell_sample_size(p, c)
+            gram = limit_gram(cell_population(config, p, c))
+            mean = bona_fide_alpha_mean(p, n, population_residual_form(gram))
+            sd = np.sqrt(bona_fide_covariance(gram, c)[0, 0])
+            gaps.append(np.sqrt(n) * (mean - limit_weights(gram, c).alpha) / sd)
+        assert max(gaps) < 0
+        slope = np.polyfit(np.log(ps), np.log(-np.array(gaps)), 1)[0]
+        assert abs(slope + 0.5) <= 0.1
+
+
+@pytest.mark.parametrize("d, delta", [(8, 0.5), (8, 30.0), (20, 4.0)])
+def test_inverse_chi2_mean_matches_the_noncentral_chi2_integral(d, delta):
+    # the Poisson series against scipy's quadrature of 1 / x over chi2'(d, delta)
+    expected = ncx2.expect(lambda x: 1.0 / x, args=(d, delta))
+    assert inverse_chi2_mean(d, delta) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("p, n, delta", [(10, 40, 0.0), (10, 40, 12.0), (30, 40, 300.0)])
+def test_james_stein_risk_is_quadratic_in_a(p, n, delta):
+    # no shrinkage keeps X's risk p; the risk is least at a* = (p-2)/(m-p+3),
+    # m = n - 1, and back to p at 2 a*, the end of the dominance interval
+    a_star = (p - 2.0) / (n - p + 2.0)
+    least = james_stein_risk(a_star, p, n, delta)
+    assert james_stein_risk(0.0, p, n, delta) == p
+    assert james_stein_risk(2.0 * a_star, p, n, delta) == pytest.approx(p, rel=1e-12)
+    for h in (1e-3, 0.1, 0.5):
+        below = james_stein_risk((1.0 - h) * a_star, p, n, delta)
+        above = james_stein_risk((1.0 + h) * a_star, p, n, delta)
+        assert below > least and above > least
+        assert below == pytest.approx(above, rel=1e-12)
+    assert inverse_chi2_mean(p, 0.0) == 1.0 / (p - 2.0)
+
+
+@pytest.mark.parametrize("p, n, delta", [(2, 40, 1.0), (10, 10, 1.0), (10, 40, -1.0)])
+def test_james_stein_risk_rejects_bad_inputs(p, n, delta):
+    with pytest.raises(ValueError):
+        james_stein_risk(0.1, p, n, delta)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the James-Stein statistic reads y_bar'(nS)^-1 y_bar,"
+                          " n times too small")
+def test_james_stein_loss_is_its_exact_risk():
+    # under the normal law the loss of js, with the code's constant
+    # a = (p-2)/(n-p-3), has mean R(a) / n (noncentral_f.james_stein_risk),
+    # delta = n mu_n' sigma^{-1} mu_n.  Each root seed draws its own
+    # population and has its own exact risk, so the pooled sum of losses less
+    # the sum of those means, over the root of the summed per-seed sample
+    # variances, is close to standard normal over the 4000 replications;
+    # |z| <= 4 fails a correct risk less than once in 10^4.  The statistic
+    # n times too small makes the shrinkage n times too strong: z reads
+    # +68, the seeds' mean losses 230-300 against exact ones of 0.12-0.15
+    p, c, n_seeds, n_reps = 10, 0.25, 4, 1000
+    n = cell_sample_size(p, c)
+    a = (p - 2.0) / (n - p - 3.0)
+    gap, var = 0.0, 0.0
+    for seed in range(n_seeds):
+        config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=n_reps, estimators=("js",), seed=seed)
+        delta = n * float(limit_gram(cell_population(config, p, c))[0, 0])
+        loss = run_study(config).cells[0].losses["js"]
+        assert np.isfinite(loss).all()
+        gap += float((loss - james_stein_risk(a, p, n, delta) / n).sum())
+        var += n_reps * float(loss.var(ddof=1))
     assert abs(gap) <= 4.0 * np.sqrt(var)
 
 

@@ -110,6 +110,12 @@ def test_empty_synthetic_panel_rejected(p, periods):
         synthetic_panel(p, periods)
 
 
+def test_synthetic_panel_negative_seed_rejected():
+    # the configs' message, where numpy's seeding raised its own ValueError
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        synthetic_panel(5, 30, seed=-1)
+
+
 @pytest.mark.parametrize("field, value", [("windows", (20, 20)),
                                           ("estimators", ("olse", "sample-mean", "olse")),
                                           ("targets", ("ones", "ones"))])

@@ -85,6 +85,14 @@ class TestEigenRecipe:
         with pytest.raises(DimensionMismatchError):
             build_covariance(DEFAULT_RECIPE, 1, rng)
 
+    @pytest.mark.parametrize("override", [None, 5.0])
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_no_eigenvalue_rejected(self, p, override):
+        # p = 0 gave an empty spectrum, or an IndexError with the override,
+        # and p < 0 numpy's ValueError
+        with pytest.raises(DimensionMismatchError):
+            EigenRecipe(DEFAULT_RECIPE.proportions, override).eigenvalues(p)
+
 
 class TestDrawMeanVectors:
     def test_gamma0_bounds(self, rng):
@@ -108,6 +116,14 @@ class TestDrawMeanVectors:
     def test_unsupported_gamma(self, rng):
         with pytest.raises(UnsupportedGammaError):
             draw_mean_vectors(0.5, 10, rng)
+
+    @pytest.mark.parametrize("gamma", [0, 1])
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_no_coordinate_rejected(self, rng, gamma, p):
+        # the gamma = 0 bound p^{-1/2} divided by zero or went complex, and
+        # the draw of p < 0 values raised numpy's ValueError
+        with pytest.raises(DimensionMismatchError):
+            draw_mean_vectors(gamma, p, rng)
 
 
 class TestInnovationLaw:
