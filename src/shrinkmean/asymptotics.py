@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnsupportedConcentrationError
+from .errors import ScopeError
 from .estimators import limit_weights
 
 __all__ = [
@@ -80,7 +80,7 @@ def bona_fide_covariance(gram: np.ndarray, c: float) -> np.ndarray:
     The result carries a 1/(1-c) pole, so concentrations c >= 1 are rejected.
     """
     if not 0.0 < c < 1.0:
-        raise UnsupportedConcentrationError(f"joint covariance requires c in (0, 1), got {c}")
+        raise ScopeError(f"joint covariance requires c in (0, 1), got {c}")
     gram, system, alpha, beta = _limit_system(gram, c)
     (m, x), (_, t) = gram.tolist()
     mixing = np.array([[1.0 - alpha, -beta, 0.0], [0.0, 1.0 - alpha, -beta]])
@@ -95,6 +95,6 @@ def standardize(
 ) -> np.ndarray:
     """Map values to rate * (value - center) / sqrt(variance)."""
     if not 0 < variance < np.inf:  # written so that NaN fails it
-        raise ValueError(f"variance must be positive and finite, got {variance}")
+        raise ScopeError(f"variance must be positive and finite, got {variance}")
     values = np.asarray(values, dtype=float)
     return rate * (values - center) / np.sqrt(variance)

@@ -32,7 +32,6 @@ from .asymptotics import (
 )
 from .errors import (
     ConfigError,
-    InvalidRecipeError,
     ParseError,
     ScopeError,
     ShrinkmeanError,
@@ -161,7 +160,7 @@ def _settings(args) -> dict:
         if value is None and key in file_values:
             try:
                 value = _PARSERS[key](file_values[key])
-            except ValueError as exc:
+            except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{key} = {file_values[key]!r}: {exc}") from None
         if value is not None:
             settings[key] = value
@@ -181,7 +180,7 @@ def _mc_config_from_args(args) -> McConfig:
         groups = recipe.pop("eigen_recipe", DEFAULT_RECIPE.proportions)
         try:
             settings["eigen_recipe"] = EigenRecipe(groups, **recipe)
-        except InvalidRecipeError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{given}: {exc}") from None
     return McConfig(**{"p_grid": SIMULATE_P_GRID, "c_grid": SIMULATE_C_GRID, **settings})
 
@@ -315,7 +314,7 @@ def _flag(parse):
     def convert(text: str):
         try:
             return parse(text)
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
     return convert

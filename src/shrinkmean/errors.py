@@ -1,8 +1,11 @@
-"""Exception hierarchy for shrinkmean.
+"""Exception hierarchy for shrinkmean: one class per failure condition.
 
 Every error deliberately raised by the package derives from
 :class:`ShrinkmeanError` so callers (and the Monte Carlo harness, which
 records estimator failures instead of aborting) can catch one base class.
+The command line prints each as one ``error:`` line and exits 2 for a
+:class:`ConfigError`, :class:`ParseError` or :class:`ScopeError`, and 3 for
+every other :class:`ShrinkmeanError`.
 :func:`reject_duplicates` is the one duplicate-entry check of the configs.
 """
 
@@ -12,27 +15,11 @@ class ShrinkmeanError(Exception):
 
 
 class DimensionMismatchError(ShrinkmeanError):
-    """Operand shapes are incompatible."""
+    """Operand shapes are incompatible, or a size is below its minimum."""
 
 
 class NotPositiveDefiniteError(ShrinkmeanError):
     """A matrix required to be symmetric positive definite is not."""
-
-
-class InvalidRecipeError(ShrinkmeanError):
-    """Eigenvalue recipe fractions do not sum to one or values are invalid."""
-
-
-class UnsupportedGammaError(ShrinkmeanError):
-    """Mean-vector drawing is only defined for norm-growth exponents 0 and 1."""
-
-
-class DegenerateHessianError(ShrinkmeanError):
-    """The 2x2 quadratic-loss Hessian is numerically singular."""
-
-
-class DegenerateTargetError(ShrinkmeanError):
-    """The target vector has (numerically) zero energy in the precision metric."""
 
 
 class NonFiniteDataError(ShrinkmeanError):
@@ -40,23 +27,15 @@ class NonFiniteDataError(ShrinkmeanError):
 
 
 class SingularSampleError(ShrinkmeanError):
-    """The sample covariance matrix is not invertible although p < n."""
-
-
-class EqualDimensionsError(ShrinkmeanError):
-    """Bona fide weights are undefined at p == n."""
+    """The sample covariance has rank below min(p, n - 1), on either side of p = n."""
 
 
 class InvalidDimensionsError(ShrinkmeanError):
-    """An estimator was called outside its (p, n) validity region."""
+    """An estimator was called outside its (p, n) validity region, p = n included."""
 
 
 class DegenerateDenominatorError(ShrinkmeanError):
-    """A ratio denominator is zero relative to the scale of its operands."""
-
-
-class UnsupportedConcentrationError(ShrinkmeanError):
-    """The joint covariance of the bona fide weights requires p/n < 1."""
+    """A ratio denominator or a 2x2 weight system is singular relative to its entries."""
 
 
 class TooFewSamplesError(ShrinkmeanError):
@@ -64,7 +43,7 @@ class TooFewSamplesError(ShrinkmeanError):
 
 
 class ParseError(ShrinkmeanError):
-    """A text input (CSV or config) could not be parsed."""
+    """A returns CSV could not be read or parsed."""
 
 
 class RaggedRowsError(ParseError):
@@ -72,11 +51,11 @@ class RaggedRowsError(ParseError):
 
 
 class ScopeError(ShrinkmeanError):
-    """A requested quantity is outside the validity scope of its formula."""
+    """A c or a variance lies outside the range on which its formula is defined."""
 
 
 class ConfigError(ShrinkmeanError):
-    """A run configuration is invalid."""
+    """A setting is invalid: a run config, recipe, innovation law, gamma or config file."""
 
 
 def reject_duplicates(config: object, *names: str) -> None:

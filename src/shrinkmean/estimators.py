@@ -47,12 +47,10 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominatorError,
-    DegenerateHessianError,
-    DegenerateTargetError,
     DimensionMismatchError,
-    EqualDimensionsError,
     InvalidDimensionsError,
     NonFiniteDataError,
+    ScopeError,
 )
 from .linalg import spd_factor  # noqa: F401  perfbench's tracer test reads it here
 from .model import PopulationSpec, SampleStats
@@ -89,14 +87,15 @@ class ShrinkageWeights:
     beta: float
 
 
-def _solve_weights(gram: np.ndarray, rhs: np.ndarray, error: Exception) -> ShrinkageWeights:
-    """Solve ``gram @ (alpha, beta) = rhs``; raise ``error`` when ``gram`` is
-    singular relative to |g_yy g_00|, which no rescaling of y_bar or mu_0 moves."""
+def _solve_weights(gram: np.ndarray, rhs: np.ndarray, message: str) -> ShrinkageWeights:
+    """Solve ``gram @ (alpha, beta) = rhs``; a :class:`DegenerateDenominatorError`
+    with ``message`` when ``gram`` is singular relative to |g_yy g_00|, which
+    no rescaling of y_bar or mu_0 moves."""
     (g_yy, g_y0), (_, g_00) = gram.tolist()
     r_y, r_0 = rhs.tolist()
     det = g_yy * g_00 - g_y0 * g_y0
     if abs(det) <= _REL_FLOOR * abs(g_yy * g_00):
-        raise error
+        raise DegenerateDenominatorError(message)
     return ShrinkageWeights(alpha=(r_y * g_00 - g_y0 * r_0) / det,
                             beta=(g_yy * r_0 - g_y0 * r_y) / det)
 
@@ -107,8 +106,8 @@ def oracle_intensities(y_bar: np.ndarray, pop: PopulationSpec) -> ShrinkageWeigh
     The system is the sigma^{-1} Gram of (y_bar, mu_0) against the right-hand
     side (y_bar' sigma^{-1} mu_n, mu_0' sigma^{-1} mu_n)."""
     gram = pop.precision_gram(np.asarray(y_bar, dtype=float), pop.mu_0, pop.mu_n)
-    return _solve_weights(gram[:2, :2], gram[:2, 2], DegenerateHessianError(
-        "sample mean and target are collinear in the precision metric"))
+    return _solve_weights(gram[:2, :2], gram[:2, 2],
+                          "sample mean and target are collinear in the precision metric")
 
 
 def limit_intensities(pop: PopulationSpec, c: float) -> ShrinkageWeights:
@@ -126,11 +125,11 @@ def limit_weights(gram: np.ndarray, c: float) -> ShrinkageWeights:
     precision-metric energy, whatever the scale of mu_0.
     """
     if not 0 < c < np.inf:  # a NaN c fails this too
-        raise ValueError(f"concentration c must be positive and finite, got {c}")
+        raise ScopeError(f"concentration c must be positive and finite, got {c}")
     gram = np.asarray(gram, dtype=float)
-    return _solve_weights(gram + np.diag([c, 0.0]), gram[0], DegenerateTargetError(
-        "target vector has zero precision-metric energy, or lies along mu_n at"
-        " negligible c"))
+    return _solve_weights(gram + np.diag([c, 0.0]), gram[0],
+                          "target vector has zero precision-metric energy, or lies along"
+                          " mu_n at negligible c")
 
 
 def _energy(quad: float, v: np.ndarray, stats: SampleStats, name: str) -> float:
@@ -161,7 +160,7 @@ def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeig
     mu_0 = np.asarray(mu_0, dtype=float)
     p, n = stats.p, stats.n
     if p == n:
-        raise EqualDimensionsError("bona fide weights are undefined at p == n")
+        raise InvalidDimensionsError("bona fide weights are undefined at p == n")
     if mu_0.shape != (p,):
         raise DimensionMismatchError("target vector length must equal p")
     if not np.isfinite(mu_0).all():
@@ -172,8 +171,8 @@ def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeig
     gram = stats.mean_gram(mu_0)
     _energy(gram[1, 1], mu_0, stats, "target vector")
     kappa = p / (n - p) if p < n else 1.0 / (p / n - 1.0)
-    return _solve_weights(gram, gram[0] - [kappa, 0.0], DegenerateDenominatorError(
-        "sample mean and target are collinear in the sample precision metric"))
+    return _solve_weights(gram, gram[0] - [kappa, 0.0],
+                          "sample mean and target are collinear in the sample precision metric")
 
 
 def _js_statistic(stats: SampleStats) -> float:

@@ -112,16 +112,6 @@ class BacktestRow:
 class BacktestReport:
     rows: list[BacktestRow]
 
-    def loss(self, window_n: int, estimator: str, target: str) -> float:
-        for row in self.rows:
-            if (
-                row.window_n == window_n
-                and row.estimator == estimator
-                and row.target == target
-            ):
-                return row.loss_x1e4
-        raise KeyError(f"no row for ({window_n}, {estimator}, {target})")
-
 
 def load_returns_csv(path, has_header: bool = True) -> ReturnsPanel:
     """Read a rectangular CSV of returns; rows = dates, columns = assets.

@@ -82,17 +82,17 @@ def _as_symmetric(a: np.ndarray) -> np.ndarray:
     # a - a.T is exactly antisymmetric, so its max is its largest magnitude;
     # an exactly symmetric a, such as every syrk Gram, skips that temporary
     if not np.array_equal(a, a.T) and float((a - a.T).max(initial=0.0)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise NotPositiveDefiniteError("matrix is not symmetric within tolerance")
     return a
 
 
 def spd_factor(a: np.ndarray) -> SpdFactor:
     """Cholesky-factor a symmetric positive definite matrix.
 
-    Raises :class:`NotPositiveDefiniteError` for a non-finite entry, or when
-    the factorization breaks down or a pivot (NaN too) is not above ``100 *
-    dim * eps * max(diag(a))``: in trials, rank-deficient samples left
-    pivots up to a tenth of that.
+    Raises :class:`NotPositiveDefiniteError` for a non-finite or asymmetric
+    matrix, or when the factorization breaks down or a pivot (NaN too) is not
+    above ``100 * dim * eps * max(diag(a))``: in trials, rank-deficient
+    samples left pivots up to a tenth of that.
     """
     a = _as_symmetric(a)
     p = a.shape[0]

@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
-    InvalidRecipeError,
     NonFiniteDataError,
     NotPositiveDefiniteError,
     ShrinkmeanError,
     SingularSampleError,
-    UnsupportedGammaError,
 )
 from .linalg import SpdFactor, haar_orthogonal, spd_factor, spd_solve, spd_whiten
 
@@ -66,17 +65,17 @@ class EigenRecipe:
 
     def __post_init__(self) -> None:
         if not self.proportions:
-            raise InvalidRecipeError("recipe needs at least one group")
+            raise ConfigError("recipe needs at least one group")
         # written so that NaN fails every check, and a sum of 1 needs finite fractions
         total = sum(f for f, _ in self.proportions)
         if not abs(total - 1.0) <= 1e-9:
-            raise InvalidRecipeError(f"fractions sum to {total}, expected 1")
+            raise ConfigError(f"fractions sum to {total}, expected 1")
         if any(f < 0 for f, _ in self.proportions):
-            raise InvalidRecipeError("fractions must be nonnegative")
+            raise ConfigError("fractions must be nonnegative")
         if not all(0 < v < np.inf for _, v in self.proportions):
-            raise InvalidRecipeError("eigenvalues must be positive and finite")
+            raise ConfigError("eigenvalues must be positive and finite")
         if self.override_lambda_max is not None and not 0 < self.override_lambda_max < np.inf:
-            raise InvalidRecipeError("override_lambda_max must be positive and finite")
+            raise ConfigError("override_lambda_max must be positive and finite")
 
     def eigenvalues(self, p: int) -> np.ndarray:
         """Expand the recipe into p eigenvalues.
@@ -117,12 +116,12 @@ class InnovationLaw:
 
     def __post_init__(self) -> None:
         if self.name not in ("normal", "t", "exponential"):
-            raise ValueError(f"unknown innovation law {self.name!r}")
+            raise ConfigError(f"unknown innovation law {self.name!r}")
         if self.name == "t":
             if self.df is None or not 4 < self.df < np.inf:
-                raise ValueError("t law requires a finite df > 4")
+                raise ConfigError("t law requires a finite df > 4")
         elif self.df is not None:
-            raise ValueError(f"law {self.name!r} takes no df parameter")
+            raise ConfigError(f"law {self.name!r} takes no df parameter")
 
     def draw(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         if self.name == "normal":
@@ -133,11 +132,15 @@ class InnovationLaw:
 
     @classmethod
     def parse(cls, text: str) -> "InnovationLaw":
-        """Parse ``normal``, ``t:<df>`` or ``exponential``."""
+        """Parse ``normal``, ``t:<df>`` or ``exponential``; any other text
+        is a :class:`ConfigError`."""
         text = text.strip()
-        if text.startswith("t:"):
+        if not text.startswith("t:"):
+            return cls(text)
+        try:
             return cls("t", float(text[2:]))
-        return cls(text)
+        except ValueError as exc:  # the df text is no number
+            raise ConfigError(str(exc)) from None
 
     def spec_string(self) -> str:
         return f"t:{self.df:g}" if self.name == "t" else self.name
@@ -396,7 +399,7 @@ def draw_mean_vectors(
     if gamma == 1:
         mu_n = rng.integers(0, 2, size=p) * 2.0 - 1.0
         return mu_n, np.ones(p)
-    raise UnsupportedGammaError(f"gamma must be 0 or 1, got {gamma}")
+    raise ConfigError(f"gamma must be 0 or 1, got {gamma}")
 
 
 def sample_stats(y: np.ndarray) -> SampleStats:

@@ -49,6 +49,14 @@ def one_fewer(count: int | None) -> int | None:
     return None if count is None else max(1, count - 1)
 
 
+def backtest_loss(report, window_n: int, estimator: str, target: str) -> float:
+    """The ``loss_x1e4`` of the one row of a backtest report for (window
+    size, estimator, target)."""
+    (loss,) = [row.loss_x1e4 for row in report.rows
+               if (row.window_n, row.estimator, row.target) == (window_n, estimator, target)]
+    return loss
+
+
 def limit_gram(pop: PopulationSpec) -> np.ndarray:
     """The sigma^{-1} Gram of (mu_n, mu_0), which the limit weights and both
     weight CLTs read."""

@@ -19,9 +19,9 @@ from noncentral_f import (
 )
 from shrinkmean.asymptotics import bona_fide_covariance, oracle_weight_variances, standardize
 from shrinkmean.errors import (
-    DegenerateTargetError,
+    DegenerateDenominatorError,
     InvalidDimensionsError,
-    UnsupportedConcentrationError,
+    ScopeError,
 )
 from shrinkmean.estimators import limit_intensities, limit_weights
 from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell, run_study
@@ -116,16 +116,16 @@ class TestDeltaMethodIdentity:
         pop = bare_population(rand_spd(rng, 4), rng.standard_normal(4), np.zeros(4))
         # a zero target makes det A = c G_11 + det G vanish, for both
         # covariances alike: the limit system is solved and checked once
-        with pytest.raises(DegenerateTargetError):
+        with pytest.raises(DegenerateDenominatorError, match="zero precision-metric energy"):
             oracle_weight_variances(limit_gram(pop), 0.5)
-        with pytest.raises(DegenerateTargetError):
+        with pytest.raises(DegenerateDenominatorError, match="zero precision-metric energy"):
             bona_fide_covariance(limit_gram(pop), 0.5)
         pop = replace(pop, mu_0=rng.standard_normal(4))
         for c in (-0.5, 0.0, np.nan, np.inf):  # the limit system needs 0 < c < inf
-            with pytest.raises(ValueError):
+            with pytest.raises(ScopeError, match="positive and finite"):
                 oracle_weight_variances(limit_gram(pop), c)
         for c in (-0.5, 0.0, 1.0, 2.0):  # the 1/(1-c) pole and beyond
-            with pytest.raises(UnsupportedConcentrationError):
+            with pytest.raises(ScopeError, match=r"requires c in \(0, 1\)"):
                 bona_fide_covariance(limit_gram(pop), c)
 
 
@@ -172,7 +172,7 @@ class TestStandardize:
     def test_rejects_a_variance_not_positive_and_finite(self, variance):
         # NaN would pass a bare "variance <= 0" and return NaN, and inf
         # would return zeros
-        with pytest.raises(ValueError):
+        with pytest.raises(ScopeError, match="variance must be positive and finite"):
             standardize(np.ones(3), 0.0, variance, 1.0)
 
 

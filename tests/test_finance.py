@@ -5,7 +5,7 @@ and pairing."""
 import numpy as np
 import pytest
 
-from conftest import one_fewer
+from conftest import backtest_loss, one_fewer
 import shrinkmean.estimators
 import shrinkmean.finance
 import shrinkmean.model
@@ -153,15 +153,6 @@ class TestBacktestOptions:
         with pytest.raises(ConfigError, match="must be < 20 periods"):
             rolling_backtest(_panel(periods=20), BacktestConfig(windows=windows))
 
-    @pytest.mark.parametrize("key", [(6, "olse", "ones"), (5, "js", "ones"),
-                                     (5, "olse", "zeros")],
-                             ids=["window", "estimator", "target"])
-    def test_loss_of_a_row_not_run(self, key):
-        report = rolling_backtest(_panel(), BacktestConfig(windows=(5,)))
-        assert np.isfinite(report.loss(5, "olse", "ones"))
-        with pytest.raises(KeyError, match="no row for"):
-            report.loss(*key)
-
     @pytest.mark.parametrize("align_start", [True, False])
     def test_align_start(self, align_start):
         panel = _panel()
@@ -201,7 +192,7 @@ class TestBacktestOptions:
                 estimate, _ = evaluate("olse", stats, mu_0)
                 sq += (float(estimate.mean()) - float(values[t_idx].mean())) ** 2
             expected = 1e4 * sq / (panel.n_periods - start)
-            assert report.loss(n, "olse", target) == pytest.approx(expected, rel=1e-12)
+            assert backtest_loss(report, n, "olse", target) == pytest.approx(expected, rel=1e-12)
 
 
 HIGH_DIM = ("sample-mean", "olse", "js-high-dim", "js-positive-part", "wang")

@@ -45,7 +45,7 @@ class TestSpdFactor:
             spd_factor(np.diag([1.0, 0.0]))
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
             spd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13])
@@ -54,7 +54,7 @@ class TestSpdFactor:
         # a tiny asymmetric matrix would pass and its lower triangle, another
         # matrix, be factored
         a = scale * np.array([[2.0, 1.0], [0.5, 2.0]])
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
             spd_factor(a)
         f = spd_factor((a + a.T) / 2.0)
         assert np.allclose(f.lower @ f.lower.T, (a + a.T) / 2.0, rtol=1e-14, atol=0)
@@ -70,7 +70,7 @@ class TestSpdFactor:
         far[0, 1] += 2e-12 * scale
         assert not np.array_equal(near, near.T)
         np.testing.assert_array_equal(spd_factor(near).lower, np.linalg.cholesky(near))
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
             spd_factor(far)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

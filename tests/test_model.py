@@ -9,11 +9,10 @@ import shrinkmean.model
 from conftest import covariance, eigen_population, eigenpairs, sample_covariance
 from sampling import generate_sample
 from shrinkmean.errors import (
+    ConfigError,
     DimensionMismatchError,
-    InvalidRecipeError,
     NonFiniteDataError,
     SingularSampleError,
-    UnsupportedGammaError,
 )
 from shrinkmean.finance import ReturnsPanel
 from shrinkmean.harness import McConfig, cell_population, run_study
@@ -52,11 +51,11 @@ class TestEigenRecipe:
         assert eigs[-2] == pytest.approx(10.0, abs=1e-8)
 
     def test_fractions_must_sum_to_one(self):
-        with pytest.raises(InvalidRecipeError):
+        with pytest.raises(ConfigError, match="expected 1"):
             EigenRecipe(((0.5, 1.0), (0.4, 2.0)))
 
     def test_positive_eigenvalues_required(self):
-        with pytest.raises(InvalidRecipeError):
+        with pytest.raises(ConfigError, match="eigenvalues must be positive and finite"):
             EigenRecipe(((0.5, 1.0), (0.5, 0.0)))
 
     @pytest.mark.parametrize("proportions, match", [
@@ -64,7 +63,7 @@ class TestEigenRecipe:
         (((1.25, 1.0), (-0.25, 2.0)), "nonnegative"),  # they sum to 1
     ], ids=["no-group", "negative-fraction"])
     def test_malformed_groups_rejected(self, proportions, match):
-        with pytest.raises(InvalidRecipeError, match=match):
+        with pytest.raises(ConfigError, match=match):
             EigenRecipe(proportions)
 
     def test_floor_remainder_to_last_group(self):
@@ -114,7 +113,7 @@ class TestDrawMeanVectors:
         assert set(np.unique(mu_n)).issubset({-1.0, 1.0})
 
     def test_unsupported_gamma(self, rng):
-        with pytest.raises(UnsupportedGammaError):
+        with pytest.raises(ConfigError, match="gamma must be 0 or 1"):
             draw_mean_vectors(0.5, 10, rng)
 
     @pytest.mark.parametrize("gamma", [0, 1])
@@ -137,9 +136,9 @@ class TestInnovationLaw:
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_t_needs_df_above_4(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="finite df > 4"):
             InnovationLaw("t", df=4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="finite df > 4"):
             InnovationLaw("t")
 
     def test_exponential_standardized(self):
@@ -154,12 +153,12 @@ class TestInnovationLaw:
             assert InnovationLaw.parse(law.spec_string()) == law
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="unknown innovation law 'cauchy'"):
             InnovationLaw("cauchy")
 
     @pytest.mark.parametrize("name", ["normal", "exponential"])
     def test_df_only_for_t(self, name):
-        with pytest.raises(ValueError, match="takes no df"):
+        with pytest.raises(ConfigError, match="takes no df"):
             InnovationLaw(name, df=6.0)
 
 

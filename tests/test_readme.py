@@ -1,5 +1,6 @@
 """The README's Python API example runs as printed."""
 
+import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -20,3 +21,24 @@ def test_python_api_example_runs(capsys):
     # 2 cells x 3 estimators, then 2 windows x 2 estimators x 1 target
     assert len(lines) == 6 + 4
     assert all(line.endswith(", 0 failed") for line in lines[:6])
+
+
+def test_error_table_names_each_class_and_its_exit_code(monkeypatch, capsys):
+    # the table's rows are exactly the classes of shrinkmean.errors, and
+    # main exits with each row's code when a command raises that class
+    import shrinkmean.errors
+    from shrinkmean import cli
+
+    rows = [line.split(" | ") for line in README.read_text(encoding="utf-8").splitlines()
+            if re.match(r"\| `\w+Error` \|", line)]
+    table = {row[0].strip("| `"): int(row[-1].strip(" |")) for row in rows}
+    classes = {name: cls for name, cls in vars(shrinkmean.errors).items()
+               if isinstance(cls, type) and issubclass(cls, shrinkmean.errors.ShrinkmeanError)}
+    assert set(table) == set(classes)
+    for name, code in table.items():
+        def fail(args, cls=classes[name]):
+            raise cls("message")
+
+        monkeypatch.setitem(cli._COMMANDS, "demo", fail)
+        assert cli.main(["demo"]) == code
+        assert capsys.readouterr().err == "error: message\n"
