@@ -40,8 +40,7 @@ def _limit_system(gram: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, f
     read from :func:`limit_weights`, which rejects a c that is not positive
     and finite (NaN included) and a singular A."""
     gram = np.asarray(gram, dtype=float)
-    limit = limit_weights(gram, c)
-    return gram, gram + np.diag([c, 0.0]), limit.alpha, limit.beta
+    return (gram, gram + np.diag([c, 0.0]), *limit_weights(gram, c))
 
 
 def oracle_weight_variances(gram: np.ndarray, c: float) -> tuple[float, float]:

@@ -35,7 +35,6 @@ from .errors import (
     ParseError,
     ScopeError,
     ShrinkmeanError,
-    TooFewSamplesError,
 )
 from .estimators import ESTIMATORS, NEEDS_POPULATION, limit_weights
 from .finance import (
@@ -220,19 +219,17 @@ def cmd_qq(args) -> int:
     if quantity.endswith("-bf") and c_used >= 1:
         raise ScopeError(f"bona fide standardization requires c < 1, got "
                          f"c = p/n = {p}/{n}")
-    # refuse before the cell runs; qq_data checks again, since failed
-    # replications can still leave too few samples
+    # a setting that can never give enough samples, refused before the
+    # population is built; qq_data checks again, since failed replications
+    # can still leave too few samples
     if config.n_reps < QQ_MIN_SAMPLES:
-        raise TooFewSamplesError(
-            f"need at least {QQ_MIN_SAMPLES} samples, got --n-reps {config.n_reps}"
-        )
+        raise ConfigError(f"qq needs --n-reps >= {QQ_MIN_SAMPLES}, got {config.n_reps}")
     pop = cell_population(config, p, c)
     cell = run_cell(config, pop, c)
 
     column = 0 if quantity.startswith("alpha") else 1
     gram = pop.precision_gram(pop.mu_n, pop.mu_0)
-    limit = limit_weights(gram, c_used)
-    center = (limit.alpha, limit.beta)[column]
+    center = limit_weights(gram, c_used)[column]
     if quantity.endswith("-oracle"):
         variance = oracle_weight_variances(gram, c_used)[column]
     else:

@@ -39,7 +39,9 @@ class DegenerateDenominatorError(ShrinkmeanError):
 
 
 class TooFewSamplesError(ShrinkmeanError):
-    """Normality diagnostics need at least 10 samples."""
+    """Normality diagnostics got fewer than 10 samples, as when failed
+    replications leave too few; a requested replication count below 10 is
+    a :class:`ConfigError` instead."""
 
 
 class ParseError(ShrinkmeanError):

@@ -1,5 +1,10 @@
 """Mean-vector estimators.
 
+Every estimator returns its coefficients on one basis of four p-vectors,
+(y_bar, mu_0, P y_bar, 1): the sample mean, the target, its projection on
+the range of the sample covariance and the all-ones vector.
+:func:`evaluate` is the one place that composes an estimate from them.
+
 The shrinkage family estimates the mean as ``alpha * y_bar + beta * mu_0``.
 Its oracle, limit and bona fide weights all solve one 2x2 system, the
 first-order conditions of the quadratic loss: ``gram @ (alpha, beta) = rhs``,
@@ -7,7 +12,7 @@ with ``gram`` the Gram of (y_bar, mu_0) in a precision metric and ``rhs``
 its column against mu_n.  That column is known to the oracle (true
 covariance and mean), taken in the limit p/n -> c, or estimated from the
 sample alone (inverse sample covariance for p < n, its Moore-Penrose
-pseudoinverse for p > n).
+pseudoinverse for p > n).  Each weight function returns ``(alpha, beta)``.
 
 Four benchmarks are included: the (modified) James-Stein estimator for
 p < n, its high-dimensional and positive-part variants for p > n, and the
@@ -33,15 +38,12 @@ centres of both weight CLTs, which :mod:`.asymptotics` reads from here.
 
 :data:`ESTIMATORS` is the one table of estimator names that the Monte
 Carlo harness and the backtester both dispatch through, and :func:`evaluate`
-the one call they make: it composes ``alpha * y_bar + beta * mu_0`` from the
-weights of the three shrinkage entries.  :data:`NEEDS_POPULATION` names the
-entries that read the true population, so the backtester takes only the
-others; :data:`READS_TARGET` names those whose estimate depends on the target.
+the one call they make.  :data:`NEEDS_POPULATION` names the entries that
+read the true population, so the backtester takes only the others;
+:data:`READS_TARGET` names those whose estimate depends on the target.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +58,6 @@ from .linalg import spd_factor  # noqa: F401  perfbench's tracer test reads it h
 from .model import PopulationSpec, SampleStats
 
 __all__ = [
-    "ShrinkageWeights",
     "ESTIMATORS",
     "NEEDS_POPULATION",
     "READS_TARGET",
@@ -73,21 +74,11 @@ __all__ = [
 
 _REL_FLOOR = 1e-12  # degenerate-denominator threshold, relative to operand scale
 
-
-@dataclass(frozen=True)
-class ShrinkageWeights:
-    """A (sample-mean weight, target weight) pair.
-
-    Limit weights have alpha in (0, 1) whenever the two mean directions are
-    not parallel; oracle and bona fide weights may be negative in small
-    samples.
-    """
-
-    alpha: float
-    beta: float
+#: An estimate's coefficients on the basis (y_bar, mu_0, P y_bar, 1).
+Coefficients = tuple[float, float, float, float]
 
 
-def _solve_weights(gram: np.ndarray, rhs: np.ndarray, message: str) -> ShrinkageWeights:
+def _solve_weights(gram: np.ndarray, rhs: np.ndarray, message: str) -> tuple[float, float]:
     """Solve ``gram @ (alpha, beta) = rhs``; a :class:`DegenerateDenominatorError`
     with ``message`` when ``gram`` is singular relative to |g_yy g_00|, which
     no rescaling of y_bar or mu_0 moves."""
@@ -96,11 +87,10 @@ def _solve_weights(gram: np.ndarray, rhs: np.ndarray, message: str) -> Shrinkage
     det = g_yy * g_00 - g_y0 * g_y0
     if abs(det) <= _REL_FLOOR * abs(g_yy * g_00):
         raise DegenerateDenominatorError(message)
-    return ShrinkageWeights(alpha=(r_y * g_00 - g_y0 * r_0) / det,
-                            beta=(g_yy * r_0 - g_y0 * r_y) / det)
+    return (r_y * g_00 - g_y0 * r_0) / det, (g_yy * r_0 - g_y0 * r_y) / det
 
 
-def oracle_intensities(y_bar: np.ndarray, pop: PopulationSpec) -> ShrinkageWeights:
+def oracle_intensities(y_bar: np.ndarray, pop: PopulationSpec) -> tuple[float, float]:
     """Loss-minimizing weights for one sample, using the true covariance.
 
     The system is the sigma^{-1} Gram of (y_bar, mu_0) against the right-hand
@@ -110,19 +100,20 @@ def oracle_intensities(y_bar: np.ndarray, pop: PopulationSpec) -> ShrinkageWeigh
                           "sample mean and target are collinear in the precision metric")
 
 
-def limit_intensities(pop: PopulationSpec, c: float) -> ShrinkageWeights:
+def limit_intensities(pop: PopulationSpec, c: float) -> tuple[float, float]:
     """Nonrandom limits of the oracle weights under p/n -> c: :func:`limit_weights`."""
     return limit_weights(pop.precision_gram(pop.mu_n, pop.mu_0), c)
 
 
-def limit_weights(gram: np.ndarray, c: float) -> ShrinkageWeights:
+def limit_weights(gram: np.ndarray, c: float) -> tuple[float, float]:
     """Limit weights from the sigma^{-1} Gram G of (mu_n, mu_0) and c.
 
     y_bar' sigma^{-1} y_bar tends to G_00 + c and every other entry of the
     oracle system to its G counterpart, so the system is (G + c e_0 e_0') w
     = G[:, 0]: the bona fide system below with kappa = c.  Its determinant
     is at least c mu_0' sigma^{-1} mu_0, so it rejects a target of no
-    precision-metric energy, whatever the scale of mu_0.
+    precision-metric energy, whatever the scale of mu_0.  Alpha lies in
+    (0, 1) unless mu_n and mu_0 are parallel in the precision metric.
     """
     if not 0 < c < np.inf:  # a NaN c fails this too
         raise ScopeError(f"concentration c must be positive and finite, got {c}")
@@ -139,7 +130,7 @@ def _energy(quad: float, v: np.ndarray, stats: SampleStats, name: str) -> float:
     return quad
 
 
-def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> ShrinkageWeights:
+def bona_fide_intensities(stats: SampleStats, mu_0: np.ndarray) -> tuple[float, float]:
     """Plug-in shrinkage weights from observable data only.
 
     With A the Gram of (y_bar, mu_0) in Q, the inverse sample covariance for
@@ -181,64 +172,63 @@ def _js_statistic(stats: SampleStats) -> float:
     return _energy(float(white @ white), stats.y_bar, stats, "sample mean") / stats.n
 
 
-def james_stein(stats: SampleStats) -> np.ndarray:
+def james_stein(stats: SampleStats) -> Coefficients:
     """James-Stein estimator with estimated covariance, for n >= p + 4.
 
     Shrinks the sample mean toward zero by the factor
     ``1 - ((p-2)/(n-p-3)) / (y_bar' scatter^{-1} y_bar)``, with the
-    scatter matrix ``n * s``.
+    scatter matrix ``n * s``: the coefficients (factor, 0, 0, 0).
     """
     p, n = stats.p, stats.n
     if p < 3 or n < p + 4:
         raise InvalidDimensionsError(f"requires n >= p + 4 and p >= 3, got p={p} n={n}")
     quad = _js_statistic(stats)
-    shrink = 1.0 - ((p - 2.0) / (n - p - 3.0)) / quad
-    return shrink * stats.y_bar
+    return 1.0 - ((p - 2.0) / (n - p - 3.0)) / quad, 0.0, 0.0, 0.0
 
 
-def js_high_dim(stats: SampleStats) -> np.ndarray:
+def js_high_dim(stats: SampleStats) -> Coefficients:
     """High-dimensional James-Stein estimator for p > n >= 3.
 
     Shrinks only the component of the sample mean inside the range of the
     scatter matrix ``n * s``, with coefficient a = 2(n-2)/(p-n+3) at its
-    upper bound.
+    upper bound: y_bar - (a / quad) P y_bar, the coefficients
+    (1, 0, -a/quad, 0).
     """
     p, n = stats.p, stats.n
     if not (p > n >= 3):
         raise InvalidDimensionsError(f"requires p > n >= 3, got p={p} n={n}")
     quad = _js_statistic(stats)
     a = 2.0 * (n - 2.0) / (p - n + 3.0)
-    return stats.y_bar - (a / quad) * stats.projected_mean()
+    return 1.0, 0.0, -(a / quad), 0.0
 
 
-def js_positive_part(stats: SampleStats, as_printed: bool = True) -> np.ndarray:
+def js_positive_part(stats: SampleStats, as_printed: bool = True) -> Coefficients:
     """Positive-part variant of the high-dimensional James-Stein estimator.
 
     The published display adds the in-range component to the sample mean,
     ``(I + P) y_bar``, with P the range projector; the conventional
     positive-part decomposition keeps the out-of-range component only,
-    ``(I - P) y_bar``.  ``as_printed`` selects between them: the registry
-    entry ``js-positive-part`` is the published form (the default) and
-    ``js-positive-part-conventional`` the other.  In both cases the clamped
-    term ``max(0, 1 - ((n-2)/(p-n+3)) / (y_bar' scatter^+ y_bar)) * P y_bar``
-    is added.
+    ``(I - P) y_bar``.  ``as_printed`` selects the sign of P y_bar: the
+    registry entry ``js-positive-part`` is the published form (the default)
+    and ``js-positive-part-conventional`` the other.  In both cases the
+    clamped term ``max(0, 1 - ((n-2)/(p-n+3)) / (y_bar' scatter^+ y_bar)) *
+    P y_bar`` is added: the coefficients (1, 0, +-1 + clamped, 0).
     """
     p, n = stats.p, stats.n
     if not (p > n >= 3):
         raise InvalidDimensionsError(f"requires p > n >= 3, got p={p} n={n}")
     quad = _js_statistic(stats)
-    projected = stats.projected_mean()
     clamped = max(0.0, 1.0 - ((n - 2.0) / (p - n + 3.0)) / quad)
-    base = stats.y_bar + projected if as_printed else stats.y_bar - projected
-    return base + clamped * projected
+    return 1.0, 0.0, (1.0 if as_printed else -1.0) + clamped, 0.0
 
 
-def wang_estimator(stats: SampleStats, direction: np.ndarray | None = None) -> np.ndarray:
+def wang_estimator(stats: SampleStats, direction: np.ndarray | None = None) -> Coefficients:
     """Unit-target shrinkage estimator of Wang et al. for p > n.
 
     Combines the sample mean and the all-ones direction 1 with coefficients
     z1..z4, pair sums of y_i' W y_j and 1'W y_i over the observations, with
-    W = scatter^+ = S^+ / n.  They close over the Gram (a_yy, a_y1, a_11) of
+    W = scatter^+ = S^+ / n: the coefficients ((z1 - z4)/d, 0, 0, z2 z3/d),
+    d = z1 + z2 z4.  They close over the Gram (a_yy, a_y1, a_11) of
     (y_bar, 1) in Q = S^+, so only 1 is whitened here (y_bar already is).
     ``direction`` is 1 read in the sample's coordinates, None for the
     all-ones vector itself: for a sample Q'y, rotated by an orthogonal Q,
@@ -273,27 +263,27 @@ def wang_estimator(stats: SampleStats, direction: np.ndarray | None = None) -> n
     scale = abs(z1) + abs(z2 * z4)
     if abs(denom) <= _REL_FLOOR * max(scale, 1e-300):
         raise DegenerateDenominatorError("shrinkage coefficient denominator vanishes")
-    return ((z1 - z4) / denom) * stats.y_bar + (z2 * z3 / denom) * ones
+    return (z1 - z4) / denom, 0.0, 0.0, z2 * z3 / denom
 
 
 #: Every estimator by name, each a function of ``(stats, mu_0, pop)`` with
 #: ``pop`` the population the sample was drawn from (None in a backtest) and,
-#: when given, ``mu_0`` its target and ``pop.ones`` Wang's direction.  The
-#: three shrinkage entries return their :class:`ShrinkageWeights` and every
-#: other entry an estimate; the target-free ones ignore mu_0.  The lambdas
-#: look the estimators up when called, so rebinding a module name (as a
-#: tracer does) reaches every caller.
+#: when given, ``mu_0`` its target and ``pop.ones`` Wang's direction.  Each
+#: returns its :data:`Coefficients` on (y_bar, mu_0, P y_bar, 1); the
+#: target-free ones ignore mu_0.  The lambdas look the estimators up when
+#: called, so rebinding a module name (as a tracer does) reaches every caller.
 ESTIMATORS = {
-    "sample-mean": lambda stats, mu_0, pop: stats.y_bar,
-    "olse": lambda stats, mu_0, pop: bona_fide_intensities(stats, mu_0),
+    "sample-mean": lambda stats, mu_0, pop: (1.0, 0.0, 0.0, 0.0),
+    "olse": lambda stats, mu_0, pop: (*bona_fide_intensities(stats, mu_0), 0.0, 0.0),
     "js": lambda stats, mu_0, pop: james_stein(stats),
     "js-high-dim": lambda stats, mu_0, pop: js_high_dim(stats),
     "js-positive-part": lambda stats, mu_0, pop: js_positive_part(stats, as_printed=True),
     "js-positive-part-conventional":
         lambda stats, mu_0, pop: js_positive_part(stats, as_printed=False),
     "wang": lambda stats, mu_0, pop: wang_estimator(stats, None if pop is None else pop.ones),
-    "olse-asymptotic": lambda stats, mu_0, pop: limit_intensities(pop, stats.p / stats.n),
-    "olse-oracle": lambda stats, mu_0, pop: oracle_intensities(stats.y_bar, pop),
+    "olse-asymptotic":
+        lambda stats, mu_0, pop: (*limit_intensities(pop, stats.p / stats.n), 0.0, 0.0),
+    "olse-oracle": lambda stats, mu_0, pop: (*oracle_intensities(stats.y_bar, pop), 0.0, 0.0),
 }
 
 #: The entries of :data:`ESTIMATORS` that need the true population.
@@ -305,11 +295,18 @@ READS_TARGET = frozenset({"olse"})
 
 
 def evaluate(name: str, stats: SampleStats, mu_0: np.ndarray,
-             pop: PopulationSpec | None = None) -> tuple[np.ndarray, ShrinkageWeights | None]:
-    """The estimate of ``ESTIMATORS[name]`` on one sample, and its shrinkage
-    weights (None for an entry that gives no weights), composed here as
-    ``alpha * y_bar + beta * mu_0``."""
-    result = ESTIMATORS[name](stats, mu_0, pop)
-    if not isinstance(result, ShrinkageWeights):
-        return result, None
-    return result.alpha * stats.y_bar + result.beta * np.asarray(mu_0, dtype=float), result
+             pop: PopulationSpec | None = None) -> tuple[np.ndarray, Coefficients]:
+    """The estimate of ``ESTIMATORS[name]`` on one sample and its coefficients
+    on (y_bar, mu_0, P y_bar, 1), with 1 read as ``pop.ones`` when given.  The
+    y_bar term comes first, then each later term whose coefficient is
+    nonzero, in that order, so no basis vector is built that is not used."""
+    coefficients = ESTIMATORS[name](stats, mu_0, pop)
+    c_y, c_0, c_p, c_1 = coefficients
+    estimate = c_y * stats.y_bar
+    if c_0:
+        estimate += c_0 * np.asarray(mu_0, dtype=float)
+    if c_p:
+        estimate += c_p * stats.projected_mean()
+    if c_1:
+        estimate += c_1 * (np.ones(stats.p) if pop is None else pop.ones)
+    return estimate, coefficients

@@ -285,11 +285,11 @@ def run_cell(config: McConfig, pop: PopulationSpec, c: float) -> CellResult:
             estimates = {}
             for est in estimators:
                 try:
-                    estimates[est], w = evaluate(est, stats, frame.mu_0, frame)
+                    estimates[est], coefficients = evaluate(est, stats, frame.mu_0, frame)
                 except ShrinkmeanError:
                     continue
                 if est in recorded:
-                    recorded[est][r] = (w.alpha, w.beta)
+                    recorded[est][r] = coefficients[:2]
             if estimates:
                 scored = quadratic_loss(np.column_stack(list(estimates.values())), frame)
                 for est, loss in zip(estimates, scored):

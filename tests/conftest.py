@@ -43,6 +43,19 @@ def bare_population(sigma, mu_n=None, mu_0=None) -> PopulationSpec:
     return PopulationSpec(p=p, mu_n=mu_n, mu_0=mu_0, **eigenpairs(sigma))
 
 
+def estimate_of(name: str, stats, ones=None) -> np.ndarray:
+    """The estimate of the target-free entry ``name`` of ``ESTIMATORS`` on
+    ``stats``, composed by ``estimators.evaluate``.  ``ones`` is Wang's
+    direction, carried by a population of identity covariance; None reads
+    the all-ones vector, with no population, as a backtest does."""
+    from shrinkmean.estimators import evaluate
+
+    p = stats.p
+    pop = None if ones is None else PopulationSpec(
+        p=p, mu_n=np.zeros(p), mu_0=np.zeros(p), values=np.ones(p), vectors=None, ones=ones)
+    return evaluate(name, stats, None, pop)[0]
+
+
 def one_fewer(count: int | None) -> int | None:
     """The thread count :func:`shrinkmean.linalg.fewer_blas_threads` sets from
     ``count``: one fewer, never below one; None where there is no count."""

@@ -157,7 +157,7 @@ class TestOracleWeightVariances:
             weights = run_cell(config, pop, c).weights["olse-oracle"]
             limit = limit_intensities(pop, p / n)
             variances = oracle_weight_variances(limit_gram(pop), p / n)
-            for column, center in enumerate((limit.alpha, limit.beta)):
+            for column, center in enumerate(limit):
                 z[column].append(standardize(weights[:, column], center,
                                              variances[column], np.sqrt(n)))
         bound = 3.0 / np.sqrt(2 * n_pops * n_reps) + 1.0 / np.sqrt(n)
@@ -323,7 +323,7 @@ def test_bona_fide_alpha_gap_falls_like_root_n():
             gram = limit_gram(cell_population(config, p, c))
             mean = bona_fide_alpha_mean(p, n, population_residual_form(gram))
             sd = np.sqrt(bona_fide_covariance(gram, c)[0, 0])
-            gaps.append(np.sqrt(n) * (mean - limit_weights(gram, c).alpha) / sd)
+            gaps.append(np.sqrt(n) * (mean - limit_weights(gram, c)[0]) / sd)
         assert max(gaps) < 0
         slope = np.polyfit(np.log(ps), np.log(-np.array(gaps)), 1)[0]
         assert abs(slope + 0.5) <= 0.1

@@ -416,14 +416,16 @@ def test_qq_bona_fide_rounded_c_out_of_scope_exits_2(tmp_path, capsys, monkeypat
     assert not (tmp_path / "qq.csv").exists()
 
 
-def test_qq_too_few_samples_exits_3(tmp_path, capsys, monkeypatch):
+def test_qq_too_few_samples_exits_2(tmp_path, capsys, monkeypatch):
+    # --n-reps below 10 is a setting no run can satisfy: a configuration
+    # error, refused before the population is built
     def no_population(*args):
         raise AssertionError("qq built a population for too few samples")
 
     monkeypatch.setattr(cli, "cell_population", no_population)
     code, err = run(capsys, "qq", "alpha-oracle", "--n-reps", "5",
                     "--out", str(tmp_path))
-    assert code == 3
+    assert code == 2
     assert_one_error_line(err)
 
 
@@ -461,7 +463,7 @@ def test_qq_growing_means_match_the_paper_standardization(tmp_path, capsys):
     alpha = run_cell(config, pop, c).weights["olse-oracle"][:, 0]
     n = cell_sample_size(p, c)
     var_alpha, _ = oracle_variances_closed_form(pop, p / n, 1)
-    want = np.sort(np.sqrt(p * n) * (alpha - limit_intensities(pop, p / n).alpha)
+    want = np.sort(np.sqrt(p * n) * (alpha - limit_intensities(pop, p / n)[0])
                    / np.sqrt(var_alpha))
     assert len(got) == 20
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)

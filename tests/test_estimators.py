@@ -7,6 +7,7 @@ import shrinkmean.model
 from conftest import (
     backtest_loss,
     bare_population,
+    estimate_of,
     generalized_inverse_s,
     limit_gram,
     rand_spd,
@@ -25,7 +26,6 @@ from shrinkmean.errors import (
 )
 from shrinkmean.estimators import (
     ESTIMATORS,
-    ShrinkageWeights,
     bona_fide_intensities,
     evaluate,
     james_stein,
@@ -59,17 +59,17 @@ class TestOracleIntensities:
         sigma = rand_spd(rng, 4)
         mu = rng.standard_normal(4)
         y_bar = rng.standard_normal(4)
-        w = oracle_intensities(y_bar, bare_population(sigma, mu, mu))
-        assert w.alpha == pytest.approx(0.0, abs=1e-12)
-        assert w.beta == pytest.approx(1.0, abs=1e-12)
+        alpha, beta = oracle_intensities(y_bar, bare_population(sigma, mu, mu))
+        assert alpha == pytest.approx(0.0, abs=1e-12)
+        assert beta == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_case(self):
-        w = oracle_intensities(
+        alpha, beta = oracle_intensities(
             np.array([2.0, 0.0]),
             bare_population(np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])),
         )
-        assert w.alpha == pytest.approx(0.5)
-        assert w.beta == pytest.approx(0.0, abs=1e-15)
+        assert alpha == pytest.approx(0.5)
+        assert beta == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_explicit_elimination(self, rng):
         # independent route: invert sigma directly, solve the 2x2
@@ -89,24 +89,24 @@ class TestOracleIntensities:
         # eliminate beta from the first equation
         beta = (r2 - h12 * r1 / h11) / (h22 - h12**2 / h11)
         alpha = (r1 - h12 * beta) / h11
-        assert w.alpha == pytest.approx(alpha, rel=1e-10)
-        assert w.beta == pytest.approx(beta, rel=1e-10)
+        assert w[0] == pytest.approx(alpha, rel=1e-10)
+        assert w[1] == pytest.approx(beta, rel=1e-10)
 
     def test_first_order_conditions(self, rng):
         sigma = rand_spd(rng, 6)
         mu_n = rng.standard_normal(6)
         mu_0 = rng.standard_normal(6)
         y_bar = rng.standard_normal(6)
-        w = oracle_intensities(y_bar, bare_population(sigma, mu_n, mu_0))
+        alpha, beta = oracle_intensities(y_bar, bare_population(sigma, mu_n, mu_0))
         inv = np.linalg.inv(sigma)
         res1 = (
-            w.alpha * quad_form(inv, y_bar, y_bar)
-            + w.beta * quad_form(inv, y_bar, mu_0)
+            alpha * quad_form(inv, y_bar, y_bar)
+            + beta * quad_form(inv, y_bar, mu_0)
             - quad_form(inv, y_bar, mu_n)
         )
         res2 = (
-            w.beta * quad_form(inv, mu_0, mu_0)
-            + w.alpha * quad_form(inv, y_bar, mu_0)
+            beta * quad_form(inv, mu_0, mu_0)
+            + alpha * quad_form(inv, y_bar, mu_0)
             - quad_form(inv, mu_n, mu_0)
         )
         scale = quad_form(inv, y_bar, mu_n)
@@ -132,7 +132,7 @@ class TestOracleIntensities:
             diff = a * y_bar + b * mu_0 - mu_n
             return quad_form(inv, diff, diff)
 
-        best = loss(w.alpha, w.beta)
+        best = loss(*w)
         grid = np.linspace(-1.0, 2.0, 21)
         for a in grid:
             for b in grid:
@@ -145,8 +145,8 @@ class TestOracleIntensities:
         y_bar = rng.standard_normal(4)
         w1 = oracle_intensities(y_bar, bare_population(sigma, mu_n, mu_0))
         w2 = oracle_intensities(y_bar, bare_population(7.0 * sigma, mu_n, mu_0))
-        assert w1.alpha == pytest.approx(w2.alpha, abs=1e-10)
-        assert w1.beta == pytest.approx(w2.beta, abs=1e-10)
+        assert w1[0] == pytest.approx(w2[0], abs=1e-10)
+        assert w1[1] == pytest.approx(w2[1], abs=1e-10)
 
 
 class TestLimitIntensities:
@@ -154,40 +154,40 @@ class TestLimitIntensities:
         sigma = rand_spd(rng, 5)
         mu_n = rng.standard_normal(5)
         mu_0 = rng.standard_normal(5)
-        w = limit_intensities(bare_population(sigma, mu_n, mu_0), 1e-9)
-        assert w.alpha > 1.0 - 1e-6
+        alpha, _ = limit_intensities(bare_population(sigma, mu_n, mu_0), 1e-9)
+        assert alpha > 1.0 - 1e-6
 
     def test_orthogonal_target(self):
-        w = limit_intensities(
+        alpha, beta = limit_intensities(
             bare_population(np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])), 1.0)
-        assert w.alpha == pytest.approx(0.5)
-        assert w.beta == pytest.approx(0.0, abs=1e-15)
+        assert alpha == pytest.approx(0.5)
+        assert beta == pytest.approx(0.0, abs=1e-15)
 
     def test_equal_target(self, rng):
         sigma = rand_spd(rng, 4)
         mu = rng.standard_normal(4)
-        w = limit_intensities(bare_population(sigma, mu, mu), 0.7)
-        assert w.alpha == pytest.approx(0.0, abs=1e-12)
-        assert w.beta == pytest.approx(1.0, abs=1e-12)
+        alpha, beta = limit_intensities(bare_population(sigma, mu, mu), 0.7)
+        assert alpha == pytest.approx(0.0, abs=1e-12)
+        assert beta == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_in_unit_interval(self, rng):
         for _ in range(10):
             p = int(rng.integers(3, 10))
             sigma = rand_spd(rng, p)
-            w = limit_intensities(
+            alpha, _ = limit_intensities(
                 bare_population(sigma, rng.standard_normal(p), rng.standard_normal(p)),
                 float(rng.uniform(0.1, 3.0)),
             )
-            assert 0.0 < w.alpha < 1.0
+            assert 0.0 < alpha < 1.0
 
     def test_beta_link_identity(self, rng):
         sigma = rand_spd(rng, 5)
         mu_n = rng.standard_normal(5)
         mu_0 = rng.standard_normal(5)
-        w = limit_intensities(bare_population(sigma, mu_n, mu_0), 0.8)
+        alpha, beta = limit_intensities(bare_population(sigma, mu_n, mu_0), 0.8)
         inv = np.linalg.inv(sigma)
-        link = (1.0 - w.alpha) * quad_form(inv, mu_n, mu_0) / quad_form(inv, mu_0, mu_0)
-        assert w.beta == pytest.approx(link, rel=1e-10)
+        link = (1.0 - alpha) * quad_form(inv, mu_n, mu_0) / quad_form(inv, mu_0, mu_0)
+        assert beta == pytest.approx(link, rel=1e-10)
 
     def test_zero_target_degenerate(self, rng):
         with pytest.raises(DegenerateDenominatorError, match="zero precision-metric energy"):
@@ -212,9 +212,9 @@ class TestLimitIntensities:
 class TestBonaFideIntensities:
     def test_hand_case(self, rng):
         stats = sample_stats(sample_with_moments(np.array([2.0, 0.0]), np.eye(2), 4, rng))
-        w = bona_fide_intensities(stats, np.array([0.0, 1.0]))
-        assert w.alpha == pytest.approx(0.75)
-        assert w.beta == pytest.approx(0.0, abs=1e-15)
+        alpha, beta = bona_fide_intensities(stats, np.array([0.0, 1.0]))
+        assert alpha == pytest.approx(0.75)
+        assert beta == pytest.approx(0.0, abs=1e-15)
 
     def test_high_dim_matches_svd_oracle(self, rng):
         # p > n: brute-force route forms the pseudoinverse via numpy and
@@ -233,8 +233,8 @@ class TestBonaFideIntensities:
         corr = 1.0 / (p / n - 1.0)
         alpha = ((a_yy - corr) * a_00 - a_y0**2) / (a_yy * a_00 - a_y0**2)
         beta = (1.0 - alpha) * a_y0 / a_00
-        assert w.alpha == pytest.approx(alpha, rel=1e-8)
-        assert w.beta == pytest.approx(beta, rel=1e-8)
+        assert w[0] == pytest.approx(alpha, rel=1e-8)
+        assert w[1] == pytest.approx(beta, rel=1e-8)
 
     def test_low_dim_matches_direct_inverse(self, rng):
         y = rng.standard_normal((3, 12)) + 1.0
@@ -247,7 +247,7 @@ class TestBonaFideIntensities:
         a_00 = quad_form(s_inv, mu_0, mu_0)
         corr = 3 / (12 - 3)
         alpha = ((a_yy - corr) * a_00 - a_y0**2) / (a_yy * a_00 - a_y0**2)
-        assert w.alpha == pytest.approx(alpha, rel=1e-8)
+        assert w[0] == pytest.approx(alpha, rel=1e-8)
 
     def test_equal_dimensions_rejected(self, rng):
         stats = sample_stats(rng.standard_normal((4, 4)))
@@ -309,7 +309,7 @@ class TestBonaFideIntensities:
     def test_alpha_may_be_negative(self, rng):
         # the raw weights are returned unclipped
         stats = sample_stats(sample_with_moments(np.array([0.1, 0.0]), np.eye(2), 4, rng))
-        assert bona_fide_intensities(stats, np.array([0.0, 1.0])).alpha < 0
+        assert bona_fide_intensities(stats, np.array([0.0, 1.0]))[0] < 0
 
     def test_consistency_large_sample(self):
         # sqrt(n) (alpha_hat - alpha_limit, beta_hat - beta_limit) is
@@ -329,7 +329,7 @@ class TestBonaFideIntensities:
         weights = cell.weights["olse"]
         assert np.isfinite(weights).all()
         critical = KS_COEFF_1PCT / np.sqrt(len(weights))
-        for column, center in ((0, lw.alpha), (1, lw.beta)):
+        for column, center in enumerate(lw):
             z = standardize(weights[:, column], center, cov[column, column], np.sqrt(n))
             assert ks_statistic(z) < critical
 
@@ -341,9 +341,9 @@ class TestTargetScaleInvariance:
 
     @staticmethod
     def assert_invariant(weights, scale):
-        base, scaled = weights(1.0), weights(scale)
-        assert abs(scaled.alpha - base.alpha) <= 1e-12 * abs(base.alpha)
-        assert abs(scale * scaled.beta - base.beta) <= 1e-12 * abs(base.beta)
+        (base_alpha, base_beta), (alpha, beta) = weights(1.0), weights(scale)
+        assert abs(alpha - base_alpha) <= 1e-12 * abs(base_alpha)
+        assert abs(scale * beta - base_beta) <= 1e-12 * abs(base_beta)
 
     def test_oracle(self, rng, scale):
         sigma = rand_spd(rng, 5)
@@ -369,10 +369,10 @@ class TestOlse:
         y = rng.standard_normal((3, 9)) + 0.4
         stats = sample_stats(y)
         mu_0 = rng.standard_normal(3)
-        w = bona_fide_intensities(stats, mu_0)
-        est, weights = evaluate("olse", stats, mu_0)
-        assert weights == w
-        assert np.allclose(est, w.alpha * stats.y_bar + w.beta * mu_0)
+        alpha, beta = bona_fide_intensities(stats, mu_0)
+        est, coefficients = evaluate("olse", stats, mu_0)
+        assert coefficients == (alpha, beta, 0.0, 0.0)
+        assert np.allclose(est, alpha * stats.y_bar + beta * mu_0)
 
     def test_hand_composition(self, rng):
         stats = sample_stats(sample_with_moments(np.array([2.0, 0.0]), np.eye(2), 4, rng))
@@ -380,10 +380,10 @@ class TestOlse:
         assert np.allclose(est, [1.5, 0.0])
 
     def test_table_entry_serves_both_harnesses(self, monkeypatch, rng):
-        # weights (1, 0) make an entry the sample mean: one table entry is
-        # all a Monte Carlo study and a backtest need to score it
+        # coefficients (1, 0, 0, 0) make an entry the sample mean: one table
+        # entry is all a Monte Carlo study and a backtest need to score it
         monkeypatch.setitem(ESTIMATORS, "unit-weights",
-                            lambda stats, mu_0, pop: ShrinkageWeights(1.0, 0.0))
+                            lambda stats, mu_0, pop: (1.0, 0.0, 0.0, 0.0))
         names = ("sample-mean", "unit-weights")
         study = run_study(McConfig(p_grid=(12,), c_grid=(0.5, 2.0), n_reps=5,
                                    estimators=names, seed=3))
@@ -412,28 +412,28 @@ class TestJamesStein:
     def test_hand_factor(self, rng):
         # quadratic form 1 at p=3, n=10 gives factor 1 - (1/4)/1
         y_bar = np.array([1.0, 0.0, 0.0])
-        est = james_stein(_stats_with(y_bar, np.eye(3), 10, rng))
+        est = estimate_of("js", _stats_with(y_bar, np.eye(3), 10, rng))
         assert np.allclose(est, 0.75 * y_bar)
 
     def test_no_shrinkage_limit(self, rng):
         p, n = 3, 10
         target_quad = 1e4 * (p - 2) / (n - p - 3)
         y_bar = np.array([np.sqrt(target_quad), 0.0, 0.0])
-        est = james_stein(_stats_with(y_bar, np.eye(p), n, rng))
+        est = estimate_of("js", _stats_with(y_bar, np.eye(p), n, rng))
         factor = est[0] / y_bar[0]
         assert factor > 0.999
 
     def test_parallel_to_sample_mean(self, rng):
         scatter = rand_spd(rng, 5) * 30
         y_bar = rng.standard_normal(5)
-        est = james_stein(_stats_with(y_bar, scatter, 30, rng))
+        est = estimate_of("js", _stats_with(y_bar, scatter, 30, rng))
         cross = np.outer(est, y_bar) - np.outer(y_bar, est)
         assert np.max(np.abs(cross)) < 1e-12
 
     def test_direct_formula(self, rng):
         scatter = rand_spd(rng, 5) * 30
         y_bar = rng.standard_normal(5)
-        est = james_stein(_stats_with(y_bar, scatter, 30, rng))
+        est = estimate_of("js", _stats_with(y_bar, scatter, 30, rng))
         quad = float(y_bar @ np.linalg.inv(scatter) @ y_bar)
         expected = (1.0 - (3.0 / 22.0) / quad) * y_bar
         assert np.allclose(est, expected, rtol=1e-9)
@@ -455,14 +455,14 @@ class TestJsHighDim:
     def test_orthogonal_component_unchanged(self, rng):
         _, stats, scatter = _high_dim_sample(rng, 8, 4)
         proj = scatter @ np.linalg.pinv(scatter)
-        est = js_high_dim(stats)
+        est = estimate_of("js-high-dim", stats)
         out_of_range = (np.eye(8) - proj) @ stats.y_bar
         assert np.allclose((np.eye(8) - proj) @ est, out_of_range, atol=1e-10)
 
     def test_range_component_shrunk_uniformly(self, rng):
         _, stats, scatter = _high_dim_sample(rng, 8, 4)
         proj = scatter @ np.linalg.pinv(scatter)
-        est = js_high_dim(stats)
+        est = estimate_of("js-high-dim", stats)
         quad = float(stats.y_bar @ np.linalg.pinv(scatter) @ stats.y_bar)
         a = 2 * (4 - 2) / (8 - 4 + 3)
         expected_range = (1 - a / quad) * (proj @ stats.y_bar)
@@ -470,7 +470,7 @@ class TestJsHighDim:
 
     def test_matches_brute_force(self, rng):
         _, stats, scatter = _high_dim_sample(rng, 8, 4)
-        est = js_high_dim(stats)
+        est = estimate_of("js-high-dim", stats)
         pinv = np.linalg.pinv(scatter)
         quad = float(stats.y_bar @ pinv @ stats.y_bar)
         a = 2 * (4 - 2) / (8 - 4 + 3)
@@ -503,7 +503,7 @@ class TestJsPositivePart:
         thresh = (5 - 2) / (10 - 5 + 3)
         quad = float(stats.y_bar @ pinv @ stats.y_bar)
         y_small = stats.y_bar * np.sqrt(0.5 * thresh / quad)
-        est = js_positive_part(_stats_with(y_small, scatter, 5, rng), as_printed=True)
+        est = estimate_of("js-positive-part", _stats_with(y_small, scatter, 5, rng))
         proj = scatter @ pinv
         assert np.allclose(est, y_small + proj @ y_small, atol=1e-10)
 
@@ -512,7 +512,7 @@ class TestJsPositivePart:
         # very large quadratic form: clamped factor -> 1, conventional
         # decomposition recombines to the sample mean
         y_large = stats.y_bar * 1e4
-        est = js_positive_part(_stats_with(y_large, scatter, 5, rng), as_printed=False)
+        est = estimate_of("js-positive-part-conventional", _stats_with(y_large, scatter, 5, rng))
         assert np.linalg.norm(est - y_large) / np.linalg.norm(y_large) < 1e-6
 
     def test_both_flags_match_brute_force(self, rng):
@@ -524,11 +524,11 @@ class TestJsPositivePart:
         printed = (np.eye(10) + proj) @ stats.y_bar + clamped * (proj @ stats.y_bar)
         conventional = (np.eye(10) - proj) @ stats.y_bar + clamped * (proj @ stats.y_bar)
         assert np.allclose(
-            js_positive_part(stats, as_printed=True),
+            estimate_of("js-positive-part", stats),
             printed, atol=1e-10,
         )
         assert np.allclose(
-            js_positive_part(stats, as_printed=False),
+            estimate_of("js-positive-part-conventional", stats),
             conventional, atol=1e-10,
         )
 
@@ -552,7 +552,7 @@ class TestWangEstimator:
     def test_closed_form_equals_double_sums(self, rng, p, n):
         # the closed form of wang_estimator's docstring, in the 2x2 precision
         # Gram of (y_bar, 1), against the literal pair sums; the estimate
-        # built from the literal sums is wang_estimator's to the same digits
+        # built from the literal sums is the wang entry's to the same digits
         y = rng.standard_normal((p, n)) + 0.2
         stats = sample_stats(y)
         gram = stats.mean_gram(np.ones(p))
@@ -563,7 +563,7 @@ class TestWangEstimator:
         assert np.max(np.abs(closed - literal) / np.abs(literal)) <= 1e-10
         denom = z1 + z2 * z4
         expected = ((z1 - z4) / denom) * stats.y_bar + (z2 * z3 / denom) * np.ones(p)
-        assert np.allclose(wang_estimator(stats), expected, rtol=1e-10, atol=0)
+        assert np.allclose(estimate_of("wang", stats), expected, rtol=1e-10, atol=0)
 
     def test_whitens_two_columns_whatever_n(self, monkeypatch, rng):
         # y_bar and 1, never the n observations: y_bar when the sample is
@@ -583,7 +583,7 @@ class TestWangEstimator:
 
     def test_matches_brute_force(self, rng):
         y = rng.standard_normal((9, 4)) + 0.5
-        est = wang_estimator(sample_stats(y))
+        est = estimate_of("wang", sample_stats(y))
 
         p, n = y.shape
         y_bar = y.mean(axis=1)
@@ -641,7 +641,8 @@ class TestWangEstimator:
         t = np.sqrt((1.0 + 1.0 / (p * (n - 1))) / (a + b**2 / (c * p)))
         with pytest.raises(DegenerateDenominatorError, match="denominator vanishes"):
             wang_estimator(sample_stats(k * (e + t * v[:, None])))
-        assert np.isfinite(wang_estimator(sample_stats(k * (e + 1.01 * t * v[:, None])))).all()
+        clear = sample_stats(k * (e + 1.01 * t * v[:, None]))
+        assert np.isfinite(estimate_of("wang", clear)).all()
 
     def test_direction_rotates_with_the_sample(self, rng):
         # S^+ forms are orthogonally equivariant, the all-ones direction is
@@ -650,14 +651,94 @@ class TestWangEstimator:
         p, n = 12, 6
         y = rng.standard_normal((p, n)) + 0.5
         q = haar_orthogonal(p, rng)
-        est = wang_estimator(sample_stats(y))
-        np.testing.assert_array_equal(wang_estimator(sample_stats(y), np.ones(p)), est)
+        est = estimate_of("wang", sample_stats(y))
+        np.testing.assert_array_equal(estimate_of("wang", sample_stats(y), np.ones(p)), est)
         rotated = sample_stats(q.T @ y)
-        np.testing.assert_allclose(q @ wang_estimator(rotated, q.T @ np.ones(p)), est,
+        np.testing.assert_allclose(q @ estimate_of("wang", rotated, q.T @ np.ones(p)), est,
                                    rtol=1e-10, atol=0)
-        assert not np.allclose(q @ wang_estimator(rotated), est, rtol=1e-3, atol=0)
+        assert not np.allclose(q @ estimate_of("wang", rotated), est, rtol=1e-3, atol=0)
         with pytest.raises(DimensionMismatchError):
             wang_estimator(rotated, np.ones(p + 1))
+
+
+_BELOW_P_EQ_N = {"js"}
+_ABOVE_P_EQ_N = {"js-high-dim", "js-positive-part", "js-positive-part-conventional", "wang"}
+#: each OLSE entry's weight function, whose pair its first two coefficients are
+_WEIGHTS = {"olse": lambda stats, pop: bona_fide_intensities(stats, pop.mu_0),
+            "olse-asymptotic": lambda stats, pop: limit_intensities(pop, stats.p / stats.n),
+            "olse-oracle": lambda stats, pop: oracle_intensities(stats.y_bar, pop)}
+
+
+def _inline_estimate(name, stats, pop):
+    """Each entry's estimate written out from its scalars, as the paper
+    displays it: the reference ``evaluate`` must reproduce."""
+    p, n, y_bar = stats.p, stats.n, stats.y_bar
+    if name == "sample-mean":
+        return y_bar
+    if name in _WEIGHTS:
+        alpha, beta = _WEIGHTS[name](stats, pop)
+        return alpha * y_bar + beta * pop.mu_0
+    if name == "wang":
+        (a_yy, a_y1), (_, a_11) = stats.mean_gram(pop.ones).tolist()
+        z1, z2 = (a_yy - 1.0) / p, 1.0 / p
+        z3, z4 = a_y1 / a_11, (a_y1**2 / a_11 - 1.0 / (n - 1.0)) / p
+        denom = z1 + z2 * z4
+        return ((z1 - z4) / denom) * y_bar + (z2 * z3 / denom) * pop.ones
+    white = stats.factorization.white_mean
+    quad = float(white @ white) / n
+    if name == "js":
+        return (1.0 - ((p - 2.0) / (n - p - 3.0)) / quad) * y_bar
+    proj = stats.projected_mean()
+    if name == "js-high-dim":
+        return y_bar - (2.0 * (n - 2.0) / (p - n + 3.0) / quad) * proj
+    clamped = max(0.0, 1.0 - ((n - 2.0) / (p - n + 3.0)) / quad)
+    if name == "js-positive-part":
+        return (y_bar + proj) + clamped * proj  # the published (I + P) y_bar display
+    return y_bar - (1.0 - clamped) * proj  # (I - P) y_bar + clamped P y_bar
+
+
+class TestCoefficientProtocol:
+    """Every entry of ESTIMATORS returns its four coefficients on (y_bar,
+    mu_0, P y_bar, 1), and ``evaluate`` composes the estimate from them."""
+
+    @pytest.mark.parametrize("frame", ["standard", "rotated"])
+    @pytest.mark.parametrize("p, n", [(8, 20), (20, 8)])
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_entry_returns_four_floats_that_evaluate_composes(self, rng, name, p, n, frame):
+        # a rotated frame's ones is Q'1, not the all-ones vector, so Wang's
+        # term must read the population's direction
+        pop = bare_population(rand_spd(rng, p), rng.standard_normal(p), rng.standard_normal(p))
+        if frame == "rotated":
+            pop = pop.rotated()
+            assert not np.allclose(pop.ones, 1.0)
+        stats = sample_stats(rng.standard_normal((p, n)) + 0.3)
+        if name in (_BELOW_P_EQ_N if p > n else _ABOVE_P_EQ_N):
+            with pytest.raises(InvalidDimensionsError):
+                evaluate(name, stats, pop.mu_0, pop)
+            return
+        coefficients = ESTIMATORS[name](stats, pop.mu_0, pop)
+        assert len(coefficients) == 4
+        assert all(isinstance(c, float) and np.isfinite(c) for c in coefficients)
+        if name in _WEIGHTS:
+            assert coefficients == (*_WEIGHTS[name](stats, pop), 0.0, 0.0)
+        estimate, returned = evaluate(name, stats, pop.mu_0, pop)
+        assert returned == coefficients
+        expected = _inline_estimate(name, stats, pop)
+        if name == "js-positive-part":
+            # (I + P) y_bar + clamped P y_bar, summed as y_bar + (1 + clamped) P y_bar
+            np.testing.assert_allclose(estimate, expected, rtol=1e-14, atol=0)
+        else:
+            np.testing.assert_array_equal(estimate, expected)
+
+    def test_sample_mean_never_factorizes(self):
+        # constant columns: the factorization refuses the sample, but the
+        # sample mean reads only y_bar
+        stats = sample_stats(np.tile(np.array([1.0, 2.0, 3.0])[:, None], (1, 8)))
+        estimate, coefficients = evaluate("sample-mean", stats, np.ones(3))
+        assert coefficients == (1.0, 0.0, 0.0, 0.0)
+        np.testing.assert_array_equal(estimate, [1.0, 2.0, 3.0])
+        with pytest.raises(SingularSampleError):
+            stats.factorization
 
 
 class TestGeneralizedInverse:

@@ -5,7 +5,7 @@ and pairing."""
 import numpy as np
 import pytest
 
-from conftest import backtest_loss, one_fewer
+from conftest import backtest_loss, estimate_of, one_fewer
 import shrinkmean.estimators
 import shrinkmean.finance
 import shrinkmean.model
@@ -16,7 +16,7 @@ from shrinkmean.errors import (
     ParseError,
     RaggedRowsError,
 )
-from shrinkmean.estimators import READS_TARGET, evaluate, js_positive_part
+from shrinkmean.estimators import READS_TARGET, evaluate
 from shrinkmean.finance import (
     TARGET_STRATEGIES,
     BacktestConfig,
@@ -224,9 +224,9 @@ class TestBacktestEstimatorCalls:
 
     def test_both_positive_part_forms(self):
         # each registry name of the positive-part estimator is its own row,
-        # scored from js_positive_part in that form
+        # scored from that entry's own coefficients
         panel = _panel(periods=20, p=12)
-        forms = {"js-positive-part": True, "js-positive-part-conventional": False}
+        forms = ("js-positive-part", "js-positive-part-conventional")
         config = BacktestConfig(windows=(5, 8), estimators=tuple(forms))
         report = rolling_backtest(panel, config)
         assert len(report.rows) == 2 * len(forms) * len(config.targets)
@@ -236,7 +236,7 @@ class TestBacktestEstimatorCalls:
             sq = 0.0
             for t_idx in range(n, panel.n_periods):
                 stats = sample_stats(values[t_idx - n : t_idx].T)
-                pred = float(js_positive_part(stats, as_printed=forms[row.estimator]).mean())
+                pred = float(estimate_of(row.estimator, stats).mean())
                 sq += (pred - float(values[t_idx].mean())) ** 2
             assert row.failures == 0
             assert row.loss_x1e4 == pytest.approx(1e4 * sq / (panel.n_periods - n), rel=1e-12)
@@ -316,7 +316,7 @@ class TestBacktestPairing:
 
         def wang_nan_once(stats, direction=None):
             if np.array_equal(stats.y_bar, nan_window.mean(axis=1)):
-                return np.full(stats.p, np.nan)
+                return np.nan, 0.0, 0.0, 0.0
             return original(stats, direction)
 
         monkeypatch.setattr(shrinkmean.estimators, "wang_estimator", wang_nan_once)

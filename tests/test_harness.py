@@ -63,7 +63,7 @@ class TestPackageRoot:
     ROOT_NAMES = {
         "asymptotics": ("bona_fide_covariance", "oracle_weight_variances", "standardize"),
         "errors": ("ShrinkmeanError",),
-        "estimators": ("ESTIMATORS", "NEEDS_POPULATION", "ShrinkageWeights",
+        "estimators": ("ESTIMATORS", "NEEDS_POPULATION",
                        "bona_fide_intensities", "evaluate", "james_stein", "js_high_dim",
                        "js_positive_part", "limit_intensities", "oracle_intensities",
                        "wang_estimator"),

@@ -29,7 +29,7 @@ def pooled_loss_ratios(p, c, gamma, estimators, reference, n_pops, n_reps=5,
                           estimators=estimators, seed=seed, law=law)
         pop = cell_population(config, p, c)
         cell = run_cell(config, pop, c)
-        shrinkage.append(1.0 - limit_intensities(pop, p / cell_sample_size(p, c)).alpha)
+        shrinkage.append(1.0 - limit_intensities(pop, p / cell_sample_size(p, c))[0])
         used = np.all([np.isfinite(cell.losses[e]) for e in estimators], axis=0)
         for e in estimators:
             totals[e] += float(cell.losses[e][used].sum())

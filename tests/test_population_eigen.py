@@ -283,13 +283,13 @@ class TestCellWeights:
 
         # eigenpairs from eigh
         bare = bare_population(covariance(pop.values, pop.vectors), pop.mu_n, pop.mu_0)
-        limit = limit_intensities(bare, p / n)
+        limit_alpha, limit_beta = limit_intensities(bare, p / n)
         for r in range(n_reps):
             y = generate_sample(pop, n, config.law, replication_rng(config.seed, p, c, r))
             y_bar = sample_stats(y).y_bar
             w = oracle_intensities(y_bar, bare)
-            assert cell.weights["olse-oracle"][r] == pytest.approx([w.alpha, w.beta], rel=1e-10)
-            limit_mean = limit.alpha * y_bar + limit.beta * pop.mu_0
+            assert cell.weights["olse-oracle"][r] == pytest.approx(w, rel=1e-10)
+            limit_mean = limit_alpha * y_bar + limit_beta * pop.mu_0
             assert cell.losses["olse-asymptotic"][r] == pytest.approx(
                 quadratic_loss(limit_mean[:, None], bare)[0], rel=1e-10)
 

@@ -58,11 +58,11 @@ def serial_cell(config, pop, c, mixed=False):
         estimates = {}
         for est in config.estimators:
             try:
-                estimates[est], w = evaluate(est, stats, frame.mu_0, frame)
+                estimates[est], coefficients = evaluate(est, stats, frame.mu_0, frame)
             except ShrinkmeanError:
                 continue
             if est in weights:
-                weights[est][r] = (w.alpha, w.beta)
+                weights[est][r] = coefficients[:2]
         if estimates:
             scored = quadratic_loss(np.column_stack(list(estimates.values())), frame)
             for est, loss in zip(estimates, scored):
@@ -158,9 +158,11 @@ def test_two_threads_in_blas_repeat_bit_for_bit():
 
 
 def test_whitened_frame_guard_fires(monkeypatch):
-    # an estimator that is not equivariant (y_bar + 1 maps to R y_bar + R 1,
-    # not R y_bar + 1) scores differently in the frame
-    monkeypatch.setitem(ESTIMATORS, "mean-plus-one", lambda stats, mu_0, pop: stats.y_bar + 1.0)
+    # an estimator that is not equivariant (its coefficient |y_bar|^2 on
+    # y_bar changes when y_bar maps to R^{-1} y_bar) scores differently in
+    # the frame
+    monkeypatch.setitem(ESTIMATORS, "mean-times-norm",
+                        lambda stats, mu_0, pop: (float(stats.y_bar @ stats.y_bar), 0.0, 0.0, 0.0))
     config = cell_config(12, 0.5, "normal", n_reps=3)
     pop = cell_population(config, 12, 0.5)
     with pytest.raises(AssertionError):

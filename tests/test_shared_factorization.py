@@ -14,16 +14,13 @@ import pytest
 import shrinkmean.finance
 import shrinkmean.harness
 import shrinkmean.model
+from conftest import estimate_of
 from shrinkmean.errors import InvalidDimensionsError, SingularSampleError
 from shrinkmean.estimators import (
     ESTIMATORS,
     NEEDS_POPULATION,
     bona_fide_intensities,
     evaluate,
-    james_stein,
-    js_high_dim,
-    js_positive_part,
-    wang_estimator,
 )
 from shrinkmean.finance import BacktestConfig, ReturnsPanel, rolling_backtest
 from shrinkmean.harness import (
@@ -42,8 +39,7 @@ ALL_MC = ALL_BACKTEST[:2] + ("olse-asymptotic", "olse-oracle") + ALL_BACKTEST[2:
 
 
 def _weights(y, mu_0):
-    w = bona_fide_intensities(sample_stats(y), mu_0)
-    return np.array([w.alpha, w.beta])
+    return np.array(bona_fide_intensities(sample_stats(y), mu_0))
 
 
 def _rel_err(actual, expected):
@@ -161,8 +157,8 @@ class TestScaleRelativeFloors:
     def test_high_dim_estimates_scale_by_k(self, rng, k):
         y = rng.standard_normal((40, 10)) + 0.3
         base, scaled = sample_stats(y), sample_stats(k * y)
-        for estimator in (wang_estimator, js_high_dim, js_positive_part):
-            assert _rel_err(estimator(scaled), k * estimator(base)) < 1e-10
+        for name in ("wang", "js-high-dim", "js-positive-part"):
+            assert _rel_err(estimate_of(name, scaled), k * estimate_of(name, base)) < 1e-10
 
 
 class TestMetamorphic:
@@ -174,8 +170,8 @@ class TestMetamorphic:
         a = np.eye(p) + 0.3 * rng.standard_normal((p, p)) / np.sqrt(p)
         assert _rel_err(_weights(a @ y, a @ mu_0), _weights(y, mu_0)) < 1e-10
         # James-Stein shrinks by an invariant factor, so it is equivariant
-        est = james_stein(sample_stats(a @ y))
-        assert _rel_err(est, a @ james_stein(sample_stats(y))) < 1e-10
+        est = estimate_of("js", sample_stats(a @ y))
+        assert _rel_err(est, a @ estimate_of("js", sample_stats(y))) < 1e-10
 
     def test_orthogonal_transform_high_dim(self, rng):
         p, n = 30, 8
@@ -183,9 +179,9 @@ class TestMetamorphic:
         mu_0 = rng.standard_normal(p)
         q = haar_orthogonal(p, rng)
         assert _rel_err(_weights(q @ y, q @ mu_0), _weights(y, mu_0)) < 1e-10
-        for estimator in (js_high_dim, js_positive_part):
-            est = estimator(sample_stats(q @ y))
-            assert _rel_err(est, q @ estimator(sample_stats(y))) < 1e-10
+        for name in ("js-high-dim", "js-positive-part"):
+            est = estimate_of(name, sample_stats(q @ y))
+            assert _rel_err(est, q @ estimate_of(name, sample_stats(y))) < 1e-10
 
     @pytest.mark.parametrize("shape", [(8, 30), (30, 8)])
     def test_column_permutation(self, rng, shape):
@@ -240,17 +236,17 @@ def test_estimators_match_inverse_oracles(p, n):
     quad = y_bar @ _oracle_precision(y) @ y_bar / n
     if p < n:
         expected = (1.0 - ((p - 2) / (n - p - 3)) / quad) * y_bar
-        assert _rel_err(james_stein(stats), expected) < 1e-10
+        assert _rel_err(estimate_of("js", stats), expected) < 1e-10
         return
     proj = (y - y_bar[:, None]) @ np.linalg.pinv(y - y_bar[:, None])
     in_range = proj @ y_bar
     a = 2.0 * (n - 2) / (p - n + 3)
-    assert _rel_err(js_high_dim(stats), y_bar - (a / quad) * in_range) < 1e-10
+    assert _rel_err(estimate_of("js-high-dim", stats), y_bar - (a / quad) * in_range) < 1e-10
     clamped = max(0.0, 1.0 - ((n - 2) / (p - n + 3)) / quad)
-    for as_printed, sign in ((True, 1.0), (False, -1.0)):
+    for name, sign in (("js-positive-part", 1.0), ("js-positive-part-conventional", -1.0)):
         expected = y_bar + sign * in_range + clamped * in_range
-        assert _rel_err(js_positive_part(stats, as_printed=as_printed), expected) < 1e-10
-    assert _rel_err(wang_estimator(stats), _oracle_wang(y)) < 1e-10
+        assert _rel_err(estimate_of(name, stats), expected) < 1e-10
+    assert _rel_err(estimate_of("wang", stats), _oracle_wang(y)) < 1e-10
 
 
 def _wang_condition(stats):
@@ -295,7 +291,7 @@ def test_innovations_give_the_sample_estimates(law, p, c):
         assert _rel_err(back @ evaluate(name, fast, frame.mu_0, frame)[0], expected) < tol, name
     w_fast = bona_fide_intensities(fast, frame.mu_0)
     w_slow = bona_fide_intensities(slow, pop.mu_0)
-    assert _rel_err([w_fast.alpha, w_fast.beta], [w_slow.alpha, w_slow.beta]) < 1e-12
+    assert _rel_err(w_fast, w_slow) < 1e-12
 
 
 class TestOneFactorizationPerSample:
