@@ -7,7 +7,9 @@ All estimators in one run see identical windows and identical target
 draws, so comparisons stay paired.  Each runs through
 :func:`shrinkmean.estimators.evaluate`, as in the Monte Carlo harness, so
 every entry of :data:`ESTIMATORS` outside :data:`NEEDS_POPULATION` (which
-a returns panel cannot supply) is a backtest estimator.
+a returns panel cannot supply) is a backtest estimator.  The panel comes
+from :func:`load_returns_csv`, which reads a returns CSV in one pass, row by
+row, or from :func:`synthetic_panel`.
 """
 
 from __future__ import annotations
@@ -122,11 +124,38 @@ def load_returns_csv(path, has_header: bool = True) -> ReturnsPanel:
     differs from the first data row raises :class:`RaggedRowsError`.  A file
     that is not UTF-8 text, or that the csv module refuses (such as a field
     over its size limit), raises :class:`ParseError` naming the file.
+
+    The file is read once, front to back: each row becomes a float array as
+    it is read and the rows are stacked at the end, so the peak memory is
+    about twice the panel's array.  The first fault in file order is
+    raised, so a bad cell wins over a csv fault on a later line; bytes that
+    are not UTF-8 are met when their block of the file is decoded, which
+    can be before the rows above them are checked.
     """
+    labels, rows = None, []
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            rows = [(reader.line_num, row) for row in reader if row]
+            for row in reader:
+                if not row:
+                    continue
+                if has_header and labels is None:
+                    labels = [cell.strip() for cell in row]
+                    continue
+                if not rows:
+                    width = len(row)
+                    if labels is not None and len(labels) != width:
+                        raise RaggedRowsError(f"{path}: header has {len(labels)} labels,"
+                                              f" data rows have {width} cells")
+                try:
+                    if len(row) != width:
+                        raise ValueError
+                    values = np.array([float(cell) for cell in row])
+                    if not np.isfinite(values).all():
+                        raise ValueError
+                except ValueError:
+                    _raise_first_bad_cell(path, reader.line_num, row, width)
+                rows.append(values)
         except UnicodeDecodeError as exc:
             # the decoder's position counts from the start of its read chunk,
             # not of the file, so only the reason is named
@@ -134,30 +163,9 @@ def load_returns_csv(path, has_header: bool = True) -> ReturnsPanel:
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
-        raise ParseError(f"{path}: file is empty")
-
-    labels = None
-    if has_header:
-        labels = [cell.strip() for cell in rows.pop(0)[1]]
-        if not rows:
-            raise ParseError(f"{path}: no data rows below the header")
-
-    width = len(rows[0][1])
-    if labels is not None and len(labels) != width:
-        raise RaggedRowsError(
-            f"{path}: header has {len(labels)} labels, data rows have {width} cells"
-        )
-    data = np.empty((len(rows), width))
-    for i, (line, row) in enumerate(rows):
-        try:
-            if len(row) != width:
-                raise ValueError
-            data[i] = [float(cell) for cell in row]
-            if not np.isfinite(data[i]).all():
-                raise ValueError
-        except ValueError:
-            _raise_first_bad_cell(path, line, row, width)
-    return ReturnsPanel(values=data, asset_labels=labels)
+        raise ParseError(f"{path}: file is empty" if labels is None
+                         else f"{path}: no data rows below the header")
+    return ReturnsPanel(values=np.stack(rows), asset_labels=labels)
 
 
 def _raise_first_bad_cell(path, line: int, row: list[str], width: int) -> None:

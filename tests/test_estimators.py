@@ -26,6 +26,8 @@ from shrinkmean.errors import (
 )
 from shrinkmean.estimators import (
     ESTIMATORS,
+    NEEDS_POPULATION,
+    READS_TARGET,
     bona_fide_intensities,
     evaluate,
     james_stein,
@@ -729,6 +731,23 @@ class TestCoefficientProtocol:
             np.testing.assert_allclose(estimate, expected, rtol=1e-14, atol=0)
         else:
             np.testing.assert_array_equal(estimate, expected)
+
+    @pytest.mark.parametrize("name", [e for e in ESTIMATORS if e not in NEEDS_POPULATION])
+    def test_reads_target_names_the_entries_that_read_mu_0(self, rng, name):
+        # rolling_backtest copies a target-free entry's forecast to every
+        # target, so an entry that reads mu_0 but is missing from
+        # READS_TARGET would be scored on the first target only
+        evaluated = 0
+        for p, n in [(8, 20), (20, 8)]:
+            stats = sample_stats(rng.standard_normal((p, n)) + 0.3)
+            try:
+                first = evaluate(name, stats, rng.standard_normal(p))[1]
+            except InvalidDimensionsError:
+                continue
+            second = evaluate(name, stats, rng.standard_normal(p))[1]
+            assert (first != second) == (name in READS_TARGET), (p, n)
+            evaluated += 1
+        assert evaluated
 
     def test_sample_mean_never_factorizes(self):
         # constant columns: the factorization refuses the sample, but the

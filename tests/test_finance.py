@@ -2,6 +2,8 @@
 checks, start and target options, and its per-window-period estimator calls
 and pairing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from shrinkmean.finance import (
     rolling_backtest,
     synthetic_panel,
     target_vector,
+    write_returns_csv,
 )
 from shrinkmean.linalg import blas_threads
 from shrinkmean.model import sample_stats
@@ -69,10 +72,14 @@ class TestLoadReturnsCsv:
         ("a,b\n1,-inf\n1,2,3\n", "non-finite cell at line 2, column 2"),
         ("a,b,c\n1,nan,x\n", "non-finite cell at line 2, column 2"),
         ("a,b,c\n1,x,nan\n", "non-numeric cell at line 2, column 2: 'x'"),
-    ], ids=["earlier-line", "before-ragged-row", "earlier-column", "non-numeric-first"])
+        ("a,b\n1,x\n2," + "9" * 131073 + "\n", "non-numeric cell at line 2, column 2: 'x'"),
+    ], ids=["earlier-line", "before-ragged-row", "earlier-column", "non-numeric-first",
+            "before-csv-error"])
     def test_first_bad_cell_in_file_order(self, tmp_path, text, message):
         # a non-finite cell is only seen once its row converts, yet it is
-        # reported before any later bad cell of its row or of the file
+        # reported before any later bad cell of its row or of the file, and
+        # before the csv module's refusal of a later line (here a field over
+        # its 131072-character limit)
         with pytest.raises(ParseError, match=message):
             load(tmp_path, text)
 
@@ -87,6 +94,21 @@ class TestLoadReturnsCsv:
     def test_header_only(self, tmp_path):
         with pytest.raises(ParseError, match="no data rows"):
             load(tmp_path, "a,b\n")
+
+    def test_peak_memory_near_the_array(self, tmp_path):
+        # each row is converted as it is read, so no row's strings outlive
+        # it; holding every cell as a string first costs about 10x the array
+        panel = synthetic_panel(200, 500)
+        path = tmp_path / "returns.csv"
+        write_returns_csv(panel, path)
+        tracemalloc.start()
+        try:
+            loaded = load_returns_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.values.shape == panel.values.shape
+        assert peak <= 3 * panel.values.nbytes
 
 
 def _panel(periods=20, p=4, seed=3):
