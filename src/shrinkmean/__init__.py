@@ -18,8 +18,9 @@ from .errors import ShrinkmeanError
 __version__ = "0.1.0"
 
 # lower layers first: a lookup loads the modules listed before its name's
-# own, which that module imports anyway except asymptotics
-_SUBMODULES = ("linalg", "model", "estimators", "asymptotics", "harness", "finance")
+# own, which that module imports anyway; asymptotics, which only the qq
+# command reads, comes last, so a study's or a backtest's names load none of it
+_SUBMODULES = ("linalg", "model", "estimators", "harness", "finance", "asymptotics")
 
 
 def __getattr__(name: str):

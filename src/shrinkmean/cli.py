@@ -26,8 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
+    KS_COEFF_1PCT,
+    QQ_MIN_SAMPLES,
     bona_fide_covariance,
-    oracle_weight_variances,
+    ks_statistic,
+    oracle_weight_covariance,
+    qq_data,
     standardize,
 )
 from .errors import (
@@ -47,15 +51,10 @@ from .finance import (
     write_returns_csv,
 )
 from .harness import (
-    KS_COEFF_1PCT,
-    QQ_MIN_SAMPLES,
     TARGET_MODES,
     McConfig,
     cell_population,
     cell_sample_size,
-    ks_statistic,
-    negative_frequency_table,
-    qq_data,
     run_cell,
     run_study,
     write_intensities_csv,
@@ -201,11 +200,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    config = McConfig(**{"p_grid": TABLE1_P_GRID, "c_grid": TABLE1_C_GRID, **_settings(args)})
-    rows = negative_frequency_table(config)
+    # only the two estimators that record weights run
+    settings = {"p_grid": TABLE1_P_GRID, "c_grid": TABLE1_C_GRID, **_settings(args)}
+    report = run_study(McConfig(**settings, estimators=("olse", "olse-oracle")))
     out = _out_dir(args)
-    write_table1_csv(rows, out / "table1.csv")
-    print(f"wrote {out / 'table1.csv'} ({len(rows)} cells)")
+    write_table1_csv(report, out / "table1.csv")
+    print(f"wrote {out / 'table1.csv'} ({len(report.cells)} cells)")
     return 0
 
 
@@ -230,10 +230,8 @@ def cmd_qq(args) -> int:
     column = 0 if quantity.startswith("alpha") else 1
     gram = pop.precision_gram(pop.mu_n, pop.mu_0)
     center = limit_weights(gram, c_used)[column]
-    if quantity.endswith("-oracle"):
-        variance = oracle_weight_variances(gram, c_used)[column]
-    else:
-        variance = float(bona_fide_covariance(gram, c_used)[column, column])
+    covariance = oracle_weight_covariance if estimator == "olse-oracle" else bona_fide_covariance
+    variance = float(covariance(gram, c_used)[column, column])
 
     raw = cell.weights[estimator][:, column]
     raw = raw[np.isfinite(raw)]
@@ -349,7 +347,8 @@ def _add_n_reps(parser: argparse.ArgumentParser, what: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser.  A flag's dest is the config key it overrides
     (see :func:`_settings`), and a flag whose default lives in a class or a
-    constant defaults to None, meaning unset."""
+    constant defaults to None, meaning unset.  Each command's ``run``
+    default is the handler :func:`main` calls."""
     parser = _Parser(
         prog="shrinkmean",
         description="Shrinkage estimation of high-dimensional mean vectors: "
@@ -378,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                  help="innovation law: normal, t:<df>, exponential "
                       f"(default {InnovationLaw().spec_string()})")
     # the config-file keys that no flag sets
-    sim.set_defaults(eigen_recipe=None, override_lambda_max=None)
+    sim.set_defaults(run=cmd_simulate, eigen_recipe=None, override_lambda_max=None)
 
     tab = sub.add_parser("table1", help="negative-weight frequency grid")
     _add_common(tab, McConfig)
@@ -387,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting(tab, "--c", "c_grid", metavar="C",
                  help=f"override the default grid {TABLE1_C_GRID}")
     _add_n_reps(tab, "replications per cell")
+    tab.set_defaults(run=cmd_table1)
 
     qq = sub.add_parser("qq", help="normality diagnostics of a standardized quantity")
     _add_common(qq, McConfig)
@@ -397,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="concentration p/n (default %(default)s)")
     _add_n_reps(qq, "sample count")
     _add_setting(qq, "--gamma", "gamma", choices=(0, 1), help=gamma_help)
+    qq.set_defaults(run=cmd_qq)
 
     back = sub.add_parser("backtest", help="rolling-window backtest on a returns CSV")
     _add_common(back, BacktestConfig)
@@ -418,19 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None, help="the CSV's first row holds asset labels")
     back.add_argument("--fixed-target", action=argparse.BooleanOptionalAction, default=None,
                       help="draw the targets once per window size, not per period")
+    back.set_defaults(run=cmd_backtest)
 
     demo = sub.add_parser("demo", help="write a synthetic panel and run a small pass")
     _add_common(demo, McConfig)
+    demo.set_defaults(run=cmd_demo)
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "table1": cmd_table1,
-    "qq": cmd_qq,
-    "backtest": cmd_backtest,
-    "demo": cmd_demo,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ConfigError, ParseError, ScopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
-"""Monte Carlo studies: loss curves, negative-weight frequencies, QQ data.
+"""Monte Carlo studies: loss curves and negative-weight frequencies.
 
 A study runs a grid of (p, c) cells.  Each cell draws one population from
 a sub-seed derived from ``(root seed, p, round(1000 c))``, then evaluates
 every requested estimator on ``n_reps`` independent samples whose random
-streams are derived from ``(root seed, p, round(1000 c), replication + 1)``.
+streams are derived from ``(root seed, p, round(1000 c), replication + 1)``;
+:class:`McConfig` rejects two concentrations that round to the same thousandth.
 Every estimator runs through :func:`shrinkmean.estimators.evaluate`, the
 one call the backtester makes too, so a name in the one table
 :data:`ESTIMATORS` is all a study needs.
@@ -39,31 +40,24 @@ thread left; :func:`cell_population` builds under that limit too, since a
 BLAS call on all threads leaves the extra one spinning after it returns.
 Each replication keeps its own stream and its results their index, so a
 study's reports and CSVs are the same for a given seed whatever the thread
-timing; no wall-clock time is recorded.  The QQ helpers take the standard
-normal quantile from :class:`statistics.NormalDist` and the CDF from
-``math.erfc``, so importing the package loads no scipy module at all (the
-triangular solves call numpy's own BLAS, see :mod:`shrinkmean.linalg`):
-scipy would add memory and import time to every run for helpers only the
-``qq`` command calls.
+timing; no wall-clock time is recorded.  The normality diagnostics of the
+``qq`` command live in :mod:`.asymptotics`, so a study loads neither them
+nor the standard library's ``statistics``.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from statistics import NormalDist
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     DimensionMismatchError,
-    NonFiniteDataError,
     ShrinkmeanError,
-    TooFewSamplesError,
     reject_duplicates,
 )
 from .estimators import ESTIMATORS, evaluate
@@ -83,8 +77,6 @@ __all__ = [
     "CellResult",
     "McReport",
     "TARGET_MODES",
-    "KS_COEFF_1PCT",
-    "QQ_MIN_SAMPLES",
     "cell_sample_size",
     "population_rng",
     "cell_population",
@@ -92,9 +84,6 @@ __all__ = [
     "quadratic_loss",
     "run_cell",
     "run_study",
-    "negative_frequency_table",
-    "qq_data",
-    "ks_statistic",
     "write_losses_csv",
     "write_intensities_csv",
     "write_qq_csv",
@@ -103,13 +92,6 @@ __all__ = [
 ]
 
 TARGET_MODES = ("drawn", "equal-to-mu_n")
-
-#: asymptotic Kolmogorov coefficient at the 1% level; critical value is
-#: KS_COEFF_1PCT / sqrt(n_samples)
-KS_COEFF_1PCT = 1.63
-
-#: fewest samples :func:`qq_data` and :func:`ks_statistic` accept
-QQ_MIN_SAMPLES = 10
 
 #: the estimators whose weights a cell records, each with its ``kind`` in
 #: intensities.csv, in the order their rows are written
@@ -121,8 +103,13 @@ def cell_sample_size(p: int, c: float) -> int:
     return int(np.floor(p / c + 0.5))
 
 
+def _stream_key(c: float) -> int:
+    """The entry of ``c`` in its cell's stream entropy: c in thousandths."""
+    return int(round(1000 * c))
+
+
 def _cell_entropy(seed: int, p: int, c: float) -> tuple[int, int, int]:
-    return (seed, p, int(round(1000 * c)))
+    return (seed, p, _stream_key(c))
 
 
 def population_rng(seed: int, p: int, c: float) -> np.random.Generator:
@@ -177,6 +164,12 @@ class McConfig:
             for c in self.c_grid:
                 if cell_sample_size(p, c) < 2:
                     raise ConfigError(f"cell p={p} c={c} yields n < 2")
+        keyed: dict[int, float] = {}
+        for c in self.c_grid:
+            other = keyed.setdefault(_stream_key(c), c)
+            if other != c:
+                raise ConfigError(f"concentrations {other} and {c} round to the same "
+                                  "thousandth, so their cells would share random streams")
 
 
 @dataclass(eq=False)
@@ -317,45 +310,6 @@ def run_study(config: McConfig) -> McReport:
     return McReport(config=config, cells=cells)
 
 
-def negative_frequency_table(config: McConfig) -> list[dict]:
-    """Per-cell frequencies of a negative alpha weight, oracle and bona fide.
-    Only the two estimators that record weights run, whatever ``config`` lists."""
-    report = run_study(replace(config, estimators=("olse", "olse-oracle")))
-    return [{"p": cell.p, "c": cell.c,
-             "oracle_negative_freq": cell.negative_frequency("olse-oracle"),
-             "bona_fide_negative_freq": cell.negative_frequency("olse")}
-            for cell in report.cells]
-
-
-def _sorted_qq_samples(samples: np.ndarray) -> np.ndarray:
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < QQ_MIN_SAMPLES:
-        raise TooFewSamplesError(
-            f"need at least {QQ_MIN_SAMPLES} samples, got {samples.size}"
-        )
-    if not np.isfinite(samples).all():
-        raise NonFiniteDataError("QQ samples hold a NaN or infinite entry")
-    return np.sort(samples)
-
-
-def qq_data(samples: np.ndarray) -> np.ndarray:
-    """Pairs (standard-normal quantile, sorted sample) at positions (i-0.5)/N."""
-    ordered = _sorted_qq_samples(samples)
-    positions = (np.arange(1, ordered.size + 1) - 0.5) / ordered.size
-    quantile = NormalDist().inv_cdf
-    return np.column_stack([[quantile(q) for q in positions], ordered])
-
-
-def ks_statistic(samples: np.ndarray) -> float:
-    """Sup distance between the empirical CDF and the standard normal CDF."""
-    ordered = _sorted_qq_samples(samples)
-    count = ordered.size
-    cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2)) for x in ordered])
-    upper = np.arange(1, count + 1) / count - cdf
-    lower = cdf - np.arange(0, count) / count
-    return float(max(upper.max(), lower.max()))
-
-
 def write_rows(path, header: list[str] | None, rows) -> None:
     """Write ``rows`` as CSV under ``header`` (no header line for None): the
     package's one CSV writer, with floats to 12 significant digits."""
@@ -389,6 +343,9 @@ def write_qq_csv(pairs: np.ndarray, quantity: str, p: int, c: float, path) -> No
     write_rows(path, ["quantity", "p", "c", "theoretical", "empirical"], rows)
 
 
-def write_table1_csv(rows: list[dict], path) -> None:
-    header = ["p", "c", "oracle_negative_freq", "bona_fide_negative_freq"]
-    write_rows(path, header, ([r[key] for key in header] for r in rows))
+def write_table1_csv(report: McReport, path) -> None:
+    """Per-cell frequencies of a negative alpha weight, oracle and bona fide:
+    ``report`` must record the weights of both ``olse-oracle`` and ``olse``."""
+    rows = [(cell.p, cell.c, cell.negative_frequency("olse-oracle"),
+             cell.negative_frequency("olse")) for cell in report.cells]
+    write_rows(path, ["p", "c", "oracle_negative_freq", "bona_fide_negative_freq"], rows)

@@ -17,7 +17,7 @@ from noncentral_f import (
     residual_stat,
     residual_stat_moments,
 )
-from shrinkmean.asymptotics import bona_fide_covariance, oracle_weight_variances, standardize
+from shrinkmean.asymptotics import bona_fide_covariance, oracle_weight_covariance, standardize
 from shrinkmean.errors import (
     DegenerateDenominatorError,
     InvalidDimensionsError,
@@ -32,7 +32,7 @@ def oracle_variances_closed_form(pop, c, gamma):
     """Hand-expanded limiting variances of the two oracle weights in the
     paper's form, with the Gram and c scaled by p^{-gamma} and the weights
     standardized at rate sqrt(p^gamma n): the reference for the delta-method
-    identity of ``oracle_weight_variances``, which is on the sqrt(n) scale,
+    identity of ``oracle_weight_covariance``, which is on the sqrt(n) scale,
     so equals this times p^{-gamma}.  Each weight fluctuation is a Gaussian
     linear part plus an independent normalized chi-square part of variance
     2, hence the factor 2 on the det^2 terms."""
@@ -81,10 +81,11 @@ class TestDeltaMethodIdentity:
             gamma = cell % 2
             config = McConfig(p_grid=(p,), c_grid=(c_oracle,), gamma=gamma, seed=cell)
             pop = cell_population(config, p, c_oracle)
-            got = oracle_weight_variances(limit_gram(pop), c_oracle)
+            got = oracle_weight_covariance(limit_gram(pop), c_oracle)
             want = oracle_variances_closed_form(pop, c_oracle, gamma)
-            assert got == pytest.approx([float(p) ** -gamma * v for v in want],
-                                        rel=1e-12, abs=0.0)
+            assert np.diag(got) == pytest.approx(float(p) ** -gamma * np.array(want),
+                                                 rel=1e-12, abs=0.0)
+            assert got[0, 1] == got[1, 0]
 
             got = bona_fide_covariance(limit_gram(pop), c_bona_fide)
             want = bona_fide_covariance_closed_form(pop, c_bona_fide)
@@ -107,8 +108,8 @@ class TestDeltaMethodIdentity:
         assert not np.array_equal(skewed.mu_n, spherical.mu_n)
         assert np.array_equal(limit_gram(skewed), limit_gram(spherical))
         for c in (0.5, 2.0):
-            assert (oracle_weight_variances(limit_gram(skewed), c)
-                    == oracle_weight_variances(limit_gram(spherical), c))
+            assert np.array_equal(oracle_weight_covariance(limit_gram(skewed), c),
+                                  oracle_weight_covariance(limit_gram(spherical), c))
         assert np.array_equal(bona_fide_covariance(limit_gram(skewed), 0.5),
                               bona_fide_covariance(limit_gram(spherical), 0.5))
 
@@ -117,13 +118,13 @@ class TestDeltaMethodIdentity:
         # a zero target makes det A = c G_11 + det G vanish, for both
         # covariances alike: the limit system is solved and checked once
         with pytest.raises(DegenerateDenominatorError, match="zero precision-metric energy"):
-            oracle_weight_variances(limit_gram(pop), 0.5)
+            oracle_weight_covariance(limit_gram(pop), 0.5)
         with pytest.raises(DegenerateDenominatorError, match="zero precision-metric energy"):
             bona_fide_covariance(limit_gram(pop), 0.5)
         pop = replace(pop, mu_0=rng.standard_normal(4))
         for c in (-0.5, 0.0, np.nan, np.inf):  # the limit system needs 0 < c < inf
             with pytest.raises(ScopeError, match="positive and finite"):
-                oracle_weight_variances(limit_gram(pop), c)
+                oracle_weight_covariance(limit_gram(pop), c)
         for c in (-0.5, 0.0, 1.0, 2.0):  # the 1/(1-c) pole and beyond
             with pytest.raises(ScopeError, match=r"requires c in \(0, 1\)"):
                 bona_fide_covariance(limit_gram(pop), c)
@@ -133,8 +134,8 @@ class TestOracleWeightVariances:
     @pytest.mark.parametrize("gamma, c", [(0, 0.5), (0, 2.0), (1, 0.5), (1, 2.0)])
     def test_pooled_sd_of_standardized_weights(self, gamma, c):
         # sqrt(n) (w - w_limit) / sqrt(var) is asymptotically N(0, 1) for
-        # both oracle weights at either gamma, with var from
-        # oracle_weight_variances.  The variance depends on how the drawn
+        # both oracle weights at either gamma, with var the diagonal of
+        # oracle_weight_covariance.  The variance depends on how the drawn
         # means sit in the covariance's eigenbasis, so one population per
         # cell says little: pool 20 populations (root seeds 56..75) x 50
         # replications at p=100, each
@@ -156,7 +157,7 @@ class TestOracleWeightVariances:
             pop = cell_population(config, p, c)
             weights = run_cell(config, pop, c).weights["olse-oracle"]
             limit = limit_intensities(pop, p / n)
-            variances = oracle_weight_variances(limit_gram(pop), p / n)
+            variances = np.diag(oracle_weight_covariance(limit_gram(pop), p / n))
             for column, center in enumerate(limit):
                 z[column].append(standardize(weights[:, column], center,
                                              variances[column], np.sqrt(n)))
@@ -165,6 +166,39 @@ class TestOracleWeightVariances:
             pooled = np.concatenate(z[column])
             assert pooled.size == n_pops * n_reps
             assert abs(pooled.std(ddof=1) - 1.0) <= bound
+
+    @pytest.mark.parametrize("gamma", [0, 1])
+    def test_pooled_cross_covariance(self, gamma):
+        # the off-diagonal against the sample covariance of sqrt(n) (w -
+        # w_limit) over 4 populations (root seeds 0..3) x 250 replications at
+        # p=100, c=0.5.  A drawn target sits nearly orthogonal to mu_n, which
+        # leaves the limit's correlation rho within about 0.2 of zero, so the
+        # target here adds mu_n to it: rho is then -0.6 to -0.8.  Each gap
+        # is read in units of sqrt(var_alpha var_beta); a sample covariance
+        # of N normal pairs has variance (1 + rho^2) / N in those units, so
+        # the mean gap over the 1000 pairs has a standard error of at most
+        # sqrt(2/1000) = 0.045.  The bound allows three of those plus
+        # n^{-1/2} = 0.071, the rate at which a sqrt(n)-normalized
+        # statistic approaches its limit; root seeds 0..39 read gaps within
+        # 0.11 at either gamma.  A zero off-diagonal misses by about 0.7.
+        p, c, n_seeds, n_reps = 100, 0.5, 4, 250
+        n = cell_sample_size(p, c)
+        gaps, rhos = [], []
+        for seed in range(n_seeds):
+            config = McConfig(p_grid=(p,), c_grid=(c,), gamma=gamma, n_reps=n_reps,
+                              estimators=("olse-oracle",), seed=seed)
+            pop = cell_population(config, p, c)
+            pop = replace(pop, mu_0=pop.mu_0 + pop.mu_n)
+            gram = limit_gram(pop)
+            weights = run_cell(config, pop, c).weights["olse-oracle"]
+            sample = np.cov(np.sqrt(n) * (weights - limit_weights(gram, p / n)), rowvar=False)
+            cov = oracle_weight_covariance(gram, p / n)
+            scale = np.sqrt(cov[0, 0] * cov[1, 1])
+            gaps.append((sample[0, 1] - cov[0, 1]) / scale)
+            rhos.append(cov[0, 1] / scale)
+        assert max(rhos) < -0.5
+        se = np.sqrt((1.0 + np.mean(np.square(rhos))) / (n_seeds * n_reps))
+        assert abs(np.mean(gaps)) <= 3.0 * se + 1.0 / np.sqrt(n)
 
 
 class TestStandardize:

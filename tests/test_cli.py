@@ -15,7 +15,7 @@ from shrinkmean import cli
 from shrinkmean.cli import main
 from shrinkmean.estimators import ESTIMATORS, limit_intensities
 from shrinkmean.finance import BacktestConfig, synthetic_panel, write_returns_csv
-from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell
+from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell, run_study
 from test_asymptotics import oracle_variances_closed_form
 
 
@@ -91,6 +91,26 @@ def test_small_table1(tmp_path, capsys):
     lines = (tmp_path / "table1.csv").read_text().splitlines()
     assert lines[0] == "p,c,oracle_negative_freq,bona_fide_negative_freq"
     assert [line.split(",")[:2] for line in lines[1:]] == [["20", "0.5"], ["20", "2"]]
+
+
+def test_table1_frequencies_are_the_study_cells(tmp_path, capsys):
+    # the two frequency columns are each cell's negative_frequency of the
+    # oracle and the bona fide weights, at the same seed and grid
+    code, err = run(capsys, "table1", "--p", "20,40", "--c", "0.5,2", "--n-reps", "40",
+                    "--seed", "6", "--out", str(tmp_path))
+    assert code == 0, err
+    with open(tmp_path / "table1.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    config = McConfig(p_grid=(20, 40), c_grid=(0.5, 2.0), n_reps=40,
+                      estimators=("olse", "olse-oracle"), seed=6)
+    cells = run_study(config).cells
+    assert len(rows) == len(cells) == 4
+    for row, cell in zip(rows, cells):
+        assert (int(row["p"]), float(row["c"])) == (cell.p, cell.c)
+        assert float(row["oracle_negative_freq"]) == cell.negative_frequency("olse-oracle")
+        assert float(row["bona_fide_negative_freq"]) == cell.negative_frequency("olse")
+    # some cell counts a negative weight, so a column of zeros fails too
+    assert any(float(row["oracle_negative_freq"]) > 0 for row in rows)
 
 
 @pytest.mark.parametrize("lines, flags, n_reps", [
@@ -315,7 +335,8 @@ def test_gamma_flag_reads_as_the_gamma_key(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [("--c", "0"), ("--p", "1"), ("--c", "-1"),
-                                   ("--p", "20,20"), ("--estimators", "olse,olse")])
+                                   ("--p", "20,20"), ("--estimators", "olse,olse"),
+                                   ("--c", "0.5,0.5004")])
 def test_simulate_bad_grid_exits_2(tmp_path, capsys, flags):
     code, err = run(capsys, "simulate", *flags, "--n-reps", "5", "--out", str(tmp_path))
     assert code == 2

@@ -15,7 +15,7 @@ from conftest import (
     sample_with_moments,
     wang_pair_sums_naive,
 )
-from shrinkmean.asymptotics import bona_fide_covariance, standardize
+from shrinkmean.asymptotics import KS_COEFF_1PCT, bona_fide_covariance, ks_statistic, standardize
 from shrinkmean.errors import (
     DegenerateDenominatorError,
     DimensionMismatchError,
@@ -39,15 +39,7 @@ from shrinkmean.estimators import (
     wang_estimator,
 )
 from shrinkmean.finance import BacktestConfig, ReturnsPanel, rolling_backtest
-from shrinkmean.harness import (
-    KS_COEFF_1PCT,
-    McConfig,
-    cell_population,
-    cell_sample_size,
-    ks_statistic,
-    run_cell,
-    run_study,
-)
+from shrinkmean.harness import McConfig, cell_population, cell_sample_size, run_cell, run_study
 from shrinkmean.linalg import haar_orthogonal
 from shrinkmean.model import sample_stats
 

@@ -15,20 +15,14 @@ import pytest
 from scipy.stats import kstest, norm
 
 import shrinkmean
+from shrinkmean.asymptotics import ks_statistic, qq_data
 from shrinkmean.errors import (
     ConfigError,
     DimensionMismatchError,
     NonFiniteDataError,
     TooFewSamplesError,
 )
-from shrinkmean.harness import (
-    McConfig,
-    cell_population,
-    ks_statistic,
-    qq_data,
-    quadratic_loss,
-    run_cell,
-)
+from shrinkmean.harness import McConfig, cell_population, quadratic_loss, run_cell
 
 
 def _fresh_output(code: str) -> str:
@@ -49,6 +43,17 @@ def test_import_loads_neither_scipy_stats_nor_special():
     assert _fresh_output(code) == "[]"
 
 
+def test_studies_and_backtests_load_no_statistics_module():
+    # only the qq command's normality diagnostics read the standard
+    # library's statistics (and, through it, decimal and fractions); a
+    # Monte Carlo study or a backtest imports neither them nor it, whether
+    # it reads its names from the submodules or from the package root
+    code = ("import sys, shrinkmean, shrinkmean.harness, shrinkmean.finance; "
+            "shrinkmean.run_study, shrinkmean.rolling_backtest; "
+            "print(sorted(m for m in sys.modules if 'statistics' in m))")
+    assert _fresh_output(code) == "[]"
+
+
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(shrinkmean.__path__)))
 def test_every_exported_name_resolves(module):
     # a deleted function or class must leave its module's __all__ as well
@@ -61,7 +66,8 @@ class TestPackageRoot:
     # the names the package root re-exported eagerly before it resolved
     # them on first use, by the submodule that defines them
     ROOT_NAMES = {
-        "asymptotics": ("bona_fide_covariance", "oracle_weight_variances", "standardize"),
+        "asymptotics": ("bona_fide_covariance", "ks_statistic", "oracle_weight_covariance",
+                        "qq_data", "standardize"),
         "errors": ("ShrinkmeanError",),
         "estimators": ("ESTIMATORS", "NEEDS_POPULATION",
                        "bona_fide_intensities", "evaluate", "james_stein", "js_high_dim",
@@ -69,8 +75,7 @@ class TestPackageRoot:
                        "wang_estimator"),
         "finance": ("BacktestConfig", "BacktestReport", "ReturnsPanel", "load_returns_csv",
                     "rolling_backtest", "synthetic_panel", "target_vector"),
-        "harness": ("McConfig", "McReport", "ks_statistic", "negative_frequency_table",
-                    "qq_data", "quadratic_loss", "run_study"),
+        "harness": ("McConfig", "McReport", "quadratic_loss", "run_study"),
         "linalg": ("SpdFactor", "haar_orthogonal", "spd_factor", "spd_solve", "spd_whiten"),
         "model": ("DEFAULT_RECIPE", "EigenRecipe", "InnovationLaw", "PopulationSpec",
                   "SampleStats", "build_covariance", "draw_mean_vectors", "sample_stats"),
@@ -159,7 +164,8 @@ class TestDuplicateEntries:
             McConfig(**fields)
 
     def test_distinct_entries_accepted(self):
-        config = McConfig(p_grid=(20, 40), c_grid=(0.5, 2.0), estimators=("olse", "wang"))
+        # 0.5 and 0.501 key their cells' streams apart (see c-sharing-a-stream)
+        config = McConfig(p_grid=(20, 40), c_grid=(0.5, 0.501, 2.0), estimators=("olse", "wang"))
         assert config.estimators == ("olse", "wang")
 
 
@@ -170,8 +176,11 @@ class TestDuplicateEntries:
     ({"gamma": 0.5}, "gamma"),
     ({"p_grid": (2,), "c_grid": (2.0,)}, "n < 2"),  # n = round(2 / 2) = 1
     ({"seed": -1}, "seed"),  # numpy's seed sequences take no negative entropy
+    # a cell's streams are keyed by round(1000 c): both cells would draw one
+    # population and the same samples
+    ({"c_grid": (0.5, 0.5004)}, "0.5 and 0.5004"),
 ], ids=["no-replication", "empty-grid", "unknown-estimator", "gamma", "n-below-2",
-        "negative-seed"])
+        "negative-seed", "c-sharing-a-stream"])
 def test_config_rejected(fields, match):
     with pytest.raises(ConfigError, match=match):
         McConfig(**{"p_grid": (20,), "c_grid": (0.5,), **fields})

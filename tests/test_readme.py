@@ -39,6 +39,6 @@ def test_error_table_names_each_class_and_its_exit_code(monkeypatch, capsys):
         def fail(args, cls=classes[name]):
             raise cls("message")
 
-        monkeypatch.setitem(cli._COMMANDS, "demo", fail)
+        monkeypatch.setattr(cli, "cmd_demo", fail)
         assert cli.main(["demo"]) == code
         assert capsys.readouterr().err == "error: message\n"
