@@ -17,10 +17,12 @@ from .errors import ShrinkmeanError
 
 __version__ = "0.1.0"
 
-# lower layers first: a lookup loads the modules listed before its name's
-# own, which that module imports anyway; asymptotics, which only the qq
-# command reads, comes last, so a study's or a backtest's names load none of it
-_SUBMODULES = ("linalg", "model", "estimators", "harness", "finance", "asymptotics")
+# a lookup loads every module listed before its name's own.  finance and
+# harness both import the four listed first, and neither imports the other:
+# finance comes first, so a backtest's names load no Monte Carlo thread pool,
+# while a study's names load finance too (about 0.1 MB).  asymptotics, which
+# only the qq command reads, comes last, so neither kind of name loads it
+_SUBMODULES = ("linalg", "model", "estimators", "tables", "finance", "harness", "asymptotics")
 
 
 def __getattr__(name: str):

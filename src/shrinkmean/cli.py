@@ -25,15 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (
-    KS_COEFF_1PCT,
-    QQ_MIN_SAMPLES,
-    bona_fide_covariance,
-    ks_statistic,
-    oracle_weight_covariance,
-    qq_data,
-    standardize,
-)
 from .errors import (
     ConfigError,
     ParseError,
@@ -210,6 +201,18 @@ def cmd_table1(args) -> int:
 
 
 def cmd_qq(args) -> int:
+    # imported here, since they load the standard library's statistics
+    # (and decimal and fractions), which no other command needs
+    from .asymptotics import (
+        KS_COEFF_1PCT,
+        QQ_MIN_SAMPLES,
+        bona_fide_covariance,
+        ks_statistic,
+        oracle_weight_covariance,
+        qq_data,
+        standardize,
+    )
+
     quantity, p, c = args.quantity, args.p, args.c
     estimator = "olse-oracle" if quantity.endswith("-oracle") else "olse"
     # the config validates the cell before n and p / n are taken from it

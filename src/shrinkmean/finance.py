@@ -28,9 +28,9 @@ from .errors import (
     reject_duplicates,
 )
 from .estimators import ESTIMATORS, NEEDS_POPULATION, READS_TARGET, evaluate
-from .harness import write_rows
 from .linalg import fewer_blas_threads
 from .model import sample_stats
+from .tables import write_rows
 
 __all__ = [
     "ReturnsPanel",

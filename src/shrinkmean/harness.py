@@ -47,7 +47,6 @@ nor the standard library's ``statistics``.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -71,6 +70,7 @@ from .model import (
     draw_mean_vectors,
     sample_stats,
 )
+from .tables import write_rows
 
 __all__ = [
     "McConfig",
@@ -88,7 +88,6 @@ __all__ = [
     "write_intensities_csv",
     "write_qq_csv",
     "write_table1_csv",
-    "write_rows",
 ]
 
 TARGET_MODES = ("drawn", "equal-to-mu_n")
@@ -308,17 +307,6 @@ def run_study(config: McConfig) -> McReport:
     cells = [run_cell(config, cell_population(config, p, c), c)
              for p in config.p_grid for c in config.c_grid]
     return McReport(config=config, cells=cells)
-
-
-def write_rows(path, header: list[str] | None, rows) -> None:
-    """Write ``rows`` as CSV under ``header`` (no header line for None): the
-    package's one CSV writer, with floats to 12 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if header is not None:
-            writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in row])
 
 
 def write_losses_csv(report: McReport, path) -> None:

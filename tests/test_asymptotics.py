@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import ncf, ncx2
+from scipy.special import wofz
+from scipy.stats import chi2, ncf, ncx2
 
 from conftest import bare_population, limit_gram, rand_spd, sample_covariance
 from noncentral_f import (
@@ -12,6 +13,7 @@ from noncentral_f import (
     inverse_chi2_mean,
     james_stein_risk,
     oracle_negative_probability,
+    oracle_risk,
     population_residual_form,
     projection_stat,
     residual_stat,
@@ -449,3 +451,47 @@ def test_alpha_sign_follows_its_exact_law(estimator, c):
         mean += n_reps * prob
         var += n_reps * prob * (1.0 - prob)
     assert abs(count - mean) <= 4.0 * np.sqrt(var)
+
+
+@pytest.mark.parametrize("p, n, resid", [(20, 40, 0.1), (100, 50, 0.05), (250, 125, 0.3),
+                                           (60, 30, 2.0)])
+def test_oracle_risk_matches_the_voigt_integral(p, n, resid):
+    # with x = n r^2, b = sqrt(x) and m = sqrt(n R) the loss is R b^2 /
+    # ((g + m)^2 + b^2), whose mean over g ~ N(0, 1) is closed: R b sqrt(pi / 2)
+    # Re w((-m + i b) / sqrt 2), w the Faddeeva function.  scipy's quadrature
+    # of that over x ~ chi2(p-2) checks the two-dimensional Gauss rule
+    m = np.sqrt(n * resid)
+
+    def given(x):
+        b = np.sqrt(x)
+        return resid * b * np.sqrt(np.pi / 2.0) * wofz((1j * b - m) / np.sqrt(2.0)).real
+
+    expected = chi2.expect(given, args=(p - 2,))
+    assert oracle_risk(p, n, resid) == pytest.approx(expected, rel=1e-9)
+
+
+def test_oracle_loss_is_its_exact_risk():
+    # under the normal law the oracle's loss has the mean of
+    # noncentral_f.oracle_risk at any c.  At c = 2 a cell is scored in its
+    # eigenbasis frame (rotated means, coloured draws and quadratic_loss's
+    # row scaling), which no other exact test reaches.  Each root seed draws
+    # its own population and has its own exact risk, so the pooled sum of
+    # losses less the sum of those risks, over the root of the summed
+    # per-seed sample variances, is close to standard normal over the 4000
+    # replications: every loss lies in [0, R], so the CLT holds long before
+    # that count, and |z| <= 4 fails a correct risk less than once in 10^4.
+    # Colouring the draws by lam in place of lam^{1/2} reads z = +203, and
+    # rotating the means by Q in place of Q' reads z = +18
+    p, c, n_seeds, n_reps = 100, 2.0, 4, 1000
+    n = cell_sample_size(p, c)
+    gap, var = 0.0, 0.0
+    for seed in range(n_seeds):
+        config = McConfig(p_grid=(p,), c_grid=(c,), n_reps=n_reps,
+                          estimators=("olse-oracle",), seed=seed)
+        pop = cell_population(config, p, c)
+        risk = oracle_risk(p, n, population_residual_form(limit_gram(pop)))
+        loss = run_cell(config, pop, c).losses["olse-oracle"]
+        assert np.isfinite(loss).all()
+        gap += float((loss - risk).sum())
+        var += n_reps * float(loss.var(ddof=1))
+    assert abs(gap) <= 4.0 * np.sqrt(var)

@@ -51,6 +51,25 @@ def test_module_entry_point_bad_flag():
     assert_one_error_line(err)
 
 
+def test_commands_but_qq_load_no_statistics_module(tmp_path):
+    # only qq reads the normality diagnostics, whose standard library
+    # statistics loads decimal and fractions too; the CLI imports them in
+    # cmd_qq, so neither a backtest nor a study loads any of it
+    panel = tmp_path / "returns.csv"
+    write_returns_csv(synthetic_panel(p=8, periods=40, seed=1), panel)
+    code = ("import sys; from shrinkmean.cli import main; "
+            "panel, out = sys.argv[1:]; "
+            "codes = [main(['backtest', panel, '--windows', '10', '--out', out + '/backtest']), "
+            "main(['simulate', '--p', '10', '--c', '0.5', '--n-reps', '2', "
+            "'--out', out + '/simulate'])]; "
+            "print(codes, sorted(m for m in sys.modules if 'statistics' in m))")
+    src = str(Path(shrinkmean.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, str(panel), str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_demo(tmp_path, capsys):
     code, err = run(capsys, "demo", "--out", str(tmp_path))
     assert code == 0, err

@@ -2,6 +2,7 @@
 frequency's input checks, and the package's import footprint and
 exports."""
 
+import csv
 import importlib
 import os
 import pkgutil
@@ -22,7 +23,15 @@ from shrinkmean.errors import (
     NonFiniteDataError,
     TooFewSamplesError,
 )
-from shrinkmean.harness import McConfig, cell_population, quadratic_loss, run_cell
+from shrinkmean.harness import (
+    CellResult,
+    McConfig,
+    McReport,
+    cell_population,
+    quadratic_loss,
+    run_cell,
+    write_losses_csv,
+)
 
 
 def _fresh_output(code: str) -> str:
@@ -54,6 +63,16 @@ def test_studies_and_backtests_load_no_statistics_module():
     assert _fresh_output(code) == "[]"
 
 
+def test_backtests_load_no_monte_carlo_harness():
+    # the backtester takes its CSV writer from tables, so neither importing
+    # it nor reading its names from the package root loads harness and,
+    # through it, the thread pool of concurrent.futures and its logging
+    code = ("import sys, shrinkmean, shrinkmean.finance; shrinkmean.rolling_backtest; "
+            "print(sorted({'shrinkmean.harness', 'concurrent.futures', 'logging'} "
+            "& set(sys.modules)))")
+    assert _fresh_output(code) == "[]"
+
+
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(shrinkmean.__path__)))
 def test_every_exported_name_resolves(module):
     # a deleted function or class must leave its module's __all__ as well
@@ -79,6 +98,7 @@ class TestPackageRoot:
         "linalg": ("SpdFactor", "haar_orthogonal", "spd_factor", "spd_solve", "spd_whiten"),
         "model": ("DEFAULT_RECIPE", "EigenRecipe", "InnovationLaw", "PopulationSpec",
                   "SampleStats", "build_covariance", "draw_mean_vectors", "sample_stats"),
+        "tables": ("write_rows",),
     }
 
     def test_import_loads_no_submodule(self):
@@ -204,3 +224,24 @@ def test_quadratic_loss_needs_a_p_by_k_stack(shape):
     pop = cell_population(McConfig(p_grid=(20,), c_grid=(0.5,)), 20, 0.5)
     with pytest.raises(DimensionMismatchError):
         quadratic_loss(np.zeros(shape), pop)
+
+
+def test_losses_csv_se_is_the_standard_error_of_the_finite_losses(tmp_path):
+    # se is sd(ddof=1) / sqrt(k) over the k finite losses of an estimator:
+    # 1, 2 and 4 have sd sqrt(7/3), so se sqrt(7) / 3.  Below two finite
+    # losses there is no spread to estimate, and both nan and a lone loss
+    # write a nan se
+    config = McConfig(p_grid=(20,), c_grid=(0.5,), n_reps=4,
+                      estimators=("sample-mean", "olse", "js"))
+    losses = {"sample-mean": np.array([1.0, 2.0, np.nan, 4.0]),
+              "olse": np.array([np.nan, 0.25, np.nan, np.nan]),
+              "js": np.full(4, np.nan)}
+    cell = CellResult(p=20, c=0.5, n=40, losses=losses, failures={}, weights={})
+    path = tmp_path / "losses.csv"
+    write_losses_csv(McReport(config=config, cells=[cell]), path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = {row["estimator"]: row for row in csv.DictReader(handle)}
+    assert float(rows["sample-mean"]["mean_loss"]) == pytest.approx(7.0 / 3.0, rel=1e-11)
+    assert float(rows["sample-mean"]["se"]) == pytest.approx(np.sqrt(7.0) / 3.0, rel=1e-11)
+    assert (rows["olse"]["mean_loss"], rows["olse"]["se"]) == ("0.25", "nan")
+    assert (rows["js"]["mean_loss"], rows["js"]["se"]) == ("nan", "nan")
